@@ -40,8 +40,11 @@ impl Drop for Serial {
 }
 
 fn serial() -> Serial {
+    // Lock first: a reset by a test still waiting for the lock would
+    // disarm the mutation of the test that holds it.
+    let guard = Serial(TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner));
     mutation::reset_all();
-    Serial(TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
+    guard
 }
 
 fn cfg() -> Config {

@@ -10,12 +10,16 @@
 //! * `live_segments` — one predicted-write set per in-flight task, pruned
 //!   as tasks commit (committed values are visible in architected state).
 //!
-//! Reads resolve through the master's cumulative writes since restart,
-//! then a **snapshot of architected state taken at restart** — the
-//! master's private cache view. Reading *live* architected state instead
-//! would let the verify pipeline (which can run ahead of a cache-cold
-//! master) feed the master values from its own future, desynchronizing it
-//! by a segment on every such race; the snapshot makes the master's view
+//! The master executes in a **private machine state**: a snapshot of
+//! architected state taken at restart — its cache view — that its own
+//! writes go straight into, so a read is one plain state read. The
+//! snapshot's memory pages are copy-on-write, shared with architected
+//! state until the master first stores to them; a restart therefore pays
+//! one 4 KiB page copy per page the master goes on to write, and nothing
+//! per instruction. Reading *live* architected state instead would let
+//! the verify pipeline (which can run ahead of a cache-cold master) feed
+//! the master values from its own future, desynchronizing it by a segment
+//! on every such race; the private state makes the master's view
 //! time-consistent, and staleness is resolved the MSSP way (squash and
 //! reseed).
 //!
@@ -47,10 +51,9 @@ pub enum MasterStall {
 #[derive(Debug, Clone)]
 pub struct Master {
     dpc: u64,
-    /// Architected state as of this master's restart (its cache view).
-    base: MachineState,
-    /// All writes since restart (the master's own read view).
-    cum: Delta,
+    /// Architected state as of this master's restart (its cache view)
+    /// under every write the master has made since.
+    state: MachineState,
     /// Writes since the last spawn (becomes the next overlay segment).
     segment: Delta,
     live_segments: VecDeque<(u64, Arc<Delta>)>,
@@ -92,8 +95,7 @@ impl Master {
         };
         Master {
             dpc,
-            base,
-            cum: Delta::new(),
+            state: base,
             segment: Delta::new(),
             live_segments: VecDeque::new(),
             status,
@@ -173,7 +175,7 @@ impl Master {
     /// Prunes predicted segments for tasks up to and including `task_id`.
     /// This trims only the overlays handed to *future* tasks (committed
     /// results are visible to them in architected state); the master's own
-    /// read view (`cum` over the restart snapshot) is unaffected.
+    /// read view (its private state) is unaffected.
     pub fn on_commit(&mut self, task_id: u64) {
         while matches!(self.live_segments.front(), Some((id, _)) if *id <= task_id) {
             self.live_segments.pop_front();
@@ -189,9 +191,8 @@ impl Master {
             return None;
         }
         let mut storage = MasterStorage {
-            cum: &mut self.cum,
+            state: &mut self.state,
             segment: &mut self.segment,
-            base: &self.base,
         };
         let info = match step(&mut storage, distilled.program(), self.dpc) {
             Ok(info) => info,
@@ -238,16 +239,10 @@ impl Master {
         Some(info)
     }
 
-    /// The master's current value of `r` (cumulative writes over the
-    /// restart snapshot) — the view a spawned task's checkpoint ships.
+    /// The master's current value of `r` — the view a spawned task's
+    /// checkpoint ships.
     fn view(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.cum
-                .get(Cell::Reg(r))
-                .unwrap_or_else(|| self.base.read_cell(Cell::Reg(r)))
-        }
+        self.state.reg(r)
     }
 
     /// Runs the pre-computation slices attached to boundary `orig_pc`.
@@ -310,9 +305,7 @@ impl Master {
                     inputs.push((r, v));
                 }
                 let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
-                    self.cum
-                        .get(Cell::Mem(widx))
-                        .unwrap_or_else(|| self.base.read_cell(Cell::Mem(widx)))
+                    self.state.load_word(widx)
                 });
                 let Some(eval) = eval else { break };
                 match eval.taken {
@@ -332,9 +325,7 @@ impl Master {
             inputs.clear();
             inputs.extend(slice.inputs.iter().map(|&(r, _)| (r, self.view(r))));
             let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
-                self.cum
-                    .get(Cell::Mem(widx))
-                    .unwrap_or_else(|| self.base.read_cell(Cell::Mem(widx)))
+                self.state.load_word(widx)
             });
             if let Some(eval) = eval {
                 self.segment.set(Cell::Reg(target), eval.reg(target));
@@ -344,49 +335,32 @@ impl Master {
     }
 }
 
-/// The master's storage: cumulative writes since restart over the restart
-/// snapshot. Writes also land in the current segment (the next task's
-/// overlay).
+/// The master's storage: its private machine state. Writes also land in
+/// the current segment (the next task's overlay).
 struct MasterStorage<'a> {
-    cum: &'a mut Delta,
+    state: &'a mut MachineState,
     segment: &'a mut Delta,
-    base: &'a MachineState,
-}
-
-impl MasterStorage<'_> {
-    fn read_cell(&self, cell: Cell) -> u64 {
-        self.cum
-            .get(cell)
-            .unwrap_or_else(|| self.base.read_cell(cell))
-    }
-
-    fn write_cell(&mut self, cell: Cell, value: u64) {
-        self.cum.set(cell, value);
-        self.segment.set(cell, value);
-    }
 }
 
 impl Storage for MasterStorage<'_> {
     fn read_reg(&mut self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.read_cell(Cell::Reg(r))
-        }
+        self.state.reg(r)
     }
 
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
-            self.write_cell(Cell::Reg(r), value);
+            self.state.set_reg(r, value);
+            self.segment.set(Cell::Reg(r), value);
         }
     }
 
     fn load_word(&mut self, widx: u64) -> u64 {
-        self.read_cell(Cell::Mem(widx))
+        self.state.load_word(widx)
     }
 
     fn store_word(&mut self, widx: u64, value: u64) {
-        self.write_cell(Cell::Mem(widx), value);
+        self.state.store_word(widx, value);
+        self.segment.set(Cell::Mem(widx), value);
     }
 }
 
@@ -500,6 +474,160 @@ mod tests {
             }
         }
         assert_eq!(m.status(), MasterStall::Halted);
+    }
+
+    /// The master's storage as it was before it wrote into its snapshot:
+    /// reads resolve "writes since restart, then restart snapshot".
+    struct LayeredReference {
+        base: MachineState,
+        since_restart: Delta,
+        segment: Delta,
+    }
+
+    impl Storage for LayeredReference {
+        fn read_reg(&mut self, r: Reg) -> u64 {
+            let written = self.since_restart.get(Cell::Reg(r));
+            written.unwrap_or_else(|| self.base.reg(r))
+        }
+
+        fn write_reg(&mut self, r: Reg, value: u64) {
+            if !r.is_zero() {
+                self.since_restart.set(Cell::Reg(r), value);
+                self.segment.set(Cell::Reg(r), value);
+            }
+        }
+
+        fn load_word(&mut self, widx: u64) -> u64 {
+            let written = self.since_restart.get(Cell::Mem(widx));
+            written.unwrap_or_else(|| self.base.load_word(widx))
+        }
+
+        fn store_word(&mut self, widx: u64, value: u64) {
+            self.since_restart.set(Cell::Mem(widx), value);
+            self.segment.set(Cell::Mem(widx), value);
+        }
+    }
+
+    /// Steps the reference from `dpc` to its next spawn point; returns
+    /// the spawn's original-space PC (`None`: halted) and the new `dpc`.
+    fn reference_run(d: &Distilled, st: &mut LayeredReference, mut dpc: u64) -> (Option<u64>, u64) {
+        let mut crossings = 0;
+        loop {
+            let info = step(st, d.program(), dpc).unwrap();
+            if info.halted {
+                return (None, dpc);
+            }
+            dpc = info.next_pc;
+            if info.instr.is_indirect_jump() {
+                dpc = d.to_dist(dpc).unwrap();
+            }
+            if let Some(orig_pc) = d.boundary_at_dist(dpc) {
+                crossings += 1;
+                if crossings >= d.crossings_per_task() {
+                    return (Some(orig_pc), dpc);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn private_state_master_predicts_like_the_layered_reader_across_a_restart() {
+        // Byte, half-word and straddling word stores over two pages, read
+        // back at other widths: every store is a read-modify-write of a
+        // word the master may or may not have written since restart.
+        let (p, d) = setup(
+            "
+            .data
+            buf: .space 8192
+            .text
+            main: la   s2, buf
+                  addi s0, zero, 90
+            loop: andi t0, s0, 31
+                  add  t1, s2, t0
+                  sb   s0, 0(t1)
+                  lbu  t2, 1(t1)
+                  add  s1, s1, t2
+                  sh   s1, 4090(s2)
+                  sw   s0, 4094(s2)
+                  ld   t3, 4088(s2)
+                  add  s1, s1, t3
+                  call bump
+                  addi s0, s0, -1
+                  bnez s0, loop
+                  halt
+            bump: addi s3, s3, 3
+                  sb   s3, 70(s2)
+                  ret",
+            12,
+        );
+        assert!(d.slices().is_empty(), "the reference runs no slices");
+        let buf = p.symbol("buf").unwrap() >> 3;
+
+        let mut arch = MachineState::boot(&p);
+        let mut m = Master::restart_at(&d, p.entry(), true, arch.clone());
+        let mut reference = LayeredReference {
+            base: arch.clone(),
+            since_restart: Delta::new(),
+            segment: Delta::new(),
+        };
+        let mut ref_dpc = d.to_dist(p.entry()).unwrap();
+        let mut ref_spawn = Some(p.entry());
+        let mut ref_live: VecDeque<(u64, Delta)> = VecDeque::new();
+        let mut prev: Option<u64> = None;
+        let (mut spawned, mut restarts) = (0u64, 0);
+
+        while let Some(want_start) = ref_spawn {
+            assert_eq!(m.pending_spawn(), Some(want_start), "task {spawned}");
+            if let Some(prev) = prev {
+                let closed = std::mem::take(&mut reference.segment);
+                arch.apply(&closed);
+                ref_live.push_back((prev, closed));
+            }
+            let (start, overlay) = m.take_spawn(prev);
+            assert_eq!(start, want_start);
+            let got: Vec<&Delta> = overlay.iter().map(|seg| &**seg).collect();
+            let want: Vec<&Delta> = ref_live.iter().rev().map(|(_, seg)| seg).collect();
+            assert_eq!(got, want, "overlay of task {spawned}");
+            prev = Some(spawned);
+            spawned += 1;
+
+            if spawned % 3 == 0 {
+                // All but the newest task commit.
+                m.on_commit(spawned - 2);
+                ref_live.retain(|&(id, _)| id > spawned - 2);
+            }
+            if spawned % 7 == 0 {
+                // Squash: both restart here, from architected state as
+                // the segments closed so far left it.
+                restarts += 1;
+                m = Master::restart_at(&d, start, true, arch.clone());
+                reference = LayeredReference {
+                    base: arch.clone(),
+                    since_restart: Delta::new(),
+                    segment: Delta::new(),
+                };
+                ref_live.clear();
+                ref_dpc = d.to_dist(start).unwrap();
+                let (restart_pc, restart_overlay) = m.take_spawn(None);
+                assert_eq!(restart_pc, start);
+                assert!(restart_overlay.is_empty());
+                prev = None;
+            }
+
+            let before: Vec<u64> = (0..1024).map(|w| arch.load_word(buf + w)).collect();
+            while m.pending_spawn().is_none() && m.status() == MasterStall::Active {
+                m.step(&d);
+            }
+            (ref_spawn, ref_dpc) = reference_run(&d, &mut reference, ref_dpc);
+            // The master stored into pages it shares with `arch`.
+            let after: Vec<u64> = (0..1024).map(|w| arch.load_word(buf + w)).collect();
+            assert_eq!(before, after, "master writes leaked into architected state");
+        }
+        assert_eq!(m.status(), MasterStall::Halted);
+        assert!(
+            spawned > 20 && restarts >= 3,
+            "{spawned} tasks, {restarts} restarts"
+        );
     }
 
     #[test]

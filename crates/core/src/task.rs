@@ -13,6 +13,12 @@
 //!    executor ships this instead of a chain of per-commit deltas), and
 //! 5. the architected state.
 //!
+//! Layers 1 to 4 are [`Delta`]s: a register operand costs an index and a
+//! bit test in each layer it passes, a memory operand one binary search.
+//! A register the task already wrote or read — nearly every operand — is
+//! answered by layer 1 or 2 alone; the live-in set is probed once per
+//! operand, hit or miss ([`Delta::read_or_record`]).
+//!
 //! Every read satisfied below layer 1 is recorded as a live-in `(cell,
 //! value)`. At commit time, the verify unit re-checks each recorded value
 //! against architected state — the memoization test of the paper — which
@@ -23,7 +29,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mssp_isa::{Program, Reg};
+use mssp_isa::{Program, Reg, INSTR_BYTES};
 use mssp_machine::{expand_mask, step, Cell, Delta, MachineState, Storage};
 
 /// Unique task identity, increasing in spawn (= program) order.
@@ -285,56 +291,40 @@ impl TaskStorage<'_> {
             out |= w.value & expand_mask(take);
             need &= !take;
         }
-        if need != 0 {
-            if let Some(r) = self.live_ins.get_masked(cell) {
-                let take = need & r.mask;
-                out |= r.value & expand_mask(take);
-                need &= !take;
-            }
-        }
-        if need != 0 {
-            for seg in self.overlay {
-                let Some(p) = seg.get_masked(cell) else {
-                    continue;
-                };
-                let take = need & p.mask;
-                if take != 0 {
-                    let bytes = p.value & expand_mask(take);
-                    out |= bytes;
-                    self.live_ins.record_bytes(cell, bytes, take);
+        let (overlay, committed, arch) = (self.overlay, self.committed, self.arch);
+        out | self.live_ins.read_or_record(cell, need, |mut need| {
+            // Only the bytes no earlier read recorded: newest prediction
+            // first, then the committed view, then architected state.
+            let mut below = 0u64;
+            let predictions = overlay.iter().map(|seg| &**seg).chain(committed);
+            for layer in predictions {
+                if let Some(p) = layer.get_masked(cell) {
+                    let take = need & p.mask;
+                    below |= p.value & expand_mask(take);
                     need &= !take;
-                }
-                if need == 0 {
-                    break;
-                }
-            }
-        }
-        if need != 0 {
-            if let Some(cm) = self.committed.and_then(|c| c.get_masked(cell)) {
-                let take = need & cm.mask;
-                if take != 0 {
-                    let bytes = cm.value & expand_mask(take);
-                    out |= bytes;
-                    self.live_ins.record_bytes(cell, bytes, take);
-                    need &= !take;
+                    if need == 0 {
+                        return below;
+                    }
                 }
             }
-        }
-        if need != 0 {
-            let bytes = self.arch.read_cell(cell) & expand_mask(need);
-            out |= bytes;
-            self.live_ins.record_bytes(cell, bytes, need);
-        }
-        out
+            below | (arch.read_cell(cell) & expand_mask(need))
+        })
     }
 }
 
 impl Storage for TaskStorage<'_> {
     fn read_reg(&mut self, r: Reg) -> u64 {
         if r.is_zero() {
-            0
-        } else {
-            self.read_cell_masked(Cell::Reg(r), 0xFF)
+            return 0;
+        }
+        let cell = Cell::Reg(r);
+        // A register the task wrote, or read before, is fully bound in
+        // every run the engine produces; only a hand-built overlay can
+        // bind one partially, and that takes the byte-wise path.
+        let seen = self.writes.get_masked(cell);
+        match seen.or_else(|| self.live_ins.get_masked(cell)) {
+            Some(m) if m.is_full() => m.value,
+            _ => self.read_cell_masked(cell, 0xFF),
         }
     }
 
@@ -411,23 +401,77 @@ impl Storage for RecoveryStorage<'_> {
     }
 }
 
+/// Most instruction slots a [`BoundarySet`] bitmap may span (128 KiB of
+/// bitmap, 4 MiB of program text).
+const MAX_BITMAP_SLOTS: u64 = 1 << 20;
+
 /// A static set of task-boundary PCs with the end-of-task test.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BoundarySet {
     pcs: BTreeSet<u64>,
+    /// The membership test every executed instruction pays, as one bit
+    /// per instruction slot from the lowest boundary to the highest.
+    /// `None` when the set is not instruction-aligned or spans more than
+    /// [`MAX_BITMAP_SLOTS`] — a boundary set is caller-supplied data —
+    /// and membership falls back to `pcs`.
+    bitmap: Option<SlotBitmap>,
+}
+
+/// Bit `i` of `words` set: `base + i * INSTR_BYTES` is in the set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotBitmap {
+    base: u64,
+    words: Vec<u64>,
+}
+
+impl SlotBitmap {
+    fn new(pcs: &BTreeSet<u64>) -> Option<SlotBitmap> {
+        let (&base, &last) = (pcs.first()?, pcs.last()?);
+        let slots = (last - base) / INSTR_BYTES + 1;
+        if slots > MAX_BITMAP_SLOTS
+            || pcs
+                .iter()
+                .any(|pc| !(pc - base).is_multiple_of(INSTR_BYTES))
+        {
+            return None;
+        }
+        let mut words = vec![0u64; slots.div_ceil(64) as usize];
+        for pc in pcs {
+            let slot = (pc - base) / INSTR_BYTES;
+            words[(slot / 64) as usize] |= 1 << (slot % 64);
+        }
+        Some(SlotBitmap { base, words })
+    }
+
+    #[inline]
+    fn contains(&self, pc: u64) -> bool {
+        // A PC below `base` wraps to an offset past the last slot.
+        let offset = pc.wrapping_sub(self.base);
+        let slot = offset / INSTR_BYTES;
+        offset.is_multiple_of(INSTR_BYTES)
+            && self
+                .words
+                .get((slot / 64) as usize)
+                .is_some_and(|word| word & (1 << (slot % 64)) != 0)
+    }
 }
 
 impl BoundarySet {
     /// Creates a boundary set from original-program PCs.
     #[must_use]
     pub fn new(pcs: BTreeSet<u64>) -> BoundarySet {
-        BoundarySet { pcs }
+        let bitmap = SlotBitmap::new(&pcs);
+        BoundarySet { pcs, bitmap }
     }
 
     /// Whether `pc` is a task boundary.
     #[must_use]
+    #[inline]
     pub fn contains(&self, pc: u64) -> bool {
-        self.pcs.contains(&pc)
+        match &self.bitmap {
+            Some(bitmap) => bitmap.contains(pc),
+            None => self.pcs.contains(&pc),
+        }
     }
 
     /// The underlying PC set.
@@ -572,5 +616,60 @@ mod tests {
         assert!(b.contains(0x100));
         assert!(!b.contains(0x104));
         assert_eq!(b.pcs().len(), 2);
+    }
+
+    /// Every PC a test probes a boundary set with: its members, their
+    /// neighbours (misaligned ones included) and the ends of the range.
+    fn probes(pcs: &BTreeSet<u64>) -> Vec<u64> {
+        let mut probes = vec![0, 1, 4, u64::MAX - 4, u64::MAX - 3, u64::MAX];
+        for &pc in pcs {
+            for d in [1, 2, 3, 4, 64 * 4, 1 << 40] {
+                probes.extend([pc, pc.wrapping_sub(d), pc.wrapping_add(d)]);
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn boundary_set_answers_like_the_set_it_was_built_from() {
+        let sets = [
+            BTreeSet::new(),
+            BTreeSet::from([0x1_0000]),
+            BTreeSet::from([0x1_0000, 0x1_0004, 0x1_00fc, 0x1_0100, 0x1_0104, 0x1_2000]),
+            // Misaligned against each other: no slot numbering fits.
+            BTreeSet::from([0x1_0000, 0x1_0006]),
+            BTreeSet::from([3, 7, 11]),
+        ];
+        for pcs in sets {
+            let b = BoundarySet::new(pcs.clone());
+            for pc in probes(&pcs) {
+                assert_eq!(b.contains(pc), pcs.contains(&pc), "{pc:#x} in {pcs:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_boundary_span_does_not_size_the_bitmap() {
+        // `Distilled::from_parts` takes any set; one spanning the whole
+        // address space must cost a set lookup, not an allocation.
+        let hostile = [
+            BTreeSet::from([0, u64::MAX]),
+            BTreeSet::from([0, u64::MAX - 3]),
+            BTreeSet::from([0x1_0000, 0x1_0000 + MAX_BITMAP_SLOTS * INSTR_BYTES]),
+        ];
+        for pcs in hostile {
+            let b = BoundarySet::new(pcs.clone());
+            assert_eq!(b.bitmap, None, "{pcs:x?}");
+            for pc in probes(&pcs) {
+                assert_eq!(b.contains(pc), pcs.contains(&pc), "{pc:#x} in {pcs:x?}");
+            }
+        }
+        // The widest span that still gets one.
+        let widest = BTreeSet::from([0x1_0000, 0x1_0000 + (MAX_BITMAP_SLOTS - 1) * INSTR_BYTES]);
+        let b = BoundarySet::new(widest.clone());
+        assert_eq!(b.bitmap.as_ref().map(|m| m.words.len()), Some(1 << 14));
+        for pc in probes(&widest) {
+            assert_eq!(b.contains(pc), widest.contains(&pc), "{pc:#x}");
+        }
     }
 }

@@ -206,6 +206,9 @@ struct WorkResult {
 /// master stalls, and thread obituaries — one MPSC ring whose
 /// per-producer FIFO keeps a master's spawns in spawn order relative to
 /// its stall report.
+// Nearly every message is a `Result`, so a ring slot sized for one wastes
+// nothing, and boxing it would put an allocation on the per-task path.
+#[allow(clippy::large_enum_variant)]
 enum CoordMsg {
     Result(WorkResult),
     Spawn {

@@ -30,16 +30,35 @@
 //!
 //! # Representation
 //!
-//! A `Delta` is stored as a single sorted `Vec<(Cell, MaskedVal)>` rather
-//! than a node-based tree: lookups are binary searches, iteration is a
-//! linear slice walk, and — crucially for the threaded executor's
-//! allocation-free hot path — [`Delta::clear`] retains the buffer's
-//! capacity, so a recycled delta (see [`crate::DeltaArena`]) performs no
-//! heap allocation in steady state. Typical live-in/live-out sets are
-//! tens of cells, where a flat sorted vector also beats a B-tree on both
-//! cache behaviour and constant factors.
+//! A `Delta` has two parts, split by cell kind:
+//!
+//! * **Register cells** live in a dense bank — 32 values, 32 byte-masks
+//!   and a 32-bit *bound* bitmap guarding them, behind one pointer.
+//!   Looking up, binding or testing a register is an index and a bit
+//!   test, which is what the speculative storages do on every operand of
+//!   every instruction. The bank is allocated on the first register
+//!   binding and sits behind a pointer because ring slots and arena pools
+//!   hold `Delta`s by value: some 300 inline bytes per delta would be paid
+//!   by every one of them, bound registers or not.
+//! * **`Pc` and memory cells** live in one sorted `Vec<(Cell, MaskedVal)>`:
+//!   lookups are binary searches, iteration is a linear slice walk.
+//!   Typical live-in/live-out sets hold tens of memory cells, where a
+//!   flat sorted vector beats a B-tree on cache behaviour and constant
+//!   factors.
+//!
+//! Iteration yields the bank's bound registers in index order and then
+//! the vector, which is cell order (`Reg < Pc < Mem`).
+//!
+//! [`Delta::clear`] resets the bitmap and empties the vector but keeps
+//! both allocations, so a recycled delta (see [`crate::DeltaArena`])
+//! performs no heap allocation in steady state. The price is that an
+//! *unbound* bank entry may hold a value from an earlier life: nothing
+//! reads the bank except through the bitmap, and equality, cloning and
+//! iteration are written out by hand for that reason rather than derived.
 
 use std::fmt;
+
+use mssp_isa::{Reg, NUM_REGS};
 
 use crate::{Cell, MachineState};
 
@@ -53,27 +72,41 @@ pub struct MaskedVal {
     pub mask: u8,
 }
 
+/// [`expand_mask`] of every byte mask.
+const EXPANDED: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let mut byte = 0;
+        while byte < 8 {
+            if mask & (1 << byte) != 0 {
+                table[mask] |= 0xFF << (byte * 8);
+            }
+            byte += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
 /// Expands a byte mask to a per-bit mask (`0b101` → `0x00FF_00FF`-style).
 #[must_use]
+#[inline]
 pub fn expand_mask(mask: u8) -> u64 {
-    let mut out = 0u64;
-    for i in 0..8 {
-        if mask & (1 << i) != 0 {
-            out |= 0xFFu64 << (i * 8);
-        }
-    }
-    out
+    EXPANDED[mask as usize]
 }
 
 impl MaskedVal {
     /// A fully-defined value.
     #[must_use]
+    #[inline]
     pub fn full(value: u64) -> MaskedVal {
         MaskedVal { value, mask: 0xFF }
     }
 
     /// A partially-defined value (bytes outside the mask are cleared).
     #[must_use]
+    #[inline]
     pub fn partial(value: u64, mask: u8) -> MaskedVal {
         MaskedVal {
             value: value & expand_mask(mask),
@@ -83,12 +116,14 @@ impl MaskedVal {
 
     /// Whether every byte is defined.
     #[must_use]
+    #[inline]
     pub fn is_full(self) -> bool {
         self.mask == 0xFF
     }
 
     /// Overwrites `self` with the defined bytes of `newer`.
     #[must_use]
+    #[inline]
     pub fn overwrite_with(self, newer: MaskedVal) -> MaskedVal {
         let nm = expand_mask(newer.mask);
         MaskedVal {
@@ -100,6 +135,7 @@ impl MaskedVal {
     /// Fills *undefined* bytes of `self` from `older` (first-writer-wins
     /// merge used when recording live-ins).
     #[must_use]
+    #[inline]
     pub fn backfill_with(self, older: MaskedVal) -> MaskedVal {
         older.overwrite_with(self)
     }
@@ -128,24 +164,97 @@ impl MaskedVal {
 /// assert_eq!(c.get(Cell::Reg(Reg::A0)), Some(2));
 /// assert_eq!(c.get(Cell::Reg(Reg::A1)), Some(3));
 /// ```
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct Delta {
-    /// Sorted by cell, one entry per bound cell.
+    /// `Pc` and memory bindings, sorted by cell, one entry per bound cell.
     cells: Vec<(Cell, MaskedVal)>,
+    /// Register bindings. Allocated on the first register binding and
+    /// kept by `clear`; `None` reads as [`NO_BANK`].
+    bank: Option<Box<RegBank>>,
+}
+
+/// The dense register part of a [`Delta`], indexed by register number.
+#[derive(Clone)]
+struct RegBank {
+    /// Bit `i` set: register `i` is bound, `values[i]` and `masks[i]`
+    /// are its binding. The other entries are leftovers.
+    bound: u32,
+    values: [u64; NUM_REGS],
+    masks: [u8; NUM_REGS],
+}
+
+/// The bank of a delta that never bound a register.
+static NO_BANK: RegBank = RegBank {
+    bound: 0,
+    values: [0; NUM_REGS],
+    masks: [0; NUM_REGS],
+};
+
+impl RegBank {
+    /// Entry `index`, bound or not.
+    #[inline]
+    fn entry(&self, index: usize) -> MaskedVal {
+        MaskedVal {
+            value: self.values[index],
+            mask: self.masks[index],
+        }
+    }
+
+    #[inline]
+    fn get(&self, r: Reg) -> Option<MaskedVal> {
+        (self.bound & (1 << r.index()) != 0).then(|| self.entry(r.index()))
+    }
+}
+
+/// The indices of the set bits of a word, lowest first.
+struct Bits(u32);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let index = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(index)
+    }
 }
 
 impl Clone for Delta {
     fn clone(&self) -> Delta {
         Delta {
             cells: self.cells.clone(),
+            bank: self.bank.as_ref().filter(|bank| bank.bound != 0).cloned(),
         }
     }
 
-    /// Clones into an existing delta, **reusing its buffer capacity** —
-    /// the copy a recycled arena buffer wants (no allocation once the
-    /// buffer has grown to steady-state size).
+    /// Clones into an existing delta, **reusing its allocations** — the
+    /// copy a recycled arena buffer wants (no allocation once the buffer
+    /// has grown to steady-state size).
     fn clone_from(&mut self, source: &Delta) {
         self.cells.clone_from(&source.cells);
+        match (&mut self.bank, source.bank()) {
+            (Some(mine), theirs) => (**mine).clone_from(theirs),
+            (None, theirs) if theirs.bound != 0 => self.bank = Some(Box::new(theirs.clone())),
+            (None, _) => {}
+        }
+    }
+}
+
+impl PartialEq for Delta {
+    fn eq(&self, other: &Delta) -> bool {
+        self.cells == other.cells && self.regs().eq(other.regs())
+    }
+}
+
+impl Eq for Delta {}
+
+impl fmt::Debug for Delta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_masked()).finish()
     }
 }
 
@@ -161,66 +270,123 @@ impl Delta {
     pub fn with_capacity(capacity: usize) -> Delta {
         Delta {
             cells: Vec::with_capacity(capacity),
+            ..Delta::default()
         }
     }
 
-    /// Removes every binding, **retaining the allocated capacity** so the
+    /// Removes every binding, **retaining the allocations** so the
     /// buffer can be recycled without touching the heap.
     pub fn clear(&mut self) {
         self.cells.clear();
+        if let Some(bank) = &mut self.bank {
+            bank.bound = 0;
+        }
     }
 
-    /// The index of `cell` in the sorted vector, or the insertion point.
+    #[inline]
+    fn bank(&self) -> &RegBank {
+        self.bank.as_deref().unwrap_or(&NO_BANK)
+    }
+
+    /// The index of a `Pc` or memory cell in the sorted vector, or its
+    /// insertion point.
     #[inline]
     fn find(&self, cell: Cell) -> Result<usize, usize> {
         self.cells.binary_search_by(|&(c, _)| c.cmp(&cell))
     }
 
+    /// The one probe-then-write path: looks `cell` up once, binds it to
+    /// `merge(previous binding)` and returns the previous binding.
+    #[inline]
+    fn upsert(
+        &mut self,
+        cell: Cell,
+        merge: impl FnOnce(Option<MaskedVal>) -> MaskedVal,
+    ) -> Option<MaskedVal> {
+        match cell {
+            Cell::Reg(r) => {
+                let bank = self.bank.get_or_insert_with(|| Box::new(NO_BANK.clone()));
+                let old = bank.get(r);
+                let new = merge(old);
+                bank.values[r.index()] = new.value;
+                bank.masks[r.index()] = new.mask;
+                bank.bound |= 1 << r.index();
+                old
+            }
+            _ => match self.find(cell) {
+                Ok(i) => {
+                    let old = self.cells[i].1;
+                    self.cells[i].1 = merge(Some(old));
+                    Some(old)
+                }
+                Err(i) => {
+                    self.cells.insert(i, (cell, merge(None)));
+                    None
+                }
+            },
+        }
+    }
+
     /// Binds `cell` fully to `value`, returning the previous fully-bound
     /// value if there was one.
+    #[inline]
     pub fn set(&mut self, cell: Cell, value: u64) -> Option<u64> {
-        match self.find(cell) {
-            Ok(i) => {
-                let old = self.cells[i].1;
-                self.cells[i].1 = MaskedVal::full(value);
-                old.is_full().then_some(old.value)
-            }
-            Err(i) => {
-                self.cells.insert(i, (cell, MaskedVal::full(value)));
-                None
-            }
-        }
+        self.upsert(cell, |_| MaskedVal::full(value))
+            .and_then(|old| old.is_full().then_some(old.value))
     }
 
     /// Overwrites the masked bytes of `cell` (newest-wins merge with any
     /// existing binding).
+    #[inline]
     pub fn set_bytes(&mut self, cell: Cell, value: u64, mask: u8) {
         if mask == 0 {
             return;
         }
         let new = MaskedVal::partial(value, mask);
-        match self.find(cell) {
-            Ok(i) => self.cells[i].1 = self.cells[i].1.overwrite_with(new),
-            Err(i) => self.cells.insert(i, (cell, new)),
-        }
+        self.upsert(cell, |old| old.map_or(new, |old| old.overwrite_with(new)));
     }
 
     /// Records the masked bytes of `cell` *only where not already bound*
     /// (first-observation-wins; used for live-in recording so re-reads
     /// stay repeatable).
+    #[inline]
     pub fn record_bytes(&mut self, cell: Cell, value: u64, mask: u8) {
         if mask == 0 {
             return;
         }
         let new = MaskedVal::partial(value, mask);
-        match self.find(cell) {
-            Ok(i) => self.cells[i].1 = self.cells[i].1.backfill_with(new),
-            Err(i) => self.cells.insert(i, (cell, new)),
+        self.upsert(cell, |old| old.map_or(new, |old| old.backfill_with(new)));
+    }
+
+    /// Reads the `mask` bytes of `cell`, first recording — as
+    /// [`Delta::record_bytes`] would — `fetch(unbound)` for those of them
+    /// that are not bound yet. `fetch` is not called when all are bound.
+    ///
+    /// This is a recording read in one probe: a slave's live-in set is
+    /// looked up once per operand, whether the operand hits or misses.
+    #[inline]
+    pub fn read_or_record(&mut self, cell: Cell, mask: u8, fetch: impl FnOnce(u8) -> u64) -> u64 {
+        if mask == 0 {
+            return 0;
         }
+        let mut read = 0;
+        self.upsert(cell, |old| {
+            let old = old.unwrap_or(MaskedVal { value: 0, mask: 0 });
+            let unbound = mask & !old.mask;
+            let new = if unbound == 0 {
+                old
+            } else {
+                old.backfill_with(MaskedVal::partial(fetch(unbound), unbound))
+            };
+            read = new.value & expand_mask(mask);
+            new
+        });
+        read
     }
 
     /// The fully-bound value of `cell` (`None` if absent or partial).
     #[must_use]
+    #[inline]
     pub fn get(&self, cell: Cell) -> Option<u64> {
         self.get_masked(cell)
             .and_then(|m| m.is_full().then_some(m.value))
@@ -228,55 +394,82 @@ impl Delta {
 
     /// The masked binding of `cell`, if any.
     #[must_use]
+    #[inline]
     pub fn get_masked(&self, cell: Cell) -> Option<MaskedVal> {
-        self.find(cell).ok().map(|i| self.cells[i].1)
+        match cell {
+            Cell::Reg(r) => self.bank().get(r),
+            _ => self.find(cell).ok().map(|i| self.cells[i].1),
+        }
     }
 
     /// Whether `cell` has any bound byte.
     #[must_use]
+    #[inline]
     pub fn contains(&self, cell: Cell) -> bool {
-        self.find(cell).is_ok()
+        match cell {
+            Cell::Reg(r) => self.bank().bound & (1 << r.index()) != 0,
+            _ => self.find(cell).is_ok(),
+        }
     }
 
     /// Removes a binding, returning it if present.
     pub fn remove(&mut self, cell: Cell) -> Option<u64> {
-        self.find(cell).ok().map(|i| self.cells.remove(i).1.value)
+        match cell {
+            Cell::Reg(r) => {
+                let bank = self.bank.as_mut()?;
+                let old = bank.get(r)?;
+                bank.bound &= !(1 << r.index());
+                Some(old.value)
+            }
+            _ => self.find(cell).ok().map(|i| self.cells.remove(i).1.value),
+        }
     }
 
     /// Number of bound cells.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.reg_cells() + self.cells.len()
     }
 
     /// Whether no cells are bound.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.bank().bound == 0 && self.cells.is_empty()
+    }
+
+    /// The bound registers, in index order.
+    fn regs(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
+        let bank = self.bank();
+        Bits(bank.bound).map(move |i| (Cell::Reg(Reg::new(i as u8)), bank.entry(i)))
     }
 
     /// Iterates over fully- and partially-bound cells as
     /// `(cell, masked value)` in cell order.
     pub fn iter_masked(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
-        self.cells.iter().copied()
+        self.regs().chain(self.cells.iter().copied())
     }
 
     /// Iterates over `(cell, value)` bindings in cell order. Partial
     /// bindings yield their value with unbound bytes as zero.
     pub fn iter(&self) -> impl Iterator<Item = (Cell, u64)> + '_ {
-        self.cells.iter().map(|&(c, m)| (c, m.value))
+        self.iter_masked().map(|(c, m)| (c, m.value))
     }
 
     /// Number of bound *memory* cells (useful for bandwidth accounting).
     #[must_use]
     pub fn mem_cells(&self) -> usize {
-        self.cells.iter().filter(|(c, _)| c.is_mem()).count()
+        // `Pc` sorts before every memory cell.
+        let pc = matches!(self.cells.first(), Some((Cell::Pc, _)));
+        self.cells.len() - usize::from(pc)
     }
 
     /// Number of bound *register* cells.
     #[must_use]
+    #[inline]
     pub fn reg_cells(&self) -> usize {
-        self.cells.iter().filter(|(c, _)| c.is_reg()).count()
+        self.bank().bound.count_ones() as usize
     }
 
     /// Superimposition `self ← other`: a new delta containing every binding
@@ -363,36 +556,46 @@ impl Delta {
     }
 
     /// Whether any cell bound in `self` is also bound in `other` — the
-    /// commit-path conflict test. Probes the smaller set's sorted keys
+    /// commit-path conflict test. Registers are one AND of the bound
+    /// bitmaps; for the rest the smaller set's sorted keys are probed
     /// into the larger, so the common disjoint case costs
     /// O(min·log max) with no allocation.
     #[must_use]
     pub fn intersects(&self, other: &Delta) -> bool {
-        let (probe, index) = if self.len() <= other.len() {
+        if self.bank().bound & other.bank().bound != 0 {
+            return true;
+        }
+        let (probe, index) = if self.cells.len() <= other.cells.len() {
             (self, other)
         } else {
             (other, self)
         };
-        probe.cells.iter().any(|&(c, _)| index.contains(c))
+        probe.cells.iter().any(|&(c, _)| index.find(c).is_ok())
     }
 
     /// The cells bound in both `self` and `other`, in `self`'s cell
     /// order. Byte masks are deliberately ignored: for conflict detection
     /// a cell-granular answer is conservative and cheap.
     pub fn intersecting_cells<'a>(&'a self, other: &'a Delta) -> impl Iterator<Item = Cell> + 'a {
-        self.cells
-            .iter()
-            .map(|&(c, _)| c)
-            .filter(|&c| other.contains(c))
+        let both = self.bank().bound & other.bank().bound;
+        let regs = Bits(both).map(|i| Cell::Reg(Reg::new(i as u8)));
+        let rest = self.cells.iter().map(|&(c, _)| c);
+        regs.chain(rest.filter(|&c| other.find(c).is_ok()))
     }
 }
 
 impl FromIterator<(Cell, u64)> for Delta {
     fn from_iter<I: IntoIterator<Item = (Cell, u64)>>(iter: I) -> Delta {
-        let mut cells: Vec<(Cell, MaskedVal)> = iter
-            .into_iter()
-            .map(|(c, v)| (c, MaskedVal::full(v)))
-            .collect();
+        let mut delta = Delta::new();
+        let mut cells: Vec<(Cell, MaskedVal)> = Vec::new();
+        for (c, v) in iter {
+            match c {
+                Cell::Reg(_) => {
+                    delta.set(c, v);
+                }
+                _ => cells.push((c, MaskedVal::full(v))),
+            }
+        }
         // Stable sort + keep-last dedup reproduces map-insert semantics
         // (the latest binding for a repeated cell wins).
         cells.sort_by_key(|&(c, _)| c);
@@ -404,7 +607,8 @@ impl FromIterator<(Cell, u64)> for Delta {
                 false
             }
         });
-        Delta { cells }
+        delta.cells = cells;
+        delta
     }
 }
 
@@ -553,6 +757,14 @@ mod tests {
         let common: Vec<Cell> = a.intersecting_cells(&b).collect();
         assert_eq!(common, vec![Cell::Pc, Cell::Mem(2)]);
         assert_eq!(a.intersecting_cells(&Delta::new()).count(), 0);
+    }
+
+    #[test]
+    fn a_delta_stays_small_by_value() {
+        // Ring slots and arena pools hold deltas by value: the register
+        // bank must stay behind its pointer.
+        assert!(std::mem::size_of::<Delta>() <= 64);
+        assert!(std::mem::size_of::<RegBank>() > 64);
     }
 
     #[test]
