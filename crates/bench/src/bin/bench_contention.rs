@@ -3,14 +3,13 @@
 //! Measures the two properties the lock-free hot path exists for and
 //! emits them as `BENCH_contention.json` so CI can gate on regressions:
 //!
-//! 1. **Ring vs mutex-channel throughput.** Single-producer message
-//!    throughput of the SPSC/MPSC rings ([`mssp_core::ring`]) against
-//!    the `Mutex<VecDeque>`+`Condvar` channel ([`mssp_core::chan`]) they
-//!    replaced on the task/result path. Measured two ways: a same-thread
-//!    burst loop (pure per-operation overhead, deterministic on any
-//!    host) and a cross-thread producer/consumer pair (includes wakeup
-//!    cost, noisy on single-core hosts). The gate uses the same-thread
-//!    number.
+//! 1. **Ring throughput.** Single-producer message throughput of the
+//!    SPSC/MPSC rings ([`mssp_core::ring`]) on the task/result path.
+//!    Measured two ways: a same-thread burst loop (pure per-operation
+//!    overhead, deterministic on any host) and a cross-thread
+//!    producer/consumer pair (includes wakeup cost, noisy on single-core
+//!    hosts). Informative only; the repository benchmark's ledger tracks
+//!    ring cost (`core.ring.*`).
 //!
 //! 2. **Steady-state allocations per committed task.** This binary
 //!    installs a counting global allocator and runs a workload through
@@ -26,7 +25,7 @@
 //!
 //! ```text
 //! bench_contention [--json] [--out PATH] [--scale-div N] [--repeats N]
-//!                  [--min-ring-advantage X] [--max-allocs-per-task Y]
+//!                  [--max-allocs-per-task Y]
 //! ```
 //!
 //! * `--json` — emit JSON (to stdout, or to `--out PATH`); otherwise a
@@ -35,8 +34,6 @@
 //!   (default 1; CI uses a divisor for speed).
 //! * `--repeats N` — runs per throughput point, keeping the best
 //!   (default 3).
-//! * `--min-ring-advantage X` — exit non-zero if the SPSC ring's
-//!   same-thread throughput falls below `X ×` the mutex channel's.
 //! * `--max-allocs-per-task Y` — exit non-zero if the marginal
 //!   steady-state allocation rate exceeds `Y` per committed task.
 
@@ -46,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use mssp_bench::{harness_scale, prepare, print_header};
-use mssp_core::{chan, ring, EngineConfig};
+use mssp_core::{ring, EngineConfig};
 use mssp_distill::DistillConfig;
 use mssp_machine::SeqMachine;
 use mssp_stats::Table;
@@ -87,7 +84,6 @@ struct Args {
     out: Option<String>,
     scale_div: u64,
     repeats: u32,
-    min_ring_advantage: Option<f64>,
     max_allocs_per_task: Option<f64>,
 }
 
@@ -97,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         scale_div: 1,
         repeats: 3,
-        min_ring_advantage: None,
         max_allocs_per_task: None,
     };
     let mut it = std::env::args().skip(1);
@@ -115,13 +110,6 @@ fn parse_args() -> Result<Args, String> {
                 args.repeats = value("--repeats")?
                     .parse()
                     .map_err(|e| format!("--repeats: {e}"))?;
-            }
-            "--min-ring-advantage" => {
-                args.min_ring_advantage = Some(
-                    value("--min-ring-advantage")?
-                        .parse()
-                        .map_err(|e| format!("--min-ring-advantage: {e}"))?,
-                );
             }
             "--max-allocs-per-task" => {
                 args.max_allocs_per_task = Some(
@@ -190,25 +178,6 @@ fn mpsc_same_thread(messages: u64) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Same-thread burst loop over the mutex channel — the baseline the
-/// rings replaced.
-fn chan_same_thread(messages: u64) -> f64 {
-    let (tx, rx) = chan::channel::<u64>();
-    let mut sent = 0u64;
-    let start = Instant::now();
-    while sent < messages {
-        let n = BURST.min((messages - sent) as usize);
-        for i in 0..n as u64 {
-            tx.send(sent + i).map_err(|_| ()).expect("receiver alive");
-        }
-        sent += n as u64;
-        for _ in 0..n {
-            rx.try_recv().expect("just sent");
-        }
-    }
-    start.elapsed().as_secs_f64()
-}
-
 /// Cross-thread single-producer throughput over the SPSC ring,
 /// including real wakeup costs. Noisy on single-core hosts.
 fn spsc_cross_thread(messages: u64) -> f64 {
@@ -230,30 +199,6 @@ fn spsc_cross_thread(messages: u64) -> f64 {
             break;
         }
         got += buf.len() as u64;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    producer.join().expect("producer clean exit");
-    assert_eq!(got, messages);
-    secs
-}
-
-/// Cross-thread single-producer throughput over the mutex channel.
-fn chan_cross_thread(messages: u64) -> f64 {
-    let (tx, rx) = chan::channel::<u64>();
-    let start = Instant::now();
-    let producer = std::thread::spawn(move || {
-        for i in 0..messages {
-            if tx.send(i).is_err() {
-                return;
-            }
-        }
-    });
-    let mut got = 0u64;
-    while got < messages {
-        if rx.recv().is_err() {
-            break;
-        }
-        got += 1;
     }
     let secs = start.elapsed().as_secs_f64();
     producer.join().expect("producer clean exit");
@@ -290,9 +235,7 @@ struct Report {
     messages: u64,
     spsc_same: f64,
     mpsc_same: f64,
-    chan_same: f64,
     spsc_cross: f64,
-    chan_cross: f64,
     workload: String,
     scale_small: u64,
     scale_large: u64,
@@ -303,14 +246,6 @@ struct Report {
 }
 
 impl Report {
-    fn ring_advantage_same(&self) -> f64 {
-        self.spsc_same / self.chan_same.max(1e-9)
-    }
-
-    fn ring_advantage_cross(&self) -> f64 {
-        self.spsc_cross / self.chan_cross.max(1e-9)
-    }
-
     /// Marginal allocations per committed task between the two scales.
     fn allocs_per_task(&self) -> f64 {
         let dt = self.tasks_large.saturating_sub(self.tasks_small);
@@ -350,26 +285,10 @@ fn render_json(r: &Report, args: &Args) -> String {
         num(r.mpsc_same)
     ));
     s.push_str(&format!(
-        "    \"mutex_chan_same_thread\": {},\n",
-        num(r.chan_same)
-    ));
-    s.push_str(&format!(
-        "    \"spsc_ring_cross_thread\": {},\n",
+        "    \"spsc_ring_cross_thread\": {}\n",
         num(r.spsc_cross)
     ));
-    s.push_str(&format!(
-        "    \"mutex_chan_cross_thread\": {}\n",
-        num(r.chan_cross)
-    ));
     s.push_str("  },\n");
-    s.push_str(&format!(
-        "  \"ring_advantage_same_thread\": {},\n",
-        num(r.ring_advantage_same())
-    ));
-    s.push_str(&format!(
-        "  \"ring_advantage_cross_thread\": {},\n",
-        num(r.ring_advantage_cross())
-    ));
     s.push_str("  \"steady_state_allocations\": {\n");
     s.push_str(&format!("    \"workload\": \"{}\",\n", r.workload));
     s.push_str(&format!("    \"scale_small\": {},\n", r.scale_small));
@@ -397,14 +316,11 @@ fn main() -> ExitCode {
     };
     let messages = (2_000_000 / args.scale_div).max(BURST as u64);
 
-    // Throughput: same-thread first (the gated, deterministic numbers),
-    // then cross-thread (informative).
+    // Throughput: same-thread first (deterministic), then cross-thread.
     let spsc_same = best_rate(messages, args.repeats, spsc_same_thread);
     let mpsc_same = best_rate(messages, args.repeats, mpsc_same_thread);
-    let chan_same = best_rate(messages, args.repeats, chan_same_thread);
     let cross_messages = (messages / 4).max(BURST as u64);
     let spsc_cross = best_rate(cross_messages, args.repeats, spsc_cross_thread);
-    let chan_cross = best_rate(cross_messages, args.repeats, chan_cross_thread);
 
     // Allocation rate: difference scale N against 2N so fixed setup
     // costs cancel and only the per-task marginal rate remains.
@@ -418,9 +334,7 @@ fn main() -> ExitCode {
         messages,
         spsc_same,
         mpsc_same,
-        chan_same,
         spsc_cross,
-        chan_cross,
         workload: w.name.to_string(),
         scale_small,
         scale_large,
@@ -445,7 +359,7 @@ fn main() -> ExitCode {
     } else {
         print_header(
             "BENCH",
-            "Ring vs mutex-channel contention",
+            "Ring throughput and steady-state allocation",
             &format!(
                 "{} msgs, best of {}, scale divisor {}",
                 messages, args.repeats, args.scale_div
@@ -462,17 +376,7 @@ fn main() -> ExitCode {
             format!("{mpsc_same:.0}"),
             "-".into(),
         ]);
-        table.row(vec![
-            "mutex chan".into(),
-            format!("{chan_same:.0}"),
-            format!("{chan_cross:.0}"),
-        ]);
         println!("{}", table.render());
-        println!(
-            "ring advantage:            {:.2}x same-thread, {:.2}x cross-thread",
-            report.ring_advantage_same(),
-            report.ring_advantage_cross()
-        );
         println!(
             "steady-state allocations:  {:.2}/task ({} @ scale {} -> {} tasks; scale {} -> {} tasks)",
             report.allocs_per_task(),
@@ -484,16 +388,6 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut failed = false;
-    if let Some(floor) = args.min_ring_advantage {
-        let adv = report.ring_advantage_same();
-        if adv < floor {
-            eprintln!(
-                "bench_contention: same-thread ring advantage {adv:.2}x below floor {floor:.2}x"
-            );
-            failed = true;
-        }
-    }
     if let Some(ceiling) = args.max_allocs_per_task {
         let rate = report.allocs_per_task();
         if rate > ceiling {
@@ -501,11 +395,8 @@ fn main() -> ExitCode {
                 "bench_contention: {rate:.2} allocations per committed task above ceiling \
                  {ceiling:.2} — the steady-state hot path is allocating"
             );
-            failed = true;
+            return ExitCode::FAILURE;
         }
-    }
-    if failed {
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

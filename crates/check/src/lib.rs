@@ -1,8 +1,8 @@
 //! # mssp-check
 //!
 //! A std-only, loom-style deterministic concurrency model checker for the
-//! mssp lock-free hot path (the SPSC/MPSC rings, the doorbell, and the
-//! Condvar channel in `mssp-core`).
+//! mssp lock-free hot path (the SPSC/MPSC rings and the doorbell in
+//! `mssp-core`).
 //!
 //! The production code is ported onto a thin `sync` seam; with
 //! `mssp-core`'s `model-check` feature enabled the seam resolves to the

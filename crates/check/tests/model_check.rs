@@ -1,7 +1,7 @@
 //! Model-check harnesses for the mssp transport: the SPSC/MPSC rings,
-//! the doorbell, the delta-arena recycling protocol, and the Condvar
-//! channel — all running on the real `mssp-core` code via its `sync`
-//! seam (feature `model-check`), under the deterministic scheduler.
+//! the doorbell and the delta-arena recycling protocol — all running on
+//! the real `mssp-core` code via its `sync` seam (feature `model-check`),
+//! under the deterministic scheduler.
 //!
 //! Two kinds of tests:
 //!
@@ -22,7 +22,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mssp_check::leak::Tracked;
 use mssp_check::{check, replay, thread, Config, FailureKind, Trace};
-use mssp_core::chan;
 use mssp_core::mutation;
 use mssp_core::ring::{mpsc, spsc, TryRecvError};
 use mssp_machine::{Cell, DeltaArena};
@@ -226,30 +225,6 @@ fn mc_arena_no_double_recycle() {
     assert!(report.complete, "arena space must be fully explored");
 }
 
-/// Satellite: the Condvar channel's drain-before-disconnect order. A
-/// sender that enqueues its final message and drops in the same instant
-/// must never lose it, under every mutex/condvar interleaving.
-#[test]
-fn mc_chan_drain_before_disconnect() {
-    let _g = serial();
-    let report = check("mc-chan-drain-before-disconnect", &cfg(), || {
-        let (tx, rx) = chan::channel();
-        let t = thread::spawn(move || {
-            tx.send(42u32).unwrap();
-            // tx drops here: "message ready" and "disconnected" become
-            // true at the same instant for the woken receiver.
-        });
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        t.join().unwrap();
-        assert_eq!(got, vec![42], "final message lost across disconnect");
-    });
-    report.assert_pass("mc-chan-drain-before-disconnect");
-    assert!(report.complete, "chan space must be fully explored");
-}
-
 // ---------------------------------------------------------------------------
 // Mutation (teeth) tests
 // ---------------------------------------------------------------------------
@@ -364,36 +339,7 @@ fn mutation_early_tail_publish_is_a_race() {
     assert_replays("mutation-early-tail", &failure, harness);
 }
 
-/// Testing disconnection before draining in `chan::recv` resurrects the
-/// lost-final-message bug: the sender's last message and its drop arrive
-/// as one wakeup, and the mutated order returns `RecvError` first.
-#[test]
-fn mutation_chan_disconnect_before_drain_loses_message() {
-    let _g = serial();
-    mutation::CHAN_DISCONNECT_BEFORE_DRAIN.store(true, std::sync::atomic::Ordering::Relaxed);
-    let harness = || {
-        let (tx, rx) = chan::channel();
-        let t = thread::spawn(move || {
-            tx.send(42u32).unwrap();
-        });
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        t.join().unwrap();
-        assert_eq!(got, vec![42], "final message lost across disconnect");
-    };
-    let failure = check("mutation-chan-disconnect", &cfg(), harness)
-        .expect_failure("mutation-chan-disconnect");
-    assert_eq!(
-        failure.kind,
-        FailureKind::Panic,
-        "expected the lost-message assert"
-    );
-    assert_replays("mutation-chan-disconnect", &failure, harness);
-}
-
-/// The unmutated configurations of the same four harnesses pass (checked
+/// The unmutated configurations of the same three harnesses pass (checked
 /// above); this meta-test pins that arming + resetting flags leaves no
 /// residue for later tests in this binary.
 #[test]

@@ -39,7 +39,7 @@ use mssp_distill::{Distilled, Tier};
 use mssp_isa::Reg;
 use mssp_machine::StepInfo;
 
-use crate::engine::{EngineStats, SquashReason};
+use crate::protocol::{EngineStats, SquashReason};
 
 /// A recompilation callback: given the controller's live profile and a
 /// tier, produce a fresh distilled program (or a rendered error — lint

@@ -1,5 +1,5 @@
-//! The MSSP engine: orchestrates master, slaves, and the verify/commit
-//! unit.
+//! The discrete-time MSSP engine: master, slaves and the verify/commit
+//! unit under a cost model.
 //!
 //! The engine is a deterministic discrete-time simulation. Components act
 //! in a fixed priority order (recovery, verify unit, slaves, master) and
@@ -8,39 +8,47 @@
 //! that of *any* cost model — equals the sequential machine's (the jumping
 //! refinement of the formal model).
 //!
-//! ## Protocol summary
+//! The engine is one of two drivers of the protocol core in
+//! `protocol.rs`: it decides *when* a spawn, a commit, a squash or a
+//! recovery step happens (virtual cycles) and what it costs; what each
+//! event *means* — counters, predictor training, throttling, hot-swaps —
+//! is the `CommitUnit`'s business.
+//!
+//! ## What it schedules
 //!
 //! * The **master** executes the distilled program; when it crosses a task
 //!   boundary it spawns a task (start PC + predicted-write overlay) onto a
 //!   free slave, stalling if none is free.
 //! * **Slaves** execute original-program tasks against layered storage,
-//!   recording live-ins, until they reach any boundary PC, `halt`, a
-//!   fault, or the instruction cap.
-//! * The **verify unit** processes tasks strictly in spawn order. The
-//!   oldest task commits iff its start PC equals the architected PC and
-//!   every recorded live-in matches architected state; its writes are then
-//!   superimposed atomically. Any failure squashes the failed task, all
-//!   younger tasks, and the master.
-//! * **Recovery** re-executes the failed segment non-speculatively from
-//!   architected state (buffered, committed atomically at the next
-//!   boundary) while the master restarts in parallel from the same point —
-//!   guaranteeing forward progress no matter how wrong the master is.
+//!   recording live-ins, until they reach their last boundary PC, `halt`,
+//!   a fault, or the instruction cap.
+//! * The **verify unit** presents tasks to [`verify_and_commit`] strictly
+//!   in spawn order. Any failure squashes the failed task, all younger
+//!   tasks, and the master.
+//! * **Recovery** re-executes the failed segment non-speculatively, one
+//!   instruction per step; the master restarts once it has committed.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
-use mssp_distill::{Distilled, Tier};
-use mssp_isa::{Program, Reg};
-use mssp_machine::{step, Cell, Delta, Fault, MachineState};
+use mssp_distill::Distilled;
+use mssp_isa::Program;
+use mssp_machine::{step, Cell, Fault, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
-use crate::predictor::{Predictor, PredictorReport};
-use crate::task::{BoundarySet, RecoveryStorage, Task, TaskEnd, TaskId, TaskStatus};
+use crate::predictor::PredictorReport;
+use crate::protocol::{
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, Recompile, RecoverySegment,
+    SquashReason, VerifyOutcome,
+};
+use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId, TaskStatus};
 use crate::{CoreRole, CostModel};
 
-/// Engine configuration.
+/// Engine configuration. Every field acts under both executors except the
+/// three that are driver-specific by nature: `max_cycles` and
+/// `word_granular_live_ins` (discrete [`Engine`] only) and
+/// `cross_check_commits` (threaded executor only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of slave processors (the paper's CMP had one master plus
@@ -105,240 +113,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Why a squash happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SquashReason {
-    /// The oldest task's start PC did not match the architected PC (the
-    /// master predicted the wrong next task).
-    WrongPath,
-    /// A recorded live-in disagreed with architected state.
-    LiveInMismatch,
-    /// The task exceeded its instruction cap.
-    Overrun,
-    /// The task faulted (illegal PC).
-    Fault,
-}
-
-/// The outcome of presenting the oldest finished task to the verify
-/// unit — see [`verify_and_commit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyOutcome {
-    /// The task passed the memoization test: its writes were superimposed
-    /// onto architected state and the PC advanced to `end_pc`.
-    Commit {
-        /// PC the architected state advanced to (the task's end PC).
-        end_pc: u64,
-        /// Whether the committed task executed `halt`.
-        halted: bool,
-    },
-    /// The task failed verification; architected state is untouched.
-    Squash(SquashReason),
-}
-
-/// The paper's verify/commit step, shared by the discrete-time [`Engine`]
-/// and the threaded executor so the two stay behaviorally identical.
-///
-/// The oldest task commits iff it started at the architected PC, ended at
-/// a boundary or `halt`, and every recorded live-in matches architected
-/// state (the memoization test). On success the task's writes are applied
-/// as one superimposition and the PC advances; on any failure `arch` is
-/// left untouched and the caller must squash all younger tasks and run
-/// recovery.
-pub fn verify_and_commit(arch: &mut MachineState, task: &Task, end: TaskEnd) -> VerifyOutcome {
-    if task.start_pc != arch.pc() {
-        return VerifyOutcome::Squash(SquashReason::WrongPath);
-    }
-    match end {
-        TaskEnd::Overrun => VerifyOutcome::Squash(SquashReason::Overrun),
-        TaskEnd::Fault => VerifyOutcome::Squash(SquashReason::Fault),
-        TaskEnd::Boundary(end_pc) | TaskEnd::Halted(end_pc) => {
-            // Squash diagnostics need only one offending cell; the
-            // iterator-based first-mismatch probe short-circuits without
-            // allocating the full mismatch report (callers that want the
-            // whole set — `Engine::enable_mismatch_samples` — still use
-            // `mismatches_against`).
-            if task.live_ins.first_mismatch_against(arch).is_some() {
-                return VerifyOutcome::Squash(SquashReason::LiveInMismatch);
-            }
-            arch.apply(&task.writes);
-            arch.set_pc(end_pc);
-            VerifyOutcome::Commit {
-                end_pc,
-                halted: matches!(end, TaskEnd::Halted(_)),
-            }
-        }
-    }
-}
-
-/// Aggregate statistics of one MSSP run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Tasks spawned by the master.
-    pub spawned_tasks: u64,
-    /// Tasks that verified and committed.
-    pub committed_tasks: u64,
-    /// Instructions committed via tasks or recovery segments (equals the
-    /// sequential instruction count of the program).
-    pub committed_instructions: u64,
-    /// Tasks squashed (all reasons).
-    pub squashed_tasks: u64,
-    /// Squash events caused by wrong-path task starts.
-    pub squashes_wrong_path: u64,
-    /// Squash events caused by live-in mismatches.
-    pub squashes_live_in: u64,
-    /// Of which events where a predictor-injected cell was among the
-    /// mismatches (the predictor guessed wrong).
-    pub squashes_live_in_predicted: u64,
-    /// Of which events with no predictor involvement (the master's
-    /// checkpoint was stale on its own).
-    pub squashes_live_in_stale: u64,
-    /// Squash events caused by task overruns.
-    pub squashes_overrun: u64,
-    /// Squash events caused by task faults.
-    pub squashes_fault: u64,
-    /// Non-speculative recovery segments executed.
-    pub recovery_segments: u64,
-    /// Instructions executed in recovery segments.
-    pub recovery_instructions: u64,
-    /// Distilled instructions executed by the master.
-    pub master_instructions: u64,
-    /// Original-program instructions executed speculatively by slaves.
-    pub slave_instructions: u64,
-    /// Speculative slave instructions discarded by squashes.
-    pub wasted_slave_instructions: u64,
-    /// Sum over committed tasks of live-in cells (bandwidth proxy).
-    pub live_in_cells: u64,
-    /// Of which register cells.
-    pub live_in_reg_cells: u64,
-    /// Of which memory cells.
-    pub live_in_mem_cells: u64,
-    /// Sum over committed tasks of live-out cells.
-    pub live_out_cells: u64,
-    /// Largest committed live-in set.
-    pub max_live_in_cells: u64,
-    /// Cycles the master spent executing or spawning.
-    pub master_busy_cycles: u64,
-    /// Cycles slaves spent executing task instructions.
-    pub slave_busy_cycles: u64,
-    /// Cycles spent in recovery execution.
-    pub recovery_busy_cycles: u64,
-    /// Cycles the verify unit spent verifying and committing.
-    pub verify_busy_cycles: u64,
-    /// Times the adaptive throttle took the master offline.
-    pub throttle_events: u64,
-    /// Tasks committed entirely on worker pre-verification — the
-    /// coordinator re-checked **zero** live-ins against architected state
-    /// (threaded executor fast path).
-    pub pre_verified_tasks: u64,
-    /// Live-in cells the verify unit re-checked against architected
-    /// state. The discrete engine re-checks every recorded live-in; the
-    /// threaded fast path re-checks only pre-verification failures and
-    /// cells dirtied by commits after the task's spawn snapshot.
-    pub live_ins_rechecked: u64,
-    /// Live-in cells the verify unit skipped because worker-side
-    /// pre-verification already proved them (threaded executor only).
-    pub live_ins_skipped: u64,
-    /// Full architected-state snapshots materialized for publication
-    /// (threaded executor; squashes and chain-threshold crossings).
-    pub snapshots_materialized: u64,
-    /// Commits published to workers as an incremental write delta on the
-    /// commit log instead of a fresh snapshot (threaded executor).
-    pub deltas_published: u64,
-    /// Live-in cells whose checkpoint value was overridden by the value
-    /// predictor at spawn.
-    pub predictor_overrides: u64,
-    /// Predictor-injected cells that a committed task actually read (the
-    /// prediction survived verification).
-    pub predictor_hits: u64,
-    /// Predictor-injected cells found among the mismatches of a live-in
-    /// squash (the prediction was wrong).
-    pub predictor_misses: u64,
-    /// Spawns the master suppressed because a spawn-guard slice resolved
-    /// an asserted branch against its assertion inside the task window
-    /// (each veto hands the window to a sequential recovery segment).
-    pub spawn_vetoes: u64,
-    /// Fast-tier (DCE-only) adaptive recompilations that produced a
-    /// valid, installed candidate.
-    pub recompilations_fast: u64,
-    /// Full-pipeline adaptive recompilations that produced a valid,
-    /// installed candidate.
-    pub recompilations_full: u64,
-    /// Distilled-program hot-swaps installed at task boundaries.
-    pub swaps_installed: u64,
-    /// In-flight tasks abandoned by hot-swaps (counted separately from
-    /// squashes: a swap is not a misprediction, and the squash-rate
-    /// gates must not see it as one).
-    pub swap_abandoned_tasks: u64,
-}
-
-impl EngineStats {
-    /// Fraction of speculative slave work that was wasted.
-    #[must_use]
-    pub fn waste_fraction(&self) -> f64 {
-        if self.slave_instructions == 0 {
-            0.0
-        } else {
-            self.wasted_slave_instructions as f64 / self.slave_instructions as f64
-        }
-    }
-
-    /// Fraction of verified predictor injections that turned out correct
-    /// (`hits / (hits + misses)`); `0.0` when nothing was ever verified.
-    /// Never NaN, for the same gate-comparison reason as
-    /// [`EngineStats::recheck_ratio`].
-    #[must_use]
-    pub fn predictor_accuracy(&self) -> f64 {
-        let verified = self.predictor_hits + self.predictor_misses;
-        if verified == 0 {
-            0.0
-        } else {
-            self.predictor_hits as f64 / verified as f64
-        }
-    }
-
-    /// Total squash events.
-    #[must_use]
-    pub fn squash_events(&self) -> u64 {
-        self.squashes_wrong_path
-            + self.squashes_live_in
-            + self.squashes_overrun
-            + self.squashes_fault
-    }
-
-    /// Fraction of committed instructions that came from (sequential)
-    /// recovery segments rather than parallel tasks.
-    #[must_use]
-    pub fn recovery_fraction(&self) -> f64 {
-        if self.committed_instructions == 0 {
-            0.0
-        } else {
-            self.recovery_instructions as f64 / self.committed_instructions as f64
-        }
-    }
-
-    /// Verify-unit occupancy: the fraction of presented live-in cells the
-    /// coordinator actually re-checked against architected state
-    /// (re-checked / (re-checked + skipped)). `1.0` for the discrete
-    /// engine, which re-checks everything; the threaded fast path drives
-    /// this down toward the true cross-task conflict rate.
-    ///
-    /// A run that presented no live-ins at all (zero committed tasks, or
-    /// squash-only runs where every task died before verification)
-    /// reports `0.0`: no re-check work happened. This must never be NaN —
-    /// the benchmark gates compare it with `<=`, and NaN would make a
-    /// `--max-recheck-ratio` gate silently pass or fail on IEEE
-    /// comparison semantics rather than on the measurement.
-    #[must_use]
-    pub fn recheck_ratio(&self) -> f64 {
-        let presented = self.live_ins_rechecked + self.live_ins_skipped;
-        if presented == 0 {
-            0.0
-        } else {
-            self.live_ins_rechecked as f64 / presented as f64
-        }
-    }
-}
-
 /// Result of a completed MSSP run.
 #[derive(Debug, Clone)]
 pub struct MsspRun {
@@ -352,9 +126,6 @@ pub struct MsspRun {
     /// [`Engine::enable_commit_trace`]. The jumping-refinement property:
     /// this is always a subsequence of the sequential machine's PC trace.
     pub commit_trace: Option<Vec<u64>>,
-    /// Live-in mismatch samples, if enabled with
-    /// [`Engine::enable_mismatch_samples`].
-    pub mismatch_samples: Option<Vec<MismatchSample>>,
     /// All-cause squash samples, if enabled with
     /// [`Engine::enable_squash_samples`].
     pub squash_samples: Option<Vec<SquashSample>>,
@@ -401,28 +172,10 @@ struct SlaveCtx {
     task: Option<TaskId>,
 }
 
-/// The adaptive loop's engine-side state: the controller plus the
-/// injected recompiler. Split out so the boxed closure (not `Debug`) can
-/// hide behind a manual impl.
-struct AdaptiveHook {
-    ctl: AdaptiveController,
-    recompiler: Recompiler,
-}
-
-impl std::fmt::Debug for AdaptiveHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveHook")
-            .field("ctl", &self.ctl)
-            .finish_non_exhaustive()
-    }
-}
-
+/// The recovery segment in progress and when its next instruction issues.
 #[derive(Debug)]
 struct Recovery {
-    pc: u64,
-    writes: Delta,
-    executed: u64,
-    crossings: u64,
+    segment: RecoverySegment,
     busy_until: u64,
 }
 
@@ -473,9 +226,6 @@ pub struct Engine<'a, C> {
     master_busy_until: u64,
     master_since_spawn: u64,
     last_spawned: Option<u64>,
-    /// Live-in value predictor (see [`Predictor`]); trained only on
-    /// architected values at verify time.
-    predictor: Predictor,
 
     tasks: VecDeque<Task>,
     slaves: Vec<SlaveCtx>,
@@ -483,44 +233,23 @@ pub struct Engine<'a, C> {
     verify_busy_until: u64,
 
     next_task_id: u64,
-    /// Recent squash history (event counter within the sliding window).
-    recent_squashes: VecDeque<u64>,
-    /// Tasks processed (committed or squashed), the throttle's clock.
-    tasks_processed: u64,
-    /// Remaining recovery segments to run with the master offline.
-    throttle_remaining: u64,
-    stats: EngineStats,
+    /// The protocol core: statistics, predictor, throttle, adaptive loop.
+    unit: CommitUnit,
     /// Architected PCs at each commit point, recorded when tracing is on.
     commit_trace: Option<Vec<u64>>,
-    /// Live-in mismatch samples, recorded when diagnostics are on.
-    mismatch_samples: Option<Vec<MismatchSample>>,
     /// All-cause squash samples, recorded when diagnostics are on.
     squash_samples: Option<Vec<SquashSample>>,
     /// Committed task sizes (instructions), recorded when enabled.
     task_sizes: Option<Vec<u64>>,
-    /// Adaptive re-distillation state, when enabled.
-    adaptive: Option<AdaptiveHook>,
     /// The currently hot-swapped distilled program; `None` means the
     /// offline program the engine was built with is still installed.
     swapped: Option<Arc<Distilled>>,
 }
 
-/// A recorded live-in verification failure (diagnostics).
-#[derive(Debug, Clone)]
-pub struct MismatchSample {
-    /// The failing task's start PC (original space).
-    pub start_pc: u64,
-    /// Instructions the task had executed.
-    pub executed: u64,
-    /// Mismatching cells: `(cell, predicted, architected)`.
-    pub cells: Vec<(mssp_machine::Cell, u64, u64)>,
-}
-
 /// A recorded squash event of any cause (diagnostics): what the verify
-/// unit saw when it killed the task window. Richer than
-/// [`MismatchSample`] — wrong-path events carry the architected PC the
-/// master failed to predict, which is what the next-task predictor
-/// trains on.
+/// unit saw when it killed the task window. Wrong-path events carry the
+/// architected PC the master failed to predict, which is what the
+/// next-task predictor trains on.
 #[derive(Debug, Clone)]
 pub struct SquashSample {
     /// Why the squash happened.
@@ -533,7 +262,12 @@ pub struct SquashSample {
     pub executed: u64,
     /// Mismatching live-in cells `(cell, predicted, architected)`;
     /// non-empty only for [`SquashReason::LiveInMismatch`].
-    pub cells: Vec<(mssp_machine::Cell, u64, u64)>,
+    pub cells: Vec<(Cell, u64, u64)>,
+}
+
+/// A master booted on `distilled` at `arch`'s PC, seeded with `arch`.
+fn master_at(distilled: &Distilled, arch: &MachineState) -> Master {
+    Master::restart_at(distilled, arch.pc(), true, arch.clone())
 }
 
 impl<'a, C: CostModel> Engine<'a, C> {
@@ -551,7 +285,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
     ) -> Engine<'a, C> {
         assert!(config.num_slaves > 0, "MSSP needs at least one slave");
         let arch = MachineState::boot(original);
-        let master = Master::restart_at(distilled, arch.pc(), true, arch.clone());
         Engine {
             original,
             distilled,
@@ -560,13 +293,12 @@ impl<'a, C: CostModel> Engine<'a, C> {
             config,
             cost,
             now: 0,
+            master: master_at(distilled, &arch),
             arch,
             arch_halted: false,
-            master,
             master_busy_until: 0,
             master_since_spawn: 0,
             last_spawned: None,
-            predictor: Predictor::new(),
             tasks: VecDeque::new(),
             slaves: (0..config.num_slaves)
                 .map(|_| SlaveCtx {
@@ -577,15 +309,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
             recovery: None,
             verify_busy_until: 0,
             next_task_id: 0,
-            recent_squashes: VecDeque::new(),
-            tasks_processed: 0,
-            throttle_remaining: 0,
-            stats: EngineStats::default(),
+            unit: CommitUnit::new(config),
             commit_trace: None,
-            mismatch_samples: None,
             squash_samples: None,
             task_sizes: None,
-            adaptive: None,
             swapped: None,
         }
     }
@@ -598,10 +325,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// synchronously at the requesting task boundary — deterministically,
     /// for differential testing against the threaded executor.
     pub fn enable_adaptive(&mut self, controller: AdaptiveController, recompiler: Recompiler) {
-        self.adaptive = Some(AdaptiveHook {
-            ctl: controller,
-            recompiler,
-        });
+        self.unit
+            .enable_adaptive(controller, Recompile::Inline(recompiler));
     }
 
     /// The distilled program the master is currently running (the latest
@@ -615,12 +340,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// task-size distribution studies).
     pub fn enable_task_size_trace(&mut self) {
         self.task_sizes = Some(Vec::new());
-    }
-
-    /// Enables recording of live-in mismatch samples (first `cap` squash
-    /// events), for distillation diagnostics.
-    pub fn enable_mismatch_samples(&mut self, cap: usize) {
-        self.mismatch_samples = Some(Vec::with_capacity(cap.min(1024)));
     }
 
     /// Enables recording of all-cause squash samples (first `cap` squash
@@ -640,13 +359,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
     #[must_use]
     pub fn commit_trace(&self) -> Option<&[u64]> {
         self.commit_trace.as_deref()
-    }
-
-    /// The recorded mismatch samples, if enabled (drain before `run`
-    /// consumes the engine via [`MsspRun::mismatch_samples`]).
-    #[must_use]
-    pub fn mismatch_samples(&self) -> Option<&[MismatchSample]> {
-        self.mismatch_samples.as_deref()
     }
 
     /// Runs the machine to architectural halt.
@@ -684,18 +396,18 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 self.advance_time();
             }
         }
-        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        self.unit.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        let (stats, predictor_report, adaptive) = self.unit.finish();
         Ok((
             MsspRun {
                 cycles: self.now,
                 state: self.arch,
-                stats: self.stats,
+                stats,
                 commit_trace: self.commit_trace,
-                mismatch_samples: self.mismatch_samples,
                 squash_samples: self.squash_samples,
                 task_sizes: self.task_sizes,
-                predictor_report: self.predictor.report(),
-                adaptive: self.adaptive.map(|h| h.ctl.into_report()),
+                predictor_report,
+                adaptive,
             },
             self.cost,
         ))
@@ -710,72 +422,41 @@ impl<'a, C: CostModel> Engine<'a, C> {
         if self.now < rec.busy_until {
             return Ok(false);
         }
-        let pc = rec.pc;
-        let mut storage = RecoveryStorage {
-            writes: &mut rec.writes,
-            arch: &self.arch,
+        let rules = SegmentRules {
+            boundaries: &self.boundaries,
+            crossings_per_task: self.crossings_per_task,
+            max_instrs: self.config.max_recovery_instrs,
         };
-        let info = step(&mut storage, self.original, pc).map_err(EngineError::RecoveryFault)?;
-        if let Some(ad) = &mut self.adaptive {
-            // Recovery is verified, non-speculative execution: feed the
-            // live profile and the cold-code divergence signal.
-            ad.ctl.observe_recovery_step(&info);
-        }
+        let (info, end) = rec
+            .segment
+            .step(&mut self.unit, self.original, &self.arch, &rules)?;
         let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
         rec.busy_until = self.now + cost;
-        self.stats.recovery_busy_cycles += cost;
-        if info.halted {
-            self.finish_recovery(pc, true);
-            return Ok(true);
-        }
-        rec.executed += 1;
-        rec.pc = info.next_pc;
-        if rec.executed > self.config.max_recovery_instrs {
-            return Err(EngineError::RecoveryLimit);
-        }
-        if self.boundaries.contains(info.next_pc) {
-            rec.crossings += 1;
-            if rec.crossings >= self.crossings_per_task {
-                self.finish_recovery(info.next_pc, false);
-            }
+        self.unit.stats.recovery_busy_cycles += cost;
+        if let Some(end) = end {
+            self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
         }
         Ok(true)
     }
 
-    fn finish_recovery(&mut self, end_pc: u64, halted: bool) {
+    fn finish_recovery(&mut self, halted: bool) {
         let rec = self.recovery.take().expect("recovery active");
-        self.arch.apply(&rec.writes);
-        self.arch.set_pc(end_pc);
-        self.stats.recovery_instructions += rec.executed;
-        self.stats.committed_instructions += rec.executed;
+        let executed = rec.segment.commit(&mut self.arch);
         if let Some(trace) = &mut self.commit_trace {
-            trace.push(end_pc);
+            trace.push(self.arch.pc());
         }
-        if let Some(ad) = &mut self.adaptive {
-            ad.ctl.observe_recovery_segment();
-        }
+        let next = self.unit.recovered(executed);
         if halted {
             self.arch_halted = true;
             return;
         }
         // While throttled, keep the master offline and let starvation
         // recovery carry execution sequentially.
-        if self.throttle_remaining > 0 {
-            self.throttle_remaining -= 1;
+        if next == AfterRecovery::StayOffline {
             return;
         }
-        // Restart the master here, at a *consistent* architected point.
-        // (Restarting it at squash time, concurrently with recovery, lets
-        // the master lazily read a torn mixture of pre- and post-recovery
-        // architected values and desynchronize by one segment on every
-        // squash.)
         if self.master.status() != MasterStall::Active {
-            self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-            let cur = self.swapped.as_deref().unwrap_or(self.distilled);
-            self.master = Master::restart_at(cur, end_pc, true, self.arch.clone());
-            self.master_busy_until = self.now;
-            self.master_since_spawn = 0;
-            self.last_spawned = None;
+            self.restart_master();
         }
         // A recovery end is a consistent task boundary — the discrete
         // engine's second swap point (alongside commits).
@@ -791,11 +472,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
         };
         // Wrong-path detection does not wait for the task to finish.
         if task.start_pc != self.arch.pc() {
-            if let Some(ad) = &mut self.adaptive {
-                ad.ctl
-                    .observe_squash(SquashReason::WrongPath, self.arch.pc(), &[]);
-            }
-            self.record_squash_sample(SquashReason::WrongPath, Vec::new());
             self.squash_and_recover(SquashReason::WrongPath);
             return true;
         }
@@ -806,115 +482,37 @@ impl<'a, C: CostModel> Engine<'a, C> {
             return false;
         }
         match verify_and_commit(&mut self.arch, task, end) {
-            VerifyOutcome::Squash(reason) => {
-                let mut mismatch_cells: Vec<(mssp_machine::Cell, u64, u64)> = Vec::new();
-                if reason == SquashReason::LiveInMismatch {
-                    let want_cells = self.mismatch_samples.is_some()
-                        || self.squash_samples.is_some()
-                        || self.config.enable_predictor
-                        || self.adaptive.is_some();
-                    if want_cells {
-                        mismatch_cells = task.live_ins.mismatches_against(&self.arch);
-                    }
-                    if let Some(samples) = &mut self.mismatch_samples {
-                        if samples.len() < samples.capacity() {
-                            samples.push(MismatchSample {
-                                start_pc: task.start_pc,
-                                executed: task.executed,
-                                cells: mismatch_cells.clone(),
-                            });
-                        }
-                    }
-                    // Attribute the event: did a predictor injection
-                    // participate in the failure, or was the master's
-                    // checkpoint stale on its own?
-                    let misses = task
-                        .predicted
-                        .iter()
-                        .filter(|p| mismatch_cells.iter().any(|(c, _, _)| c == *p))
-                        .count() as u64;
-                    if misses > 0 {
-                        self.stats.squashes_live_in_predicted += 1;
-                        self.stats.predictor_misses += misses;
-                    } else {
-                        self.stats.squashes_live_in_stale += 1;
-                    }
-                    if self.config.enable_predictor {
-                        // Train-on-verified-only: the architected side of
-                        // each mismatch is committed truth. Register cells
-                        // only — memory live-in footprints depend on
-                        // executor timing, register live-ins do not.
-                        let start = task.start_pc;
-                        for &(cell, _, arch_value) in &mismatch_cells {
-                            if let Cell::Reg(r) = cell {
-                                self.predictor.train(start, r, arch_value);
-                            }
-                        }
-                    }
-                }
-                if let Some(ad) = &mut self.adaptive {
-                    let regs: Vec<Reg> = mismatch_cells
-                        .iter()
-                        .filter_map(|&(c, _, _)| match c {
-                            Cell::Reg(r) => Some(r),
-                            _ => None,
-                        })
-                        .collect();
-                    ad.ctl.observe_squash(reason, self.arch.pc(), &regs);
-                }
-                self.record_squash_sample(reason, mismatch_cells);
-                self.squash_and_recover(reason);
-                true
-            }
-            VerifyOutcome::Commit { end_pc, halted } => {
-                // Task safety established: the commit superimposition has
-                // been applied; account for it.
-                let task = self.tasks.pop_front().expect("front exists");
-                let vcost = self.cost.verify_cost(task.live_ins.len());
-                let ccost = self.cost.commit_cost(task.writes.len());
-                self.verify_busy_until = self.now + vcost + ccost;
-                self.stats.verify_busy_cycles += vcost + ccost;
-                self.stats.committed_tasks += 1;
-                self.tasks_processed += 1;
-                self.stats.committed_instructions += task.executed;
-                if let Some(sizes) = &mut self.task_sizes {
-                    sizes.push(task.executed);
-                }
-                self.stats.live_in_cells += task.live_ins.len() as u64;
-                // The discrete verify unit re-checks every recorded
-                // live-in (no worker-side pre-verification here).
-                self.stats.live_ins_rechecked += task.live_ins.len() as u64;
-                self.stats.live_in_reg_cells += task.live_ins.reg_cells() as u64;
-                self.stats.live_in_mem_cells += task.live_ins.mem_cells() as u64;
-                self.stats.live_out_cells += task.writes.len() as u64;
-                self.stats.max_live_in_cells =
-                    self.stats.max_live_in_cells.max(task.live_ins.len() as u64);
-                // A predicted cell the committed task actually read is a
-                // verified hit (live-ins all matched, or we wouldn't be
-                // here); injections the task never read are unverified
-                // and count as neither hit nor miss.
-                self.stats.predictor_hits += task
-                    .predicted
-                    .iter()
-                    .filter(|&&c| task.live_ins.contains(c))
-                    .count() as u64;
-                self.master.on_commit(task.id.0);
-                self.slaves[task.slave].task = None;
-                if let Some(trace) = &mut self.commit_trace {
-                    trace.push(end_pc);
-                }
-                if let Some(ad) = &mut self.adaptive {
-                    ad.ctl.observe_commit(task.executed);
-                }
-                if halted {
-                    self.arch_halted = true;
-                } else {
-                    // Commits are the primary swap point: architected
-                    // state sits at a consistent task boundary.
-                    self.try_adaptive_swap();
-                }
-                true
-            }
+            VerifyOutcome::Squash(reason) => self.squash_and_recover(reason),
+            VerifyOutcome::Commit { end_pc, halted } => self.commit_oldest(end_pc, halted),
+        }
+        true
+    }
+
+    /// Task safety established and the commit superimposition applied:
+    /// account for the oldest task and release its slave.
+    fn commit_oldest(&mut self, end_pc: u64, halted: bool) {
+        let task = self.tasks.pop_front().expect("front exists");
+        let vcost = self.cost.verify_cost(task.live_ins.len());
+        let ccost = self.cost.commit_cost(task.writes.len());
+        self.verify_busy_until = self.now + vcost + ccost;
+        self.unit.stats.verify_busy_cycles += vcost + ccost;
+        // The discrete verify unit re-checks every recorded live-in (no
+        // worker-side pre-verification here).
+        self.unit.commit(&task, task.live_ins.len() as u64);
+        if let Some(sizes) = &mut self.task_sizes {
+            sizes.push(task.executed);
+        }
+        self.master.on_commit(task.id.0);
+        self.slaves[task.slave].task = None;
+        if let Some(trace) = &mut self.commit_trace {
+            trace.push(end_pc);
+        }
+        if halted {
+            self.arch_halted = true;
+        } else {
+            // Commits are the primary swap point: architected state sits
+            // at a consistent task boundary.
+            self.try_adaptive_swap();
         }
     }
 
@@ -953,7 +551,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             Ok(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
                 self.slaves[s].busy_until = self.now + cost;
-                self.stats.slave_busy_cycles += cost;
+                self.unit.stats.slave_busy_cycles += cost;
                 if info.halted {
                     task.status = TaskStatus::Done {
                         end: TaskEnd::Halted(pc),
@@ -963,16 +561,18 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 }
                 task.executed += 1;
                 task.pc = info.next_pc;
-                self.stats.slave_instructions += 1;
-                if self.boundaries.contains(info.next_pc) {
-                    task.crossings += 1;
-                }
-                if task.crossings >= self.crossings_per_task {
+                self.unit.stats.slave_instructions += 1;
+                let rules = SegmentRules {
+                    boundaries: &self.boundaries,
+                    crossings_per_task: self.crossings_per_task,
+                    max_instrs: self.config.max_task_instrs,
+                };
+                if rules.crossed(info.next_pc, &mut task.crossings) {
                     task.status = TaskStatus::Done {
                         end: TaskEnd::Boundary(info.next_pc),
                         done_at: self.slaves[s].busy_until,
                     };
-                } else if task.executed >= self.config.max_task_instrs {
+                } else if task.executed >= rules.max_instrs {
                     task.status = TaskStatus::Done {
                         end: TaskEnd::Overrun,
                         done_at: self.slaves[s].busy_until,
@@ -993,24 +593,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             };
             let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
             let cells: usize = overlay.first().map(|d| d.len()).unwrap_or(0);
-            let mut predicted: Vec<Cell> = Vec::new();
-            if self.config.enable_predictor {
-                let predictions = self.predictor.predict(start);
-                if !predictions.is_empty() {
-                    // Inject at the overlay front: index 0 wins layered
-                    // reads, so predictions override the master's
-                    // checkpoint for exactly these cells — and, like any
-                    // overlay-sourced read, are recorded as live-ins and
-                    // verified at commit.
-                    let mut delta = Delta::new();
-                    for &(reg, value) in &predictions {
-                        delta.set(Cell::Reg(reg), value);
-                        predicted.push(Cell::Reg(reg));
-                    }
-                    overlay.insert(0, std::sync::Arc::new(delta));
-                    self.stats.predictor_overrides += predictions.len() as u64;
-                }
-            }
+            let predicted = self.unit.spawn(start, &mut overlay);
             let id = TaskId(self.next_task_id);
             self.next_task_id += 1;
             let mut task = Task::new(id, start, slave, overlay);
@@ -1021,8 +604,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             self.slaves[slave].busy_until = self.now + dispatch;
             let spawn = self.cost.spawn_overhead(cells);
             self.master_busy_until = self.now + spawn;
-            self.stats.master_busy_cycles += spawn;
-            self.stats.spawned_tasks += 1;
+            self.unit.stats.master_busy_cycles += spawn;
             self.last_spawned = Some(id.0);
             self.master_since_spawn = 0;
             return true;
@@ -1038,8 +620,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
             Some(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
                 self.master_busy_until = self.now + cost;
-                self.stats.master_busy_cycles += cost;
-                self.stats.master_instructions += 1;
+                self.unit.stats.master_busy_cycles += cost;
+                self.unit.stats.master_instructions += 1;
                 self.master_since_spawn += 1;
                 true
             }
@@ -1049,134 +631,42 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     // ---- squash & recovery ----------------------------------------------
 
-    fn record_squash_sample(
-        &mut self,
-        reason: SquashReason,
-        cells: Vec<(mssp_machine::Cell, u64, u64)>,
-    ) {
-        let Some(task) = self.tasks.front() else {
-            return;
-        };
-        let (task_start_pc, executed) = (task.start_pc, task.executed);
+    /// Squashes the oldest task, every younger one and the master, then
+    /// starts the recovery segment.
+    fn squash_and_recover(&mut self, reason: SquashReason) {
+        let failing = self.tasks.front().expect("a squash has a failing task");
+        let dying = self.in_flight_work();
+        let cells = self.unit.squash(reason, failing, &self.arch, dying);
         if let Some(samples) = &mut self.squash_samples {
             if samples.len() < samples.capacity() {
                 samples.push(SquashSample {
                     reason,
-                    task_start_pc,
+                    task_start_pc: failing.start_pc,
                     arch_pc: self.arch.pc(),
-                    executed,
+                    executed: failing.executed,
                     cells,
                 });
             }
         }
-    }
-
-    fn squash_and_recover(&mut self, reason: SquashReason) {
-        match reason {
-            SquashReason::WrongPath => self.stats.squashes_wrong_path += 1,
-            SquashReason::LiveInMismatch => self.stats.squashes_live_in += 1,
-            SquashReason::Overrun => self.stats.squashes_overrun += 1,
-            SquashReason::Fault => self.stats.squashes_fault += 1,
-        }
-        self.stats.squashed_tasks += self.tasks.len() as u64;
-        for task in &self.tasks {
-            self.stats.wasted_slave_instructions += task.executed;
-        }
-        for (i, slave) in self.slaves.iter_mut().enumerate() {
-            if slave.task.take().is_some() {
-                self.cost.on_squash(CoreRole::Slave(i));
-                slave.busy_until = self.now;
-            }
-        }
-        self.tasks.clear();
+        self.release_slaves();
         self.cost.on_squash(CoreRole::Master);
 
         let penalty = self.cost.squash_penalty();
         self.verify_busy_until = self.now + penalty;
-        self.stats.verify_busy_cycles += penalty;
-
-        // Adaptive fallback: with a pathological master, repeated squashes
-        // within the window take it offline for a stretch of sequential
-        // recovery segments (the paper's revert-to-sequential dual mode).
-        self.tasks_processed += 1;
-        if self.config.throttle_threshold > 0 {
-            self.recent_squashes.push_back(self.tasks_processed);
-            while matches!(
-                self.recent_squashes.front(),
-                Some(&t) if t + self.config.throttle_window < self.tasks_processed
-            ) {
-                self.recent_squashes.pop_front();
-            }
-            if self.recent_squashes.len() as u32 > self.config.throttle_threshold
-                && self.throttle_remaining == 0
-            {
-                self.throttle_remaining = self.config.throttle_duration;
-                self.stats.throttle_events += 1;
-                self.recent_squashes.clear();
-            }
-        }
+        self.unit.stats.verify_busy_cycles += penalty;
 
         // The master stays down until recovery reaches the next boundary;
         // `finish_recovery` reseeds it from the then-consistent
-        // architected state. (A parallel restart would race with the
-        // recovery segment's atomic commit — see `finish_recovery`.)
+        // architected state.
         self.master.mark_lost();
         self.master_busy_until = self.now + penalty;
         self.master_since_spawn = 0;
         self.last_spawned = None;
-
-        self.recovery = Some(Recovery {
-            pc: self.arch.pc(),
-            writes: Delta::new(),
-            executed: 0,
-            crossings: 0,
-            busy_until: self.now + penalty,
-        });
-        self.stats.recovery_segments += 1;
+        self.start_recovery(penalty);
     }
 
-    // ---- adaptive hot-swap ------------------------------------------------
-
-    /// If the controller has an outstanding recompile request, runs the
-    /// recompiler synchronously and installs the candidate (when it
-    /// validates) at the current task boundary.
-    fn try_adaptive_swap(&mut self) {
-        let Some(ad) = &mut self.adaptive else {
-            return;
-        };
-        let Some(tier) = ad.ctl.take_request() else {
-            return;
-        };
-        let started = Instant::now();
-        let installable = match (ad.recompiler)(ad.ctl.live_profile(), tier) {
-            Ok(d) if ad.ctl.validate_candidate(&d) => {
-                ad.ctl.note_recompiled(tier, true);
-                Some(Arc::new(d))
-            }
-            Ok(_) => {
-                ad.ctl.note_candidate_rejected(tier);
-                None
-            }
-            Err(_) => {
-                ad.ctl.note_recompiled(tier, false);
-                None
-            }
-        };
-        if let Some(d) = installable {
-            self.install_swap(d, tier, started);
-        }
-    }
-
-    /// Installs a validated candidate: abandons in-flight tasks exactly
-    /// like a squash (their predictions came from the outgoing program)
-    /// and restarts the master on the new program from architected state.
-    /// No recovery segment is needed — unlike a squash, architected state
-    /// already sits at a consistent task boundary.
-    fn install_swap(&mut self, d: Arc<Distilled>, tier: Tier, started: Instant) {
-        self.stats.swap_abandoned_tasks += self.tasks.len() as u64;
-        for task in &self.tasks {
-            self.stats.wasted_slave_instructions += task.executed;
-        }
+    /// Discards every in-flight task and frees the slaves running them.
+    fn release_slaves(&mut self) {
         for (i, slave) in self.slaves.iter_mut().enumerate() {
             if slave.task.take().is_some() {
                 self.cost.on_squash(CoreRole::Slave(i));
@@ -1184,35 +674,47 @@ impl<'a, C: CostModel> Engine<'a, C> {
             }
         }
         self.tasks.clear();
-        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-        self.swapped = Some(d);
-        self.stats.swaps_installed += 1;
-        match tier {
-            Tier::Fast => self.stats.recompilations_fast += 1,
-            Tier::Full => self.stats.recompilations_full += 1,
-        }
-        let cur = self.swapped.as_deref().expect("just installed");
-        self.master = Master::restart_at(cur, self.arch.pc(), true, self.arch.clone());
+    }
+
+    /// Begins a recovery segment at the architected PC, `delay` cycles
+    /// from now; 0 for starvation recovery (no tasks, no recovery, master
+    /// unable to produce work), the squash penalty after a squash.
+    fn start_recovery(&mut self, delay: u64) {
+        self.recovery = Some(Recovery {
+            segment: RecoverySegment::new(self.arch.pc()),
+            busy_until: self.now + delay,
+        });
+    }
+
+    /// Reseeds the master from architected state on the installed program.
+    fn restart_master(&mut self) {
+        self.unit.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        let installed = self.swapped.as_deref().unwrap_or(self.distilled);
+        self.master = master_at(installed, &self.arch);
         self.master_busy_until = self.now;
         self.master_since_spawn = 0;
         self.last_spawned = None;
-        if let Some(ad) = &mut self.adaptive {
-            let latency = started.elapsed().as_micros() as u64;
-            ad.ctl.note_swap_installed(tier, latency, self.stats);
-        }
     }
 
-    fn start_starvation_recovery(&mut self) {
-        // No tasks, no recovery, master unable to produce work: execute
-        // the next segment non-speculatively.
-        self.recovery = Some(Recovery {
-            pc: self.arch.pc(),
-            writes: Delta::new(),
-            executed: 0,
-            crossings: 0,
-            busy_until: self.now,
-        });
-        self.stats.recovery_segments += 1;
+    /// Installs a validated candidate if the protocol core has one ready:
+    /// the master restarts on the new program and in-flight tasks are
+    /// abandoned like a squash. No recovery segment is needed — unlike a
+    /// squash, architected state already sits at a task boundary.
+    fn try_adaptive_swap(&mut self) {
+        let Some(candidate) = self.unit.poll_swap() else {
+            return;
+        };
+        self.swapped = Some(Arc::clone(&candidate.program));
+        // First, so the swap marker's counters include the old master's vetoes.
+        self.restart_master();
+        self.unit.swap_installed(&candidate, self.in_flight_work());
+        self.release_slaves();
+    }
+
+    /// The tasks in flight and the instructions they have executed so far.
+    fn in_flight_work(&self) -> (u64, u64) {
+        let executed = self.tasks.iter().map(|t| t.executed).sum();
+        (self.tasks.len() as u64, executed)
     }
 
     // ---- time ------------------------------------------------------------
@@ -1265,7 +767,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
         match next {
             Some(t) => self.now = self.now.max(t).max(self.now + 1),
-            None => self.start_starvation_recovery(),
+            None => self.start_recovery(0),
         }
     }
 }
@@ -1488,26 +990,6 @@ mod tests {
         let run = mssp_run(&p, &d, 4);
         assert!((0.0..=1.0).contains(&run.stats.waste_fraction()));
         assert!((0.0..=1.0).contains(&run.stats.recovery_fraction()));
-    }
-
-    #[test]
-    fn recheck_ratio_is_zero_not_nan_when_nothing_was_presented() {
-        // Regression: with no live-ins presented (zero-task or
-        // squash-only runs) the ratio used to be the 0/0 branch; it must
-        // be exactly 0.0 — never NaN, never a placeholder 1.0 — so
-        // `--max-recheck-ratio` gates compare a real number.
-        let stats = EngineStats::default();
-        assert_eq!(stats.live_ins_rechecked + stats.live_ins_skipped, 0);
-        let ratio = stats.recheck_ratio();
-        assert!(!ratio.is_nan());
-        assert_eq!(ratio, 0.0);
-        // And a populated run still reports the true fraction.
-        let populated = EngineStats {
-            live_ins_rechecked: 1,
-            live_ins_skipped: 3,
-            ..EngineStats::default()
-        };
-        assert_eq!(populated.recheck_ratio(), 0.25);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! **verify/commit** unit, such that the committed architected state is
 //! always exactly what the sequential machine would produce.
 //!
-//! * [`Engine`] — the machine: spawn / execute / verify / commit / squash
-//!   / recover, generic over a [`CostModel`].
+//! * [`verify_and_commit`] + the private `protocol` module — the protocol
+//!   core: what a spawn, commit, squash, recovery and hot-swap mean, once.
+//! * [`Engine`] / [`run_threaded`] — its two drivers: discrete virtual time
+//!   under a [`CostModel`], and real OS threads over lock-free rings.
 //! * [`Task`] / [`TaskStorage`] — speculative tasks with live-in recording
 //!   and live-out buffering.
 //! * [`Master`] — the fast path: distilled-program execution, checkpoint
@@ -42,13 +44,13 @@
 #![warn(rust_2018_idioms)]
 
 mod adaptive;
-pub mod chan;
 mod cost;
 mod engine;
 mod master;
 #[cfg(feature = "model-check")]
 pub mod mutation;
 mod predictor;
+mod protocol;
 mod refinement;
 pub mod ring;
 mod sync;
@@ -57,12 +59,10 @@ mod threaded;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveReport, Recompiler, SwapMarker};
 pub use cost::{CoreRole, CostModel, UnitCost};
-pub use engine::{
-    verify_and_commit, Engine, EngineConfig, EngineError, EngineStats, MismatchSample, MsspRun,
-    SquashReason, SquashSample, VerifyOutcome,
-};
+pub use engine::{Engine, EngineConfig, EngineError, MsspRun, SquashSample};
 pub use master::{Master, MasterStall};
 pub use predictor::{Predictor, PredictorReport};
+pub use protocol::{verify_and_commit, EngineStats, SquashReason, VerifyOutcome};
 pub use refinement::{check_refinement, RefinementError};
 pub use task::{
     BoundarySet, RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId, TaskStatus, TaskStorage,

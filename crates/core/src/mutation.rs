@@ -11,7 +11,6 @@
 //! | [`DOORBELL_FENCE_ACQREL`] | the doorbell's paired `SeqCst` fences to `AcqRel` | lost wakeup → deadlock |
 //! | [`RELAXED_PUBLISH_LOAD`] | the SPSC consumer's `Acquire` load of `head` to `Relaxed` | unsynchronized slot read → data race |
 //! | [`EARLY_TAIL_PUBLISH`] | SPSC slot-free ordering: `tail` published *before* the slot is read | producer overwrites a live slot → race / duplicated payload |
-//! | [`CHAN_DISCONNECT_BEFORE_DRAIN`] | `chan::Receiver::recv`'s drain-before-disconnect check order | final message lost on disconnect |
 //!
 //! The flags are plain process-global `std` atomics (not model shims): a
 //! mutation is configuration, not a concurrency event, and must not
@@ -34,10 +33,6 @@ pub static RELAXED_PUBLISH_LOAD: AtomicBool = AtomicBool::new(false);
 /// freeing it for the producer while the payload is still being taken.
 pub static EARLY_TAIL_PUBLISH: AtomicBool = AtomicBool::new(false);
 
-/// Check `senders == 0` before draining the queue in `chan::recv`,
-/// resurrecting the lost-final-message bug the drain-first order fixes.
-pub static CHAN_DISCONNECT_BEFORE_DRAIN: AtomicBool = AtomicBool::new(false);
-
 /// True if `flag` is armed. `Relaxed` is fine: tests arm flags before
 /// spawning the model execution and reset after it joins.
 pub(crate) fn armed(flag: &AtomicBool) -> bool {
@@ -50,7 +45,6 @@ pub fn reset_all() {
         &DOORBELL_FENCE_ACQREL,
         &RELAXED_PUBLISH_LOAD,
         &EARLY_TAIL_PUBLISH,
-        &CHAN_DISCONNECT_BEFORE_DRAIN,
     ] {
         flag.store(false, Ordering::Relaxed);
     }

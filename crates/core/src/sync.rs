@@ -1,6 +1,6 @@
-//! The concurrency seam: every atomic, cell, thread, and lock primitive
-//! the transport hot path ([`crate::ring`], [`crate::chan`]) touches is
-//! imported from here rather than from `std` directly.
+//! The concurrency seam: every atomic, cell, and thread primitive the
+//! transport hot path ([`crate::ring`]) touches is imported from here
+//! rather than from `std` directly.
 //!
 //! * **`model-check` off** (the default, and the only configuration that
 //!   ships): plain re-exports of the std types, plus a
@@ -13,18 +13,16 @@
 //!   a schedule point, every relaxed load a recorded stale-value choice),
 //!   while every other thread falls through to real std behavior.
 //!
-//! The two worlds expose the same API on purpose: `ring.rs` and `chan.rs`
-//! compile against this module unchanged in either mode. Keep additions
-//! mirrored (add to the shim in `mssp-check` first, then re-export here).
+//! The two worlds expose the same API on purpose: `ring.rs` compiles
+//! against this module unchanged in either mode. Keep additions mirrored
+//! (add to the shim in `mssp-check` first, then re-export here).
 
 #[cfg(not(feature = "model-check"))]
-// The seam mirrors the shim's full surface even where the transport does
-// not currently use every item (MutexGuard, AtomicU64).
+// The seam mirrors the shim's atomic surface even where the transport does
+// not currently use every item (AtomicU64).
 #[allow(unused_imports)]
 mod imp {
     pub use std::thread;
-
-    pub use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// Atomic integers, fences, and memory orderings (std's own).
     pub mod atomic {
@@ -75,8 +73,6 @@ mod imp {
 #[allow(unused_imports)]
 mod imp {
     pub use mssp_check::shim::thread;
-
-    pub use mssp_check::shim::{Condvar, Mutex, MutexGuard};
 
     pub use mssp_check::shim::{atomic, cell};
 }

@@ -153,10 +153,11 @@ impl Task {
     /// `abandon` is polled at the points where holding on to doomed work
     /// costs the most: once on entry (immediately after the snapshot was
     /// captured — a squash may already have invalidated this epoch), at
-    /// every boundary crossing, and every 64 instructions. Returning
-    /// `true` ends the task as [`TaskEnd::Overrun`], which always
-    /// squashes; a stale task's result is discarded by epoch anyway, so
-    /// no dedicated "abandoned" variant is needed.
+    /// the boundary crossing that ends the task, and every 64
+    /// instructions. Returning `true` ends the task as
+    /// [`TaskEnd::Overrun`], which always squashes; a stale task's result
+    /// is discarded by epoch anyway, so no dedicated "abandoned" variant
+    /// is needed.
     pub fn run_segment(
         &mut self,
         program: &Program,
@@ -199,14 +200,12 @@ impl Task {
                     }
                     self.executed += 1;
                     self.pc = info.next_pc;
-                    if rules.boundaries.contains(info.next_pc) {
-                        self.crossings += 1;
-                        if abandon() {
-                            return TaskEnd::Overrun;
-                        }
-                        if self.crossings >= rules.crossings_per_task {
-                            return TaskEnd::Boundary(info.next_pc);
-                        }
+                    if rules.crossed(info.next_pc, &mut self.crossings) {
+                        return if abandon() {
+                            TaskEnd::Overrun
+                        } else {
+                            TaskEnd::Boundary(info.next_pc)
+                        };
                     }
                     if self.executed >= rules.max_instrs {
                         return TaskEnd::Overrun;
@@ -261,6 +260,19 @@ pub struct SegmentRules<'a> {
     pub crossings_per_task: u64,
     /// Instruction cap; exceeding it is an overrun (always squashes).
     pub max_instrs: u64,
+}
+
+impl SegmentRules<'_> {
+    /// Counts `next_pc` into `crossings` if it is a boundary; true when
+    /// that crossing is the segment's last (the quota is reached).
+    #[inline]
+    pub(crate) fn crossed(&self, next_pc: u64, crossings: &mut u64) -> bool {
+        if !self.boundaries.contains(next_pc) {
+            return false;
+        }
+        *crossings += 1;
+        *crossings >= self.crossings_per_task
+    }
 }
 
 /// The layered, live-in-recording storage a slave executes against.

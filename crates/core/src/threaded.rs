@@ -1,114 +1,78 @@
-//! A threaded MSSP executor: slaves run on real OS threads.
+//! The threaded MSSP executor: the protocol on real OS threads.
 //!
-//! The discrete-time [`crate::Engine`] is the reference implementation —
-//! deterministic and cost-model-driven. This module demonstrates the same
-//! protocol on actual parallel hardware: the master interpreter and the
-//! slave tasks each run on their own OS thread, and the coordinator
-//! thread runs only the in-order verify/commit unit.
+//! The discrete-time [`crate::Engine`] is the reference driver of the
+//! protocol core in `protocol.rs` — deterministic and cost-model-driven.
+//! This module is the other driver: the master interpreter and each slave
+//! run on their own OS thread, and the calling thread becomes the
+//! [`Coordinator`], which turns ring messages into `CommitUnit` events
+//! (spawn, commit, squash, recovered, swap) and the unit's answers into
+//! epoch bumps and master restarts. It decides *when*; what each event
+//! means is written once, in the core. DESIGN.md §6a-§6c carry the full
+//! arguments for what is summarized here.
 //!
 //! # Contention-free hot path
 //!
-//! Prophet's analysis (and our own profiles) say commit bandwidth and
-//! communication — not slave count — cap CMP speculation, so the
-//! steady-state dispatch/execute/commit cycle takes **no mutex and
-//! performs no heap allocation**:
-//!
-//! * **Lock-free rings.** Each worker owns a bounded SPSC ring
-//!   ([`crate::ring::spsc`]) the coordinator dispatches into; results,
-//!   spawns, stalls, and thread obituaries flow back through one bounded
-//!   MPSC ring ([`crate::ring::mpsc`]), whose per-producer FIFO keeps a
-//!   master's spawns ordered before its stall report — the same
-//!   invariant the old single mutex channel provided. Commit
-//!   notifications and restarts ride an SPSC ring to the master.
-//!   Dispatch and draining are batched: one ring publish covers every
-//!   task bound for a worker in a drain cycle, and the coordinator pops
-//!   results in batches.
-//!
-//! * **Delta recycling.** Task live-in/write buffers, the shipped
-//!   committed view, and commit-log entries are plain [`Delta`]s cycled
-//!   through a [`DeltaArena`] — buffers travel coordinator → worker →
-//!   coordinator inside the work/result messages and return to the pool
-//!   at commit or squash, so after warm-up the task cycle allocates
-//!   nothing. (The master still allocates its per-spawn prediction
-//!   overlay; that is the prediction path, not the dispatch/commit
-//!   path.)
+//! The steady-state dispatch/execute/commit cycle takes **no mutex and
+//! performs no heap allocation**. Each worker owns a bounded SPSC ring
+//! ([`crate::ring::spsc`]) the coordinator dispatches into; results,
+//! spawns, stalls and thread obituaries flow back through one bounded MPSC
+//! ring ([`crate::ring::mpsc`]), whose per-producer FIFO keeps a master's
+//! spawns ordered before its stall report; commit notifications and
+//! restarts ride an SPSC ring to the master. Dispatch and draining are
+//! batched. Task live-in/write buffers, the shipped committed view and
+//! commit-log entries are plain [`Delta`]s cycled through a
+//! [`DeltaArena`], travelling inside the work/result messages.
 //!
 //! # O(delta) verify/commit
 //!
-//! The verify/commit unit is MSSP's serialization point, so everything on
-//! the coordinator is sized by the *task's footprint*, never by machine
-//! state:
+//! Everything on the coordinator is sized by the *task's footprint*,
+//! never by machine state:
 //!
-//! * **Worker-side pre-verification.** After finishing a task, the worker
-//!   re-checks the recorded live-ins against the immutable snapshot +
-//!   committed-view it executed from and ships the set of failing
-//!   cells with the result. The coordinator then re-checks only (a) those
-//!   failures and (b) live-ins intersecting cells written by tasks
-//!   committed *after* the task's spawn sequence number — found by
-//!   probing the commit log's suffix with [`Delta::intersects`]. A task
-//!   whose re-check set is empty commits without the coordinator reading
-//!   a single cell of architected state.
+//! * **Worker-side pre-verification.** A worker re-checks the recorded
+//!   live-ins against the immutable snapshot + committed view it executed
+//!   from and ships the failing cells with the result. The coordinator
+//!   re-checks only those and the live-ins intersecting writes committed
+//!   *after* the task's spawn sequence number ([`cells_to_recheck`]); a
+//!   task with nothing to re-check commits without one read of
+//!   architected state.
+//! * **Incremental snapshot publishing.** A committed write [`Delta`]
+//!   joins the [`CommitLog`] and a running folded view that every spawn
+//!   gets a pooled clone of; a full snapshot is materialized only past a
+//!   length/size threshold or on squash.
+//! * **Batched commit application.** Commits reach architected state as
+//!   one [`MachineState::apply_batch`] over the unapplied log suffix, when
+//!   something needs to *read* it.
 //!
-//! * **Incremental snapshot publishing.** Committing no longer clones
-//!   architected state. The committed write [`Delta`] is pushed onto an
-//!   append-only [`CommitLog`]; the coordinator folds the log suffix
-//!   into a running view delta and ships each spawned task the last
-//!   materialized base snapshot plus a pooled clone of that view for
-//!   the [`crate::task::TaskStorage`] committed layer. A fresh full
-//!   snapshot is materialized only when the view crosses a length/size
-//!   threshold or on squash.
+//! This fast path is an optimisation, never the authority: a live-in that
+//! passed pre-verification at spawn sequence `s` and was written by no
+//! commit since has the value the oracle would compare, and every other
+//! cell is re-checked. [`verify_and_commit`] stays the single verdict
+//! oracle — `EngineConfig::cross_check_commits` replays every decision
+//! through it on a clone and panics on divergence.
 //!
-//! * **Batched commit application.** Commits are applied to architected
-//!   state as one [`MachineState::apply_batch`] superimposition over the
-//!   unapplied log suffix, deferred until something actually needs to
-//!   *read* architected state (a live-in re-check, a squash, a snapshot
-//!   materialization, or run end).
-//!
-//! Soundness is unchanged from the paper's memoization test. A live-in
-//! passing pre-verification matched the architected value as of spawn
-//! sequence `s` (snapshot + committed view ≡ architected state at `s`,
-//! since recovery always bumps the epoch and discards in-flight work).
-//! If no commit in `[s, now)` wrote the cell, the architected value at
-//! commit time is byte-identical to the value pre-verification compared
-//! against, so skipping the re-check returns exactly the oracle's
-//! verdict; if any commit did write it, the cell is in the log suffix
-//! intersection and is re-checked. A task whose spawn sequence predates
-//! the retained window is re-checked in full — the suffix probe cannot
-//! prove freshness for commits that were compacted away.
-//! [`verify_and_commit`] remains the shared oracle —
-//! `EngineConfig::cross_check_commits` re-runs it on a cloned state for
-//! every decision and panics on divergence, which the differential test
-//! suite exercises at 1/2/4/8 workers.
-//!
-//! Reading a slightly stale snapshot can never corrupt state — recorded
-//! live-ins are checked against architected state at commit, so a stale
-//! read is a squash (a performance event), not a correctness event.
-//! Staleness is bounded by the epoch counter: workers abandon tasks from
-//! squashed epochs at entry, at every task boundary crossing, and every
-//! 64 instructions.
-//!
-//! Wall-clock timing is nondeterministic, but the committed architected
-//! state is not: verification forces every interleaving to the sequential
-//! result, which the test suite asserts against [`crate::Engine`] and the
-//! sequential machine.
+//! A stale snapshot can never corrupt state — a stale read fails the
+//! memoization test and squashes, a performance event — and staleness is
+//! bounded by the epoch counter, which workers poll at task entry, at the
+//! task's last boundary crossing and every 64 instructions. Wall-clock
+//! timing is nondeterministic; the committed architected state is not.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::sync::Arc;
 
-use mssp_analysis::Profile;
-use mssp_distill::{Distilled, Tier};
+use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{expand_mask, step, Cell, Delta, DeltaArena, MachineState};
+use mssp_machine::{expand_mask, Cell, Delta, DeltaArena, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
-use crate::predictor::Predictor;
+use crate::protocol::{
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, Recompile, RecoverySegment,
+    SquashReason, VerifyOutcome,
+};
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryRecvError};
-use crate::task::{BoundarySet, RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId};
-use crate::{verify_and_commit, VerifyOutcome};
-use crate::{EngineConfig, EngineError, EngineStats, SquashReason};
+use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId};
+use crate::{EngineConfig, EngineError};
 
 /// Commit-log length after which the coordinator materializes a fresh
 /// base snapshot instead of letting the committed view grow unboundedly.
@@ -194,9 +158,9 @@ struct WorkResult {
     task: Task,
     end: TaskEnd,
     /// Pre-verification outcome: live-in cells that did *not* match the
-    /// spawn-time view (`None` when the task overran or faulted, which
-    /// squashes before any live-in is consulted).
-    failed: Option<Vec<Cell>>,
+    /// spawn-time view (empty and unread when the task overran or faulted,
+    /// which squashes before any live-in is consulted).
+    failed: Vec<Cell>,
     /// The committed view handed out at dispatch, riding back for
     /// recycling.
     view: Delta,
@@ -260,19 +224,13 @@ impl Drop for DeadManSwitch {
 /// retained entry; entries below it have been compacted away (their
 /// buffers returned to the arena) once no in-flight task or base
 /// snapshot could still need them.
+#[derive(Default)]
 struct CommitLog {
     deltas: VecDeque<Delta>,
     start: u64,
 }
 
 impl CommitLog {
-    fn new() -> CommitLog {
-        CommitLog {
-            deltas: VecDeque::new(),
-            start: 0,
-        }
-    }
-
     /// Sequence number the *next* commit will get (= commits so far).
     fn seq(&self) -> u64 {
         self.start + self.deltas.len() as u64
@@ -368,16 +326,6 @@ fn pre_verify(live_ins: &Delta, view: Option<&Delta>, base: &MachineState) -> Ve
     failed
 }
 
-/// Applies the unapplied commit-log suffix as one superimposition and
-/// restores the logical PC. Safe to call redundantly.
-fn flush_commits(arch: &mut MachineState, log: &CommitLog, applied_seq: &mut u64, virt_pc: u64) {
-    if *applied_seq < log.seq() {
-        arch.apply_batch(log.suffix(*applied_seq));
-        *applied_seq = log.seq();
-    }
-    arch.set_pc(virt_pc);
-}
-
 /// Non-blocking dispatch of every per-worker outbox into its ring, one
 /// publish per worker. Relies on [`SpscSender::try_send_batch`]'s
 /// partial-progress contract: a short send (full ring) leaves the unsent
@@ -405,100 +353,6 @@ fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
     arena.put(view);
     arena.put(std::mem::take(&mut task.live_ins));
     arena.put(std::mem::take(&mut task.writes));
-}
-
-/// How the coordinator obtains recompiled candidates.
-/// The background recompile thread's half of the adaptive control
-/// plane: request receiver, result sender, and the recompiler to run.
-type RecompileWorker = (
-    mpsc::Receiver<(Profile, Tier)>,
-    mpsc::Sender<(Tier, Result<Distilled, String>)>,
-    Recompiler,
-);
-
-enum RecompileMode {
-    /// Run the recompiler inline on the coordinator at the requesting
-    /// task boundary. Blocks commits for the duration — used for
-    /// deterministic differential testing against the discrete engine.
-    Sync(Recompiler),
-    /// Ship `(profile snapshot, tier)` to a background recompile thread
-    /// and harvest the candidate at a later task boundary; the hot path
-    /// never waits. The channel is plain std `mpsc` — recompiles are
-    /// rare control-plane events, not dispatch/commit traffic.
-    Async {
-        req_tx: mpsc::Sender<(Profile, Tier)>,
-        res_rx: mpsc::Receiver<(Tier, Result<Distilled, String>)>,
-        /// The in-flight request, for latency accounting; also gates new
-        /// sends (the controller's `Pending` phase means at most one).
-        sent_at: Option<(Tier, Instant)>,
-    },
-}
-
-/// The coordinator's adaptive state: divergence controller + recompile
-/// transport.
-struct ThreadedAdaptive {
-    ctl: AdaptiveController,
-    mode: RecompileMode,
-}
-
-/// Pumps the adaptive loop at a task boundary: harvests a finished
-/// background recompile, services a newly requested one, and returns a
-/// validated candidate ready to install as `(program, tier,
-/// latency_micros)`.
-fn adaptive_pump(ad: &mut ThreadedAdaptive) -> Option<(Arc<Distilled>, Tier, u64)> {
-    if let RecompileMode::Async {
-        res_rx, sent_at, ..
-    } = &mut ad.mode
-    {
-        if sent_at.is_some() {
-            if let Ok((tier, result)) = res_rx.try_recv() {
-                let (_, started) = sent_at.take().expect("request was in flight");
-                let latency = started.elapsed().as_micros() as u64;
-                match result {
-                    Ok(d) if ad.ctl.validate_candidate(&d) => {
-                        ad.ctl.note_recompiled(tier, true);
-                        return Some((Arc::new(d), tier, latency));
-                    }
-                    Ok(_) => ad.ctl.note_candidate_rejected(tier),
-                    Err(_) => ad.ctl.note_recompiled(tier, false),
-                }
-            }
-        }
-    }
-    let tier = ad.ctl.take_request()?;
-    match &mut ad.mode {
-        RecompileMode::Sync(rec) => {
-            let started = Instant::now();
-            match rec(ad.ctl.live_profile(), tier) {
-                Ok(d) if ad.ctl.validate_candidate(&d) => {
-                    ad.ctl.note_recompiled(tier, true);
-                    Some((Arc::new(d), tier, started.elapsed().as_micros() as u64))
-                }
-                Ok(_) => {
-                    ad.ctl.note_candidate_rejected(tier);
-                    None
-                }
-                Err(_) => {
-                    ad.ctl.note_recompiled(tier, false);
-                    None
-                }
-            }
-        }
-        RecompileMode::Async {
-            req_tx, sent_at, ..
-        } => {
-            if sent_at.is_none() {
-                if req_tx.send((ad.ctl.live_profile().clone(), tier)).is_ok() {
-                    *sent_at = Some((tier, Instant::now()));
-                } else {
-                    // Recompile thread is gone; re-arm so the run can
-                    // keep going on the installed program.
-                    ad.ctl.note_recompiled(tier, false);
-                }
-            }
-            None
-        }
-    }
 }
 
 /// Runs the MSSP protocol with `config.num_slaves` worker threads plus a
@@ -567,9 +421,18 @@ fn run_threaded_inner(
 ) -> Result<ThreadedRun, ThreadedError> {
     assert!(config.num_slaves > 0, "MSSP needs at least one slave");
     let start_time = std::time::Instant::now();
-    let boundaries = Arc::new(BoundarySet::new(distilled.boundaries().clone()));
-    let crossings_per_task = distilled.crossings_per_task().max(1);
-    let current_epoch = Arc::new(AtomicU64::new(0));
+    let boundaries = BoundarySet::new(distilled.boundaries().clone());
+    // Task and recovery segments end alike, under different caps.
+    let task_rules = SegmentRules {
+        boundaries: &boundaries,
+        crossings_per_task: distilled.crossings_per_task().max(1),
+        max_instrs: config.max_task_instrs,
+    };
+    let recovery_rules = SegmentRules {
+        max_instrs: config.max_recovery_instrs,
+        ..task_rules
+    };
+    let current_epoch = AtomicU64::new(0);
 
     // Result/coordination ring sized far above the speculation window so
     // producers (workers, master) never meet a full ring in practice.
@@ -583,27 +446,17 @@ fn run_threaded_inner(
         work_txs.push(tx);
         work_rxs.push(rx);
     }
-    let mut hook: Option<ThreadedAdaptive> = None;
-    let mut recompile_worker: Option<RecompileWorker> = None;
+    let mut unit = CommitUnit::new(config);
+    let mut recompile_thread = None;
     if let Some((ctl, rec, synchronous)) = adaptive {
-        if synchronous {
-            hook = Some(ThreadedAdaptive {
-                ctl,
-                mode: RecompileMode::Sync(rec),
-            });
+        let recompile = if synchronous {
+            Recompile::Inline(rec)
         } else {
-            let (req_tx, req_rx) = mpsc::channel();
-            let (res_tx, res_rx) = mpsc::channel();
-            hook = Some(ThreadedAdaptive {
-                ctl,
-                mode: RecompileMode::Async {
-                    req_tx,
-                    res_rx,
-                    sent_at: None,
-                },
-            });
-            recompile_worker = Some((req_rx, res_tx, rec));
-        }
+            let (recompile, thread_body) = Recompile::background(rec);
+            recompile_thread = Some(thread_body);
+            recompile
+        };
+        unit.enable_adaptive(ctl, recompile);
     }
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
@@ -611,41 +464,21 @@ fn run_threaded_inner(
         let mut workers = Vec::with_capacity(config.num_slaves);
         for mut work_rx in work_rxs {
             let coord_tx = coord_tx.clone();
-            let boundaries = Arc::clone(&boundaries);
-            let current_epoch = Arc::clone(&current_epoch);
-            let original = &*original;
-            let max_task = config.max_task_instrs;
+            let current_epoch = &current_epoch;
             workers.push(scope.spawn(move || {
                 let _guard = DeadManSwitch {
                     tx: coord_tx.clone(),
                 };
-                worker_loop(
-                    original,
-                    &boundaries,
-                    crossings_per_task,
-                    max_task,
-                    &current_epoch,
-                    &mut work_rx,
-                    &coord_tx,
-                );
+                worker_loop(original, task_rules, current_epoch, &mut work_rx, &coord_tx);
             }));
         }
 
         // ---- background recompiler (adaptive async mode) ----
-        let recompile_handle = recompile_worker.map(|(req_rx, res_tx, mut rec)| {
-            scope.spawn(move || {
-                while let Ok((profile, tier)) = req_rx.recv() {
-                    if res_tx.send((tier, rec(&profile, tier))).is_err() {
-                        return;
-                    }
-                }
-            })
-        });
+        let recompile_handle = recompile_thread.map(|body| scope.spawn(body));
 
         // ---- master ----
         let master_handle = {
             let coord_tx = coord_tx.clone();
-            let distilled = &*distilled;
             let num_slaves = config.num_slaves;
             let runahead = config.master_runahead;
             scope.spawn(move || {
@@ -658,19 +491,16 @@ fn run_threaded_inner(
         drop(coord_tx); // coordinator keeps only the receiver
 
         // ---- coordinator: the in-order verify/commit unit ----
-        let mut stats = EngineStats::default();
-        let outcome = coordinate(
+        let outcome = Coordinator::new(
             original,
-            &boundaries,
-            crossings_per_task,
-            &config,
+            recovery_rules,
             &current_epoch,
             &mut work_txs,
             &mut coord_rx,
             &mut ctrl_tx,
-            &mut stats,
-            hook.as_mut(),
-        );
+            &mut unit,
+        )
+        .run();
 
         // Shut down regardless of outcome: stragglers abandon at the next
         // epoch poll, closed rings end both loops, and joining here
@@ -688,6 +518,9 @@ fn run_threaded_inner(
                 thread_died = true;
             }
         }
+        // Finishing the unit drops the request sender, which ends the
+        // recompile thread's recv loop; join it before returning.
+        let (mut stats, _, adaptive_report) = unit.finish();
         match master_handle.join() {
             Ok((instructions, vetoes)) => {
                 stats.master_instructions = instructions;
@@ -695,13 +528,6 @@ fn run_threaded_inner(
             }
             Err(_) => thread_died = true,
         }
-        // Consuming the hook drops the request sender, which ends the
-        // recompile thread's recv loop; join it before returning.
-        let adaptive_report = hook.map(|h| {
-            let ThreadedAdaptive { ctl, mode } = h;
-            drop(mode);
-            ctl.into_report()
-        });
         if let Some(handle) = recompile_handle {
             if handle.join().is_err() {
                 thread_died = true;
@@ -726,18 +552,11 @@ fn run_threaded_inner(
 /// leaves in the result.
 fn worker_loop(
     original: &Program,
-    boundaries: &BoundarySet,
-    crossings_per_task: u64,
-    max_instrs: u64,
+    rules: SegmentRules<'_>,
     current_epoch: &AtomicU64,
     work_rx: &mut SpscReceiver<WorkItem>,
     coord_tx: &MpscSender<CoordMsg>,
 ) {
-    let rules = SegmentRules {
-        boundaries,
-        crossings_per_task,
-        max_instrs,
-    };
     while let Ok(WorkItem {
         epoch,
         base,
@@ -751,8 +570,8 @@ fn worker_loop(
         // the spawn sequence number.
         let committed = if view.is_empty() { None } else { Some(&view) };
         // The hot loop: no lock, no shared mutable state. The closure
-        // polls the epoch so squashed work is dropped at entry, at
-        // boundary crossings, and every 64 instructions.
+        // polls the epoch so squashed work is dropped at entry, at the
+        // task's last boundary crossing, and every 64 instructions.
         let end = task.run_segment_with_view(original, &base, committed, &rules, || {
             // why: Relaxed; a stale read only delays the abandon by one
             // poll interval — squash correctness rests on the coordinator
@@ -762,10 +581,10 @@ fn worker_loop(
         });
         let failed = match end {
             TaskEnd::Boundary(_) | TaskEnd::Halted(_) => {
-                Some(pre_verify(&task.live_ins, committed, &base))
+                pre_verify(&task.live_ins, committed, &base)
             }
             // Overruns/faults squash before live-ins are consulted.
-            TaskEnd::Overrun | TaskEnd::Fault => None,
+            TaskEnd::Overrun | TaskEnd::Fault => Vec::new(),
         };
         // The coordinator never reads the overlay; drop it here to spare
         // the commit path the refcount churn.
@@ -918,87 +737,157 @@ fn master_thread(
     }
 }
 
-/// The verify/commit coordinator: owns architected state, dispatches
-/// spawns to workers, and commits results in order doing O(write-set)
-/// work per task with no steady-state allocation.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn coordinate(
-    original: &Program,
-    boundaries: &BoundarySet,
-    crossings_per_task: u64,
-    config: &EngineConfig,
-    current_epoch: &AtomicU64,
-    work_txs: &mut [SpscSender<WorkItem>],
-    coord_rx: &mut MpscReceiver<CoordMsg>,
-    ctrl_tx: &mut SpscSender<CtrlMsg>,
-    stats: &mut EngineStats,
-    mut adaptive: Option<&mut ThreadedAdaptive>,
-) -> Result<MachineState, ThreadedError> {
-    let mut arena = DeltaArena::new();
-    let mut arch = MachineState::boot(original);
-    // The logical architected PC: `arch` itself may lag behind by the
-    // unapplied commit-log suffix, but `virt_pc` never does, so the
-    // wrong-path check needs no flush.
-    let mut virt_pc = arch.pc();
-    let mut base = Arc::new(arch.clone());
-    let mut base_seq = 0u64;
-    // Commits at or above this sequence are not yet applied to `arch`.
-    let mut applied_seq = 0u64;
-    stats.snapshots_materialized += 1;
-    let mut log = CommitLog::new();
-    // Superimposition of log entries in [base_seq, seq): the committed
-    // view cloned into every spawn. Maintained incrementally per commit.
-    let mut folded = Delta::new();
-    let mut pending_cells = 0usize;
-    let mut epoch = 0u64;
-    // (task id, spawn sequence number), in spawn = commit order.
-    let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
-    // Finished-but-uncommitted results; the window is tiny (≤ 2×slaves),
-    // so a linear scan beats a map and reuses its capacity forever.
-    let mut done: Vec<(u64, WorkResult)> = Vec::new();
-    let mut inbox: Vec<CoordMsg> = Vec::with_capacity(DRAIN_BATCH);
-    let mut outbox: Vec<VecDeque<WorkItem>> = work_txs.iter().map(|_| VecDeque::new()).collect();
-    let mut next_worker = 0usize;
-    let mut master_stalled = false;
-    let mut halted = false;
-    // Live-in value predictor. Trained only on architected mismatch
-    // values at squash time (verified truth), consulted at spawn — the
-    // same train-on-verified-only discipline as the discrete engine, so
-    // per-epoch prediction decisions are deterministic across executors.
-    let mut predictor = Predictor::new();
+/// The verify/commit coordinator, the threaded driver of the protocol
+/// core: owns architected state, dispatches spawns to workers, and commits
+/// results in order doing O(write-set) work per task with no steady-state
+/// allocation.
+struct Coordinator<'a> {
+    original: &'a Program,
+    /// Recovery-segment rules (the cap is `max_recovery_instrs`).
+    rules: SegmentRules<'a>,
+    current_epoch: &'a AtomicU64,
+    work_txs: &'a mut [SpscSender<WorkItem>],
+    coord_rx: &'a mut MpscReceiver<CoordMsg>,
+    ctrl_tx: &'a mut SpscSender<CtrlMsg>,
+    unit: &'a mut CommitUnit,
 
-    let boot_restart = CtrlMsg::Restart {
-        gen: epoch,
-        pc: virt_pc,
-        base: Box::new(arch.clone()),
-        swap: None,
-    };
-    if ctrl_tx.send(boot_restart).is_err() {
-        return Err(ThreadedError::WorkerDied);
+    arena: DeltaArena,
+    arch: MachineState,
+    /// The logical architected PC: `arch` itself may lag behind by the
+    /// unapplied commit-log suffix, but `virt_pc` never does, so the
+    /// wrong-path check needs no flush.
+    virt_pc: u64,
+    base: Arc<MachineState>,
+    base_seq: u64,
+    /// Commits at or above this sequence are not yet applied to `arch`.
+    applied_seq: u64,
+    log: CommitLog,
+    /// Superimposition of log entries in [base_seq, seq): the committed
+    /// view cloned into every spawn. Maintained incrementally per commit.
+    folded: Delta,
+    pending_cells: usize,
+    epoch: u64,
+    /// (task id, spawn sequence number), in spawn = commit order.
+    in_flight: VecDeque<(u64, u64)>,
+    /// Finished-but-uncommitted results; the window is tiny (≤ 2×slaves),
+    /// so a linear scan beats a map and reuses its capacity forever.
+    done: Vec<(u64, WorkResult)>,
+    inbox: Vec<CoordMsg>,
+    outbox: Vec<VecDeque<WorkItem>>,
+    next_worker: usize,
+    master_stalled: bool,
+    halted: bool,
+}
+
+impl<'a> Coordinator<'a> {
+    fn new(
+        original: &'a Program,
+        rules: SegmentRules<'a>,
+        current_epoch: &'a AtomicU64,
+        work_txs: &'a mut [SpscSender<WorkItem>],
+        coord_rx: &'a mut MpscReceiver<CoordMsg>,
+        ctrl_tx: &'a mut SpscSender<CtrlMsg>,
+        unit: &'a mut CommitUnit,
+    ) -> Coordinator<'a> {
+        let arch = MachineState::boot(original);
+        unit.stats.snapshots_materialized += 1;
+        Coordinator {
+            original,
+            rules,
+            current_epoch,
+            outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
+            work_txs,
+            coord_rx,
+            ctrl_tx,
+            unit,
+            arena: DeltaArena::new(),
+            virt_pc: arch.pc(),
+            base: Arc::new(arch.clone()),
+            arch,
+            base_seq: 0,
+            applied_seq: 0,
+            log: CommitLog::default(),
+            folded: Delta::new(),
+            pending_cells: 0,
+            epoch: 0,
+            in_flight: VecDeque::new(),
+            done: Vec::new(),
+            inbox: Vec::with_capacity(DRAIN_BATCH),
+            next_worker: 0,
+            master_stalled: false,
+            halted: false,
+        }
     }
 
-    while !halted {
-        // 1. Receive spawns, results, and master status in batches.
-        //    Block only when there is nothing to commit and no starvation
-        //    to handle — in both remaining cases a message is guaranteed
-        //    to arrive (an in-flight result, a spawn, a stall report, or
-        //    a thread obituary).
+    /// Runs the protocol to architectural halt; returns the final state.
+    fn run(mut self) -> Result<MachineState, ThreadedError> {
+        self.send_restart(None)?;
+        while !self.halted {
+            self.drain()?;
+
+            // Verify/commit in order.
+            while let Some(&(oldest_id, task_seq)) = self.in_flight.front() {
+                let Some(pos) = self.done.iter().position(|&(id, _)| id == oldest_id) else {
+                    break;
+                };
+                let (_, result) = self.done.swap_remove(pos);
+                self.in_flight.pop_front();
+                let (verdict, rechecked) = self.verdict(&result, task_seq);
+                let shadow = self.oracle(&result, verdict);
+                match verdict {
+                    VerifyOutcome::Commit { end_pc, halted } => {
+                        self.commit(result, rechecked, end_pc, halted, shadow)?;
+                    }
+                    VerifyOutcome::Squash(reason) => self.squash(reason, result)?,
+                }
+                if self.halted {
+                    break;
+                }
+            }
+
+            // Master starved (lost/halted with nothing in flight):
+            // sequential recovery, then reseed the master.
+            if !self.halted && self.in_flight.is_empty() && self.master_stalled {
+                self.recover_and_restart(None, true)?;
+            }
+
+            // Compact the commit log: keep entries any in-flight task's
+            // conflict check or the unapplied/unfolded suffix could still
+            // reference. `base_seq ≤ applied_seq` always, so the keep
+            // bound also protects the flush suffix.
+            let keep = self
+                .in_flight
+                .front()
+                .map_or_else(|| self.log.seq(), |&(_, seq)| seq)
+                .min(self.base_seq);
+            self.log.compact(keep, &mut self.arena);
+        }
+        self.flush();
+        Ok(self.arch)
+    }
+
+    /// Receives spawns, results and master status in batches and
+    /// dispatches the spawned tasks. Blocks only with nothing to commit
+    /// and no starvation to handle — then a message is guaranteed to
+    /// arrive (a result, a spawn, a stall report, or a thread obituary).
+    fn drain(&mut self) -> Result<(), ThreadedError> {
+        let mut inbox = std::mem::take(&mut self.inbox);
         let mut received = false;
         loop {
-            let oldest_ready = in_flight
+            let oldest_ready = self
+                .in_flight
                 .front()
-                .is_some_and(|&(id, _)| done.iter().any(|&(d, _)| d == id));
-            let starved = in_flight.is_empty() && master_stalled;
-            inbox.clear();
+                .is_some_and(|&(id, _)| self.done.iter().any(|&(d, _)| d == id));
+            let starved = self.in_flight.is_empty() && self.master_stalled;
             if oldest_ready || starved || received {
-                if coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
+                if self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
                     break;
                 }
             } else {
-                match coord_rx.recv() {
+                match self.coord_rx.recv() {
                     Ok(m) => {
                         inbox.push(m);
-                        coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
+                        self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
                     }
                     Err(_) => return Err(ThreadedError::WorkerDied),
                 }
@@ -1007,10 +896,11 @@ fn coordinate(
             for msg in inbox.drain(..) {
                 match msg {
                     CoordMsg::Result(r) => {
-                        if r.epoch == epoch {
-                            done.push((r.task.id.0, r));
+                        self.unit.stats.slave_instructions += r.task.executed;
+                        if r.epoch == self.epoch {
+                            self.done.push((r.task.id.0, r));
                         } else {
-                            recycle_result(&mut arena, r);
+                            recycle_result(&mut self.arena, r);
                         }
                     }
                     CoordMsg::Spawn {
@@ -1019,52 +909,15 @@ fn coordinate(
                         start_pc,
                         overlay,
                     } => {
-                        if gen != epoch {
-                            continue; // pre-squash prediction; already dead
+                        // An older generation's spawn is a pre-squash
+                        // prediction, already dead.
+                        if gen == self.epoch {
+                            self.dispatch(id, start_pc, overlay);
                         }
-                        let seq = log.seq();
-                        stats.spawned_tasks += 1;
-                        in_flight.push_back((id, seq));
-                        let mut view = arena.take();
-                        view.clone_from(&folded);
-                        let mut overlay = overlay;
-                        let mut predicted: Vec<Cell> = Vec::new();
-                        if config.enable_predictor {
-                            let predictions = predictor.predict(start_pc);
-                            if !predictions.is_empty() {
-                                // Front of the overlay wins layered reads:
-                                // confident predictions override the
-                                // master's checkpoint and are recorded as
-                                // live-ins, hence verified at commit.
-                                let mut delta = Delta::new();
-                                for &(reg, value) in &predictions {
-                                    delta.set(Cell::Reg(reg), value);
-                                    predicted.push(Cell::Reg(reg));
-                                }
-                                overlay.insert(0, Arc::new(delta));
-                                stats.predictor_overrides += predictions.len() as u64;
-                            }
-                        }
-                        let mut task = Task::with_buffers(
-                            TaskId(id),
-                            start_pc,
-                            next_worker,
-                            overlay,
-                            arena.take(),
-                            arena.take(),
-                        );
-                        task.predicted = predicted;
-                        outbox[next_worker].push_back(WorkItem {
-                            epoch,
-                            base: Arc::clone(&base),
-                            view,
-                            task,
-                        });
-                        next_worker = (next_worker + 1) % work_txs.len();
                     }
                     CoordMsg::MasterStalled { gen } => {
-                        if gen == epoch {
-                            master_stalled = true;
+                        if gen == self.epoch {
+                            self.master_stalled = true;
                         }
                     }
                     CoordMsg::ThreadDied => return Err(ThreadedError::WorkerDied),
@@ -1076,418 +929,245 @@ fn coordinate(
             // ring means that worker already holds a ring-capacity backlog,
             // so its next result is guaranteed to wake this loop for the
             // retry.
-            flush_outboxes(&mut outbox, work_txs)?;
+            flush_outboxes(&mut self.outbox, self.work_txs)?;
         }
-
-        // 2. Verify/commit in order.
-        'commit: while let Some(&(oldest_id, task_seq)) = in_flight.front() {
-            let Some(pos) = done.iter().position(|&(id, _)| id == oldest_id) else {
-                break;
-            };
-            let (_, result) = done.swap_remove(pos);
-            in_flight.pop_front();
-            let WorkResult {
-                mut task,
-                end,
-                failed,
-                view,
-                ..
-            } = result;
-
-            // The fast-path verdict: O(write-set) work, same precedence
-            // as the oracle (wrong path, then overrun/fault, then the
-            // memoization test over exactly the stale/failed cells).
-            let verdict = 'verdict: {
-                if task.start_pc != virt_pc {
-                    break 'verdict VerifyOutcome::Squash(SquashReason::WrongPath);
-                }
-                let (end_pc, is_halt) = match end {
-                    TaskEnd::Overrun => {
-                        break 'verdict VerifyOutcome::Squash(SquashReason::Overrun)
-                    }
-                    TaskEnd::Fault => break 'verdict VerifyOutcome::Squash(SquashReason::Fault),
-                    TaskEnd::Boundary(pc) => (pc, false),
-                    TaskEnd::Halted(pc) => (pc, true),
-                };
-                let recheck = match &failed {
-                    Some(f) => cells_to_recheck(&task.live_ins, f, &log, task_seq),
-                    // No summary shipped (defensive: cannot happen for a
-                    // boundary/halt end) — re-check everything.
-                    None => task.live_ins.iter_masked().map(|(c, _)| c).collect(),
-                };
-                stats.live_ins_rechecked += recheck.len() as u64;
-                stats.live_ins_skipped +=
-                    (task.live_ins.len() as u64).saturating_sub(recheck.len() as u64);
-                if recheck.is_empty() {
-                    stats.pre_verified_tasks += 1;
-                } else {
-                    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                    for &cell in &recheck {
-                        let Some(m) = task.live_ins.get_masked(cell) else {
-                            continue; // a failed cell later overwritten? impossible, but harmless
-                        };
-                        if arch.read_cell(cell) & expand_mask(m.mask) != m.value {
-                            break 'verdict VerifyOutcome::Squash(SquashReason::LiveInMismatch);
-                        }
-                    }
-                }
-                VerifyOutcome::Commit {
-                    end_pc,
-                    halted: is_halt,
-                }
-            };
-
-            // Differential-testing mode: replay the decision through the
-            // shared oracle on a clone and demand bit-identical results.
-            let oracle = if config.cross_check_commits {
-                flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                let mut shadow = arch.clone();
-                let oracle_verdict = verify_and_commit(&mut shadow, &task, end);
-                assert_eq!(
-                    verdict, oracle_verdict,
-                    "threaded fast path diverged from verify_and_commit oracle on task {}",
-                    task.id.0
-                );
-                Some(shadow)
-            } else {
-                None
-            };
-
-            match verdict {
-                VerifyOutcome::Commit { end_pc, halted: h } => {
-                    stats.committed_tasks += 1;
-                    stats.committed_instructions += task.executed;
-                    stats.live_in_cells += task.live_ins.len() as u64;
-                    stats.live_out_cells += task.writes.len() as u64;
-                    let task_id = task.id.0;
-                    stats.predictor_hits += task
-                        .predicted
-                        .iter()
-                        .filter(|&&c| task.live_ins.contains(c))
-                        .count() as u64;
-                    pending_cells += task.writes.len();
-                    folded.superimpose_in_place(&task.writes);
-                    log.push(std::mem::take(&mut task.writes));
-                    arena.put(std::mem::take(&mut task.live_ins));
-                    arena.put(view);
-                    virt_pc = end_pc;
-                    if let Some(shadow) = &oracle {
-                        flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                        assert_eq!(
-                            &arch, shadow,
-                            "threaded fast path committed state diverged from oracle"
-                        );
-                    }
-                    if ctrl_tx
-                        .send(CtrlMsg::Committed {
-                            gen: epoch,
-                            task_id,
-                        })
-                        .is_err()
-                    {
-                        return Err(ThreadedError::WorkerDied);
-                    }
-                    if log.seq() - base_seq >= MAX_PENDING_DELTAS
-                        || pending_cells >= MAX_PENDING_CELLS
-                    {
-                        flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                        base = Arc::new(arch.clone());
-                        base_seq = log.seq();
-                        folded.clear();
-                        pending_cells = 0;
-                        stats.snapshots_materialized += 1;
-                    } else {
-                        stats.deltas_published += 1;
-                    }
-                    if h {
-                        halted = true;
-                        break 'commit;
-                    }
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_commit(task.executed);
-                        if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                            // Install at this commit boundary: abandon
-                            // in-flight speculation exactly like a squash
-                            // (epoch bump) — but with no recovery segment,
-                            // because architected state already sits at
-                            // the task boundary just committed.
-                            stats.swap_abandoned_tasks += in_flight.len() as u64;
-                            epoch += 1;
-                            // why: Relaxed; advisory abandon hint — stale
-                            // results are filtered by their message epoch
-                            // tag regardless.
-                            current_epoch.store(epoch, Ordering::Relaxed);
-                            in_flight.clear();
-                            for (_, r) in done.drain(..) {
-                                recycle_result(&mut arena, r);
-                            }
-                            master_stalled = false;
-                            flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                            log.clear_window(&mut arena);
-                            folded.clear();
-                            base = Arc::new(arch.clone());
-                            base_seq = log.seq();
-                            pending_cells = 0;
-                            stats.snapshots_materialized += 1;
-                            stats.swaps_installed += 1;
-                            match tier {
-                                Tier::Fast => stats.recompilations_fast += 1,
-                                Tier::Full => stats.recompilations_full += 1,
-                            }
-                            ad.ctl.note_swap_installed(tier, latency, *stats);
-                            let restart = CtrlMsg::Restart {
-                                gen: epoch,
-                                pc: virt_pc,
-                                base: Box::new(arch.clone()),
-                                swap: Some(d),
-                            };
-                            if ctrl_tx.send(restart).is_err() {
-                                return Err(ThreadedError::WorkerDied);
-                            }
-                            break 'commit;
-                        }
-                    }
-                }
-                VerifyOutcome::Squash(reason) => {
-                    // Squash everything younger and run recovery.
-                    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                    stats.squashed_tasks += 1 + in_flight.len() as u64;
-                    match reason {
-                        SquashReason::WrongPath => stats.squashes_wrong_path += 1,
-                        SquashReason::LiveInMismatch => stats.squashes_live_in += 1,
-                        SquashReason::Overrun => stats.squashes_overrun += 1,
-                        SquashReason::Fault => stats.squashes_fault += 1,
-                    }
-                    let mut squash_regs = Vec::new();
-                    if reason == SquashReason::LiveInMismatch {
-                        // `arch` is flushed (above), so the mismatch list
-                        // carries verified architected truth — the only
-                        // values the predictor is allowed to train on.
-                        // Register cells only: memory live-in footprints
-                        // depend on executor timing, register ones do not.
-                        let mismatch_cells = task.live_ins.mismatches_against(&arch);
-                        let misses = task
-                            .predicted
-                            .iter()
-                            .filter(|p| mismatch_cells.iter().any(|(c, _, _)| c == *p))
-                            .count() as u64;
-                        if misses > 0 {
-                            stats.squashes_live_in_predicted += 1;
-                            stats.predictor_misses += misses;
-                        } else {
-                            stats.squashes_live_in_stale += 1;
-                        }
-                        if config.enable_predictor {
-                            let start = task.start_pc;
-                            for &(cell, _, arch_value) in &mismatch_cells {
-                                if let Cell::Reg(r) = cell {
-                                    predictor.train(start, r, arch_value);
-                                }
-                            }
-                        }
-                        if adaptive.is_some() {
-                            squash_regs = mismatch_cells
-                                .iter()
-                                .filter_map(|&(c, _, _)| match c {
-                                    Cell::Reg(r) => Some(r),
-                                    _ => None,
-                                })
-                                .collect();
-                        }
-                    }
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_squash(reason, virt_pc, &squash_regs);
-                    }
-                    epoch += 1;
-                    // why: Relaxed; advisory squash hint — stale results
-                    // are filtered by their message epoch tag regardless.
-                    current_epoch.store(epoch, Ordering::Relaxed);
-                    in_flight.clear();
-                    arena.put(view);
-                    arena.put(std::mem::take(&mut task.live_ins));
-                    arena.put(std::mem::take(&mut task.writes));
-                    for (_, r) in done.drain(..) {
-                        recycle_result(&mut arena, r);
-                    }
-                    master_stalled = false;
-                    let recovered = run_recovery(
-                        original,
-                        boundaries,
-                        crossings_per_task,
-                        &mut arch,
-                        config.max_recovery_instrs,
-                        adaptive.as_deref_mut().map(|a| &mut a.ctl),
-                    )?;
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_recovery_segment();
-                    }
-                    stats.recovery_segments += 1;
-                    stats.recovery_instructions += recovered.0;
-                    stats.committed_instructions += recovered.0;
-                    log.clear_window(&mut arena);
-                    folded.clear();
-                    base = Arc::new(arch.clone());
-                    base_seq = log.seq();
-                    applied_seq = log.seq();
-                    pending_cells = 0;
-                    stats.snapshots_materialized += 1;
-                    virt_pc = arch.pc();
-                    if recovered.1 {
-                        halted = true;
-                    } else {
-                        // The epoch is already bumped and speculation
-                        // already abandoned: a pending swap rides the
-                        // restart for free.
-                        let mut swap = None;
-                        if let Some(ad) = adaptive.as_deref_mut() {
-                            if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                                stats.swaps_installed += 1;
-                                match tier {
-                                    Tier::Fast => stats.recompilations_fast += 1,
-                                    Tier::Full => stats.recompilations_full += 1,
-                                }
-                                ad.ctl.note_swap_installed(tier, latency, *stats);
-                                swap = Some(d);
-                            }
-                        }
-                        let restart = CtrlMsg::Restart {
-                            gen: epoch,
-                            pc: virt_pc,
-                            base: Box::new(arch.clone()),
-                            swap,
-                        };
-                        if ctrl_tx.send(restart).is_err() {
-                            return Err(ThreadedError::WorkerDied);
-                        }
-                    }
-                    break 'commit;
-                }
-            }
-        }
-
-        // 3. Master starved (lost/halted with nothing in flight):
-        //    sequential recovery, then reseed the master.
-        if !halted && in_flight.is_empty() && master_stalled {
-            flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-            let recovered = run_recovery(
-                original,
-                boundaries,
-                crossings_per_task,
-                &mut arch,
-                config.max_recovery_instrs,
-                adaptive.as_deref_mut().map(|a| &mut a.ctl),
-            )?;
-            if let Some(ad) = adaptive.as_deref_mut() {
-                ad.ctl.observe_recovery_segment();
-            }
-            stats.recovery_segments += 1;
-            stats.recovery_instructions += recovered.0;
-            stats.committed_instructions += recovered.0;
-            // Fresh generation: stale spawns/stalls from the old master
-            // must not leak into the reseeded run.
-            epoch += 1;
-            // why: Relaxed; advisory recovery-generation hint — stale
-            // spawns/results are filtered by their message epoch tag.
-            current_epoch.store(epoch, Ordering::Relaxed);
-            master_stalled = false;
-            for (_, r) in done.drain(..) {
-                recycle_result(&mut arena, r);
-            }
-            log.clear_window(&mut arena);
-            folded.clear();
-            base = Arc::new(arch.clone());
-            base_seq = log.seq();
-            applied_seq = log.seq();
-            pending_cells = 0;
-            stats.snapshots_materialized += 1;
-            virt_pc = arch.pc();
-            if recovered.1 {
-                halted = true;
-            } else {
-                let mut swap = None;
-                if let Some(ad) = adaptive.as_deref_mut() {
-                    if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                        stats.swaps_installed += 1;
-                        match tier {
-                            Tier::Fast => stats.recompilations_fast += 1,
-                            Tier::Full => stats.recompilations_full += 1,
-                        }
-                        ad.ctl.note_swap_installed(tier, latency, *stats);
-                        swap = Some(d);
-                    }
-                }
-                let restart = CtrlMsg::Restart {
-                    gen: epoch,
-                    pc: virt_pc,
-                    base: Box::new(arch.clone()),
-                    swap,
-                };
-                if ctrl_tx.send(restart).is_err() {
-                    return Err(ThreadedError::WorkerDied);
-                }
-            }
-        }
-
-        // 4. Compact the commit log: keep entries any in-flight task's
-        //    conflict check or the unapplied/unfolded suffix could still
-        //    reference. `base_seq ≤ applied_seq` always, so the keep
-        //    bound also protects the flush suffix.
-        let keep = in_flight
-            .front()
-            .map_or_else(|| log.seq(), |&(_, seq)| seq)
-            .min(base_seq);
-        log.compact(keep, &mut arena);
+        self.inbox = inbox;
+        Ok(())
     }
 
-    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-    Ok(arch)
-}
+    /// Queues the task the master spawned at `start_pc` for the next
+    /// worker, round-robin, with the current committed view.
+    fn dispatch(&mut self, id: u64, start_pc: u64, mut overlay: Vec<Arc<Delta>>) {
+        self.in_flight.push_back((id, self.log.seq()));
+        let mut view = self.arena.take();
+        view.clone_from(&self.folded);
+        let predicted = self.unit.spawn(start_pc, &mut overlay);
+        let mut task = Task::with_buffers(
+            TaskId(id),
+            start_pc,
+            self.next_worker,
+            overlay,
+            self.arena.take(),
+            self.arena.take(),
+        );
+        task.predicted = predicted;
+        self.outbox[self.next_worker].push_back(WorkItem {
+            epoch: self.epoch,
+            base: Arc::clone(&self.base),
+            view,
+            task,
+        });
+        self.next_worker = (self.next_worker + 1) % self.work_txs.len();
+    }
 
-/// Executes one non-speculative segment from the architected PC to the
-/// next task end, committing atomically. Returns (instructions, halted).
-/// `observer` (the adaptive controller, when enabled) sees every verified
-/// instruction — recovery is where a new program phase first shows up.
-fn run_recovery(
-    original: &Program,
-    boundaries: &BoundarySet,
-    crossings_per_task: u64,
-    arch: &mut MachineState,
-    cap: u64,
-    mut observer: Option<&mut AdaptiveController>,
-) -> Result<(u64, bool), EngineError> {
-    let mut writes = mssp_machine::Delta::new();
-    let mut pc = arch.pc();
-    let mut executed = 0u64;
-    let mut crossings = 0u64;
-    let halted = loop {
-        let info = {
-            let mut storage = RecoveryStorage {
-                writes: &mut writes,
-                arch,
-            };
-            step(&mut storage, original, pc).map_err(EngineError::RecoveryFault)?
+    /// Applies the unapplied commit-log suffix to `arch` as one
+    /// superimposition and restores the logical PC. Idempotent.
+    fn flush(&mut self) {
+        if self.applied_seq < self.log.seq() {
+            self.arch.apply_batch(self.log.suffix(self.applied_seq));
+            self.applied_seq = self.log.seq();
+        }
+        self.arch.set_pc(self.virt_pc);
+    }
+
+    /// The fast-path verdict on the oldest finished task (spawned at
+    /// commit sequence `task_seq`) and the live-ins re-checked to reach
+    /// it: O(write-set) work, the oracle's precedence (wrong path,
+    /// overrun/fault, then the memoization test over exactly the
+    /// stale/failed cells).
+    fn verdict(&mut self, result: &WorkResult, task_seq: u64) -> (VerifyOutcome, u64) {
+        let task = &result.task;
+        if task.start_pc != self.virt_pc {
+            return (VerifyOutcome::Squash(SquashReason::WrongPath), 0);
+        }
+        let (end_pc, halted) = match result.end {
+            TaskEnd::Overrun => return (VerifyOutcome::Squash(SquashReason::Overrun), 0),
+            TaskEnd::Fault => return (VerifyOutcome::Squash(SquashReason::Fault), 0),
+            TaskEnd::Boundary(pc) => (pc, false),
+            TaskEnd::Halted(pc) => (pc, true),
         };
-        if let Some(ctl) = observer.as_deref_mut() {
-            ctl.observe_recovery_step(&info);
+        let recheck = cells_to_recheck(&task.live_ins, &result.failed, &self.log, task_seq);
+        let rechecked = recheck.len() as u64;
+        if !recheck.is_empty() {
+            self.flush();
         }
-        if info.halted {
-            break true;
-        }
-        executed += 1;
-        pc = info.next_pc;
-        if executed > cap {
-            return Err(EngineError::RecoveryLimit);
-        }
-        if boundaries.contains(pc) {
-            crossings += 1;
-            if crossings >= crossings_per_task {
-                break false;
+        for &cell in &recheck {
+            let Some(m) = task.live_ins.get_masked(cell) else {
+                continue; // a failed cell later overwritten? impossible, but harmless
+            };
+            if self.arch.read_cell(cell) & expand_mask(m.mask) != m.value {
+                return (
+                    VerifyOutcome::Squash(SquashReason::LiveInMismatch),
+                    rechecked,
+                );
             }
         }
-    };
-    arch.apply(&writes);
-    arch.set_pc(pc);
-    Ok((executed, halted))
+        (VerifyOutcome::Commit { end_pc, halted }, rechecked)
+    }
+
+    /// Differential-testing mode (`cross_check_commits`): replays the
+    /// decision through the oracle on a clone and demands the same
+    /// verdict; returns the oracle's state for `commit` to compare.
+    fn oracle(&mut self, result: &WorkResult, verdict: VerifyOutcome) -> Option<MachineState> {
+        if !self.unit.config.cross_check_commits {
+            return None;
+        }
+        self.flush();
+        let mut shadow = self.arch.clone();
+        let oracle_verdict = verify_and_commit(&mut shadow, &result.task, result.end);
+        assert_eq!(
+            verdict, oracle_verdict,
+            "threaded fast path diverged from verify_and_commit oracle on task {}",
+            result.task.id.0
+        );
+        Some(shadow)
+    }
+
+    /// Commits the oldest task: its writes join the commit log and the
+    /// committed view, the master is told, and a ready hot-swap installs.
+    fn commit(
+        &mut self,
+        result: WorkResult,
+        rechecked: u64,
+        end_pc: u64,
+        halted: bool,
+        shadow: Option<MachineState>,
+    ) -> Result<(), ThreadedError> {
+        let WorkResult { mut task, view, .. } = result;
+        self.unit.commit(&task, rechecked);
+        let stats = &mut self.unit.stats;
+        stats.live_ins_skipped += (task.live_ins.len() as u64).saturating_sub(rechecked);
+        if rechecked == 0 {
+            stats.pre_verified_tasks += 1;
+        }
+        self.pending_cells += task.writes.len();
+        self.folded.superimpose_in_place(&task.writes);
+        self.log.push(std::mem::take(&mut task.writes));
+        self.arena.put(std::mem::take(&mut task.live_ins));
+        self.arena.put(view);
+        self.virt_pc = end_pc;
+        if let Some(shadow) = &shadow {
+            self.flush();
+            assert_eq!(
+                &self.arch, shadow,
+                "threaded fast path committed state diverged from oracle"
+            );
+        }
+        let committed = CtrlMsg::Committed {
+            gen: self.epoch,
+            task_id: task.id.0,
+        };
+        if self.ctrl_tx.send(committed).is_err() {
+            return Err(ThreadedError::WorkerDied);
+        }
+        if self.log.seq() - self.base_seq >= MAX_PENDING_DELTAS
+            || self.pending_cells >= MAX_PENDING_CELLS
+        {
+            self.flush();
+            self.rebase();
+        } else {
+            self.unit.stats.deltas_published += 1;
+        }
+        if halted {
+            self.halted = true;
+            return Ok(());
+        }
+        if let Some(candidate) = self.unit.poll_swap() {
+            // Abandon in-flight speculation like a squash, but with no
+            // recovery segment: architected state already sits at the
+            // task boundary just committed.
+            self.unit.swap_installed(&candidate, self.in_flight_work());
+            return self.recover_and_restart(Some(candidate.program), false);
+        }
+        Ok(())
+    }
+
+    /// Squashes the oldest task and everything younger, then recovers.
+    fn squash(&mut self, reason: SquashReason, result: WorkResult) -> Result<(), ThreadedError> {
+        // `arch` must carry every commit before the unit reads it: the
+        // predictor may train only on verified architected truth.
+        self.flush();
+        let (younger, executed) = self.in_flight_work();
+        let dying = (younger + 1, executed + result.task.executed);
+        self.unit.squash(reason, &result.task, &self.arch, dying);
+        recycle_result(&mut self.arena, result);
+        self.recover_and_restart(None, true)
+    }
+
+    /// Ends the speculation epoch and starts the next from a consistent
+    /// architected state: bumps the epoch (nothing from the old master may
+    /// leak into the reseeded run), discards in-flight work, runs recovery
+    /// segments if `recover` — several while the squash throttle keeps the
+    /// master offline — rebases the snapshot, and restarts the master on
+    /// `swap` or on a candidate the unit has ready (speculation is already
+    /// abandoned: a pending swap rides for free).
+    fn recover_and_restart(
+        &mut self,
+        mut swap: Option<Arc<Distilled>>,
+        recover: bool,
+    ) -> Result<(), ThreadedError> {
+        self.epoch += 1;
+        // why: Relaxed; advisory abandon hint — stale spawns and results
+        // are filtered by their message epoch tag regardless.
+        self.current_epoch.store(self.epoch, Ordering::Relaxed);
+        self.in_flight.clear();
+        for (_, r) in self.done.drain(..) {
+            recycle_result(&mut self.arena, r);
+        }
+        self.master_stalled = false;
+        self.flush();
+        while recover && !self.halted {
+            let (executed, halted) =
+                RecoverySegment::run(self.unit, self.original, &mut self.arch, &self.rules)?;
+            self.virt_pc = self.arch.pc();
+            self.halted = halted;
+            if self.unit.recovered(executed) == AfterRecovery::RestartMaster {
+                break;
+            }
+        }
+        self.log.clear_window(&mut self.arena);
+        self.rebase();
+        if self.halted {
+            return Ok(());
+        }
+        if swap.is_none() {
+            if let Some(candidate) = self.unit.poll_swap() {
+                self.unit.swap_installed(&candidate, (0, 0));
+                swap = Some(candidate.program);
+            }
+        }
+        self.send_restart(swap)
+    }
+
+    /// The tasks in flight and the instructions the finished ones ran.
+    fn in_flight_work(&self) -> (u64, u64) {
+        let executed = self.done.iter().map(|(_, r)| r.task.executed).sum();
+        (self.in_flight.len() as u64, executed)
+    }
+
+    /// Materializes a fresh base snapshot from the (flushed) architected
+    /// state; the committed view starts over empty.
+    fn rebase(&mut self) {
+        self.base = Arc::new(self.arch.clone());
+        self.base_seq = self.log.seq();
+        self.folded.clear();
+        self.pending_cells = 0;
+        self.unit.stats.snapshots_materialized += 1;
+    }
+
+    /// (Re)starts the master at the architected PC in the current epoch,
+    /// on `swap` if given, else on whatever it currently runs.
+    fn send_restart(&mut self, swap: Option<Arc<Distilled>>) -> Result<(), ThreadedError> {
+        let restart = CtrlMsg::Restart {
+            gen: self.epoch,
+            pc: self.virt_pc,
+            base: Box::new(self.arch.clone()),
+            swap,
+        };
+        self.ctrl_tx
+            .send(restart)
+            .map_err(|_| ThreadedError::WorkerDied)
+    }
 }
 
 #[cfg(test)]
@@ -1496,7 +1176,7 @@ mod tests {
     use crate::adaptive::AdaptiveConfig;
     use crate::UnitCost;
     use mssp_analysis::Profile;
-    use mssp_distill::{distill, redistill, DistillConfig};
+    use mssp_distill::{distill, redistill, DistillConfig, Tier};
     use mssp_isa::asm::assemble;
     use mssp_isa::Reg;
     use mssp_machine::SeqMachine;
@@ -1644,7 +1324,7 @@ mod tests {
     #[test]
     fn commit_log_is_a_sliding_window_with_monotonic_seq() {
         let mut arena = DeltaArena::new();
-        let mut log = CommitLog::new();
+        let mut log = CommitLog::default();
         assert_eq!(log.seq(), 0);
         log.push(delta(&[(Cell::Mem(0), 1)]));
         log.push(delta(&[(Cell::Mem(1), 2)]));
@@ -1669,7 +1349,7 @@ mod tests {
         let live_ins: Delta = [(Cell::Mem(1), 5), (Cell::Reg(Reg::A0), 2)]
             .into_iter()
             .collect();
-        let mut log = CommitLog::new();
+        let mut log = CommitLog::default();
         log.push(delta(&[(Cell::Mem(1), 9)])); // conflicting commit, seq 0
         assert_eq!(
             cells_to_recheck(&live_ins, &[], &log, 0),
@@ -1700,7 +1380,7 @@ mod tests {
             .into_iter()
             .collect();
         let mut arena = DeltaArena::new();
-        let mut log = CommitLog::new();
+        let mut log = CommitLog::default();
         log.push(delta(&[(Cell::Mem(7), 1)])); // seq 0: disjoint
         log.push(delta(&[(Cell::Mem(1), 9)])); // seq 1: conflicts!
         log.push(delta(&[(Cell::Mem(8), 2)])); // seq 2: disjoint

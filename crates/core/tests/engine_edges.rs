@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
-use mssp_core::{Engine, EngineConfig, EngineError, UnitCost};
+use mssp_core::{Engine, EngineConfig, EngineError, SquashReason, UnitCost};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::{Program, Reg};
@@ -108,10 +108,11 @@ fn mismatch_samples_capture_failing_cells() {
     map.insert(loop_pc, liar.symbol("spin").unwrap());
     let d = Distilled::from_parts(liar, BTreeSet::from([loop_pc]), map);
     let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-    engine.enable_mismatch_samples(16);
+    engine.enable_squash_samples(16);
     let run = engine.run().unwrap();
     assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
-    let samples = run.mismatch_samples.unwrap();
+    let mut samples = run.squash_samples.unwrap();
+    samples.retain(|s| s.reason == SquashReason::LiveInMismatch);
     assert!(!samples.is_empty(), "lying master must produce samples");
     // The mismatching cell is s1 with the liar's arithmetic progression.
     assert!(samples[0]

@@ -117,6 +117,42 @@ fn threaded_survives_wrong_asserted_branches() {
             "adversarial distillation never triggered a squash or recovery"
         );
     });
+
+    // The same garbage master with the squash throttle on: the paper's
+    // dual-mode fallback engages under the threaded executor as it does
+    // under the discrete engine, and costs speed only.
+    for slaves in [1usize, 2, 4] {
+        let cfg = EngineConfig {
+            num_slaves: slaves,
+            throttle_threshold: 2,
+            throttle_window: 64,
+            throttle_duration: 4,
+            ..EngineConfig::default()
+        };
+        let run = run_threaded(&program, &d, cfg).expect("terminates");
+        assert_eq!(run.state.reg(Reg::S1), expected, "{slaves} workers");
+        assert_eq!(run.state.reg(Reg::S0), seq.state().reg(Reg::S0));
+        assert_eq!(run.state.pc(), seq.state().pc());
+        assert!(run.stats.throttle_events > 0, "{:?}", run.stats);
+        assert!(run.stats.waste_fraction() > 0.0, "{:?}", run.stats);
+    }
+
+    // A stationary run — the honest distillation of the same program —
+    // fills in the live-in footprint counters.
+    let profile = Profile::collect(&program, u64::MAX).unwrap();
+    let honest = distill(&program, &profile, &DistillConfig::default()).unwrap();
+    for slaves in [1usize, 2, 4] {
+        let cfg = EngineConfig {
+            num_slaves: slaves,
+            ..EngineConfig::default()
+        };
+        let stats = run_threaded(&program, &honest, cfg).unwrap().stats;
+        let by_kind = stats.live_in_reg_cells + stats.live_in_mem_cells;
+        assert!(by_kind > 0, "{stats:?}");
+        assert_eq!(by_kind, stats.live_in_cells, "{stats:?}");
+        assert!(stats.max_live_in_cells <= stats.live_in_cells, "{stats:?}");
+        assert!(stats.max_live_in_cells > 0, "{stats:?}");
+    }
 }
 
 #[test]

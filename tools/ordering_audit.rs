@@ -1,9 +1,9 @@
 //! Ordering audit: every `Ordering::` use on the transport hot path must
 //! justify itself.
 //!
-//! The lock-free files (`ring.rs`, `chan.rs`, `threaded.rs`, and the
-//! arena) encode their correctness argument in memory orderings, and an
-//! ordering without a rationale is exactly the kind of line a later
+//! The lock-free files (`ring.rs`, `threaded.rs`, and the arena) encode
+//! their correctness argument in memory orderings, and an ordering
+//! without a rationale is exactly the kind of line a later
 //! refactor weakens "because the test still passed". This test walks the
 //! audited files and fails if any code line mentioning `Ordering::` lacks
 //! a `// why:` comment — on the same line, or anywhere in the contiguous
@@ -19,7 +19,6 @@ use std::path::Path;
 /// Files under the workspace root whose `Ordering::` uses are audited.
 const AUDITED: &[&str] = &[
     "crates/core/src/ring.rs",
-    "crates/core/src/chan.rs",
     "crates/core/src/threaded.rs",
     "crates/core/src/adaptive.rs",
     "crates/machine/src/arena.rs",
