@@ -5,20 +5,21 @@
 //! once with the adaptive controller hot-swapping re-distillations from
 //! the live profile, and emits the comparison as `BENCH_adaptive.json`.
 //! A stationary half runs standard workloads on their training inputs
-//! and checks the controller never fires. CI runs both at small scale
-//! and fails the build if adaptation stops paying for itself or starts
-//! recompiling on stationary behaviour.
+//! and checks the controller never fires. CI regenerates
+//! `results/BENCH_adaptive.json` with this binary, gates armed, and
+//! fails the build if adaptation stops paying for itself, starts
+//! recompiling on stationary behaviour, or the file differs. Every
+//! workload runs at its default scale.
 //!
 //! ```text
-//! bench_adaptive [--json] [--out PATH] [--scale-div N]
+//! bench_adaptive [--json] [--out PATH]
 //!                [--min-dyn-improvement X] [--min-squash-improvement X]
+//!                [--min-speedup-improvement X]
 //!                [--require-swap] [--max-stationary-recompilations N]
 //! ```
 //!
 //! * `--json` — emit JSON (to stdout, or to `--out PATH`); otherwise a
 //!   human-readable table is printed.
-//! * `--scale-div N` — divide every workload's default scale by `N`
-//!   (default 1; CI uses a large divisor for speed).
 //! * `--min-dyn-improvement X` — exit non-zero if any phase workload's
 //!   `frozen / adaptive` dyn-ratio improvement falls below `X`. Note the
 //!   dyn ratio is not monotonic in goodness on phase workloads: a frozen
@@ -40,109 +41,49 @@
 use std::process::ExitCode;
 
 use mssp_bench::{
-    adaptive_dyn_improvement, collect_adaptive_records, collect_stationary_records, print_header,
-    render_adaptive_json,
+    adaptive_dyn_improvement, collect_adaptive_records, collect_stationary_records, emit,
+    parse_args, print_header, render_adaptive_json,
 };
 use mssp_stats::{fmt3, Table};
 
-struct Args {
-    json: bool,
-    out: Option<String>,
-    scale_div: u64,
-    min_dyn_improvement: Option<f64>,
-    min_squash_improvement: Option<f64>,
-    min_speedup_improvement: Option<f64>,
-    require_swap: bool,
-    max_stationary_recompilations: Option<u64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        json: false,
-        out: None,
-        scale_div: 1,
-        min_dyn_improvement: None,
-        min_squash_improvement: None,
-        min_speedup_improvement: None,
-        require_swap: false,
-        max_stationary_recompilations: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--json" => args.json = true,
-            "--out" => args.out = Some(value("--out")?),
-            "--scale-div" => {
-                args.scale_div = value("--scale-div")?
-                    .parse()
-                    .map_err(|e| format!("--scale-div: {e}"))?;
-            }
-            "--min-dyn-improvement" => {
-                args.min_dyn_improvement = Some(
-                    value("--min-dyn-improvement")?
-                        .parse()
-                        .map_err(|e| format!("--min-dyn-improvement: {e}"))?,
-                );
-            }
-            "--min-squash-improvement" => {
-                args.min_squash_improvement = Some(
-                    value("--min-squash-improvement")?
-                        .parse()
-                        .map_err(|e| format!("--min-squash-improvement: {e}"))?,
-                );
-            }
-            "--min-speedup-improvement" => {
-                args.min_speedup_improvement = Some(
-                    value("--min-speedup-improvement")?
-                        .parse()
-                        .map_err(|e| format!("--min-speedup-improvement: {e}"))?,
-                );
-            }
-            "--require-swap" => args.require_swap = true,
-            "--max-stationary-recompilations" => {
-                args.max_stationary_recompilations = Some(
-                    value("--max-stationary-recompilations")?
-                        .parse()
-                        .map_err(|e| format!("--max-stationary-recompilations: {e}"))?,
-                );
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
+const FLAGS: [(&str, bool); 7] = [
+    ("--json", false),
+    ("--out", true),
+    ("--min-dyn-improvement", true),
+    ("--min-squash-improvement", true),
+    ("--min-speedup-improvement", true),
+    ("--require-swap", false),
+    ("--max-stationary-recompilations", true),
+];
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("bench_adaptive: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    let records = collect_adaptive_records(args.scale_div);
-    let stationary = collect_stationary_records(args.scale_div);
+/// Measures, reports and gates; `Ok(false)` when a gate failed.
+fn run() -> Result<bool, String> {
+    let flags = parse_args(&FLAGS, std::env::args().skip(1))?;
+    let out: Option<String> = flags.value("--out")?;
+    let min_dyn_improvement: Option<f64> = flags.value("--min-dyn-improvement")?;
+    let min_squash_improvement: Option<f64> = flags.value("--min-squash-improvement")?;
+    let min_speedup_improvement: Option<f64> = flags.value("--min-speedup-improvement")?;
+    let max_stationary_recompilations: Option<u64> =
+        flags.value("--max-stationary-recompilations")?;
 
-    if args.json {
-        let json = render_adaptive_json(&records, &stationary, args.scale_div);
-        match &args.out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("bench_adaptive: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
-            None => print!("{json}"),
-        }
+    let records = collect_adaptive_records();
+    let stationary = collect_stationary_records();
+
+    if flags.has("--json") {
+        emit(&render_adaptive_json(&records, &stationary), out.as_deref())?;
     } else {
-        print_header(
-            "BENCH",
-            "Online adaptive re-distillation benchmark",
-            &format!("scale divisor {}", args.scale_div),
-        );
+        print_header("BENCH", "Online adaptive re-distillation benchmark", "");
         let mut table = Table::new(vec![
             "benchmark",
             "dyn frozen",
@@ -185,7 +126,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if let Some(floor) = args.min_dyn_improvement {
+    if let Some(floor) = min_dyn_improvement {
         for r in &records {
             let improvement = if r.adaptive_dyn_ratio == 0.0 {
                 f64::INFINITY
@@ -202,7 +143,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(floor) = args.min_squash_improvement {
+    if let Some(floor) = min_squash_improvement {
         for r in &records {
             // An adaptive rate of zero is infinite improvement; only a
             // still-squashing run can fall below the floor.
@@ -221,7 +162,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(floor) = args.min_speedup_improvement {
+    if let Some(floor) = min_speedup_improvement {
         for r in &records {
             let improvement = if r.speedup_frozen == 0.0 {
                 f64::INFINITY
@@ -238,7 +179,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.require_swap {
+    if flags.has("--require-swap") {
         for r in &records {
             if r.swaps_installed == 0 {
                 eprintln!(
@@ -250,7 +191,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(ceiling) = args.max_stationary_recompilations {
+    if let Some(ceiling) = max_stationary_recompilations {
         for r in &stationary {
             if r.recompilations > ceiling {
                 eprintln!(
@@ -262,8 +203,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(!failed)
 }

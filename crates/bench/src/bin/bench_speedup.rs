@@ -3,18 +3,17 @@
 //! Measures every workload's speedup and distilled/original dynamic
 //! instruction ratio (against a DCE-only baseline pipeline) and emits the
 //! result as `BENCH_speedup.json`, so the distiller's perf trajectory is
-//! tracked across PRs. CI runs this at small scale and fails the build on
-//! a speedup regression.
+//! tracked across PRs. CI regenerates `results/BENCH_speedup.json` with
+//! this binary, gates armed, and fails the build on a regression or a
+//! diff. Every workload runs at its default scale.
 //!
 //! ```text
-//! bench_speedup [--json] [--out PATH] [--scale-div N] [--min-speedup X]
+//! bench_speedup [--json] [--out PATH] [--min-speedup X]
 //!               [--max-squash-per-1k X] [--min-squash-improvement X]
 //! ```
 //!
 //! * `--json` — emit JSON (to stdout, or to `--out PATH`); otherwise a
 //!   human-readable table is printed.
-//! * `--scale-div N` — divide every workload's default scale by `N`
-//!   (default 1; CI uses a large divisor for speed).
 //! * `--min-speedup X` — exit non-zero if any workload's speedup falls
 //!   below `X`.
 //! * `--max-squash-per-1k X` — exit non-zero if any squash-prone workload
@@ -25,98 +24,46 @@
 
 use std::process::ExitCode;
 
-use mssp_bench::{collect_speedup_records, print_header, render_speedup_json};
+use mssp_bench::{collect_speedup_records, emit, parse_args, print_header, render_speedup_json};
 use mssp_stats::{fmt3, geomean, Table};
 
 /// Workloads the squash-rate gates apply to: the squash-prone set whose
-/// attack-off baseline reliably squashes at every scale CI runs at.
+/// attack-off baseline squashes at the default scale.
 const SQUASH_GATED: [&str; 4] = ["mcf_like", "vpr_like", "gcc_like", "twolf_like"];
 
-struct Args {
-    json: bool,
-    out: Option<String>,
-    scale_div: u64,
-    min_speedup: Option<f64>,
-    max_squash_per_1k: Option<f64>,
-    min_squash_improvement: Option<f64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        json: false,
-        out: None,
-        scale_div: 1,
-        min_speedup: None,
-        max_squash_per_1k: None,
-        min_squash_improvement: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--json" => args.json = true,
-            "--out" => args.out = Some(value("--out")?),
-            "--scale-div" => {
-                args.scale_div = value("--scale-div")?
-                    .parse()
-                    .map_err(|e| format!("--scale-div: {e}"))?;
-            }
-            "--min-speedup" => {
-                args.min_speedup = Some(
-                    value("--min-speedup")?
-                        .parse()
-                        .map_err(|e| format!("--min-speedup: {e}"))?,
-                );
-            }
-            "--max-squash-per-1k" => {
-                args.max_squash_per_1k = Some(
-                    value("--max-squash-per-1k")?
-                        .parse()
-                        .map_err(|e| format!("--max-squash-per-1k: {e}"))?,
-                );
-            }
-            "--min-squash-improvement" => {
-                args.min_squash_improvement = Some(
-                    value("--min-squash-improvement")?
-                        .parse()
-                        .map_err(|e| format!("--min-squash-improvement: {e}"))?,
-                );
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
+const FLAGS: [(&str, bool); 5] = [
+    ("--json", false),
+    ("--out", true),
+    ("--min-speedup", true),
+    ("--max-squash-per-1k", true),
+    ("--min-squash-improvement", true),
+];
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("bench_speedup: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    let records = collect_speedup_records(args.scale_div);
+/// Measures, reports and gates; `Ok(false)` when a gate failed.
+fn run() -> Result<bool, String> {
+    let flags = parse_args(&FLAGS, std::env::args().skip(1))?;
+    let out: Option<String> = flags.value("--out")?;
+    let min_speedup: Option<f64> = flags.value("--min-speedup")?;
+    let max_squash_per_1k: Option<f64> = flags.value("--max-squash-per-1k")?;
+    let min_squash_improvement: Option<f64> = flags.value("--min-squash-improvement")?;
 
-    if args.json {
-        let json = render_speedup_json(&records, args.scale_div);
-        match &args.out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("bench_speedup: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
-            None => print!("{json}"),
-        }
+    let records = collect_speedup_records();
+
+    if flags.has("--json") {
+        emit(&render_speedup_json(&records), out.as_deref())?;
     } else {
-        print_header(
-            "BENCH",
-            "Machine-readable speedup benchmark",
-            &format!("scale divisor {}", args.scale_div),
-        );
+        print_header("BENCH", "Machine-readable speedup benchmark", "");
         let mut table = Table::new(vec![
             "benchmark",
             "speedup",
@@ -149,7 +96,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if let Some(floor) = args.min_speedup {
+    if let Some(floor) = min_speedup {
         for r in &records {
             if r.speedup < floor {
                 eprintln!(
@@ -163,7 +110,7 @@ fn main() -> ExitCode {
     let gated = records
         .iter()
         .filter(|r| SQUASH_GATED.contains(&r.name.as_str()));
-    if let Some(ceiling) = args.max_squash_per_1k {
+    if let Some(ceiling) = max_squash_per_1k {
         for r in gated.clone() {
             if r.squash_per_1k_tasks > ceiling {
                 eprintln!(
@@ -174,7 +121,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(floor) = args.min_squash_improvement {
+    if let Some(floor) = min_squash_improvement {
         for r in gated {
             // A headline rate of zero is infinite improvement; only a
             // still-squashing run can fall below the floor.
@@ -197,8 +144,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(!failed)
 }

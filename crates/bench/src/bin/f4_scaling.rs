@@ -1,18 +1,8 @@
 //! F4 — speedup vs. processor count: MSSP with 1, 2, 3, 7 and 15 slaves
 //! (2, 3, 4, 8 and 16 cores including the master). The paper's scaling
 //! saturates once the master becomes the critical path.
-//!
-//! A second section measures the *threaded* executor (real OS-thread
-//! slaves, checkpoint-snapshot live-ins) at 1, 2, 4 and 8 workers:
-//! wall-clock per run plus the scaling ratio vs. one worker, written to
-//! `results/f4_scaling_threaded.txt` so the lock-free worker loop's
-//! behaviour is tracked alongside the discrete-model numbers.
 
-use std::fmt::Write as _;
-use std::time::Duration;
-
-use mssp_bench::{evaluate, harness_scale, prepare, print_header};
-use mssp_core::{run_threaded, EngineConfig};
+use mssp_bench::{evaluate, harness_scale, print_header};
 use mssp_distill::DistillConfig;
 use mssp_stats::{geomean, Table};
 use mssp_timing::TimingConfig;
@@ -47,105 +37,4 @@ fn main() {
     }
     table.row(geo_row);
     println!("{}", table.render());
-
-    let threaded = threaded_section();
-    println!("{threaded}");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/f4_scaling_threaded.txt", &threaded)
-        .expect("write threaded scaling results");
 }
-
-/// Per-workload x2/x4/x8 scaling ratios of the threaded executor as
-/// measured *before* the O(delta) verify/commit pipeline (per-commit
-/// `arch.clone()` snapshots, full live-in re-check on the coordinator).
-/// Frozen here so the regenerated table carries its own baseline.
-const BEFORE_ODELTA: [(&str, [f64; 3]); 12] = [
-    ("gzip_like", [1.08, 1.06, 1.04]),
-    ("vpr_like", [0.97, 0.93, 0.96]),
-    ("gcc_like", [0.99, 0.99, 0.93]),
-    ("mcf_like", [0.96, 0.93, 0.97]),
-    ("crafty_like", [1.05, 1.03, 1.02]),
-    ("parser_like", [1.03, 1.02, 1.01]),
-    ("eon_like", [0.99, 0.97, 0.95]),
-    ("perlbmk_like", [1.02, 1.02, 0.99]),
-    ("gap_like", [1.15, 0.87, 1.05]),
-    ("vortex_like", [1.03, 1.02, 1.06]),
-    ("bzip2_like", [1.04, 1.01, 1.02]),
-    ("twolf_like", [0.99, 0.97, 0.96]),
-];
-
-/// Wall-clock scaling of the threaded executor at 1/2/4/8 workers, with
-/// before/after columns: `pre` is the frozen pre-O(delta) measurement
-/// ([`BEFORE_ODELTA`]), `now` is measured fresh.
-fn threaded_section() -> String {
-    let worker_counts = [1usize, 2, 4, 8];
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== F4t: Threaded executor wall-clock vs. worker count ==\n   \
-         ms per run (best of {BEST_OF}); xN = time(1 worker) / time(N workers);\n   \
-         `pre` columns are the frozen pre-O(delta) commit-pipeline baseline\n   \
-         (per-commit full-state snapshots, all live-ins re-checked in order)\n"
-    );
-    let mut headers = vec!["benchmark".to_string(), "1w ms".to_string()];
-    for &n in &worker_counts[1..] {
-        headers.push(format!("x{n} pre"));
-        headers.push(format!("x{n} now"));
-    }
-    let mut table = Table::new(headers.iter().map(String::as_str).collect::<Vec<_>>());
-    let mut before_cols: Vec<Vec<f64>> = vec![Vec::new(); worker_counts.len() - 1];
-    let mut after_cols: Vec<Vec<f64>> = vec![Vec::new(); worker_counts.len() - 1];
-    for w in workloads() {
-        let program = w.program(harness_scale(w, 2));
-        let (distilled, _) = prepare(&program, &DistillConfig::default());
-        let times: Vec<Duration> = worker_counts
-            .iter()
-            .map(|&workers| {
-                let cfg = EngineConfig {
-                    num_slaves: workers,
-                    ..EngineConfig::default()
-                };
-                (0..BEST_OF)
-                    .map(|_| {
-                        run_threaded(&program, &distilled, cfg)
-                            .expect("threaded run succeeds")
-                            .elapsed
-                    })
-                    .min()
-                    .expect("BEST_OF > 0")
-            })
-            .collect();
-        let before = BEFORE_ODELTA
-            .iter()
-            .find(|(name, _)| *name == w.name)
-            .map(|(_, ratios)| *ratios);
-        let mut row = vec![
-            w.name.to_string(),
-            format!("{:.2}", times[0].as_secs_f64() * 1e3),
-        ];
-        for (i, t) in times[1..].iter().enumerate() {
-            let ratio = times[0].as_secs_f64() / t.as_secs_f64().max(1e-9);
-            after_cols[i].push(ratio);
-            match before {
-                Some(ratios) => {
-                    before_cols[i].push(ratios[i]);
-                    row.push(format!("{:.2}", ratios[i]));
-                }
-                None => row.push("-".to_string()),
-            }
-            row.push(format!("{ratio:.2}"));
-        }
-        table.row(row);
-    }
-    let mut geo_row = vec!["geomean".to_string(), String::new()];
-    for i in 0..worker_counts.len() - 1 {
-        geo_row.push(format!("{:.2}", geomean(&before_cols[i])));
-        geo_row.push(format!("{:.2}", geomean(&after_cols[i])));
-    }
-    table.row(geo_row);
-    let _ = writeln!(out, "{}", table.render());
-    out
-}
-
-/// Runs per configuration; wall-clock is noisy, keep the best.
-const BEST_OF: usize = 3;

@@ -2,15 +2,8 @@
 //! latencies (checkpoint spawn, dispatch, verify, commit, squash) scale
 //! from 0× to 8× their reference values. The paper argues MSSP tolerates
 //! substantial overhead because verification is off the critical path.
-//!
-//! A second section measures *verify-unit occupancy* in the threaded
-//! executor: what fraction of recorded live-in cells the coordinator
-//! actually re-checks once workers pre-verify against their spawn
-//! snapshot (the O(delta) commit pipeline), and how many commits are
-//! settled with no coordinator verify work at all.
 
-use mssp_bench::{evaluate, harness_scale, prepare, print_header};
-use mssp_core::{run_threaded, EngineConfig};
+use mssp_bench::{evaluate, harness_scale, print_header};
 use mssp_distill::DistillConfig;
 use mssp_stats::{geomean, Table};
 use mssp_timing::{OverheadConfig, TimingConfig};
@@ -53,64 +46,5 @@ fn main() {
             format!("{:.3}", speeds.iter().copied().fold(0.0, f64::max)),
         ]);
     }
-    println!("{}", table.render());
-
-    occupancy_section();
-}
-
-/// Verify-unit occupancy under the O(delta) commit pipeline: re-checked
-/// vs. recorded live-in cells and the pre-verified commit fraction, per
-/// workload, from a default-configuration threaded run.
-fn occupancy_section() {
-    print_header(
-        "F7b",
-        "Verify-unit occupancy (threaded executor)",
-        "recheck = live-in cells the coordinator re-checks / cells recorded;\n   \
-         pre-verified = commits settled entirely by worker-side pre-verification",
-    );
-    let mut table = Table::new(vec![
-        "benchmark",
-        "cells recorded",
-        "re-checked",
-        "recheck",
-        "pre-verified %",
-        "snapshots",
-        "deltas",
-    ]);
-    let mut ratios = Vec::new();
-    let mut fractions = Vec::new();
-    for w in workloads() {
-        let program = w.program(harness_scale(w, 4));
-        let (distilled, _) = prepare(&program, &DistillConfig::default());
-        let run =
-            run_threaded(&program, &distilled, EngineConfig::default()).expect("threaded run");
-        let s = &run.stats;
-        let recorded = s.live_ins_rechecked + s.live_ins_skipped;
-        let pre_verified = if s.committed_tasks == 0 {
-            0.0
-        } else {
-            100.0 * s.pre_verified_tasks as f64 / s.committed_tasks as f64
-        };
-        ratios.push(s.recheck_ratio());
-        fractions.push(pre_verified);
-        table.row(vec![
-            w.name.to_string(),
-            recorded.to_string(),
-            s.live_ins_rechecked.to_string(),
-            format!("{:.3}", s.recheck_ratio()),
-            format!("{pre_verified:.1}"),
-            s.snapshots_materialized.to_string(),
-            s.deltas_published.to_string(),
-        ]);
-    }
-    table.row(vec![
-        "geomean".to_string(),
-        String::new(),
-        String::new(),
-        format!("{:.3}", geomean(&ratios)),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
     println!("{}", table.render());
 }

@@ -2,15 +2,18 @@
 //!
 //! The experiment harness: shared plumbing used by the per-table /
 //! per-figure binaries (`t1_workloads`, `f2_distillation`, `f3_speedup`,
-//! ...) that regenerate the evaluation of the MSSP paper, plus the
-//! Criterion micro-benchmarks.
+//! ...) that regenerate the evaluation of the MSSP paper.
 //!
 //! Each binary prints one table or bar-figure in a uniform format; see
 //! `EXPERIMENTS.md` at the repository root for the experiment index and
-//! recorded results.
+//! recorded results. Everything here is a function of the simulated
+//! machine: host time is measured under `benchmark/` and nowhere else.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use mssp_analysis::Profile;
 use mssp_core::{
@@ -21,6 +24,7 @@ use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
 use mssp_lint::{redistill_validated, LintConfig};
 use mssp_machine::{Cell, SeqMachine};
+use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
     run_baseline, run_mssp, run_mssp_with_engine_setup, speedup, BaselineRun, TimingConfig,
     TimingRun,
@@ -174,8 +178,8 @@ pub struct SpeedupRecord {
     pub static_distilled: usize,
 }
 
-/// Measures every bundled workload at `default_scale / divisor` and
-/// returns one [`SpeedupRecord`] per workload, in bundle order.
+/// Measures every bundled workload at its default scale and returns
+/// one [`SpeedupRecord`] per workload, in bundle order.
 ///
 /// Each workload runs the full squash-rate-attack pipeline: a
 /// feedback-free measurement run with the live-in predictor off
@@ -189,7 +193,7 @@ pub struct SpeedupRecord {
 ///
 /// Panics on any harness failure (broken build, not a measurement).
 #[must_use]
-pub fn collect_speedup_records(divisor: u64) -> Vec<SpeedupRecord> {
+pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
     let tcfg = TimingConfig::default();
     let default_cfg = DistillConfig::default();
     let dce_only_cfg = DistillConfig {
@@ -199,7 +203,7 @@ pub fn collect_speedup_records(divisor: u64) -> Vec<SpeedupRecord> {
     mssp_workloads::workloads()
         .iter()
         .map(|w| {
-            let scale = harness_scale(w, divisor);
+            let scale = w.default_scale;
             let program = w.program(scale);
             // Attack-off baseline: feedback-free distillation (no
             // slices), predictor disabled, squash samples recorded.
@@ -288,60 +292,40 @@ pub fn dyn_ratio(e: &Evaluation) -> f64 {
     e.mssp.run.stats.master_instructions as f64 / e.mssp.run.stats.committed_instructions as f64
 }
 
-/// Renders [`SpeedupRecord`]s as the `BENCH_speedup.json` document
-/// (hand-rolled: the workspace is std-only).
+/// Renders [`SpeedupRecord`]s as the `BENCH_speedup.json` document.
 #[must_use]
-pub fn render_speedup_json(records: &[SpeedupRecord], divisor: u64) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mssp-bench-speedup/v2\",\n");
-    out.push_str(&format!("  \"scale_divisor\": {divisor},\n"));
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scale\": {}, \"speedup\": {}, \"dyn_ratio\": {}, \
-             \"dyn_ratio_dce_only\": {}, \"squash_per_1k_tasks\": {}, \
-             \"squash_per_1k_tasks_baseline\": {}, \"predictor_accuracy\": {}, \
-             \"slices_emitted\": {}, \
-             \"static_original\": {}, \"static_distilled\": {}}}{}\n",
-            r.name,
-            r.scale,
-            num(r.speedup),
-            num(r.dyn_ratio),
-            num(r.dyn_ratio_dce_only),
-            num(r.squash_per_1k_tasks),
-            num(r.squash_per_1k_tasks_baseline),
-            num(r.predictor_accuracy),
-            r.slices_emitted,
-            r.static_original,
-            r.static_distilled,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
+pub fn render_speedup_json(records: &[SpeedupRecord]) -> String {
     let geo = |f: fn(&SpeedupRecord) -> f64| {
-        mssp_stats::geomean(&records.iter().map(f).collect::<Vec<_>>())
+        Num(mssp_stats::geomean(
+            &records.iter().map(f).collect::<Vec<_>>(),
+        ))
     };
-    out.push_str(&format!(
-        "  \"geomean_speedup\": {},\n",
-        num(geo(|r| r.speedup))
-    ));
-    out.push_str(&format!(
-        "  \"geomean_dyn_ratio\": {},\n",
-        num(geo(|r| r.dyn_ratio))
-    ));
-    out.push_str(&format!(
-        "  \"geomean_dyn_ratio_dce_only\": {}\n",
-        num(geo(|r| r.dyn_ratio_dce_only))
-    ));
-    out.push_str("}\n");
-    out
+    let workloads = records.iter().map(|r| {
+        Object(vec![
+            ("name", Str(r.name.clone())),
+            ("scale", Int(r.scale)),
+            ("speedup", Num(r.speedup)),
+            ("dyn_ratio", Num(r.dyn_ratio)),
+            ("dyn_ratio_dce_only", Num(r.dyn_ratio_dce_only)),
+            ("squash_per_1k_tasks", Num(r.squash_per_1k_tasks)),
+            (
+                "squash_per_1k_tasks_baseline",
+                Num(r.squash_per_1k_tasks_baseline),
+            ),
+            ("predictor_accuracy", Num(r.predictor_accuracy)),
+            ("slices_emitted", Int(r.slices_emitted as u64)),
+            ("static_original", Int(r.static_original as u64)),
+            ("static_distilled", Int(r.static_distilled as u64)),
+        ])
+    });
+    Object(vec![
+        ("schema", Str("mssp-bench-speedup/v3".into())),
+        ("workloads", Array(workloads.collect())),
+        ("geomean_speedup", geo(|r| r.speedup)),
+        ("geomean_dyn_ratio", geo(|r| r.dyn_ratio)),
+        ("geomean_dyn_ratio_dce_only", geo(|r| r.dyn_ratio_dce_only)),
+    ])
+    .render()
 }
 
 /// One phase-shifting workload's row in the adaptive re-distillation
@@ -386,8 +370,6 @@ pub struct AdaptiveRecord {
     pub recompile_failures: u64,
     /// Committed-task count at the first swap (0 when none installed).
     pub first_swap_at_tasks: u64,
-    /// Largest observed recompile+validate latency, microseconds.
-    pub swap_latency_micros_max: u64,
     /// Cycle speedup of the frozen run over the uniprocessor baseline.
     pub speedup_frozen: f64,
     /// Cycle speedup of the adaptive run over the same baseline.
@@ -470,8 +452,8 @@ fn slice_squash_per_1k(early: &EngineStats, late: &EngineStats) -> f64 {
     }
 }
 
-/// Measures every phase-shifting workload at `default_scale / divisor`:
-/// the offline profile is collected on the training input (`phase_b =
+/// Measures every phase-shifting workload at its default scale: the
+/// offline profile is collected on the training input (`phase_b =
 /// 0`, blind to the shift), then the reference input (`phase_b = scale`)
 /// runs once with that distillation frozen and once with the online
 /// adaptive loop hot-swapping re-distillations from the live profile.
@@ -482,13 +464,13 @@ fn slice_squash_per_1k(early: &EngineStats, late: &EngineStats) -> f64 {
 /// any run and the uniprocessor baseline (a correctness bug, not a
 /// measurement).
 #[must_use]
-pub fn collect_adaptive_records(divisor: u64) -> Vec<AdaptiveRecord> {
+pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
     let tcfg = TimingConfig::default();
     let dcfg = DistillConfig::default();
     mssp_workloads::phase_workloads()
         .iter()
         .map(|w| {
-            let scale = harness_scale(w, divisor);
+            let scale = w.default_scale;
             let phase_b = scale;
             let train = w.phase_program(scale, 0);
             let reference = w.phase_program(scale, phase_b);
@@ -548,12 +530,6 @@ pub fn collect_adaptive_records(divisor: u64) -> Vec<AdaptiveRecord> {
                 candidates_rejected: report.candidates_rejected,
                 recompile_failures: report.recompile_failures,
                 first_swap_at_tasks: report.swaps.first().map_or(0, |m| m.at_committed_tasks),
-                swap_latency_micros_max: report
-                    .swaps
-                    .iter()
-                    .map(|m| m.latency_micros)
-                    .max()
-                    .unwrap_or(0),
                 speedup_frozen: speedup(baseline.cycles, frozen.run.cycles),
                 speedup_adaptive: speedup(baseline.cycles, adaptive.run.cycles),
             }
@@ -568,13 +544,13 @@ pub fn collect_adaptive_records(divisor: u64) -> Vec<AdaptiveRecord> {
 ///
 /// Panics on harness failures (broken build, not a measurement).
 #[must_use]
-pub fn collect_stationary_records(divisor: u64) -> Vec<StationaryRecord> {
+pub fn collect_stationary_records() -> Vec<StationaryRecord> {
     let tcfg = TimingConfig::default();
     STATIONARY_WORKLOADS
         .iter()
         .map(|name| {
             let w = Workload::by_name(name).expect("stationary workload exists");
-            let scale = harness_scale(w, divisor);
+            let scale = w.default_scale;
             let program = w.program(scale);
             let (distilled, profile) = prepare(&program, &DistillConfig::default());
             let controller =
@@ -618,303 +594,56 @@ pub fn adaptive_dyn_improvement(records: &[AdaptiveRecord]) -> f64 {
     mssp_stats::geomean(&col)
 }
 
-/// Renders the adaptive benchmark as the `BENCH_adaptive.json` document
-/// (hand-rolled: the workspace is std-only).
+/// Renders the adaptive benchmark as the `BENCH_adaptive.json` document.
 #[must_use]
-pub fn render_adaptive_json(
-    records: &[AdaptiveRecord],
-    stationary: &[StationaryRecord],
-    divisor: u64,
-) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mssp-bench-adaptive/v1\",\n");
-    out.push_str(&format!("  \"scale_divisor\": {divisor},\n"));
-    out.push_str("  \"phase_workloads\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scale\": {}, \"phase_b\": {},\n",
-            r.name, r.scale, r.phase_b
-        ));
-        out.push_str(&format!(
-            "     \"frozen_dyn_ratio\": {}, \"adaptive_dyn_ratio\": {}, \"frozen_squash_per_1k\": {}, \"adaptive_squash_per_1k\": {},\n",
-            num(r.frozen_dyn_ratio),
-            num(r.adaptive_dyn_ratio),
-            num(r.frozen_squash_per_1k),
-            num(r.adaptive_squash_per_1k),
-        ));
-        out.push_str(&format!(
-            "     \"pre_swap_dyn_ratio\": {}, \"post_swap_dyn_ratio\": {}, \"pre_swap_squash_per_1k\": {}, \"post_swap_squash_per_1k\": {},\n",
-            num(r.pre_swap_dyn_ratio),
-            num(r.post_swap_dyn_ratio),
-            num(r.pre_swap_squash_per_1k),
-            num(r.post_swap_squash_per_1k),
-        ));
-        out.push_str(&format!(
-            "     \"recompilations_fast\": {}, \"recompilations_full\": {}, \"swaps_installed\": {}, \"candidates_rejected\": {}, \"recompile_failures\": {}, \"first_swap_at_tasks\": {}, \"swap_latency_micros_max\": {},\n",
-            r.recompilations_fast,
-            r.recompilations_full,
-            r.swaps_installed,
-            r.candidates_rejected,
-            r.recompile_failures,
-            r.first_swap_at_tasks,
-            r.swap_latency_micros_max,
-        ));
-        out.push_str(&format!(
-            "     \"speedup_frozen\": {}, \"speedup_adaptive\": {}}}{}\n",
-            num(r.speedup_frozen),
-            num(r.speedup_adaptive),
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stationary\": [\n");
-    for (i, r) in stationary.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scale\": {}, \"recompilations\": {}, \"swaps_installed\": {}, \"divergent_windows\": {}}}{}\n",
-            r.name,
-            r.scale,
-            r.recompilations,
-            r.swaps_installed,
-            r.divergent_windows,
-            if i + 1 < stationary.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"geomean_dyn_improvement\": {},\n",
-        num(adaptive_dyn_improvement(records))
-    ));
-    let max_stationary = stationary
-        .iter()
-        .map(|r| r.recompilations)
-        .max()
-        .unwrap_or(0);
-    out.push_str(&format!(
-        "  \"max_stationary_recompilations\": {max_stationary}\n"
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Worker counts measured by the threaded-throughput benchmark.
-pub const THREADED_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One worker-count measurement inside a [`ThreadedRecord`].
-#[derive(Debug, Clone)]
-pub struct ThreadedPoint {
-    /// OS-thread slave count for this run.
-    pub workers: usize,
-    /// Best-of-`repeats` wall-clock seconds for the whole run.
-    pub secs: f64,
-    /// Committed tasks per wall-clock second.
-    pub tasks_per_sec: f64,
-    /// Wall-clock speedup over the 1-worker point of the same workload.
-    pub speedup_vs_1w: f64,
-}
-
-/// One workload's row in the machine-readable threaded-throughput
-/// benchmark (`BENCH_threaded.json`): wall-clock scaling of the real
-/// OS-thread executor plus the O(delta) commit-pipeline counters that
-/// track how much verify work the coordinator actually performs.
-#[derive(Debug, Clone)]
-pub struct ThreadedRecord {
-    /// Workload name.
-    pub name: String,
-    /// Scale the workload ran at.
-    pub scale: u64,
-    /// Sequential dynamic instruction count at that scale.
-    pub seq_instructions: u64,
-    /// One point per entry of [`THREADED_WORKER_COUNTS`].
-    pub points: Vec<ThreadedPoint>,
-    /// Coordinator re-check ratio from the 4-worker run: live-in cells
-    /// re-checked / live-in cells recorded. Lower is better — it is the
-    /// fraction of the memoization test the coordinator still pays for.
-    pub recheck_ratio: f64,
-    /// Fraction of committed tasks whose verification was settled
-    /// entirely by the worker-side pre-verification (4-worker run).
-    pub pre_verified_fraction: f64,
-    /// Full snapshots materialized by the coordinator (4-worker run).
-    pub snapshots_materialized: u64,
-    /// Incremental commit deltas published instead (4-worker run).
-    pub deltas_published: u64,
-}
-
-/// Measures every bundled workload with the threaded executor at
-/// `default_scale / divisor`, at each of [`THREADED_WORKER_COUNTS`],
-/// keeping the best of `repeats` wall-clock runs per point.
-///
-/// # Panics
-///
-/// Panics on any harness failure, including a checksum mismatch between
-/// the threaded executor and the sequential machine (a correctness bug,
-/// not a measurement).
-#[must_use]
-pub fn collect_threaded_records(divisor: u64, repeats: u32) -> Vec<ThreadedRecord> {
-    assert!(repeats > 0, "need at least one run per point");
-    mssp_workloads::workloads()
-        .iter()
-        .map(|w| {
-            let scale = harness_scale(w, divisor);
-            let program = w.program(scale);
-            let (distilled, _) = prepare(&program, &DistillConfig::default());
-            let mut seq = SeqMachine::boot(&program);
-            seq.run(u64::MAX).expect("workload halts");
-            let expected = seq.state().reg(CHECKSUM_REG);
-
-            let mut points = Vec::new();
-            let mut four_worker_stats = None;
-            for &workers in &THREADED_WORKER_COUNTS {
-                let cfg = mssp_core::EngineConfig {
-                    num_slaves: workers,
-                    ..mssp_core::EngineConfig::default()
-                };
-                let mut best: Option<mssp_core::ThreadedRun> = None;
-                for _ in 0..repeats {
-                    let run = mssp_core::run_threaded(&program, &distilled, cfg)
-                        .expect("threaded run succeeds");
-                    assert_eq!(
-                        run.state.reg(CHECKSUM_REG),
-                        expected,
-                        "{}: threaded checksum mismatch — correctness bug",
-                        w.name
-                    );
-                    if best.as_ref().is_none_or(|b| run.elapsed < b.elapsed) {
-                        best = Some(run);
-                    }
-                }
-                let run = best.expect("repeats > 0");
-                let secs = run.elapsed.as_secs_f64().max(1e-9);
-                let tasks_per_sec = run.stats.committed_tasks as f64 / secs;
-                let speedup_vs_1w = points
-                    .first()
-                    .map_or(1.0, |p: &ThreadedPoint| p.secs / secs);
-                points.push(ThreadedPoint {
-                    workers,
-                    secs,
-                    tasks_per_sec,
-                    speedup_vs_1w,
-                });
-                if workers == 4 {
-                    four_worker_stats = Some(run.stats);
-                }
-            }
-            let stats = four_worker_stats.expect("worker counts include 4");
-            let pre_verified_fraction = if stats.committed_tasks == 0 {
-                0.0
-            } else {
-                stats.pre_verified_tasks as f64 / stats.committed_tasks as f64
-            };
-            ThreadedRecord {
-                name: w.name.to_string(),
-                scale,
-                seq_instructions: seq.instructions(),
-                points,
-                recheck_ratio: stats.recheck_ratio(),
-                pre_verified_fraction,
-                snapshots_materialized: stats.snapshots_materialized,
-                deltas_published: stats.deltas_published,
-            }
-        })
-        .collect()
-}
-
-/// Geometric-mean speedup over 1 worker at `workers`, across records.
-#[must_use]
-pub fn threaded_geomean_speedup(records: &[ThreadedRecord], workers: usize) -> f64 {
-    let col: Vec<f64> = records
-        .iter()
-        .filter_map(|r| {
-            r.points
-                .iter()
-                .find(|p| p.workers == workers)
-                .map(|p| p.speedup_vs_1w)
-        })
-        .collect();
-    mssp_stats::geomean(&col)
-}
-
-/// Renders [`ThreadedRecord`]s as the `BENCH_threaded.json` document
-/// (hand-rolled: the workspace is std-only). `available_parallelism` is
-/// recorded so consumers can tell real multi-core scaling from runs on
-/// boxes where the OS serialized every worker.
-#[must_use]
-pub fn render_threaded_json(
-    records: &[ThreadedRecord],
-    divisor: u64,
-    available_parallelism: usize,
-) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mssp-bench-threaded/v1\",\n");
-    out.push_str(&format!("  \"scale_divisor\": {divisor},\n"));
-    out.push_str(&format!(
-        "  \"available_parallelism\": {available_parallelism},\n"
-    ));
-    out.push_str(&format!(
-        "  \"worker_counts\": [{}],\n",
-        THREADED_WORKER_COUNTS
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scale\": {}, \"seq_instructions\": {},\n",
-            r.name, r.scale, r.seq_instructions
-        ));
-        out.push_str("     \"runs\": [");
-        for (j, p) in r.points.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"workers\": {}, \"secs\": {}, \"tasks_per_sec\": {}, \
-                 \"speedup_vs_1w\": {}}}{}",
-                p.workers,
-                num(p.secs),
-                num(p.tasks_per_sec),
-                num(p.speedup_vs_1w),
-                if j + 1 < r.points.len() { ", " } else { "" },
-            ));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "     \"recheck_ratio\": {}, \"pre_verified_fraction\": {}, \
-             \"snapshots_materialized\": {}, \"deltas_published\": {}}}{}\n",
-            num(r.recheck_ratio),
-            num(r.pre_verified_fraction),
-            r.snapshots_materialized,
-            r.deltas_published,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    for &workers in &THREADED_WORKER_COUNTS[1..] {
-        out.push_str(&format!(
-            "  \"geomean_speedup_x{}\": {},\n",
-            workers,
-            num(threaded_geomean_speedup(records, workers))
-        ));
-    }
-    let recheck: Vec<f64> = records.iter().map(|r| r.recheck_ratio).collect();
-    out.push_str(&format!(
-        "  \"geomean_recheck_ratio\": {}\n",
-        num(mssp_stats::geomean(&recheck))
-    ));
-    out.push_str("}\n");
-    out
+pub fn render_adaptive_json(records: &[AdaptiveRecord], stationary: &[StationaryRecord]) -> String {
+    let phase_workloads = records.iter().map(|r| {
+        Object(vec![
+            ("name", Str(r.name.clone())),
+            ("scale", Int(r.scale)),
+            ("phase_b", Int(r.phase_b)),
+            ("frozen_dyn_ratio", Num(r.frozen_dyn_ratio)),
+            ("adaptive_dyn_ratio", Num(r.adaptive_dyn_ratio)),
+            ("frozen_squash_per_1k", Num(r.frozen_squash_per_1k)),
+            ("adaptive_squash_per_1k", Num(r.adaptive_squash_per_1k)),
+            ("pre_swap_dyn_ratio", Num(r.pre_swap_dyn_ratio)),
+            ("post_swap_dyn_ratio", Num(r.post_swap_dyn_ratio)),
+            ("pre_swap_squash_per_1k", Num(r.pre_swap_squash_per_1k)),
+            ("post_swap_squash_per_1k", Num(r.post_swap_squash_per_1k)),
+            ("recompilations_fast", Int(r.recompilations_fast)),
+            ("recompilations_full", Int(r.recompilations_full)),
+            ("swaps_installed", Int(r.swaps_installed)),
+            ("candidates_rejected", Int(r.candidates_rejected)),
+            ("recompile_failures", Int(r.recompile_failures)),
+            ("first_swap_at_tasks", Int(r.first_swap_at_tasks)),
+            ("speedup_frozen", Num(r.speedup_frozen)),
+            ("speedup_adaptive", Num(r.speedup_adaptive)),
+        ])
+    });
+    let stationary_rows = stationary.iter().map(|r| {
+        Object(vec![
+            ("name", Str(r.name.clone())),
+            ("scale", Int(r.scale)),
+            ("recompilations", Int(r.recompilations)),
+            ("swaps_installed", Int(r.swaps_installed)),
+            ("divergent_windows", Int(r.divergent_windows)),
+        ])
+    });
+    let max_stationary = stationary.iter().map(|r| r.recompilations).max();
+    Object(vec![
+        ("schema", Str("mssp-bench-adaptive/v2".into())),
+        ("phase_workloads", Array(phase_workloads.collect())),
+        ("stationary", Array(stationary_rows.collect())),
+        (
+            "geomean_dyn_improvement",
+            Num(adaptive_dyn_improvement(records)),
+        ),
+        (
+            "max_stationary_recompilations",
+            Int(max_stationary.unwrap_or(0)),
+        ),
+    ])
+    .render()
 }
 
 /// Sequential dynamic instruction count of a program.
@@ -941,6 +670,80 @@ pub fn print_header(id: &str, title: &str, params: &str) {
     println!();
 }
 
+/// The flags a `bench_*` binary was started with.
+#[derive(Debug)]
+pub struct Flags(Vec<(&'static str, Option<String>)>);
+
+/// Checks `args` (program name already skipped) against `table`, one
+/// `(name, takes_value)` entry per flag the binary accepts.
+///
+/// # Errors
+///
+/// An argument that is not in the table, or a value-taking flag with
+/// nothing after it.
+pub fn parse_args(
+    table: &[(&'static str, bool)],
+    args: impl IntoIterator<Item = String>,
+) -> Result<Flags, String> {
+    let mut args = args.into_iter();
+    let mut given = Vec::new();
+    while let Some(arg) = args.next() {
+        let &(name, takes_value) = table
+            .iter()
+            .find(|(name, _)| *name == arg)
+            .ok_or_else(|| format!("unknown argument: {arg}"))?;
+        let value = takes_value
+            .then(|| {
+                args.next()
+                    .ok_or_else(|| format!("{name} requires a value"))
+            })
+            .transpose()?;
+        given.push((name, value));
+    }
+    Ok(Flags(given))
+}
+
+impl Flags {
+    /// Whether `name` was given.
+    #[must_use]
+    pub fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(given, _)| *given == name)
+    }
+
+    /// The value given for `name`, `None` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// The value does not parse as a `T`.
+    pub fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let given = self.0.iter().rev().find(|(given, _)| *given == name);
+        given
+            .and_then(|(_, value)| value.as_deref())
+            .map(|value| value.parse().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+}
+
+/// Writes a rendered document to the file `out`, or prints it when no
+/// file was asked for.
+///
+/// # Errors
+///
+/// The file cannot be written.
+pub fn emit(json: &str, out: Option<&str>) -> Result<(), String> {
+    match out {
+        Some(path) => {
+            std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{json}"),
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -961,117 +764,6 @@ mod tests {
             eval.baseline.instructions
         );
         assert!(eval.boundary_count > 0);
-    }
-
-    #[test]
-    fn speedup_json_is_well_formed() {
-        let records = vec![SpeedupRecord {
-            name: "gzip_like".to_string(),
-            scale: 1024,
-            speedup: 1.25,
-            dyn_ratio: 0.62,
-            dyn_ratio_dce_only: 0.70,
-            squash_per_1k_tasks: 3.5,
-            squash_per_1k_tasks_baseline: 7.0,
-            predictor_accuracy: 0.875,
-            slices_emitted: 2,
-            static_original: 500,
-            static_distilled: 320,
-        }];
-        let json = render_speedup_json(&records, 16);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"mssp-bench-speedup/v2\""));
-        assert!(json.contains("\"dyn_ratio\": 0.620000"));
-        assert!(json.contains("\"squash_per_1k_tasks_baseline\": 7.000000"));
-        assert!(json.contains("\"predictor_accuracy\": 0.875000"));
-        assert!(json.contains("\"slices_emitted\": 2"));
-        assert!(json.contains("\"geomean_dyn_ratio_dce_only\": 0.700000"));
-        // Balanced braces/brackets — a cheap structural sanity check for
-        // the hand-rolled emitter.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn threaded_json_is_well_formed() {
-        let records = vec![ThreadedRecord {
-            name: "gzip_like".to_string(),
-            scale: 2048,
-            seq_instructions: 123_456,
-            points: THREADED_WORKER_COUNTS
-                .iter()
-                .enumerate()
-                .map(|(i, &workers)| ThreadedPoint {
-                    workers,
-                    secs: 0.5 / (i + 1) as f64,
-                    tasks_per_sec: 100.0 * (i + 1) as f64,
-                    speedup_vs_1w: (i + 1) as f64,
-                })
-                .collect(),
-            recheck_ratio: 0.25,
-            pre_verified_fraction: 0.75,
-            snapshots_materialized: 3,
-            deltas_published: 97,
-        }];
-        let json = render_threaded_json(&records, 8, 4);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"mssp-bench-threaded/v1\""));
-        assert!(json.contains("\"available_parallelism\": 4"));
-        assert!(json.contains("\"worker_counts\": [1, 2, 4, 8]"));
-        assert!(json.contains("\"recheck_ratio\": 0.250000"));
-        assert!(json.contains("\"geomean_speedup_x4\": 3.000000"));
-        assert!(json.contains("\"geomean_recheck_ratio\": 0.250000"));
-        // Balanced braces/brackets — a cheap structural sanity check for
-        // the hand-rolled emitter.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(threaded_geomean_speedup(&records, 2), 2.0);
-    }
-
-    #[test]
-    fn adaptive_json_is_well_formed() {
-        let records = vec![AdaptiveRecord {
-            name: "phase_flip".to_string(),
-            scale: 3000,
-            phase_b: 3000,
-            frozen_dyn_ratio: 1.4,
-            frozen_squash_per_1k: 480.0,
-            adaptive_dyn_ratio: 0.7,
-            adaptive_squash_per_1k: 12.0,
-            pre_swap_dyn_ratio: 0.6,
-            post_swap_dyn_ratio: 0.65,
-            pre_swap_squash_per_1k: 40.0,
-            post_swap_squash_per_1k: 2.0,
-            recompilations_fast: 1,
-            recompilations_full: 1,
-            swaps_installed: 2,
-            candidates_rejected: 0,
-            recompile_failures: 0,
-            first_swap_at_tasks: 192,
-            swap_latency_micros_max: 850,
-            speedup_frozen: 1.05,
-            speedup_adaptive: 1.30,
-        }];
-        let stationary = vec![StationaryRecord {
-            name: "gzip_like".to_string(),
-            scale: 4096,
-            recompilations: 0,
-            swaps_installed: 0,
-            divergent_windows: 0,
-        }];
-        let json = render_adaptive_json(&records, &stationary, 16);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"mssp-bench-adaptive/v1\""));
-        assert!(json.contains("\"frozen_dyn_ratio\": 1.400000"));
-        assert!(json.contains("\"adaptive_dyn_ratio\": 0.700000"));
-        assert!(json.contains("\"swaps_installed\": 2"));
-        assert!(json.contains("\"first_swap_at_tasks\": 192"));
-        assert!(json.contains("\"geomean_dyn_improvement\": 2.000000"));
-        assert!(json.contains("\"max_stationary_recompilations\": 0"));
-        // Balanced braces/brackets — a cheap structural sanity check for
-        // the hand-rolled emitter.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

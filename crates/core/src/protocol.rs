@@ -247,8 +247,8 @@ impl EngineStats {
     /// A run that presented no live-ins at all (zero committed tasks, or
     /// squash-only runs where every task died before verification)
     /// reports `0.0`: no re-check work happened. This must never be NaN —
-    /// the benchmark gates compare it with `<=`, and NaN would make a
-    /// `--max-recheck-ratio` gate silently pass or fail on IEEE
+    /// `tests/threaded.rs` bounds the geomean of this ratio with `<=`,
+    /// and NaN would make that assertion pass or fail on IEEE
     /// comparison semantics rather than on the measurement.
     #[must_use]
     pub fn recheck_ratio(&self) -> f64 {
@@ -976,8 +976,8 @@ mod tests {
     fn recheck_ratio_is_zero_not_nan_when_nothing_was_presented() {
         // Regression: with no live-ins presented (zero-task or
         // squash-only runs) the ratio used to be the 0/0 branch; it must
-        // be exactly 0.0 — never NaN, never a placeholder 1.0 — so
-        // `--max-recheck-ratio` gates compare a real number.
+        // be exactly 0.0 — never NaN, never a placeholder 1.0 — so the
+        // recheck bound in `tests/threaded.rs` compares a real number.
         let stats = EngineStats::default();
         assert_eq!(stats.live_ins_rechecked + stats.live_ins_skipped, 0);
         let ratio = stats.recheck_ratio();

@@ -46,7 +46,6 @@ mod mem;
 mod seq;
 mod sliceval;
 mod state;
-mod trace;
 
 pub use arena::DeltaArena;
 pub use cell::Cell;
@@ -56,4 +55,3 @@ pub use mem::SparseMem;
 pub use seq::{cumulative_writes, seq_n, HaltError, RunSummary, SeqError, SeqMachine, StopReason};
 pub use sliceval::{eval_slice, SliceEval};
 pub use state::{MachineState, Recording, Storage};
-pub use trace::{Trace, TraceStep};

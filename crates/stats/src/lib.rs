@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod json;
 mod report;
 mod summary;
 

@@ -1,0 +1,80 @@
+//! The threaded executor's steady-state cycle (dispatch, execute,
+//! verify, commit) allocates a bounded handful of times per committed
+//! task. With pooled deltas the dispatch/commit path itself contributes
+//! nothing; what remains is, per *spawn*, the master's prediction
+//! overlay (a `Vec` of `Arc` layers), plus an occasional checkpoint
+//! segment and the amortized per-32-commits snapshot materialization.
+//! The bound is about twice what this measures (6.6-11.5 over 25 runs;
+//! pipeline warm-up does not fully cancel at these scales), so it
+//! catches per-task heap traffic doubling, not one extra allocation.
+//!
+//! This file holds one `#[test]` and must stay that way: the counting
+//! allocator is process-wide, and a second test running beside it would
+//! be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mssp::core::{run_threaded, EngineConfig};
+use mssp::prelude::*;
+
+/// Heap allocations since process start (alloc + realloc).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
+// increment that publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Runs `gzip_like` at `scale` through the threaded executor and returns
+/// (allocations during the run, committed tasks).
+fn measure(scale: u64) -> (u64, u64) {
+    let program = Workload::by_name("gzip_like").unwrap().program(scale);
+    let mut seq = SeqMachine::boot(&program);
+    seq.run(u64::MAX).unwrap();
+    let profile = Profile::collect(&program, u64::MAX).unwrap();
+    let d = distill(&program, &profile, &DistillConfig::default()).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let run = run_threaded(&program, &d, EngineConfig::default()).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(run.state.reg(CHECKSUM_REG), seq.state().reg(CHECKSUM_REG));
+    (allocs, run.stats.committed_tasks)
+}
+
+#[test]
+fn steady_state_allocations_per_committed_task_are_bounded() {
+    // Differencing two scales cancels every setup cost (thread spawns,
+    // boot state, ring construction, arena warm-up) and leaves the
+    // marginal rate of the per-task cycle.
+    let (allocs_small, tasks_small) = measure(2_048);
+    let (allocs_large, tasks_large) = measure(4_096);
+    assert!(tasks_large > tasks_small);
+    let per_task =
+        allocs_large.saturating_sub(allocs_small) as f64 / (tasks_large - tasks_small) as f64;
+    assert!(
+        per_task <= 16.0,
+        "{per_task:.2} allocations per committed task \
+         ({allocs_small} for {tasks_small} tasks, {allocs_large} for {tasks_large})"
+    );
+}
