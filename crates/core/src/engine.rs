@@ -46,9 +46,8 @@ use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId, TaskStatus};
 use crate::{CoreRole, CostModel};
 
 /// Engine configuration. Every field acts under both executors except the
-/// three that are driver-specific by nature: `max_cycles` and
-/// `word_granular_live_ins` (discrete [`Engine`] only) and
-/// `cross_check_commits` (threaded executor only).
+/// two that are driver-specific by nature: `max_cycles` and
+/// `word_granular_live_ins` (discrete [`Engine`] only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of slave processors (the paper's CMP had one master plus
@@ -79,13 +78,6 @@ pub struct EngineConfig {
     pub throttle_window: u64,
     /// Recovery segments to run sequentially once throttled.
     pub throttle_duration: u64,
-    /// Differential-testing aid for the threaded executor: cross-check
-    /// every fast-path verify/commit decision against the
-    /// [`verify_and_commit`] oracle on a cloned architected state and
-    /// panic on any divergence (verdict or committed state). Expensive —
-    /// it re-clones architected state per task — and therefore off by
-    /// default; the discrete [`Engine`] ignores it (it *is* the oracle).
-    pub cross_check_commits: bool,
     /// Live-in value prediction: when a per-(boundary, register) component
     /// predictor is confident, its value is injected into the spawned
     /// task's overlay, overriding the master's checkpoint for that cell.
@@ -107,7 +99,6 @@ impl Default for EngineConfig {
             throttle_threshold: 0,
             throttle_window: 64,
             throttle_duration: 16,
-            cross_check_commits: false,
             enable_predictor: true,
         }
     }
@@ -496,9 +487,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let ccost = self.cost.commit_cost(task.writes.len());
         self.verify_busy_until = self.now + vcost + ccost;
         self.unit.stats.verify_busy_cycles += vcost + ccost;
-        // The discrete verify unit re-checks every recorded live-in (no
-        // worker-side pre-verification here).
-        self.unit.commit(&task, task.live_ins.len() as u64);
+        self.unit.commit(&task);
         if let Some(sizes) = &mut self.task_sizes {
             sizes.push(task.executed);
         }

@@ -9,8 +9,8 @@
 //! state. The drivers decide **when**: [`crate::Engine`] raises the events
 //! from virtual time, the threaded coordinator from ring messages.
 //!
-//! [`verify_and_commit`] is the single verdict oracle; the threaded fast
-//! path is an optimisation `cross_check_commits` checks against it.
+//! [`verify_and_commit`] is the single verdict oracle: both drivers call
+//! it on the oldest finished task, and nothing else decides a commit.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
@@ -148,23 +148,16 @@ pub struct EngineStats {
     pub verify_busy_cycles: u64,
     /// Times the adaptive throttle took the master offline.
     pub throttle_events: u64,
-    /// Tasks committed entirely on worker pre-verification — the
-    /// coordinator re-checked **zero** live-ins against architected state
-    /// (threaded executor fast path).
+    /// Constant 0 — nothing increments it since worker-side
+    /// pre-verification was removed; kept only because the benchmark
+    /// ledger still reads it (`core.threaded.pre_verified_fraction`).
     pub pre_verified_tasks: u64,
-    /// Live-in cells the verify unit re-checked against architected
-    /// state. The discrete engine re-checks every recorded live-in; the
-    /// threaded fast path re-checks only pre-verification failures and
-    /// cells dirtied by commits after the task's spawn snapshot.
-    pub live_ins_rechecked: u64,
-    /// Live-in cells the verify unit skipped because worker-side
-    /// pre-verification already proved them (threaded executor only).
-    pub live_ins_skipped: u64,
     /// Full architected-state snapshots materialized for publication
     /// (threaded executor; squashes and chain-threshold crossings).
     pub snapshots_materialized: u64,
-    /// Commits published to workers as an incremental write delta on the
-    /// commit log instead of a fresh snapshot (threaded executor).
+    /// Commits published to workers as an incremental write delta folded
+    /// into the committed view instead of a fresh snapshot (threaded
+    /// executor).
     pub deltas_published: u64,
     /// Live-in cells whose checkpoint value was overridden by the value
     /// predictor at spawn.
@@ -205,9 +198,8 @@ impl EngineStats {
     }
 
     /// Fraction of verified predictor injections that turned out correct
-    /// (`hits / (hits + misses)`); `0.0` when nothing was ever verified.
-    /// Never NaN, for the same gate-comparison reason as
-    /// [`EngineStats::recheck_ratio`].
+    /// (`hits / (hits + misses)`); `0.0` when nothing was ever verified —
+    /// never NaN, so a gate that compares it compares a number.
     #[must_use]
     pub fn predictor_accuracy(&self) -> f64 {
         let verified = self.predictor_hits + self.predictor_misses;
@@ -238,25 +230,16 @@ impl EngineStats {
         }
     }
 
-    /// Verify-unit occupancy: the fraction of presented live-in cells the
-    /// coordinator actually re-checked against architected state
-    /// (re-checked / (re-checked + skipped)). `1.0` for the discrete
-    /// engine, which re-checks everything; the threaded fast path drives
-    /// this down toward the true cross-task conflict rate.
-    ///
-    /// A run that presented no live-ins at all (zero committed tasks, or
-    /// squash-only runs where every task died before verification)
-    /// reports `0.0`: no re-check work happened. This must never be NaN —
-    /// `tests/threaded.rs` bounds the geomean of this ratio with `<=`,
-    /// and NaN would make that assertion pass or fail on IEEE
-    /// comparison semantics rather than on the measurement.
+    /// Constant — the verify unit compares every recorded live-in of
+    /// every task, so this is `1.0` once a committed task presented one
+    /// and `0.0` before (never NaN). Kept only because the benchmark
+    /// ledger still reads it (`core.threaded.recheck_ratio`).
     #[must_use]
     pub fn recheck_ratio(&self) -> f64 {
-        let presented = self.live_ins_rechecked + self.live_ins_skipped;
-        if presented == 0 {
+        if self.live_in_cells == 0 {
             0.0
         } else {
-            self.live_ins_rechecked as f64 / presented as f64
+            1.0
         }
     }
 }
@@ -335,8 +318,8 @@ pub(crate) enum AfterRecovery {
 /// The in-order verify/commit unit's policy state. Drivers raise events
 /// on it and act on the answers; they write `stats` directly only for the
 /// counters nobody else can know (their own cores' busy cycles and
-/// instruction counts, the coordinator's fast-path and snapshot counters,
-/// spawn vetoes read off the master).
+/// instruction counts, the coordinator's snapshot counters, spawn vetoes
+/// read off the master).
 #[derive(Debug, Default)]
 pub(crate) struct CommitUnit {
     pub stats: EngineStats,
@@ -392,15 +375,13 @@ impl CommitUnit {
         predicted
     }
 
-    /// `task` passed the memoization test and its writes are architected;
-    /// the verify unit re-checked `rechecked` of its live-ins to get there.
-    pub(crate) fn commit(&mut self, task: &Task, rechecked: u64) {
+    /// `task` passed the memoization test and its writes are architected.
+    pub(crate) fn commit(&mut self, task: &Task) {
         let live_ins = task.live_ins.len() as u64;
         let stats = &mut self.stats;
         stats.committed_tasks += 1;
         stats.committed_instructions += task.executed;
         stats.live_in_cells += live_ins;
-        stats.live_ins_rechecked += rechecked;
         stats.live_in_reg_cells += task.live_ins.reg_cells() as u64;
         stats.live_in_mem_cells += task.live_ins.mem_cells() as u64;
         stats.live_out_cells += task.writes.len() as u64;
@@ -719,6 +700,121 @@ mod tests {
     const S1: Cell = Cell::Reg(Reg::S1);
 
     #[test]
+    fn oracle_verdicts_follow_precedence_and_squashes_touch_nothing() {
+        use SquashReason as R;
+        use TaskEnd as E;
+        use VerifyOutcome::{Commit, Squash};
+        let mut base = MachineState::new();
+        base.set_pc(0x100);
+        base.set_reg(Reg::S1, 5);
+        base.store_word(8, 7);
+        let good: &[(Cell, u64)] = &[(S1, 5), (Cell::Mem(8), 7)];
+        let bad: &[(Cell, u64)] = &[(S1, 5), (Cell::Mem(8), 6)];
+        let writes = [(S1, 9), (Cell::Mem(8), 1), (Cell::Mem(9), 2)];
+        let commit = |end_pc, halted| Commit { end_pc, halted };
+        // (start PC, live-ins, end) -> verdict. Every squash row is wrong
+        // in each way a later check could also catch, so reordering the
+        // arms changes the reason.
+        let table = [
+            (0x104, bad, E::Overrun, Squash(R::WrongPath)),
+            (0x104, bad, E::Fault, Squash(R::WrongPath)),
+            (0x104, bad, E::Boundary(0x200), Squash(R::WrongPath)),
+            (0x104, good, E::Halted(0x200), Squash(R::WrongPath)),
+            (0x100, bad, E::Overrun, Squash(R::Overrun)),
+            (0x100, bad, E::Fault, Squash(R::Fault)),
+            (0x100, good, E::Overrun, Squash(R::Overrun)),
+            (0x100, good, E::Fault, Squash(R::Fault)),
+            (0x100, bad, E::Boundary(0x200), Squash(R::LiveInMismatch)),
+            (0x100, bad, E::Halted(0x200), Squash(R::LiveInMismatch)),
+            (0x100, good, E::Boundary(0x200), commit(0x200, false)),
+            (0x100, good, E::Halted(0x208), commit(0x208, true)),
+            (0x100, &[], E::Boundary(0x100), commit(0x100, false)),
+        ];
+        for (start_pc, live_ins, end, want) in table {
+            let t = task(start_pc, 3, live_ins, &writes);
+            let mut arch = base.clone();
+            let got = verify_and_commit(&mut arch, &t, end);
+            assert_eq!(got, want, "start {start_pc:#x}, end {end:?}");
+            match want {
+                Squash(_) => assert_eq!(arch, base, "{want:?} wrote to arch"),
+                Commit { end_pc, .. } => {
+                    let mut committed = base.clone();
+                    committed.apply(&t.writes);
+                    committed.set_pc(end_pc);
+                    assert_eq!(arch, committed, "{want:?}");
+                    assert_eq!((arch.reg(Reg::S1), arch.load_word(9)), (9, 2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_compares_and_writes_bound_bytes_only() {
+        let mut base = MachineState::new();
+        base.set_pc(0x100);
+        base.store_word(8, 0x1122_3344_5566_7788);
+        base.store_word(9, 0xAAAA_AAAA_AAAA_AAAA);
+        // The task read byte 0 of word 8 and wrote byte 1 of word 9.
+        let mut t = task(0x100, 1, &[], &[]);
+        t.live_ins.set_bytes(Cell::Mem(8), 0x88, 0x01);
+        t.writes.set_bytes(Cell::Mem(9), 0xBB00, 0x02);
+
+        // Bytes of the read word the task never read may change freely.
+        let mut arch = base.clone();
+        arch.store_word(8, 0xFFFF_FFFF_FFFF_FF88);
+        let verdict = verify_and_commit(&mut arch, &t, TaskEnd::Boundary(0x200));
+        let (end_pc, halted) = (0x200, false);
+        assert_eq!(verdict, VerifyOutcome::Commit { end_pc, halted });
+        assert_eq!(arch.load_word(9), 0xAAAA_AAAA_AAAA_BBAA, "other bytes kept");
+        assert_eq!(arch.load_word(8), 0xFFFF_FFFF_FFFF_FF88);
+
+        // The byte it did read may not.
+        let mut arch = base.clone();
+        arch.store_word(8, 0x1122_3344_5566_7789);
+        let stale = arch.clone();
+        let verdict = verify_and_commit(&mut arch, &t, TaskEnd::Boundary(0x200));
+        assert_eq!(verdict, VerifyOutcome::Squash(SquashReason::LiveInMismatch));
+        assert_eq!(arch, stale);
+    }
+
+    #[test]
+    fn task_run_from_a_stale_snapshot_squashes_on_the_cell_it_read() {
+        // What the threaded executor relies on: a worker may run from a
+        // snapshot several commits old, and the oracle compares what it
+        // read against *current* architected state.
+        let p = assemble("main: ld t0, -8(sp)\n addi s1, t0, 1\n halt").unwrap();
+        let boundaries = BoundarySet::default();
+        let rules = SegmentRules {
+            boundaries: &boundaries,
+            crossings_per_task: 1,
+            max_instrs: 100,
+        };
+        let mut arch = MachineState::boot(&p);
+        let snapshot = arch.clone();
+        let mut t = Task::new(TaskId(0), arch.pc(), 0, Vec::new());
+        let end = t.run_segment(&p, &snapshot, &rules, || false);
+        let TaskEnd::Halted(end_pc) = end else {
+            panic!("{end:?}");
+        };
+        let read = Cell::Mem((arch.reg(Reg::SP) - 8) >> 3);
+        assert!(t.live_ins.contains(read), "{:?}", t.live_ins);
+
+        // Presented against the state it ran from, the task commits.
+        let mut fresh = arch.clone();
+        let verdict = verify_and_commit(&mut fresh, &t, end);
+        let halted = true;
+        assert_eq!(verdict, VerifyOutcome::Commit { end_pc, halted });
+        assert_eq!(fresh.reg(Reg::S1), 1);
+
+        // A commit it never saw wrote the cell: squash, nothing applied.
+        arch.write_cell(read, 41);
+        let before = arch.clone();
+        let verdict = verify_and_commit(&mut arch, &t, end);
+        assert_eq!(verdict, VerifyOutcome::Squash(SquashReason::LiveInMismatch));
+        assert_eq!(arch, before);
+    }
+
+    #[test]
     fn scripted_events_produce_exact_stats() {
         let mut unit = CommitUnit::new(EngineConfig::default());
         let arch = MachineState::new();
@@ -728,7 +824,7 @@ mod tests {
             assert!(overlay.is_empty(), "an untrained predictor injects nothing");
         }
         let a = task(0x100, 10, &[(S1, 1), (Cell::Mem(8), 2)], &[(S1, 3)]);
-        unit.commit(&a, 2);
+        unit.commit(&a);
         let b = task(0x180, 7, &[], &[]);
         assert!(unit
             .squash(SquashReason::WrongPath, &b, &arch, (2, 11))
@@ -749,7 +845,6 @@ mod tests {
             live_in_mem_cells: 1,
             live_out_cells: 1,
             max_live_in_cells: 2,
-            live_ins_rechecked: 2,
             ..EngineStats::default()
         };
         assert_eq!(unit.stats, expected);
@@ -791,7 +886,7 @@ mod tests {
         for _ in 0..3 {
             unit.squash(SquashReason::Overrun, &doomed, &arch, (1, 5));
             for _ in 0..8 {
-                unit.commit(&doomed, 0);
+                unit.commit(&doomed);
             }
         }
         assert_eq!(unit.stats.throttle_events, 0);
@@ -827,7 +922,7 @@ mod tests {
         // mismatches on it is a predicted squash and a miss.
         let mut reader = task(0x200, 5, &[(S1, 9)], &[]);
         reader.predicted = predicted;
-        unit.commit(&reader, 1);
+        unit.commit(&reader);
         assert_eq!(unit.stats.predictor_hits, 1);
         arch.set_reg(Reg::S1, 10);
         unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
@@ -973,22 +1068,13 @@ mod tests {
     }
 
     #[test]
-    fn recheck_ratio_is_zero_not_nan_when_nothing_was_presented() {
-        // Regression: with no live-ins presented (zero-task or
-        // squash-only runs) the ratio used to be the 0/0 branch; it must
-        // be exactly 0.0 — never NaN, never a placeholder 1.0 — so the
-        // recheck bound in `tests/threaded.rs` compares a real number.
-        let stats = EngineStats::default();
-        assert_eq!(stats.live_ins_rechecked + stats.live_ins_skipped, 0);
-        let ratio = stats.recheck_ratio();
-        assert!(!ratio.is_nan());
-        assert_eq!(ratio, 0.0);
-        // And a populated run still reports the true fraction.
-        let populated = EngineStats {
-            live_ins_rechecked: 1,
-            live_ins_skipped: 3,
-            ..EngineStats::default()
-        };
-        assert_eq!(populated.recheck_ratio(), 0.25);
+    fn recheck_ratio_is_a_constant_and_never_nan() {
+        // The ledger divides nothing by this, but it does take medians of
+        // it: 0.0 with no live-in presented (never the 0/0 NaN), 1.0 after.
+        assert_eq!(EngineStats::default().recheck_ratio(), 0.0);
+        let mut unit = CommitUnit::new(EngineConfig::default());
+        unit.commit(&task(0x100, 3, &[(S1, 1)], &[]));
+        assert_eq!(unit.stats.recheck_ratio(), 1.0);
+        assert_eq!(unit.stats.pre_verified_tasks, 0);
     }
 }

@@ -82,7 +82,7 @@ impl fmt::Display for RefinementError {
 impl std::error::Error for RefinementError {}
 
 /// Verifies that `run` is a jumping refinement of the sequential execution
-/// of `program`. See the [module documentation](self).
+/// of `program`. See the `refinement` module documentation.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Lock-free bounded rings for the threaded executor's hot path.
 //!
 //! Two queue flavours, both std-only atomics over a fixed power-of-two
-//! slot array, both blocking via a [`Doorbell`] (park/unpark) rather
+//! slot array, both blocking via a `Doorbell` (park/unpark) rather
 //! than a mutex/condvar pair:
 //!
 //! * [`spsc`] — a single-producer single-consumer ring. The coordinator
@@ -29,7 +29,7 @@
 //! [`TryRecvError::Disconnected`]; dropping the receiver makes sends
 //! fail and hands the items back.
 //!
-//! All atomics, cells, and thread primitives come from [`crate::sync`],
+//! All atomics, cells, and thread primitives come from `crate::sync`,
 //! so with the `model-check` feature the whole module runs under the
 //! `mssp-check` deterministic scheduler (see `crates/check`).
 

@@ -12,43 +12,32 @@
 //!
 //! # Contention-free hot path
 //!
-//! The steady-state dispatch/execute/commit cycle takes **no mutex and
-//! performs no heap allocation**. Each worker owns a bounded SPSC ring
+//! The steady-state dispatch/execute/commit cycle takes **no mutex**, and
+//! its heap traffic is a handful of small allocations per committed task
+//! (`alloc.per_committed_task` in the benchmark ledger, 3.7-7.0 across
+//! its four workloads; `tests/alloc_budget.rs` bounds it), none of them
+//! sized by machine state. Each worker owns a bounded SPSC ring
 //! ([`crate::ring::spsc`]) the coordinator dispatches into; results,
 //! spawns, stalls and thread obituaries flow back through one bounded MPSC
 //! ring ([`crate::ring::mpsc`]), whose per-producer FIFO keeps a master's
 //! spawns ordered before its stall report; commit notifications and
 //! restarts ride an SPSC ring to the master. Dispatch and draining are
-//! batched. Task live-in/write buffers, the shipped committed view and
-//! commit-log entries are plain [`Delta`]s cycled through a
-//! [`DeltaArena`], travelling inside the work/result messages.
+//! batched. Task live-in/write buffers and the shipped committed view are
+//! plain [`Delta`]s cycled through a [`DeltaArena`], travelling inside the
+//! work/result messages.
 //!
-//! # O(delta) verify/commit
+//! # One verdict, incremental snapshot publishing
 //!
-//! Everything on the coordinator is sized by the *task's footprint*,
-//! never by machine state:
+//! The coordinator owns architected state, keeps it eagerly applied, and
+//! decides the oldest finished task with [`verify_and_commit`] — the call
+//! `Engine::act_verify` makes, and the only verdict function there is.
+//! Workers just run the segment.
 //!
-//! * **Worker-side pre-verification.** A worker re-checks the recorded
-//!   live-ins against the immutable snapshot + committed view it executed
-//!   from and ships the failing cells with the result. The coordinator
-//!   re-checks only those and the live-ins intersecting writes committed
-//!   *after* the task's spawn sequence number ([`cells_to_recheck`]); a
-//!   task with nothing to re-check commits without one read of
-//!   architected state.
-//! * **Incremental snapshot publishing.** A committed write [`Delta`]
-//!   joins the [`CommitLog`] and a running folded view that every spawn
-//!   gets a pooled clone of; a full snapshot is materialized only past a
-//!   length/size threshold or on squash.
-//! * **Batched commit application.** Commits reach architected state as
-//!   one [`MachineState::apply_batch`] over the unapplied log suffix, when
-//!   something needs to *read* it.
-//!
-//! This fast path is an optimisation, never the authority: a live-in that
-//! passed pre-verification at spawn sequence `s` and was written by no
-//! commit since has the value the oracle would compare, and every other
-//! cell is re-checked. [`verify_and_commit`] stays the single verdict
-//! oracle — `EngineConfig::cross_check_commits` replays every decision
-//! through it on a clone and panics on divergence.
+//! What a committed task costs beyond the oracle is publishing it: its
+//! write [`Delta`] is folded into a running committed view that every
+//! spawn gets a pooled clone of, layered over an immutable
+//! `Arc<MachineState>` base; a full snapshot is materialized only past a
+//! length/size threshold or on squash.
 //!
 //! A stale snapshot can never corrupt state — a stale read fails the
 //! memoization test and squashes, a performance event — and staleness is
@@ -62,7 +51,7 @@ use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{expand_mask, Cell, Delta, DeltaArena, MachineState};
+use mssp_machine::{Delta, DeltaArena, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
@@ -74,8 +63,8 @@ use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryR
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId};
 use crate::{EngineConfig, EngineError};
 
-/// Commit-log length after which the coordinator materializes a fresh
-/// base snapshot instead of letting the committed view grow unboundedly.
+/// Commits folded into the committed view after which the coordinator
+/// materializes a fresh base snapshot instead of letting it grow.
 const MAX_PENDING_DELTAS: u64 = 32;
 
 /// Total cells across pending deltas after which a fresh base snapshot is
@@ -147,8 +136,7 @@ struct WorkItem {
     /// Last materialized base snapshot.
     base: Arc<MachineState>,
     /// Folded writes committed after `base` was materialized; pooled.
-    /// `base` + `view` ≡ architected state as of the task's spawn
-    /// sequence number (which the coordinator tracks in `in_flight`).
+    /// `base` + `view` ≡ architected state as of the task's dispatch.
     view: Delta,
     task: Task,
 }
@@ -157,10 +145,6 @@ struct WorkResult {
     epoch: u64,
     task: Task,
     end: TaskEnd,
-    /// Pre-verification outcome: live-in cells that did *not* match the
-    /// spawn-time view (empty and unread when the task overran or faulted,
-    /// which squashes before any live-in is consulted).
-    failed: Vec<Cell>,
     /// The committed view handed out at dispatch, riding back for
     /// recycling.
     view: Delta,
@@ -192,7 +176,7 @@ enum CoordMsg {
 enum CtrlMsg {
     Restart {
         gen: u64,
-        pc: u64,
+        /// Architected state to restart from, at its PC.
         base: Box<MachineState>,
         /// A hot-swapped distilled program to install before restarting;
         /// `None` restarts on whatever the master currently runs.
@@ -217,113 +201,6 @@ impl Drop for DeadManSwitch {
             let _ = self.tx.send(CoordMsg::ThreadDied);
         }
     }
-}
-
-/// The append-only commit log: a sliding window over the sequence of
-/// committed write deltas. `start` is the sequence number of the oldest
-/// retained entry; entries below it have been compacted away (their
-/// buffers returned to the arena) once no in-flight task or base
-/// snapshot could still need them.
-#[derive(Default)]
-struct CommitLog {
-    deltas: VecDeque<Delta>,
-    start: u64,
-}
-
-impl CommitLog {
-    /// Sequence number the *next* commit will get (= commits so far).
-    fn seq(&self) -> u64 {
-        self.start + self.deltas.len() as u64
-    }
-
-    fn push(&mut self, delta: Delta) {
-        self.deltas.push_back(delta);
-    }
-
-    /// Entries committed at sequence `seq` or later.
-    fn suffix(&self, seq: u64) -> impl Iterator<Item = &Delta> + '_ {
-        let skip = seq.saturating_sub(self.start).min(self.deltas.len() as u64) as usize;
-        self.deltas.iter().skip(skip)
-    }
-
-    /// Drops entries below sequence `keep`, recycling their buffers.
-    fn compact(&mut self, keep: u64, arena: &mut DeltaArena) {
-        while self.start < keep {
-            let Some(d) = self.deltas.pop_front() else {
-                break;
-            };
-            arena.put(d);
-            self.start += 1;
-        }
-    }
-
-    /// Empties the window (squash/recovery: every retained delta is now
-    /// folded into the materialized base). Sequence numbers keep rising.
-    fn clear_window(&mut self, arena: &mut DeltaArena) {
-        self.start += self.deltas.len() as u64;
-        for d in self.deltas.drain(..) {
-            arena.put(d);
-        }
-    }
-}
-
-/// The coordinator's conflict check: which live-in cells must be
-/// re-checked against architected state before trusting a pre-verify
-/// summary taken at sequence `seq`.
-///
-/// Always includes the worker-reported failures; adds every live-in
-/// intersecting a delta committed at or after `seq` (the summary could
-/// not have seen those commits, so it is stale for exactly those cells).
-/// An empty return means the summary alone decides the memoization test.
-///
-/// A `seq` older than the log's retained window demands a **full**
-/// re-check: commits in `[seq, start)` are gone, so the suffix probe can
-/// no longer prove any live-in fresh. (Compaction keeps the window at or
-/// below every in-flight spawn seq, but this function must not silently
-/// clamp if that invariant is ever violated — clamping skipped exactly
-/// the commits the task never saw.)
-fn cells_to_recheck(live_ins: &Delta, failed: &[Cell], log: &CommitLog, seq: u64) -> Vec<Cell> {
-    if seq < log.start {
-        return live_ins.iter_masked().map(|(c, _)| c).collect();
-    }
-    if failed.is_empty() && !log.suffix(seq).any(|d| live_ins.intersects(d)) {
-        return Vec::new();
-    }
-    let mut cells: Vec<Cell> = failed.to_vec();
-    for delta in log.suffix(seq) {
-        cells.extend(live_ins.intersecting_cells(delta));
-    }
-    cells.sort_unstable();
-    cells.dedup();
-    cells
-}
-
-/// Worker-side pre-verification: compares each recorded live-in against
-/// the view the task executed from (`view` = folded committed deltas
-/// over `base`), returning the cells whose bytes disagree.
-///
-/// Live-ins satisfied from the master's *prediction* overlay usually land
-/// here (the view has no reason to agree with a prediction) — that is
-/// conservative, not wasteful: the coordinator re-checks exactly those
-/// cells, which is the check the paper's verify unit performs anyway.
-fn pre_verify(live_ins: &Delta, view: Option<&Delta>, base: &MachineState) -> Vec<Cell> {
-    let mut failed = Vec::new();
-    for (cell, m) in live_ins.iter_masked() {
-        let mut out = 0u64;
-        let mut need = m.mask;
-        if let Some(p) = view.and_then(|v| v.get_masked(cell)) {
-            let take = need & p.mask;
-            out |= p.value & expand_mask(take);
-            need &= !take;
-        }
-        if need != 0 {
-            out |= base.read_cell(cell) & expand_mask(need);
-        }
-        if out != m.value {
-            failed.push(cell);
-        }
-    }
-    failed
 }
 
 /// Non-blocking dispatch of every per-worker outbox into its ring, one
@@ -365,12 +242,6 @@ fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
 /// during non-speculative recovery or a recovery segment exceeds its cap,
 /// and [`ThreadedError::WorkerDied`] if a worker or master thread
 /// panics.
-///
-/// # Panics
-///
-/// Panics only when `config.cross_check_commits` detects the fast path
-/// diverging from the [`verify_and_commit`] oracle (a bug, not an input
-/// condition).
 pub fn run_threaded(
     original: &Program,
     distilled: &Distilled,
@@ -546,10 +417,9 @@ fn run_threaded_inner(
     })
 }
 
-/// Worker thread body: execute tasks against their spawn-time view, then
-/// pre-verify the recorded live-ins against that same view. The loop is
-/// allocation-free: every buffer it touches arrives in the work item and
-/// leaves in the result.
+/// Worker thread body: execute tasks against their dispatch-time view.
+/// The loop is allocation-free: every buffer it touches arrives in the
+/// work item and leaves in the result.
 fn worker_loop(
     original: &Program,
     rules: SegmentRules<'_>,
@@ -567,7 +437,7 @@ fn worker_loop(
         // The committed view layers *below* the master's prediction
         // segments (committed state is older than any prediction) and
         // *above* the base snapshot, reproducing architected state as of
-        // the spawn sequence number.
+        // the task's dispatch.
         let committed = if view.is_empty() { None } else { Some(&view) };
         // The hot loop: no lock, no shared mutable state. The closure
         // polls the epoch so squashed work is dropped at entry, at the
@@ -579,13 +449,6 @@ fn worker_loop(
             // the worker notices.
             current_epoch.load(Ordering::Relaxed) != epoch
         });
-        let failed = match end {
-            TaskEnd::Boundary(_) | TaskEnd::Halted(_) => {
-                pre_verify(&task.live_ins, committed, &base)
-            }
-            // Overruns/faults squash before live-ins are consulted.
-            TaskEnd::Overrun | TaskEnd::Fault => Vec::new(),
-        };
         // The coordinator never reads the overlay; drop it here to spare
         // the commit path the refcount churn.
         task.overlay = Vec::new();
@@ -593,7 +456,6 @@ fn worker_loop(
             epoch,
             task,
             end,
-            failed,
             view,
         };
         if coord_tx.send(CoordMsg::Result(result)).is_err() {
@@ -666,17 +528,12 @@ fn master_thread(
                 }
             };
             match msg {
-                CtrlMsg::Restart {
-                    gen,
-                    pc,
-                    base,
-                    swap,
-                } => {
+                CtrlMsg::Restart { gen, base, swap } => {
                     if let Some(d) = swap {
                         swapped = Some(d);
                     }
                     let cur_d = swapped.as_deref().unwrap_or(distilled);
-                    cur = Some((gen, Master::restart_at(cur_d, pc, true, *base)));
+                    cur = Some((gen, Master::restart_at(cur_d, base.pc(), true, *base)));
                     last_spawned = None;
                     steps_since_spawn = 0;
                     stall_reported = false;
@@ -738,9 +595,8 @@ fn master_thread(
 }
 
 /// The verify/commit coordinator, the threaded driver of the protocol
-/// core: owns architected state, dispatches spawns to workers, and commits
-/// results in order doing O(write-set) work per task with no steady-state
-/// allocation.
+/// core: owns architected state, dispatches spawns to workers, and presents
+/// their results to [`verify_and_commit`] in spawn order.
 struct Coordinator<'a> {
     original: &'a Program,
     /// Recovery-segment rules (the cap is `max_recovery_instrs`).
@@ -753,22 +609,17 @@ struct Coordinator<'a> {
 
     arena: DeltaArena,
     arch: MachineState,
-    /// The logical architected PC: `arch` itself may lag behind by the
-    /// unapplied commit-log suffix, but `virt_pc` never does, so the
-    /// wrong-path check needs no flush.
-    virt_pc: u64,
+    /// Last materialized snapshot of `arch`, shared with every dispatch.
     base: Arc<MachineState>,
-    base_seq: u64,
-    /// Commits at or above this sequence are not yet applied to `arch`.
-    applied_seq: u64,
-    log: CommitLog,
-    /// Superimposition of log entries in [base_seq, seq): the committed
+    /// Superimposition of the writes committed since `base`: the committed
     /// view cloned into every spawn. Maintained incrementally per commit.
     folded: Delta,
+    /// Commits, and their write cells, folded since `base`.
+    pending_deltas: u64,
     pending_cells: usize,
     epoch: u64,
-    /// (task id, spawn sequence number), in spawn = commit order.
-    in_flight: VecDeque<(u64, u64)>,
+    /// Task ids in spawn = commit order.
+    in_flight: VecDeque<u64>,
     /// Finished-but-uncommitted results; the window is tiny (≤ 2×slaves),
     /// so a linear scan beats a map and reuses its capacity forever.
     done: Vec<(u64, WorkResult)>,
@@ -801,13 +652,10 @@ impl<'a> Coordinator<'a> {
             ctrl_tx,
             unit,
             arena: DeltaArena::new(),
-            virt_pc: arch.pc(),
             base: Arc::new(arch.clone()),
             arch,
-            base_seq: 0,
-            applied_seq: 0,
-            log: CommitLog::default(),
             folded: Delta::new(),
+            pending_deltas: 0,
             pending_cells: 0,
             epoch: 0,
             in_flight: VecDeque::new(),
@@ -826,18 +674,14 @@ impl<'a> Coordinator<'a> {
             self.drain()?;
 
             // Verify/commit in order.
-            while let Some(&(oldest_id, task_seq)) = self.in_flight.front() {
+            while let Some(&oldest_id) = self.in_flight.front() {
                 let Some(pos) = self.done.iter().position(|&(id, _)| id == oldest_id) else {
                     break;
                 };
                 let (_, result) = self.done.swap_remove(pos);
                 self.in_flight.pop_front();
-                let (verdict, rechecked) = self.verdict(&result, task_seq);
-                let shadow = self.oracle(&result, verdict);
-                match verdict {
-                    VerifyOutcome::Commit { end_pc, halted } => {
-                        self.commit(result, rechecked, end_pc, halted, shadow)?;
-                    }
+                match verify_and_commit(&mut self.arch, &result.task, result.end) {
+                    VerifyOutcome::Commit { halted, .. } => self.commit(result, halted)?,
                     VerifyOutcome::Squash(reason) => self.squash(reason, result)?,
                 }
                 if self.halted {
@@ -850,19 +694,7 @@ impl<'a> Coordinator<'a> {
             if !self.halted && self.in_flight.is_empty() && self.master_stalled {
                 self.recover_and_restart(None, true)?;
             }
-
-            // Compact the commit log: keep entries any in-flight task's
-            // conflict check or the unapplied/unfolded suffix could still
-            // reference. `base_seq ≤ applied_seq` always, so the keep
-            // bound also protects the flush suffix.
-            let keep = self
-                .in_flight
-                .front()
-                .map_or_else(|| self.log.seq(), |&(_, seq)| seq)
-                .min(self.base_seq);
-            self.log.compact(keep, &mut self.arena);
         }
-        self.flush();
         Ok(self.arch)
     }
 
@@ -877,7 +709,7 @@ impl<'a> Coordinator<'a> {
             let oldest_ready = self
                 .in_flight
                 .front()
-                .is_some_and(|&(id, _)| self.done.iter().any(|&(d, _)| d == id));
+                .is_some_and(|&id| self.done.iter().any(|&(d, _)| d == id));
             let starved = self.in_flight.is_empty() && self.master_stalled;
             if oldest_ready || starved || received {
                 if self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
@@ -938,7 +770,7 @@ impl<'a> Coordinator<'a> {
     /// Queues the task the master spawned at `start_pc` for the next
     /// worker, round-robin, with the current committed view.
     fn dispatch(&mut self, id: u64, start_pc: u64, mut overlay: Vec<Arc<Delta>>) {
-        self.in_flight.push_back((id, self.log.seq()));
+        self.in_flight.push_back(id);
         let mut view = self.arena.take();
         view.clone_from(&self.folded);
         let predicted = self.unit.spawn(start_pc, &mut overlay);
@@ -960,110 +792,24 @@ impl<'a> Coordinator<'a> {
         self.next_worker = (self.next_worker + 1) % self.work_txs.len();
     }
 
-    /// Applies the unapplied commit-log suffix to `arch` as one
-    /// superimposition and restores the logical PC. Idempotent.
-    fn flush(&mut self) {
-        if self.applied_seq < self.log.seq() {
-            self.arch.apply_batch(self.log.suffix(self.applied_seq));
-            self.applied_seq = self.log.seq();
-        }
-        self.arch.set_pc(self.virt_pc);
-    }
-
-    /// The fast-path verdict on the oldest finished task (spawned at
-    /// commit sequence `task_seq`) and the live-ins re-checked to reach
-    /// it: O(write-set) work, the oracle's precedence (wrong path,
-    /// overrun/fault, then the memoization test over exactly the
-    /// stale/failed cells).
-    fn verdict(&mut self, result: &WorkResult, task_seq: u64) -> (VerifyOutcome, u64) {
-        let task = &result.task;
-        if task.start_pc != self.virt_pc {
-            return (VerifyOutcome::Squash(SquashReason::WrongPath), 0);
-        }
-        let (end_pc, halted) = match result.end {
-            TaskEnd::Overrun => return (VerifyOutcome::Squash(SquashReason::Overrun), 0),
-            TaskEnd::Fault => return (VerifyOutcome::Squash(SquashReason::Fault), 0),
-            TaskEnd::Boundary(pc) => (pc, false),
-            TaskEnd::Halted(pc) => (pc, true),
-        };
-        let recheck = cells_to_recheck(&task.live_ins, &result.failed, &self.log, task_seq);
-        let rechecked = recheck.len() as u64;
-        if !recheck.is_empty() {
-            self.flush();
-        }
-        for &cell in &recheck {
-            let Some(m) = task.live_ins.get_masked(cell) else {
-                continue; // a failed cell later overwritten? impossible, but harmless
-            };
-            if self.arch.read_cell(cell) & expand_mask(m.mask) != m.value {
-                return (
-                    VerifyOutcome::Squash(SquashReason::LiveInMismatch),
-                    rechecked,
-                );
-            }
-        }
-        (VerifyOutcome::Commit { end_pc, halted }, rechecked)
-    }
-
-    /// Differential-testing mode (`cross_check_commits`): replays the
-    /// decision through the oracle on a clone and demands the same
-    /// verdict; returns the oracle's state for `commit` to compare.
-    fn oracle(&mut self, result: &WorkResult, verdict: VerifyOutcome) -> Option<MachineState> {
-        if !self.unit.config.cross_check_commits {
-            return None;
-        }
-        self.flush();
-        let mut shadow = self.arch.clone();
-        let oracle_verdict = verify_and_commit(&mut shadow, &result.task, result.end);
-        assert_eq!(
-            verdict, oracle_verdict,
-            "threaded fast path diverged from verify_and_commit oracle on task {}",
-            result.task.id.0
-        );
-        Some(shadow)
-    }
-
-    /// Commits the oldest task: its writes join the commit log and the
-    /// committed view, the master is told, and a ready hot-swap installs.
-    fn commit(
-        &mut self,
-        result: WorkResult,
-        rechecked: u64,
-        end_pc: u64,
-        halted: bool,
-        shadow: Option<MachineState>,
-    ) -> Result<(), ThreadedError> {
-        let WorkResult { mut task, view, .. } = result;
-        self.unit.commit(&task, rechecked);
-        let stats = &mut self.unit.stats;
-        stats.live_ins_skipped += (task.live_ins.len() as u64).saturating_sub(rechecked);
-        if rechecked == 0 {
-            stats.pre_verified_tasks += 1;
-        }
-        self.pending_cells += task.writes.len();
-        self.folded.superimpose_in_place(&task.writes);
-        self.log.push(std::mem::take(&mut task.writes));
-        self.arena.put(std::mem::take(&mut task.live_ins));
-        self.arena.put(view);
-        self.virt_pc = end_pc;
-        if let Some(shadow) = &shadow {
-            self.flush();
-            assert_eq!(
-                &self.arch, shadow,
-                "threaded fast path committed state diverged from oracle"
-            );
-        }
+    /// The oldest task passed the oracle and its writes are architected:
+    /// they join the committed view, the master is told, and a ready
+    /// hot-swap installs.
+    fn commit(&mut self, result: WorkResult, halted: bool) -> Result<(), ThreadedError> {
+        self.unit.commit(&result.task);
+        self.pending_deltas += 1;
+        self.pending_cells += result.task.writes.len();
+        self.folded.superimpose_in_place(&result.task.writes);
+        let task_id = result.task.id.0;
+        recycle_result(&mut self.arena, result);
         let committed = CtrlMsg::Committed {
             gen: self.epoch,
-            task_id: task.id.0,
+            task_id,
         };
         if self.ctrl_tx.send(committed).is_err() {
             return Err(ThreadedError::WorkerDied);
         }
-        if self.log.seq() - self.base_seq >= MAX_PENDING_DELTAS
-            || self.pending_cells >= MAX_PENDING_CELLS
-        {
-            self.flush();
+        if self.pending_deltas >= MAX_PENDING_DELTAS || self.pending_cells >= MAX_PENDING_CELLS {
             self.rebase();
         } else {
             self.unit.stats.deltas_published += 1;
@@ -1084,9 +830,6 @@ impl<'a> Coordinator<'a> {
 
     /// Squashes the oldest task and everything younger, then recovers.
     fn squash(&mut self, reason: SquashReason, result: WorkResult) -> Result<(), ThreadedError> {
-        // `arch` must carry every commit before the unit reads it: the
-        // predictor may train only on verified architected truth.
-        self.flush();
         let (younger, executed) = self.in_flight_work();
         let dying = (younger + 1, executed + result.task.executed);
         self.unit.squash(reason, &result.task, &self.arch, dying);
@@ -1115,17 +858,14 @@ impl<'a> Coordinator<'a> {
             recycle_result(&mut self.arena, r);
         }
         self.master_stalled = false;
-        self.flush();
         while recover && !self.halted {
             let (executed, halted) =
                 RecoverySegment::run(self.unit, self.original, &mut self.arch, &self.rules)?;
-            self.virt_pc = self.arch.pc();
             self.halted = halted;
             if self.unit.recovered(executed) == AfterRecovery::RestartMaster {
                 break;
             }
         }
-        self.log.clear_window(&mut self.arena);
         self.rebase();
         if self.halted {
             return Ok(());
@@ -1145,12 +885,12 @@ impl<'a> Coordinator<'a> {
         (self.in_flight.len() as u64, executed)
     }
 
-    /// Materializes a fresh base snapshot from the (flushed) architected
-    /// state; the committed view starts over empty.
+    /// Materializes a fresh base snapshot from architected state; the
+    /// committed view starts over empty.
     fn rebase(&mut self) {
         self.base = Arc::new(self.arch.clone());
-        self.base_seq = self.log.seq();
         self.folded.clear();
+        self.pending_deltas = 0;
         self.pending_cells = 0;
         self.unit.stats.snapshots_materialized += 1;
     }
@@ -1160,7 +900,6 @@ impl<'a> Coordinator<'a> {
     fn send_restart(&mut self, swap: Option<Arc<Distilled>>) -> Result<(), ThreadedError> {
         let restart = CtrlMsg::Restart {
             gen: self.epoch,
-            pc: self.virt_pc,
             base: Box::new(self.arch.clone()),
             swap,
         };
@@ -1196,10 +935,6 @@ mod tests {
         let profile = Profile::collect(&p, u64::MAX).unwrap();
         let d = distill(&p, &profile, &DistillConfig::default()).unwrap();
         (p, d)
-    }
-
-    fn delta(pairs: &[(Cell, u64)]) -> Delta {
-        pairs.iter().copied().collect()
     }
 
     /// Regression test for the outbox dispatch contract: a short send
@@ -1291,128 +1026,17 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_mode_agrees_with_oracle_end_to_end() {
-        let (p, d) = fixture();
-        let cfg = EngineConfig {
-            num_slaves: 2,
-            cross_check_commits: true,
-            ..EngineConfig::default()
-        };
-        let run = run_threaded(&p, &d, cfg).unwrap();
-        let mut seq = SeqMachine::boot(&p);
-        seq.run(u64::MAX).unwrap();
-        assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
-    }
-
-    #[test]
-    fn fast_path_skips_live_ins_and_publishes_deltas() {
+    fn commits_are_published_as_deltas_not_snapshots() {
         let (p, d) = fixture();
         let run = run_threaded(&p, &d, EngineConfig::default()).unwrap();
-        // Live-ins resolved from the unchanging base (e.g. SP) are proven
-        // by pre-verification and never re-checked.
-        assert!(run.stats.live_ins_skipped > 0, "{:?}", run.stats);
-        // Most commits ride the log; snapshots only at thresholds.
+        // Most commits ride the committed view; snapshots only at
+        // thresholds and squashes.
         assert!(run.stats.deltas_published > 0, "{:?}", run.stats);
         assert!(
             run.stats.snapshots_materialized < run.stats.committed_tasks,
             "{:?}",
             run.stats
         );
-        assert!(run.stats.recheck_ratio() < 1.0, "{:?}", run.stats);
-    }
-
-    #[test]
-    fn commit_log_is_a_sliding_window_with_monotonic_seq() {
-        let mut arena = DeltaArena::new();
-        let mut log = CommitLog::default();
-        assert_eq!(log.seq(), 0);
-        log.push(delta(&[(Cell::Mem(0), 1)]));
-        log.push(delta(&[(Cell::Mem(1), 2)]));
-        log.push(delta(&[(Cell::Mem(2), 3)]));
-        assert_eq!(log.seq(), 3);
-        assert_eq!(log.suffix(1).count(), 2);
-        log.compact(2, &mut arena);
-        assert_eq!(log.seq(), 3); // seq unaffected by compaction
-        assert_eq!(log.suffix(2).count(), 1);
-        assert_eq!(arena.pooled(), 2, "compacted entries return to the pool");
-        log.clear_window(&mut arena);
-        assert_eq!(log.seq(), 3);
-        assert_eq!(log.suffix(3).count(), 0);
-        assert_eq!(arena.pooled(), 3);
-    }
-
-    #[test]
-    fn stale_preverify_summary_is_rechecked_never_trusted() {
-        // A task pre-verified at sequence 0; afterwards a commit wrote
-        // one of its live-in cells. The clean summary must not be
-        // trusted for that cell.
-        let live_ins: Delta = [(Cell::Mem(1), 5), (Cell::Reg(Reg::A0), 2)]
-            .into_iter()
-            .collect();
-        let mut log = CommitLog::default();
-        log.push(delta(&[(Cell::Mem(1), 9)])); // conflicting commit, seq 0
-        assert_eq!(
-            cells_to_recheck(&live_ins, &[], &log, 0),
-            vec![Cell::Mem(1)],
-            "summary older than a conflicting commit must be re-checked"
-        );
-        // A summary taken *after* that commit saw it: nothing to re-check.
-        assert!(cells_to_recheck(&live_ins, &[], &log, 1).is_empty());
-        // Worker-reported failures are re-checked regardless of staleness.
-        assert_eq!(
-            cells_to_recheck(&live_ins, &[Cell::Reg(Reg::A0)], &log, 1),
-            vec![Cell::Reg(Reg::A0)]
-        );
-        // Both sources merge, sorted and deduplicated.
-        let both = cells_to_recheck(&live_ins, &[Cell::Mem(1), Cell::Reg(Reg::A0)], &log, 0);
-        assert_eq!(both, vec![Cell::Reg(Reg::A0), Cell::Mem(1)]);
-    }
-
-    #[test]
-    fn window_pruned_past_task_forces_full_recheck() {
-        // Regression: a task spawned at seq 0, then the window is
-        // compacted to start = 2 — dropping a seq-1 commit that wrote one
-        // of the task's live-ins. The old `saturating_sub` clamped the
-        // suffix probe to the window head, found no intersection in the
-        // *retained* entries, and trusted a summary that never saw the
-        // conflicting commit.
-        let live_ins: Delta = [(Cell::Mem(1), 5), (Cell::Reg(Reg::A0), 2)]
-            .into_iter()
-            .collect();
-        let mut arena = DeltaArena::new();
-        let mut log = CommitLog::default();
-        log.push(delta(&[(Cell::Mem(7), 1)])); // seq 0: disjoint
-        log.push(delta(&[(Cell::Mem(1), 9)])); // seq 1: conflicts!
-        log.push(delta(&[(Cell::Mem(8), 2)])); // seq 2: disjoint
-        log.compact(2, &mut arena); // prune past the in-flight task
-
-        // seq 0 predates the window: every live-in must be re-checked
-        // even though the retained suffix intersects none of them.
-        assert_eq!(
-            cells_to_recheck(&live_ins, &[], &log, 0),
-            vec![Cell::Reg(Reg::A0), Cell::Mem(1)],
-            "a spawn seq below the window start demands a full re-check"
-        );
-        // At the window start the precise suffix probe still applies.
-        assert!(cells_to_recheck(&live_ins, &[], &log, 2).is_empty());
-    }
-
-    #[test]
-    fn pre_verify_resolves_view_over_base() {
-        let mut base = MachineState::new();
-        base.store_word(1, 10);
-        base.store_word(2, 20);
-        let view: Delta = [(Cell::Mem(2), 22)].into_iter().collect();
-        // Live-ins matching view-over-base pass.
-        let ok: Delta = [(Cell::Mem(1), 10), (Cell::Mem(2), 22)]
-            .into_iter()
-            .collect();
-        assert!(pre_verify(&ok, Some(&view), &base).is_empty());
-        // A live-in holding the *base* value of a view-overridden cell
-        // fails: the task could not have read 20 from this view.
-        let stale: Delta = [(Cell::Mem(2), 20)].into_iter().collect();
-        assert_eq!(pre_verify(&stale, Some(&view), &base), vec![Cell::Mem(2)]);
-        assert!(pre_verify(&stale, None, &base).is_empty());
     }
 
     /// A recompiler for tests: re-runs the pinned-boundary pipeline on

@@ -1,8 +1,8 @@
 //! A recycling pool for [`Delta`] buffers.
 //!
 //! The threaded MSSP executor creates and discards a `Delta` for every
-//! task it dispatches (the committed-state view), every task a worker
-//! runs (live-ins, writes), and every commit it logs. With a naive
+//! task it dispatches (the committed-state view) and every task a worker
+//! runs (live-ins, writes). With a naive
 //! allocate-per-task scheme those maps dominate the hot path's heap
 //! traffic. [`DeltaArena`] turns that traffic into pointer swaps: a
 //! bounded free list of cleared-but-capacitated `Delta`s that callers

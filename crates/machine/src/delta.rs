@@ -554,34 +554,6 @@ impl Delta {
             (actual != m.value).then_some((c, m.value, actual))
         })
     }
-
-    /// Whether any cell bound in `self` is also bound in `other` — the
-    /// commit-path conflict test. Registers are one AND of the bound
-    /// bitmaps; for the rest the smaller set's sorted keys are probed
-    /// into the larger, so the common disjoint case costs
-    /// O(min·log max) with no allocation.
-    #[must_use]
-    pub fn intersects(&self, other: &Delta) -> bool {
-        if self.bank().bound & other.bank().bound != 0 {
-            return true;
-        }
-        let (probe, index) = if self.cells.len() <= other.cells.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        probe.cells.iter().any(|&(c, _)| index.find(c).is_ok())
-    }
-
-    /// The cells bound in both `self` and `other`, in `self`'s cell
-    /// order. Byte masks are deliberately ignored: for conflict detection
-    /// a cell-granular answer is conservative and cheap.
-    pub fn intersecting_cells<'a>(&'a self, other: &'a Delta) -> impl Iterator<Item = Cell> + 'a {
-        let both = self.bank().bound & other.bank().bound;
-        let regs = Bits(both).map(|i| Cell::Reg(Reg::new(i as u8)));
-        let rest = self.cells.iter().map(|&(c, _)| c);
-        regs.chain(rest.filter(|&c| other.find(c).is_ok()))
-    }
 }
 
 impl FromIterator<(Cell, u64)> for Delta {
@@ -729,34 +701,6 @@ mod tests {
         let consistent = d(&[(Cell::Reg(Reg::A1), 0)]);
         assert_eq!(consistent.first_mismatch_against(&state), None);
         assert!(consistent.mismatches_against(&state).is_empty());
-    }
-
-    #[test]
-    fn intersects_is_cell_granular_and_symmetric() {
-        let a = d(&[(Cell::Mem(0), 1), (Cell::Reg(Reg::A0), 2)]);
-        let b = d(&[(Cell::Mem(0), 9), (Cell::Mem(5), 3)]);
-        let c = d(&[(Cell::Mem(1), 4), (Cell::Pc, 5)]);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        assert!(!c.intersects(&a));
-        assert!(!a.intersects(&Delta::new()));
-        assert!(!Delta::new().intersects(&a));
-        // Different byte masks on the same cell still intersect.
-        let mut lo = Delta::new();
-        lo.set_bytes(Cell::Mem(8), 0x11, 0x01);
-        let mut hi = Delta::new();
-        hi.set_bytes(Cell::Mem(8), 0x2200, 0x02);
-        assert!(lo.intersects(&hi));
-    }
-
-    #[test]
-    fn intersecting_cells_lists_common_cells_in_order() {
-        let a = d(&[(Cell::Mem(0), 1), (Cell::Mem(2), 2), (Cell::Pc, 3)]);
-        let b = d(&[(Cell::Mem(2), 9), (Cell::Pc, 8), (Cell::Mem(9), 7)]);
-        let common: Vec<Cell> = a.intersecting_cells(&b).collect();
-        assert_eq!(common, vec![Cell::Pc, Cell::Mem(2)]);
-        assert_eq!(a.intersecting_cells(&Delta::new()).count(), 0);
     }
 
     #[test]

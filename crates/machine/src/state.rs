@@ -146,26 +146,6 @@ impl MachineState {
         }
     }
 
-    /// Applies a run of deltas as **one** superimposition:
-    /// `self ← d₁ ← d₂ ← …` collapses to `self ← (d₁ ← d₂ ← …)` by the
-    /// associativity of superimposition (Definition 8), so a burst of
-    /// consecutive clean commits touches each affected cell once instead
-    /// of once per commit. A single delta is applied directly with no
-    /// intermediate merge.
-    pub fn apply_batch<'a>(&mut self, deltas: impl IntoIterator<Item = &'a Delta>) {
-        let mut it = deltas.into_iter();
-        let Some(first) = it.next() else { return };
-        let Some(second) = it.next() else {
-            self.apply(first);
-            return;
-        };
-        let mut merged = first.superimpose(second);
-        for d in it {
-            merged.superimpose_in_place(d);
-        }
-        self.apply(&merged);
-    }
-
     /// Captures the current values of the cells bound in `cells` — the
     /// projection of this state onto a cell set.
     #[must_use]
@@ -379,38 +359,6 @@ mod tests {
             b.write_cell(c, v);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn apply_batch_equals_sequential_applies() {
-        let mut d1 = Delta::new();
-        d1.set(Cell::Reg(Reg::A0), 1);
-        d1.set(Cell::Mem(3), 30);
-        d1.set_bytes(Cell::Mem(4), 0xAA, 0x01);
-        let mut d2 = Delta::new();
-        d2.set(Cell::Reg(Reg::A0), 2); // overwrites d1's binding
-        d2.set_bytes(Cell::Mem(4), 0xBB00, 0x02); // different byte of same word
-        let mut d3 = Delta::new();
-        d3.set(Cell::Mem(9), 90);
-
-        let mut one_by_one = MachineState::new();
-        one_by_one.store_word(4, 0x1122_3344);
-        let mut batched = one_by_one.clone();
-        for d in [&d1, &d2, &d3] {
-            one_by_one.apply(d);
-        }
-        batched.apply_batch([&d1, &d2, &d3]);
-        assert_eq!(one_by_one, batched);
-
-        // Degenerate arities.
-        let mut empty = MachineState::new();
-        empty.apply_batch(std::iter::empty::<&Delta>());
-        assert_eq!(empty, MachineState::new());
-        let mut single = MachineState::new();
-        single.apply_batch([&d1]);
-        let mut direct = MachineState::new();
-        direct.apply(&d1);
-        assert_eq!(single, direct);
     }
 
     #[test]

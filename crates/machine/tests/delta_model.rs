@@ -120,10 +120,6 @@ fn assert_matches(delta: &Delta, model: &Model, cells: &[Cell]) {
 
 /// The binary operators of `a` against `b` agree with the two models.
 fn assert_relations(a: &Delta, ma: &Model, b: &Delta, mb: &Model) {
-    let common: Vec<Cell> = ma.keys().filter(|c| mb.contains_key(c)).copied().collect();
-    assert_eq!(a.intersects(b), !common.is_empty());
-    assert_eq!(b.intersects(a), !common.is_empty());
-    assert_eq!(a.intersecting_cells(b).collect::<Vec<_>>(), common);
     let consistent = ma.iter().all(|(c, m)| {
         mb.get(c)
             .is_some_and(|o| o.mask & m.mask == m.mask && o.value & expand_mask(m.mask) == m.value)

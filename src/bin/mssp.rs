@@ -153,10 +153,9 @@ fn cmd_run(
     println!("checksum(s1): {:#x}", m.state().reg(Reg::S1));
     println!("final pc:     {:#x}", m.state().pc());
     if stats || adaptive {
-        // Re-run under the threaded executor and report the O(delta)
-        // verify/commit counters: how much of the memoization test the
-        // coordinator actually performed, and how architected snapshots
-        // were published to workers.
+        // Re-run under the threaded executor and report its verify/commit
+        // counters, including how architected snapshots were published
+        // to workers.
         let prof = Profile::collect(&p, u64::MAX).map_err(|e| e.to_string())?;
         let d = distill(&p, &prof, &DistillConfig::default()).map_err(|e| e.to_string())?;
         let engine_config = EngineConfig {
@@ -190,27 +189,14 @@ fn cmd_run(
         } else {
             run_threaded(&p, &d, engine_config).map_err(|e| e.to_string())?
         };
-        if run.state.reg(Reg::S1) != m.state().reg(Reg::S1) {
-            return Err("threaded checksum mismatch — correctness bug".into());
+        if &run.state != m.state() {
+            return Err("threaded state mismatch — correctness bug".into());
         }
         let s = &run.stats;
         println!("threaded verify/commit ({:?} wall-clock):", run.elapsed);
         println!(
-            "  tasks: {} spawned, {} committed, {} pre-verified ({:.1}%)",
-            s.spawned_tasks,
-            s.committed_tasks,
-            s.pre_verified_tasks,
-            if s.committed_tasks == 0 {
-                0.0
-            } else {
-                100.0 * s.pre_verified_tasks as f64 / s.committed_tasks as f64
-            }
-        );
-        println!(
-            "  live-ins: {} re-checked, {} skipped (re-check ratio {:.3})",
-            s.live_ins_rechecked,
-            s.live_ins_skipped,
-            s.recheck_ratio()
+            "  tasks: {} spawned, {} committed",
+            s.spawned_tasks, s.committed_tasks
         );
         println!(
             "  snapshots: {} materialized, {} incremental deltas published",

@@ -7,7 +7,6 @@ use mssp::prelude::*;
 
 #[test]
 fn threaded_matches_sequential_for_all_workloads() {
-    let mut recheck_ratios = Vec::new();
     for w in workloads() {
         let program = w.program(1_000);
         let mut seq = SeqMachine::boot(&program);
@@ -22,15 +21,7 @@ fn threaded_matches_sequential_for_all_workloads() {
             "{} diverged under the threaded executor",
             w.name
         );
-        recheck_ratios.push(run.stats.recheck_ratio());
     }
-    // The O(delta) commit pipeline: workers pre-verify against their
-    // spawn snapshot, so across the suite the coordinator re-checks at
-    // most half of the live-in cells tasks recorded. Geomean, not per
-    // workload: how many commits land between a spawn and its verdict
-    // depends on scheduling, and single workloads reach ~0.5.
-    let recheck = mssp::stats::geomean(&recheck_ratios);
-    assert!(recheck <= 0.5, "geomean recheck ratio {recheck:.3} > 0.5");
 }
 
 #[test]

@@ -157,16 +157,14 @@ fn threaded_survives_wrong_asserted_branches() {
 
 #[test]
 fn fast_path_matches_engine_on_squash_heavy_wrong_branch_fuzz() {
-    // Differential test for the O(delta) commit pipeline: on adversarial
+    // Differential test for the threaded commit pipeline: on adversarial
     // distillations whose overlay predictions are wrong roughly half the
-    // time (squash-heavy by construction), the threaded fast path must
+    // time (squash-heavy by construction), the threaded executor must
     // agree with the discrete `Engine` on final state, committed
     // instruction count, and the squash-reason histogram at 1/2/4/8
-    // workers. `cross_check_commits` additionally replays every single
-    // verify/commit decision through the shared `verify_and_commit`
-    // oracle *in-run* and panics on any divergence in verdict or
-    // committed state — the per-decision guarantee the end-of-run
-    // comparison cannot give.
+    // workers. Both decide every task with the shared
+    // `verify_and_commit` oracle, so the oracle is the path under test,
+    // not a shadow.
     check(0x7EAD_0003, 6, |rng| {
         let iters = 100 + 37 * rng.gen_index(0, 12) as u64;
         let src = format!(
@@ -232,7 +230,6 @@ fn fast_path_matches_engine_on_squash_heavy_wrong_branch_fuzz() {
 
             let cfg = EngineConfig {
                 num_slaves: slaves,
-                cross_check_commits: true,
                 ..EngineConfig::default()
             };
             let run = run_threaded(&program, &d, cfg).expect("terminates");

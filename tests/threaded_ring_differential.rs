@@ -13,16 +13,16 @@
 //!   mis-recycled view is an instant live-in squash or, worse, a wrong
 //!   committed value);
 //! * a **long run** far past `MAX_PENDING_DELTAS`, cycling snapshot
-//!   materialization, commit-log compaction, and arena recycling many
+//!   materialization, committed-view resets and arena recycling many
 //!   times;
 //! * an **adversarial master** asserting the wrong branch arm, driving
 //!   squash/recovery (and its buffer-reclamation paths) under real
 //!   thread interleavings.
 //!
-//! `cross_check_commits` replays every verify/commit decision through
-//! the shared `verify_and_commit` oracle in-run and panics on any
-//! divergence — so a pass here certifies each decision, not just the
-//! end state.
+//! Both executors decide every task with the one `verify_and_commit`
+//! oracle, so the oracle is the path under test here, not a shadow: what
+//! this suite certifies is that the threaded coordinator presents it the
+//! same tasks against the same architected state as the discrete engine.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -64,7 +64,6 @@ fn assert_differential(program: &Program, d: &Distilled, label: &str) {
 
         let cfg = EngineConfig {
             num_slaves: slaves,
-            cross_check_commits: true,
             ..EngineConfig::default()
         };
         let run = run_threaded(program, d, cfg).expect("threaded terminates");
@@ -147,7 +146,7 @@ fn memory_recurrence_flows_through_the_committed_view() {
 #[test]
 fn long_run_cycles_snapshots_compaction_and_arena_recycling() {
     // Thousands of commits: far past MAX_PENDING_DELTAS, so the
-    // coordinator materializes snapshots, compacts the commit log, and
+    // coordinator materializes snapshots, resets the committed view and
     // recycles pooled deltas hundreds of times over.
     let program = assemble(
         "main:  addi s0, zero, 3000
