@@ -27,6 +27,29 @@
 //!   tasks, and the master.
 //! * **Recovery** re-executes the failed segment non-speculatively, one
 //!   instruction per step; the master restarts once it has committed.
+//!
+//! ## How it schedules
+//!
+//! Every component carries a *wake-up time*: the cycle at which it next
+//! has something to do, or `NEVER` while it waits for another component
+//! (a slave without a running task, a verify unit whose oldest task is
+//! still executing, a master whose pending spawn has no free slave).
+//! Simulated time jumps from one instant to the earliest wake-up; at an
+//! instant, one pass visits the components that are due, in priority
+//! order, and each acts at most once. A second pass at the same instant
+//! happens only when an event of the first left something due *now* — a
+//! zero-latency dispatch, a free commit followed by another, a squash
+//! with no penalty, a starved machine starting recovery — which the pass
+//! reads off the wake-up times it returns; a pass of plain instruction
+//! steps (cost at least 1) goes straight on to the next instant. Nothing
+//! is polled: a component that is not due is one comparison.
+//!
+//! Each slave holds at most one task, so the slave's slot *is* the
+//! task's home and the in-order window is a queue of slave indices;
+//! nothing ever searches for a task by id. The order of [`CostModel`]
+//! calls is part of the engine's contract (a model may share state
+//! between cores, as the timing model's L2 does), so the priority order
+//! and the same-instant repeat rule are pinned by `tests/engine_schedule.rs`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -157,18 +180,10 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-#[derive(Debug)]
-struct SlaveCtx {
-    busy_until: u64,
-    task: Option<TaskId>,
-}
-
-/// The recovery segment in progress and when its next instruction issues.
-#[derive(Debug)]
-struct Recovery {
-    segment: RecoverySegment,
-    busy_until: u64,
-}
+/// The wake-up time of a component with nothing to do: no task to run or
+/// verify, no segment to recover, no spawn it could place. Such a
+/// component is waiting for another one, not for the clock.
+const NEVER: u64 = u64::MAX;
 
 /// The MSSP machine.
 ///
@@ -214,14 +229,37 @@ pub struct Engine<'a, C> {
     arch_halted: bool,
 
     master: Master,
+    /// When the master's current instruction or spawn completes.
     master_busy_until: u64,
+    /// When the master next acts: `master_busy_until` while it is active
+    /// and has an instruction to run or a free slave for its pending
+    /// spawn, [`NEVER`] otherwise. Kept equal to [`Engine::master_due`].
+    master_wake: u64,
     master_since_spawn: u64,
     last_spawned: Option<u64>,
 
-    tasks: VecDeque<Task>,
-    slaves: Vec<SlaveCtx>,
-    recovery: Option<Recovery>,
+    /// One slot per slave core, holding the task it runs (or ran, until
+    /// the task commits). A slave holds at most one task, so the slot is
+    /// the task's home: nothing searches for it.
+    slaves: Vec<Option<Task>>,
+    /// When slave `i` issues its next instruction; [`NEVER`] once its
+    /// task is done, or while it has none.
+    slave_wake: Vec<u64>,
+    /// The in-order task window, oldest first, as the indices of the
+    /// slaves holding the tasks.
+    window: VecDeque<usize>,
+    /// The recovery segment in progress. The window is empty and the
+    /// master offline for as long as one runs.
+    recovery: Option<RecoverySegment>,
+    /// When the recovery segment's next instruction issues; [`NEVER`]
+    /// while there is none.
+    recovery_wake: u64,
+    /// When the verify unit's current commit or squash completes.
     verify_busy_until: u64,
+    /// When the verify unit next acts on the oldest task; [`NEVER`] while
+    /// that task is still running on the right path, or the window is
+    /// empty. Kept equal to [`Engine::verify_due`].
+    verify_wake: u64,
 
     next_task_id: u64,
     /// The protocol core: statistics, predictor, throttle, adaptive loop.
@@ -230,6 +268,8 @@ pub struct Engine<'a, C> {
     commit_trace: Option<Vec<u64>>,
     /// All-cause squash samples, recorded when diagnostics are on.
     squash_samples: Option<Vec<SquashSample>>,
+    /// Most samples `squash_samples` may hold.
+    squash_sample_cap: usize,
     /// Committed task sizes (instructions), recorded when enabled.
     task_sizes: Option<Vec<u64>>,
     /// The currently hot-swapped distilled program; `None` means the
@@ -256,6 +296,14 @@ pub struct SquashSample {
     pub cells: Vec<(Cell, u64, u64)>,
 }
 
+/// The oldest task in flight: the one the window's front slave holds.
+/// (A free function over the two fields, so callers can keep borrowing
+/// the rest of the engine.)
+fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'t Task> {
+    let &s = window.front()?;
+    Some(slaves[s].as_ref().expect("the window names held tasks"))
+}
+
 /// A master booted on `distilled` at `arch`'s PC, seeded with `arch`.
 fn master_at(distilled: &Distilled, arch: &MachineState) -> Master {
     Master::restart_at(distilled, arch.pc(), true, arch.clone())
@@ -276,7 +324,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     ) -> Engine<'a, C> {
         assert!(config.num_slaves > 0, "MSSP needs at least one slave");
         let arch = MachineState::boot(original);
-        Engine {
+        let mut engine = Engine {
             original,
             distilled,
             boundaries: BoundarySet::new(distilled.boundaries().clone()),
@@ -288,24 +336,26 @@ impl<'a, C: CostModel> Engine<'a, C> {
             arch,
             arch_halted: false,
             master_busy_until: 0,
+            master_wake: NEVER,
             master_since_spawn: 0,
             last_spawned: None,
-            tasks: VecDeque::new(),
-            slaves: (0..config.num_slaves)
-                .map(|_| SlaveCtx {
-                    busy_until: 0,
-                    task: None,
-                })
-                .collect(),
+            slaves: (0..config.num_slaves).map(|_| None).collect(),
+            slave_wake: vec![NEVER; config.num_slaves],
+            window: VecDeque::new(),
             recovery: None,
+            recovery_wake: NEVER,
             verify_busy_until: 0,
+            verify_wake: NEVER,
             next_task_id: 0,
             unit: CommitUnit::new(config),
             commit_trace: None,
             squash_samples: None,
+            squash_sample_cap: 0,
             task_sizes: None,
             swapped: None,
-        }
+        };
+        engine.master_wake = engine.master_due();
+        engine
     }
 
     /// Enables online adaptive re-distillation: `controller` detects
@@ -333,10 +383,13 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.task_sizes = Some(Vec::new());
     }
 
-    /// Enables recording of all-cause squash samples (first `cap` squash
-    /// events), for squash-attribution diagnostics.
+    /// Enables recording of all-cause squash samples — the first `cap`
+    /// squash events of the run, exactly; later ones are dropped — for
+    /// squash-attribution diagnostics. Memory grows with the samples
+    /// actually recorded, not with `cap`.
     pub fn enable_squash_samples(&mut self, cap: usize) {
-        self.squash_samples = Some(Vec::with_capacity(cap.min(1024)));
+        self.squash_samples = Some(Vec::new());
+        self.squash_sample_cap = cap;
     }
 
     /// Enables recording of the architected PC at every commit point.
@@ -368,23 +421,26 @@ impl<'a, C: CostModel> Engine<'a, C> {
     ///
     /// See [`EngineError`].
     pub fn run_returning_cost(mut self) -> Result<(MsspRun, C), EngineError> {
-        while !self.arch_halted {
-            if self.now > self.config.max_cycles {
-                return Err(EngineError::CycleLimit);
+        loop {
+            let next = self.pass()?;
+            #[cfg(debug_assertions)]
+            self.check_invariants(next);
+            if self.arch_halted {
+                break;
             }
-            let mut acted = false;
-            acted |= self.act_recovery()?;
-            if !self.arch_halted {
-                acted |= self.act_verify();
-            }
-            if !self.arch_halted {
-                for s in 0..self.slaves.len() {
-                    acted |= self.act_slave(s);
+            if next <= self.now {
+                // An event of this pass left something due at this very
+                // instant: the instant is not settled yet.
+            } else if next == NEVER {
+                // Starvation: no task, no recovery, and a master that
+                // cannot produce work. The next segment runs sequentially,
+                // starting at this instant.
+                self.start_recovery(0);
+            } else {
+                self.now = next;
+                if self.now > self.config.max_cycles {
+                    return Err(EngineError::CycleLimit);
                 }
-                acted |= self.act_master();
-            }
-            if !acted && !self.arch_halted {
-                self.advance_time();
             }
         }
         self.unit.stats.spawn_vetoes += self.master.take_vetoed_spawns();
@@ -404,35 +460,141 @@ impl<'a, C: CostModel> Engine<'a, C> {
         ))
     }
 
+    // ---- scheduling -----------------------------------------------------
+
+    /// One pass over the components that are due at `now`, in the fixed
+    /// priority order: recovery, verify unit, slaves ascending, master.
+    /// Returns the earliest wake-up time any component is left with
+    /// ([`NEVER`] if all of them wait for one another).
+    ///
+    /// What an earlier component does is visible to the later ones of the
+    /// same pass; what a later one does to an earlier one (a spawn that
+    /// gives a slave or the verify unit work at this instant, a squash
+    /// whose recovery starts at once) shows as a wake-up time not after
+    /// `now`, and the caller runs another pass.
+    fn pass(&mut self) -> Result<u64, EngineError> {
+        let now = self.now;
+        if self.recovery_wake <= now {
+            self.act_recovery()?;
+        }
+        if self.verify_wake <= now && !self.arch_halted {
+            self.act_verify();
+        }
+        if self.arch_halted {
+            return Ok(NEVER);
+        }
+        let mut next = NEVER;
+        for s in 0..self.slave_wake.len() {
+            if self.slave_wake[s] <= now {
+                self.act_slave(s);
+            }
+            next = next.min(self.slave_wake[s]);
+        }
+        if self.master_wake <= now {
+            // The one event that arms a slave after the scan passed it.
+            if let Some(slave) = self.act_master() {
+                next = next.min(self.slave_wake[slave]);
+            }
+        }
+        Ok(next
+            .min(self.recovery_wake)
+            .min(self.verify_wake)
+            .min(self.master_wake))
+    }
+
+    /// When the verify unit can next act, from scratch. Wrong-path
+    /// detection does not wait for the oldest task to finish.
+    fn verify_due(&self) -> u64 {
+        let Some(task) = oldest(&self.window, &self.slaves) else {
+            return NEVER;
+        };
+        match task.status {
+            _ if task.start_pc != self.arch.pc() => self.verify_busy_until,
+            TaskStatus::Done { done_at, .. } => self.verify_busy_until.max(done_at),
+            TaskStatus::Running => NEVER,
+        }
+    }
+
+    /// When the master can next act, from scratch: it needs to be active,
+    /// and a pending spawn needs a free slave.
+    fn master_due(&self) -> u64 {
+        let placeable =
+            self.master.pending_spawn().is_none() || self.window.len() < self.slaves.len();
+        if self.master.status() == MasterStall::Active && placeable {
+            self.master_busy_until
+        } else {
+            NEVER
+        }
+    }
+
+    /// The structural invariants of the scheduler, checked after every
+    /// pass in debug builds.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self, next: u64) {
+        let slaves = self.slave_wake.iter().copied().min().unwrap_or(NEVER);
+        let recomputed = slaves
+            .min(self.recovery_wake)
+            .min(self.verify_wake)
+            .min(self.master_wake);
+        assert!(self.arch_halted || next == recomputed, "stale next wake-up");
+        let mut previous = None;
+        for &s in &self.window {
+            let task = self.slaves[s]
+                .as_ref()
+                .expect("the window names held tasks");
+            assert!(previous < Some(task.id), "window out of spawn order");
+            previous = Some(task.id);
+        }
+        let held = self.slaves.iter().flatten().count();
+        assert_eq!(self.window.len(), held, "a held task is not in the window");
+        for (s, slot) in self.slaves.iter().enumerate() {
+            let wake = self.slave_wake[s];
+            match slot {
+                None => assert_eq!(wake, NEVER, "slave {s} runs without a task"),
+                Some(task) => {
+                    assert_eq!(task.slave, s, "task {:?} misnames its slave", task.id);
+                    assert_eq!(task.is_done(), wake == NEVER, "slave {s} running flag");
+                }
+            }
+            // A core that owes an instruction is armed relative to `now`.
+            assert!(wake >= self.now, "slave {s} is due in the past");
+        }
+        assert_eq!(self.recovery.is_some(), self.recovery_wake != NEVER);
+        assert!(
+            self.recovery_wake >= self.now,
+            "recovery is due in the past"
+        );
+        assert!(self.recovery.is_none() || self.window.is_empty());
+        // These two may lie in the past, but only because the unit waited
+        // for another component (a task to verify, a slave to free), which
+        // is exactly what the from-scratch answers say.
+        assert_eq!(self.verify_wake, self.verify_due(), "stale verify wake-up");
+        assert_eq!(self.master_wake, self.master_due(), "stale master wake-up");
+    }
+
     // ---- components -----------------------------------------------------
 
-    fn act_recovery(&mut self) -> Result<bool, EngineError> {
-        let Some(rec) = &mut self.recovery else {
-            return Ok(false);
-        };
-        if self.now < rec.busy_until {
-            return Ok(false);
-        }
+    fn act_recovery(&mut self) -> Result<(), EngineError> {
+        let segment = self.recovery.as_mut().expect("recovery is due");
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
             max_instrs: self.config.max_recovery_instrs,
         };
-        let (info, end) = rec
-            .segment
-            .step(&mut self.unit, self.original, &self.arch, &rules)?;
+        let (info, end) = segment.step(&mut self.unit, self.original, &self.arch, &rules)?;
         let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
-        rec.busy_until = self.now + cost;
+        self.recovery_wake = self.now + cost;
         self.unit.stats.recovery_busy_cycles += cost;
         if let Some(end) = end {
             self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
         }
-        Ok(true)
+        Ok(())
     }
 
     fn finish_recovery(&mut self, halted: bool) {
-        let rec = self.recovery.take().expect("recovery active");
-        let executed = rec.segment.commit(&mut self.arch);
+        let segment = self.recovery.take().expect("recovery active");
+        self.recovery_wake = NEVER;
+        let executed = segment.commit(&mut self.arch);
         if let Some(trace) = &mut self.commit_trace {
             trace.push(self.arch.pc());
         }
@@ -454,35 +616,26 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.try_adaptive_swap();
     }
 
-    fn act_verify(&mut self) -> bool {
-        if self.recovery.is_some() || self.now < self.verify_busy_until {
-            return false;
-        }
-        let Some(task) = self.tasks.front() else {
-            return false;
-        };
-        // Wrong-path detection does not wait for the task to finish.
+    fn act_verify(&mut self) {
+        let task = oldest(&self.window, &self.slaves).expect("verify is due on a task");
         if task.start_pc != self.arch.pc() {
             self.squash_and_recover(SquashReason::WrongPath);
-            return true;
+            return;
         }
-        let TaskStatus::Done { end, done_at } = task.status else {
-            return false;
+        let TaskStatus::Done { end, .. } = task.status else {
+            unreachable!("verify is due on a right-path task only once it is done");
         };
-        if self.now < done_at {
-            return false;
-        }
         match verify_and_commit(&mut self.arch, task, end) {
             VerifyOutcome::Squash(reason) => self.squash_and_recover(reason),
             VerifyOutcome::Commit { end_pc, halted } => self.commit_oldest(end_pc, halted),
         }
-        true
     }
 
     /// Task safety established and the commit superimposition applied:
     /// account for the oldest task and release its slave.
     fn commit_oldest(&mut self, end_pc: u64, halted: bool) {
-        let task = self.tasks.pop_front().expect("front exists");
+        let s = self.window.pop_front().expect("front exists");
+        let task = self.slaves[s].take().expect("the window names held tasks");
         let vcost = self.cost.verify_cost(task.live_ins.len());
         let ccost = self.cost.commit_cost(task.writes.len());
         self.verify_busy_until = self.now + vcost + ccost;
@@ -492,7 +645,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
             sizes.push(task.executed);
         }
         self.master.on_commit(task.id.0);
-        self.slaves[task.slave].task = None;
+        // The next task is the oldest now, and a master stalled on its
+        // pending spawn has a slave to place it on.
+        self.verify_wake = self.verify_due();
+        self.master_wake = self.master_due();
         if let Some(trace) = &mut self.commit_trace {
             trace.push(end_pc);
         }
@@ -505,81 +661,64 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    fn act_slave(&mut self, s: usize) -> bool {
-        if self.now < self.slaves[s].busy_until {
-            return false;
-        }
-        let Some(tid) = self.slaves[s].task else {
-            return false;
-        };
-        let task = self
-            .tasks
-            .iter_mut()
-            .find(|t| t.id == tid)
-            .expect("slave task exists");
-        if task.is_done() {
-            return false;
-        }
+    fn act_slave(&mut self, s: usize) {
+        let task = self.slaves[s].as_mut().expect("a due slave holds a task");
         let pc = task.pc;
         let word_granular = self.config.word_granular_live_ins;
         let result = {
             let mut storage = task.storage_with_granularity(&self.arch, word_granular);
             step(&mut storage, self.original, pc)
         };
-        match result {
-            Err(_) => {
-                // A fault on a speculative path is a task outcome, not an
-                // engine error.
-                task.status = TaskStatus::Done {
-                    end: TaskEnd::Fault,
-                    done_at: self.now + 1,
-                };
-                self.slaves[s].busy_until = self.now + 1;
-                true
-            }
+        let (end, busy_until) = match result {
+            // A fault on a speculative path is a task outcome, not an
+            // engine error.
+            Err(_) => (Some(TaskEnd::Fault), self.now + 1),
             Ok(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
-                self.slaves[s].busy_until = self.now + cost;
                 self.unit.stats.slave_busy_cycles += cost;
+                let busy_until = self.now + cost;
                 if info.halted {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Halted(pc),
-                        done_at: self.slaves[s].busy_until,
+                    (Some(TaskEnd::Halted(pc)), busy_until)
+                } else {
+                    task.executed += 1;
+                    task.pc = info.next_pc;
+                    self.unit.stats.slave_instructions += 1;
+                    let rules = SegmentRules {
+                        boundaries: &self.boundaries,
+                        crossings_per_task: self.crossings_per_task,
+                        max_instrs: self.config.max_task_instrs,
                     };
-                    return true;
+                    let end = if rules.crossed(info.next_pc, &mut task.crossings) {
+                        Some(TaskEnd::Boundary(info.next_pc))
+                    } else if task.executed >= rules.max_instrs {
+                        Some(TaskEnd::Overrun)
+                    } else {
+                        None
+                    };
+                    (end, busy_until)
                 }
-                task.executed += 1;
-                task.pc = info.next_pc;
-                self.unit.stats.slave_instructions += 1;
-                let rules = SegmentRules {
-                    boundaries: &self.boundaries,
-                    crossings_per_task: self.crossings_per_task,
-                    max_instrs: self.config.max_task_instrs,
-                };
-                if rules.crossed(info.next_pc, &mut task.crossings) {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Boundary(info.next_pc),
-                        done_at: self.slaves[s].busy_until,
-                    };
-                } else if task.executed >= rules.max_instrs {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Overrun,
-                        done_at: self.slaves[s].busy_until,
-                    };
-                }
-                true
             }
+        };
+        let Some(end) = end else {
+            self.slave_wake[s] = busy_until;
+            return;
+        };
+        task.status = TaskStatus::Done {
+            end,
+            done_at: busy_until,
+        };
+        self.slave_wake[s] = NEVER;
+        if self.window.front() == Some(&s) {
+            self.verify_wake = self.verify_due();
         }
     }
 
-    fn act_master(&mut self) -> bool {
-        if self.now < self.master_busy_until || self.master.status() != MasterStall::Active {
-            return false;
-        }
+    /// The master's turn. Returns the slave it dispatched a task to, if
+    /// it spawned one.
+    fn act_master(&mut self) -> Option<usize> {
+        let mut dispatched = None;
         if self.master.pending_spawn().is_some() {
-            let Some(slave) = self.free_slave() else {
-                return false; // stall until a slave frees up
-            };
+            let slave = self.free_slave().expect("a placeable spawn has a slave");
             let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
             let cells: usize = overlay.first().map(|d| d.len()).unwrap_or(0);
             let predicted = self.unit.spawn(start, &mut overlay);
@@ -587,35 +726,35 @@ impl<'a, C: CostModel> Engine<'a, C> {
             self.next_task_id += 1;
             let mut task = Task::new(id, start, slave, overlay);
             task.predicted = predicted;
-            self.tasks.push_back(task);
+            self.slaves[slave] = Some(task);
+            self.window.push_back(slave);
             let dispatch = self.cost.dispatch_latency(cells);
-            self.slaves[slave].task = Some(id);
-            self.slaves[slave].busy_until = self.now + dispatch;
+            self.slave_wake[slave] = self.now + dispatch;
             let spawn = self.cost.spawn_overhead(cells);
             self.master_busy_until = self.now + spawn;
             self.unit.stats.master_busy_cycles += spawn;
             self.last_spawned = Some(id.0);
             self.master_since_spawn = 0;
-            return true;
-        }
-        if self.master_since_spawn > self.config.master_runahead {
+            // Into an empty window, the new task is the oldest: the verify
+            // unit checks its start PC without waiting for it to finish.
+            self.verify_wake = self.verify_due();
+            dispatched = Some(slave);
+        } else if self.master_since_spawn > self.config.master_runahead {
             self.master.mark_lost();
-            return true;
-        }
-        match self
+        } else if let Some(info) = self
             .master
             .step(self.swapped.as_deref().unwrap_or(self.distilled))
         {
-            Some(info) => {
-                let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
-                self.master_busy_until = self.now + cost;
-                self.unit.stats.master_busy_cycles += cost;
-                self.unit.stats.master_instructions += 1;
-                self.master_since_spawn += 1;
-                true
-            }
-            None => false,
+            let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
+            self.master_busy_until = self.now + cost;
+            self.unit.stats.master_busy_cycles += cost;
+            self.unit.stats.master_instructions += 1;
+            self.master_since_spawn += 1;
         }
+        // Stepping may have halted the master, lost it, or armed a spawn
+        // that no slave is free for.
+        self.master_wake = self.master_due();
+        dispatched
     }
 
     // ---- squash & recovery ----------------------------------------------
@@ -623,11 +762,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Squashes the oldest task, every younger one and the master, then
     /// starts the recovery segment.
     fn squash_and_recover(&mut self, reason: SquashReason) {
-        let failing = self.tasks.front().expect("a squash has a failing task");
+        let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
         let dying = self.in_flight_work();
         let cells = self.unit.squash(reason, failing, &self.arch, dying);
         if let Some(samples) = &mut self.squash_samples {
-            if samples.len() < samples.capacity() {
+            if samples.len() < self.squash_sample_cap {
                 samples.push(SquashSample {
                     reason,
                     task_start_pc: failing.start_pc,
@@ -637,17 +776,16 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 });
             }
         }
+        // The master stays down until recovery reaches the next boundary;
+        // `finish_recovery` reseeds it from the then-consistent
+        // architected state.
+        self.master.mark_lost();
         self.release_slaves();
         self.cost.on_squash(CoreRole::Master);
 
         let penalty = self.cost.squash_penalty();
         self.verify_busy_until = self.now + penalty;
         self.unit.stats.verify_busy_cycles += penalty;
-
-        // The master stays down until recovery reaches the next boundary;
-        // `finish_recovery` reseeds it from the then-consistent
-        // architected state.
-        self.master.mark_lost();
         self.master_busy_until = self.now + penalty;
         self.master_since_spawn = 0;
         self.last_spawned = None;
@@ -656,23 +794,24 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     /// Discards every in-flight task and frees the slaves running them.
     fn release_slaves(&mut self) {
-        for (i, slave) in self.slaves.iter_mut().enumerate() {
-            if slave.task.take().is_some() {
+        for (i, slot) in self.slaves.iter_mut().enumerate() {
+            if slot.take().is_some() {
                 self.cost.on_squash(CoreRole::Slave(i));
-                slave.busy_until = self.now;
+                self.slave_wake[i] = NEVER;
             }
         }
-        self.tasks.clear();
+        self.window.clear();
+        self.verify_wake = NEVER;
+        self.master_wake = self.master_due();
     }
 
     /// Begins a recovery segment at the architected PC, `delay` cycles
     /// from now; 0 for starvation recovery (no tasks, no recovery, master
     /// unable to produce work), the squash penalty after a squash.
     fn start_recovery(&mut self, delay: u64) {
-        self.recovery = Some(Recovery {
-            segment: RecoverySegment::new(self.arch.pc()),
-            busy_until: self.now + delay,
-        });
+        debug_assert!(self.window.is_empty() && self.recovery.is_none());
+        self.recovery = Some(RecoverySegment::new(self.arch.pc()));
+        self.recovery_wake = self.now + delay;
     }
 
     /// Reseeds the master from architected state on the installed program.
@@ -683,6 +822,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.master_busy_until = self.now;
         self.master_since_spawn = 0;
         self.last_spawned = None;
+        self.master_wake = self.master_due();
     }
 
     /// Installs a validated candidate if the protocol core has one ready:
@@ -702,62 +842,13 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     /// The tasks in flight and the instructions they have executed so far.
     fn in_flight_work(&self) -> (u64, u64) {
-        let executed = self.tasks.iter().map(|t| t.executed).sum();
-        (self.tasks.len() as u64, executed)
+        let executed = self.slaves.iter().flatten().map(|t| t.executed).sum();
+        (self.window.len() as u64, executed)
     }
 
-    // ---- time ------------------------------------------------------------
-
+    /// The lowest-numbered slave holding no task.
     fn free_slave(&self) -> Option<usize> {
-        self.slaves.iter().position(|s| s.task.is_none())
-    }
-
-    fn advance_time(&mut self) {
-        let mut next: Option<u64> = None;
-        let mut consider = |t: u64| {
-            next = Some(match next {
-                Some(n) => n.min(t),
-                None => t,
-            });
-        };
-        if let Some(rec) = &self.recovery {
-            consider(rec.busy_until);
-        }
-        if self.recovery.is_none() {
-            if let Some(task) = self.tasks.front() {
-                match task.status {
-                    TaskStatus::Done { done_at, .. } => {
-                        consider(self.verify_busy_until.max(done_at));
-                    }
-                    TaskStatus::Running if task.start_pc != self.arch.pc() => {
-                        consider(self.verify_busy_until);
-                    }
-                    TaskStatus::Running => {}
-                }
-            }
-        }
-        for slave in &self.slaves {
-            if let Some(tid) = slave.task {
-                let running = self
-                    .tasks
-                    .iter()
-                    .find(|t| t.id == tid)
-                    .is_some_and(|t| !t.is_done());
-                if running {
-                    consider(slave.busy_until);
-                }
-            }
-        }
-        if self.master.status() == MasterStall::Active {
-            let can_spawn = self.master.pending_spawn().is_none() || self.free_slave().is_some();
-            if can_spawn {
-                consider(self.master_busy_until);
-            }
-        }
-        match next {
-            Some(t) => self.now = self.now.max(t).max(self.now + 1),
-            None => self.start_recovery(0),
-        }
+        self.slaves.iter().position(Option::is_none)
     }
 }
 

@@ -347,10 +347,11 @@ impl Storage for MasterStorage<'_> {
         self.state.reg(r)
     }
 
+    #[inline(always)]
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
             self.state.set_reg(r, value);
-            self.segment.set(Cell::Reg(r), value);
+            self.segment.set_reg(r, value);
         }
     }
 

@@ -16,8 +16,11 @@
 //! Layers 1 to 4 are [`Delta`]s: a register operand costs an index and a
 //! bit test in each layer it passes, a memory operand one binary search.
 //! A register the task already wrote or read — nearly every operand — is
-//! answered by layer 1 or 2 alone; the live-in set is probed once per
-//! operand, hit or miss ([`Delta::read_or_record`]).
+//! answered by layer 1 or 2 alone, through [`Delta::get_reg`] inlined
+//! into `exec::step` (no `Cell`, no call); a register write is
+//! [`Delta::set_reg`]. Only a register's first read in a task, and every
+//! memory operand, takes the general path, where the live-in set is
+//! probed once per operand, hit or miss ([`Delta::read_or_record`]).
 //!
 //! Every read satisfied below layer 1 is recorded as a live-in `(cell,
 //! value)`. At commit time, the verify unit re-checks each recorded value
@@ -325,24 +328,31 @@ impl TaskStorage<'_> {
 }
 
 impl Storage for TaskStorage<'_> {
+    #[inline(always)]
     fn read_reg(&mut self, r: Reg) -> u64 {
         if r.is_zero() {
             return 0;
         }
-        let cell = Cell::Reg(r);
         // A register the task wrote, or read before, is fully bound in
         // every run the engine produces; only a hand-built overlay can
-        // bind one partially, and that takes the byte-wise path.
-        let seen = self.writes.get_masked(cell);
-        match seen.or_else(|| self.live_ins.get_masked(cell)) {
-            Some(m) if m.is_full() => m.value,
-            _ => self.read_cell_masked(cell, 0xFF),
+        // bind one partially, and that takes the byte-wise path. (Spelled
+        // out rather than `or_else`: the closure form stays out of line.)
+        if let Some(own) = self.writes.get_reg(r) {
+            if own.is_full() {
+                return own.value;
+            }
+        } else if let Some(seen) = self.live_ins.get_reg(r) {
+            if seen.is_full() {
+                return seen.value;
+            }
         }
+        self.read_cell_masked(Cell::Reg(r), 0xFF)
     }
 
+    #[inline(always)]
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
-            self.writes.set(Cell::Reg(r), value);
+            self.writes.set_reg(r, value);
         }
     }
 
@@ -387,18 +397,21 @@ pub struct RecoveryStorage<'a> {
 }
 
 impl Storage for RecoveryStorage<'_> {
+    #[inline(always)]
     fn read_reg(&mut self, r: Reg) -> u64 {
         if r.is_zero() {
             return 0;
         }
-        self.writes
-            .get(Cell::Reg(r))
-            .unwrap_or_else(|| self.arch.reg(r))
+        match self.writes.get_reg(r) {
+            Some(m) if m.is_full() => m.value,
+            _ => self.arch.reg(r),
+        }
     }
 
+    #[inline(always)]
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
-            self.writes.set(Cell::Reg(r), value);
+            self.writes.set_reg(r, value);
         }
     }
 

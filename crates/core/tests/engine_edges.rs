@@ -29,6 +29,21 @@ fn honest(p: &Program) -> Distilled {
     distill(p, &profile, &DistillConfig::default()).unwrap()
 }
 
+/// A master lying about `s1` at every loop boundary.
+fn liar(p: &Program) -> Distilled {
+    let liar = assemble(
+        "main: addi s1, zero, 9999
+         spin: addi s1, s1, 9999
+               j spin",
+    )
+    .unwrap();
+    let loop_pc = p.symbol("loop").unwrap();
+    let mut map = BTreeMap::new();
+    map.insert(p.entry(), liar.entry());
+    map.insert(loop_pc, liar.symbol("spin").unwrap());
+    Distilled::from_parts(liar, BTreeSet::from([loop_pc]), map)
+}
+
 #[test]
 fn tiny_task_cap_forces_overruns_but_stays_correct() {
     let p = assemble(SUM).unwrap();
@@ -95,18 +110,7 @@ fn wild_jump_in_original_program_faults_recovery() {
 #[test]
 fn mismatch_samples_capture_failing_cells() {
     let p = assemble(SUM).unwrap();
-    // A lying master: predicts wrong s1 at the loop boundary.
-    let liar = assemble(
-        "main: addi s1, zero, 9999
-         spin: addi s1, s1, 9999
-               j spin",
-    )
-    .unwrap();
-    let loop_pc = p.symbol("loop").unwrap();
-    let mut map = BTreeMap::new();
-    map.insert(p.entry(), liar.entry());
-    map.insert(loop_pc, liar.symbol("spin").unwrap());
-    let d = Distilled::from_parts(liar, BTreeSet::from([loop_pc]), map);
+    let d = liar(&p);
     let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
     engine.enable_squash_samples(16);
     let run = engine.run().unwrap();
@@ -251,4 +255,142 @@ fn throttling_reduces_wasted_work_under_a_bad_master() {
         throttled.stats.wasted_slave_instructions,
         plain.stats.wasted_slave_instructions
     );
+}
+
+// ---- scheduler edges ------------------------------------------------------
+
+#[test]
+fn squash_samples_stop_at_the_cap_exactly() {
+    let p = assemble(&SUM.replace("120", "4000")).unwrap();
+    let d = liar(&p);
+    let cfg = EngineConfig {
+        enable_predictor: false,
+        ..EngineConfig::default()
+    };
+    let samples = |cap: Option<usize>| {
+        let mut engine = Engine::new(&p, &d, cfg, UnitCost);
+        if let Some(cap) = cap {
+            engine.enable_squash_samples(cap);
+        }
+        let run = engine.run().unwrap();
+        assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
+        (run.squash_samples, run.stats.squash_events())
+    };
+    let (all, events) = samples(Some(usize::MAX));
+    assert!(events > 1500, "{events} squashes");
+    assert_eq!(all.unwrap().len() as u64, events);
+    assert_eq!(samples(Some(3)).0.unwrap().len(), 3);
+    // Past any preallocation the engine may make.
+    assert_eq!(samples(Some(1500)).0.unwrap().len(), 1500);
+    assert!(samples(Some(0)).0.unwrap().is_empty());
+    assert!(samples(None).0.is_none());
+}
+
+#[test]
+fn a_master_that_starts_lost_is_carried_by_starvation_recovery() {
+    let p = assemble(SUM).unwrap();
+    // No PC has a distilled image: the master is lost from boot and after
+    // every restart, nothing is ever spawned, and every instant the
+    // scheduler finds nobody with a wake-up time.
+    let dead = assemble("main: halt").unwrap();
+    let d = Distilled::from_parts(dead, honest(&p).boundaries().clone(), BTreeMap::new());
+    let run = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
+        .run()
+        .unwrap();
+    assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
+    assert_eq!(run.stats.spawned_tasks, 0);
+    assert!(run.stats.recovery_segments > 1);
+    assert_eq!(
+        run.stats.recovery_instructions,
+        run.stats.committed_instructions
+    );
+    // One cycle per instruction, `halt` ending the run in the instant it
+    // issues; a segment starts in the instant its predecessor's last
+    // instruction issued, so each segment boundary overlaps one cycle.
+    assert_eq!(
+        run.cycles,
+        run.stats.committed_instructions - (run.stats.recovery_segments - 1)
+    );
+    // Recorded at d303e1a.
+    assert_eq!(run.cycles, 241);
+}
+
+#[test]
+fn a_commit_wakes_the_stalled_master_in_the_same_instant() {
+    // One slave, free verify and commit, and a master that always reaches
+    // the next boundary before the slave finishes: every spawn but the
+    // first waits for the commit that frees the slave. If the commit, the
+    // spawn and the task's first instruction share an instant, the slave
+    // never idles and the run takes one cycle per instruction (plus
+    // `halt`); a scheduler that wakes the master one instant late loses a
+    // cycle per task.
+    let p = mssp_workloads::Workload::by_name("gap_like")
+        .unwrap()
+        .program(120);
+    let d = honest(&p);
+    let cfg = EngineConfig {
+        num_slaves: 1,
+        ..EngineConfig::default()
+    };
+    let run = Engine::new(&p, &d, cfg, UnitCost).run().unwrap();
+    assert!(run.stats.committed_tasks > 10, "{:?}", run.stats);
+    assert_eq!(run.stats.squash_events(), 0);
+    assert_eq!(run.stats.recovery_segments, 0);
+    assert_eq!(run.cycles, run.stats.committed_instructions + 1);
+}
+
+/// Counts the instructions priced, through a handle that outlives the
+/// engine; costs cycle through 1, 2, 3 so instants are uneven.
+struct Counting(std::rc::Rc<std::cell::Cell<u64>>);
+
+impl mssp_core::CostModel for Counting {
+    fn instr_cost(&mut self, _role: mssp_core::CoreRole, _info: &mssp_machine::StepInfo) -> u64 {
+        self.0.set(self.0.get() + 1);
+        1 + self.0.get() % 3
+    }
+}
+
+#[test]
+fn the_cycle_limit_fires_at_the_same_instant() {
+    let p = assemble(SUM).unwrap();
+    let d = honest(&p);
+    let priced = std::rc::Rc::new(std::cell::Cell::new(0));
+    let run = |max_cycles: u64| {
+        priced.set(0);
+        let cfg = EngineConfig {
+            max_cycles,
+            ..EngineConfig::default()
+        };
+        Engine::new(&p, &d, cfg, Counting(priced.clone())).run()
+    };
+    let full = run(u64::MAX / 2).unwrap();
+    // The limit is exclusive: the instant the run halts in is allowed.
+    assert_eq!(run(full.cycles).unwrap().cycles, full.cycles);
+    assert_eq!(run(full.cycles - 1).unwrap_err(), EngineError::CycleLimit);
+    // Everything due up to and including cycle 100 was priced, nothing
+    // after. Recorded at d303e1a.
+    assert_eq!(run(100).unwrap_err(), EngineError::CycleLimit);
+    assert_eq!(priced.get(), 101);
+}
+
+#[test]
+fn any_slave_count_reaches_the_sequential_state() {
+    let p = mssp_workloads::Workload::by_name("gap_like")
+        .unwrap()
+        .program(200);
+    let d = honest(&p);
+    let mut seq = SeqMachine::boot(&p);
+    seq.run(u64::MAX).unwrap();
+    // 70: past any word-sized bitmask a scheduler might keep of its slaves.
+    for num_slaves in [1, 70] {
+        let cfg = EngineConfig {
+            num_slaves,
+            ..EngineConfig::default()
+        };
+        let run = Engine::new(&p, &d, cfg, UnitCost).run().unwrap();
+        for r in Reg::all() {
+            assert_eq!(run.state.reg(r), seq.state().reg(r), "{r} x{num_slaves}");
+        }
+        assert_eq!(run.stats.committed_instructions, seq.instructions());
+    }
 }

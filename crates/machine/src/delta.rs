@@ -36,10 +36,12 @@
 //!   and a 32-bit *bound* bitmap guarding them, behind one pointer.
 //!   Looking up, binding or testing a register is an index and a bit
 //!   test, which is what the speculative storages do on every operand of
-//!   every instruction. The bank is allocated on the first register
-//!   binding and sits behind a pointer because ring slots and arena pools
-//!   hold `Delta`s by value: some 300 inline bytes per delta would be paid
-//!   by every one of them, bound registers or not.
+//!   every instruction — through [`Delta::get_reg`] / [`Delta::set_reg`],
+//!   which skip the `Cell` and are inlined into the caller. The bank is
+//!   allocated on the first register binding and sits behind a pointer
+//!   because ring slots and arena pools hold `Delta`s by value: some 300
+//!   inline bytes per delta would be paid by every one of them, bound
+//!   registers or not.
 //! * **`Pc` and memory cells** live in one sorted `Vec<(Cell, MaskedVal)>`:
 //!   lookups are binary searches, iteration is a linear slice walk.
 //!   Typical live-in/live-out sets hold tens of memory cells, where a
@@ -200,10 +202,23 @@ impl RegBank {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn get(&self, r: Reg) -> Option<MaskedVal> {
         (self.bound & (1 << r.index()) != 0).then(|| self.entry(r.index()))
     }
+
+    #[inline(always)]
+    fn bind(&mut self, r: Reg, binding: MaskedVal) {
+        self.values[r.index()] = binding.value;
+        self.masks[r.index()] = binding.mask;
+        self.bound |= 1 << r.index();
+    }
+}
+
+/// The first register binding of a delta's life allocates its bank.
+#[cold]
+fn new_bank() -> Box<RegBank> {
+    Box::new(NO_BANK.clone())
 }
 
 /// The indices of the set bits of a word, lowest first.
@@ -283,9 +298,33 @@ impl Delta {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn bank(&self) -> &RegBank {
         self.bank.as_deref().unwrap_or(&NO_BANK)
+    }
+
+    #[inline(always)]
+    fn bank_mut(&mut self) -> &mut RegBank {
+        self.bank.get_or_insert_with(new_bank)
+    }
+
+    /// The masked binding of register `r`, if any: what
+    /// [`Delta::get_masked`] answers for `Cell::Reg(r)`, without the cell.
+    ///
+    /// The register accessors are the speculative storages' operand path
+    /// and are forced inline all the way down: inside `exec::step` an
+    /// operand is an index and a bit test, not a call and a `Cell` match.
+    #[must_use]
+    #[inline(always)]
+    pub fn get_reg(&self, r: Reg) -> Option<MaskedVal> {
+        self.bank().get(r)
+    }
+
+    /// Binds register `r` fully to `value`: [`Delta::set`] on
+    /// `Cell::Reg(r)`, without the cell or the previous binding.
+    #[inline(always)]
+    pub fn set_reg(&mut self, r: Reg, value: u64) {
+        self.bank_mut().bind(r, MaskedVal::full(value));
     }
 
     /// The index of a `Pc` or memory cell in the sorted vector, or its
@@ -305,12 +344,9 @@ impl Delta {
     ) -> Option<MaskedVal> {
         match cell {
             Cell::Reg(r) => {
-                let bank = self.bank.get_or_insert_with(|| Box::new(NO_BANK.clone()));
+                let bank = self.bank_mut();
                 let old = bank.get(r);
-                let new = merge(old);
-                bank.values[r.index()] = new.value;
-                bank.masks[r.index()] = new.mask;
-                bank.bound |= 1 << r.index();
+                bank.bind(r, merge(old));
                 old
             }
             _ => match self.find(cell) {
@@ -397,7 +433,7 @@ impl Delta {
     #[inline]
     pub fn get_masked(&self, cell: Cell) -> Option<MaskedVal> {
         match cell {
-            Cell::Reg(r) => self.bank().get(r),
+            Cell::Reg(r) => self.get_reg(r),
             _ => self.find(cell).ok().map(|i| self.cells[i].1),
         }
     }
@@ -722,6 +758,50 @@ mod tests {
         assert_eq!(s.mem_cells(), 2);
         assert_eq!(s.reg_cells(), 1);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn register_accessors_agree_with_the_cell_path() {
+        let (a0, a1, a2) = (Reg::A0, Reg::A1, Reg::A2);
+        // One delta through the accessors, one through the cells.
+        let mut fast = Delta::new();
+        let mut slow = Delta::new();
+        assert_eq!(fast.get_reg(a0), None); // unbound, no bank yet
+        fast.set_reg(a0, 5);
+        slow.set(Cell::Reg(a0), 5);
+        // Partially bound: only the cell path can build one.
+        for delta in [&mut fast, &mut slow] {
+            delta.set_bytes(Cell::Reg(a1), 0xBEEF, 0x03);
+            delta.set(Cell::Mem(9), 9);
+        }
+        for delta in [&fast, &slow] {
+            assert_eq!(delta.get_reg(a0), Some(MaskedVal::full(5)));
+            assert_eq!(delta.get_reg(a1), Some(MaskedVal::partial(0xBEEF, 0x03)));
+            assert_eq!(delta.get_reg(a2), None); // unbound beside bound ones
+            for r in Reg::all() {
+                assert_eq!(delta.get_reg(r), delta.get_masked(Cell::Reg(r)), "{r}");
+            }
+        }
+        // `set_reg` over a partial binding binds fully, as `set` does.
+        fast.set_reg(a1, 7);
+        slow.set(Cell::Reg(a1), 7);
+        assert_eq!(fast.get_reg(a1), Some(MaskedVal::full(7)));
+        assert_eq!(fast, slow);
+        assert!(fast.iter_masked().eq(slow.iter_masked()));
+
+        // Recycled: the bank keeps a0 = 5 and a1 = 7, unbound.
+        fast.clear();
+        assert_eq!(fast.get_reg(a0), None);
+        assert_eq!(fast.get_reg(a1), None);
+        fast.set_reg(a2, 1);
+        fast.set(Cell::Pc, 0x40);
+        fast.set_reg(a0, 2); // bound later, iterates first
+        let fresh = d(&[(Cell::Reg(a2), 1), (Cell::Pc, 0x40), (Cell::Reg(a0), 2)]);
+        assert_eq!(fast, fresh);
+        assert_eq!(fresh, fast);
+        let order: Vec<Cell> = fast.iter().map(|(c, _)| c).collect();
+        assert_eq!(order, [Cell::Reg(a0), Cell::Reg(a2), Cell::Pc]);
+        assert_eq!(fast.len(), 3);
     }
 
     // ---- byte-masked behaviour -----------------------------------------

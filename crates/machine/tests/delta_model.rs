@@ -100,6 +100,9 @@ fn assert_matches(delta: &Delta, model: &Model, cells: &[Cell]) {
             "get {cell}"
         );
         assert_eq!(delta.contains(cell), want.is_some(), "contains {cell}");
+        if let Cell::Reg(r) = cell {
+            assert_eq!(delta.get_reg(r), want, "get_reg {r}");
+        }
     }
     assert_eq!(delta.len(), model.len());
     assert_eq!(delta.is_empty(), model.is_empty());
@@ -144,11 +147,18 @@ fn delta_behaves_like_an_ordered_map_whatever_its_history() {
             }
             let cell = arb_cell(rng, &cells);
             let (value, mask) = (rng.next_u64(), arb_mask(rng));
-            match rng.gen_range(0, 14) {
+            match rng.gen_range(0, 15) {
                 0 | 1 => {
                     let previous = ma.insert(cell, MaskedVal::full(value));
                     let want = previous.and_then(|m| m.is_full().then_some(m.value));
                     assert_eq!(a.set(cell, value), want, "set {cell}");
+                }
+                14 => {
+                    // The storages' operand path: same binding as `set`
+                    // on the register's cell.
+                    let r = Reg::new(rng.gen_range(0, 32) as u8);
+                    a.set_reg(r, value);
+                    ma.insert(Cell::Reg(r), MaskedVal::full(value));
                 }
                 2 | 3 => {
                     a.set_bytes(cell, value, mask);
@@ -242,8 +252,11 @@ fn recycled_bank_does_not_leak_into_equality_iteration_or_clones() {
     assert_eq!(recycled.iter_masked().count(), 0);
     assert_eq!(recycled.clone(), Delta::new());
     assert_eq!(recycled.get_masked(Cell::Reg(Reg::A0)), None);
+    assert_eq!(recycled.get_reg(Reg::A0), None);
+    assert_eq!(recycled.get_reg(Reg::A1), None);
 
-    recycled.set(Cell::Reg(Reg::A2), 7);
+    recycled.set_reg(Reg::A2, 7);
+    assert_eq!(recycled.get_reg(Reg::A2), Some(MaskedVal::full(7)));
     let mut fresh = Delta::new();
     fresh.set(Cell::Reg(Reg::A2), 7);
     assert_eq!(recycled, fresh);
