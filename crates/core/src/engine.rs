@@ -56,7 +56,7 @@ use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{step, Cell, Fault, MachineState};
+use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
@@ -248,6 +248,9 @@ pub struct Engine<'a, C> {
     /// The in-order task window, oldest first, as the indices of the
     /// slaves holding the tasks.
     window: VecDeque<usize>,
+    /// Live-in and write buffers of committed and squashed tasks, cleared,
+    /// for the tasks to come.
+    arena: DeltaArena,
     /// The recovery segment in progress. The window is empty and the
     /// master offline for as long as one runs.
     recovery: Option<RecoverySegment>,
@@ -342,6 +345,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             slaves: (0..config.num_slaves).map(|_| None).collect(),
             slave_wake: vec![NEVER; config.num_slaves],
             window: VecDeque::new(),
+            arena: DeltaArena::new(),
             recovery: None,
             recovery_wake: NEVER,
             verify_busy_until: 0,
@@ -645,6 +649,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
             sizes.push(task.executed);
         }
         self.master.on_commit(task.id.0);
+        self.arena.put(task.live_ins);
+        self.arena.put(task.writes);
         // The next task is the oldest now, and a master stalled on its
         // pending spawn has a slave to place it on.
         self.verify_wake = self.verify_due();
@@ -724,7 +730,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
             let predicted = self.unit.spawn(start, &mut overlay);
             let id = TaskId(self.next_task_id);
             self.next_task_id += 1;
-            let mut task = Task::new(id, start, slave, overlay);
+            let (live_ins, writes) = (self.arena.take(), self.arena.take());
+            let mut task = Task::with_buffers(id, start, slave, overlay, live_ins, writes);
             task.predicted = predicted;
             self.slaves[slave] = Some(task);
             self.window.push_back(slave);
@@ -795,7 +802,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Discards every in-flight task and frees the slaves running them.
     fn release_slaves(&mut self) {
         for (i, slot) in self.slaves.iter_mut().enumerate() {
-            if slot.take().is_some() {
+            if let Some(task) = slot.take() {
+                self.arena.put(task.live_ins);
+                self.arena.put(task.writes);
                 self.cost.on_squash(CoreRole::Slave(i));
                 self.slave_wake[i] = NEVER;
             }

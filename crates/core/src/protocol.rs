@@ -73,11 +73,10 @@ pub fn verify_and_commit(arch: &mut MachineState, task: &Task, end: TaskEnd) -> 
         TaskEnd::Overrun => VerifyOutcome::Squash(SquashReason::Overrun),
         TaskEnd::Fault => VerifyOutcome::Squash(SquashReason::Fault),
         TaskEnd::Boundary(end_pc) | TaskEnd::Halted(end_pc) => {
-            // The verdict needs only one offending cell; the first-mismatch
-            // probe short-circuits without allocating the full report
-            // (`CommitUnit::squash`, which wants the whole set, still uses
-            // `mismatches_against`).
-            if task.live_ins.first_mismatch_against(arch).is_some() {
+            // The verdict is order-free: it asks whether any live-in
+            // disagrees, not which (`CommitUnit::squash`, which reports
+            // them, uses `mismatches_against`).
+            if !task.live_ins.consistent_with_state(arch) {
                 return VerifyOutcome::Squash(SquashReason::LiveInMismatch);
             }
             arch.apply(&task.writes);

@@ -14,13 +14,15 @@
 //! 5. the architected state.
 //!
 //! Layers 1 to 4 are [`Delta`]s: a register operand costs an index and a
-//! bit test in each layer it passes, a memory operand one binary search.
-//! A register the task already wrote or read — nearly every operand — is
-//! answered by layer 1 or 2 alone, through [`Delta::get_reg`] inlined
-//! into `exec::step` (no `Cell`, no call); a register write is
-//! [`Delta::set_reg`]. Only a register's first read in a task, and every
-//! memory operand, takes the general path, where the live-in set is
-//! probed once per operand, hit or miss ([`Delta::read_or_record`]).
+//! bit test in each layer it passes, a memory operand one probe — a
+//! short scan or one hashed slot, see `Delta`'s representation — and an
+//! empty layer nothing. A register the task already wrote or read —
+//! nearly every operand — is answered by layer 1 or 2 alone, through
+//! [`Delta::get_reg`] inlined into `exec::step` (no `Cell`, no call); a
+//! register write is [`Delta::set_reg`]. Only a register's first read in
+//! a task, and every memory operand, takes the general path, where the
+//! live-in set is probed once per operand, hit or miss
+//! ([`Delta::read_or_record`]), and a word's first touch appends to it.
 //!
 //! Every read satisfied below layer 1 is recorded as a live-in `(cell,
 //! value)`. At commit time, the verify unit re-checks each recorded value
@@ -106,9 +108,10 @@ impl Task {
     }
 
     /// Creates a freshly spawned task reusing pooled live-in/write
-    /// buffers (the threaded executor's allocation-free dispatch path
-    /// takes them from a [`mssp_machine::DeltaArena`]). Both buffers
-    /// must be empty; their backing capacity is what gets recycled.
+    /// buffers (both executors take them from a
+    /// [`mssp_machine::DeltaArena`] and return them at commit or squash).
+    /// Both buffers must be empty; their backing capacity is what gets
+    /// recycled.
     #[must_use]
     pub fn with_buffers(
         id: TaskId,

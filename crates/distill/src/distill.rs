@@ -127,10 +127,26 @@ pub struct Distilled {
     orig_to_dist: BTreeMap<u64, u64>,
     dist_to_orig: BTreeMap<u64, u64>,
     boundary_dist: BTreeMap<u64, u64>,
+    /// `boundary_dist` over the distilled text, one entry per instruction:
+    /// what the master asks after every instruction it executes.
+    boundary_table: Vec<Option<u64>>,
     crossings_per_task: u64,
     stats: DistillStats,
     pass_trace: Vec<PassDelta>,
     slices: BTreeMap<u64, Vec<Slice>>,
+}
+
+/// The dense form of `boundary_dist` over `program`'s instructions.
+/// Images outside the text (a hand-built map may put one anywhere) stay
+/// in the map alone.
+fn boundary_table(program: &Program, boundary_dist: &BTreeMap<u64, u64>) -> Vec<Option<u64>> {
+    let mut table = vec![None; program.len()];
+    for (&dist_pc, &boundary) in boundary_dist {
+        if let Some(index) = program.index_of_pc(dist_pc) {
+            table[index] = Some(boundary);
+        }
+    }
+    table
 }
 
 impl Distilled {
@@ -161,6 +177,7 @@ impl Distilled {
             ..DistillStats::default()
         };
         Distilled {
+            boundary_table: boundary_table(&program, &boundary_dist),
             program,
             boundaries,
             orig_to_dist,
@@ -249,8 +266,12 @@ impl Distilled {
     /// If `dist_pc` is the distilled address of a task boundary, the
     /// boundary's original PC — the master's spawn trigger.
     #[must_use]
+    #[inline]
     pub fn boundary_at_dist(&self, dist_pc: u64) -> Option<u64> {
-        self.boundary_dist.get(&dist_pc).copied()
+        match self.program.index_of_pc(dist_pc) {
+            Some(index) => self.boundary_table[index],
+            None => self.boundary_dist.get(&dist_pc).copied(),
+        }
     }
 
     /// Iterates over the full original → distilled block-start
@@ -696,6 +717,7 @@ fn distill_pinned(
     };
 
     Ok(Distilled {
+        boundary_table: boundary_table(&distilled_program, &boundary_dist),
         program: distilled_program,
         boundaries,
         orig_to_dist,

@@ -145,6 +145,7 @@ impl Program {
 
     /// One past the last text address.
     #[must_use]
+    #[inline]
     pub fn text_end(&self) -> u64 {
         self.text_base + self.text.len() as u64 * INSTR_BYTES
     }
@@ -189,6 +190,7 @@ impl Program {
 
     /// Whether `pc` addresses an instruction in the text segment.
     #[must_use]
+    #[inline]
     pub fn contains_pc(&self, pc: u64) -> bool {
         pc >= self.text_base
             && pc < self.text_end()
@@ -198,12 +200,14 @@ impl Program {
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the
     /// text segment or misaligned.
     #[must_use]
+    #[inline]
     pub fn fetch(&self, pc: u64) -> Option<Instr> {
         self.index_of_pc(pc).map(|i| self.text[i])
     }
 
     /// Converts an instruction address to its index in [`Program::text`].
     #[must_use]
+    #[inline]
     pub fn index_of_pc(&self, pc: u64) -> Option<usize> {
         if self.contains_pc(pc) {
             Some(((pc - self.text_base) / INSTR_BYTES) as usize)

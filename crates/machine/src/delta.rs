@@ -30,30 +30,47 @@
 //!
 //! # Representation
 //!
-//! A `Delta` has two parts, split by cell kind:
+//! A `Delta` is one pointer to its two parts, split by cell kind. Ring
+//! slots and arena pools hold `Delta`s by value — three to a message, a
+//! thousand messages to a ring — so what a delta costs *unbound* is paid
+//! thousands of times over: the parts are allocated on the first binding
+//! and an empty delta is a null pointer.
 //!
-//! * **Register cells** live in a dense bank — 32 values, 32 byte-masks
-//!   and a 32-bit *bound* bitmap guarding them, behind one pointer.
-//!   Looking up, binding or testing a register is an index and a bit
-//!   test, which is what the speculative storages do on every operand of
-//!   every instruction — through [`Delta::get_reg`] / [`Delta::set_reg`],
-//!   which skip the `Cell` and are inlined into the caller. The bank is
-//!   allocated on the first register binding and sits behind a pointer
-//!   because ring slots and arena pools hold `Delta`s by value: some 300
-//!   inline bytes per delta would be paid by every one of them, bound
-//!   registers or not.
-//! * **`Pc` and memory cells** live in one sorted `Vec<(Cell, MaskedVal)>`:
-//!   lookups are binary searches, iteration is a linear slice walk.
-//!   Typical live-in/live-out sets hold tens of memory cells, where a
-//!   flat sorted vector beats a B-tree on cache behaviour and constant
-//!   factors.
+//! * **Register cells and `Pc`** live in a dense bank — one value and one
+//!   byte-mask per register plus one pair for `Pc`, and a *bound* bitmap
+//!   guarding them. Looking up, binding or testing a register is an index
+//!   and a bit test, which is what the speculative storages do on every
+//!   operand of every instruction — through [`Delta::get_reg`] /
+//!   [`Delta::set_reg`], which skip the `Cell` and are inlined into the
+//!   caller.
+//! * **Memory cells** live in a vector of `(word index, value, mask)`
+//!   entries in **first-touch order**: a new binding is appended, never
+//!   inserted. Up to `SCAN_MAX` entries are found by scanning the
+//!   vector; past that an open-addressing index (multiplicative hash,
+//!   linear probing, at most half full, `u32` positions into the vector)
+//!   finds an entry — or the empty slot that says there is none — in one
+//!   probe, so a load that misses a layer of a slave's view costs that
+//!   layer one probe and the first touch of a word costs one push.
 //!
-//! Iteration yields the bank's bound registers in index order and then
-//! the vector, which is cell order (`Reg < Pc < Mem`).
+//! **Ordered iteration is the cold path.** The public iterators
+//! ([`Delta::iter`], [`Delta::iter_masked`]), `Display`/`Debug` and
+//! [`Delta::mismatches_against`] still yield cell order (`Reg < Pc <
+//! Mem`, memory by word index), and equality is independent of the order
+//! cells were bound in — but they pay for it where they are called, with
+//! a sorted copy of the memory entries, instead of every binding paying
+//! to keep the vector sorted. They are for reports, squash diagnostics
+//! and tests. Everything the executors run per task — superimposition,
+//! [`crate::MachineState::apply`], the consistency checks,
+//! [`Delta::first_mismatch_against`] — walks storage order, which is
+//! sound because each cell is bound once and the operators are
+//! cell-wise, and allocates nothing.
 //!
-//! [`Delta::clear`] resets the bitmap and empties the vector but keeps
-//! both allocations, so a recycled delta (see [`crate::DeltaArena`])
-//! performs no heap allocation in steady state. The price is that an
+//! [`Delta::clear`] resets the bitmap and empties the vector and the
+//! index but keeps all three allocations, so a recycled delta (see
+//! [`crate::DeltaArena`]) performs no heap allocation in steady state.
+//! The index is rebuilt (zero-filled, then filled from the entries) each
+//! time a life outgrows the scan, so nothing indexed in an earlier life
+//! can be found in a later one. The price of recycling is that an
 //! *unbound* bank entry may hold a value from an earlier life: nothing
 //! reads the bank except through the bitmap, and equality, cloning and
 //! iteration are written out by hand for that reason rather than derived.
@@ -168,61 +185,107 @@ impl MaskedVal {
 /// ```
 #[derive(Default)]
 pub struct Delta {
-    /// `Pc` and memory bindings, sorted by cell, one entry per bound cell.
-    cells: Vec<(Cell, MaskedVal)>,
-    /// Register bindings. Allocated on the first register binding and
-    /// kept by `clear`; `None` reads as [`NO_BANK`].
-    bank: Option<Box<RegBank>>,
+    /// Every binding. Allocated on the first one and kept by `clear`;
+    /// `None` reads as [`NO_PARTS`].
+    parts: Option<Box<Parts>>,
 }
 
-/// The dense register part of a [`Delta`], indexed by register number.
+/// What a [`Delta`] points to: its two parts, split by cell kind.
+#[derive(Clone)]
+struct Parts {
+    /// Register and `Pc` bindings.
+    bank: RegBank,
+    /// Memory bindings.
+    mem: MemCells,
+}
+
+impl Parts {
+    const EMPTY: Parts = Parts {
+        bank: RegBank {
+            bound: 0,
+            values: [0; BANK_SLOTS],
+            masks: [0; BANK_SLOTS],
+        },
+        mem: MemCells {
+            entries: Vec::new(),
+            index: Vec::new(),
+        },
+    };
+}
+
+/// The parts of a delta that never bound a cell.
+static NO_PARTS: Parts = Parts::EMPTY;
+
+/// The first binding of a delta's life allocates its parts.
+#[cold]
+fn new_parts() -> Box<Parts> {
+    Box::new(Parts::EMPTY)
+}
+
+/// Slots of a [`RegBank`]: one per register, then `Pc`.
+const BANK_SLOTS: usize = NUM_REGS + 1;
+
+/// The bank slot of `Pc`. Registers sit at their index, so slot order is
+/// cell order.
+const PC_SLOT: usize = NUM_REGS;
+
+/// The dense register-and-`Pc` part of a [`Delta`], indexed by slot.
 #[derive(Clone)]
 struct RegBank {
-    /// Bit `i` set: register `i` is bound, `values[i]` and `masks[i]`
-    /// are its binding. The other entries are leftovers.
-    bound: u32,
-    values: [u64; NUM_REGS],
-    masks: [u8; NUM_REGS],
+    /// Bit `i` set: slot `i` is bound, `values[i]` and `masks[i]` are its
+    /// binding. The other entries are leftovers.
+    bound: u64,
+    values: [u64; BANK_SLOTS],
+    masks: [u8; BANK_SLOTS],
 }
 
-/// The bank of a delta that never bound a register.
-static NO_BANK: RegBank = RegBank {
-    bound: 0,
-    values: [0; NUM_REGS],
-    masks: [0; NUM_REGS],
-};
-
 impl RegBank {
-    /// Entry `index`, bound or not.
+    /// Entry `slot`, bound or not.
     #[inline]
-    fn entry(&self, index: usize) -> MaskedVal {
+    fn entry(&self, slot: usize) -> MaskedVal {
         MaskedVal {
-            value: self.values[index],
-            mask: self.masks[index],
+            value: self.values[slot],
+            mask: self.masks[slot],
         }
     }
 
     #[inline(always)]
-    fn get(&self, r: Reg) -> Option<MaskedVal> {
-        (self.bound & (1 << r.index()) != 0).then(|| self.entry(r.index()))
+    fn get(&self, slot: usize) -> Option<MaskedVal> {
+        (self.bound & (1 << slot) != 0).then(|| self.entry(slot))
     }
 
     #[inline(always)]
-    fn bind(&mut self, r: Reg, binding: MaskedVal) {
-        self.values[r.index()] = binding.value;
-        self.masks[r.index()] = binding.mask;
-        self.bound |= 1 << r.index();
+    fn bind(&mut self, slot: usize, binding: MaskedVal) {
+        self.values[slot] = binding.value;
+        self.masks[slot] = binding.mask;
+        self.bound |= 1 << slot;
+    }
+
+    /// Binds `slot` to `merge(previous binding)`; returns the previous
+    /// binding.
+    #[inline(always)]
+    fn upsert(
+        &mut self,
+        slot: usize,
+        merge: impl FnOnce(Option<MaskedVal>) -> MaskedVal,
+    ) -> Option<MaskedVal> {
+        let old = self.get(slot);
+        self.bind(slot, merge(old));
+        old
     }
 }
 
-/// The first register binding of a delta's life allocates its bank.
-#[cold]
-fn new_bank() -> Box<RegBank> {
-    Box::new(NO_BANK.clone())
+/// The cell a bank slot holds: a register's at its index, `Pc`'s after.
+#[inline]
+fn bank_cell(slot: usize) -> Cell {
+    match Reg::try_new(slot as u8) {
+        Some(r) => Cell::Reg(r),
+        None => Cell::Pc,
+    }
 }
 
 /// The indices of the set bits of a word, lowest first.
-struct Bits(u32);
+struct Bits(u64);
 
 impl Iterator for Bits {
     type Item = usize;
@@ -238,11 +301,189 @@ impl Iterator for Bits {
     }
 }
 
+/// One bound memory word. The binding is kept as its two fields, not as
+/// a `MaskedVal`: same 24 bytes, but with the pair stored as a unit the
+/// discrete engine measured 7-11 % slower on `mcf_chase` and
+/// `phase_flip_frozen` (the probe is inlined into every storage read).
+#[derive(Clone, Copy)]
+struct MemEntry {
+    widx: u64,
+    value: u64,
+    mask: u8,
+}
+
+impl MemEntry {
+    #[inline]
+    fn binding(&self) -> MaskedVal {
+        MaskedVal {
+            value: self.value,
+            mask: self.mask,
+        }
+    }
+
+    #[inline]
+    fn cell(&self) -> (Cell, MaskedVal) {
+        (Cell::Mem(self.widx), self.binding())
+    }
+}
+
+/// Most memory entries a delta finds by scanning; one more and it builds
+/// its index. Eight entries are three cache lines and at most eight
+/// compares, about what a probe's two dependent loads cost; the
+/// benchmark's workloads cannot tell 4, 8 and 16 apart.
+const SCAN_MAX: usize = 8;
+
+/// The memory part of a [`Delta`]: entries in first-touch order, found
+/// through `index` once there are more than [`SCAN_MAX`] of them.
+#[derive(Clone, Default)]
+struct MemCells {
+    entries: Vec<MemEntry>,
+    /// Open-addressing index over `entries`, linear probing: a slot holds
+    /// an entry's position plus one, or 0 for empty. Either empty (no
+    /// slots at all: `entries` is scanned) or a power of two of slots, at
+    /// most half of them used, indexing every entry.
+    index: Vec<u32>,
+}
+
+/// Where a probe for a memory word ended.
+enum Probe {
+    /// Bound: its position in `entries`.
+    Found(usize),
+    /// Unbound: the index slot that would hold it (meaningless while the
+    /// entries are scanned).
+    Vacant(usize),
+}
+
+impl MemCells {
+    /// The slot a probe for `widx` starts at. Fibonacci hashing: the top
+    /// bits of the product spread word indices that differ in any bits,
+    /// and consecutive ones (the common case) land far apart.
+    #[inline]
+    fn home(&self, widx: u64) -> usize {
+        debug_assert!(self.index.len().is_power_of_two());
+        let bits = self.index.len().trailing_zeros();
+        (widx.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    #[inline]
+    fn probe(&self, widx: u64) -> Probe {
+        if self.index.is_empty() {
+            return match self.entries.iter().position(|e| e.widx == widx) {
+                Some(position) => Probe::Found(position),
+                None => Probe::Vacant(0),
+            };
+        }
+        let last = self.index.len() - 1;
+        let mut slot = self.home(widx);
+        loop {
+            match self.index[slot] {
+                0 => return Probe::Vacant(slot),
+                held => {
+                    let position = held as usize - 1;
+                    if self.entries[position].widx == widx {
+                        return Probe::Found(position);
+                    }
+                }
+            }
+            slot = (slot + 1) & last;
+        }
+    }
+
+    #[inline]
+    fn get(&self, widx: u64) -> Option<MaskedVal> {
+        match self.probe(widx) {
+            Probe::Found(position) => Some(self.entries[position].binding()),
+            Probe::Vacant(_) => None,
+        }
+    }
+
+    /// Binds `widx` to `merge(previous binding)` in one probe; returns the
+    /// previous binding.
+    #[inline]
+    fn upsert(
+        &mut self,
+        widx: u64,
+        merge: impl FnOnce(Option<MaskedVal>) -> MaskedVal,
+    ) -> Option<MaskedVal> {
+        match self.probe(widx) {
+            Probe::Found(position) => {
+                let entry = &mut self.entries[position];
+                let old = entry.binding();
+                let new = merge(Some(old));
+                (entry.value, entry.mask) = (new.value, new.mask);
+                Some(old)
+            }
+            Probe::Vacant(slot) => {
+                let MaskedVal { value, mask } = merge(None);
+                self.entries.push(MemEntry { widx, value, mask });
+                let len = self.entries.len();
+                if self.index.is_empty() {
+                    if len > SCAN_MAX {
+                        self.reindex();
+                    }
+                } else if len * 2 > self.index.len() {
+                    self.reindex();
+                } else {
+                    self.index[slot] = position_plus_one(len - 1);
+                }
+                None
+            }
+        }
+    }
+
+    /// Rebuilds the index for the entries as they are: none if they can
+    /// be scanned, otherwise the smallest power of two of slots that
+    /// leaves at least half of them empty.
+    #[cold]
+    fn reindex(&mut self) {
+        self.index.clear();
+        if self.entries.len() <= SCAN_MAX {
+            return;
+        }
+        let slots = (self.entries.len() * 2).next_power_of_two();
+        self.index.resize(slots, 0);
+        for position in 0..self.entries.len() {
+            let mut slot = self.home(self.entries[position].widx);
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.index[slot] = position_plus_one(position);
+        }
+    }
+
+    fn remove(&mut self, widx: u64) -> Option<MaskedVal> {
+        let Probe::Found(position) = self.probe(widx) else {
+            return None;
+        };
+        let old = self.entries.swap_remove(position).binding();
+        // Positions moved; removals are rare enough to start over.
+        self.reindex();
+        Some(old)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.index.clear();
+    }
+
+    /// The entries sorted by word index — the cold, ordered view.
+    fn sorted(&self) -> Vec<MemEntry> {
+        let mut sorted = self.entries.clone();
+        sorted.sort_unstable_by_key(|e| e.widx);
+        sorted
+    }
+}
+
+/// What an index slot holds for the entry at `position`.
+#[inline]
+fn position_plus_one(position: usize) -> u32 {
+    u32::try_from(position + 1).expect("a delta holds fewer than 2^32 memory cells")
+}
+
 impl Clone for Delta {
     fn clone(&self) -> Delta {
         Delta {
-            cells: self.cells.clone(),
-            bank: self.bank.as_ref().filter(|bank| bank.bound != 0).cloned(),
+            parts: self.parts.as_ref().filter(|_| !self.is_empty()).cloned(),
         }
     }
 
@@ -250,18 +491,27 @@ impl Clone for Delta {
     /// copy a recycled arena buffer wants (no allocation once the buffer
     /// has grown to steady-state size).
     fn clone_from(&mut self, source: &Delta) {
-        self.cells.clone_from(&source.cells);
-        match (&mut self.bank, source.bank()) {
-            (Some(mine), theirs) => (**mine).clone_from(theirs),
-            (None, theirs) if theirs.bound != 0 => self.bank = Some(Box::new(theirs.clone())),
-            (None, _) => {}
+        match &mut self.parts {
+            Some(mine) => {
+                let theirs = source.parts();
+                mine.bank.clone_from(&theirs.bank);
+                // Same entries in the same order, so their index serves.
+                mine.mem.entries.clone_from(&theirs.mem.entries);
+                mine.mem.index.clone_from(&theirs.mem.index);
+            }
+            None => *self = source.clone(),
         }
     }
 }
 
 impl PartialEq for Delta {
     fn eq(&self, other: &Delta) -> bool {
-        self.cells == other.cells && self.regs().eq(other.regs())
+        // Memory entries sit in first-touch order, which is history, not
+        // content: equal sizes and every binding of one found in the other.
+        let (mine, theirs) = (self.mem(), other.mem());
+        self.banked().eq(other.banked())
+            && mine.entries.len() == theirs.entries.len()
+            && (mine.entries.iter()).all(|e| theirs.get(e.widx) == Some(e.binding()))
     }
 }
 
@@ -280,32 +530,42 @@ impl Delta {
         Delta::default()
     }
 
-    /// Creates an empty partial state with room for `capacity` cells.
+    /// Creates an empty partial state with room for `capacity` memory
+    /// cells.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Delta {
-        Delta {
-            cells: Vec::with_capacity(capacity),
-            ..Delta::default()
-        }
+        let mut parts = new_parts();
+        parts.mem.entries.reserve(capacity);
+        Delta { parts: Some(parts) }
     }
 
     /// Removes every binding, **retaining the allocations** so the
     /// buffer can be recycled without touching the heap.
     pub fn clear(&mut self) {
-        self.cells.clear();
-        if let Some(bank) = &mut self.bank {
-            bank.bound = 0;
+        if let Some(parts) = &mut self.parts {
+            parts.bank.bound = 0;
+            parts.mem.clear();
         }
     }
 
     #[inline(always)]
-    fn bank(&self) -> &RegBank {
-        self.bank.as_deref().unwrap_or(&NO_BANK)
+    fn parts(&self) -> &Parts {
+        self.parts.as_deref().unwrap_or(&NO_PARTS)
     }
 
     #[inline(always)]
-    fn bank_mut(&mut self) -> &mut RegBank {
-        self.bank.get_or_insert_with(new_bank)
+    fn parts_mut(&mut self) -> &mut Parts {
+        self.parts.get_or_insert_with(new_parts)
+    }
+
+    #[inline(always)]
+    fn bank(&self) -> &RegBank {
+        &self.parts().bank
+    }
+
+    #[inline(always)]
+    fn mem(&self) -> &MemCells {
+        &self.parts().mem
     }
 
     /// The masked binding of register `r`, if any: what
@@ -317,21 +577,16 @@ impl Delta {
     #[must_use]
     #[inline(always)]
     pub fn get_reg(&self, r: Reg) -> Option<MaskedVal> {
-        self.bank().get(r)
+        self.bank().get(r.index())
     }
 
     /// Binds register `r` fully to `value`: [`Delta::set`] on
     /// `Cell::Reg(r)`, without the cell or the previous binding.
     #[inline(always)]
     pub fn set_reg(&mut self, r: Reg, value: u64) {
-        self.bank_mut().bind(r, MaskedVal::full(value));
-    }
-
-    /// The index of a `Pc` or memory cell in the sorted vector, or its
-    /// insertion point.
-    #[inline]
-    fn find(&self, cell: Cell) -> Result<usize, usize> {
-        self.cells.binary_search_by(|&(c, _)| c.cmp(&cell))
+        self.parts_mut()
+            .bank
+            .bind(r.index(), MaskedVal::full(value));
     }
 
     /// The one probe-then-write path: looks `cell` up once, binds it to
@@ -343,23 +598,9 @@ impl Delta {
         merge: impl FnOnce(Option<MaskedVal>) -> MaskedVal,
     ) -> Option<MaskedVal> {
         match cell {
-            Cell::Reg(r) => {
-                let bank = self.bank_mut();
-                let old = bank.get(r);
-                bank.bind(r, merge(old));
-                old
-            }
-            _ => match self.find(cell) {
-                Ok(i) => {
-                    let old = self.cells[i].1;
-                    self.cells[i].1 = merge(Some(old));
-                    Some(old)
-                }
-                Err(i) => {
-                    self.cells.insert(i, (cell, merge(None)));
-                    None
-                }
-            },
+            Cell::Mem(widx) => self.parts_mut().mem.upsert(widx, merge),
+            Cell::Reg(r) => self.parts_mut().bank.upsert(r.index(), merge),
+            Cell::Pc => self.parts_mut().bank.upsert(PC_SLOT, merge),
         }
     }
 
@@ -379,7 +620,7 @@ impl Delta {
             return;
         }
         let new = MaskedVal::partial(value, mask);
-        self.upsert(cell, |old| old.map_or(new, |old| old.overwrite_with(new)));
+        self.upsert(cell, |old| overwritten(old, new));
     }
 
     /// Records the masked bytes of `cell` *only where not already bound*
@@ -433,8 +674,9 @@ impl Delta {
     #[inline]
     pub fn get_masked(&self, cell: Cell) -> Option<MaskedVal> {
         match cell {
+            Cell::Mem(widx) => self.mem().get(widx),
             Cell::Reg(r) => self.get_reg(r),
-            _ => self.find(cell).ok().map(|i| self.cells[i].1),
+            Cell::Pc => self.bank().get(PC_SLOT),
         }
     }
 
@@ -442,70 +684,78 @@ impl Delta {
     #[must_use]
     #[inline]
     pub fn contains(&self, cell: Cell) -> bool {
-        match cell {
-            Cell::Reg(r) => self.bank().bound & (1 << r.index()) != 0,
-            _ => self.find(cell).is_ok(),
-        }
+        self.get_masked(cell).is_some()
     }
 
     /// Removes a binding, returning it if present.
     pub fn remove(&mut self, cell: Cell) -> Option<u64> {
-        match cell {
-            Cell::Reg(r) => {
-                let bank = self.bank.as_mut()?;
-                let old = bank.get(r)?;
-                bank.bound &= !(1 << r.index());
-                Some(old.value)
-            }
-            _ => self.find(cell).ok().map(|i| self.cells.remove(i).1.value),
-        }
+        let parts = self.parts.as_mut()?;
+        let slot = match cell {
+            Cell::Mem(widx) => return parts.mem.remove(widx).map(|old| old.value),
+            Cell::Reg(r) => r.index(),
+            Cell::Pc => PC_SLOT,
+        };
+        let old = parts.bank.get(slot)?;
+        parts.bank.bound &= !(1 << slot);
+        Some(old.value)
     }
 
     /// Number of bound cells.
     #[must_use]
     #[inline]
     pub fn len(&self) -> usize {
-        self.reg_cells() + self.cells.len()
+        self.bank().bound.count_ones() as usize + self.mem().entries.len()
     }
 
     /// Whether no cells are bound.
     #[must_use]
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.bank().bound == 0 && self.cells.is_empty()
+        self.bank().bound == 0 && self.mem().entries.is_empty()
     }
 
-    /// The bound registers, in index order.
-    fn regs(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
+    /// The bound registers in index order, then `Pc` if bound.
+    pub(crate) fn banked(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
         let bank = self.bank();
-        Bits(bank.bound).map(move |i| (Cell::Reg(Reg::new(i as u8)), bank.entry(i)))
+        Bits(bank.bound).map(move |slot| (bank_cell(slot), bank.entry(slot)))
+    }
+
+    /// The bound memory cells in storage (first-touch) order. With
+    /// [`Delta::banked`], every binding once — for the cell-wise
+    /// operators, whose result does not depend on the order. They walk
+    /// the two parts in two loops, not one chained: here every cell is a
+    /// `Cell::Mem`, and the loop body compiles to the memory case alone.
+    pub(crate) fn mem_unordered(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
+        self.mem().entries.iter().map(MemEntry::cell)
     }
 
     /// Iterates over fully- and partially-bound cells as
-    /// `(cell, masked value)` in cell order.
+    /// `(cell, masked value)` in cell order. Sorts a copy of the memory
+    /// cells: for reports and tests, not for per-task work.
     pub fn iter_masked(&self) -> impl Iterator<Item = (Cell, MaskedVal)> + '_ {
-        self.regs().chain(self.cells.iter().copied())
+        let sorted = self.mem().sorted();
+        self.banked().chain(sorted.into_iter().map(|e| e.cell()))
     }
 
-    /// Iterates over `(cell, value)` bindings in cell order. Partial
-    /// bindings yield their value with unbound bytes as zero.
+    /// Iterates over `(cell, value)` bindings in cell order, at the cost
+    /// of [`Delta::iter_masked`]. Partial bindings yield their value with
+    /// unbound bytes as zero.
     pub fn iter(&self) -> impl Iterator<Item = (Cell, u64)> + '_ {
         self.iter_masked().map(|(c, m)| (c, m.value))
     }
 
     /// Number of bound *memory* cells (useful for bandwidth accounting).
     #[must_use]
+    #[inline]
     pub fn mem_cells(&self) -> usize {
-        // `Pc` sorts before every memory cell.
-        let pc = matches!(self.cells.first(), Some((Cell::Pc, _)));
-        self.cells.len() - usize::from(pc)
+        self.mem().entries.len()
     }
 
     /// Number of bound *register* cells.
     #[must_use]
     #[inline]
     pub fn reg_cells(&self) -> usize {
-        self.bank().bound.count_ones() as usize
+        (self.bank().bound & !(1 << PC_SLOT)).count_ones() as usize
     }
 
     /// Superimposition `self ← other`: a new delta containing every binding
@@ -521,10 +771,21 @@ impl Delta {
         out
     }
 
-    /// In-place superimposition `self ← other`.
+    /// In-place superimposition `self ← other`: one probe of `self` per
+    /// cell of `other`.
     pub fn superimpose_in_place(&mut self, other: &Delta) {
-        for (c, m) in other.iter_masked() {
-            self.set_bytes(c, m.value, m.mask);
+        if other.is_empty() {
+            return;
+        }
+        // Part by part, slot by slot: no cell is built only to be matched.
+        let (mine, theirs) = (self.parts_mut(), other.parts());
+        for slot in Bits(theirs.bank.bound) {
+            let new = theirs.bank.entry(slot);
+            (mine.bank).upsert(slot, |old| overwritten(old, new));
+        }
+        for e in &theirs.mem.entries {
+            let new = e.binding();
+            (mine.mem).upsert(e.widx, |old| overwritten(old, new));
         }
     }
 
@@ -544,10 +805,11 @@ impl Delta {
     /// ```
     #[must_use]
     pub fn consistent_with(&self, other: &Delta) -> bool {
-        self.iter_masked().all(|(c, m)| match other.get_masked(c) {
+        let bound_alike = |(c, m): (Cell, MaskedVal)| match other.get_masked(c) {
             Some(o) => (o.mask & m.mask) == m.mask && (o.value & expand_mask(m.mask)) == m.value,
             None => false,
-        })
+        };
+        self.banked().all(bound_alike) && self.mem_unordered().all(bound_alike)
     }
 
     /// Consistency `self ⊑ S` against a *full* machine state: every bound
@@ -558,64 +820,61 @@ impl Delta {
     /// the verify unit performs on a task's recorded live-ins.
     #[must_use]
     pub fn consistent_with_state(&self, state: &MachineState) -> bool {
-        self.iter_masked()
-            .all(|(c, m)| state.read_cell(c) & expand_mask(m.mask) == m.value)
+        self.banked().all(|cell| mismatch(cell, state).is_none())
+            && (self.mem_unordered()).all(|cell| mismatch(cell, state).is_none())
     }
 
-    /// The cells whose bound bytes disagree with `state` — the diagnostic
-    /// counterpart of [`Delta::consistent_with_state`]. Reports
-    /// `(cell, bound value, architected value)` with both masked to the
-    /// bound bytes.
+    /// The cells whose bound bytes disagree with `state`, in cell order —
+    /// the diagnostic counterpart of [`Delta::consistent_with_state`].
+    /// Reports `(cell, bound value, architected value)` with both masked
+    /// to the bound bytes.
     #[must_use]
     pub fn mismatches_against(&self, state: &MachineState) -> Vec<(Cell, u64, u64)> {
-        self.mismatches_iter(state).collect()
+        let mut all: Vec<_> = (self.banked().chain(self.mem_unordered()))
+            .filter_map(|cell| mismatch(cell, state))
+            .collect();
+        all.sort_unstable_by_key(|&(c, _, _)| c);
+        all
     }
 
-    /// The first bound cell disagreeing with `state`, or `None` if the
-    /// delta is consistent. Unlike [`Delta::mismatches_against`] this
-    /// allocates nothing and stops at the first disagreement — it is the
+    /// The first bound cell, in cell order, disagreeing with `state`, or
+    /// `None` if the delta is consistent. Unlike
+    /// [`Delta::mismatches_against`] this allocates nothing — it is the
     /// right shape for verify-path squash diagnostics, where only one
-    /// offending cell needs naming.
+    /// offending cell needs naming. A banked mismatch ends the search;
+    /// the memory cells are all compared, keeping the lowest one that
+    /// disagrees, which is no more than a consistent delta costs anyway.
     #[must_use]
     pub fn first_mismatch_against(&self, state: &MachineState) -> Option<(Cell, u64, u64)> {
-        self.mismatches_iter(state).next()
-    }
-
-    fn mismatches_iter<'a>(
-        &'a self,
-        state: &'a MachineState,
-    ) -> impl Iterator<Item = (Cell, u64, u64)> + 'a {
-        self.iter_masked().filter_map(move |(c, m)| {
-            let actual = state.read_cell(c) & expand_mask(m.mask);
-            (actual != m.value).then_some((c, m.value, actual))
-        })
+        self.banked()
+            .find_map(|cell| mismatch(cell, state))
+            .or_else(|| {
+                (self.mem_unordered())
+                    .filter_map(|cell| mismatch(cell, state))
+                    .min_by_key(|&(c, _, _)| c)
+            })
     }
 }
 
+/// The newest-wins merge: `new` over whatever was bound before.
+#[inline]
+fn overwritten(old: Option<MaskedVal>, new: MaskedVal) -> MaskedVal {
+    old.map_or(new, |old| old.overwrite_with(new))
+}
+
+/// `(cell, bound value, architected value)` if the binding's bytes
+/// disagree with `state`.
+#[inline]
+fn mismatch((c, m): (Cell, MaskedVal), state: &MachineState) -> Option<(Cell, u64, u64)> {
+    let actual = state.read_cell(c) & expand_mask(m.mask);
+    (actual != m.value).then_some((c, m.value, actual))
+}
+
 impl FromIterator<(Cell, u64)> for Delta {
+    /// Map-insert semantics: the latest binding of a repeated cell wins.
     fn from_iter<I: IntoIterator<Item = (Cell, u64)>>(iter: I) -> Delta {
         let mut delta = Delta::new();
-        let mut cells: Vec<(Cell, MaskedVal)> = Vec::new();
-        for (c, v) in iter {
-            match c {
-                Cell::Reg(_) => {
-                    delta.set(c, v);
-                }
-                _ => cells.push((c, MaskedVal::full(v))),
-            }
-        }
-        // Stable sort + keep-last dedup reproduces map-insert semantics
-        // (the latest binding for a repeated cell wins).
-        cells.sort_by_key(|&(c, _)| c);
-        cells.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                *earlier = *later;
-                true
-            } else {
-                false
-            }
-        });
-        delta.cells = cells;
+        delta.extend(iter);
         delta
     }
 }
@@ -802,6 +1061,280 @@ mod tests {
         let order: Vec<Cell> = fast.iter().map(|(c, _)| c).collect();
         assert_eq!(order, [Cell::Reg(a0), Cell::Reg(a2), Cell::Pc]);
         assert_eq!(fast.len(), 3);
+    }
+
+    // ---- the memory-cell store -------------------------------------------
+
+    use mssp_testkit::Rng;
+    use std::collections::BTreeMap;
+
+    /// `n` distinct word indices spread over the address space, shuffled.
+    fn shuffled_words(rng: &mut Rng, n: u64) -> Vec<u64> {
+        let mut words: Vec<u64> = (0..n).map(|i| (i * i) << (i % 40)).collect();
+        words.sort_unstable();
+        words.dedup();
+        for i in (1..words.len()).rev() {
+            words.swap(i, rng.gen_index(0, i + 1));
+        }
+        words
+    }
+
+    /// Everything a delta of memory cells shows agrees with `model`.
+    fn assert_mem_matches(delta: &Delta, model: &BTreeMap<u64, MaskedVal>, absent: &[u64]) {
+        for (&w, &m) in model {
+            assert_eq!(delta.get_masked(Cell::Mem(w)), Some(m), "word {w:#x}");
+            assert!(delta.contains(Cell::Mem(w)));
+        }
+        for &w in absent {
+            assert_eq!(delta.get_masked(Cell::Mem(w)), None, "word {w:#x}");
+        }
+        assert_eq!(delta.mem_cells(), model.len());
+        assert_eq!(delta.len(), model.len());
+        assert!(!delta.contains(Cell::Pc));
+        let want: Vec<(Cell, MaskedVal)> = model.iter().map(|(&w, &m)| (Cell::Mem(w), m)).collect();
+        assert_eq!(delta.iter_masked().collect::<Vec<_>>(), want);
+        // The index is either absent or covers every entry, half empty.
+        let mem = delta.mem();
+        if mem.index.is_empty() {
+            assert!(mem.entries.len() <= SCAN_MAX);
+        } else {
+            assert!(mem.index.len().is_power_of_two());
+            assert!(mem.entries.len() * 2 <= mem.index.len());
+            let used = mem.index.iter().filter(|&&held| held != 0).count();
+            assert_eq!(used, mem.entries.len());
+        }
+    }
+
+    #[test]
+    fn binding_order_is_history_not_content() {
+        // Ascending, descending and shuffled, across the scan threshold
+        // and three index growths (9, 17, 33 and 65 entries).
+        let mut rng = Rng::new(0xDE17_A002);
+        let shuffled = shuffled_words(&mut rng, 100);
+        let mut ascending = shuffled.clone();
+        ascending.sort_unstable();
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        assert!(ascending.len() > 65);
+
+        let mut deltas = [Delta::new(), Delta::new(), Delta::new()];
+        let mut models = [BTreeMap::new(), BTreeMap::new(), BTreeMap::new()];
+        for step in 0..ascending.len() {
+            for (order, (delta, model)) in [&ascending, &descending, &shuffled]
+                .into_iter()
+                .zip(deltas.iter_mut().zip(models.iter_mut()))
+            {
+                let w = order[step];
+                match step % 4 {
+                    0 => assert_eq!(delta.set(Cell::Mem(w), w ^ 1), None),
+                    1 => delta.set_bytes(Cell::Mem(w), w ^ 1, 0xFF),
+                    2 => delta.record_bytes(Cell::Mem(w), w ^ 1, 0xFF),
+                    _ => assert_eq!(delta.read_or_record(Cell::Mem(w), 0xFF, |_| w ^ 1), w ^ 1),
+                }
+                model.insert(w, MaskedVal::full(w ^ 1));
+                assert_mem_matches(delta, model, &order[step + 1..]);
+            }
+        }
+        assert_eq!(models[0], models[1]);
+        assert_eq!(deltas[0], deltas[1]);
+        assert_eq!(deltas[1], deltas[2]);
+        assert_eq!(deltas[2], deltas[0]);
+        assert_eq!(deltas[0].to_string(), deltas[2].to_string());
+        // One binding apart is not equal, either way round.
+        let mut other = deltas[2].clone();
+        other.set_bytes(Cell::Mem(shuffled[0]), 0, 0x01);
+        assert_ne!(deltas[0], other);
+        assert_ne!(other, deltas[0]);
+        other.remove(Cell::Mem(shuffled[0]));
+        other.set(Cell::Mem(u64::MAX), 0);
+        assert_ne!(deltas[0], other);
+    }
+
+    #[test]
+    fn a_cleared_index_resurrects_nothing() {
+        let mut rng = Rng::new(0xDE17_A003);
+        let words = shuffled_words(&mut rng, 40);
+        let mut delta = Delta::new();
+        for &w in &words {
+            delta.set(Cell::Mem(w), 7);
+        }
+        assert!(!delta.mem().index.is_empty());
+        let (entries, slots) = (delta.mem().entries.capacity(), delta.mem().index.capacity());
+        delta.clear();
+        assert_mem_matches(&delta, &BTreeMap::new(), &words);
+        assert_eq!(delta, Delta::new());
+
+        // A short life in the recycled buffer scans, a longer one
+        // re-indexes: neither finds a word of the first life.
+        let mut model = BTreeMap::new();
+        for (i, &w) in words.iter().rev().take(20).enumerate() {
+            delta.set_bytes(Cell::Mem(w), 0xAB, 0x01);
+            model.insert(w, MaskedVal::partial(0xAB, 0x01));
+            assert_mem_matches(&delta, &model, &words[..20]);
+            assert_eq!(delta.mem().index.is_empty(), i < SCAN_MAX);
+        }
+        assert_eq!(delta.mem().entries.capacity(), entries);
+        assert_eq!(delta.mem().index.capacity(), slots);
+    }
+
+    #[test]
+    fn words_that_collide_in_the_index_are_told_apart() {
+        // Three words with one home slot in the smallest index.
+        let mut delta = Delta::new();
+        for w in 0..=SCAN_MAX as u64 {
+            delta.set(Cell::Mem(w), w);
+        }
+        let home = delta.mem().home(0);
+        let colliding: Vec<u64> = (1 << 20..)
+            .filter(|&w| delta.mem().home(w) == home)
+            .take(2)
+            .collect();
+        let mut model: BTreeMap<u64, MaskedVal> = (0..=SCAN_MAX as u64)
+            .map(|w| (w, MaskedVal::full(w)))
+            .collect();
+        assert_mem_matches(&delta, &model, &colliding);
+        for &w in &colliding {
+            delta.set(Cell::Mem(w), w);
+            model.insert(w, MaskedVal::full(w));
+        }
+        assert_eq!(
+            delta.mem().index.len(),
+            32,
+            "the collision was found for this size"
+        );
+        assert_mem_matches(&delta, &model, &[]);
+        // Removing the first of the chain leaves the others reachable.
+        assert_eq!(delta.remove(Cell::Mem(0)), Some(0));
+        model.remove(&0);
+        assert_mem_matches(&delta, &model, &[0]);
+        assert_eq!(delta.remove(Cell::Mem(0)), None);
+    }
+
+    #[test]
+    fn removal_crosses_the_scan_threshold_both_ways() {
+        let mut rng = Rng::new(0xDE17_A004);
+        let words = shuffled_words(&mut rng, 24);
+        let mut delta = Delta::new();
+        let mut model = BTreeMap::new();
+        for &w in &words {
+            delta.set(Cell::Mem(w), !w);
+            model.insert(w, MaskedVal::full(!w));
+        }
+        for (i, &w) in words.iter().enumerate() {
+            assert_eq!(delta.remove(Cell::Mem(w)), Some(!w));
+            model.remove(&w);
+            assert_mem_matches(&delta, &model, &words[..=i]);
+        }
+        assert!(delta.is_empty());
+        for &w in &words {
+            delta.set(Cell::Mem(w), w);
+            model.insert(w, MaskedVal::full(w));
+        }
+        assert_mem_matches(&delta, &model, &[]);
+    }
+
+    #[test]
+    fn clones_carry_the_index_into_larger_and_smaller_buffers() {
+        let mut rng = Rng::new(0xDE17_A005);
+        let words = shuffled_words(&mut rng, 90);
+        let build = |words: &[u64]| -> (Delta, BTreeMap<u64, MaskedVal>) {
+            let mut delta = Delta::new();
+            delta.set(Cell::Pc, 0x40);
+            for &w in words {
+                delta.set(Cell::Mem(w), w);
+            }
+            delta.remove(Cell::Pc);
+            (
+                delta,
+                words.iter().map(|&w| (w, MaskedVal::full(w))).collect(),
+            )
+        };
+        let (small, small_model) = build(&words[..5]);
+        let (medium, medium_model) = build(&words[20..50]);
+        let (large, large_model) = build(&words);
+
+        assert_mem_matches(&medium.clone(), &medium_model, &words[..20]);
+        // Into a larger recycled buffer, then a smaller one, then an
+        // unindexed one and back.
+        let mut buffer = large.clone();
+        buffer.clear();
+        for (source, model) in [
+            (&medium, &medium_model),
+            (&large, &large_model),
+            (&small, &small_model),
+            (&medium, &medium_model),
+        ] {
+            buffer.clone_from(source);
+            assert_eq!(&buffer, source);
+            let absent: Vec<u64> = (words.iter().copied())
+                .filter(|w| !model.contains_key(w))
+                .collect();
+            assert_mem_matches(&buffer, model, &absent);
+            // The copy is live, not a view of the source's index.
+            buffer.set(Cell::Mem(u64::MAX), 1);
+            assert_eq!(buffer.get(Cell::Mem(u64::MAX)), Some(1));
+            assert_eq!(source.get(Cell::Mem(u64::MAX)), None);
+        }
+    }
+
+    #[test]
+    fn mismatch_reports_are_in_cell_order_whatever_the_binding_order() {
+        let mut rng = Rng::new(0xDE17_A006);
+        let words = shuffled_words(&mut rng, 60);
+        let mut state = MachineState::new();
+        let mut probe = Delta::new();
+        // Every third word disagrees; so do `Pc` and one register.
+        for (i, &w) in words.iter().enumerate() {
+            state.store_word(w, w);
+            probe.set(Cell::Mem(w), if i % 3 == 0 { !w } else { w });
+        }
+        let all = probe.mismatches_against(&state);
+        assert_eq!(all.len(), 20);
+        assert!(all.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        let lowest = words.iter().step_by(3).min().unwrap();
+        assert_eq!(all[0], (Cell::Mem(*lowest), !lowest, *lowest));
+        assert_eq!(probe.first_mismatch_against(&state), Some(all[0]));
+        assert!(!probe.consistent_with_state(&state));
+
+        probe.set(Cell::Pc, 4);
+        assert_eq!(probe.first_mismatch_against(&state), Some((Cell::Pc, 4, 0)));
+        probe.set(Cell::Reg(Reg::T0), 9);
+        let first = Some((Cell::Reg(Reg::T0), 9, 0));
+        assert_eq!(probe.first_mismatch_against(&state), first);
+        assert_eq!(probe.mismatches_against(&state).first().copied(), first);
+        assert_eq!(probe.mismatches_against(&state).len(), 22);
+    }
+
+    #[test]
+    fn folding_thousands_of_shuffled_cells_is_the_models_superimposition() {
+        let mut rng = Rng::new(0xDE17_A007);
+        // Half of the incoming words are already bound, partially.
+        let base: Vec<u64> = (0..4096u64).map(|i| i * 3).collect();
+        let mut incoming: Vec<u64> = (0..4096u64).map(|i| i * 6 + (i % 2)).collect();
+        for i in (1..incoming.len()).rev() {
+            incoming.swap(i, rng.gen_index(0, i + 1));
+        }
+        let mut folded = Delta::new();
+        let mut model = BTreeMap::new();
+        for &w in &base {
+            folded.set_bytes(Cell::Mem(w), u64::MAX, 0x0F);
+            model.insert(w, MaskedVal::partial(u64::MAX, 0x0F));
+        }
+        let mut other = Delta::new();
+        for &w in &incoming {
+            let (value, mask) = (rng.next_u64(), rng.next_u64() as u8 | 0x80);
+            other.set_bytes(Cell::Mem(w), value, mask);
+            let new = MaskedVal::partial(value, mask);
+            let merged = model.get(&w).map_or(new, |old| old.overwrite_with(new));
+            model.insert(w, merged);
+        }
+        folded.superimpose_in_place(&other);
+        assert!(model.len() > 4096 && model.len() < 8192);
+        assert_mem_matches(&folded, &model, &[1, 4, u64::MAX]);
+        let collected: Delta = model
+            .iter()
+            .map(|(&w, m)| (Cell::Mem(w), m.value))
+            .collect();
+        assert_eq!(collected.mem_cells(), model.len());
     }
 
     // ---- byte-masked behaviour -----------------------------------------

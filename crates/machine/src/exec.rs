@@ -85,6 +85,11 @@ pub struct StepInfo {
 /// let info = step(&mut s, &p, p.entry()).unwrap();
 /// assert_eq!(info.next_pc, p.entry() + 4);
 /// ```
+// Inlined into every caller: out of line, the `StepInfo` is assembled in
+// the return slot with narrow stores and re-read wide by a caller that
+// moves it on — a store-forwarding stall per instruction — and the
+// caller's loop state (task, cost model, counters) spills around the call.
+#[inline(always)]
 pub fn step<S: Storage>(storage: &mut S, program: &Program, pc: u64) -> Result<StepInfo, Fault> {
     use Instr::*;
 

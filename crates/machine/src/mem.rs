@@ -22,8 +22,23 @@
 //!   bits of the page index, so concurrent readers of *different* pages
 //!   walk different map allocations instead of contending on one table's
 //!   buckets.
+//!
+//! # The lookup
+//!
+//! Every load and store of every machine in the workspace — the
+//! sequential reference, the master's private state, a slave's
+//! fall-through to architected state, each live-in compare and each
+//! committed write — finds its page here, so the stripes hash a page
+//! index with one multiply and a fold ([`PageHasher`]) instead of the
+//! standard library's keyed SipHash. The keys are page indices of a
+//! simulated program, not input an attacker shapes, and a degenerate
+//! distribution costs probe length, never correctness. The hasher decides
+//! only the bucket *within* a stripe's map — the stripe still comes from
+//! the low bits of the page index and a page is still one aligned `Arc`
+//! allocation — so the two layout properties above do not depend on it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Words per page (4 KiB pages).
@@ -48,12 +63,36 @@ impl Page {
     }
 }
 
+/// Hashes one page index: a multiply spreads it over the high bits (which
+/// pick the map's control byte), and folding the high half onto the low
+/// one carries that to the bits that pick the bucket — within a stripe
+/// the low bits of every key are the same.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a page index is hashed as one u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page_idx: u64) {
+        let spread = page_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = spread ^ (spread >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One page-table stripe, padded to a cache line so adjacent stripes can
 /// be touched by different threads without false sharing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[repr(align(64))]
 struct Stripe {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 /// Sparse 64-bit-word-addressed memory with zero-fill semantics.
@@ -102,6 +141,7 @@ impl SparseMem {
 
     /// Loads the word at word index `widx` (zero if never written).
     #[must_use]
+    #[inline]
     pub fn load(&self, widx: u64) -> u64 {
         let page_idx = widx / PAGE_WORDS;
         match self.stripes[Self::stripe_of(page_idx)].pages.get(&page_idx) {
@@ -111,6 +151,7 @@ impl SparseMem {
     }
 
     /// Stores `value` at word index `widx`.
+    #[inline]
     pub fn store(&mut self, widx: u64, value: u64) {
         let page_idx = widx / PAGE_WORDS;
         let page = self.stripes[Self::stripe_of(page_idx)]
@@ -273,6 +314,68 @@ mod tests {
         m.store(0, 1);
         let page = m.stripes[0].pages.get(&0).unwrap();
         assert_eq!(Arc::as_ptr(page) as usize % 64, 0);
+    }
+
+    #[test]
+    fn random_stores_loads_and_clones_follow_a_map_model() {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Pages that share a stripe, pages that differ only above bit 32
+        // of the page index, neighbours, and the ends of the range.
+        let mut pages: Vec<u64> = (0..6).collect();
+        pages.extend((1..6).map(|i| i * STRIPES as u64));
+        pages.extend((1..6).map(|i| i << 32));
+        pages.extend((1..4).map(|i| (i << 32) + STRIPES as u64));
+        pages.extend([
+            u64::MAX / PAGE_WORDS,
+            u64::MAX / PAGE_WORDS - STRIPES as u64,
+        ]);
+        mssp_testkit::check(0x5AA5_E001, 20, |rng| {
+            let mut mem = SparseMem::new();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            // An older clone, what it held, and the pages stored to since.
+            let mut snapshot: Option<(SparseMem, BTreeMap<u64, u64>)> = None;
+            let mut dirtied: BTreeSet<u64> = BTreeSet::new();
+            let arb_word = |rng: &mut mssp_testkit::Rng| {
+                rng.choose(&pages) * PAGE_WORDS + rng.gen_range(0, 4) * (PAGE_WORDS / 4)
+            };
+            for _ in 0..400 {
+                match rng.gen_range(0, 8) {
+                    0..=3 => {
+                        let (w, v) = (arb_word(rng), rng.next_u64());
+                        mem.store(w, v);
+                        model.insert(w, v);
+                        dirtied.insert(w / PAGE_WORDS);
+                    }
+                    4..=6 => {
+                        let w = arb_word(rng);
+                        assert_eq!(mem.load(w), model.get(&w).copied().unwrap_or(0));
+                    }
+                    _ => {
+                        let clone = mem.clone();
+                        assert_eq!(clone, mem);
+                        assert_eq!(clone.shared_pages_with(&mem), mem.resident_pages());
+                        snapshot = Some((clone, model.clone()));
+                        dirtied.clear();
+                    }
+                }
+                let resident: BTreeSet<u64> = model.keys().map(|w| w / PAGE_WORDS).collect();
+                assert_eq!(mem.resident_pages(), resident.len());
+                if let Some((old, old_model)) = &snapshot {
+                    // Copy-on-write: the clone reads what it read when it
+                    // was taken and still shares every page not stored to.
+                    let w = arb_word(rng);
+                    assert_eq!(old.load(w), old_model.get(&w).copied().unwrap_or(0));
+                    let held = |page: &&u64| old_model.keys().any(|w| w / PAGE_WORDS == **page);
+                    let untouched = old.resident_pages() - dirtied.iter().filter(held).count();
+                    assert_eq!(old.shared_pages_with(&mem), untouched);
+                    assert_eq!(mem.shared_pages_with(old), untouched);
+                }
+            }
+            let mut words: Vec<(u64, u64)> = mem.iter_words().filter(|&(_, v)| v != 0).collect();
+            words.sort_unstable();
+            let want: Vec<(u64, u64)> = model.into_iter().filter(|&(_, v)| v != 0).collect();
+            assert_eq!(words, want);
+        });
     }
 
     #[test]

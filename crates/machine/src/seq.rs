@@ -174,6 +174,7 @@ impl<'p> SeqMachine<'p> {
     ///
     /// Propagates interpreter faults. Stepping a halted machine is a no-op
     /// returning the halt info again.
+    #[inline]
     pub fn step(&mut self) -> Result<StepInfo, Fault> {
         let pc = self.state.pc();
         let info = step(&mut self.state, self.program, pc)?;

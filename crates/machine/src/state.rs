@@ -3,7 +3,7 @@
 
 use mssp_isa::{Reg, NUM_REGS, STACK_TOP};
 
-use crate::{Cell, Delta, SparseMem};
+use crate::{Cell, Delta, MaskedVal, SparseMem};
 
 /// A complete architectural machine state: 32 registers, the PC, and
 /// sparse memory.
@@ -62,11 +62,13 @@ impl MachineState {
 
     /// Reads a register (the zero register always reads zero).
     #[must_use]
+    #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
         self.regs[r.index()]
     }
 
     /// Writes a register (writes to the zero register are discarded).
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = value;
@@ -86,11 +88,13 @@ impl MachineState {
 
     /// Loads the 64-bit word at word index `widx`.
     #[must_use]
+    #[inline]
     pub fn load_word(&self, widx: u64) -> u64 {
         self.mem.load(widx)
     }
 
     /// Stores a 64-bit word at word index `widx`.
+    #[inline]
     pub fn store_word(&mut self, widx: u64, value: u64) {
         self.mem.store(widx, value);
     }
@@ -103,6 +107,7 @@ impl MachineState {
 
     /// Reads any cell uniformly.
     #[must_use]
+    #[inline]
     pub fn read_cell(&self, cell: Cell) -> u64 {
         match cell {
             Cell::Reg(r) => self.reg(r),
@@ -112,6 +117,7 @@ impl MachineState {
     }
 
     /// Writes any cell uniformly.
+    #[inline]
     pub fn write_cell(&mut self, cell: Cell, value: u64) {
         match cell {
             Cell::Reg(r) => self.set_reg(r, value),
@@ -135,14 +141,24 @@ impl MachineState {
     /// assert_eq!(s.load_word(3), 99);
     /// ```
     pub fn apply(&mut self, delta: &Delta) {
-        for (c, m) in delta.iter_masked() {
-            if m.is_full() {
-                self.write_cell(c, m.value);
-            } else {
-                let em = crate::expand_mask(m.mask);
-                let old = self.read_cell(c);
-                self.write_cell(c, (old & !em) | m.value);
-            }
+        // Each cell is bound once, so the order of the writes is free.
+        for (c, m) in delta.banked() {
+            self.write_masked(c, m);
+        }
+        for (c, m) in delta.mem_unordered() {
+            self.write_masked(c, m);
+        }
+    }
+
+    /// Overwrites the bound bytes of `cell` with `binding`'s.
+    #[inline]
+    fn write_masked(&mut self, cell: Cell, binding: MaskedVal) {
+        if binding.is_full() {
+            self.write_cell(cell, binding.value);
+        } else {
+            let em = crate::expand_mask(binding.mask);
+            let old = self.read_cell(cell);
+            self.write_cell(cell, (old & !em) | binding.value);
         }
     }
 

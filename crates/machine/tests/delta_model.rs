@@ -1,13 +1,19 @@
-//! Model-based test of `Delta`'s two-part representation (dense register
-//! bank + sorted vector): random operation sequences over register, `Pc`
-//! and memory cells are mirrored into a `BTreeMap<Cell, MaskedVal>`, and
-//! after every operation everything observable about the delta must be
-//! what the map says.
+//! Model-based test of `Delta`'s two-part representation (dense bank for
+//! registers and `Pc` + memory cells in first-touch order behind an
+//! index): random operation sequences over register, `Pc` and memory
+//! cells are mirrored into a `BTreeMap<Cell, MaskedVal>`, and after every
+//! operation everything observable about the delta must be what the map
+//! says.
 //!
 //! The bank keeps unbound entries' old values (across `remove`, `clear`
-//! and arena recycling), so the properties that matter most are the ones
+//! and arena recycling) and the memory cells sit in whatever order they
+//! were first touched, so the properties that matter most are the ones
 //! about *history*: two deltas with equal bindings are equal, iterate
-//! alike and clone alike whatever was bound in them before.
+//! alike (in cell order) and clone alike whatever was bound in them
+//! before, in whatever order. The property runs twice: over a small
+//! universe, where operations collide and memory cells are found by
+//! scanning, and over a wide one, where deltas outgrow the scan and their
+//! index grows, shrinks on `remove` and is recycled across `clear`.
 //!
 //! Seeded with `mssp-testkit`; a failing case prints its seed for replay.
 
@@ -27,6 +33,15 @@ fn universe() -> Vec<Cell> {
     cells.push(Cell::Pc);
     cells.extend((0..10).map(Cell::Mem));
     cells.extend([Cell::Mem(1 << 40), Cell::Mem(u64::MAX)]);
+    cells
+}
+
+/// [`universe`] plus 150 more memory words (strided, so neighbours differ
+/// in high bits too): enough for a delta to outgrow the scan and for its
+/// index to grow three times.
+fn wide_universe() -> Vec<Cell> {
+    let mut cells = universe();
+    cells.extend((1..=150).map(|i| Cell::Mem(i * 0x1_0000_0801)));
     cells
 }
 
@@ -133,19 +148,28 @@ fn assert_relations(a: &Delta, ma: &Model, b: &Delta, mb: &Model) {
 
 #[test]
 fn delta_behaves_like_an_ordered_map_whatever_its_history() {
-    let cells = universe();
-    check(0xDE17_A001, 300, |rng| {
+    ordered_map_property(0xDE17_A001, 300, &universe(), 80);
+}
+
+#[test]
+fn delta_behaves_like_an_ordered_map_past_the_scan_threshold() {
+    ordered_map_property(0xDE17_A008, 40, &wide_universe(), 400);
+}
+
+/// `cases` random histories of up to `max_ops` operations over `cells`.
+fn ordered_map_property(seed: u64, cases: u32, cells: &[Cell], max_ops: u64) {
+    check(seed, cases, |rng| {
         let mut arena = DeltaArena::new();
         let (mut a, mut ma) = (Delta::new(), Model::new());
         let (mut b, mut mb) = (Delta::new(), Model::new());
-        for _ in 0..rng.gen_range(1, 80) {
+        for _ in 0..rng.gen_range(1, max_ops) {
             // Work on either delta; the other is the operand of the
             // binary operations.
             if rng.gen_bool(1, 3) {
                 std::mem::swap(&mut a, &mut b);
                 std::mem::swap(&mut ma, &mut mb);
             }
-            let cell = arb_cell(rng, &cells);
+            let cell = arb_cell(rng, cells);
             let (value, mask) = (rng.next_u64(), arb_mask(rng));
             match rng.gen_range(0, 15) {
                 0 | 1 => {
@@ -206,11 +230,11 @@ fn delta_behaves_like_an_ordered_map_whatever_its_history() {
                     for (&c, m) in &mb {
                         model_set_bytes(&mut ma, c, m.value, m.mask);
                     }
-                    assert_eq!(a, rebuilt(rng, &ma, &cells));
+                    assert_eq!(a, rebuilt(rng, &ma, cells));
                 }
                 _ => {
-                    let pairs: Vec<(Cell, u64)> = (0..rng.gen_range(0, 24))
-                        .map(|_| (arb_cell(rng, &cells), rng.next_u64()))
+                    let pairs: Vec<(Cell, u64)> = (0..rng.gen_range(0, max_ops / 3))
+                        .map(|_| (arb_cell(rng, cells), rng.next_u64()))
                         .collect();
                     a = pairs.iter().copied().collect();
                     ma = pairs
@@ -219,17 +243,17 @@ fn delta_behaves_like_an_ordered_map_whatever_its_history() {
                         .collect();
                 }
             }
-            assert_matches(&a, &ma, &cells);
+            assert_matches(&a, &ma, cells);
             assert_relations(&a, &ma, &b, &mb);
 
             // Equal bindings, different histories: equal, both ways, and
             // so are their clones.
-            let twin = rebuilt(rng, &ma, &cells);
-            assert_matches(&twin, &ma, &cells);
+            let twin = rebuilt(rng, &ma, cells);
+            assert_matches(&twin, &ma, cells);
             assert_eq!(a, twin);
             assert_eq!(twin, a);
             assert_eq!(a.clone(), twin);
-            assert_matches(&a.clone(), &ma, &cells);
+            assert_matches(&a.clone(), &ma, cells);
             assert_eq!(a.superimpose(&Delta::new()), twin);
             assert_eq!(a.to_string(), twin.to_string());
         }
