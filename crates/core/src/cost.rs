@@ -5,8 +5,9 @@
 //!
 //! * correctness work uses [`UnitCost`] (every instruction one cycle, free
 //!   overheads), and
-//! * the `mssp-timing` crate plugs in a detailed CMP model (scoreboard
-//!   cores, caches, branch predictors, checkpoint/verify/commit latencies).
+//! * the `mssp-timing` crate plugs in a CMP model: in-order latency-sum
+//!   cores with private L1I/L1D caches and gshare + BTB predictors over a
+//!   shared L2, plus checkpoint/dispatch/verify/commit/squash latencies.
 //!
 //! Crucially, the *committed architected state* of a run is independent of
 //! the cost model — costs reorder speculative work but commits are always

@@ -63,9 +63,11 @@ impl BranchStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gshare {
-    config: GshareConfig,
+    /// `1 << table_bits` counters.
     table: Vec<u8>,
+    /// Global history, kept masked to `history_bits`.
     history: u64,
+    history_mask: u64,
     stats: BranchStats,
 }
 
@@ -80,21 +82,20 @@ impl Gshare {
         assert!(config.history_bits <= config.table_bits);
         assert!(config.table_bits <= 24, "table too large");
         Gshare {
-            config,
             table: vec![1; 1 << config.table_bits],
             history: 0,
+            history_mask: (1 << config.history_bits) - 1,
             stats: BranchStats::default(),
         }
     }
 
     fn index(&self, pc: u64) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        let hist = self.history & ((1u64 << self.config.history_bits) - 1);
-        (((pc >> 2) ^ hist) & mask) as usize
+        ((pc >> 2) ^ self.history) as usize & (self.table.len() - 1)
     }
 
     /// Predicts the branch at `pc`, then updates with the actual `taken`
     /// outcome. Returns whether the prediction was correct.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.index(pc);
         let predicted = self.table[idx] >= 2;
@@ -110,7 +111,7 @@ impl Gshare {
         } else {
             self.table[idx] = self.table[idx].saturating_sub(1);
         }
-        self.history = (self.history << 1) | taken as u64;
+        self.history = ((self.history << 1) | taken as u64) & self.history_mask;
         correct
     }
 

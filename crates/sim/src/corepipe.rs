@@ -159,7 +159,8 @@ impl CorePipe {
     /// The cost in cycles of executing `info` on this core. `l2` is
     /// invoked for every L1 miss (instruction or data) with the missing
     /// address and must return whether it hit in the shared L2.
-    pub fn instr_cost(&mut self, info: &StepInfo, l2: &mut dyn FnMut(u64) -> bool) -> u64 {
+    #[inline]
+    pub fn instr_cost(&mut self, info: &StepInfo, mut l2: impl FnMut(u64) -> bool) -> u64 {
         let lat = &self.config.lat;
         let mut cost = match info.instr {
             Instr::Mul(..) => lat.mul,

@@ -139,19 +139,29 @@ impl CmpCost {
     fn cells_cost(&self, base: u64, cells: usize) -> u64 {
         base + cells as u64 / self.overhead.cells_per_cycle.max(1)
     }
+
+    /// The core `role` runs on. The engine numbers slaves below the
+    /// configured count; a role past it wraps around.
+    fn core<'a>(
+        master: &'a mut CorePipe,
+        slaves: &'a mut [CorePipe],
+        role: CoreRole,
+    ) -> &'a mut CorePipe {
+        match role {
+            CoreRole::Master => master,
+            CoreRole::Slave(i) | CoreRole::Recovery(i) => {
+                let n = slaves.len();
+                &mut slaves[if i < n { i } else { i % n }]
+            }
+        }
+    }
 }
 
 impl CostModel for CmpCost {
     fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64 {
         let l2 = &mut self.l2;
-        let pipe = match role {
-            CoreRole::Master => &mut self.master,
-            CoreRole::Slave(i) | CoreRole::Recovery(i) => {
-                let n = self.slaves.len();
-                &mut self.slaves[i % n]
-            }
-        };
-        pipe.instr_cost(info, &mut |addr| l2.access(addr))
+        Self::core(&mut self.master, &mut self.slaves, role)
+            .instr_cost(info, |addr| l2.access(addr))
     }
 
     fn spawn_overhead(&mut self, _cells: usize) -> u64 {
@@ -175,13 +185,7 @@ impl CostModel for CmpCost {
     }
 
     fn on_squash(&mut self, role: CoreRole) {
-        match role {
-            CoreRole::Master => self.master.squash(),
-            CoreRole::Slave(i) | CoreRole::Recovery(i) => {
-                let n = self.slaves.len();
-                self.slaves[i % n].squash();
-            }
-        }
+        Self::core(&mut self.master, &mut self.slaves, role).squash();
     }
 }
 
@@ -227,7 +231,7 @@ pub fn run_baseline(
     let mut cycles: u64 = 0;
     machine.run_observed(max_steps, |info| {
         if !info.halted {
-            cycles += core.instr_cost(info, &mut |addr| l2.access(addr));
+            cycles += core.instr_cost(info, |addr| l2.access(addr));
         }
     })?;
     Ok(BaselineRun {

@@ -70,26 +70,46 @@ fn per_cell_costs_scale_with_set_sizes() {
     assert!(cost.dispatch_latency(400) > cost.dispatch_latency(0));
 }
 
-#[test]
-fn squash_cools_the_right_core() {
-    let tcfg = TimingConfig::default();
-    let mut cost = CmpCost::new(&tcfg);
-    let info = StepInfo {
+fn nop_at_0x1000() -> StepInfo {
+    StepInfo {
         pc: 0x1000,
         instr: Instr::nop(),
         next_pc: 0x1004,
         halted: false,
         taken: None,
         mem: None,
-    };
-    // Warm slave 2.
+    }
+}
+
+#[test]
+fn squash_cools_the_right_core() {
+    let mut cost = CmpCost::new(&TimingConfig::default());
+    let info = nop_at_0x1000();
+    // Warm slaves 2 and 3.
     let cold = cost.instr_cost(CoreRole::Slave(2), &info);
     let warm = cost.instr_cost(CoreRole::Slave(2), &info);
     assert!(cold > warm);
+    assert!(cost.instr_cost(CoreRole::Slave(3), &info) > warm);
+    assert_eq!(cost.instr_cost(CoreRole::Slave(3), &info), warm);
     // Squash slave 2: it refetches; slave 3 is unaffected by that squash.
     cost.on_squash(CoreRole::Slave(2));
     let refetch = cost.instr_cost(CoreRole::Slave(2), &info);
     assert!(refetch > warm);
+    assert_eq!(cost.instr_cost(CoreRole::Slave(3), &info), warm);
+}
+
+#[test]
+fn master_squash_leaves_slaves_warm() {
+    let mut cost = CmpCost::new(&TimingConfig::default());
+    let info = nop_at_0x1000();
+    for role in [CoreRole::Master, CoreRole::Slave(0), CoreRole::Slave(1)] {
+        let _ = cost.instr_cost(role, &info);
+    }
+    let warm = cost.instr_cost(CoreRole::Master, &info);
+    cost.on_squash(CoreRole::Master);
+    assert!(cost.instr_cost(CoreRole::Master, &info) > warm);
+    assert_eq!(cost.instr_cost(CoreRole::Slave(0), &info), warm);
+    assert_eq!(cost.instr_cost(CoreRole::Slave(1), &info), warm);
 }
 
 #[test]
