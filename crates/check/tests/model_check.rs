@@ -134,8 +134,9 @@ fn mc_doorbell_no_lost_wakeup() {
 }
 
 /// MPSC with two racing producers: every item arrives exactly once and
-/// per-producer FIFO order holds (the coordinator relies on it to keep a
-/// master's spawns ordered before its stall report).
+/// per-producer FIFO order holds. (The coordinator matches results to
+/// tasks by id, so it relies on the first half only; the second is the
+/// ring's documented contract.)
 #[test]
 fn mc_mpsc_no_loss_no_dup() {
     let _g = serial();

@@ -59,13 +59,13 @@ use mssp_isa::Program;
 use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
-use crate::master::{Master, MasterStall};
+use crate::master::MasterStall;
 use crate::predictor::PredictorReport;
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, Recompile, RecoverySegment,
-    SquashReason, VerifyOutcome,
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, Recompile,
+    RecoverySegment, SquashReason, VerifyOutcome,
 };
-use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId, TaskStatus};
+use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
 
 /// Engine configuration. Every field acts under both executors except the
@@ -218,7 +218,6 @@ const NEVER: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct Engine<'a, C> {
     original: &'a Program,
-    distilled: &'a Distilled,
     boundaries: BoundarySet,
     crossings_per_task: u64,
     config: EngineConfig,
@@ -228,15 +227,14 @@ pub struct Engine<'a, C> {
     arch: MachineState,
     arch_halted: bool,
 
-    master: Master,
+    /// The master, its installed program and its spawn bookkeeping.
+    seat: MasterSeat<'a>,
     /// When the master's current instruction or spawn completes.
     master_busy_until: u64,
     /// When the master next acts: `master_busy_until` while it is active
     /// and has an instruction to run or a free slave for its pending
     /// spawn, [`NEVER`] otherwise. Kept equal to [`Engine::master_due`].
     master_wake: u64,
-    master_since_spawn: u64,
-    last_spawned: Option<u64>,
 
     /// One slot per slave core, holding the task it runs (or ran, until
     /// the task commits). A slave holds at most one task, so the slot is
@@ -264,7 +262,6 @@ pub struct Engine<'a, C> {
     /// empty. Kept equal to [`Engine::verify_due`].
     verify_wake: u64,
 
-    next_task_id: u64,
     /// The protocol core: statistics, predictor, throttle, adaptive loop.
     unit: CommitUnit,
     /// Architected PCs at each commit point, recorded when tracing is on.
@@ -275,9 +272,6 @@ pub struct Engine<'a, C> {
     squash_sample_cap: usize,
     /// Committed task sizes (instructions), recorded when enabled.
     task_sizes: Option<Vec<u64>>,
-    /// The currently hot-swapped distilled program; `None` means the
-    /// offline program the engine was built with is still installed.
-    swapped: Option<Arc<Distilled>>,
 }
 
 /// A recorded squash event of any cause (diagnostics): what the verify
@@ -307,11 +301,6 @@ fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'
     Some(slaves[s].as_ref().expect("the window names held tasks"))
 }
 
-/// A master booted on `distilled` at `arch`'s PC, seeded with `arch`.
-fn master_at(distilled: &Distilled, arch: &MachineState) -> Master {
-    Master::restart_at(distilled, arch.pc(), true, arch.clone())
-}
-
 impl<'a, C: CostModel> Engine<'a, C> {
     /// Creates an engine booted at the original program's entry.
     ///
@@ -329,19 +318,16 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let arch = MachineState::boot(original);
         let mut engine = Engine {
             original,
-            distilled,
             boundaries: BoundarySet::new(distilled.boundaries().clone()),
             crossings_per_task: distilled.crossings_per_task().max(1),
             config,
             cost,
             now: 0,
-            master: master_at(distilled, &arch),
+            seat: MasterSeat::new(distilled, &arch, config.master_runahead),
             arch,
             arch_halted: false,
             master_busy_until: 0,
             master_wake: NEVER,
-            master_since_spawn: 0,
-            last_spawned: None,
             slaves: (0..config.num_slaves).map(|_| None).collect(),
             slave_wake: vec![NEVER; config.num_slaves],
             window: VecDeque::new(),
@@ -350,13 +336,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
             recovery_wake: NEVER,
             verify_busy_until: 0,
             verify_wake: NEVER,
-            next_task_id: 0,
             unit: CommitUnit::new(config),
             commit_trace: None,
             squash_samples: None,
             squash_sample_cap: 0,
             task_sizes: None,
-            swapped: None,
         };
         engine.master_wake = engine.master_due();
         engine
@@ -378,7 +362,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// hot-swap, or the offline program).
     #[must_use]
     pub fn current_distilled(&self) -> &Distilled {
-        self.swapped.as_deref().unwrap_or(self.distilled)
+        self.seat.program()
     }
 
     /// Enables recording of every committed task's instruction count (for
@@ -447,7 +431,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 }
             }
         }
-        self.unit.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        self.seat.harvest_vetoes(&mut self.unit.stats);
         let (stats, predictor_report, adaptive) = self.unit.finish();
         Ok((
             MsspRun {
@@ -522,9 +506,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// When the master can next act, from scratch: it needs to be active,
     /// and a pending spawn needs a free slave.
     fn master_due(&self) -> u64 {
-        let placeable =
-            self.master.pending_spawn().is_none() || self.window.len() < self.slaves.len();
-        if self.master.status() == MasterStall::Active && placeable {
+        if self.seat.can_act(self.window.len() < self.slaves.len()) {
             self.master_busy_until
         } else {
             NEVER
@@ -612,8 +594,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
         if next == AfterRecovery::StayOffline {
             return;
         }
-        if self.master.status() != MasterStall::Active {
-            self.restart_master();
+        if self.seat.master.status() != MasterStall::Active {
+            self.restart_master(None);
         }
         // A recovery end is a consistent task boundary — the discrete
         // engine's second swap point (alongside commits).
@@ -648,7 +630,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         if let Some(sizes) = &mut self.task_sizes {
             sizes.push(task.executed);
         }
-        self.master.on_commit(task.id.0);
+        self.seat.master.on_commit(task.id.0);
         self.arena.put(task.live_ins);
         self.arena.put(task.writes);
         // The next task is the oldest now, and a master stalled on its
@@ -723,16 +705,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// it spawned one.
     fn act_master(&mut self) -> Option<usize> {
         let mut dispatched = None;
-        if self.master.pending_spawn().is_some() {
+        if self.seat.master.pending_spawn().is_some() {
             let slave = self.free_slave().expect("a placeable spawn has a slave");
-            let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
-            let cells: usize = overlay.first().map(|d| d.len()).unwrap_or(0);
-            let predicted = self.unit.spawn(start, &mut overlay);
-            let id = TaskId(self.next_task_id);
-            self.next_task_id += 1;
-            let (live_ins, writes) = (self.arena.take(), self.arena.take());
-            let mut task = Task::with_buffers(id, start, slave, overlay, live_ins, writes);
-            task.predicted = predicted;
+            let (task, cells) = self.seat.spawn(&mut self.unit, &mut self.arena, slave);
             self.slaves[slave] = Some(task);
             self.window.push_back(slave);
             let dispatch = self.cost.dispatch_latency(cells);
@@ -740,23 +715,14 @@ impl<'a, C: CostModel> Engine<'a, C> {
             let spawn = self.cost.spawn_overhead(cells);
             self.master_busy_until = self.now + spawn;
             self.unit.stats.master_busy_cycles += spawn;
-            self.last_spawned = Some(id.0);
-            self.master_since_spawn = 0;
             // Into an empty window, the new task is the oldest: the verify
             // unit checks its start PC without waiting for it to finish.
             self.verify_wake = self.verify_due();
             dispatched = Some(slave);
-        } else if self.master_since_spawn > self.config.master_runahead {
-            self.master.mark_lost();
-        } else if let Some(info) = self
-            .master
-            .step(self.swapped.as_deref().unwrap_or(self.distilled))
-        {
+        } else if let Some(info) = self.seat.step(&mut self.unit.stats) {
             let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
             self.master_busy_until = self.now + cost;
             self.unit.stats.master_busy_cycles += cost;
-            self.unit.stats.master_instructions += 1;
-            self.master_since_spawn += 1;
         }
         // Stepping may have halted the master, lost it, or armed a spawn
         // that no slave is free for.
@@ -786,7 +752,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         // The master stays down until recovery reaches the next boundary;
         // `finish_recovery` reseeds it from the then-consistent
         // architected state.
-        self.master.mark_lost();
+        self.seat.master.mark_lost();
         self.release_slaves();
         self.cost.on_squash(CoreRole::Master);
 
@@ -794,8 +760,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.verify_busy_until = self.now + penalty;
         self.unit.stats.verify_busy_cycles += penalty;
         self.master_busy_until = self.now + penalty;
-        self.master_since_spawn = 0;
-        self.last_spawned = None;
         self.start_recovery(penalty);
     }
 
@@ -823,14 +787,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.recovery_wake = self.now + delay;
     }
 
-    /// Reseeds the master from architected state on the installed program.
-    fn restart_master(&mut self) {
-        self.unit.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-        let installed = self.swapped.as_deref().unwrap_or(self.distilled);
-        self.master = master_at(installed, &self.arch);
+    /// Reseeds the master from architected state on the installed
+    /// program, or on `swap`, which it installs.
+    fn restart_master(&mut self, swap: Option<Arc<Distilled>>) {
+        self.seat.restart(&mut self.unit.stats, &self.arch, swap);
         self.master_busy_until = self.now;
-        self.master_since_spawn = 0;
-        self.last_spawned = None;
         self.master_wake = self.master_due();
     }
 
@@ -842,9 +803,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let Some(candidate) = self.unit.poll_swap() else {
             return;
         };
-        self.swapped = Some(Arc::clone(&candidate.program));
         // First, so the swap marker's counters include the old master's vetoes.
-        self.restart_master();
+        self.restart_master(Some(Arc::clone(&candidate.program)));
         self.unit.swap_installed(&candidate, self.in_flight_work());
         self.release_slaves();
     }

@@ -131,12 +131,6 @@ impl Master {
         self.instructions
     }
 
-    /// Number of in-flight predicted segments (diagnostic).
-    #[must_use]
-    pub fn live_segment_count(&self) -> usize {
-        self.live_segments.len()
-    }
-
     /// Spawn-guard vetoes since the last call (reset on read).
     pub fn take_vetoed_spawns(&mut self) -> u64 {
         std::mem::take(&mut self.vetoed_spawns)
@@ -446,19 +440,21 @@ mod tests {
         let arch = MachineState::boot(&p);
         let mut m = Master::restart_at(&d, p.entry(), true, arch.clone());
         let _ = m.take_spawn(None);
-        let mut last = 0u64;
-        for id in 1..=3u64 {
+        // Spawns task `id` after task `id - 1`: the overlay holds every
+        // live segment, the one closed for `id - 1` included.
+        let spawn = |m: &mut Master, id: u64| {
             while m.pending_spawn().is_none() {
-                m.step(&d);
+                assert!(m.step(&d).is_some());
             }
-            let _ = m.take_spawn(Some(last));
-            last = id;
-        }
-        assert_eq!(m.live_segment_count(), 3);
+            m.take_spawn(Some(id - 1)).1.len()
+        };
+        assert_eq!(spawn(&mut m, 1), 1);
+        assert_eq!(spawn(&mut m, 2), 2);
+        assert_eq!(spawn(&mut m, 3), 3);
         m.on_commit(0);
-        assert_eq!(m.live_segment_count(), 2);
-        m.on_commit(2);
-        assert_eq!(m.live_segment_count(), 0);
+        assert_eq!(spawn(&mut m, 4), 3, "task 0's segment pruned");
+        m.on_commit(3);
+        assert_eq!(spawn(&mut m, 5), 1, "only task 4's segment left");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! throttle takes the master offline, when a recompiled program may be
 //! installed. It performs no I/O, keeps no clock and owns no architected
 //! state. The drivers decide **when**: [`crate::Engine`] raises the events
-//! from virtual time, the threaded coordinator from ring messages.
+//! from virtual time, the threaded coordinator from worker results and
+//! its own master slices.
 //!
 //! [`verify_and_commit`] is the single verdict oracle: both drivers call
 //! it on the oldest finished task, and nothing else decides a commit.
@@ -19,12 +20,13 @@ use std::time::Instant;
 use mssp_analysis::Profile;
 use mssp_distill::{Distilled, Tier};
 use mssp_isa::{Program, Reg};
-use mssp_machine::{step, Cell, Delta, MachineState, StepInfo};
+use mssp_machine::{step, Cell, Delta, DeltaArena, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::engine::{EngineConfig, EngineError};
+use crate::master::{Master, MasterStall};
 use crate::predictor::{Predictor, PredictorReport};
-use crate::task::{RecoveryStorage, SegmentRules, Task, TaskEnd};
+use crate::task::{RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId};
 
 /// Why a squash happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,8 +319,8 @@ pub(crate) enum AfterRecovery {
 /// The in-order verify/commit unit's policy state. Drivers raise events
 /// on it and act on the answers; they write `stats` directly only for the
 /// counters nobody else can know (their own cores' busy cycles and
-/// instruction counts, the coordinator's snapshot counters, spawn vetoes
-/// read off the master).
+/// instruction counts, the coordinator's snapshot counters); the
+/// [`MasterSeat`] writes the master's.
 #[derive(Debug, Default)]
 pub(crate) struct CommitUnit {
     pub stats: EngineStats,
@@ -590,6 +592,111 @@ fn judge(
     }
 }
 
+/// The master as a driver holds it: the [`Master`] plus what both drivers
+/// keep around it — the installed program (the offline one or the latest
+/// hot-swap), the run-ahead bound, and the ids spawned tasks take.
+#[derive(Debug)]
+pub(crate) struct MasterSeat<'a> {
+    pub master: Master,
+    offline: &'a Distilled,
+    swapped: Option<Arc<Distilled>>,
+    runahead: u64,
+    /// Master instructions since its last spawn or restart.
+    since_spawn: u64,
+    /// The task spawned last since the restart; its segment closes at the
+    /// next spawn.
+    last_spawned: Option<u64>,
+    next_task_id: u64,
+}
+
+impl<'a> MasterSeat<'a> {
+    /// A master booted on `distilled` at `arch`'s PC, seeded with `arch`.
+    pub(crate) fn new(distilled: &'a Distilled, arch: &MachineState, runahead: u64) -> Self {
+        MasterSeat {
+            master: Master::restart_at(distilled, arch.pc(), true, arch.clone()),
+            offline: distilled,
+            swapped: None,
+            runahead,
+            since_spawn: 0,
+            last_spawned: None,
+            next_task_id: 0,
+        }
+    }
+
+    /// The installed distilled program.
+    pub(crate) fn program(&self) -> &Distilled {
+        self.swapped.as_deref().unwrap_or(self.offline)
+    }
+
+    /// Whether the master can act: it is active, and a pending spawn has
+    /// `room` in the task window.
+    #[inline]
+    pub(crate) fn can_act(&self, room: bool) -> bool {
+        self.master.status() == MasterStall::Active
+            && (self.master.pending_spawn().is_none() || room)
+    }
+
+    /// Moves the master's spawn-guard vetoes into `stats`.
+    pub(crate) fn harvest_vetoes(&mut self, stats: &mut EngineStats) {
+        stats.spawn_vetoes += self.master.take_vetoed_spawns();
+    }
+
+    /// Reseeds the master from `arch` on the installed program, installing
+    /// `swap` first if given; the outgoing master's vetoes are harvested.
+    pub(crate) fn restart(
+        &mut self,
+        stats: &mut EngineStats,
+        arch: &MachineState,
+        swap: Option<Arc<Distilled>>,
+    ) {
+        self.harvest_vetoes(stats);
+        if let Some(program) = swap {
+            self.swapped = Some(program);
+        }
+        self.master = Master::restart_at(self.program(), arch.pc(), true, arch.clone());
+        self.since_spawn = 0;
+        self.last_spawned = None;
+    }
+
+    /// Executes and counts one master instruction. Past the run-ahead
+    /// bound without a spawn, marks the master lost instead: `None`.
+    #[inline]
+    pub(crate) fn step(&mut self, stats: &mut EngineStats) -> Option<StepInfo> {
+        if self.since_spawn > self.runahead {
+            self.master.mark_lost();
+            return None;
+        }
+        let info = self
+            .master
+            .step(self.swapped.as_deref().unwrap_or(self.offline))?;
+        stats.master_instructions += 1;
+        self.since_spawn += 1;
+        Some(info)
+    }
+
+    /// Turns the pending spawn into the next task, bound for `slave`: the
+    /// master closes its segment, `unit` injects its predictions, and the
+    /// task's live-in and write buffers come from `arena`. Also returns
+    /// the cells of the master's newest checkpoint segment.
+    pub(crate) fn spawn(
+        &mut self,
+        unit: &mut CommitUnit,
+        arena: &mut DeltaArena,
+        slave: usize,
+    ) -> (Task, usize) {
+        let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
+        let cells = overlay.first().map_or(0, |d| d.len());
+        let predicted = unit.spawn(start, &mut overlay);
+        let id = TaskId(self.next_task_id);
+        self.next_task_id += 1;
+        let mut task = Task::with_buffers(id, start, slave, overlay, arena.take(), arena.take());
+        task.predicted = predicted;
+        self.last_spawned = Some(id.0);
+        self.since_spawn = 0;
+        (task, cells)
+    }
+}
+
 /// One non-speculative recovery segment: the original program run from
 /// the architected PC to the next task end, its writes buffered and
 /// committed atomically — forward progress however wrong the master is.
@@ -678,7 +785,7 @@ impl RecoverySegment {
 mod tests {
     use super::*;
     use crate::adaptive::AdaptiveConfig;
-    use crate::task::{BoundarySet, TaskId};
+    use crate::task::BoundarySet;
     use mssp_isa::asm::assemble;
     use std::collections::{BTreeMap, BTreeSet};
 

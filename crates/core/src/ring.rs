@@ -4,19 +4,16 @@
 //! slot array, both blocking via a `Doorbell` (park/unpark) rather
 //! than a mutex/condvar pair:
 //!
-//! * [`spsc`] — a single-producer single-consumer ring. The coordinator
-//!   owns one per worker for task dispatch, and one back-channel to the
-//!   master for commit notifications. Producer and consumer each own
-//!   one index and *cache* the other's, so a steady-state push or pop
-//!   is one plain slot write plus one release store — no shared
-//!   read-modify-write at all.
+//! * [`spsc`] — a single-producer single-consumer ring. The coordinator,
+//!   which also runs the master, owns one per worker for task dispatch.
+//!   Producer and consumer each own one index and *cache* the other's,
+//!   so a steady-state push or pop is one plain slot write plus one
+//!   release store — no shared read-modify-write at all.
 //! * [`mpsc`] — a bounded Vyukov-style multi-producer single-consumer
-//!   queue carrying every worker's results and the master's spawns into
-//!   the coordinator. Producers claim slots with a CAS on `head`;
-//!   per-slot sequence numbers tell the consumer when a claimed slot's
-//!   payload is actually visible. Per-producer FIFO order is preserved,
-//!   which the coordinator relies on (a master's `Spawn` messages must
-//!   stay ordered before its `MasterStalled`).
+//!   queue carrying every worker's results into the coordinator.
+//!   Producers claim slots with a CAS on `head`; per-slot sequence
+//!   numbers tell the consumer when a claimed slot's payload is actually
+//!   visible. Per-producer FIFO order is preserved.
 //!
 //! Memory ordering is acquire/release only on the ring proper; the sole
 //! `SeqCst` operations are the two fences in the doorbell's sleep/wake

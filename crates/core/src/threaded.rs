@@ -2,28 +2,29 @@
 //!
 //! The discrete-time [`crate::Engine`] is the reference driver of the
 //! protocol core in `protocol.rs` — deterministic and cost-model-driven.
-//! This module is the other driver: the master interpreter and each slave
-//! run on their own OS thread, and the calling thread becomes the
-//! [`Coordinator`], which turns ring messages into `CommitUnit` events
-//! (spawn, commit, squash, recovered, swap) and the unit's answers into
-//! epoch bumps and master restarts. It decides *when*; what each event
-//! means is written once, in the core. DESIGN.md §6a-§6c carry the full
-//! arguments for what is summarized here.
+//! This module is the other driver. Each slave runs on its own OS thread,
+//! and the calling thread becomes the [`Coordinator`]: it owns the master
+//! and interleaves master slices with draining worker results, deciding
+//! them in order and dispatching the master's spawns, as `Engine` does in
+//! virtual time. A run therefore takes `num_slaves + 1` threads, one more
+//! when a background recompiler serves the adaptive loop. The coordinator
+//! turns results into `CommitUnit` events (spawn, commit, squash,
+//! recovered, swap) and the unit's answers into epoch bumps and master
+//! restarts. It decides *when*; what each event means is written once, in
+//! the core, and the master's bookkeeping once, in `MasterSeat`.
+//! DESIGN.md §6a-§6c carry the full arguments for what is summarized here.
 //!
 //! # Contention-free hot path
 //!
 //! The steady-state dispatch/execute/commit cycle takes **no mutex**, and
 //! its heap traffic is a handful of small allocations per committed task
-//! (`alloc.per_committed_task` in the benchmark ledger, 3.7-7.0 across
-//! its four workloads; `tests/alloc_budget.rs` bounds it), none of them
-//! sized by machine state. Each worker owns a bounded SPSC ring
-//! ([`crate::ring::spsc`]) the coordinator dispatches into; results,
-//! spawns, stalls and thread obituaries flow back through one bounded MPSC
-//! ring ([`crate::ring::mpsc`]), whose per-producer FIFO keeps a master's
-//! spawns ordered before its stall report; commit notifications and
-//! restarts ride an SPSC ring to the master. Dispatch and draining are
-//! batched. Task live-in/write buffers and the shipped committed view are
-//! plain [`Delta`]s cycled through a [`DeltaArena`], travelling inside the
+//! (`alloc.per_committed_task` in the benchmark ledger; `tests/alloc_budget.rs`
+//! bounds it), none of them sized by machine state. Each worker owns a
+//! bounded SPSC ring ([`crate::ring::spsc`]) the coordinator dispatches
+//! into; results and thread obituaries flow back through one bounded MPSC
+//! ring ([`crate::ring::mpsc`]). Dispatch and draining are batched. Task
+//! live-in/write buffers and the shipped committed view are plain
+//! [`Delta`]s cycled through a [`DeltaArena`], travelling inside the
 //! work/result messages.
 //!
 //! # One verdict, incremental snapshot publishing
@@ -54,13 +55,12 @@ use mssp_isa::Program;
 use mssp_machine::{Delta, DeltaArena, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
-use crate::master::{Master, MasterStall};
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, Recompile, RecoverySegment,
-    SquashReason, VerifyOutcome,
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, Recompile,
+    RecoverySegment, SquashReason, SwapCandidate, VerifyOutcome,
 };
-use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryRecvError};
-use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId};
+use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
+use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd};
 use crate::{EngineConfig, EngineError};
 
 /// Commits folded into the committed view after which the coordinator
@@ -76,19 +76,25 @@ const MAX_PENDING_CELLS: usize = 1024;
 /// headroom absorbs stale items queued across a squash.
 const WORK_RING_CAP: usize = 64;
 
-/// Control ring (coordinator → master) capacity: one `Committed` per
-/// commit plus rare restarts; the master drains it every outer loop.
-const CTRL_RING_CAP: usize = 1024;
-
-/// Result messages popped per coordinator drain cycle.
+/// Result messages popped per coordinator drain.
 const DRAIN_BATCH: usize = 64;
+
+/// Master instructions or spawns per slice between two drains.
+const MASTER_SLICE: usize = 128;
 
 /// How a threaded run can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadedError {
     /// The protocol itself failed — see [`EngineError`].
     Engine(EngineError),
-    /// A worker or master thread died (panicked) mid-run.
+    /// A thread the run spawned died (panicked) mid-run: a worker, or the
+    /// background recompiler of [`run_threaded_adaptive`].
+    ///
+    /// A panic on the calling thread — in the master, the oracle, the
+    /// coordinator or an inline recompiler — is not an error: it unwinds
+    /// out of [`run_threaded`] or [`run_threaded_adaptive`] once every
+    /// thread the run spawned has been joined, as a panic inside
+    /// [`crate::Engine::run`] does.
     WorkerDied,
 }
 
@@ -150,42 +156,11 @@ struct WorkResult {
     view: Delta,
 }
 
-/// Everything the coordinator can hear: worker results, master spawns,
-/// master stalls, and thread obituaries — one MPSC ring whose
-/// per-producer FIFO keeps a master's spawns in spawn order relative to
-/// its stall report.
-// Nearly every message is a `Result`, so a ring slot sized for one wastes
-// nothing, and boxing it would put an allocation on the per-task path.
-#[allow(clippy::large_enum_variant)]
+/// Everything the coordinator can hear from a worker: a result, or that
+/// the worker died.
 enum CoordMsg {
     Result(WorkResult),
-    Spawn {
-        gen: u64,
-        id: u64,
-        start_pc: u64,
-        overlay: Vec<Arc<Delta>>,
-    },
-    MasterStalled {
-        gen: u64,
-    },
     ThreadDied,
-}
-
-/// Coordinator → master control: restart after recovery, and commit
-/// notifications so the master can prune its live overlay segments.
-enum CtrlMsg {
-    Restart {
-        gen: u64,
-        /// Architected state to restart from, at its PC.
-        base: Box<MachineState>,
-        /// A hot-swapped distilled program to install before restarting;
-        /// `None` restarts on whatever the master currently runs.
-        swap: Option<Arc<Distilled>>,
-    },
-    Committed {
-        gen: u64,
-        task_id: u64,
-    },
 }
 
 /// Notifies the coordinator if the owning thread unwinds, so it returns
@@ -232,16 +207,19 @@ fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
     arena.put(std::mem::take(&mut task.writes));
 }
 
-/// Runs the MSSP protocol with `config.num_slaves` worker threads plus a
-/// dedicated master thread; the calling thread becomes the verify/commit
-/// coordinator.
+/// Runs the MSSP protocol with `config.num_slaves` worker threads; the
+/// calling thread runs the master and the verify/commit coordinator.
 ///
 /// # Errors
 ///
 /// Returns [`ThreadedError::Engine`] if the original program faults
 /// during non-speculative recovery or a recovery segment exceeds its cap,
-/// and [`ThreadedError::WorkerDied`] if a worker or master thread
-/// panics.
+/// and [`ThreadedError::WorkerDied`] if a worker thread panics.
+///
+/// # Panics
+///
+/// A panic on the calling thread propagates once every worker is joined;
+/// [`ThreadedError::WorkerDied`] has the whole contract.
 pub fn run_threaded(
     original: &Program,
     distilled: &Distilled,
@@ -266,8 +244,13 @@ pub fn run_threaded(
 ///
 /// # Errors
 ///
-/// Same as [`run_threaded`]; a panicking recompiler also surfaces as
-/// [`ThreadedError::WorkerDied`].
+/// Same as [`run_threaded`]; a panicking background recompiler also
+/// surfaces as [`ThreadedError::WorkerDied`].
+///
+/// # Panics
+///
+/// A panicking inline recompiler propagates once every worker is joined;
+/// [`ThreadedError::WorkerDied`] has the whole contract.
 pub fn run_threaded_adaptive(
     original: &Program,
     distilled: &Distilled,
@@ -304,19 +287,6 @@ fn run_threaded_inner(
         ..task_rules
     };
     let current_epoch = AtomicU64::new(0);
-
-    // Result/coordination ring sized far above the speculation window so
-    // producers (workers, master) never meet a full ring in practice.
-    let coord_cap = (config.num_slaves * 8).max(1024);
-    let (coord_tx, mut coord_rx) = ring::mpsc::<CoordMsg>(coord_cap);
-    let (mut ctrl_tx, mut ctrl_rx) = ring::spsc::<CtrlMsg>(CTRL_RING_CAP);
-    let mut work_txs = Vec::with_capacity(config.num_slaves);
-    let mut work_rxs = Vec::with_capacity(config.num_slaves);
-    for _ in 0..config.num_slaves {
-        let (tx, rx) = ring::spsc::<WorkItem>(WORK_RING_CAP);
-        work_txs.push(tx);
-        work_rxs.push(rx);
-    }
     let mut unit = CommitUnit::new(config);
     let mut recompile_thread = None;
     if let Some((ctl, rec, synchronous)) = adaptive {
@@ -329,80 +299,38 @@ fn run_threaded_inner(
         };
         unit.enable_adaptive(ctl, recompile);
     }
+    let (coordinator, work_rxs, coord_tx) = Coordinator::new(
+        original,
+        distilled,
+        config,
+        recovery_rules,
+        &current_epoch,
+        unit,
+    );
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
-        // ---- workers ----
-        let mut workers = Vec::with_capacity(config.num_slaves);
+        let mut threads = Vec::with_capacity(config.num_slaves + 1);
         for mut work_rx in work_rxs {
             let coord_tx = coord_tx.clone();
             let current_epoch = &current_epoch;
-            workers.push(scope.spawn(move || {
+            threads.push(scope.spawn(move || {
                 let _guard = DeadManSwitch {
                     tx: coord_tx.clone(),
                 };
                 worker_loop(original, task_rules, current_epoch, &mut work_rx, &coord_tx);
             }));
         }
-
-        // ---- background recompiler (adaptive async mode) ----
-        let recompile_handle = recompile_thread.map(|body| scope.spawn(body));
-
-        // ---- master ----
-        let master_handle = {
-            let coord_tx = coord_tx.clone();
-            let num_slaves = config.num_slaves;
-            let runahead = config.master_runahead;
-            scope.spawn(move || {
-                let _guard = DeadManSwitch {
-                    tx: coord_tx.clone(),
-                };
-                master_thread(distilled, num_slaves, runahead, &mut ctrl_rx, &coord_tx)
-            })
-        };
+        threads.extend(recompile_thread.map(|body| scope.spawn(body)));
         drop(coord_tx); // coordinator keeps only the receiver
 
-        // ---- coordinator: the in-order verify/commit unit ----
-        let outcome = Coordinator::new(
-            original,
-            recovery_rules,
-            &current_epoch,
-            &mut work_txs,
-            &mut coord_rx,
-            &mut ctrl_tx,
-            &mut unit,
-        )
-        .run();
-
-        // Shut down regardless of outcome: stragglers abandon at the next
-        // epoch poll, closed rings end both loops, and joining here
-        // consumes any panic so the scope does not re-raise it.
-        // why: Relaxed; the epoch is an advisory abandon hint — correctness
-        // comes from the epoch tag carried inside each message, and the
-        // ring close below is what actually ends the loops.
-        current_epoch.store(u64::MAX, Ordering::Relaxed);
-        drop(work_txs);
-        drop(ctrl_tx);
-        drop(coord_rx);
+        // A panic in here unwinds through the coordinator, dropping its
+        // rings and commit unit: the workers and the recompiler see them
+        // close and exit, and the scope joins them before re-raising it.
+        let (outcome, stats, adaptive) = coordinator.run();
+        // Joining consumes a thread's panic, so the scope does not re-raise it.
         let mut thread_died = false;
-        for handle in workers {
-            if handle.join().is_err() {
-                thread_died = true;
-            }
-        }
-        // Finishing the unit drops the request sender, which ends the
-        // recompile thread's recv loop; join it before returning.
-        let (mut stats, _, adaptive_report) = unit.finish();
-        match master_handle.join() {
-            Ok((instructions, vetoes)) => {
-                stats.master_instructions = instructions;
-                stats.spawn_vetoes = vetoes;
-            }
-            Err(_) => thread_died = true,
-        }
-        if let Some(handle) = recompile_handle {
-            if handle.join().is_err() {
-                thread_died = true;
-            }
+        for handle in threads {
+            thread_died |= handle.join().is_err();
         }
         let state = outcome?;
         if thread_died {
@@ -412,7 +340,7 @@ fn run_threaded_inner(
             state,
             stats,
             elapsed: start_time.elapsed(),
-            adaptive: adaptive_report,
+            adaptive,
         })
     })
 }
@@ -464,148 +392,21 @@ fn worker_loop(
     }
 }
 
-/// Master thread body: runs the distilled program and streams spawn
-/// predictions to the coordinator. Returns `(instructions, vetoes)`:
-/// the total distilled instruction count and the spawn-guard veto count,
-/// both summed across all restarts.
-///
-/// The master self-gates on its own `live_segment_count` (pruned by
-/// [`CtrlMsg::Committed`]), which tracks uncommitted spawned tasks — the
-/// same `2 × slaves` speculation window the discrete engine uses. When it
-/// cannot run (stalled, or window full) it parks on the control ring.
-fn master_thread(
-    distilled: &Distilled,
-    num_slaves: usize,
-    master_runahead: u64,
-    ctrl_rx: &mut SpscReceiver<CtrlMsg>,
-    coord_tx: &MpscSender<CoordMsg>,
-) -> (u64, u64) {
-    let window = num_slaves * 2;
-    let mut total = 0u64;
-    // Guard vetoes are drained from the live master after every run
-    // slice, so restarts and early returns never lose them.
-    let mut vetoes = 0u64;
-    let mut cur: Option<(u64, Master)> = None;
-    // The latest hot-swapped program; `None` means the offline one.
-    let mut swapped: Option<Arc<Distilled>> = None;
-    let mut last_spawned: Option<u64> = None;
-    let mut next_id = 0u64;
-    let mut steps_since_spawn = 0u64;
-    let mut stall_reported = false;
-    loop {
-        // Drain control; park when there is nothing to run. The stall
-        // report must precede every blocking wait: a master that restarts
-        // straight into Lost (unmapped PC) would otherwise never tell the
-        // coordinator, and both sides would block forever.
-        loop {
-            let runnable = cur.as_ref().is_some_and(|(_, m)| {
-                m.status() == MasterStall::Active
-                    && (m.pending_spawn().is_none() || m.live_segment_count() < window)
-            });
-            if !stall_reported {
-                if let Some((gen, m)) = cur.as_ref() {
-                    if m.status() != MasterStall::Active {
-                        if coord_tx
-                            .send(CoordMsg::MasterStalled { gen: *gen })
-                            .is_err()
-                        {
-                            return (total, vetoes);
-                        }
-                        stall_reported = true;
-                    }
-                }
-            }
-            let msg = if runnable {
-                match ctrl_rx.try_recv() {
-                    Ok(m) => m,
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return (total, vetoes),
-                }
-            } else {
-                match ctrl_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return (total, vetoes),
-                }
-            };
-            match msg {
-                CtrlMsg::Restart { gen, base, swap } => {
-                    if let Some(d) = swap {
-                        swapped = Some(d);
-                    }
-                    let cur_d = swapped.as_deref().unwrap_or(distilled);
-                    cur = Some((gen, Master::restart_at(cur_d, base.pc(), true, *base)));
-                    last_spawned = None;
-                    steps_since_spawn = 0;
-                    stall_reported = false;
-                }
-                CtrlMsg::Committed { gen, task_id } => {
-                    if let Some((g, m)) = cur.as_mut() {
-                        if *g == gen {
-                            m.on_commit(task_id);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Run a slice, then loop back to drain control again.
-        let Some((gen, master)) = cur.as_mut() else {
-            continue;
-        };
-        for _ in 0..128 {
-            if master.status() != MasterStall::Active {
-                break;
-            }
-            if master.pending_spawn().is_some() {
-                if master.live_segment_count() >= window {
-                    break; // enough speculation outstanding
-                }
-                let (start_pc, overlay) = master.take_spawn(last_spawned);
-                let id = next_id;
-                next_id += 1;
-                last_spawned = Some(id);
-                steps_since_spawn = 0;
-                let spawn = CoordMsg::Spawn {
-                    gen: *gen,
-                    id,
-                    start_pc,
-                    overlay,
-                };
-                if coord_tx.send(spawn).is_err() {
-                    vetoes += master.take_vetoed_spawns();
-                    return (total, vetoes);
-                }
-                continue;
-            }
-            if master
-                .step(swapped.as_deref().unwrap_or(distilled))
-                .is_some()
-            {
-                total += 1;
-                steps_since_spawn += 1;
-                if steps_since_spawn > master_runahead {
-                    master.mark_lost();
-                }
-            } else {
-                break;
-            }
-        }
-        vetoes += master.take_vetoed_spawns();
-    }
-}
-
 /// The verify/commit coordinator, the threaded driver of the protocol
-/// core: owns architected state, dispatches spawns to workers, and presents
-/// their results to [`verify_and_commit`] in spawn order.
+/// core: owns architected state and the master, dispatches the master's
+/// spawns to workers, and presents their results to [`verify_and_commit`]
+/// in spawn order.
 struct Coordinator<'a> {
     original: &'a Program,
     /// Recovery-segment rules (the cap is `max_recovery_instrs`).
     rules: SegmentRules<'a>,
     current_epoch: &'a AtomicU64,
-    work_txs: &'a mut [SpscSender<WorkItem>],
-    coord_rx: &'a mut MpscReceiver<CoordMsg>,
-    ctrl_tx: &'a mut SpscSender<CtrlMsg>,
-    unit: &'a mut CommitUnit,
+    work_txs: Vec<SpscSender<WorkItem>>,
+    coord_rx: MpscReceiver<CoordMsg>,
+    unit: CommitUnit,
+    seat: MasterSeat<'a>,
+    /// The speculation window: at most this many tasks in flight.
+    window: usize,
 
     arena: DeltaArena,
     arch: MachineState,
@@ -626,31 +427,39 @@ struct Coordinator<'a> {
     inbox: Vec<CoordMsg>,
     outbox: Vec<VecDeque<WorkItem>>,
     next_worker: usize,
-    master_stalled: bool,
     halted: bool,
 }
 
 impl<'a> Coordinator<'a> {
+    /// A coordinator booted at the original program's entry, with the
+    /// worker ends of its rings: one task receiver per slave, and the
+    /// result sender they share.
     fn new(
         original: &'a Program,
+        distilled: &'a Distilled,
+        config: EngineConfig,
         rules: SegmentRules<'a>,
         current_epoch: &'a AtomicU64,
-        work_txs: &'a mut [SpscSender<WorkItem>],
-        coord_rx: &'a mut MpscReceiver<CoordMsg>,
-        ctrl_tx: &'a mut SpscSender<CtrlMsg>,
-        unit: &'a mut CommitUnit,
-    ) -> Coordinator<'a> {
+        mut unit: CommitUnit,
+    ) -> (Self, Vec<SpscReceiver<WorkItem>>, MpscSender<CoordMsg>) {
+        // Sized far above the speculation window so workers never meet a
+        // full result ring in practice.
+        let (coord_tx, coord_rx) = ring::mpsc((config.num_slaves * 8).max(1024));
+        let (work_txs, work_rxs): (Vec<_>, Vec<_>) = (0..config.num_slaves)
+            .map(|_| ring::spsc(WORK_RING_CAP))
+            .unzip();
         let arch = MachineState::boot(original);
         unit.stats.snapshots_materialized += 1;
-        Coordinator {
+        let coordinator = Coordinator {
             original,
             rules,
             current_epoch,
             outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
             work_txs,
             coord_rx,
-            ctrl_tx,
             unit,
+            seat: MasterSeat::new(distilled, &arch, config.master_runahead),
+            window: config.num_slaves * 2,
             arena: DeltaArena::new(),
             base: Arc::new(arch.clone()),
             arch,
@@ -662,16 +471,43 @@ impl<'a> Coordinator<'a> {
             done: Vec::new(),
             inbox: Vec::with_capacity(DRAIN_BATCH),
             next_worker: 0,
-            master_stalled: false,
             halted: false,
-        }
+        };
+        (coordinator, work_rxs, coord_tx)
     }
 
-    /// Runs the protocol to architectural halt; returns the final state.
-    fn run(mut self) -> Result<MachineState, ThreadedError> {
-        self.send_restart(None)?;
+    /// Runs the protocol to architectural halt, then shuts down:
+    /// stragglers abandon at their next epoch poll, and the rings and the
+    /// commit unit drop, which ends the worker and recompiler loops.
+    /// Returns the final state (or why there is none), the statistics and
+    /// the adaptive report.
+    fn run(
+        mut self,
+    ) -> (
+        Result<MachineState, ThreadedError>,
+        EngineStats,
+        Option<AdaptiveReport>,
+    ) {
+        let outcome = self.run_to_halt();
+        // why: Relaxed; the epoch is an advisory abandon hint — correctness
+        // comes from the epoch tag carried inside each message, and the
+        // ring close is what actually ends the loops.
+        self.current_epoch.store(u64::MAX, Ordering::Relaxed);
+        self.seat.harvest_vetoes(&mut self.unit.stats);
+        let (stats, _, adaptive) = self.unit.finish();
+        (outcome.map(|()| self.arch), stats, adaptive)
+    }
+
+    fn run_to_halt(&mut self) -> Result<(), ThreadedError> {
         while !self.halted {
-            self.drain()?;
+            let master_can_act = self.seat.can_act(self.in_flight.len() < self.window);
+            if !master_can_act && self.in_flight.is_empty() {
+                // Starved: the master is lost or halted and nothing is in
+                // flight. Sequential recovery, then reseed the master.
+                self.recover_and_restart(None)?;
+                continue;
+            }
+            self.drain(!master_can_act)?;
 
             // Verify/commit in order.
             while let Some(&oldest_id) = self.in_flight.front() {
@@ -685,104 +521,66 @@ impl<'a> Coordinator<'a> {
                     VerifyOutcome::Squash(reason) => self.squash(reason, result)?,
                 }
                 if self.halted {
-                    break;
+                    return Ok(());
                 }
             }
 
-            // Master starved (lost/halted with nothing in flight):
-            // sequential recovery, then reseed the master.
-            if !self.halted && self.in_flight.is_empty() && self.master_stalled {
-                self.recover_and_restart(None, true)?;
+            for _ in 0..MASTER_SLICE {
+                if !self.seat.can_act(self.in_flight.len() < self.window) {
+                    break;
+                }
+                if self.seat.master.pending_spawn().is_some() {
+                    self.dispatch();
+                } else {
+                    self.seat.step(&mut self.unit.stats);
+                }
             }
+            // One ring publish per worker per loop. A short send (full
+            // ring) keeps the unsent tasks queued for the next loop instead
+            // of blocking here or dropping them; a full ring means that
+            // worker already holds a ring-capacity backlog, so its next
+            // result is guaranteed to wake a blocked drain for the retry.
+            flush_outboxes(&mut self.outbox, &mut self.work_txs)?;
         }
-        Ok(self.arch)
+        Ok(())
     }
 
-    /// Receives spawns, results and master status in batches and
-    /// dispatches the spawned tasks. Blocks only with nothing to commit
-    /// and no starvation to handle — then a message is guaranteed to
-    /// arrive (a result, a spawn, a stall report, or a thread obituary).
-    fn drain(&mut self) -> Result<(), ThreadedError> {
+    /// Receives one batch of results. With `block`, waits for the first:
+    /// the master cannot act and the oldest task is in flight but not
+    /// finished (the in-order loop leaves no finished oldest behind), so
+    /// its result — or a worker's obituary — is on its way.
+    fn drain(&mut self, block: bool) -> Result<(), ThreadedError> {
         let mut inbox = std::mem::take(&mut self.inbox);
-        let mut received = false;
-        loop {
-            let oldest_ready = self
-                .in_flight
-                .front()
-                .is_some_and(|&id| self.done.iter().any(|&(d, _)| d == id));
-            let starved = self.in_flight.is_empty() && self.master_stalled;
-            if oldest_ready || starved || received {
-                if self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
-                    break;
-                }
+        if block {
+            let msg = self.coord_rx.recv();
+            inbox.push(msg.map_err(|_| ThreadedError::WorkerDied)?);
+        }
+        let room = DRAIN_BATCH - inbox.len();
+        self.coord_rx.recv_batch(&mut inbox, room);
+        for msg in inbox.drain(..) {
+            let CoordMsg::Result(r) = msg else {
+                return Err(ThreadedError::WorkerDied);
+            };
+            self.unit.stats.slave_instructions += r.task.executed;
+            if r.epoch == self.epoch {
+                self.done.push((r.task.id.0, r));
             } else {
-                match self.coord_rx.recv() {
-                    Ok(m) => {
-                        inbox.push(m);
-                        self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
-                    }
-                    Err(_) => return Err(ThreadedError::WorkerDied),
-                }
+                recycle_result(&mut self.arena, r);
             }
-            received = true;
-            for msg in inbox.drain(..) {
-                match msg {
-                    CoordMsg::Result(r) => {
-                        self.unit.stats.slave_instructions += r.task.executed;
-                        if r.epoch == self.epoch {
-                            self.done.push((r.task.id.0, r));
-                        } else {
-                            recycle_result(&mut self.arena, r);
-                        }
-                    }
-                    CoordMsg::Spawn {
-                        gen,
-                        id,
-                        start_pc,
-                        overlay,
-                    } => {
-                        // An older generation's spawn is a pre-squash
-                        // prediction, already dead.
-                        if gen == self.epoch {
-                            self.dispatch(id, start_pc, overlay);
-                        }
-                    }
-                    CoordMsg::MasterStalled { gen } => {
-                        if gen == self.epoch {
-                            self.master_stalled = true;
-                        }
-                    }
-                    CoordMsg::ThreadDied => return Err(ThreadedError::WorkerDied),
-                }
-            }
-            // Batched dispatch: one ring publish per worker per drain.
-            // Short sends (full ring) keep the unsent tasks queued for the
-            // next drain instead of blocking here or dropping them; a full
-            // ring means that worker already holds a ring-capacity backlog,
-            // so its next result is guaranteed to wake this loop for the
-            // retry.
-            flush_outboxes(&mut self.outbox, self.work_txs)?;
         }
         self.inbox = inbox;
         Ok(())
     }
 
-    /// Queues the task the master spawned at `start_pc` for the next
-    /// worker, round-robin, with the current committed view.
-    fn dispatch(&mut self, id: u64, start_pc: u64, mut overlay: Vec<Arc<Delta>>) {
-        self.in_flight.push_back(id);
+    /// Turns the master's pending spawn into a task and queues it for the
+    /// next worker, round-robin, with the current committed view.
+    fn dispatch(&mut self) {
+        let (task, _) = self
+            .seat
+            .spawn(&mut self.unit, &mut self.arena, self.next_worker);
+        self.in_flight.push_back(task.id.0);
         let mut view = self.arena.take();
         view.clone_from(&self.folded);
-        let predicted = self.unit.spawn(start_pc, &mut overlay);
-        let mut task = Task::with_buffers(
-            TaskId(id),
-            start_pc,
-            self.next_worker,
-            overlay,
-            self.arena.take(),
-            self.arena.take(),
-        );
-        task.predicted = predicted;
         self.outbox[self.next_worker].push_back(WorkItem {
             epoch: self.epoch,
             base: Arc::clone(&self.base),
@@ -793,22 +591,15 @@ impl<'a> Coordinator<'a> {
     }
 
     /// The oldest task passed the oracle and its writes are architected:
-    /// they join the committed view, the master is told, and a ready
-    /// hot-swap installs.
+    /// they join the committed view, the master prunes its segment, and a
+    /// ready hot-swap installs.
     fn commit(&mut self, result: WorkResult, halted: bool) -> Result<(), ThreadedError> {
         self.unit.commit(&result.task);
+        self.seat.master.on_commit(result.task.id.0);
         self.pending_deltas += 1;
         self.pending_cells += result.task.writes.len();
         self.folded.superimpose_in_place(&result.task.writes);
-        let task_id = result.task.id.0;
         recycle_result(&mut self.arena, result);
-        let committed = CtrlMsg::Committed {
-            gen: self.epoch,
-            task_id,
-        };
-        if self.ctrl_tx.send(committed).is_err() {
-            return Err(ThreadedError::WorkerDied);
-        }
         if self.pending_deltas >= MAX_PENDING_DELTAS || self.pending_cells >= MAX_PENDING_CELLS {
             self.rebase();
         } else {
@@ -818,14 +609,10 @@ impl<'a> Coordinator<'a> {
             self.halted = true;
             return Ok(());
         }
-        if let Some(candidate) = self.unit.poll_swap() {
-            // Abandon in-flight speculation like a squash, but with no
-            // recovery segment: architected state already sits at the
-            // task boundary just committed.
-            self.unit.swap_installed(&candidate, self.in_flight_work());
-            return self.recover_and_restart(Some(candidate.program), false);
+        match self.unit.poll_swap() {
+            Some(candidate) => self.recover_and_restart(Some(candidate)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Squashes the oldest task and everything younger, then recovers.
@@ -834,33 +621,32 @@ impl<'a> Coordinator<'a> {
         let dying = (younger + 1, executed + result.task.executed);
         self.unit.squash(reason, &result.task, &self.arch, dying);
         recycle_result(&mut self.arena, result);
-        self.recover_and_restart(None, true)
+        self.recover_and_restart(None)
     }
 
     /// Ends the speculation epoch and starts the next from a consistent
     /// architected state: bumps the epoch (nothing from the old master may
-    /// leak into the reseeded run), discards in-flight work, runs recovery
-    /// segments if `recover` — several while the squash throttle keeps the
-    /// master offline — rebases the snapshot, and restarts the master on
-    /// `swap` or on a candidate the unit has ready (speculation is already
-    /// abandoned: a pending swap rides for free).
-    fn recover_and_restart(
-        &mut self,
-        mut swap: Option<Arc<Distilled>>,
-        recover: bool,
-    ) -> Result<(), ThreadedError> {
+    /// leak into the reseeded run) and discards in-flight work. Without a
+    /// `swap` it then runs recovery segments — several while the squash
+    /// throttle keeps the master offline — and takes a candidate the unit
+    /// has ready (speculation is already abandoned: a pending swap rides
+    /// for free). With one, architected state already sits at the task
+    /// boundary just committed. Last, it rebases the snapshot and restarts
+    /// the master, on the swapped-in program if any.
+    fn recover_and_restart(&mut self, swap: Option<SwapCandidate>) -> Result<(), ThreadedError> {
+        let abandoned = self.in_flight_work();
         self.epoch += 1;
-        // why: Relaxed; advisory abandon hint — stale spawns and results
-        // are filtered by their message epoch tag regardless.
+        // why: Relaxed; advisory abandon hint — stale results are filtered
+        // by their message epoch tag regardless.
         self.current_epoch.store(self.epoch, Ordering::Relaxed);
         self.in_flight.clear();
         for (_, r) in self.done.drain(..) {
             recycle_result(&mut self.arena, r);
         }
-        self.master_stalled = false;
-        while recover && !self.halted {
+        let swap = swap.map(|candidate| (candidate, abandoned));
+        while swap.is_none() && !self.halted {
             let (executed, halted) =
-                RecoverySegment::run(self.unit, self.original, &mut self.arch, &self.rules)?;
+                RecoverySegment::run(&mut self.unit, self.original, &mut self.arch, &self.rules)?;
             self.halted = halted;
             if self.unit.recovered(executed) == AfterRecovery::RestartMaster {
                 break;
@@ -870,13 +656,13 @@ impl<'a> Coordinator<'a> {
         if self.halted {
             return Ok(());
         }
-        if swap.is_none() {
-            if let Some(candidate) = self.unit.poll_swap() {
-                self.unit.swap_installed(&candidate, (0, 0));
-                swap = Some(candidate.program);
-            }
+        let swap = swap.or_else(|| self.unit.poll_swap().map(|candidate| (candidate, (0, 0))));
+        let program = swap.as_ref().map(|(c, _)| Arc::clone(&c.program));
+        self.seat.restart(&mut self.unit.stats, &self.arch, program);
+        if let Some((candidate, abandoned)) = swap {
+            self.unit.swap_installed(&candidate, abandoned);
         }
-        self.send_restart(swap)
+        Ok(())
     }
 
     /// The tasks in flight and the instructions the finished ones ran.
@@ -893,19 +679,6 @@ impl<'a> Coordinator<'a> {
         self.pending_deltas = 0;
         self.pending_cells = 0;
         self.unit.stats.snapshots_materialized += 1;
-    }
-
-    /// (Re)starts the master at the architected PC in the current epoch,
-    /// on `swap` if given, else on whatever it currently runs.
-    fn send_restart(&mut self, swap: Option<Arc<Distilled>>) -> Result<(), ThreadedError> {
-        let restart = CtrlMsg::Restart {
-            gen: self.epoch,
-            base: Box::new(self.arch.clone()),
-            swap,
-        };
-        self.ctrl_tx
-            .send(restart)
-            .map_err(|_| ThreadedError::WorkerDied)
     }
 }
 
@@ -1132,6 +905,48 @@ mod tests {
             Ok(CoordMsg::ThreadDied) => {}
             _ => panic!("expected a ThreadDied obituary"),
         }
+    }
+
+    /// A controller that asks for a recompile after five commits, and a
+    /// recompiler that panics when asked.
+    fn exploding_recompiler(p: &Program, d: &Distilled) -> (AdaptiveController, Recompiler) {
+        let profile = Profile::collect(p, u64::MAX).unwrap();
+        let config = AdaptiveConfig {
+            force_swap_at: vec![(5, Tier::Fast)],
+            ..AdaptiveConfig::default()
+        };
+        let rec: Recompiler = Box::new(|_, _| panic!("recompiler exploded"));
+        (AdaptiveController::new(config, d, &profile), rec)
+    }
+
+    #[test]
+    fn background_recompiler_panic_returns_worker_died() {
+        let (p, d) = fixture();
+        let (ctl, rec) = exploding_recompiler(&p, &d);
+        let cfg = EngineConfig {
+            num_slaves: 2,
+            ..EngineConfig::default()
+        };
+        let err = run_threaded_adaptive(&p, &d, cfg, ctl, rec, false).unwrap_err();
+        assert_eq!(err, ThreadedError::WorkerDied);
+    }
+
+    /// A panic on the calling thread is the caller's own panic, raised
+    /// again once the run's threads are joined: the call returns (no
+    /// hang) and the payload is the recompiler's, not the scope's.
+    #[test]
+    fn inline_recompiler_panic_propagates_to_the_caller() {
+        let (p, d) = fixture();
+        let (ctl, rec) = exploding_recompiler(&p, &d);
+        let cfg = EngineConfig {
+            num_slaves: 2,
+            ..EngineConfig::default()
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_threaded_adaptive(&p, &d, cfg, ctl, rec, true)
+        }));
+        let payload = caught.expect_err("the inline recompiler's panic unwinds");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"recompiler exploded"));
     }
 
     #[test]

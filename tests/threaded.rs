@@ -64,3 +64,41 @@ fn threaded_survives_garbage_master() {
     let run = run_threaded(&program, &d, EngineConfig::default()).unwrap();
     assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
 }
+
+/// Masters that starve the coordinator: one whose PC map lacks every
+/// restart point, so each restart goes straight into `Lost` and no task
+/// is ever spawned, and one that spawns its first task and then halts.
+/// Either way the coordinator must notice on its own that nothing more is
+/// coming and run recovery, at any worker count.
+#[test]
+fn threaded_survives_starving_masters() {
+    use std::collections::{BTreeMap, BTreeSet};
+    let program = assemble(
+        "main: addi s0, zero, 200
+         loop: add  s1, s1, s0
+               addi s0, s0, -1
+               bnez s0, loop
+               halt",
+    )
+    .unwrap();
+    let mut seq = SeqMachine::boot(&program);
+    seq.run(u64::MAX).unwrap();
+    let boundary = program.symbol("loop").unwrap();
+    let halt = assemble("main: halt").unwrap();
+    let unmapped = Distilled::from_parts(halt.clone(), BTreeSet::from([boundary]), BTreeMap::new());
+    let map = BTreeMap::from([(program.entry(), halt.entry()), (boundary, halt.entry())]);
+    let halting = Distilled::from_parts(halt, BTreeSet::from([boundary]), map);
+    for (name, d) in [("unmapped", &unmapped), ("halting", &halting)] {
+        for workers in [1usize, 2, 4, 8] {
+            let cfg = EngineConfig {
+                num_slaves: workers,
+                ..EngineConfig::default()
+            };
+            let run = run_threaded(&program, d, cfg).unwrap();
+            assert_eq!(run.state, *seq.state(), "{name} master, {workers} workers");
+            assert!(run.stats.recovery_segments > 0, "{name}: {:?}", run.stats);
+        }
+    }
+    let run = run_threaded(&program, &unmapped, EngineConfig::default()).unwrap();
+    assert_eq!(run.stats.spawned_tasks, 0, "a lost master spawns nothing");
+}
