@@ -13,8 +13,9 @@
 //!   reaching-definitions, constant propagation and copy propagation (the
 //!   static soundness linter and the distiller's optimizing pass pipeline
 //!   are built on these).
-//! * [`Profile`] — dynamic edge/branch/instruction profiles from a
-//!   training run (the distiller is profile-guided, as in the paper).
+//! * [`Profile`] — instruction, edge and branch counts and memory
+//!   footprints from a training run (the distiller is profile-guided, as
+//!   in the paper).
 //!
 //! ## Quick start
 //!
