@@ -42,7 +42,10 @@
 //! with no penalty, a starved machine starting recovery — which the pass
 //! reads off the wake-up times it returns; a pass of plain instruction
 //! steps (cost at least 1) goes straight on to the next instant. Nothing
-//! is polled: a component that is not due is one comparison.
+//! is polled: a component that is not due is one comparison. The one
+//! exception to "at most once" is recovery: nothing else can act while a
+//! segment runs, so it runs to its end in one visit, taking `now` with
+//! it, and the rest of that pass acts at the instant of its last step.
 //!
 //! Each slave holds at most one task, so the slave's slot *is* the
 //! task's home and the in-order window is a queue of slave indices;
@@ -461,10 +464,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// whose recovery starts at once) shows as a wake-up time not after
     /// `now`, and the caller runs another pass.
     fn pass(&mut self) -> Result<u64, EngineError> {
-        let now = self.now;
-        if self.recovery_wake <= now {
+        if self.recovery_wake <= self.now {
             self.act_recovery()?;
         }
+        // Recovery ran to its end: the rest of the pass acts at that instant.
+        let now = self.now;
         if self.verify_wake <= now && !self.arch_halted {
             self.act_verify();
         }
@@ -560,21 +564,37 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     // ---- components -----------------------------------------------------
 
+    /// Runs the recovery segment to its end, advancing `now` in place.
+    /// While a segment runs nothing else can act — the window is empty,
+    /// the slaves are released, the verify unit is idle and the master is
+    /// offline — so each pass until the end would visit recovery alone.
+    /// The loop makes the same `CostModel` calls those passes would, makes
+    /// the run loop's cycle check at each advance, and ends the segment at
+    /// the instant of its last step.
     fn act_recovery(&mut self) -> Result<(), EngineError> {
+        debug_assert!(
+            self.window.is_empty() && self.verify_wake == NEVER && self.master_wake == NEVER,
+            "recovery runs alone"
+        );
         let segment = self.recovery.as_mut().expect("recovery is due");
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
             max_instrs: self.config.max_recovery_instrs,
         };
-        let (info, end) = segment.step(&mut self.unit, self.original, &self.arch, &rules)?;
-        let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
-        self.recovery_wake = self.now + cost;
-        self.unit.stats.recovery_busy_cycles += cost;
-        if let Some(end) = end {
-            self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
+        loop {
+            let (info, end) = segment.step(&mut self.unit, self.original, &self.arch, &rules)?;
+            let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
+            self.unit.stats.recovery_busy_cycles += cost;
+            if let Some(end) = end {
+                self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
+                return Ok(());
+            }
+            self.now += cost;
+            if self.now > self.config.max_cycles {
+                return Err(EngineError::CycleLimit);
+            }
         }
-        Ok(())
     }
 
     fn finish_recovery(&mut self, halted: bool) {
@@ -1029,6 +1049,35 @@ mod tests {
         };
         let err = Engine::new(&p, &d, config, UnitCost).run().unwrap_err();
         assert_eq!(err, EngineError::CycleLimit);
+    }
+
+    /// Under a master that halts after its first spawn, recovery segments
+    /// carry the run to its `halt`, so the final instant is reached inside
+    /// `act_recovery`'s loop, which must check the budget exactly as the
+    /// run loop does.
+    #[test]
+    fn cycle_limit_is_exact_in_a_recovery_only_run() {
+        let p = assemble(SUM).unwrap();
+        let prof = Profile::collect(&p, u64::MAX).unwrap();
+        let honest = distill(&p, &prof, &DistillConfig::default()).unwrap();
+        let dead = assemble("main: halt").unwrap();
+        let map = BTreeMap::from([(p.entry(), dead.entry())]);
+        let d = Distilled::from_parts(dead, honest.boundaries().clone(), map);
+        let run_within = |max_cycles| {
+            let config = EngineConfig {
+                max_cycles,
+                ..EngineConfig::default()
+            };
+            Engine::new(&p, &d, config, UnitCost).run()
+        };
+        let run = run_within(u64::MAX / 2).unwrap();
+        assert_eq!(run.stats.committed_tasks, 1, "{:?}", run.stats);
+        assert!(run.stats.recovery_segments > 1, "{:?}", run.stats);
+        assert_eq!(run_within(run.cycles).unwrap().cycles, run.cycles);
+        assert_eq!(
+            run_within(run.cycles - 1).unwrap_err(),
+            EngineError::CycleLimit
+        );
     }
 
     #[test]

@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::program::segment_end;
 use crate::{Instr, Program, Reg, DATA_BASE, INSTR_BYTES, TEXT_BASE};
 
 /// A reg-reg-imm instruction constructor plus a "signed immediate" /
@@ -82,7 +83,10 @@ pub fn assemble(source: &str) -> Result<Program, Vec<AsmError>> {
 ///
 /// # Errors
 ///
-/// As for [`assemble`].
+/// As for [`assemble`], and also for a layout of the caller's bases that
+/// no [`Program`] can hold: a text base that is not 4-byte aligned, a
+/// segment that runs past the top of the address space, or text and data
+/// that overlap.
 pub fn assemble_at(source: &str, text_base: u64, data_base: u64) -> Result<Program, Vec<AsmError>> {
     Assembler::new(text_base, data_base).run(source)
 }
@@ -165,7 +169,10 @@ impl Assembler {
                 } else {
                     let addr = match segment {
                         Segment::Text => text_cursor,
-                        Segment::Data => self.data_base + data.len() as u64,
+                        // Addresses wrap here, as `text_cursor` does;
+                        // `check_layout` reports a segment that runs past
+                        // the top of the address space.
+                        Segment::Data => self.data_base.wrapping_add(data.len() as u64),
                     };
                     if symbols.insert(name.to_string(), addr).is_some() {
                         self.err(line, format!("duplicate label `{name}`"));
@@ -273,7 +280,7 @@ impl Assembler {
                 pc: text_cursor,
                 size,
             });
-            text_cursor += size * INSTR_BYTES;
+            text_cursor = text_cursor.wrapping_add(size * INSTR_BYTES);
         }
 
         // ---- Pass 2: resolve symbols and emit ----
@@ -320,6 +327,7 @@ impl Assembler {
         } else if let Some(&addr) = symbols.get("main") {
             entry = addr;
         }
+        self.check_layout(text.len(), data.len(), entry);
 
         if self.errors.is_empty() {
             let prog = Program::new(text, self.text_base, data, self.data_base, entry, symbols);
@@ -332,6 +340,43 @@ impl Assembler {
             Ok(prog)
         } else {
             Err(self.errors)
+        }
+    }
+
+    /// Reports, as errors, every segment layout [`Program::new`] would
+    /// panic on: a misaligned text base, a segment that runs past the top
+    /// of the address space, overlapping segments, an entry outside the
+    /// text.
+    fn check_layout(&mut self, text_len: usize, data_len: usize, entry: u64) {
+        let (text_base, data_base) = (self.text_base, self.data_base);
+        if !text_base.is_multiple_of(INSTR_BYTES) {
+            self.err(0, format!("text base {text_base:#x} is not 4-byte aligned"));
+        }
+        let text_end = segment_end(text_base, text_len, INSTR_BYTES);
+        let data_end = segment_end(data_base, data_len, 1);
+        for (name, base, end) in [("text", text_base, text_end), ("data", data_base, data_end)] {
+            if end.is_none() {
+                self.err(
+                    0,
+                    format!("{name} segment at {base:#x} runs past the top of the address space"),
+                );
+            }
+        }
+        let (Some(text_end), Some(data_end)) = (text_end, data_end) else {
+            return;
+        };
+        if !(text_end <= data_base || data_end <= text_base) {
+            self.err(
+                0,
+                format!(
+                    "text [{text_base:#x},{text_end:#x}) overlaps data [{data_base:#x},{data_end:#x})"
+                ),
+            );
+        }
+        // Labels in the text sit on instruction addresses: an entry in the
+        // range is one.
+        if text_len > 0 && !(text_base..text_end).contains(&entry) {
+            self.err(0, format!("entry {entry:#x} is outside the text segment"));
         }
     }
 

@@ -52,8 +52,10 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if `text_base` is not 4-byte aligned, if the text and data
-    /// segments overlap, or if `entry` does not point into the text segment.
+    /// Panics if `text_base` is not 4-byte aligned, if either segment runs
+    /// past the top of the 64-bit address space (its end must be a `u64`),
+    /// if the text and data segments overlap, or if `entry` does not point
+    /// into the text segment.
     #[must_use]
     pub fn new(
         text: Vec<Instr>,
@@ -68,8 +70,10 @@ impl Program {
             0,
             "text base must be 4-byte aligned"
         );
-        let text_end = text_base + text.len() as u64 * INSTR_BYTES;
-        let data_end = data_base + data.len() as u64;
+        let text_end = segment_end(text_base, text.len(), INSTR_BYTES)
+            .expect("text segment runs past the top of the address space");
+        let data_end = segment_end(data_base, data.len(), 1)
+            .expect("data segment runs past the top of the address space");
         assert!(
             text_end <= data_base || data_end <= text_base,
             "text [{text_base:#x},{text_end:#x}) overlaps data [{data_base:#x},{data_end:#x})"
@@ -192,28 +196,35 @@ impl Program {
     #[must_use]
     #[inline]
     pub fn contains_pc(&self, pc: u64) -> bool {
-        pc >= self.text_base
-            && pc < self.text_end()
-            && (pc - self.text_base).is_multiple_of(INSTR_BYTES)
+        self.index_of_pc(pc).is_some()
     }
 
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the
     /// text segment or misaligned.
+    ///
+    /// This is the interpreter's fetch, once per executed instruction on
+    /// every storage, so it is one subtraction, one alignment test and one
+    /// bounds-checked index (see [`Program::index_of_pc`]).
     #[must_use]
     #[inline]
     pub fn fetch(&self, pc: u64) -> Option<Instr> {
-        self.index_of_pc(pc).map(|i| self.text[i])
+        self.text.get(self.index_of_pc(pc)?).copied()
     }
 
     /// Converts an instruction address to its index in [`Program::text`].
+    ///
+    /// The offset from the text base wraps, so a `pc` below the base
+    /// becomes an offset past any segment [`Program::new`] accepts, and a
+    /// single comparison against the length rejects both sides.
     #[must_use]
     #[inline]
     pub fn index_of_pc(&self, pc: u64) -> Option<usize> {
-        if self.contains_pc(pc) {
-            Some(((pc - self.text_base) / INSTR_BYTES) as usize)
-        } else {
-            None
+        let offset = pc.wrapping_sub(self.text_base);
+        if !offset.is_multiple_of(INSTR_BYTES) {
+            return None;
         }
+        let index = usize::try_from(offset / INSTR_BYTES).ok()?;
+        (index < self.text.len()).then_some(index)
     }
 
     /// Converts a text index to its instruction address.
@@ -288,6 +299,15 @@ impl Program {
         }
         out
     }
+}
+
+/// One past the last byte of `len` items of `item_bytes` bytes at `base`,
+/// or `None` if the segment runs past the top of the address space.
+pub(crate) fn segment_end(base: u64, len: usize, item_bytes: u64) -> Option<u64> {
+    u64::try_from(len)
+        .ok()?
+        .checked_mul(item_bytes)?
+        .checked_add(base)
 }
 
 /// Error returned by [`Program::validate`] when a static control-flow target

@@ -12,6 +12,46 @@ fn custom_bases_are_respected() {
     assert_eq!(p.entry(), 0x4000);
 }
 
+/// The one error `assemble_at` reports for `src` at these bases.
+fn layout_error(src: &str, text_base: u64, data_base: u64) -> String {
+    let errs = assemble_at(src, text_base, data_base).unwrap_err();
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    errs[0].msg.clone()
+}
+
+#[test]
+fn misaligned_text_base_is_an_error_not_a_panic() {
+    let msg = layout_error("main: halt", 0x1002, 0x10_0000);
+    assert!(msg.contains("not 4-byte aligned"), "{msg}");
+}
+
+#[test]
+fn overlapping_segments_are_an_error_not_a_panic() {
+    let msg = layout_error("main: nop\n halt\n.data\n .word 7", 0x1000, 0x1004);
+    assert!(msg.contains("overlaps"), "{msg}");
+}
+
+#[test]
+fn text_past_the_address_space_is_an_error_not_a_panic() {
+    let msg = layout_error("main: halt", 0xFFFF_FFFF_FFFF_FFFC, 0x1000);
+    assert!(msg.contains("text segment") && msg.contains("top of the address space"));
+    // One instruction lower, the segment ends at the last address.
+    let p = assemble_at("main: halt", 0xFFFF_FFFF_FFFF_FFF8, 0x1000).unwrap();
+    assert_eq!(p.text_end(), 0xFFFF_FFFF_FFFF_FFFC);
+}
+
+#[test]
+fn data_past_the_address_space_is_an_error_not_a_panic() {
+    let msg = layout_error("main: halt\n.data\n .dword 1", 0x1000, u64::MAX - 3);
+    assert!(msg.contains("data segment") && msg.contains("top of the address space"));
+}
+
+#[test]
+fn entry_past_the_text_is_an_error_not_a_panic() {
+    let msg = layout_error("halt\nmain:", 0x1000, 0x9000);
+    assert!(msg.contains("outside the text segment"), "{msg}");
+}
+
 #[test]
 fn multiple_labels_on_one_address() {
     let p = assemble("a: b: c: halt").unwrap();

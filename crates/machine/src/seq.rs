@@ -170,20 +170,25 @@ impl<'p> SeqMachine<'p> {
 
     /// Executes one instruction.
     ///
+    /// Each call reads and writes the PC and the counters through `self`;
+    /// to run many instructions, use [`SeqMachine::run_observed`], which
+    /// keeps them in locals.
+    ///
     /// # Errors
     ///
     /// Propagates interpreter faults. Stepping a halted machine is a no-op
     /// returning the halt info again.
     #[inline]
     pub fn step(&mut self) -> Result<StepInfo, Fault> {
-        let pc = self.state.pc();
-        let info = step(&mut self.state, self.program, pc)?;
-        self.state.set_pc(info.next_pc);
-        if info.halted {
-            self.halted = true;
-        } else {
-            self.instructions += 1;
-        }
+        let mut pc = self.state.pc();
+        let info = advance(
+            &mut self.state,
+            self.program,
+            &mut pc,
+            &mut self.instructions,
+        )?;
+        self.state.set_pc(pc);
+        self.halted |= info.halted;
         Ok(info)
     }
 
@@ -215,7 +220,12 @@ impl<'p> SeqMachine<'p> {
 
     /// Runs like [`SeqMachine::run`], invoking `observer` after every
     /// retired instruction — the hook the profiler and characterization
-    /// experiments use.
+    /// experiments use — and once more on the `halt` itself.
+    ///
+    /// The result is exactly that of calling [`SeqMachine::step`] in a
+    /// loop, but the loop steps the interpreter itself: the PC and the
+    /// retired count live in locals, and `self` learns them once, when
+    /// the run halts, faults or reaches `max_steps`.
     ///
     /// # Errors
     ///
@@ -226,25 +236,62 @@ impl<'p> SeqMachine<'p> {
         mut observer: impl FnMut(&StepInfo),
     ) -> Result<RunSummary, SeqError> {
         let start = self.instructions;
-        while !self.halted && self.instructions - start < max_steps {
-            let info = self.step().map_err(|fault| SeqError {
-                fault,
-                instructions: self.instructions,
-            })?;
-            observer(&info);
-            if info.halted {
-                break;
+        let mut pc = self.state.pc();
+        let mut retired = start;
+        let mut halted = self.halted;
+        let mut fault = None;
+        while !halted && retired - start < max_steps {
+            match advance(&mut self.state, self.program, &mut pc, &mut retired) {
+                Ok(info) => {
+                    observer(&info);
+                    halted = info.halted;
+                }
+                Err(f) => {
+                    fault = Some(f);
+                    break;
+                }
             }
         }
+        self.state.set_pc(pc);
+        self.instructions = retired;
+        self.halted = halted;
+        if let Some(fault) = fault {
+            return Err(SeqError {
+                fault,
+                instructions: retired,
+            });
+        }
         Ok(RunSummary {
-            instructions: self.instructions - start,
-            stop: if self.halted {
+            instructions: retired - start,
+            stop: if halted {
                 StopReason::Halted
             } else {
                 StopReason::StepLimit
             },
         })
     }
+}
+
+/// One sequential step and its bookkeeping, shared by
+/// [`SeqMachine::step`] and the [`SeqMachine::run_observed`] loop: the
+/// instruction at `*pc` executes, `*pc` moves on, and `*retired` counts
+/// it unless it was the `halt`. A fault changes nothing.
+// Inlined so the loop keeps `pc` and `retired` in registers: out of line,
+// the `StepInfo` makes the round trip through memory that `exec::step`'s
+// own inlining exists to avoid.
+#[inline(always)]
+fn advance(
+    state: &mut MachineState,
+    program: &Program,
+    pc: &mut u64,
+    retired: &mut u64,
+) -> Result<StepInfo, Fault> {
+    let info = step(state, program, *pc)?;
+    *pc = info.next_pc;
+    if !info.halted {
+        *retired += 1;
+    }
+    Ok(info)
 }
 
 /// The formal `seq(S, n)`: the state after executing `n` instructions from
