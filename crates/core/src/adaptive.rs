@@ -20,19 +20,21 @@
 //!   quick relief, then — once the live profile has been stable for a
 //!   configurable number of windows — the full pipeline ([`Tier::Full`]).
 //!
-//! The controller is executor-agnostic and purely stateful: executors
-//! feed it observations, poll [`AdaptiveController::take_request`] at
-//! swap-safe points (task boundaries), run the [`Recompiler`] either
-//! inline (discrete engine, synchronous threaded mode) or on a background
-//! thread (threaded executor), and report installs back. Candidate
-//! programs must keep the pinned boundary set and crossing grouping —
-//! [`AdaptiveController::validate_candidate`] rejects anything else —
-//! so a swap changes only the master's fast path, never the slave
-//! protocol. The recompiler itself is injected by callers (typically
-//! `mssp-lint`'s `redistill_validated`, keeping every candidate behind
-//! the full lint gate) so this crate stays independent of the linter.
+//! The controller is executor-agnostic: executors feed it observations
+//! and, at swap-safe points (task boundaries), let it service an
+//! outstanding request by running the [`Recompiler`] inline, then report
+//! the install back. Both executors recompile at the requesting boundary,
+//! so they install the same swaps at the same commit points. Candidate
+//! programs must keep the pinned boundary set and crossing grouping — the
+//! controller rejects anything else — so a swap changes only the master's
+//! fast path, never the slave protocol. The recompiler itself is injected
+//! by callers (typically `mssp-lint`'s `redistill_validated`, keeping
+//! every candidate behind the full lint gate) so this crate stays
+//! independent of the linter.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::Instant;
 
 use mssp_analysis::Profile;
 use mssp_distill::{Distilled, Tier};
@@ -96,7 +98,7 @@ enum Phase {
     /// Running the offline distillation; divergence requests a fast-tier
     /// recompile.
     Watching,
-    /// A recompile request is outstanding with the recompiler.
+    /// A recompile is requested; it runs at the next swap-safe point.
     Pending(Tier),
     /// A fast-tier program is installed; stable windows accumulate
     /// toward the full-tier recompile, divergence re-requests fast.
@@ -119,6 +121,14 @@ pub struct SwapMarker {
     pub latency_micros: u64,
     /// Engine counters snapshotted at install.
     pub stats: EngineStats,
+}
+
+/// A recompiled program that passed validation and is ready to install.
+pub(crate) struct SwapCandidate {
+    pub program: Arc<Distilled>,
+    pub tier: Tier,
+    /// Wall-clock microseconds from taking the request to validation.
+    pub latency_micros: u64,
 }
 
 /// Summary of one adaptive run.
@@ -286,18 +296,33 @@ impl AdaptiveController {
         self.bump_window();
     }
 
-    /// The outstanding recompile request, if any. Executors call this at
-    /// swap-safe points (task boundaries) and hand the returned tier to
-    /// the recompiler with a [`AdaptiveController::live_profile`]
-    /// snapshot.
-    pub fn take_request(&mut self) -> Option<Tier> {
-        self.pending_request.take()
-    }
-
-    /// The live profile (snapshot/clone this for a background recompile).
-    #[must_use]
-    pub fn live_profile(&self) -> &Profile {
-        &self.live
+    /// Services the outstanding recompile request, if any, at a swap-safe
+    /// point (a task boundary): runs `recompiler` on the live profile at
+    /// the requested tier and returns a candidate that keeps the pinned
+    /// segmentation, for the executor to install and report with
+    /// [`AdaptiveController::note_swap_installed`]. A failed recompile or
+    /// a rejected candidate is counted and re-arms the state machine, so
+    /// a later divergent window can retry.
+    pub(crate) fn recompile(&mut self, recompiler: &mut Recompiler) -> Option<SwapCandidate> {
+        let tier = self.pending_request.take()?;
+        let started = Instant::now();
+        match recompiler(&self.live, tier) {
+            Ok(d) if self.keeps_segmentation(&d) => {
+                match tier {
+                    Tier::Fast => self.report.recompilations_fast += 1,
+                    Tier::Full => self.report.recompilations_full += 1,
+                }
+                return Some(SwapCandidate {
+                    program: Arc::new(d),
+                    tier,
+                    latency_micros: started.elapsed().as_micros() as u64,
+                });
+            }
+            Ok(_) => self.report.candidates_rejected += 1,
+            Err(_) => self.report.recompile_failures += 1,
+        }
+        self.phase = Phase::Watching;
+        None
     }
 
     /// The pinned boundary set candidates must preserve.
@@ -315,38 +340,9 @@ impl AdaptiveController {
     /// Whether `candidate` preserves the pinned task segmentation. A
     /// candidate that fails is dropped (and counted) — installing it
     /// would change the slave protocol mid-run.
-    #[must_use]
-    pub fn validate_candidate(&self, candidate: &Distilled) -> bool {
+    fn keeps_segmentation(&self, candidate: &Distilled) -> bool {
         *candidate.boundaries() == self.boundaries
             && candidate.crossings_per_task().max(1) == self.crossings_per_task
-    }
-
-    /// Reports a recompilation outcome. On success the executor is
-    /// expected to install the candidate and then call
-    /// [`AdaptiveController::note_swap_installed`]; on failure the state
-    /// machine re-arms so a later divergent window can retry.
-    pub fn note_recompiled(&mut self, tier: Tier, ok: bool) {
-        if ok {
-            match tier {
-                Tier::Fast => self.report.recompilations_fast += 1,
-                Tier::Full => self.report.recompilations_full += 1,
-            }
-        } else {
-            self.report.recompile_failures += 1;
-            if self.phase == Phase::Pending(tier) {
-                self.phase = Phase::Watching;
-            }
-        }
-    }
-
-    /// Reports a candidate rejected by
-    /// [`AdaptiveController::validate_candidate`]; re-arms like a failed
-    /// recompilation.
-    pub fn note_candidate_rejected(&mut self, tier: Tier) {
-        self.report.candidates_rejected += 1;
-        if self.phase == Phase::Pending(tier) {
-            self.phase = Phase::Watching;
-        }
     }
 
     /// Reports a hot-swap install, freezing `stats` into the report so
@@ -448,7 +444,9 @@ mod tests {
     use mssp_isa::asm::assemble;
     use std::collections::BTreeMap;
 
-    fn controller(config: AdaptiveConfig) -> AdaptiveController {
+    /// A controller pinned to a one-boundary loop, and a recompiler that
+    /// answers every request with that pinned program.
+    fn controller(config: AdaptiveConfig) -> (AdaptiveController, Recompiler) {
         let p = assemble(
             "main: addi s0, zero, 50
              loop: addi s1, s1, 1
@@ -464,7 +462,14 @@ mod tests {
             BTreeSet::from([boundary]),
             BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]),
         );
-        AdaptiveController::new(config, &d, &prof)
+        let ctl = AdaptiveController::new(config, &d, &prof);
+        let rec: Recompiler = Box::new(move |_, _| Ok(d.clone()));
+        (ctl, rec)
+    }
+
+    /// The tier of the candidate `ctl` recompiles at this boundary, if any.
+    fn serve(ctl: &mut AdaptiveController, rec: &mut Recompiler) -> Option<Tier> {
+        ctl.recompile(rec).map(|c| c.tier)
     }
 
     fn quiet_commits(ctl: &mut AdaptiveController, n: u64) {
@@ -475,9 +480,9 @@ mod tests {
 
     #[test]
     fn stationary_behaviour_requests_nothing() {
-        let mut ctl = controller(AdaptiveConfig::default());
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
         quiet_commits(&mut ctl, 1000);
-        assert!(ctl.take_request().is_none());
+        assert!(serve(&mut ctl, &mut rec).is_none());
         assert_eq!(ctl.report().divergent_windows, 0);
         assert!(ctl.report().windows > 10);
     }
@@ -490,24 +495,22 @@ mod tests {
             stable_windows_for_full: 2,
             ..AdaptiveConfig::default()
         };
-        let mut ctl = controller(config);
+        let (mut ctl, mut rec) = controller(config);
         // A divergent window: 4 wrong-path squashes among 8 tasks.
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::WrongPath, 0x1234, &[]);
         }
         quiet_commits(&mut ctl, 4);
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
-        assert!(ctl.take_request().is_none(), "request is one-shot");
-        assert!(ctl.live_profile().wrong_path_pcs().contains(&0x1234));
-        // While pending, further windows request nothing.
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        assert!(serve(&mut ctl, &mut rec).is_none(), "request is one-shot");
+        assert!(ctl.live.wrong_path_pcs().contains(&0x1234));
+        // Until the candidate installs, further windows request nothing.
         quiet_commits(&mut ctl, 16);
-        assert!(ctl.take_request().is_none());
+        assert!(serve(&mut ctl, &mut rec).is_none());
         // Install lands; two clean windows later the full tier is due.
-        ctl.note_recompiled(Tier::Fast, true);
         ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
         quiet_commits(&mut ctl, 16);
-        assert_eq!(ctl.take_request(), Some(Tier::Full));
-        ctl.note_recompiled(Tier::Full, true);
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
         ctl.note_swap_installed(Tier::Full, 0, EngineStats::default());
         assert_eq!(ctl.report().recompilations(), 2);
         assert_eq!(ctl.report().swaps_installed(), 2);
@@ -516,8 +519,8 @@ mod tests {
             ctl.observe_squash(SquashReason::LiveInMismatch, 0, &[Reg::S2]);
         }
         quiet_commits(&mut ctl, 4);
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
-        assert!(ctl.live_profile().hard_live_ins().contains(&Reg::S2));
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        assert!(ctl.live.hard_live_ins().contains(&Reg::S2));
     }
 
     #[test]
@@ -527,7 +530,7 @@ mod tests {
             max_cold_fraction: 0.25,
             ..AdaptiveConfig::default()
         };
-        let mut ctl = controller(config);
+        let (mut ctl, mut rec) = controller(config);
         // Recovery walks PCs the training profile never saw — enough of
         // them to dominate the window's 4 x 100 committed instructions.
         for i in 0..300u64 {
@@ -542,7 +545,7 @@ mod tests {
             ctl.observe_recovery_step(&info);
         }
         quiet_commits(&mut ctl, 4);
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
         assert_eq!(ctl.report().divergent_windows, 1);
     }
 
@@ -553,18 +556,18 @@ mod tests {
             max_squashes_per_window: 1,
             ..AdaptiveConfig::default()
         };
-        let mut ctl = controller(config);
+        let (mut ctl, mut rec) = controller(config);
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
         }
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
-        ctl.note_recompiled(Tier::Fast, false);
+        let mut failing: Recompiler = Box::new(|_, _| Err("lint".into()));
+        assert!(serve(&mut ctl, &mut failing).is_none());
         assert_eq!(ctl.report().recompile_failures, 1);
         // Next divergent window can retry.
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
         }
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
     }
 
     #[test]
@@ -573,23 +576,30 @@ mod tests {
             force_swap_at: vec![(3, Tier::Fast), (6, Tier::Full)],
             ..AdaptiveConfig::default()
         };
-        let mut ctl = controller(config);
+        let (mut ctl, mut rec) = controller(config);
         quiet_commits(&mut ctl, 2);
-        assert!(ctl.take_request().is_none());
+        assert!(serve(&mut ctl, &mut rec).is_none());
         quiet_commits(&mut ctl, 1);
-        assert_eq!(ctl.take_request(), Some(Tier::Fast));
-        ctl.note_recompiled(Tier::Fast, true);
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
         ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
         quiet_commits(&mut ctl, 3);
-        assert_eq!(ctl.take_request(), Some(Tier::Full));
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
         assert_eq!(ctl.report().swaps[0].at_committed_tasks, 3);
     }
 
     #[test]
     fn candidate_validation_pins_segmentation() {
-        let ctl = controller(AdaptiveConfig::default());
+        let config = AdaptiveConfig {
+            force_swap_at: vec![(1, Tier::Fast)],
+            ..AdaptiveConfig::default()
+        };
+        let (mut ctl, _) = controller(config);
+        quiet_commits(&mut ctl, 1);
         let p = assemble("main: halt").unwrap();
         let wrong = Distilled::from_parts(p, BTreeSet::from([0xdead]), BTreeMap::new());
-        assert!(!ctl.validate_candidate(&wrong));
+        let mut moved: Recompiler = Box::new(move |_, _| Ok(wrong.clone()));
+        assert!(serve(&mut ctl, &mut moved).is_none());
+        assert_eq!(ctl.report().candidates_rejected, 1);
+        assert_eq!(ctl.report().recompilations(), 0);
     }
 }

@@ -65,8 +65,8 @@ use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::MasterStall;
 use crate::predictor::PredictorReport;
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, Recompile,
-    RecoverySegment, SquashReason, VerifyOutcome,
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, RecoverySegment,
+    SquashReason, VerifyOutcome,
 };
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
@@ -353,19 +353,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// divergence and paces the tier state machine, `recompiler`
     /// produces candidate programs from the live profile (callers wire
     /// it to `mssp-lint`'s `redistill_validated`, so every candidate
-    /// passes the soundness gate). The discrete engine recompiles
-    /// synchronously at the requesting task boundary — deterministically,
-    /// for differential testing against the threaded executor.
+    /// passes the soundness gate). Recompilation runs inline at the
+    /// requesting task boundary, as under the threaded executor, so both
+    /// drivers install the same swaps at the same commit points.
     pub fn enable_adaptive(&mut self, controller: AdaptiveController, recompiler: Recompiler) {
-        self.unit
-            .enable_adaptive(controller, Recompile::Inline(recompiler));
-    }
-
-    /// The distilled program the master is currently running (the latest
-    /// hot-swap, or the offline program).
-    #[must_use]
-    pub fn current_distilled(&self) -> &Distilled {
-        self.seat.program()
+        self.unit.enable_adaptive(controller, recompiler);
     }
 
     /// Enables recording of every committed task's instruction count (for

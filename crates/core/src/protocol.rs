@@ -14,15 +14,13 @@
 //! it on the oldest finished task, and nothing else decides a commit.
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::sync::Arc;
 
-use mssp_analysis::Profile;
 use mssp_distill::{Distilled, Tier};
 use mssp_isa::{Program, Reg};
 use mssp_machine::{step, Cell, Delta, DeltaArena, MachineState, StepInfo};
 
-use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
+use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::engine::{EngineConfig, EngineError};
 use crate::master::{Master, MasterStall};
 use crate::predictor::{Predictor, PredictorReport};
@@ -245,65 +243,17 @@ impl EngineStats {
     }
 }
 
-/// How the commit unit obtains recompiled candidates.
-pub(crate) enum Recompile {
-    /// Inline at the requesting task boundary. Blocks commits for the
-    /// duration — deterministic, for the discrete engine and the
-    /// differential tests.
-    Inline(Recompiler),
-    /// On a background thread, harvested at a later task boundary; the hot
-    /// path never waits. Plain std `mpsc`: recompiles are rare
-    /// control-plane events, not dispatch/commit traffic.
-    Background {
-        req_tx: mpsc::Sender<(Profile, Tier)>,
-        res_rx: mpsc::Receiver<(Tier, Result<Distilled, String>)>,
-        /// When the in-flight request was sent (latency accounting); also
-        /// gates new sends, so at most one is outstanding.
-        sent_at: Option<Instant>,
-    },
-}
-
-impl Recompile {
-    /// A background transport for `recompiler`, and the body of the thread
-    /// that serves it until the transport is dropped.
-    pub(crate) fn background(mut recompiler: Recompiler) -> (Recompile, impl FnOnce() + Send) {
-        let (req_tx, req_rx) = mpsc::channel::<(Profile, Tier)>();
-        let (res_tx, res_rx) = mpsc::channel();
-        let thread_body = move || {
-            while let Ok((profile, tier)) = req_rx.recv() {
-                if res_tx.send((tier, recompiler(&profile, tier))).is_err() {
-                    return;
-                }
-            }
-        };
-        let transport = Recompile::Background {
-            req_tx,
-            res_rx,
-            sent_at: None,
-        };
-        (transport, thread_body)
-    }
-}
-
-impl std::fmt::Debug for Recompile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Recompile") // the recompiler is an opaque closure
-    }
-}
-
-/// The adaptive loop's state: divergence controller + recompile transport.
-#[derive(Debug)]
+/// The adaptive loop's state: the divergence controller and the
+/// recompiler it runs at the requesting boundary.
 struct Adaptive {
     ctl: AdaptiveController,
-    recompile: Recompile,
+    recompiler: Recompiler,
 }
 
-/// A recompiled program that passed validation and is ready to install.
-pub(crate) struct SwapCandidate {
-    pub program: Arc<Distilled>,
-    pub tier: Tier,
-    /// Wall-clock microseconds from taking the request to validation.
-    pub latency_micros: u64,
+impl std::fmt::Debug for Adaptive {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.ctl.fmt(f) // the recompiler is an opaque closure
+    }
 }
 
 /// What the driver does with the master after a recovery segment.
@@ -346,11 +296,8 @@ impl CommitUnit {
     }
 
     /// Turns on adaptive re-distillation.
-    pub(crate) fn enable_adaptive(&mut self, controller: AdaptiveController, recompile: Recompile) {
-        self.adaptive = Some(Adaptive {
-            ctl: controller,
-            recompile,
-        });
+    pub(crate) fn enable_adaptive(&mut self, ctl: AdaptiveController, recompiler: Recompiler) {
+        self.adaptive = Some(Adaptive { ctl, recompiler });
     }
 
     /// The master spawned a task at `start_pc`. Confident live-in
@@ -498,44 +445,12 @@ impl CommitUnit {
     }
 
     /// Pumps the adaptive loop at a swap-safe point (a commit or the end
-    /// of a recovery segment): harvests a finished background recompile,
-    /// services a new request, and returns a validated candidate for the
-    /// driver to install.
+    /// of a recovery segment): services a pending request by recompiling
+    /// right here, and returns a validated candidate for the driver to
+    /// install.
     pub(crate) fn poll_swap(&mut self) -> Option<SwapCandidate> {
-        let Adaptive { ctl, recompile } = self.adaptive.as_mut()?;
-        if let Recompile::Background {
-            res_rx, sent_at, ..
-        } = recompile
-        {
-            if let (Some(started), Ok((tier, result))) = (*sent_at, res_rx.try_recv()) {
-                *sent_at = None;
-                if let Some(candidate) = judge(ctl, tier, result, started) {
-                    return Some(candidate);
-                }
-            }
-        }
-        let tier = ctl.take_request()?;
-        match recompile {
-            Recompile::Inline(recompiler) => {
-                let started = Instant::now();
-                let result = recompiler(ctl.live_profile(), tier);
-                judge(ctl, tier, result, started)
-            }
-            Recompile::Background {
-                req_tx, sent_at, ..
-            } => {
-                if sent_at.is_none() {
-                    if req_tx.send((ctl.live_profile().clone(), tier)).is_ok() {
-                        *sent_at = Some(Instant::now());
-                    } else {
-                        // The recompile thread is gone; re-arm so the run
-                        // keeps going on the installed program.
-                        ctl.note_recompiled(tier, false);
-                    }
-                }
-                None
-            }
-        }
+        let Adaptive { ctl, recompiler } = self.adaptive.as_mut()?;
+        ctl.recompile(recompiler)
     }
 
     /// The driver installed `candidate`, abandoning `(tasks, instructions)`
@@ -556,39 +471,10 @@ impl CommitUnit {
         }
     }
 
-    /// Ends the run. Dropping the recompile transport here is what ends a
-    /// background recompile thread.
+    /// Ends the run.
     pub(crate) fn finish(self) -> (EngineStats, PredictorReport, Option<AdaptiveReport>) {
         let adaptive = self.adaptive.map(|ad| ad.ctl.into_report());
         (self.stats, self.predictor.report(), adaptive)
-    }
-}
-
-/// Validates a recompile result and tells the controller how it went; a
-/// rejected or failed recompile re-arms it for a later retry.
-fn judge(
-    ctl: &mut AdaptiveController,
-    tier: Tier,
-    result: Result<Distilled, String>,
-    started: Instant,
-) -> Option<SwapCandidate> {
-    match result {
-        Ok(d) if ctl.validate_candidate(&d) => {
-            ctl.note_recompiled(tier, true);
-            Some(SwapCandidate {
-                program: Arc::new(d),
-                tier,
-                latency_micros: started.elapsed().as_micros() as u64,
-            })
-        }
-        Ok(_) => {
-            ctl.note_candidate_rejected(tier);
-            None
-        }
-        Err(_) => {
-            ctl.note_recompiled(tier, false);
-            None
-        }
     }
 }
 
@@ -786,6 +672,7 @@ mod tests {
     use super::*;
     use crate::adaptive::AdaptiveConfig;
     use crate::task::BoundarySet;
+    use mssp_analysis::Profile;
     use mssp_isa::asm::assemble;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -1143,7 +1030,7 @@ mod tests {
         let recompiler: Recompiler = Box::new(move |_, _| answers.pop().unwrap());
         let mut unit = CommitUnit::new(EngineConfig::default());
         let controller = AdaptiveController::new(config, &pinned, &profile);
-        unit.enable_adaptive(controller, Recompile::Inline(recompiler));
+        unit.enable_adaptive(controller, recompiler);
 
         let arch = MachineState::new();
         let doomed = task(boundary, 1, &[], &[]);

@@ -364,56 +364,6 @@ impl<T: Send> SpscSender<T> {
         }
         Ok(sent)
     }
-
-    /// Blocking batched send with a single publish per ring-capacity
-    /// chunk: flushes what fits, spins (with yields) while the ring is
-    /// full, and resumes until the whole batch is in the ring.
-    ///
-    /// # Partial-progress contract
-    ///
-    /// A full ring never drops items — written slots are published so
-    /// the consumer can drain, then the send resumes. On disconnect the
-    /// error hands back every item not yet transferred to the ring
-    /// (the one in hand plus everything left in the iterator), in
-    /// order; items already transferred are dropped with the ring.
-    ///
-    /// # Errors
-    ///
-    /// [`SendError`] carrying the unsent remainder when the receiver
-    /// has been dropped.
-    pub fn send_batch<I: IntoIterator<Item = T>>(
-        &mut self,
-        items: I,
-    ) -> Result<(), SendError<VecDeque<T>>> {
-        let mut items = items.into_iter();
-        let mut wrote = false;
-        for item in items.by_ref() {
-            let mut item = Some(item);
-            loop {
-                if self.disconnected() {
-                    let mut rest: VecDeque<T> = VecDeque::new();
-                    rest.extend(item.take());
-                    rest.extend(items);
-                    return Err(SendError(rest));
-                }
-                if self.has_space() {
-                    break;
-                }
-                if wrote {
-                    // Let the consumer see what we have before spinning.
-                    self.publish();
-                    wrote = false;
-                }
-                thread::yield_now();
-            }
-            self.write_slot(item.take().expect("item pending"));
-            wrote = true;
-        }
-        if wrote {
-            self.publish();
-        }
-        Ok(())
-    }
 }
 
 impl<T> Drop for SpscSender<T> {
@@ -886,7 +836,8 @@ mod tests {
     #[test]
     fn spsc_batch_send_and_batch_recv() {
         let (mut tx, mut rx) = spsc::<usize>(8);
-        tx.send_batch(0..6).unwrap();
+        let mut q: VecDeque<usize> = (0..6).collect();
+        assert_eq!(tx.try_send_batch(&mut q), Ok(6));
         let mut out = Vec::new();
         assert_eq!(rx.recv_batch(&mut out, 4), 4);
         assert_eq!(rx.recv_batch(&mut out, 100), 2);
@@ -896,8 +847,8 @@ mod tests {
 
     #[test]
     fn spsc_batch_send_larger_than_capacity() {
-        // The batch must flush-and-continue when it fills the ring while
-        // a consumer drains concurrently.
+        // A batch larger than the ring goes in over several short sends,
+        // retried while a consumer drains concurrently.
         let (mut tx, mut rx) = spsc::<usize>(4);
         let n = 1000;
         let h = thread::spawn(move || {
@@ -910,7 +861,12 @@ mod tests {
             }
             got
         });
-        tx.send_batch(0..n).unwrap();
+        let mut q: VecDeque<usize> = (0..n).collect();
+        while !q.is_empty() {
+            if tx.try_send_batch(&mut q).unwrap() == 0 {
+                thread::yield_now();
+            }
+        }
         drop(tx);
         let got = h.join().unwrap();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -958,17 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn spsc_send_batch_disconnect_hands_back_remainder() {
-        let (mut tx, rx) = spsc::<u32>(4);
-        drop(rx);
-        let err = tx.send_batch(0..5).unwrap_err();
-        assert_eq!(
-            err.0.iter().copied().collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-    }
-
-    #[test]
     fn spsc_cross_thread_hammer_with_blocking() {
         let (mut tx, mut rx) = spsc::<u64>(16);
         let n: u64 = if cfg!(miri) { 300 } else { 100_000 };
@@ -986,8 +931,8 @@ mod tests {
 
     #[test]
     fn mpsc_round_trip_single_producer() {
-        let (tx, mut rx) = mpsc::<u64>(4);
-        for i in 0..3 {
+        let (tx, mut rx) = mpsc(4);
+        for i in 0..3u64 {
             tx.try_send(i).unwrap();
         }
         for i in 0..3 {
@@ -998,8 +943,8 @@ mod tests {
 
     #[test]
     fn mpsc_full_and_wraparound() {
-        let (tx, mut rx) = mpsc::<usize>(4);
-        for lap in 0..32 {
+        let (tx, mut rx) = mpsc(4);
+        for lap in 0..32usize {
             for i in 0..4 {
                 tx.try_send(lap * 4 + i).unwrap();
             }
@@ -1012,9 +957,9 @@ mod tests {
 
     #[test]
     fn mpsc_all_senders_dropped_drains_then_disconnects() {
-        let (tx, mut rx) = mpsc::<u32>(8);
+        let (tx, mut rx) = mpsc(8);
         let tx2 = tx.clone();
-        tx.try_send(1).unwrap();
+        tx.try_send(1u32).unwrap();
         tx2.try_send(2).unwrap();
         drop(tx);
         assert_eq!(rx.try_recv(), Ok(1));
@@ -1025,15 +970,18 @@ mod tests {
 
     #[test]
     fn mpsc_receiver_drop_fails_sends() {
-        let (tx, rx) = mpsc::<u32>(4);
+        let (tx, rx) = mpsc(4);
         drop(rx);
-        assert!(matches!(tx.try_send(7), Err(TrySendError::Disconnected(7))));
+        assert!(matches!(
+            tx.try_send(7u32),
+            Err(TrySendError::Disconnected(7))
+        ));
     }
 
     #[test]
     fn mpsc_drop_with_items_in_flight_frees_them() {
-        let (tx, rx) = mpsc::<Arc<Vec<u64>>>(8);
-        let payload = Arc::new(vec![1, 2, 3]);
+        let (tx, rx) = mpsc(8);
+        let payload = Arc::new(vec![1u64, 2, 3]);
         for _ in 0..5 {
             tx.try_send(Arc::clone(&payload)).unwrap();
         }
@@ -1049,7 +997,7 @@ mod tests {
         // even though the global interleaving is arbitrary.
         let producers = 4usize;
         let per = if cfg!(miri) { 50u64 } else { 10_000u64 };
-        let (tx, mut rx) = mpsc::<(usize, u64)>(16);
+        let (tx, mut rx) = mpsc(16);
         let handles: Vec<_> = (0..producers)
             .map(|id| {
                 let tx = tx.clone();
@@ -1082,8 +1030,8 @@ mod tests {
 
     #[test]
     fn mpsc_batch_recv_drains_visible_items() {
-        let (tx, mut rx) = mpsc::<usize>(8);
-        for i in 0..5 {
+        let (tx, mut rx) = mpsc(8);
+        for i in 0..5usize {
             tx.try_send(i).unwrap();
         }
         let mut out = Vec::new();

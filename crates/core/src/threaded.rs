@@ -6,12 +6,13 @@
 //! and the calling thread becomes the [`Coordinator`]: it owns the master
 //! and interleaves master slices with draining worker results, deciding
 //! them in order and dispatching the master's spawns, as `Engine` does in
-//! virtual time. A run therefore takes `num_slaves + 1` threads, one more
-//! when a background recompiler serves the adaptive loop. The coordinator
-//! turns results into `CommitUnit` events (spawn, commit, squash,
-//! recovered, swap) and the unit's answers into epoch bumps and master
-//! restarts. It decides *when*; what each event means is written once, in
-//! the core, and the master's bookkeeping once, in `MasterSeat`.
+//! virtual time. A run therefore takes `num_slaves` worker threads plus
+//! the caller's. The coordinator turns results into `CommitUnit` events
+//! (spawn, commit, squash, recovered, swap) and the unit's answers into
+//! epoch bumps and master restarts; an adaptive run recompiles on it too,
+//! at the requesting task boundary, as `Engine` does. It decides *when*;
+//! what each event means is written once, in the core, and the master's
+//! bookkeeping once, in `MasterSeat`.
 //! DESIGN.md §6a-§6c carry the full arguments for what is summarized here.
 //!
 //! # Contention-free hot path
@@ -54,10 +55,10 @@ use mssp_distill::Distilled;
 use mssp_isa::Program;
 use mssp_machine::{Delta, DeltaArena, MachineState};
 
-use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
+use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, Recompile,
-    RecoverySegment, SquashReason, SwapCandidate, VerifyOutcome,
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, RecoverySegment,
+    SquashReason, VerifyOutcome,
 };
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd};
@@ -87,11 +88,10 @@ const MASTER_SLICE: usize = 128;
 pub enum ThreadedError {
     /// The protocol itself failed — see [`EngineError`].
     Engine(EngineError),
-    /// A thread the run spawned died (panicked) mid-run: a worker, or the
-    /// background recompiler of [`run_threaded_adaptive`].
+    /// A worker thread died (panicked) mid-run.
     ///
     /// A panic on the calling thread — in the master, the oracle, the
-    /// coordinator or an inline recompiler — is not an error: it unwinds
+    /// coordinator or the recompiler — is not an error: it unwinds
     /// out of [`run_threaded`] or [`run_threaded_adaptive`] once every
     /// thread the run spawned has been joined, as a panic inside
     /// [`crate::Engine::run`] does.
@@ -237,19 +237,17 @@ pub fn run_threaded(
 /// epoch — in-flight speculation is abandoned exactly like a squash, and
 /// the master restarts on the new program from architected state.
 ///
-/// With `synchronous` set, recompilation runs inline on the coordinator
-/// at the requesting boundary — deterministic, for differential testing
-/// against the discrete engine. Otherwise a background recompile thread
-/// keeps it off the hot path.
+/// Recompilation runs inline on the coordinator at the requesting task
+/// boundary, as in [`crate::Engine`], so both drivers install the same
+/// swaps at the same commit points.
 ///
 /// # Errors
 ///
-/// Same as [`run_threaded`]; a panicking background recompiler also
-/// surfaces as [`ThreadedError::WorkerDied`].
+/// Same as [`run_threaded`].
 ///
 /// # Panics
 ///
-/// A panicking inline recompiler propagates once every worker is joined;
+/// A panicking recompiler propagates once every worker is joined;
 /// [`ThreadedError::WorkerDied`] has the whole contract.
 pub fn run_threaded_adaptive(
     original: &Program,
@@ -257,21 +255,15 @@ pub fn run_threaded_adaptive(
     config: EngineConfig,
     controller: AdaptiveController,
     recompiler: Recompiler,
-    synchronous: bool,
 ) -> Result<ThreadedRun, ThreadedError> {
-    run_threaded_inner(
-        original,
-        distilled,
-        config,
-        Some((controller, recompiler, synchronous)),
-    )
+    run_threaded_inner(original, distilled, config, Some((controller, recompiler)))
 }
 
 fn run_threaded_inner(
     original: &Program,
     distilled: &Distilled,
     config: EngineConfig,
-    adaptive: Option<(AdaptiveController, Recompiler, bool)>,
+    adaptive: Option<(AdaptiveController, Recompiler)>,
 ) -> Result<ThreadedRun, ThreadedError> {
     assert!(config.num_slaves > 0, "MSSP needs at least one slave");
     let start_time = std::time::Instant::now();
@@ -288,16 +280,8 @@ fn run_threaded_inner(
     };
     let current_epoch = AtomicU64::new(0);
     let mut unit = CommitUnit::new(config);
-    let mut recompile_thread = None;
-    if let Some((ctl, rec, synchronous)) = adaptive {
-        let recompile = if synchronous {
-            Recompile::Inline(rec)
-        } else {
-            let (recompile, thread_body) = Recompile::background(rec);
-            recompile_thread = Some(thread_body);
-            recompile
-        };
-        unit.enable_adaptive(ctl, recompile);
+    if let Some((ctl, rec)) = adaptive {
+        unit.enable_adaptive(ctl, rec);
     }
     let (coordinator, work_rxs, coord_tx) = Coordinator::new(
         original,
@@ -309,7 +293,7 @@ fn run_threaded_inner(
     );
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
-        let mut threads = Vec::with_capacity(config.num_slaves + 1);
+        let mut threads = Vec::with_capacity(config.num_slaves);
         for mut work_rx in work_rxs {
             let coord_tx = coord_tx.clone();
             let current_epoch = &current_epoch;
@@ -320,12 +304,11 @@ fn run_threaded_inner(
                 worker_loop(original, task_rules, current_epoch, &mut work_rx, &coord_tx);
             }));
         }
-        threads.extend(recompile_thread.map(|body| scope.spawn(body)));
         drop(coord_tx); // coordinator keeps only the receiver
 
         // A panic in here unwinds through the coordinator, dropping its
-        // rings and commit unit: the workers and the recompiler see them
-        // close and exit, and the scope joins them before re-raising it.
+        // rings: the workers see them close and exit, and the scope joins
+        // them before re-raising it.
         let (outcome, stats, adaptive) = coordinator.run();
         // Joining consumes a thread's panic, so the scope does not re-raise it.
         let mut thread_died = false;
@@ -477,8 +460,8 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Runs the protocol to architectural halt, then shuts down:
-    /// stragglers abandon at their next epoch poll, and the rings and the
-    /// commit unit drop, which ends the worker and recompiler loops.
+    /// stragglers abandon at their next epoch poll, and the rings drop,
+    /// which ends the worker loops.
     /// Returns the final state (or why there is none), the statistics and
     /// the adaptive report.
     fn run(
@@ -839,7 +822,7 @@ mod tests {
         // A recompiler that must never run: stationary behaviour matching
         // the training profile gives the controller no reason to act.
         let rec: Recompiler = Box::new(|_, _| Err("recompiled a stationary run".into()));
-        let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec, true).unwrap();
+        let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec).unwrap();
         let mut seq = SeqMachine::boot(&p);
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
@@ -859,7 +842,7 @@ mod tests {
         };
         let ctl = AdaptiveController::new(config, &d, &profile);
         let rec = test_recompiler(&p, &d);
-        let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec, true).unwrap();
+        let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec).unwrap();
         let mut seq = SeqMachine::boot(&p);
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
@@ -874,27 +857,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_async_mode_stays_correct() {
-        let (p, d) = fixture();
-        let profile = Profile::collect(&p, u64::MAX).unwrap();
-        let config = AdaptiveConfig {
-            force_swap_at: vec![(5, Tier::Fast)],
-            ..AdaptiveConfig::default()
-        };
-        let ctl = AdaptiveController::new(config, &d, &profile);
-        let rec = test_recompiler(&p, &d);
-        // Background recompilation: the swap may or may not land before
-        // the run halts, but committed state is invariant either way.
-        let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec, false).unwrap();
-        let mut seq = SeqMachine::boot(&p);
-        seq.run(u64::MAX).unwrap();
-        assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
-        assert!(run.adaptive.is_some());
-    }
-
-    #[test]
     fn worker_panic_surfaces_as_worker_died() {
-        let (tx, mut rx) = ring::mpsc::<CoordMsg>(8);
+        let (tx, mut rx) = ring::mpsc(8);
         std::thread::spawn(move || {
             let _guard = DeadManSwitch { tx };
             panic!("worker exploded");
@@ -919,23 +883,11 @@ mod tests {
         (AdaptiveController::new(config, d, &profile), rec)
     }
 
-    #[test]
-    fn background_recompiler_panic_returns_worker_died() {
-        let (p, d) = fixture();
-        let (ctl, rec) = exploding_recompiler(&p, &d);
-        let cfg = EngineConfig {
-            num_slaves: 2,
-            ..EngineConfig::default()
-        };
-        let err = run_threaded_adaptive(&p, &d, cfg, ctl, rec, false).unwrap_err();
-        assert_eq!(err, ThreadedError::WorkerDied);
-    }
-
     /// A panic on the calling thread is the caller's own panic, raised
     /// again once the run's threads are joined: the call returns (no
     /// hang) and the payload is the recompiler's, not the scope's.
     #[test]
-    fn inline_recompiler_panic_propagates_to_the_caller() {
+    fn recompiler_panic_propagates_to_the_caller() {
         let (p, d) = fixture();
         let (ctl, rec) = exploding_recompiler(&p, &d);
         let cfg = EngineConfig {
@@ -943,9 +895,9 @@ mod tests {
             ..EngineConfig::default()
         };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_threaded_adaptive(&p, &d, cfg, ctl, rec, true)
+            run_threaded_adaptive(&p, &d, cfg, ctl, rec)
         }));
-        let payload = caught.expect_err("the inline recompiler's panic unwinds");
+        let payload = caught.expect_err("the recompiler's panic unwinds");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"recompiler exploded"));
     }
 

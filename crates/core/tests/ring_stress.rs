@@ -10,6 +10,7 @@
 //! Iteration counts shrink under Miri (`cfg!(miri)`) so the CI
 //! sanitizer job can interpret every access without timing out.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -104,37 +105,41 @@ fn spsc_full_empty_race_under_threads() {
 }
 
 #[test]
-fn spsc_blocking_batch_pipeline_under_threads() {
-    // The executor's actual shape: blocking batch sends against a
-    // parking batch receiver.
-    let (mut tx, mut rx) = ring::spsc::<u64>(64);
+fn spsc_outbox_flush_pipeline_under_threads() {
+    // The executor's actual shape: the coordinator queues tasks in an
+    // outbox and flushes it with `try_send_batch`, keeping what a short
+    // send (full ring) left behind for its next flush; the worker parks
+    // in `recv`. The outbox refills in batches larger than the ring, so
+    // short sends are certain.
+    let (mut tx, mut rx) = ring::spsc::<u64>(16);
     let total = n(100_000);
     let batch = 48;
-    let producer = std::thread::spawn(move || {
-        let mut sent = 0u64;
-        while sent < total {
-            let m = batch.min(total - sent);
-            tx.send_batch((0..m).map(|i| sent + i)).unwrap();
-            sent += m;
-        }
-    });
-    let mut buf = Vec::new();
-    let mut expected = 0u64;
-    loop {
-        buf.clear();
-        if rx.recv_batch(&mut buf, 64) == 0 {
-            match rx.recv() {
-                Ok(v) => buf.push(v),
-                Err(_) => break,
-            }
-        }
-        for &v in &buf {
-            assert_eq!(v, expected);
+    let consumer = std::thread::spawn(move || {
+        let mut expected = 0u64;
+        while let Ok(v) = rx.recv() {
+            assert_eq!(v, expected, "FIFO violated across short sends");
             expected += 1;
         }
+        expected
+    });
+    let mut outbox = VecDeque::new();
+    let mut queued = 0u64;
+    let mut short_sends = 0u64;
+    while queued < total || !outbox.is_empty() {
+        if outbox.is_empty() {
+            let m = batch.min(total - queued);
+            outbox.extend(queued..queued + m);
+            queued += m;
+        }
+        tx.try_send_batch(&mut outbox).unwrap();
+        if !outbox.is_empty() {
+            short_sends += 1;
+            std::thread::yield_now();
+        }
     }
-    producer.join().unwrap();
-    assert_eq!(expected, total);
+    drop(tx);
+    assert_eq!(consumer.join().unwrap(), total);
+    assert!(short_sends > 0, "the retry path never ran");
 }
 
 #[test]

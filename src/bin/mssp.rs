@@ -184,8 +184,7 @@ fn cmd_run(
                 )
                 .map_err(|e| e.to_string())
             });
-            run_threaded_adaptive(&p, &d, engine_config, ctl, rec, false)
-                .map_err(|e| e.to_string())?
+            run_threaded_adaptive(&p, &d, engine_config, ctl, rec).map_err(|e| e.to_string())?
         } else {
             run_threaded(&p, &d, engine_config).map_err(|e| e.to_string())?
         };

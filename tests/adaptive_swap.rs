@@ -5,14 +5,14 @@
 //! A deterministic recompiler (redistilling from the *training* profile,
 //! ignoring the live one, so both executors install byte-identical
 //! candidates) plus a forced swap schedule pins the swap points to fixed
-//! committed-task counts. With synchronous recompilation the two
-//! executors must then agree on final state, committed-task count, the
-//! full squash histogram, and the swap markers themselves, at every
-//! worker count. A second suite forces the swap into the middle of a
-//! live-in-mismatch squash storm (a phase-shifting workload running far
-//! off its training profile) and checks final state only — mid-storm the
-//! executors may partition recovery work differently, but the committed
-//! architected state may not diverge.
+//! committed-task counts. The two executors must then agree on final
+//! state, committed-task count, the full squash histogram, and the swap
+//! markers themselves, at every worker count. A second suite leaves the
+//! swap decision to the default controller on the phase-shifting
+//! workloads, so swaps land in the middle of a live-in-mismatch squash
+//! storm. Both executors recompile at the requesting task boundary, so
+//! there too they must agree on final state, the commit, squash, recovery
+//! and recompile counters, and the swap markers.
 
 use mssp::core::{run_threaded_adaptive, AdaptiveConfig, AdaptiveController, Recompiler};
 use mssp::prelude::*;
@@ -57,6 +57,41 @@ fn deterministic_recompiler(p: &Program, d: &Distilled, training: &Profile) -> R
     })
 }
 
+/// What both executors must agree on: the commit, squash, recovery and
+/// recompile counters, and each swap's tier and commit point. Left out are
+/// the in-flight counts (`spawned_tasks`, `squashed_tasks`,
+/// `master_instructions`, `swap_abandoned_tasks`): how far speculation ran
+/// ahead before a squash or a swap cut it off is up to the host's timing.
+#[derive(Debug, PartialEq)]
+struct Schedule {
+    counters: Vec<(&'static str, u64)>,
+    swaps: Vec<(Tier, u64)>,
+}
+
+fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
+    let counters = vec![
+        ("committed_tasks", s.committed_tasks),
+        ("committed_instructions", s.committed_instructions),
+        ("squashes_wrong_path", s.squashes_wrong_path),
+        ("squashes_live_in", s.squashes_live_in),
+        ("squashes_live_in_predicted", s.squashes_live_in_predicted),
+        ("squashes_live_in_stale", s.squashes_live_in_stale),
+        ("squashes_overrun", s.squashes_overrun),
+        ("squashes_fault", s.squashes_fault),
+        ("recovery_segments", s.recovery_segments),
+        ("recovery_instructions", s.recovery_instructions),
+        ("swaps_installed", s.swaps_installed),
+        ("recompilations_fast", s.recompilations_fast),
+        ("recompilations_full", s.recompilations_full),
+    ];
+    let swaps = report
+        .swaps
+        .iter()
+        .map(|m| (m.tier, m.at_committed_tasks))
+        .collect();
+    Schedule { counters, swaps }
+}
+
 /// Forced swaps only — windows are effectively disabled so the
 /// controller cannot trigger on its own and perturb the schedule.
 fn forced_config() -> AdaptiveConfig {
@@ -91,7 +126,7 @@ fn forced_swaps_agree_across_executors() {
             num_slaves: workers,
             ..EngineConfig::default()
         };
-        let run = run_threaded_adaptive(&p, &d, cfg, ctl, rec, true).unwrap();
+        let run = run_threaded_adaptive(&p, &d, cfg, ctl, rec).unwrap();
 
         // Final architected state.
         assert_eq!(
@@ -136,51 +171,60 @@ fn forced_swaps_agree_across_executors() {
 
 #[test]
 fn mid_storm_swap_preserves_state() {
-    // A phase-shifting workload far off its training profile: the frozen
+    // Phase-shifting workloads far off their training profile: the frozen
     // distillation asserts away a branch that fires on every post-shift
     // iteration, so the run is a wall-to-wall live-in-mismatch squash
     // storm when the controller decides to swap. Divergence detection is
-    // left on its defaults — the swap lands mid-storm, wherever the
-    // windows put it.
-    let w = mssp::workloads::phase_workloads()
-        .iter()
-        .find(|w| w.name == "phase_flip")
-        .unwrap();
-    let scale = 600;
-    let train = w.phase_program(scale, 0);
-    let reference = w.phase_program(scale, scale);
-    let profile = Profile::collect(&train, u64::MAX).unwrap();
-    let d = distill(&reference, &profile, &DistillConfig::default()).unwrap();
+    // left on its defaults — the swaps land mid-storm, wherever the
+    // windows put them.
+    for w in mssp::workloads::phase_workloads() {
+        // Long enough for the default windows to swap, three times each.
+        let scale = 2000;
+        let train = w.phase_program(scale, 0);
+        let reference = w.phase_program(scale, scale);
+        let profile = Profile::collect(&train, u64::MAX).unwrap();
+        let d = distill(&reference, &profile, &DistillConfig::default()).unwrap();
 
-    let mut seq = SeqMachine::boot(&reference);
-    seq.run(u64::MAX).unwrap();
+        let mut seq = SeqMachine::boot(&reference);
+        seq.run(u64::MAX).unwrap();
 
-    let discrete = {
-        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
-        let rec = deterministic_recompiler(&reference, &d, &profile);
-        let mut e = Engine::new(&reference, &d, EngineConfig::default(), UnitCost);
-        e.enable_adaptive(ctl, rec);
-        e.run().unwrap()
-    };
-    assert_eq!(
-        discrete.state.reg(CHECKSUM_REG),
-        seq.state().reg(CHECKSUM_REG),
-        "discrete: mid-storm swap corrupted state"
-    );
-
-    for workers in [1usize, 2, 4, 8] {
-        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
-        let rec = deterministic_recompiler(&reference, &d, &profile);
-        let cfg = EngineConfig {
-            num_slaves: workers,
-            ..EngineConfig::default()
+        let discrete = {
+            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+            let rec = deterministic_recompiler(&reference, &d, &profile);
+            let mut e = Engine::new(&reference, &d, EngineConfig::default(), UnitCost);
+            e.enable_adaptive(ctl, rec);
+            e.run().unwrap()
         };
-        let run = run_threaded_adaptive(&reference, &d, cfg, ctl, rec, true).unwrap();
         assert_eq!(
-            run.state.reg(CHECKSUM_REG),
+            discrete.state.reg(CHECKSUM_REG),
             seq.state().reg(CHECKSUM_REG),
-            "{workers} workers: mid-storm swap corrupted state"
+            "{}: discrete mid-storm swap corrupted state",
+            w.name
         );
-        assert_eq!(run.state.pc(), seq.state().pc());
+        assert!(discrete.stats.swaps_installed > 0, "{}: no swap", w.name);
+        let expected = schedule(&discrete.stats, discrete.adaptive.as_ref().unwrap());
+
+        for workers in [1usize, 2, 4, 8] {
+            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+            let rec = deterministic_recompiler(&reference, &d, &profile);
+            let cfg = EngineConfig {
+                num_slaves: workers,
+                ..EngineConfig::default()
+            };
+            let run = run_threaded_adaptive(&reference, &d, cfg, ctl, rec).unwrap();
+            assert_eq!(
+                run.state.reg(CHECKSUM_REG),
+                seq.state().reg(CHECKSUM_REG),
+                "{} at {workers} workers: mid-storm swap corrupted state",
+                w.name
+            );
+            assert_eq!(run.state.pc(), seq.state().pc());
+            assert_eq!(
+                schedule(&run.stats, run.adaptive.as_ref().unwrap()),
+                expected,
+                "{} at {workers} workers: the swap schedule diverged",
+                w.name
+            );
+        }
     }
 }

@@ -32,6 +32,19 @@ fn run_reports_checksum() {
 }
 
 #[test]
+fn run_adaptive_reports_the_controller() {
+    // The run profiles the very input it runs, so nothing diverges from
+    // the training profile and nothing is recompiled.
+    let (stdout, stderr, ok) = mssp(&["run", "gap_like", "300", "--adaptive"]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("  adaptive: 0 fast / 0 full recompiles, 0 hot-swaps"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("windows observed, 0 divergent"), "{stdout}");
+}
+
+#[test]
 fn asm_accepts_a_source_file() {
     let dir = std::env::temp_dir();
     let path = dir.join("mssp_cli_test.s");

@@ -1,8 +1,8 @@
 //! Ordering audit: every `Ordering::` use on the transport hot path must
 //! justify itself.
 //!
-//! The lock-free files (`ring.rs`, `threaded.rs`, and the arena) encode
-//! their correctness argument in memory orderings, and an ordering
+//! The lock-free files (`ring.rs` and `threaded.rs`) encode their
+//! correctness argument in memory orderings, and an ordering
 //! without a rationale is exactly the kind of line a later
 //! refactor weakens "because the test still passed". This test walks the
 //! audited files and fails if any code line mentioning `Ordering::` lacks
@@ -17,12 +17,9 @@ use std::fs;
 use std::path::Path;
 
 /// Files under the workspace root whose `Ordering::` uses are audited.
-const AUDITED: &[&str] = &[
-    "crates/core/src/ring.rs",
-    "crates/core/src/threaded.rs",
-    "crates/core/src/adaptive.rs",
-    "crates/machine/src/arena.rs",
-];
+/// Each must use an ordering in code: a file that stops doing so fails
+/// the audit until it is dropped from this list.
+const AUDITED: &[&str] = &["crates/core/src/ring.rs", "crates/core/src/threaded.rs"];
 
 /// True when the code portion of `line` (text left of any `//`) uses an
 /// `Ordering::` variant. Mentions inside comments or docs don't count.
@@ -53,22 +50,26 @@ fn block_above_has_why(lines: &[&str], idx: usize) -> bool {
 fn every_hot_path_ordering_has_a_why_comment() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = String::new();
-    let mut audited_uses = 0usize;
+    let mut stale = Vec::new();
 
     for rel in AUDITED {
         let path = root.join(rel);
         let text = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("ordering_audit: cannot read {}: {e}", path.display()));
         let lines: Vec<&str> = text.lines().collect();
+        let mut uses = 0usize;
         for (idx, line) in lines.iter().enumerate() {
             if !code_uses_ordering(line) {
                 continue;
             }
-            audited_uses += 1;
+            uses += 1;
             let justified = has_why(line) || block_above_has_why(&lines, idx);
             if !justified {
                 writeln!(violations, "  {}:{}: {}", rel, idx + 1, line.trim()).unwrap();
             }
+        }
+        if uses == 0 {
+            stale.push(*rel);
         }
     }
 
@@ -81,11 +82,11 @@ fn every_hot_path_ordering_has_a_why_comment() {
     );
 
     // The audit must be looking at real uses — if the hot path ever moves
-    // and these files stop containing orderings, this test should be
+    // and a listed file stops containing orderings, the list should be
     // re-pointed rather than silently passing on nothing.
     assert!(
-        audited_uses >= 10,
-        "ordering_audit: only {audited_uses} Ordering:: uses found across \
-         audited files; the audit list in tools/ordering_audit.rs is stale"
+        stale.is_empty(),
+        "ordering_audit: {stale:?} use no Ordering:: in code; the audit list \
+         in tools/ordering_audit.rs is stale"
     );
 }
