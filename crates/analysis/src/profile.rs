@@ -10,26 +10,53 @@
 //!
 //! A [`Profile`] keeps its counts in ordered maps keyed by PC (by
 //! `(from, to)` for edges), so iteration, equality and every decision
-//! derived from a profile are deterministic. [`Profile::collect`] does not
-//! touch those maps per instruction. It runs the training program into a
-//! dense tally with one slot per instruction of the text segment, indexed
-//! by `(pc - text_base) / INSTR_BYTES`. A slot counts executions,
-//! fall-throughs, one other successor with its count, and branch
-//! outcomes; any further successor (an indirect jump with several targets)
-//! spills into an edge map. After the run the tally is folded into the
-//! ordered maps in one pass. [`Profile::observe`], the per-step entry for
-//! callers with their own execution loop, updates the maps directly, and
-//! yields the profile `collect` would.
+//! derived from a profile are deterministic. [`Profile::observe`], the
+//! per-step entry for callers with their own execution loop, updates the
+//! maps directly.
+//!
+//! [`Profile::collect`] does not touch the maps per instruction, and most
+//! instructions it does not count at all: it records only what a
+//! fall-through does not imply and derives the rest by flow conservation
+//! (Ball & Larus, "Optimally Profiling and Tracing Programs", TOPLAS
+//! 1994). The training run counts into a dense tally with one slot per
+//! instruction of the text segment, indexed by
+//! `(pc - text_base) / INSTR_BYTES`, and touches a slot only when
+//!
+//! * the successor is not `pc + INSTR_BYTES` (a *transfer*): the slot
+//!   keeps one transfer target with its count, and any further target (an
+//!   indirect jump with several) spills into an edge map;
+//! * a conditional branch is taken. A taken branch with offset 0 counts as
+//!   taken, but its successor is `pc + INSTR_BYTES`, so it is no transfer;
+//! * the instruction accesses memory (see below).
+//!
+//! After the run one forward pass over the text derives the rest. For the
+//! instruction at slot `i`:
+//!
+//! * `arrivals(i)` = [`i` is the entry] + transfers into `i` +
+//!   fall-throughs out of `i - 1`;
+//! * `exec(i)` = `arrivals(i)` − [`i` is the PC the run stopped at]. That
+//!   PC is the `halt` (which no profile counts), or, if the step budget
+//!   cut the run short, the first PC that did not execute;
+//! * fall-throughs out of `i` = `exec(i)` − transfers out of `i`;
+//! * on a conditional branch, not-taken = `exec(i)` − taken.
+//!
+//! Debug builds assert that no derived count underflows; release builds
+//! subtract unchecked. `collect` yields the profile `observe` builds.
 //!
 //! Memory footprints are sets of 8-byte word indices (`addr >> 3`) held as
 //! 512-word bit pages: eight `u64`s per page, keyed by `word / 512`.
+//! During `collect` each set (the loaded words, and each store's written
+//! words) fills a one-page buffer. The buffer is ORed into a hash map of
+//! pages, hashed with [`PageHasher`], only when an access lands on another
+//! page, and once more when the run ends.
 //! [`Profile::store_is_write_only`] is a page-wise AND of a store's
 //! footprint with the loaded words, and [`Profile::merge`] a page-wise OR.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 
 use mssp_isa::{Program, Reg, INSTR_BYTES};
-use mssp_machine::{MemAccess, SeqError, SeqMachine, StepInfo};
+use mssp_machine::{MemAccess, PageHasher, SeqError, SeqMachine, StepInfo};
 
 /// Outcome counts for one conditional branch site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +96,8 @@ impl BranchCounts {
 /// A dynamic profile of one training run.
 ///
 /// Counts live in ordered maps keyed by PC; [`Profile::collect`] fills
-/// them from a dense per-instruction tally folded once after the run.
+/// them once after the run, deriving most counts by flow conservation
+/// from the transfers, taken branches and memory accesses it recorded.
 /// Memory footprints are sets of 512-word bit pages (see the module
 /// documentation).
 ///
@@ -127,15 +155,8 @@ impl WordSet {
         page[(word % PAGE_WORDS / 64) as usize] |= 1 << (word % 64);
     }
 
-    /// Adds the first and last word `mem` touches. An access at the top of
-    /// the address space wraps to word 0, as `Storage::load_bytes` does.
     fn insert_access(&mut self, mem: MemAccess) {
-        let first = mem.addr >> 3;
-        let last = mem.addr.wrapping_add(u64::from(mem.bytes) - 1) >> 3;
-        self.insert(first);
-        if last != first {
-            self.insert(last);
-        }
+        access_words(mem, |word| self.insert(word));
     }
 
     fn union_with(&mut self, other: &WordSet) {
@@ -157,18 +178,74 @@ impl WordSet {
     }
 }
 
-/// One instruction's counters during [`Profile::collect`].
+/// Calls `f` on the first word `mem` touches, and on the last if that is
+/// another. An access at the top of the address space wraps to word 0, as
+/// `Storage::load_bytes` does.
+#[inline]
+fn access_words(mem: MemAccess, mut f: impl FnMut(u64)) {
+    let first = mem.addr >> 3;
+    let last = mem.addr.wrapping_add(u64::from(mem.bytes) - 1) >> 3;
+    f(first);
+    if last != first {
+        f(last);
+    }
+}
+
+/// A [`WordSet`] being filled during [`Profile::collect`]: the bit page
+/// the latest access landed on, buffered, in front of a hash map of the
+/// pages flushed before it.
+#[derive(Clone, Default)]
+struct WordTally {
+    /// The buffered page's key (`word / PAGE_WORDS`).
+    open: u64,
+    /// The buffered page's bits; all zeros while it holds no word.
+    bits: [u64; 8],
+    pages: HashMap<u64, [u64; 8], BuildHasherDefault<PageHasher>>,
+}
+
+impl WordTally {
+    #[inline]
+    fn insert(&mut self, word: u64) {
+        let key = word / PAGE_WORDS;
+        if key != self.open {
+            self.flush();
+            self.open = key;
+        }
+        self.bits[(word % PAGE_WORDS / 64) as usize] |= 1 << (word % 64);
+    }
+
+    #[inline]
+    fn insert_access(&mut self, mem: MemAccess) {
+        access_words(mem, |word| self.insert(word));
+    }
+
+    /// ORs the buffered page into the map and empties the buffer.
+    fn flush(&mut self) {
+        if self.bits != [0; 8] {
+            let page = self.pages.entry(self.open).or_insert([0; 8]);
+            for (w, b) in page.iter_mut().zip(&self.bits) {
+                *w |= b;
+            }
+            self.bits = [0; 8];
+        }
+    }
+
+    fn into_words(mut self) -> WordSet {
+        self.flush();
+        WordSet(self.pages.into_iter().collect())
+    }
+}
+
+/// What [`Profile::collect`] records for one instruction: only what a
+/// fall-through does not imply (see the module documentation).
 #[derive(Clone, Copy, Default)]
 struct Slot {
-    exec: u64,
-    /// Executions followed by `pc + INSTR_BYTES`.
-    fall: u64,
-    /// The first successor seen other than the fall-through.
+    /// The first successor seen other than `pc + INSTR_BYTES`.
     other: u64,
     /// Executions followed by `other`.
     other_n: u64,
+    /// Times the branch here was taken.
     taken: u64,
-    not_taken: u64,
 }
 
 /// The dense tally [`Profile::collect`] counts into, one [`Slot`] and one
@@ -176,12 +253,20 @@ struct Slot {
 struct Tally {
     text_base: u64,
     slots: Vec<Slot>,
-    store_words: Vec<WordSet>,
-    /// Edges to successors beyond a slot's `other`.
+    store_words: Vec<WordTally>,
+    /// Transfers to successors beyond a slot's `other`.
     spill: BTreeMap<(u64, u64), u64>,
-    loaded_words: WordSet,
+    loaded_words: WordTally,
     loads: u64,
     stores: u64,
+}
+
+/// `a - b` for a count flow conservation derives: checked in debug
+/// builds, unchecked in release builds.
+#[inline]
+fn derive(a: u64, b: u64) -> u64 {
+    debug_assert!(b <= a, "derived profile count underflows: {a} - {b}");
+    a.wrapping_sub(b)
 }
 
 impl Tally {
@@ -189,41 +274,47 @@ impl Tally {
         Tally {
             text_base: program.text_base(),
             slots: vec![Slot::default(); program.len()],
-            store_words: vec![WordSet::default(); program.len()],
+            store_words: vec![WordTally::default(); program.len()],
             spill: BTreeMap::new(),
-            loaded_words: WordSet::default(),
+            loaded_words: WordTally::default(),
             loads: 0,
             stores: 0,
         }
+    }
+
+    /// The slot of `pc`, which the machine fetched, so it indexes the text
+    /// segment.
+    #[inline]
+    fn slot_of(&self, pc: u64) -> usize {
+        ((pc - self.text_base) / INSTR_BYTES) as usize
     }
 
     // Without the hint it stays out of `run_observed`'s loop, and
     // `collect` on `gap_like` ran about 8 % slower (2-thread x86-64 host).
     #[inline]
     fn observe(&mut self, info: &StepInfo) {
-        if info.halted {
-            return;
+        if info.next_pc != info.pc.wrapping_add(INSTR_BYTES) {
+            // A `halt` is its own successor, and no profile counts it.
+            if info.halted {
+                return;
+            }
+            let i = self.slot_of(info.pc);
+            let slot = &mut self.slots[i];
+            if slot.other_n == 0 || slot.other == info.next_pc {
+                slot.other = info.next_pc;
+                slot.other_n += 1;
+            } else {
+                *self.spill.entry((info.pc, info.next_pc)).or_insert(0) += 1;
+            }
         }
-        // The machine fetched `pc`, so it indexes the text segment.
-        let i = ((info.pc - self.text_base) / INSTR_BYTES) as usize;
-        let slot = &mut self.slots[i];
-        slot.exec += 1;
-        if info.next_pc == info.pc.wrapping_add(INSTR_BYTES) {
-            slot.fall += 1;
-        } else if slot.other_n == 0 || slot.other == info.next_pc {
-            slot.other = info.next_pc;
-            slot.other_n += 1;
-        } else {
-            *self.spill.entry((info.pc, info.next_pc)).or_insert(0) += 1;
-        }
-        match info.taken {
-            Some(true) => slot.taken += 1,
-            Some(false) => slot.not_taken += 1,
-            None => {}
+        if info.taken == Some(true) {
+            let i = self.slot_of(info.pc);
+            self.slots[i].taken += 1;
         }
         if let Some(mem) = info.mem {
             if mem.is_store {
                 self.stores += 1;
+                let i = self.slot_of(info.pc);
                 self.store_words[i].insert_access(mem);
             } else {
                 self.loads += 1;
@@ -232,12 +323,31 @@ impl Tally {
         }
     }
 
-    /// Folds the tally into a [`Profile`]'s ordered maps. Slots run in PC
+    /// Derives every count the run did not record (see the module
+    /// documentation) and folds the tally into a [`Profile`]'s ordered
+    /// maps. `stop_pc` is the PC the run stopped at. Slots run in PC
     /// order, so every map is built from sorted input.
-    fn fold(self) -> Profile {
+    fn fold(self, program: &Program, stop_pc: u64) -> Profile {
         let pc_of = |i: usize| self.text_base + i as u64 * INSTR_BYTES;
+        // Transfers into and out of each slot.
+        let mut into = vec![0; self.slots.len()];
+        let mut out: Vec<u64> = self.slots.iter().map(|s| s.other_n).collect();
+        for s in self.slots.iter().filter(|s| s.other_n > 0) {
+            if let Some(j) = program.index_of_pc(s.other) {
+                into[j] += s.other_n;
+            }
+        }
+        for (&(from, to), &n) in &self.spill {
+            out[self.slot_of(from)] += n;
+            if let Some(j) = program.index_of_pc(to) {
+                into[j] += n;
+            }
+        }
+        let entry = program.index_of_pc(program.entry());
+        let stop = program.index_of_pc(stop_pc);
+
         let mut profile = Profile {
-            loaded_words: self.loaded_words,
+            loaded_words: self.loaded_words.into_words(),
             loads: self.loads,
             stores: self.stores,
             ..Profile::default()
@@ -245,23 +355,34 @@ impl Tally {
         let mut exec = Vec::new();
         let mut edges = Vec::new();
         let mut branches = Vec::new();
-        for (i, s) in self.slots.iter().enumerate().filter(|(_, s)| s.exec > 0) {
+        let mut fall_in = 0;
+        for (i, (s, instr)) in self.slots.iter().zip(program.text()).enumerate() {
+            let arrivals = u64::from(entry == Some(i)) + into[i] + fall_in;
+            let n = derive(arrivals, u64::from(stop == Some(i)));
+            let fall = derive(n, out[i]);
+            fall_in = fall;
+            if n == 0 {
+                continue;
+            }
             let pc = pc_of(i);
-            profile.instructions += s.exec;
-            exec.push((pc, s.exec));
-            if s.fall > 0 {
-                edges.push(((pc, pc.wrapping_add(INSTR_BYTES)), s.fall));
+            profile.instructions += n;
+            exec.push((pc, n));
+            if fall > 0 {
+                edges.push(((pc, pc.wrapping_add(INSTR_BYTES)), fall));
             }
             if s.other_n > 0 {
                 edges.push(((pc, s.other), s.other_n));
             }
-            let b = BranchCounts {
-                taken: s.taken,
-                not_taken: s.not_taken,
-            };
-            if b.total() > 0 {
-                profile.branch_instrs += b.total();
-                branches.push((pc, b));
+            if instr.is_branch() {
+                profile.branch_instrs += n;
+                let not_taken = derive(n, s.taken);
+                branches.push((
+                    pc,
+                    BranchCounts {
+                        taken: s.taken,
+                        not_taken,
+                    },
+                ));
             }
         }
         edges.extend(self.spill);
@@ -272,8 +393,8 @@ impl Tally {
             .store_words
             .into_iter()
             .enumerate()
+            .map(|(i, words)| (pc_of(i), words.into_words()))
             .filter(|(_, words)| !words.0.is_empty())
-            .map(|(i, words)| (pc_of(i), words))
             .collect();
         profile
     }
@@ -302,17 +423,21 @@ impl Profile {
     }
 
     /// Collects a profile by running `program` to completion (or to
-    /// `max_steps`). The run counts into a dense per-instruction tally
-    /// that is folded into the profile once it ends; the result equals a
-    /// [`Profile::default`] fed every step through [`Profile::observe`].
+    /// `max_steps`). The run records only transfers, taken branches and
+    /// memory accesses, and the other counts are derived once it ends; the
+    /// result equals a [`Profile::default`] fed every step through
+    /// [`Profile::observe`].
     ///
     /// # Errors
     ///
     /// Propagates faults from the sequential machine.
     pub fn collect(program: &Program, max_steps: u64) -> Result<Profile, SeqError> {
         let mut tally = Tally::new(program);
-        SeqMachine::boot(program).run_observed(max_steps, |info| tally.observe(info))?;
-        Ok(tally.fold())
+        let mut machine = SeqMachine::boot(program);
+        let run = machine.run_observed(max_steps, |info| tally.observe(info))?;
+        let profile = tally.fold(program, machine.state().pc());
+        debug_assert_eq!(profile.instructions, run.instructions);
+        Ok(profile)
     }
 
     /// Records one executed instruction. Exposed so callers embedding their

@@ -295,7 +295,18 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for a JSON string literal, as [`Report::render_json`]
+/// escapes each message: quotes, backslashes and control characters.
+///
+/// # Examples
+///
+/// ```
+/// use mssp_lint::escape_json;
+///
+/// assert_eq!(escape_json(r#"a"b\c"#), r#"a\"b\\c"#);
+/// ```
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

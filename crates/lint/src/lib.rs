@@ -58,7 +58,7 @@
 mod diag;
 mod lints;
 
-pub use diag::{AddrSpace, Diagnostic, LintId, Report, Severity};
+pub use diag::{escape_json, AddrSpace, Diagnostic, LintId, Report, Severity};
 pub use lints::{boundary_live_ins, fires_at, lint, LintConfig};
 
 use std::collections::BTreeSet;

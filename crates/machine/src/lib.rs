@@ -51,7 +51,7 @@ pub use arena::DeltaArena;
 pub use cell::Cell;
 pub use delta::{expand_mask, Delta, MaskedVal};
 pub use exec::{step, Fault, MemAccess, StepInfo};
-pub use mem::SparseMem;
+pub use mem::{PageHasher, SparseMem};
 pub use seq::{cumulative_writes, seq_n, HaltError, RunSummary, SeqError, SeqMachine, StopReason};
 pub use sliceval::{eval_slice, SliceEval};
 pub use state::{MachineState, Recording, Storage};

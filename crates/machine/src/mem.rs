@@ -67,8 +67,23 @@ impl Page {
 /// pick the map's control byte), and folding the high half onto the low
 /// one carries that to the bits that pick the bucket — within a stripe
 /// the low bits of every key are the same.
+///
+/// It hashes `u64` keys only (any other key panics), for maps keyed by a
+/// page index such as the profiler's footprint pages.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::HashMap;
+/// use std::hash::BuildHasherDefault;
+/// use mssp_machine::PageHasher;
+///
+/// let mut pages: HashMap<u64, u8, BuildHasherDefault<PageHasher>> = HashMap::default();
+/// pages.insert(7, 1);
+/// assert_eq!(pages.get(&7), Some(&1));
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
+pub struct PageHasher(u64);
 
 impl Hasher for PageHasher {
     fn write(&mut self, _: &[u8]) {

@@ -35,6 +35,7 @@
 
 use std::process::ExitCode;
 
+use mssp::lint::escape_json;
 use mssp::prelude::*;
 
 fn main() -> ExitCode {
@@ -355,7 +356,11 @@ fn cmd_lint(target: &str, json: bool) -> Result<(), String> {
         let d = distill(&p, &prof, &DistillConfig::default()).map_err(|e| e.to_string())?;
         let report = lint(&p, &d, &prof, &LintConfig::default());
         if json {
-            println!("{{\"target\":\"{t}\",\"report\":{}}}", report.render_json());
+            println!(
+                "{{\"target\":\"{}\",\"report\":{}}}",
+                escape_json(t),
+                report.render_json()
+            );
         } else {
             println!("== {t} ==");
             print!("{}", report.render_text());

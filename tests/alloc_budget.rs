@@ -23,6 +23,11 @@
 //! With a `Vec` per cache set it made 4,130. The bound is about twice
 //! the 58.
 //!
+//! `Profile::collect` allocates per distinct page, edge and instruction
+//! slot, never per executed instruction: on a loop whose loads and stores
+//! cycle through the same 64 words it makes 24 allocations, the training
+//! machine's among them, whether the loop runs 1,000 or 16,000 times.
+//!
 //! This file holds one `#[test]` and must stay that way: the counting
 //! allocator is process-wide, and a second test running beside it would
 //! be counted too.
@@ -81,6 +86,29 @@ fn measure(scale: u64, execute: impl Fn(&Program, &Distilled) -> Outcome) -> (u6
     (allocs, stats.committed_tasks)
 }
 
+/// Allocations `Profile::collect` makes on a loop of `trips` iterations
+/// whose loads and stores cycle through the same 64 words.
+fn profile_allocs(trips: u64) -> u64 {
+    let program = assemble(&format!(
+        "main: li   s0, {trips}
+               addi t0, sp, -1024
+         loop: andi t1, s0, 63
+               slli t1, t1, 3
+               add  t1, t0, t1
+               sd   s0, 0(t1)
+               ld   a1, 4(t1)
+               addi s0, s0, -1
+               bnez s0, loop
+               halt"
+    ))
+    .unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let profile = Profile::collect(&program, u64::MAX).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(profile.dynamic_instructions(), 2 + 7 * trips);
+    allocs
+}
+
 /// Marginal allocations per committed task of `execute`. Differencing two
 /// scales cancels every setup cost (thread spawns, boot state, ring
 /// construction, arena warm-up) and leaves the rate of the per-task cycle.
@@ -116,4 +144,7 @@ fn steady_state_allocations_per_committed_task_are_bounded() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     drop(cost);
     assert!(allocs <= 120, "CmpCost::new: {allocs} allocations");
+
+    let (once, sixteen) = (profile_allocs(1_000), profile_allocs(16_000));
+    assert_eq!(once, sixteen, "Profile::collect allocates per instruction");
 }

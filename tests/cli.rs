@@ -104,6 +104,38 @@ fn lint_all_emits_json_per_workload() {
 }
 
 #[test]
+fn lint_json_escapes_the_target_path() {
+    let dir = std::env::temp_dir().join("mssp_cli_lint_escape");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("a\"b\\c.s");
+    std::fs::write(&path, "main: addi a0, zero, 5\n halt\n").unwrap();
+    let target = path.to_str().unwrap();
+    let (stdout, stderr, ok) = mssp(&["lint", target, "--json"]);
+    assert!(ok, "{stdout}{stderr}");
+    let escaped = target.replace('\\', "\\\\").replace('"', "\\\"");
+    assert!(
+        stdout.starts_with(&format!("{{\"target\":\"{escaped}\",\"report\":{{")),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn profile_counts_the_instructions_run_retires() {
+    let count = |args: &[&str], label: &str| {
+        let (stdout, stderr, ok) = mssp(args);
+        assert!(ok, "{stdout}{stderr}");
+        let line = stdout.lines().find_map(|l| l.strip_prefix(label));
+        line.unwrap_or_else(|| panic!("no `{label}` line: {stdout}"))
+            .trim()
+            .parse::<u64>()
+            .unwrap()
+    };
+    let profiled = count(&["profile", "gap_like"], "dynamic instructions:");
+    assert!(profiled > 0);
+    assert_eq!(profiled, count(&["run", "gap_like"], "instructions:"));
+}
+
+#[test]
 fn lint_rejects_unknown_target() {
     let (_, stderr, ok) = mssp(&["lint", "no_such_thing"]);
     assert!(!ok);
