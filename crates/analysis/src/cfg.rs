@@ -49,18 +49,6 @@ pub struct BasicBlock {
 }
 
 impl BasicBlock {
-    /// Number of instructions in the block.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        ((self.end - self.start) / INSTR_BYTES) as usize
-    }
-
-    /// Whether the block is empty (never true for recovered blocks).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// Iterates over the instruction addresses of this block.
     pub fn pcs(&self) -> impl Iterator<Item = u64> {
         (self.start..self.end).step_by(INSTR_BYTES as usize)
@@ -246,7 +234,7 @@ impl Cfg {
     /// Predecessor block ids of `bid` (indirect-jump edges are not
     /// represented).
     #[must_use]
-    pub fn predecessors(&self, bid: BlockId) -> &[BlockId] {
+    pub(crate) fn predecessors(&self, bid: BlockId) -> &[BlockId] {
         &self.preds[bid]
     }
 
@@ -304,7 +292,7 @@ mod tests {
         let (_, c) = cfg_of("main: addi a0, zero, 1\n addi a1, zero, 2\n halt");
         assert_eq!(c.blocks().len(), 1);
         assert_eq!(c.blocks()[0].terminator, Terminator::Halt);
-        assert_eq!(c.blocks()[0].len(), 3);
+        assert_eq!(c.blocks()[0].pcs().count(), 3);
     }
 
     #[test]
@@ -379,7 +367,7 @@ mod tests {
                    bnez a2, main
                    halt",
         );
-        let total: usize = c.blocks().iter().map(BasicBlock::len).sum();
+        let total: usize = c.blocks().iter().map(|b| b.pcs().count()).sum();
         assert_eq!(total, p.len());
         // Blocks are disjoint and ordered.
         for w in c.blocks().windows(2) {

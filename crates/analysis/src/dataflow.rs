@@ -6,8 +6,8 @@
 //! a join-semilattice, a transfer function per instruction, and a worklist
 //! solver that iterates block-level facts to a fixpoint before recording
 //! per-instruction results. [`Analysis`] captures the lattice (via
-//! [`Analysis::join`]) and the transfer; [`solve`] runs it in either
-//! direction.
+//! [`Analysis::join`]) and the transfer; a worklist solver runs it in
+//! either direction.
 //!
 //! Indirect control flow is approximated conservatively and uniformly:
 //!
@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use mssp_isa::asm::assemble;
-//! use mssp_analysis::{Cfg, ConstProp, ConstVal, ReachingDefs};
+//! use mssp_analysis::{Cfg, ConstProp, ReachingDefs};
 //! use mssp_isa::Reg;
 //!
 //! let p = assemble(
@@ -32,7 +32,7 @@
 //! ).unwrap();
 //! let cfg = Cfg::build(&p);
 //! let consts = ConstProp::compute(&p, &cfg);
-//! assert_eq!(consts.value_after(p.entry() + 4, Reg::A1), ConstVal::Const(8));
+//! assert!(consts.materialized(&p).contains(&8));
 //!
 //! let defs = ReachingDefs::compute(&p, &cfg);
 //! let sites: Vec<u64> = defs.defs_before(p.entry() + 4, Reg::A0).collect();
@@ -89,9 +89,7 @@ pub trait Analysis {
 /// preceding an instruction, [`DataflowResults::after`] the one following
 /// it.
 #[derive(Debug, Clone)]
-pub struct DataflowResults<F> {
-    block_entry: Vec<F>,
-    block_exit: Vec<F>,
+pub(crate) struct DataflowResults<F> {
     before: BTreeMap<u64, F>,
     after: BTreeMap<u64, F>,
 }
@@ -99,32 +97,24 @@ pub struct DataflowResults<F> {
 impl<F> DataflowResults<F> {
     /// The fact holding just before the instruction at `pc` executes.
     #[must_use]
-    pub fn before(&self, pc: u64) -> Option<&F> {
+    pub(crate) fn before(&self, pc: u64) -> Option<&F> {
         self.before.get(&pc)
     }
 
     /// The fact holding just after the instruction at `pc` executes.
     #[must_use]
-    pub fn after(&self, pc: u64) -> Option<&F> {
+    pub(crate) fn after(&self, pc: u64) -> Option<&F> {
         self.after.get(&pc)
-    }
-
-    /// The fact at a block's entry (execution order).
-    #[must_use]
-    pub fn block_entry(&self, bid: BlockId) -> &F {
-        &self.block_entry[bid]
-    }
-
-    /// The fact at a block's exit (execution order).
-    #[must_use]
-    pub fn block_exit(&self, bid: BlockId) -> &F {
-        &self.block_exit[bid]
     }
 }
 
 /// Runs `analysis` over `cfg` to a fixpoint and records per-instruction
 /// facts.
-pub fn solve<A: Analysis>(program: &Program, cfg: &Cfg, analysis: &A) -> DataflowResults<A::Fact> {
+pub(crate) fn solve<A: Analysis>(
+    program: &Program,
+    cfg: &Cfg,
+    analysis: &A,
+) -> DataflowResults<A::Fact> {
     let n = cfg.blocks().len();
     let direction = analysis.direction();
 
@@ -170,41 +160,29 @@ pub fn solve<A: Analysis>(program: &Program, cfg: &Cfg, analysis: &A) -> Dataflo
     // Final sweep: per-instruction facts.
     let mut before = BTreeMap::new();
     let mut after = BTreeMap::new();
-    let mut block_entry = Vec::with_capacity(n);
-    let mut block_exit = Vec::with_capacity(n);
     for (bid, block) in cfg.blocks().iter().enumerate() {
+        let mut fact = input[bid].clone();
         match direction {
             Direction::Forward => {
-                let mut fact = input[bid].clone();
-                block_entry.push(fact.clone());
                 for pc in block.pcs() {
                     before.insert(pc, fact.clone());
                     let instr = program.fetch(pc).expect("pc within text");
                     analysis.transfer(pc, instr, &mut fact);
                     after.insert(pc, fact.clone());
                 }
-                block_exit.push(fact);
             }
             Direction::Backward => {
-                let mut fact = input[bid].clone();
-                block_exit.push(fact.clone());
                 for pc in block.pcs().collect::<Vec<_>>().into_iter().rev() {
                     after.insert(pc, fact.clone());
                     let instr = program.fetch(pc).expect("pc within text");
                     analysis.transfer(pc, instr, &mut fact);
                     before.insert(pc, fact.clone());
                 }
-                block_entry.push(fact);
             }
         }
     }
 
-    DataflowResults {
-        block_entry,
-        block_exit,
-        before,
-        after,
-    }
+    DataflowResults { before, after }
 }
 
 /// Whether the boundary fact applies at block `bid`'s analysis-order start.
@@ -266,9 +244,8 @@ fn transfer_block<A: Analysis>(
 /// Per-register reaching-definition sites at one program point.
 ///
 /// A register's value may come from any of the instruction addresses in
-/// [`DefSites::defs_of`], and/or from outside the analyzed code
-/// ([`DefSites::may_be_external`]) — the boot state, or writes preceding an
-/// indirect-jump entry the CFG cannot see.
+/// `DefSites::defs_of`, and/or from outside the analyzed code — the boot
+/// state, or writes preceding an indirect-jump entry the CFG cannot see.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DefSites {
     defs: BTreeMap<Reg, BTreeSet<u64>>,
@@ -278,7 +255,7 @@ pub struct DefSites {
 impl DefSites {
     /// The instruction addresses whose definition of `r` may reach this
     /// point.
-    pub fn defs_of(&self, r: Reg) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn defs_of(&self, r: Reg) -> impl Iterator<Item = u64> + '_ {
         self.defs.get(&r).into_iter().flatten().copied()
     }
 
@@ -286,12 +263,6 @@ impl DefSites {
     #[must_use]
     pub fn has_instr_def(&self, r: Reg) -> bool {
         self.defs.get(&r).is_some_and(|s| !s.is_empty())
-    }
-
-    /// Whether `r` may still carry a value from outside the analyzed code.
-    #[must_use]
-    pub fn may_be_external(&self, r: Reg) -> bool {
-        self.external.contains(r)
     }
 }
 
@@ -416,7 +387,7 @@ impl ConstVal {
 
     /// The constant value, if known.
     #[must_use]
-    pub fn as_const(self) -> Option<u64> {
+    pub(crate) fn as_const(self) -> Option<u64> {
         match self {
             ConstVal::Const(v) => Some(v),
             _ => None,
@@ -453,7 +424,7 @@ impl ConstFacts {
 /// Exported (alongside [`CopyPropAnalysis`]) so clients with their own
 /// CFG-like structures — the distiller's relocatable IR in particular —
 /// can drive the same lattice and transfer functions through a custom
-/// solver instead of [`solve`].
+/// solver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstPropAnalysis;
 
@@ -578,15 +549,13 @@ fn eval(pc: u64, instr: Instr, facts: &ConstFacts) -> ConstVal {
 /// # Examples
 ///
 /// ```
-/// use mssp_isa::asm::assemble;
 /// use mssp_isa::{Instr, Reg};
-/// use mssp_analysis::{eval_branch, Cfg, ConstProp};
+/// use mssp_analysis::{eval_branch, Analysis, ConstPropAnalysis};
 ///
-/// let p = assemble("main: addi a0, zero, 3\n beqz a0, main\n halt").unwrap();
-/// let c = ConstProp::compute(&p, &Cfg::build(&p));
-/// let facts = c.before(p.entry() + 4).unwrap();
+/// let mut facts = ConstPropAnalysis.boundary();
+/// ConstPropAnalysis.transfer(0, Instr::Addi(Reg::A0, Reg::ZERO, 3), &mut facts);
 /// // a0 == 3, so `beqz a0` is decidedly not taken.
-/// assert_eq!(eval_branch(Instr::Beq(Reg::A0, Reg::ZERO, -8), facts), Some(false));
+/// assert_eq!(eval_branch(Instr::Beq(Reg::A0, Reg::ZERO, -8), &facts), Some(false));
 /// ```
 #[must_use]
 pub fn eval_branch(instr: Instr, facts: &ConstFacts) -> Option<bool> {
@@ -621,8 +590,7 @@ pub fn eval_branch(instr: Instr, facts: &ConstFacts) -> Option<bool> {
 ///
 /// ```
 /// use mssp_isa::asm::assemble;
-/// use mssp_isa::Reg;
-/// use mssp_analysis::{Cfg, ConstProp, ConstVal};
+/// use mssp_analysis::{Cfg, ConstProp};
 ///
 /// let p = assemble(
 ///     "main: lui a0, 2
@@ -630,7 +598,7 @@ pub fn eval_branch(instr: Instr, facts: &ConstFacts) -> Option<bool> {
 ///            halt",
 /// ).unwrap();
 /// let c = ConstProp::compute(&p, &Cfg::build(&p));
-/// assert_eq!(c.value_after(p.entry() + 4, Reg::A0), ConstVal::Const(0x20034));
+/// assert!(c.materialized(&p).contains(&0x20034));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConstProp {
@@ -646,30 +614,9 @@ impl ConstProp {
         }
     }
 
-    /// The facts holding just before the instruction at `pc`.
-    #[must_use]
-    pub fn before(&self, pc: u64) -> Option<&ConstFacts> {
-        self.results.before(pc)
-    }
-
-    /// The facts holding just after the instruction at `pc`.
-    #[must_use]
-    pub fn after(&self, pc: u64) -> Option<&ConstFacts> {
-        self.results.after(pc)
-    }
-
-    /// The lattice value of `r` just before `pc` executes
-    /// ([`ConstVal::Varying`] for unanalyzed addresses).
-    #[must_use]
-    pub fn value_before(&self, pc: u64, r: Reg) -> ConstVal {
-        self.results
-            .before(pc)
-            .map_or(ConstVal::Varying, |f| f.get(r))
-    }
-
     /// The lattice value of `r` just after `pc` executes.
     #[must_use]
-    pub fn value_after(&self, pc: u64, r: Reg) -> ConstVal {
+    fn value_after(&self, pc: u64, r: Reg) -> ConstVal {
         self.results
             .after(pc)
             .map_or(ConstVal::Varying, |f| f.get(r))
@@ -770,7 +717,7 @@ impl CopyFacts {
 /// the zero register (both operand orders). `ori`/`xori` with immediate 0
 /// also qualify because logical immediates zero-extend.
 #[must_use]
-pub fn as_reg_copy(instr: Instr) -> Option<(Reg, Reg)> {
+pub(crate) fn as_reg_copy(instr: Instr) -> Option<(Reg, Reg)> {
     use Instr::*;
     let (rd, rs) = match instr {
         Addi(rd, rs, 0) | Ori(rd, rs, 0) | Xori(rd, rs, 0) => (rd, rs),
@@ -851,58 +798,6 @@ impl Analysis for CopyPropAnalysis {
     }
 }
 
-/// Forward copy propagation over a program's CFG.
-///
-/// A register is a *copy* of another when a recognized move assigned it
-/// and neither register has been redefined since; uses of the copy can be
-/// rewritten to the source, which exposes dead moves to liveness DCE. The
-/// distiller's pipeline runs the same analysis over its relocatable IR.
-///
-/// # Examples
-///
-/// ```
-/// use mssp_isa::asm::assemble;
-/// use mssp_isa::Reg;
-/// use mssp_analysis::{Cfg, CopyProp, CopyVal};
-///
-/// let p = assemble(
-///     "main: addi a0, zero, 7
-///            addi a1, a0, 0
-///            addi a2, a1, 1
-///            halt",
-/// ).unwrap();
-/// let c = CopyProp::compute(&p, &Cfg::build(&p));
-/// // At the `addi a2, a1, 1`, a1 is a live copy of a0.
-/// assert_eq!(c.value_before(p.entry() + 8, Reg::A1), CopyVal::Of(Reg::A0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CopyProp {
-    results: DataflowResults<CopyFacts>,
-}
-
-impl CopyProp {
-    /// Computes copy propagation for `program`.
-    #[must_use]
-    pub fn compute(program: &Program, cfg: &Cfg) -> CopyProp {
-        CopyProp {
-            results: solve(program, cfg, &CopyPropAnalysis),
-        }
-    }
-
-    /// The facts holding just before the instruction at `pc`.
-    #[must_use]
-    pub fn before(&self, pc: u64) -> Option<&CopyFacts> {
-        self.results.before(pc)
-    }
-
-    /// The lattice value of `r` just before `pc` executes
-    /// ([`CopyVal::Fresh`] for unanalyzed addresses).
-    #[must_use]
-    pub fn value_before(&self, pc: u64, r: Reg) -> CopyVal {
-        self.results.before(pc).map_or(CopyVal::Fresh, |f| f.get(r))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,6 +807,16 @@ mod tests {
         let p = assemble(src).unwrap();
         let c = Cfg::build(&p);
         (p, c)
+    }
+
+    /// The constant lattice value of `r` just before `pc` executes.
+    fn const_before(c: &ConstProp, pc: u64, r: Reg) -> ConstVal {
+        c.results.before(pc).unwrap().get(r)
+    }
+
+    /// The copy lattice value of `r` just before `pc` executes.
+    fn copy_before(c: &DataflowResults<CopyFacts>, pc: u64, r: Reg) -> CopyVal {
+        c.before(pc).unwrap().get(r)
     }
 
     #[test]
@@ -925,7 +830,11 @@ mod tests {
         let defs = ReachingDefs::compute(&p, &cfg);
         let at_use: Vec<u64> = defs.defs_before(p.entry() + 8, Reg::A0).collect();
         assert_eq!(at_use, vec![p.entry() + 4], "first def must be killed");
-        assert!(!defs.before(p.entry() + 8).unwrap().may_be_external(Reg::A0));
+        assert!(!defs
+            .before(p.entry() + 8)
+            .unwrap()
+            .external
+            .contains(Reg::A0));
     }
 
     #[test]
@@ -948,7 +857,7 @@ mod tests {
         let (p, cfg) = setup("main: addi a1, a0, 0\n halt");
         let defs = ReachingDefs::compute(&p, &cfg);
         let f = defs.before(p.entry()).unwrap();
-        assert!(f.may_be_external(Reg::A0));
+        assert!(f.external.contains(Reg::A0));
         assert!(!f.has_instr_def(Reg::A0));
     }
 
@@ -971,7 +880,7 @@ mod tests {
         let c = ConstProp::compute(&p, &cfg);
         let loop_pc = p.symbol("loop").unwrap();
         // a0 differs between the entry edge (5) and the back edge.
-        assert_eq!(c.value_before(loop_pc, Reg::A0), ConstVal::Varying);
+        assert_eq!(const_before(&c, loop_pc, Reg::A0), ConstVal::Varying);
     }
 
     #[test]
@@ -998,7 +907,7 @@ mod tests {
         );
         let c = ConstProp::compute(&p, &cfg);
         let join = p.symbol("join").unwrap();
-        assert_eq!(c.value_before(join, Reg::A1), ConstVal::Const(7));
+        assert_eq!(const_before(&c, join, Reg::A1), ConstVal::Const(7));
         assert_eq!(c.value_after(join, Reg::A2), ConstVal::Const(8));
     }
 
@@ -1010,11 +919,14 @@ mod tests {
                    addi a2, a1, 1
                    halt",
         );
-        let c = CopyProp::compute(&p, &cfg);
+        let c = solve(&p, &cfg, &CopyPropAnalysis);
         // Before the a0 redefinition, a1 copies a0...
-        assert_eq!(c.value_before(p.entry() + 4, Reg::A1), CopyVal::Of(Reg::A0));
+        assert_eq!(
+            copy_before(&c, p.entry() + 4, Reg::A1),
+            CopyVal::Of(Reg::A0)
+        );
         // ...after it, the copy relation is dead.
-        assert_eq!(c.value_before(p.entry() + 8, Reg::A1), CopyVal::Fresh);
+        assert_eq!(copy_before(&c, p.entry() + 8, Reg::A1), CopyVal::Fresh);
     }
 
     #[test]
@@ -1024,8 +936,11 @@ mod tests {
                    addi a2, a1, 0
                    halt",
         );
-        let c = CopyProp::compute(&p, &cfg);
-        assert_eq!(c.value_before(p.entry() + 8, Reg::A2), CopyVal::Of(Reg::A0));
+        let c = solve(&p, &cfg, &CopyPropAnalysis);
+        assert_eq!(
+            copy_before(&c, p.entry() + 8, Reg::A2),
+            CopyVal::Of(Reg::A0)
+        );
     }
 
     #[test]
@@ -1037,9 +952,9 @@ mod tests {
              else: addi a1, a3, 0
              join: halt",
         );
-        let c = CopyProp::compute(&p, &cfg);
+        let c = solve(&p, &cfg, &CopyPropAnalysis);
         let join = p.symbol("join").unwrap();
-        assert_eq!(c.value_before(join, Reg::A1), CopyVal::Fresh);
+        assert_eq!(copy_before(&c, join, Reg::A1), CopyVal::Fresh);
     }
 
     #[test]
@@ -1056,9 +971,9 @@ mod tests {
         assert_eq!(as_reg_copy(Instr::Addi(Reg::A0, Reg::A0, 0)), None);
         // Copy *of* the zero register is a recognized li-0.
         let (p, cfg) = setup("main: addi a0, zero, 0\n addi a1, a0, 1\n halt");
-        let c = CopyProp::compute(&p, &cfg);
+        let c = solve(&p, &cfg, &CopyPropAnalysis);
         assert_eq!(
-            c.value_before(p.entry() + 4, Reg::A0),
+            copy_before(&c, p.entry() + 4, Reg::A0),
             CopyVal::Of(Reg::ZERO)
         );
     }
@@ -1067,7 +982,7 @@ mod tests {
     fn eval_branch_decides_constant_conditions() {
         let (p, cfg) = setup("main: addi a0, zero, 3\n addi a1, zero, 5\n halt");
         let c = ConstProp::compute(&p, &cfg);
-        let facts = c.after(p.entry() + 4).unwrap();
+        let facts = c.results.after(p.entry() + 4).unwrap();
         assert_eq!(
             eval_branch(Instr::Blt(Reg::A0, Reg::A1, 0), facts),
             Some(true)
@@ -1089,7 +1004,7 @@ mod tests {
     fn zero_register_is_always_zero() {
         let (p, cfg) = setup("main: addi a0, zero, 3\n halt");
         let c = ConstProp::compute(&p, &cfg);
-        assert_eq!(c.value_before(p.entry(), Reg::ZERO), ConstVal::Const(0));
+        assert_eq!(const_before(&c, p.entry(), Reg::ZERO), ConstVal::Const(0));
         assert_eq!(c.value_after(p.entry(), Reg::A0), ConstVal::Const(3));
     }
 }

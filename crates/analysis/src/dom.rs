@@ -18,7 +18,7 @@ use crate::{BlockId, Cfg};
 ///
 /// ```
 /// use mssp_isa::asm::assemble;
-/// use mssp_analysis::{Cfg, Dominators};
+/// use mssp_analysis::{natural_loops, Cfg, Dominators};
 ///
 /// let p = assemble(
 ///     "main: addi a0, zero, 4
@@ -28,8 +28,8 @@ use crate::{BlockId, Cfg};
 /// ).unwrap();
 /// let cfg = Cfg::build(&p);
 /// let dom = Dominators::compute(&cfg);
-/// let header = cfg.block_at(p.symbol("loop").unwrap()).unwrap();
-/// assert!(dom.dominates(cfg.entry(), header));
+/// // The loop's back edge targets a block that dominates its source.
+/// assert_eq!(natural_loops(&cfg, &dom).len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dominators {
@@ -93,14 +93,8 @@ impl Dominators {
 
     /// Whether `a` dominates `b`.
     #[must_use]
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         self.doms[b].contains(&a)
-    }
-
-    /// The dominator set of `b` (empty if unreachable).
-    #[must_use]
-    pub fn dominators_of(&self, b: BlockId) -> &BTreeSet<BlockId> {
-        &self.doms[b]
     }
 }
 
@@ -161,50 +155,6 @@ pub fn natural_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
         }
     }
     loops
-}
-
-/// Loop-nesting depth per block: the number of natural loops whose body
-/// contains the block (0 = not in any loop). The distiller's boundary
-/// heuristics prefer shallower headers at equal expected task size —
-/// outer loops make steadier tasks.
-///
-/// # Examples
-///
-/// ```
-/// use mssp_isa::asm::assemble;
-/// use mssp_analysis::{loop_depths, natural_loops, Cfg, Dominators};
-///
-/// let p = assemble(
-///     "main:  addi s0, zero, 3
-///      outer: addi s1, zero, 3
-///      inner: addi s1, s1, -1
-///             bnez s1, inner
-///             addi s0, s0, -1
-///             bnez s0, outer
-///             halt",
-/// ).unwrap();
-/// let cfg = Cfg::build(&p);
-/// let dom = Dominators::compute(&cfg);
-/// let loops = natural_loops(&cfg, &dom);
-/// let depths = loop_depths(&cfg, &loops);
-/// let inner = cfg.block_at(p.symbol("inner").unwrap()).unwrap();
-/// assert_eq!(depths[inner], 2);
-/// ```
-#[must_use]
-pub fn loop_depths(cfg: &Cfg, loops: &[NaturalLoop]) -> Vec<usize> {
-    let mut depths = vec![0usize; cfg.blocks().len()];
-    // Count distinct headers whose loop body contains the block (two back
-    // edges to one header are one loop level, not two).
-    for (bid, depth) in depths.iter_mut().enumerate() {
-        let mut headers = BTreeSet::new();
-        for l in loops {
-            if l.body.contains(&bid) {
-                headers.insert(l.header);
-            }
-        }
-        *depth = headers.len();
-    }
-    depths
 }
 
 #[cfg(test)]
@@ -285,24 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_depths_zero_outside_loops() {
-        let (p, c, d) = build(
-            "main: addi a0, zero, 2
-             loop: addi a0, a0, -1
-                   bnez a0, loop
-             tail: halt",
-        );
-        let loops = natural_loops(&c, &d);
-        let depths = loop_depths(&c, &loops);
-        assert_eq!(depths[c.entry()], 0);
-        let tail = c.block_at(p.symbol("tail").unwrap()).unwrap();
-        assert_eq!(depths[tail], 0);
-        let header = c.block_at(p.symbol("loop").unwrap()).unwrap();
-        assert_eq!(depths[header], 1);
-    }
-
-    #[test]
-    fn multiple_back_edges_count_as_one_level() {
+    fn multiple_back_edges_share_one_header() {
         let (p, c, d) = build(
             "main: addi a0, zero, 8
              head: addi a0, a0, -1
@@ -316,9 +249,8 @@ mod tests {
         let loops = natural_loops(&c, &d);
         // Two back edges, one header.
         assert_eq!(loops.len(), 2);
-        let depths = loop_depths(&c, &loops);
         let head = c.block_at(p.symbol("head").unwrap()).unwrap();
-        assert_eq!(depths[head], 1);
+        assert!(loops.iter().all(|l| l.header == head));
     }
 
     #[test]
@@ -329,6 +261,6 @@ mod tests {
              end:  halt",
         );
         let dead = c.block_at(p.symbol("dead").unwrap()).unwrap();
-        assert!(d.dominators_of(dead).is_empty());
+        assert!(d.doms[dead].is_empty());
     }
 }

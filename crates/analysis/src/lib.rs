@@ -5,11 +5,11 @@
 //!
 //! * [`Cfg`] — control-flow graph recovery from a binary.
 //! * [`Dominators`] / [`natural_loops`] — dominance and loop structure.
-//! * [`Analysis`] / [`solve`] — a generic forward/backward worklist
-//!   dataflow framework over [`Cfg`]s.
+//! * [`Analysis`] — a generic forward/backward worklist dataflow framework
+//!   over [`Cfg`]s.
 //! * [`Liveness`] — backward register liveness (for dead-code elimination),
 //!   an instance of the framework.
-//! * [`ReachingDefs`] / [`ConstProp`] / [`CopyProp`] — forward
+//! * [`ReachingDefs`] / [`ConstProp`] / [`CopyPropAnalysis`] — forward
 //!   reaching-definitions, constant propagation and copy propagation (the
 //!   static soundness linter and the distiller's optimizing pass pipeline
 //!   are built on these).
@@ -49,10 +49,9 @@ mod profile;
 
 pub use cfg::{BasicBlock, BlockId, Cfg, Terminator};
 pub use dataflow::{
-    as_reg_copy, eval_branch, solve, Analysis, ConstFacts, ConstProp, ConstPropAnalysis, ConstVal,
-    CopyFacts, CopyProp, CopyPropAnalysis, CopyVal, DataflowResults, DefSites, Direction,
-    ReachingDefs,
+    eval_branch, Analysis, ConstFacts, ConstProp, ConstPropAnalysis, ConstVal, CopyFacts,
+    CopyPropAnalysis, CopyVal, DefSites, Direction, ReachingDefs,
 };
-pub use dom::{loop_depths, natural_loops, Dominators, NaturalLoop};
+pub use dom::{natural_loops, Dominators, NaturalLoop};
 pub use live::{Liveness, RegSet};
 pub use profile::{BranchCounts, Profile};

@@ -179,16 +179,6 @@ impl Liveness {
     pub fn live_out(&self, pc: u64) -> RegSet {
         self.results.after(pc).copied().unwrap_or_else(RegSet::all)
     }
-
-    /// Whether the write performed by the instruction at `pc` (if any) is
-    /// dead — its destination is not live out.
-    #[must_use]
-    pub fn write_is_dead(&self, program: &Program, pc: u64) -> bool {
-        match program.fetch(pc).and_then(|i| i.def_reg()) {
-            Some(rd) => !self.live_out(pc).contains(rd),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,6 +191,15 @@ mod tests {
         let cfg = Cfg::build(&p);
         let l = Liveness::compute(&p, &cfg);
         (p, l)
+    }
+
+    /// Whether the write performed by the instruction at `pc` (if any) is
+    /// dead — its destination is not live out.
+    fn write_is_dead(l: &Liveness, program: &Program, pc: u64) -> bool {
+        match program.fetch(pc).and_then(|i| i.def_reg()) {
+            Some(rd) => !l.live_out(pc).contains(rd),
+            None => false,
+        }
     }
 
     #[test]
@@ -224,9 +223,9 @@ mod tests {
                    addi a0, zero, 2
                    halt",
         );
-        assert!(l.write_is_dead(&p, p.entry()));
+        assert!(write_is_dead(&l, &p, p.entry()));
         // The second write is live (halt keeps all registers live).
-        assert!(!l.write_is_dead(&p, p.entry() + 4));
+        assert!(!write_is_dead(&l, &p, p.entry() + 4));
     }
 
     #[test]
@@ -237,7 +236,7 @@ mod tests {
                    halt",
         );
         assert!(l.live_out(p.entry()).contains(Reg::A0));
-        assert!(!l.write_is_dead(&p, p.entry()));
+        assert!(!write_is_dead(&l, &p, p.entry()));
     }
 
     #[test]
@@ -261,7 +260,7 @@ mod tests {
         let (p, l) = live_of("main: addi t5, zero, 1\n halt");
         // t5 is never read again but remains observable machine state.
         assert!(l.live_out(p.entry()).contains(Reg::T5));
-        assert!(!l.write_is_dead(&p, p.entry()));
+        assert!(!write_is_dead(&l, &p, p.entry()));
     }
 
     #[test]
@@ -277,6 +276,6 @@ mod tests {
     #[test]
     fn stores_never_dead() {
         let (p, l) = live_of("main: sd a0, 0(sp)\n halt");
-        assert!(!l.write_is_dead(&p, p.entry()));
+        assert!(!write_is_dead(&l, &p, p.entry()));
     }
 }

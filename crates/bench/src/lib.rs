@@ -23,7 +23,7 @@ use mssp_core::{
 use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
 use mssp_lint::{redistill_validated, LintConfig};
-use mssp_machine::{Cell, SeqMachine};
+use mssp_machine::Cell;
 use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
     run_baseline, run_mssp, run_mssp_with_engine_setup, speedup, BaselineRun, TimingConfig,
@@ -400,7 +400,7 @@ pub const STATIONARY_WORKLOADS: [&str; 3] = ["gzip_like", "gap_like", "mcf_like"
 /// behind `mssp-lint`'s full soundness gate, so every candidate the
 /// executor may install passed `distill_validated`'s lint battery.
 #[must_use]
-pub fn validated_recompiler(program: &Program, distilled: &Distilled) -> Recompiler {
+pub(crate) fn validated_recompiler(program: &Program, distilled: &Distilled) -> Recompiler {
     let program = program.clone();
     let dcfg = DistillConfig::default();
     let lcfg = LintConfig::default();
@@ -644,14 +644,6 @@ pub fn render_adaptive_json(records: &[AdaptiveRecord], stationary: &[Stationary
         ),
     ])
     .render()
-}
-
-/// Sequential dynamic instruction count of a program.
-#[must_use]
-pub fn seq_instructions(program: &Program) -> u64 {
-    let mut m = SeqMachine::boot(program);
-    m.run(u64::MAX).expect("program runs");
-    m.instructions()
 }
 
 /// The scale used by the experiment harness for each workload: the

@@ -893,16 +893,13 @@ impl Exec {
         self.cvloc(loc).waiters.push_back(tid);
     }
 
-    /// Wake one / all waiters. No happens-before edge here: real condvars
+    /// Wake one waiter. No happens-before edge here: real condvars
     /// synchronize through their mutex, and so does the model.
-    pub(crate) fn cv_notify(&mut self, loc: u32, all: bool) {
-        while let Some(w) = self.cvloc(loc).waiters.pop_front() {
+    pub(crate) fn cv_notify(&mut self, loc: u32) {
+        if let Some(w) = self.cvloc(loc).waiters.pop_front() {
             if self.threads[w].status == Status::Blocked(BlockedOn::Condvar(loc)) {
                 self.threads[w].status = Status::Ready;
                 self.threads[w].pending = Some("condvar-wake");
-            }
-            if !all {
-                break;
             }
         }
     }
@@ -979,14 +976,14 @@ pub(crate) struct OpCtx<'a> {
 
 impl<'a> OpCtx<'a> {
     /// Access the execution state (the guard is always held between waits).
-    pub fn ex(&mut self) -> &mut Exec {
+    pub(crate) fn ex(&mut self) -> &mut Exec {
         self.guard.as_mut().expect("guard held")
     }
 
     /// Block the calling thread on `on`, hand the baton away, and return
     /// once a waker has made it ready *and* the scheduler has granted it
     /// again. Callers must re-check their wait condition afterwards.
-    pub fn block(&mut self, on: BlockedOn) {
+    pub(crate) fn block(&mut self, on: BlockedOn) {
         let tid = self.tid;
         {
             let ex = self.ex();
@@ -1018,7 +1015,7 @@ impl<'a> OpCtx<'a> {
     }
 
     /// Blocking mutex acquire, built from try-lock + block.
-    pub fn mutex_lock(&mut self, loc: u32) {
+    pub(crate) fn mutex_lock(&mut self, loc: u32) {
         let tid = self.tid;
         while !self.ex().mutex_try_lock(tid, loc) {
             self.block(BlockedOn::Mutex(loc));
@@ -1027,7 +1024,7 @@ impl<'a> OpCtx<'a> {
 
     /// Full condvar wait: atomically release the mutex and enqueue, block
     /// until notified, then re-acquire the mutex.
-    pub fn cv_wait(&mut self, cv: u32, mutex: u32) {
+    pub(crate) fn cv_wait(&mut self, cv: u32, mutex: u32) {
         let tid = self.tid;
         self.ex().mutex_unlock(tid, mutex);
         self.ex().cv_enqueue(tid, cv);
@@ -1037,7 +1034,7 @@ impl<'a> OpCtx<'a> {
 
     /// Park until the token is available (models `std::thread::park`; no
     /// spurious wakeups — see the crate docs for why that is sound here).
-    pub fn park(&mut self) {
+    pub(crate) fn park(&mut self) {
         let tid = self.tid;
         while !self.ex().try_consume_park_token(tid) {
             self.block(BlockedOn::Park);
@@ -1045,7 +1042,7 @@ impl<'a> OpCtx<'a> {
     }
 
     /// Wait until `target` finishes, then absorb its clock (join edge).
-    pub fn join_thread(&mut self, target: usize) {
+    pub(crate) fn join_thread(&mut self, target: usize) {
         let tid = self.tid;
         while !self.ex().thread_finished(target) {
             self.block(BlockedOn::Join(target));

@@ -74,16 +74,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Shorthand: default bounds with a different preemption bound.
-    pub fn with_preemptions(preemption_bound: usize) -> Config {
-        Config {
-            preemption_bound,
-            ..Config::default()
-        }
-    }
-}
-
 /// What an exploration did and found.
 #[derive(Debug)]
 pub struct Report {

@@ -156,7 +156,7 @@ pub mod atomic {
                 /// Compare-and-exchange. The model reads the newest store
                 /// (RMWs read modification-order-latest); spurious weak
                 /// failures are not modeled.
-                pub fn compare_exchange(
+                pub(crate) fn compare_exchange(
                     &self,
                     current: $prim,
                     new: $prim,
@@ -203,11 +203,6 @@ pub mod atomic {
                 /// through keeps the real value current).
                 pub fn get_mut(&mut self) -> &mut $prim {
                     self.std.get_mut()
-                }
-
-                /// Consume the atomic, returning the value.
-                pub fn into_inner(self) -> $prim {
-                    self.std.into_inner()
                 }
             }
 
@@ -584,19 +579,6 @@ impl<T: ?Sized> Mutex<T> {
             },
         }
     }
-
-    /// Exclusive access without locking (borrow-checked).
-    pub fn get_mut(&mut self) -> std::sync::LockResult<&mut T> {
-        Ok(unsafe { &mut *self.value.get() })
-    }
-
-    /// Consume the mutex, returning the value.
-    pub fn into_inner(self) -> std::sync::LockResult<T>
-    where
-        T: Sized,
-    {
-        Ok(self.value.into_inner())
-    }
 }
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
@@ -691,21 +673,10 @@ impl Condvar {
     pub fn notify_one(&self) {
         match with_op("Condvar::notify_one", |op| {
             let loc = self.loc(op);
-            op.ex().cv_notify(loc, false);
+            op.ex().cv_notify(loc);
         }) {
             Some(()) => {}
             None => self.std.notify_one(),
-        }
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        match with_op("Condvar::notify_all", |op| {
-            let loc = self.loc(op);
-            op.ex().cv_notify(loc, true);
-        }) {
-            Some(()) => {}
-            None => self.std.notify_all(),
         }
     }
 }

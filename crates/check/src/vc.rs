@@ -10,12 +10,12 @@ pub(crate) struct VClock(Vec<u32>);
 
 impl VClock {
     /// The component for `tid` (0 if never touched).
-    pub fn get(&self, tid: usize) -> u32 {
+    pub(crate) fn get(&self, tid: usize) -> u32 {
         self.0.get(tid).copied().unwrap_or(0)
     }
 
     /// Set the component for `tid`.
-    pub fn set(&mut self, tid: usize, v: u32) {
+    pub(crate) fn set(&mut self, tid: usize, v: u32) {
         if self.0.len() <= tid {
             self.0.resize(tid + 1, 0);
         }
@@ -23,14 +23,14 @@ impl VClock {
     }
 
     /// Increment `tid`'s own component and return the new value.
-    pub fn bump(&mut self, tid: usize) -> u32 {
+    pub(crate) fn bump(&mut self, tid: usize) -> u32 {
         let v = self.get(tid) + 1;
         self.set(tid, v);
         v
     }
 
     /// Pointwise maximum: `self ← self ⊔ other`.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
@@ -41,12 +41,12 @@ impl VClock {
 
     /// Does this clock know about event `(tid, stamp)`?  I.e. does
     /// `stamp ≤ self[tid]` — the event happens-before the clock's owner.
-    pub fn dominates(&self, tid: usize, stamp: u32) -> bool {
+    pub(crate) fn dominates(&self, tid: usize, stamp: u32) -> bool {
         self.get(tid) >= stamp
     }
 
     /// Iterate over `(tid, component)` pairs with non-zero components.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.0.iter().copied().enumerate().filter(|&(_, v)| v != 0)
     }
 }

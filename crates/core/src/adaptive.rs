@@ -17,8 +17,8 @@
 //!   in code the training profile called cold);
 //! * a **tier state machine** mirroring a JIT's compilation levels: on
 //!   divergence request a cheap DCE-only recompile ([`Tier::Fast`]) for
-//!   quick relief, then — once the live profile has been stable for a
-//!   configurable number of windows — the full pipeline ([`Tier::Full`]).
+//!   quick relief, then — once the live profile has been stable for two
+//!   windows — the full pipeline ([`Tier::Full`]).
 //!
 //! The controller is executor-agnostic: executors feed it observations
 //! and, at swap-safe points (task boundaries), let it service an
@@ -50,46 +50,36 @@ use crate::protocol::{EngineStats, SquashReason};
 /// captured; the engine never learns about the linter.
 pub type Recompiler = Box<dyn FnMut(&Profile, Tier) -> Result<Distilled, String> + Send>;
 
-/// Controller thresholds and pacing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Tasks (committed + squashed) per evaluation window.
-    pub window_tasks: u64,
-    /// Squash events within one window above which behaviour counts as
-    /// divergent from the installed distillation.
-    pub max_squashes_per_window: u64,
-    /// Wrong-path squashes (failed branch assertions) within one window
-    /// above which behaviour counts as divergent, independent of the
-    /// all-cause squash budget.
-    pub max_wrong_path_per_window: u64,
-    /// Fraction of a window's verified instructions executed at PCs the
-    /// training profile called cold (recovery segments walking code the
-    /// master's image elided) above which behaviour counts as divergent.
-    pub max_cold_fraction: f64,
-    /// Consecutive non-divergent windows after a fast-tier install before
-    /// the full-pipeline recompile is requested.
-    pub stable_windows_for_full: u64,
-    /// Apply one [`Profile::decay`] round to the live profile every this
-    /// many windows (`0` disables decay).
-    pub decay_every_windows: u64,
-    /// Forced swap schedule for differential testing: at each listed
-    /// committed-task count, request the paired tier regardless of the
-    /// thresholds above. Entries must be sorted ascending.
-    pub force_swap_at: Vec<(u64, Tier)>,
-}
+/// Tasks (committed + squashed) and recovery segments per evaluation
+/// window.
+pub(crate) const WINDOW_TASKS: u64 = 32;
+/// Squash events within one window above which behaviour counts as
+/// divergent from the installed distillation.
+const MAX_SQUASHES_PER_WINDOW: u64 = 3;
+/// Wrong-path squashes (failed branch assertions) within one window above
+/// which behaviour counts as divergent, independent of the all-cause
+/// squash budget.
+const MAX_WRONG_PATH_PER_WINDOW: u64 = 2;
+/// Fraction of a window's verified instructions executed at PCs the
+/// training profile called cold (recovery segments walking code the
+/// master's image elided) above which behaviour counts as divergent.
+const MAX_COLD_FRACTION: f64 = 0.25;
+/// Consecutive non-divergent windows after a fast-tier install before the
+/// full-pipeline recompile is requested.
+const STABLE_WINDOWS_FOR_FULL: u64 = 2;
+/// Apply one [`Profile::decay`] round to the live profile every this many
+/// windows.
+const DECAY_EVERY_WINDOWS: u64 = 4;
 
-impl Default for AdaptiveConfig {
-    fn default() -> AdaptiveConfig {
-        AdaptiveConfig {
-            window_tasks: 32,
-            max_squashes_per_window: 3,
-            max_wrong_path_per_window: 2,
-            max_cold_fraction: 0.25,
-            stable_windows_for_full: 2,
-            decay_every_windows: 4,
-            force_swap_at: Vec::new(),
-        }
-    }
+/// What triggers a recompile. The default leaves it to the divergence
+/// detector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AdaptiveConfig {
+    /// Forced swap schedule for differential testing: at each listed
+    /// committed-task count, request the paired tier. A non-empty schedule
+    /// replaces the divergence detector: the controller then requests only
+    /// the listed swaps.
+    pub force_swap_at: Vec<(u64, Tier)>,
 }
 
 /// Where the tier state machine stands.
@@ -160,12 +150,6 @@ impl AdaptiveReport {
     pub fn recompilations(&self) -> u64 {
         self.recompilations_fast + self.recompilations_full
     }
-
-    /// Swaps installed.
-    #[must_use]
-    pub fn swaps_installed(&self) -> u64 {
-        self.swaps.len() as u64
-    }
 }
 
 /// The divergence detector and tier state machine. See the module docs
@@ -218,10 +202,11 @@ impl AdaptiveController {
     /// knowledge).
     #[must_use]
     pub fn new(
-        config: AdaptiveConfig,
+        mut config: AdaptiveConfig,
         distilled: &Distilled,
         training_profile: &Profile,
     ) -> AdaptiveController {
+        config.force_swap_at.sort_by_key(|&(at, _)| at);
         AdaptiveController {
             config,
             live: training_profile.clone(),
@@ -247,7 +232,7 @@ impl AdaptiveController {
     /// live profile and the cold-code divergence signal. Recovery is the
     /// non-speculative path, so everything observed here is architected
     /// truth — exactly where a new program phase first shows up.
-    pub fn observe_recovery_step(&mut self, info: &StepInfo) {
+    pub(crate) fn observe_recovery_step(&mut self, info: &StepInfo) {
         if !info.halted {
             self.window_recovery_instrs += 1;
             if !self.hot_pcs.contains(&info.pc) {
@@ -262,12 +247,12 @@ impl AdaptiveController {
     /// post-shift code (producing no tasks at all, only sequential
     /// recovery) would freeze the windows exactly when adaptation is
     /// most needed.
-    pub fn observe_recovery_segment(&mut self) {
+    pub(crate) fn observe_recovery_segment(&mut self) {
         self.bump_window();
     }
 
     /// Records one committed task (window clock + forced-swap schedule).
-    pub fn observe_commit(&mut self, instructions: u64) {
+    pub(crate) fn observe_commit(&mut self, instructions: u64) {
         self.committed_tasks += 1;
         self.window_task_instrs += instructions;
         while let Some(&(at, tier)) = self.config.force_swap_at.get(self.next_forced) {
@@ -284,7 +269,12 @@ impl AdaptiveController {
     /// Records one squash event: window counters plus slice feedback into
     /// the live profile (`mark_wrong_path` for failed assertions,
     /// `mark_hard_live_in` for mispredicted registers).
-    pub fn observe_squash(&mut self, reason: SquashReason, arch_pc: u64, mismatched: &[Reg]) {
+    pub(crate) fn observe_squash(
+        &mut self,
+        reason: SquashReason,
+        arch_pc: u64,
+        mismatched: &[Reg],
+    ) {
         self.window_squashes += 1;
         if reason == SquashReason::WrongPath {
             self.window_wrong_path += 1;
@@ -325,18 +315,6 @@ impl AdaptiveController {
         None
     }
 
-    /// The pinned boundary set candidates must preserve.
-    #[must_use]
-    pub fn boundaries(&self) -> &BTreeSet<u64> {
-        &self.boundaries
-    }
-
-    /// The pinned crossings-per-task grouping candidates must preserve.
-    #[must_use]
-    pub fn crossings_per_task(&self) -> u64 {
-        self.crossings_per_task
-    }
-
     /// Whether `candidate` preserves the pinned task segmentation. A
     /// candidate that fails is dropped (and counted) — installing it
     /// would change the slave protocol mid-run.
@@ -347,7 +325,12 @@ impl AdaptiveController {
 
     /// Reports a hot-swap install, freezing `stats` into the report so
     /// before/after behaviour can be split at this marker.
-    pub fn note_swap_installed(&mut self, tier: Tier, latency_micros: u64, stats: EngineStats) {
+    pub(crate) fn note_swap_installed(
+        &mut self,
+        tier: Tier,
+        latency_micros: u64,
+        stats: EngineStats,
+    ) {
         self.report.swaps.push(SwapMarker {
             tier,
             at_committed_tasks: self.committed_tasks,
@@ -364,24 +347,20 @@ impl AdaptiveController {
         self.reset_window();
     }
 
-    /// The report so far (executors embed the final value in their run
-    /// result).
-    #[must_use]
-    pub fn report(&self) -> &AdaptiveReport {
-        &self.report
-    }
-
     /// Consumes the controller into its report.
     #[must_use]
-    pub fn into_report(self) -> AdaptiveReport {
+    pub(crate) fn into_report(self) -> AdaptiveReport {
         self.report
     }
 
     // ---- window machinery ------------------------------------------------
 
     fn bump_window(&mut self) {
+        if !self.config.force_swap_at.is_empty() {
+            return;
+        }
         self.window_tasks += 1;
-        if self.window_tasks >= self.config.window_tasks.max(1) {
+        if self.window_tasks >= WINDOW_TASKS {
             self.end_window();
         }
     }
@@ -394,9 +373,9 @@ impl AdaptiveController {
         } else {
             self.window_cold_instrs as f64 / verified as f64
         };
-        let diverged = self.window_squashes > self.config.max_squashes_per_window
-            || self.window_wrong_path > self.config.max_wrong_path_per_window
-            || cold_fraction > self.config.max_cold_fraction;
+        let diverged = self.window_squashes > MAX_SQUASHES_PER_WINDOW
+            || self.window_wrong_path > MAX_WRONG_PATH_PER_WINDOW
+            || cold_fraction > MAX_COLD_FRACTION;
         if diverged {
             self.report.divergent_windows += 1;
         }
@@ -410,19 +389,14 @@ impl AdaptiveController {
             // A stable stretch after fast relief earns the full pipeline.
             (Phase::FastInstalled, false) => {
                 self.stable_run += 1;
-                if self.stable_run >= self.config.stable_windows_for_full.max(1) {
+                if self.stable_run >= STABLE_WINDOWS_FOR_FULL {
                     self.pending_request = Some(Tier::Full);
                     self.phase = Phase::Pending(Tier::Full);
                 }
             }
             _ => {}
         }
-        if self.config.decay_every_windows > 0
-            && self
-                .report
-                .windows
-                .is_multiple_of(self.config.decay_every_windows)
-        {
+        if self.report.windows.is_multiple_of(DECAY_EVERY_WINDOWS) {
             self.live.decay();
         }
         self.reset_window();
@@ -483,57 +457,47 @@ mod tests {
         let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
         quiet_commits(&mut ctl, 1000);
         assert!(serve(&mut ctl, &mut rec).is_none());
-        assert_eq!(ctl.report().divergent_windows, 0);
-        assert!(ctl.report().windows > 10);
+        assert_eq!(ctl.report.divergent_windows, 0);
+        assert!(ctl.report.windows > 10);
     }
 
     #[test]
     fn squash_storm_requests_fast_then_stability_earns_full() {
-        let config = AdaptiveConfig {
-            window_tasks: 8,
-            max_squashes_per_window: 2,
-            stable_windows_for_full: 2,
-            ..AdaptiveConfig::default()
-        };
-        let (mut ctl, mut rec) = controller(config);
-        // A divergent window: 4 wrong-path squashes among 8 tasks.
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
+        // A divergent window: 4 wrong-path squashes, then clean commits.
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::WrongPath, 0x1234, &[]);
         }
-        quiet_commits(&mut ctl, 4);
+        quiet_commits(&mut ctl, WINDOW_TASKS - 4);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
         assert!(serve(&mut ctl, &mut rec).is_none(), "request is one-shot");
         assert!(ctl.live.wrong_path_pcs().contains(&0x1234));
         // Until the candidate installs, further windows request nothing.
-        quiet_commits(&mut ctl, 16);
+        quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
         assert!(serve(&mut ctl, &mut rec).is_none());
         // Install lands; two clean windows later the full tier is due.
         ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
-        quiet_commits(&mut ctl, 16);
+        quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
         ctl.note_swap_installed(Tier::Full, 0, EngineStats::default());
-        assert_eq!(ctl.report().recompilations(), 2);
-        assert_eq!(ctl.report().swaps_installed(), 2);
+        assert_eq!(ctl.report.recompilations(), 2);
+        assert_eq!(ctl.report.swaps.len(), 2);
         // Re-divergence from the full program restarts the cycle.
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::LiveInMismatch, 0, &[Reg::S2]);
         }
-        quiet_commits(&mut ctl, 4);
+        quiet_commits(&mut ctl, WINDOW_TASKS - 4);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
         assert!(ctl.live.hard_live_ins().contains(&Reg::S2));
     }
 
     #[test]
     fn cold_code_fraction_alone_trips_divergence() {
-        let config = AdaptiveConfig {
-            window_tasks: 4,
-            max_cold_fraction: 0.25,
-            ..AdaptiveConfig::default()
-        };
-        let (mut ctl, mut rec) = controller(config);
-        // Recovery walks PCs the training profile never saw — enough of
-        // them to dominate the window's 4 x 100 committed instructions.
-        for i in 0..300u64 {
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
+        // Recovery walks PCs the training profile never saw: 1200 of them
+        // against the window's 32 x 100 committed instructions is more
+        // than a quarter of what it verified.
+        for i in 0..1200u64 {
             let info = StepInfo {
                 pc: 0x9000 + i * 4,
                 instr: mssp_isa::Instr::Addi(Reg::ZERO, Reg::ZERO, 0),
@@ -544,27 +508,22 @@ mod tests {
             };
             ctl.observe_recovery_step(&info);
         }
-        quiet_commits(&mut ctl, 4);
+        quiet_commits(&mut ctl, WINDOW_TASKS);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
-        assert_eq!(ctl.report().divergent_windows, 1);
+        assert_eq!(ctl.report.divergent_windows, 1);
     }
 
     #[test]
     fn failed_recompile_rearms_the_state_machine() {
-        let config = AdaptiveConfig {
-            window_tasks: 4,
-            max_squashes_per_window: 1,
-            ..AdaptiveConfig::default()
-        };
-        let (mut ctl, mut rec) = controller(config);
-        for _ in 0..4 {
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
+        for _ in 0..WINDOW_TASKS {
             ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
         }
         let mut failing: Recompiler = Box::new(|_, _| Err("lint".into()));
         assert!(serve(&mut ctl, &mut failing).is_none());
-        assert_eq!(ctl.report().recompile_failures, 1);
+        assert_eq!(ctl.report.recompile_failures, 1);
         // Next divergent window can retry.
-        for _ in 0..4 {
+        for _ in 0..WINDOW_TASKS {
             ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
         }
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
@@ -574,7 +533,6 @@ mod tests {
     fn forced_schedule_fires_at_committed_task_counts() {
         let config = AdaptiveConfig {
             force_swap_at: vec![(3, Tier::Fast), (6, Tier::Full)],
-            ..AdaptiveConfig::default()
         };
         let (mut ctl, mut rec) = controller(config);
         quiet_commits(&mut ctl, 2);
@@ -584,14 +542,40 @@ mod tests {
         ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
         quiet_commits(&mut ctl, 3);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
-        assert_eq!(ctl.report().swaps[0].at_committed_tasks, 3);
+        assert_eq!(ctl.report.swaps[0].at_committed_tasks, 3);
+    }
+
+    #[test]
+    fn unsorted_schedule_fires_every_entry_at_its_count() {
+        let config = AdaptiveConfig {
+            force_swap_at: vec![(6, Tier::Full), (3, Tier::Fast)],
+        };
+        let (mut ctl, mut rec) = controller(config);
+        quiet_commits(&mut ctl, 3);
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
+        quiet_commits(&mut ctl, 3);
+        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
+    }
+
+    #[test]
+    fn forced_schedule_replaces_the_detector() {
+        let config = AdaptiveConfig {
+            force_swap_at: vec![(u64::MAX, Tier::Fast)],
+        };
+        let (mut ctl, mut rec) = controller(config);
+        // A storm that trips the default detector in its first window.
+        for _ in 0..4 * WINDOW_TASKS {
+            ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
+        }
+        assert!(serve(&mut ctl, &mut rec).is_none());
+        assert_eq!(ctl.report.windows, 0);
     }
 
     #[test]
     fn candidate_validation_pins_segmentation() {
         let config = AdaptiveConfig {
             force_swap_at: vec![(1, Tier::Fast)],
-            ..AdaptiveConfig::default()
         };
         let (mut ctl, _) = controller(config);
         quiet_commits(&mut ctl, 1);
@@ -599,7 +583,7 @@ mod tests {
         let wrong = Distilled::from_parts(p, BTreeSet::from([0xdead]), BTreeMap::new());
         let mut moved: Recompiler = Box::new(move |_, _| Ok(wrong.clone()));
         assert!(serve(&mut ctl, &mut moved).is_none());
-        assert_eq!(ctl.report().candidates_rejected, 1);
-        assert_eq!(ctl.report().recompilations(), 0);
+        assert_eq!(ctl.report.candidates_rejected, 1);
+        assert_eq!(ctl.report.recompilations(), 0);
     }
 }

@@ -382,12 +382,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.commit_trace = Some(vec![self.arch.pc()]);
     }
 
-    /// The recorded commit trace, if enabled.
-    #[must_use]
-    pub fn commit_trace(&self) -> Option<&[u64]> {
-        self.commit_trace.as_deref()
-    }
-
     /// Runs the machine to architectural halt.
     ///
     /// # Errors
@@ -535,7 +529,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 None => assert_eq!(wake, NEVER, "slave {s} runs without a task"),
                 Some(task) => {
                     assert_eq!(task.slave, s, "task {:?} misnames its slave", task.id);
-                    assert_eq!(task.is_done(), wake == NEVER, "slave {s} running flag");
+                    let done = matches!(task.status, TaskStatus::Done { .. });
+                    assert_eq!(done, wake == NEVER, "slave {s} running flag");
                 }
             }
             // A core that owes an instruction is armed relative to `now`.
@@ -666,7 +661,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let pc = task.pc;
         let word_granular = self.config.word_granular_live_ins;
         let result = {
-            let mut storage = task.storage_with_granularity(&self.arch, word_granular);
+            let mut storage = task.storage(&self.arch, None, word_granular);
             step(&mut storage, self.original, pc)
         };
         let (end, busy_until) = match result {

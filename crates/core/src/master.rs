@@ -58,7 +58,6 @@ pub struct Master {
     segment: Delta,
     live_segments: VecDeque<(u64, Arc<Delta>)>,
     status: MasterStall,
-    instructions: u64,
     /// Boundary crossings since the last spawn trigger.
     crossings: u64,
     /// Boundary crossings since restart — bounds how far back a spawn
@@ -99,7 +98,6 @@ impl Master {
             segment: Delta::new(),
             live_segments: VecDeque::new(),
             status,
-            instructions: 0,
             crossings: 0,
             crossings_since_restart: 0,
             crossings_per_task: distilled.crossings_per_task(),
@@ -125,14 +123,8 @@ impl Master {
         self.pending_spawn
     }
 
-    /// Total distilled instructions executed since restart.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
     /// Spawn-guard vetoes since the last call (reset on read).
-    pub fn take_vetoed_spawns(&mut self) -> u64 {
+    pub(crate) fn take_vetoed_spawns(&mut self) -> u64 {
         std::mem::take(&mut self.vetoed_spawns)
     }
 
@@ -195,7 +187,6 @@ impl Master {
                 return None;
             }
         };
-        self.instructions += 1;
         if info.halted {
             self.status = MasterStall::Halted;
             return Some(info);

@@ -164,16 +164,10 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// Creates an empty predictor.
-    #[must_use]
-    pub fn new() -> Predictor {
-        Predictor::default()
-    }
-
     /// Observes the verified architected value of `reg` at `boundary`.
     /// Callers must only feed values taken from architected state at
     /// verify time (the train-on-verified-only rule).
-    pub fn train(&mut self, boundary: u64, reg: Reg, observed: u64) {
+    pub(crate) fn train(&mut self, boundary: u64, reg: Reg, observed: u64) {
         if reg.is_zero() {
             return;
         }
@@ -186,32 +180,16 @@ impl Predictor {
     /// Confident predictions for a task spawned at `boundary`, in
     /// deterministic (register-ordered) order.
     #[must_use]
-    pub fn predict(&self, boundary: u64) -> Vec<(Reg, u64)> {
+    pub(crate) fn predict(&self, boundary: u64) -> Vec<(Reg, u64)> {
         self.cells
             .range((boundary, Reg::ZERO)..=(boundary, Reg::new(mssp_isa::NUM_REGS as u8 - 1)))
             .filter_map(|(&(_, reg), cell)| cell.predict().map(|v| (reg, v)))
             .collect()
     }
 
-    /// Cells that resist prediction: observed at least `min_observations`
-    /// times with every component below 50% accuracy. These are the
-    /// candidates the distiller should target with pre-computation slices.
-    #[must_use]
-    pub fn hard_cells(&self, min_observations: u64) -> Vec<(u64, Reg)> {
-        self.cells
-            .iter()
-            .filter(|(_, c)| {
-                let trainable = c.observations.saturating_sub(1);
-                trainable >= min_observations
-                    && c.last_correct.max(c.stride_correct).max(c.context_correct) * 2 < trainable
-            })
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
     /// Aggregate accuracy report across all cells.
     #[must_use]
-    pub fn report(&self) -> PredictorReport {
+    pub(crate) fn report(&self) -> PredictorReport {
         let mut r = PredictorReport {
             cells: self.cells.len(),
             ..PredictorReport::default()
@@ -232,7 +210,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_stays_silent() {
-        let mut p = Predictor::new();
+        let mut p = Predictor::default();
         assert!(p.predict(0x10000).is_empty());
         p.train(0x10000, Reg::S0, 7);
         assert!(
@@ -243,7 +221,7 @@ mod tests {
 
     #[test]
     fn last_value_pattern_becomes_confident() {
-        let mut p = Predictor::new();
+        let mut p = Predictor::default();
         for _ in 0..4 {
             p.train(0x10000, Reg::S0, 42);
         }
@@ -254,7 +232,7 @@ mod tests {
 
     #[test]
     fn stride_pattern_tracks_the_sequence() {
-        let mut p = Predictor::new();
+        let mut p = Predictor::default();
         for v in (100..160).step_by(12) {
             p.train(0x10000, Reg::A0, v);
         }
@@ -263,7 +241,7 @@ mod tests {
 
     #[test]
     fn context_pattern_learns_alternation() {
-        let mut p = Predictor::new();
+        let mut p = Predictor::default();
         for _ in 0..6 {
             p.train(0x10000, Reg::T0, 5);
             p.train(0x10000, Reg::T0, 9);
@@ -273,8 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn noise_is_reported_hard_and_not_predicted() {
-        let mut p = Predictor::new();
+    fn noise_is_not_predicted() {
+        let mut p = Predictor::default();
         // An LCG-ish sequence no component can track.
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..32 {
@@ -282,13 +260,12 @@ mod tests {
             p.train(0x10000, Reg::S1, x);
         }
         assert!(p.predict(0x10000).is_empty());
-        assert_eq!(p.hard_cells(8), vec![(0x10000, Reg::S1)]);
         assert!(p.report().best_accuracy() < 0.5);
     }
 
     #[test]
     fn zero_register_is_never_tracked() {
-        let mut p = Predictor::new();
+        let mut p = Predictor::default();
         for _ in 0..8 {
             p.train(0x10000, Reg::ZERO, 0);
         }

@@ -670,7 +670,7 @@ impl RecoverySegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveConfig;
+    use crate::adaptive::{AdaptiveConfig, WINDOW_TASKS};
     use crate::task::BoundarySet;
     use mssp_analysis::Profile;
     use mssp_isa::asm::assemble;
@@ -1019,23 +1019,18 @@ mod tests {
         let identity = BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]);
         let pinned = Distilled::from_parts(p.clone(), BTreeSet::from([boundary]), identity.clone());
         let moved = Distilled::from_parts(p.clone(), BTreeSet::from([p.entry()]), identity);
-        let config = AdaptiveConfig {
-            window_tasks: 2,
-            max_squashes_per_window: 0,
-            ..AdaptiveConfig::default()
-        };
         // Scripted recompiler: fails, returns a candidate that moved the
         // boundaries, then a valid one.
         let mut answers = vec![Ok(pinned.clone()), Ok(moved), Err("lint".to_string())];
         let recompiler: Recompiler = Box::new(move |_, _| answers.pop().unwrap());
         let mut unit = CommitUnit::new(EngineConfig::default());
-        let controller = AdaptiveController::new(config, &pinned, &profile);
+        let controller = AdaptiveController::new(AdaptiveConfig::default(), &pinned, &profile);
         unit.enable_adaptive(controller, recompiler);
 
         let arch = MachineState::new();
         let doomed = task(boundary, 1, &[], &[]);
         let diverge = |unit: &mut CommitUnit| {
-            for _ in 0..2 {
+            for _ in 0..WINDOW_TASKS {
                 unit.squash(SquashReason::WrongPath, &doomed, &arch, (1, 5));
             }
             unit.poll_swap()
@@ -1050,7 +1045,10 @@ mod tests {
         assert_eq!(unit.stats.swaps_installed, 1);
         assert_eq!(unit.stats.recompilations_fast, 1);
         assert_eq!(unit.stats.swap_abandoned_tasks, 2);
-        assert_eq!(unit.stats.wasted_slave_instructions, 6 * 5 + 9);
+        assert_eq!(
+            unit.stats.wasted_slave_instructions,
+            3 * WINDOW_TASKS * 5 + 9
+        );
         let (stats, _, report) = unit.finish();
         let report = report.expect("adaptive run carries a report");
         assert_eq!(report.recompile_failures, 1);

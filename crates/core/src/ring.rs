@@ -462,7 +462,8 @@ impl<T: Send> SpscReceiver<T> {
     /// [`SpscReceiver::try_recv`]). Every moved item is appended to
     /// `out` before the tail publish hands the freed slots back, so a
     /// producer can never overwrite an undelivered item.
-    pub fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let mut n = 0;
         while n < max && self.refresh() {
             out.push(self.read_slot());

@@ -41,7 +41,7 @@ mod imp {
         impl<T> UnsafeCell<T> {
             /// Wrap a value.
             #[inline(always)]
-            pub const fn new(value: T) -> UnsafeCell<T> {
+            pub(crate) const fn new(value: T) -> UnsafeCell<T> {
                 UnsafeCell(std::cell::UnsafeCell::new(value))
             }
         }
@@ -49,20 +49,20 @@ mod imp {
         impl<T: ?Sized> UnsafeCell<T> {
             /// Shared (read) access to the raw pointer.
             #[inline(always)]
-            pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
+            pub(crate) fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
                 f(self.0.get())
             }
 
             /// Exclusive (write) access to the raw pointer. The caller is
             /// responsible for the exclusion (ring index protocol).
             #[inline(always)]
-            pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
+            pub(crate) fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
                 f(self.0.get())
             }
 
             /// Exclusive access through a `&mut` borrow (drop paths).
             #[inline(always)]
-            pub fn get_mut(&mut self) -> &mut T {
+            pub(crate) fn get_mut(&mut self) -> &mut T {
                 unsafe { &mut *self.0.get() }
             }
         }

@@ -113,7 +113,7 @@ impl Task {
     /// Both buffers must be empty; their backing capacity is what gets
     /// recycled.
     #[must_use]
-    pub fn with_buffers(
+    pub(crate) fn with_buffers(
         id: TaskId,
         start_pc: u64,
         slave: usize,
@@ -135,18 +135,6 @@ impl Task {
             crossings: 0,
             status: TaskStatus::Running,
         }
-    }
-
-    /// Whether the task has finished (successfully or not).
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        matches!(self.status, TaskStatus::Done { .. })
-    }
-
-    /// A [`Storage`] view for executing one instruction of this task
-    /// against the given architected state.
-    pub fn storage<'a>(&'a mut self, arch: &'a MachineState) -> TaskStorage<'a> {
-        self.storage_with_granularity(arch, false)
     }
 
     /// Runs this task to its natural end against an **immutable snapshot**
@@ -181,7 +169,7 @@ impl Task {
     /// reads, so verification semantics are unchanged — the view merely
     /// keeps the task's picture of architected state fresh without
     /// materializing a new snapshot.
-    pub fn run_segment_with_view(
+    pub(crate) fn run_segment_with_view(
         &mut self,
         program: &Program,
         snapshot: &MachineState,
@@ -195,7 +183,7 @@ impl Task {
         loop {
             let pc = self.pc;
             let result = {
-                let mut storage = self.storage_with_view(snapshot, committed, false);
+                let mut storage = self.storage(snapshot, committed, false);
                 step(&mut storage, program, pc)
             };
             match result {
@@ -224,22 +212,13 @@ impl Task {
         }
     }
 
-    /// Like [`Task::storage`], optionally degrading live-in tracking to
-    /// whole-word granularity (the ablation of byte masking: sub-word
-    /// stores read-modify-write their containing word and record it
-    /// entirely as a live-in, recreating false sharing between adjacent
-    /// tasks).
-    pub fn storage_with_granularity<'a>(
-        &'a mut self,
-        arch: &'a MachineState,
-        word_granular: bool,
-    ) -> TaskStorage<'a> {
-        self.storage_with_view(arch, None, word_granular)
-    }
-
-    /// The fully general storage view: architected snapshot, optional
-    /// committed-view delta, and the granularity ablation switch.
-    pub fn storage_with_view<'a>(
+    /// A [`Storage`] view for executing one instruction of this task
+    /// against the architected state `arch`, with an optional committed
+    /// view layered over it. `word_granular` degrades live-in tracking to
+    /// whole words (the ablation of byte masking: sub-word stores
+    /// read-modify-write their containing word and record it entirely as
+    /// a live-in, recreating false sharing between adjacent tasks).
+    pub(crate) fn storage<'a>(
         &'a mut self,
         arch: &'a MachineState,
         committed: Option<&'a Delta>,
@@ -501,12 +480,6 @@ impl BoundarySet {
             None => self.pcs.contains(&pc),
         }
     }
-
-    /// The underlying PC set.
-    #[must_use]
-    pub fn pcs(&self) -> &BTreeSet<u64> {
-        &self.pcs
-    }
 }
 
 #[cfg(test)]
@@ -528,7 +501,7 @@ mod tests {
             delta(&[(Cell::Mem(2), 211), (Cell::Mem(3), 333)]), // older
         ];
         let mut task = Task::new(TaskId(0), 0x100, 0, overlay);
-        let mut st = task.storage(&arch);
+        let mut st = task.storage(&arch, None, false);
         assert_eq!(st.load_word(1), 100); // from arch
         assert_eq!(st.load_word(2), 222); // newest overlay wins
         assert_eq!(st.load_word(3), 333); // older overlay
@@ -542,13 +515,13 @@ mod tests {
         arch.store_word(5, 50);
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch);
+            let mut st = task.storage(&arch, None, false);
             assert_eq!(st.load_word(5), 50);
         }
         // Architected state changes (an older task committed).
         arch.store_word(5, 51);
         {
-            let mut st = task.storage(&arch);
+            let mut st = task.storage(&arch, None, false);
             // The task re-reads its recorded live-in, not the new value:
             // its view stays internally consistent.
             assert_eq!(st.load_word(5), 50);
@@ -569,7 +542,7 @@ mod tests {
             .collect();
         let mut task = Task::new(TaskId(0), 0, 0, overlay);
         {
-            let mut st = task.storage_with_view(&arch, Some(&committed), false);
+            let mut st = task.storage(&arch, Some(&committed), false);
             assert_eq!(st.load_word(2), 222); // prediction overlay wins
             assert_eq!(st.load_word(1), 111); // committed view over arch
             assert_eq!(st.load_word(3), 0); // falls through to arch
@@ -585,7 +558,7 @@ mod tests {
         let arch = MachineState::new();
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch);
+            let mut st = task.storage(&arch, None, false);
             st.write_reg(Reg::A0, 9);
             assert_eq!(st.read_reg(Reg::A0), 9);
         }
@@ -599,7 +572,7 @@ mod tests {
         let overlay = vec![delta(&[(Cell::Reg(Reg::A1), 7)])];
         let mut task = Task::new(TaskId(0), 0, 0, overlay);
         {
-            let mut st = task.storage(&arch);
+            let mut st = task.storage(&arch, None, false);
             assert_eq!(st.read_reg(Reg::A1), 7);
         }
         // The predicted value is a live-in: it must match architected
@@ -613,7 +586,7 @@ mod tests {
         let arch = MachineState::new();
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch);
+            let mut st = task.storage(&arch, None, false);
             assert_eq!(st.read_reg(Reg::ZERO), 0);
             st.write_reg(Reg::ZERO, 5);
         }
@@ -643,7 +616,7 @@ mod tests {
         let b = BoundarySet::new(BTreeSet::from([0x100, 0x200]));
         assert!(b.contains(0x100));
         assert!(!b.contains(0x104));
-        assert_eq!(b.pcs().len(), 2);
+        assert_eq!(b.pcs.len(), 2);
     }
 
     /// Every PC a test probes a boundary set with: its members, their

@@ -838,7 +838,6 @@ mod tests {
         let profile = Profile::collect(&p, u64::MAX).unwrap();
         let config = AdaptiveConfig {
             force_swap_at: vec![(5, Tier::Fast), (10, Tier::Full)],
-            ..AdaptiveConfig::default()
         };
         let ctl = AdaptiveController::new(config, &d, &profile);
         let rec = test_recompiler(&p, &d);
@@ -877,7 +876,6 @@ mod tests {
         let profile = Profile::collect(p, u64::MAX).unwrap();
         let config = AdaptiveConfig {
             force_swap_at: vec![(5, Tier::Fast)],
-            ..AdaptiveConfig::default()
         };
         let rec: Recompiler = Box::new(|_, _| panic!("recompiler exploded"));
         (AdaptiveController::new(config, d, &profile), rec)

@@ -18,29 +18,8 @@ use mssp_isa::Program;
 /// The returned set is never empty for a non-empty program: if profiling
 /// found no suitable recurring site, the entry point alone is returned
 /// (degrading MSSP to sequential operation rather than failing).
-///
-/// # Examples
-///
-/// ```
-/// use mssp_isa::asm::assemble;
-/// use mssp_analysis::{Cfg, Dominators, Profile};
-/// use mssp_distill::select_boundaries;
-///
-/// let p = assemble(
-///     "main: addi a0, zero, 1000
-///      loop: addi a1, a1, 1
-///            addi a0, a0, -1
-///            bnez a0, loop
-///            halt",
-/// ).unwrap();
-/// let cfg = Cfg::build(&p);
-/// let dom = Dominators::compute(&cfg);
-/// let profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
-/// let b = select_boundaries(&p, &cfg, &dom, &profile, 100);
-/// assert!(b.contains(&p.symbol("loop").unwrap()));
-/// ```
 #[must_use]
-pub fn select_boundaries(
+pub(crate) fn select_boundaries(
     program: &Program,
     cfg: &Cfg,
     dom: &Dominators,

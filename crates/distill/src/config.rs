@@ -103,7 +103,7 @@ impl PassConfig {
 
     /// No optimizing passes at all (the raw asserted image).
     #[must_use]
-    pub fn none() -> PassConfig {
+    pub(crate) fn none() -> PassConfig {
         PassConfig {
             const_fold: false,
             copy_prop: false,
@@ -127,7 +127,7 @@ impl PassConfig {
 
     /// Whether any pass is enabled (with a non-zero budget).
     #[must_use]
-    pub fn any_enabled(&self) -> bool {
+    pub(crate) fn any_enabled(&self) -> bool {
         self.max_iterations > 0
             && (self.const_fold || self.copy_prop || self.dce || self.jump_thread)
     }
@@ -157,15 +157,9 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Both tiers, in increasing cost.
-    #[must_use]
-    pub fn all() -> [Tier; 2] {
-        [Tier::Fast, Tier::Full]
-    }
-
     /// The pass-pipeline configuration this tier runs.
     #[must_use]
-    pub fn pass_config(self) -> PassConfig {
+    pub(crate) fn pass_config(self) -> PassConfig {
         match self {
             Tier::Fast => PassConfig::dce_only(),
             Tier::Full => PassConfig::all(),
@@ -227,17 +221,9 @@ pub struct DistillConfig {
     /// Desired average dynamic task length, in original-program
     /// instructions. Boundary selection aims for this.
     pub target_task_size: u64,
-    /// Base address at which the distilled text segment is placed; must
-    /// not overlap the original text or data.
-    pub dist_text_base: u64,
     /// The optimizing pass pipeline (ignored at [`DistillLevel::None`],
     /// which emits a verbatim relocated image).
     pub passes: PassConfig,
-    /// Pre-computation slice pass: instruction budget for the forward
-    /// relevance walk from an asserted-away branch direction toward the
-    /// profile's squash-feedback PCs. The pass itself only runs when the
-    /// profile carries slice feedback.
-    pub slice_max_walk: usize,
 }
 
 impl Default for DistillConfig {
@@ -246,9 +232,7 @@ impl Default for DistillConfig {
             level: DistillLevel::Aggressive,
             assert_bias: 0.9995,
             target_task_size: 256,
-            dist_text_base: 0x0008_0000,
             passes: PassConfig::all(),
-            slice_max_walk: 32,
         }
     }
 }
@@ -268,7 +252,7 @@ impl DistillConfig {
     ///
     /// Returns `None` when the level never asserts ([`DistillLevel::None`]).
     #[must_use]
-    pub fn effective_assert_bias(&self) -> Option<f64> {
+    pub(crate) fn effective_assert_bias(&self) -> Option<f64> {
         match self.level {
             DistillLevel::None => None,
             DistillLevel::Conservative => Some(1.0),
@@ -303,7 +287,7 @@ mod tests {
 
     #[test]
     fn tier_roundtrips_and_selects_pipelines() {
-        for tier in Tier::all() {
+        for tier in [Tier::Fast, Tier::Full] {
             assert_eq!(tier.to_string().parse::<Tier>(), Ok(tier));
         }
         assert!("mid".parse::<Tier>().is_err());

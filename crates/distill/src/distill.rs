@@ -42,12 +42,16 @@ use std::fmt;
 
 use mssp_analysis::{Cfg, ConstProp, Dominators, Liveness, Profile, Terminator};
 use mssp_isa::{asm::li_sequence, Instr, Program, INSTR_BYTES};
-use mssp_machine::{Fault, MachineState, SeqMachine};
 
+use crate::boundary::select_boundaries;
 use crate::ir::{layout, DBlock, DInstr};
 use crate::passes::{run_pipeline, PassDelta, PipelineOutcome};
 use crate::slice::{compute_slices, Slice};
-use crate::{select_boundaries, DistillConfig, DistillLevel};
+use crate::{DistillConfig, DistillLevel};
+
+/// Base address of the distilled text segment; distillation fails with
+/// [`DistillError::DoesNotFit`] if the text would overlap the data.
+const DIST_TEXT_BASE: u64 = 0x0008_0000;
 
 /// Distillation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,7 +129,6 @@ pub struct Distilled {
     program: Program,
     boundaries: BTreeSet<u64>,
     orig_to_dist: BTreeMap<u64, u64>,
-    dist_to_orig: BTreeMap<u64, u64>,
     boundary_dist: BTreeMap<u64, u64>,
     /// `boundary_dist` over the distilled text, one entry per instruction:
     /// what the master asks after every instruction it executes.
@@ -166,7 +169,6 @@ impl Distilled {
         boundaries: BTreeSet<u64>,
         orig_to_dist: BTreeMap<u64, u64>,
     ) -> Distilled {
-        let dist_to_orig: BTreeMap<u64, u64> = orig_to_dist.iter().map(|(&o, &d)| (d, o)).collect();
         let boundary_dist: BTreeMap<u64, u64> = boundaries
             .iter()
             .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
@@ -181,7 +183,6 @@ impl Distilled {
             program,
             boundaries,
             orig_to_dist,
-            dist_to_orig,
             boundary_dist,
             crossings_per_task: 1,
             stats,
@@ -234,8 +235,7 @@ impl Distilled {
         self.crossings_per_task
     }
 
-    /// The distilled binary (placed at
-    /// [`DistillConfig::dist_text_base`]).
+    /// The distilled binary (placed at `DIST_TEXT_BASE`).
     #[must_use]
     pub fn program(&self) -> &Program {
         &self.program
@@ -255,12 +255,6 @@ impl Distilled {
     #[must_use]
     pub fn to_dist(&self, orig_pc: u64) -> Option<u64> {
         self.orig_to_dist.get(&orig_pc).copied()
-    }
-
-    /// Translates a distilled block-start address back to original space.
-    #[must_use]
-    pub fn to_orig(&self, dist_pc: u64) -> Option<u64> {
-        self.dist_to_orig.get(&dist_pc).copied()
     }
 
     /// If `dist_pc` is the distilled address of a task boundary, the
@@ -294,74 +288,7 @@ impl Distilled {
     pub fn pass_trace(&self) -> &[PassDelta] {
         &self.pass_trace
     }
-
-    /// Runs the distilled program sequentially to `halt`, performing the
-    /// master's indirect-target translation (indirect jumps produce
-    /// original-space targets; see the module docs), and returns the
-    /// final state.
-    ///
-    /// This is a *functional* execution of the master's fast path —
-    /// useful for testing distillation soundness and characterizing
-    /// distilled behaviour without spinning up the full engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistilledRunError::Fault`] if the distilled program
-    /// faults, [`DistilledRunError::Untranslatable`] if an indirect jump
-    /// produces an original-space target with no distilled image (the
-    /// master would be lost there), and [`DistilledRunError::DidNotHalt`]
-    /// if `max_steps` run out first — distilled programs routinely spin
-    /// forever when an asserted exit branch was distilled away, so
-    /// termination is the caller's contract to check.
-    pub fn run_to_halt(&self, max_steps: u64) -> Result<MachineState, DistilledRunError> {
-        let mut m = SeqMachine::boot(&self.program);
-        for _ in 0..max_steps {
-            let info = m.step().map_err(DistilledRunError::Fault)?;
-            if info.halted {
-                return Ok(m.into_state());
-            }
-            if info.instr.is_indirect_jump() {
-                // Translate original-space target to distilled space.
-                let dist = self
-                    .to_dist(info.next_pc)
-                    .ok_or(DistilledRunError::Untranslatable(info.next_pc))?;
-                let mut s = m.into_state();
-                s.set_pc(dist);
-                m = SeqMachine::resume(&self.program, s);
-            }
-        }
-        Err(DistilledRunError::DidNotHalt)
-    }
 }
-
-/// Why a functional run of a distilled program failed — see
-/// [`Distilled::run_to_halt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistilledRunError {
-    /// The distilled program faulted.
-    Fault(Fault),
-    /// An indirect jump produced an original-space target that has no
-    /// distilled translation.
-    Untranslatable(u64),
-    /// The step budget ran out before `halt`.
-    DidNotHalt,
-}
-
-impl fmt::Display for DistilledRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DistilledRunError::Fault(fault) => {
-                write!(f, "distilled program faulted: {fault}")
-            }
-            DistilledRunError::Untranslatable(pc) => {
-                write!(f, "indirect target {pc:#x} has no distilled translation")
-            }
-            DistilledRunError::DidNotHalt => write!(f, "distilled program did not halt"),
-        }
-    }
-}
-
-impl std::error::Error for DistilledRunError {}
 
 /// Distills `program` using `profile` as training data.
 ///
@@ -659,17 +586,17 @@ fn distill_pinned(
     };
 
     // --- Pass 6: layout and emission. ---
-    let (text, orig_to_dist) = layout(&blocks, config.dist_text_base)
+    let (text, orig_to_dist) = layout(&blocks, DIST_TEXT_BASE)
         .map_err(|e| DistillError::BranchOutOfRange(e.orig_block))?;
-    let text_end = config.dist_text_base + text.len() as u64 * INSTR_BYTES;
-    if config.dist_text_base < program.data_base() && text_end > program.data_base() {
+    let text_end = DIST_TEXT_BASE + text.len() as u64 * INSTR_BYTES;
+    if DIST_TEXT_BASE < program.data_base() && text_end > program.data_base() {
         return Err(DistillError::DoesNotFit);
     }
     let entry_block = cfg.blocks()[cfg.entry()].start;
     let dist_entry = orig_to_dist[&entry_block];
     let distilled_program = Program::new(
         text,
-        config.dist_text_base,
+        DIST_TEXT_BASE,
         Vec::new(),
         program.data_base(),
         dist_entry,
@@ -679,7 +606,6 @@ fn distill_pinned(
         .validate()
         .expect("layout produced in-range targets");
 
-    let dist_to_orig: BTreeMap<u64, u64> = orig_to_dist.iter().map(|(&o, &d)| (d, o)).collect();
     let boundary_dist: BTreeMap<u64, u64> = boundaries
         .iter()
         .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
@@ -721,7 +647,6 @@ fn distill_pinned(
         program: distilled_program,
         boundaries,
         orig_to_dist,
-        dist_to_orig,
         boundary_dist,
         crossings_per_task,
         stats,
@@ -755,7 +680,7 @@ mod tests {
     use super::*;
     use mssp_isa::asm::assemble;
     use mssp_isa::Reg;
-    use mssp_machine::SeqMachine;
+    use mssp_machine::{Fault, MachineState, SeqMachine};
 
     const LOOPY: &str = "
         main:   addi s0, zero, 400
@@ -776,11 +701,47 @@ mod tests {
         (p, d)
     }
 
+    /// Why a functional run of a distilled program failed.
+    #[derive(Debug, PartialEq)]
+    enum RunError {
+        /// The distilled program faulted.
+        Fault(Fault),
+        /// An indirect jump produced an original-space target that has no
+        /// distilled translation.
+        Untranslatable(u64),
+        /// The step budget ran out before `halt`.
+        DidNotHalt,
+    }
+
+    /// Runs the distilled program sequentially to `halt`, translating
+    /// each indirect jump's original-space target into distilled space as
+    /// the master does, and returns the final state. Distilled programs
+    /// routinely spin forever when an asserted exit branch was distilled
+    /// away, so running out of `max_steps` is an error, not a hang.
+    fn run_to_halt(d: &Distilled, max_steps: u64) -> Result<MachineState, RunError> {
+        let mut m = SeqMachine::boot(&d.program);
+        for _ in 0..max_steps {
+            let info = m.step().map_err(RunError::Fault)?;
+            if info.halted {
+                return Ok(m.into_state());
+            }
+            if info.instr.is_indirect_jump() {
+                let dist = d
+                    .to_dist(info.next_pc)
+                    .ok_or(RunError::Untranslatable(info.next_pc))?;
+                let mut s = m.into_state();
+                s.set_pc(dist);
+                m = SeqMachine::resume(&d.program, s);
+            }
+        }
+        Err(RunError::DidNotHalt)
+    }
+
     /// Runs the distilled program sequentially (with indirect-target
     /// translation as the master would perform it) and returns the final
     /// register `r`.
     fn run_distilled(d: &Distilled, r: Reg) -> u64 {
-        d.run_to_halt(1_000_000)
+        run_to_halt(d, 1_000_000)
             .expect("distilled fixture halts")
             .reg(r)
     }
@@ -791,7 +752,7 @@ mod tests {
         // functional run of it must end in a typed error, not a panic.
         let spin = assemble("main: j main").unwrap();
         let d = Distilled::from_parts(spin, BTreeSet::new(), BTreeMap::new());
-        assert_eq!(d.run_to_halt(100), Err(DistilledRunError::DidNotHalt));
+        assert_eq!(run_to_halt(&d, 100), Err(RunError::DidNotHalt));
     }
 
     #[test]
@@ -800,18 +761,15 @@ mod tests {
         // the distiller retained no image for it, the master is lost.
         let p = assemble("main: li a0, 0x5000\n jalr ra, 0(a0)\n halt").unwrap();
         let d = Distilled::from_parts(p, BTreeSet::new(), BTreeMap::new());
-        assert_eq!(
-            d.run_to_halt(100),
-            Err(DistilledRunError::Untranslatable(0x5000))
-        );
+        assert_eq!(run_to_halt(&d, 100), Err(RunError::Untranslatable(0x5000)));
     }
 
     #[test]
     fn run_to_halt_propagates_faults_as_typed_error() {
         // A direct jump clear out of the text segment faults at fetch.
         let p = Program::from_instrs(vec![Instr::Jal(Reg::RA, 0x400)]);
-        match d_from(p).run_to_halt(100) {
-            Err(DistilledRunError::Fault(_)) => {}
+        match run_to_halt(&d_from(p), 100) {
+            Err(RunError::Fault(_)) => {}
             other => panic!("expected fault, got {other:?}"),
         }
     }
@@ -896,7 +854,6 @@ mod tests {
         let (_, d) = distilled(LOOPY, DistillLevel::Aggressive);
         for &b in d.boundaries() {
             let dist = d.to_dist(b).expect("boundary retained");
-            assert_eq!(d.to_orig(dist), Some(b));
             assert_eq!(d.boundary_at_dist(dist), Some(b));
         }
     }

@@ -45,8 +45,7 @@ mod ir;
 mod passes;
 mod slice;
 
-pub use boundary::select_boundaries;
 pub use config::{DistillConfig, DistillLevel, PassConfig, Tier};
-pub use distill::{distill, redistill, DistillError, DistillStats, Distilled, DistilledRunError};
+pub use distill::{distill, redistill, DistillError, DistillStats, Distilled};
 pub use passes::PassDelta;
 pub use slice::{Slice, SliceKind, MAX_SLICE_LEN};

@@ -33,6 +33,10 @@ use mssp_isa::{Instr, Program, Reg, INSTR_BYTES};
 
 use crate::DistillConfig;
 
+/// Instruction budget of the forward relevance walk from an asserted-away
+/// branch direction toward the profile's squash-feedback PCs.
+const MAX_WALK: usize = 32;
+
 /// What a slice computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceKind {
@@ -213,7 +217,7 @@ pub(crate) fn compute_slices(
         };
         // Relevance: the discarded path either reaches a PC where a
         // wrong-path squash landed, or defines a hard-to-predict live-in.
-        let walk = forward_walk(program, away_pc, config.slice_max_walk);
+        let walk = forward_walk(program, away_pc, MAX_WALK);
         let reaches_wrong = walk.iter().any(|pc| wrong.contains(pc));
         let defines_hard = walk.iter().any(|&pc| {
             program

@@ -394,27 +394,6 @@ impl Instr {
         matches!(self, Instr::Halt)
     }
 
-    /// The memory access width in bytes, if this is a load or store.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// assert_eq!(Instr::Lw(Reg::A0, Reg::SP, 0).access_bytes(), Some(4));
-    /// assert_eq!(Instr::Halt.access_bytes(), None);
-    /// ```
-    #[must_use]
-    pub fn access_bytes(&self) -> Option<u8> {
-        use Instr::*;
-        match self {
-            Lb(..) | Lbu(..) | Sb(..) => Some(1),
-            Lh(..) | Lhu(..) | Sh(..) => Some(2),
-            Lw(..) | Lwu(..) | Sw(..) => Some(4),
-            Ld(..) | Sd(..) => Some(8),
-            _ => None,
-        }
-    }
-
     /// The statically-known control-flow target of a branch or `jal` located
     /// at address `pc`, or `None` for non-control and indirect instructions.
     ///
@@ -637,8 +616,6 @@ mod tests {
         let s = Instr::Sd(Reg::A0, Reg::SP, 8);
         assert!(l.is_load() && !l.is_store() && l.is_mem());
         assert!(s.is_store() && !s.is_load() && s.is_mem());
-        assert_eq!(l.access_bytes(), Some(8));
-        assert_eq!(Instr::Sb(Reg::A0, Reg::SP, 0).access_bytes(), Some(1));
     }
 
     #[test]

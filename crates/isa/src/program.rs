@@ -172,12 +172,6 @@ impl Program {
         self.entry
     }
 
-    /// The symbol table (label → address).
-    #[must_use]
-    pub fn symbols(&self) -> &BTreeMap<String, u64> {
-        &self.symbols
-    }
-
     /// Looks up a symbol's address.
     ///
     /// # Examples
@@ -233,7 +227,7 @@ impl Program {
     ///
     /// Panics if `index` is out of bounds.
     #[must_use]
-    pub fn pc_of_index(&self, index: usize) -> u64 {
+    pub(crate) fn pc_of_index(&self, index: usize) -> u64 {
         assert!(index <= self.text.len(), "index {index} out of bounds");
         self.text_base + index as u64 * INSTR_BYTES
     }

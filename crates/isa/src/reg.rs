@@ -158,15 +158,8 @@ impl Reg {
     }
 
     /// The register's ABI alias, e.g. `"sp"` for `r2`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mssp_isa::Reg;
-    /// assert_eq!(Reg::SP.abi_name(), "sp");
-    /// ```
     #[must_use]
-    pub fn abi_name(self) -> &'static str {
+    pub(crate) fn abi_name(self) -> &'static str {
         ABI_NAMES[self.index()]
     }
 

@@ -18,14 +18,13 @@ use crate::INSTR_BYTES;
 /// use mssp_isa::PcSpan;
 ///
 /// let block = PcSpan::new(0x100, 0x110);
-/// assert_eq!(block.instr_count(), 4);
+/// assert_eq!(block.pcs().count(), 4);
 /// assert!(block.contains(0x10C));
 /// assert!(!block.contains(0x110));
 /// assert_eq!(block.to_string(), "0x100..0x110");
 ///
 /// let point = PcSpan::point(0x104);
-/// assert_eq!(point.instr_count(), 1);
-/// assert!(block.covers(point));
+/// assert_eq!(point.merge(block), block);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PcSpan {
@@ -62,24 +61,6 @@ impl PcSpan {
         pc >= self.start && pc < self.end
     }
 
-    /// Whether this span fully covers `other`.
-    #[must_use]
-    pub fn covers(self, other: PcSpan) -> bool {
-        other.start >= self.start && other.end <= self.end
-    }
-
-    /// Number of instruction slots in the span.
-    #[must_use]
-    pub fn instr_count(self) -> usize {
-        ((self.end - self.start) / INSTR_BYTES) as usize
-    }
-
-    /// Whether the span is empty.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.start == self.end
-    }
-
     /// Iterates over the instruction addresses in the span.
     pub fn pcs(self) -> impl Iterator<Item = u64> {
         (self.start..self.end).step_by(INSTR_BYTES as usize)
@@ -108,7 +89,6 @@ mod tests {
     #[test]
     fn point_spans_one_instruction() {
         let s = PcSpan::point(0x200);
-        assert_eq!(s.instr_count(), 1);
         assert!(s.contains(0x200));
         assert!(!s.contains(0x204));
         assert_eq!(s.pcs().collect::<Vec<_>>(), vec![0x200]);
@@ -118,17 +98,15 @@ mod tests {
     fn merge_covers_both() {
         let a = PcSpan::new(0x100, 0x108);
         let b = PcSpan::new(0x110, 0x120);
-        let m = a.merge(b);
-        assert!(m.covers(a) && m.covers(b));
-        assert_eq!(m, PcSpan::new(0x100, 0x120));
+        assert_eq!(a.merge(b), PcSpan::new(0x100, 0x120));
+        assert_eq!(b.merge(a), PcSpan::new(0x100, 0x120));
     }
 
     #[test]
     fn empty_span_contains_nothing() {
         let e = PcSpan::new(0x100, 0x100);
-        assert!(e.is_empty());
         assert!(!e.contains(0x100));
-        assert_eq!(e.instr_count(), 0);
+        assert_eq!(e.pcs().count(), 0);
     }
 
     #[test]

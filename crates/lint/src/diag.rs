@@ -88,7 +88,7 @@ impl LintId {
 
     /// The lint's kebab-case name, as shown in reports.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             LintId::BoundaryUnmapped => "boundary-unmapped",
             LintId::LiveinsUncovered => "liveins-uncovered",
@@ -104,7 +104,7 @@ impl LintId {
 
     /// The severity findings of this lint carry.
     #[must_use]
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             LintId::BoundaryUnmapped
             | LintId::LiveinsUncovered
@@ -143,7 +143,7 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// Builds a diagnostic with the lint's default severity.
     #[must_use]
-    pub fn new(lint: LintId, span: PcSpan, space: AddrSpace, message: String) -> Diagnostic {
+    pub(crate) fn new(lint: LintId, span: PcSpan, space: AddrSpace, message: String) -> Diagnostic {
         Diagnostic {
             lint,
             severity: lint.severity(),
@@ -173,17 +173,17 @@ pub struct Report {
 impl Report {
     /// An empty report.
     #[must_use]
-    pub fn new() -> Report {
+    pub(crate) fn new() -> Report {
         Report::default()
     }
 
     /// Appends a finding.
-    pub fn push(&mut self, d: Diagnostic) {
+    pub(crate) fn push(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);
     }
 
     /// Sorts findings: errors first, then by address space and span.
-    pub fn sort(&mut self) {
+    pub(crate) fn sort(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             b.severity
                 .cmp(&a.severity)
@@ -200,7 +200,7 @@ impl Report {
 
     /// Number of findings.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.diagnostics.len()
     }
 
@@ -220,7 +220,7 @@ impl Report {
 
     /// Number of warning-severity findings.
     #[must_use]
-    pub fn warnings(&self) -> usize {
+    pub(crate) fn warnings(&self) -> usize {
         self.iter()
             .filter(|d| d.severity == Severity::Warning)
             .count()

@@ -116,12 +116,6 @@ impl DeltaArena {
     pub fn recycled(&self) -> u64 {
         self.recycled
     }
-
-    /// How many `take`s had to allocate a fresh buffer.
-    #[must_use]
-    pub fn fresh(&self) -> u64 {
-        self.fresh
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +128,7 @@ mod tests {
     fn take_put_recycles_capacity() {
         let mut arena = DeltaArena::new();
         let mut d = arena.take();
-        assert_eq!(arena.fresh(), 1);
+        assert_eq!(arena.fresh, 1);
         for i in 0..64 {
             d.set(Cell::Mem(i), i);
         }
@@ -144,7 +138,7 @@ mod tests {
         let d = arena.take();
         assert!(d.is_empty(), "recycled buffers come back cleared");
         assert_eq!(arena.recycled(), 1);
-        assert_eq!(arena.fresh(), 1, "no second allocation");
+        assert_eq!(arena.fresh, 1, "no second allocation");
     }
 
     #[test]

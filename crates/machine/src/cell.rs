@@ -30,8 +30,7 @@ use mssp_isa::Reg;
 /// use mssp_machine::Cell;
 /// use mssp_isa::Reg;
 ///
-/// let c = Cell::mem_at(0x1008);
-/// assert_eq!(c, Cell::Mem(0x201));
+/// assert_eq!(Cell::Mem(0x201).to_string(), "[0x1008]");
 /// assert!(Cell::Reg(Reg::A0) < Cell::Mem(0)); // registers order first
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,21 +44,6 @@ pub enum Cell {
 }
 
 impl Cell {
-    /// The memory cell containing byte address `addr`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mssp_machine::Cell;
-    /// assert_eq!(Cell::mem_at(0), Cell::Mem(0));
-    /// assert_eq!(Cell::mem_at(7), Cell::Mem(0));
-    /// assert_eq!(Cell::mem_at(8), Cell::Mem(1));
-    /// ```
-    #[must_use]
-    pub fn mem_at(addr: u64) -> Cell {
-        Cell::Mem(addr >> 3)
-    }
-
     /// Whether this cell is a memory word.
     #[must_use]
     pub fn is_mem(self) -> bool {
@@ -70,24 +54,6 @@ impl Cell {
     #[must_use]
     pub fn is_reg(self) -> bool {
         matches!(self, Cell::Reg(_))
-    }
-
-    /// The first byte address covered by a memory cell, or `None` for
-    /// non-memory cells.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mssp_machine::Cell;
-    /// assert_eq!(Cell::Mem(2).byte_addr(), Some(16));
-    /// assert_eq!(Cell::Pc.byte_addr(), None);
-    /// ```
-    #[must_use]
-    pub fn byte_addr(self) -> Option<u64> {
-        match self {
-            Cell::Mem(w) => Some(w << 3),
-            _ => None,
-        }
     }
 }
 
@@ -104,19 +70,6 @@ impl fmt::Display for Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_at_floors_to_word() {
-        for b in 0..8 {
-            assert_eq!(Cell::mem_at(0x100 + b), Cell::Mem(0x20));
-        }
-    }
-
-    #[test]
-    fn byte_addr_inverts_mem_at() {
-        let c = Cell::mem_at(0x1238);
-        assert_eq!(c.byte_addr(), Some(0x1238));
-    }
 
     #[test]
     fn ordering_groups_registers_before_memory() {

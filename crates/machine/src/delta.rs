@@ -530,15 +530,6 @@ impl Delta {
         Delta::default()
     }
 
-    /// Creates an empty partial state with room for `capacity` memory
-    /// cells.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Delta {
-        let mut parts = new_parts();
-        parts.mem.entries.reserve(capacity);
-        Delta { parts: Some(parts) }
-    }
-
     /// Removes every binding, **retaining the allocations** so the
     /// buffer can be recycled without touching the heap.
     pub fn clear(&mut self) {

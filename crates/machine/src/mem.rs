@@ -118,17 +118,6 @@ struct Stripe {
 /// Pages are reference-counted and copied on write, so cloning a
 /// `SparseMem` (the MSSP master snapshots architected state at every
 /// restart) costs one refcount bump per resident page.
-///
-/// # Examples
-///
-/// ```
-/// use mssp_machine::SparseMem;
-///
-/// let mut m = SparseMem::new();
-/// assert_eq!(m.load(123), 0);
-/// m.store(123, 0xABCD);
-/// assert_eq!(m.load(123), 0xABCD);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseMem {
     stripes: [Stripe; STRIPES],
@@ -143,12 +132,6 @@ impl Default for SparseMem {
 }
 
 impl SparseMem {
-    /// Creates an empty (all-zero) memory.
-    #[must_use]
-    pub fn new() -> SparseMem {
-        SparseMem::default()
-    }
-
     #[inline]
     fn stripe_of(page_idx: u64) -> usize {
         (page_idx as usize) & (STRIPES - 1)
@@ -157,7 +140,7 @@ impl SparseMem {
     /// Loads the word at word index `widx` (zero if never written).
     #[must_use]
     #[inline]
-    pub fn load(&self, widx: u64) -> u64 {
+    pub(crate) fn load(&self, widx: u64) -> u64 {
         let page_idx = widx / PAGE_WORDS;
         match self.stripes[Self::stripe_of(page_idx)].pages.get(&page_idx) {
             Some(page) => page.words[(widx % PAGE_WORDS) as usize],
@@ -167,7 +150,7 @@ impl SparseMem {
 
     /// Stores `value` at word index `widx`.
     #[inline]
-    pub fn store(&mut self, widx: u64, value: u64) {
+    pub(crate) fn store(&mut self, widx: u64, value: u64) {
         let page_idx = widx / PAGE_WORDS;
         let page = self.stripes[Self::stripe_of(page_idx)]
             .pages
@@ -180,7 +163,7 @@ impl SparseMem {
     ///
     /// Used to load a program's data segment. Bytes are placed
     /// little-endian within each word, matching the ISA's byte order.
-    pub fn write_image(&mut self, base: u64, bytes: &[u8]) {
+    pub(crate) fn write_image(&mut self, base: u64, bytes: &[u8]) {
         for (i, &b) in bytes.iter().enumerate() {
             let addr = base + i as u64;
             let widx = addr >> 3;
@@ -189,46 +172,6 @@ impl SparseMem {
             let cleared = old & !(0xFFu64 << shift);
             self.store(widx, cleared | ((b as u64) << shift));
         }
-    }
-
-    /// Reads one byte at byte address `addr`.
-    #[must_use]
-    pub fn read_byte(&self, addr: u64) -> u8 {
-        let word = self.load(addr >> 3);
-        (word >> ((addr & 7) * 8)) as u8
-    }
-
-    /// Reads `len` bytes starting at byte address `base`.
-    #[must_use]
-    pub fn read_bytes(&self, base: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_byte(base + i)).collect()
-    }
-
-    /// Number of resident (allocated) pages.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.stripes.iter().map(|s| s.pages.len()).sum()
-    }
-
-    /// Number of pages physically shared (same allocation) with `other`.
-    ///
-    /// This is the observable form of the copy-on-write guarantee that
-    /// makes snapshot publication cheap: cloning a `SparseMem` shares
-    /// every resident page, and a store after the clone unshares only the
-    /// page it touches — so publishing a fresh snapshot per commit costs
-    /// O(pages written since the last snapshot), not O(total state).
-    #[must_use]
-    pub fn shared_pages_with(&self, other: &SparseMem) -> usize {
-        self.stripes
-            .iter()
-            .zip(other.stripes.iter())
-            .map(|(a, b)| {
-                a.pages
-                    .iter()
-                    .filter(|(k, p)| b.pages.get(k).is_some_and(|q| Arc::ptr_eq(p, q)))
-                    .count()
-            })
-            .sum()
     }
 
     /// Iterates over all words ever written (including those re-written to
@@ -250,73 +193,103 @@ impl SparseMem {
 mod tests {
     use super::*;
 
+    /// The byte at byte address `addr`.
+    fn read_byte(m: &SparseMem, addr: u64) -> u8 {
+        (m.load(addr >> 3) >> ((addr & 7) * 8)) as u8
+    }
+
+    /// Number of resident (allocated) pages.
+    fn resident_pages(m: &SparseMem) -> usize {
+        m.stripes.iter().map(|s| s.pages.len()).sum()
+    }
+
+    /// Number of pages `a` and `b` share physically (the same allocation):
+    /// the observable form of the copy-on-write guarantee that makes
+    /// snapshot publication cheap. Cloning shares every resident page, and
+    /// a store after the clone unshares only the page it touches, so
+    /// publishing a snapshot per commit costs O(pages written since the
+    /// last snapshot), not O(total state).
+    fn shared_pages(a: &SparseMem, b: &SparseMem) -> usize {
+        a.stripes
+            .iter()
+            .zip(&b.stripes)
+            .map(|(a, b)| {
+                a.pages
+                    .iter()
+                    .filter(|(k, p)| b.pages.get(k).is_some_and(|q| Arc::ptr_eq(p, q)))
+                    .count()
+            })
+            .sum()
+    }
+
     #[test]
     fn zero_fill_semantics() {
-        let m = SparseMem::new();
+        let m = SparseMem::default();
         assert_eq!(m.load(0), 0);
         assert_eq!(m.load(u64::MAX / 8), 0);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(resident_pages(&m), 0);
     }
 
     #[test]
     fn store_load_round_trip_across_pages() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         for i in 0..2000u64 {
             m.store(i * 37, i);
         }
         for i in 0..2000u64 {
             assert_eq!(m.load(i * 37), i);
         }
-        assert!(m.resident_pages() > 1);
+        assert!(resident_pages(&m) > 1);
     }
 
     #[test]
     fn write_image_is_little_endian() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         m.write_image(0x100, &[0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88]);
         assert_eq!(m.load(0x100 >> 3), 0x8877_6655_4433_2211);
     }
 
     #[test]
     fn write_image_handles_unaligned_base() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         m.store(0x20, u64::MAX);
         m.write_image(0x103, &[0xAB]);
-        assert_eq!(m.read_byte(0x103), 0xAB);
+        assert_eq!(read_byte(&m, 0x103), 0xAB);
         // Neighbouring bytes of the pre-existing word are preserved.
-        assert_eq!(m.read_byte(0x102), 0xFF);
-        assert_eq!(m.read_byte(0x104), 0xFF);
+        assert_eq!(read_byte(&m, 0x102), 0xFF);
+        assert_eq!(read_byte(&m, 0x104), 0xFF);
     }
 
     #[test]
     fn clone_shares_every_page() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         for i in 0..10u64 {
             m.store(i * PAGE_WORDS, i + 1);
         }
         let snap = m.clone();
-        assert_eq!(snap.shared_pages_with(&m), m.resident_pages());
+        assert_eq!(shared_pages(&snap, &m), resident_pages(&m));
     }
 
     #[test]
     fn store_after_clone_unshares_only_the_touched_page() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         for i in 0..10u64 {
             m.store(i * PAGE_WORDS, i + 1);
         }
         let snap = m.clone();
         m.store(3 * PAGE_WORDS + 5, 99);
         // Exactly one page diverged; the snapshot still reads old data.
-        assert_eq!(snap.shared_pages_with(&m), m.resident_pages() - 1);
+        assert_eq!(shared_pages(&snap, &m), resident_pages(&m) - 1);
         assert_eq!(snap.load(3 * PAGE_WORDS + 5), 0);
         assert_eq!(m.load(3 * PAGE_WORDS + 5), 99);
     }
 
     #[test]
-    fn read_bytes_spans_words() {
-        let mut m = SparseMem::new();
+    fn write_image_spans_words() {
+        let mut m = SparseMem::default();
         m.write_image(0, b"abcdefghij");
-        assert_eq!(m.read_bytes(2, 6), b"cdefgh");
+        let bytes: Vec<u8> = (2..8).map(|a| read_byte(&m, a)).collect();
+        assert_eq!(bytes, b"cdefgh");
     }
 
     #[test]
@@ -325,7 +298,7 @@ mod tests {
         assert_eq!(std::mem::align_of::<Stripe>(), 64);
         // The Arc payload itself lands on a line boundary, which forces
         // the refcount header onto the preceding (separate) line.
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         m.store(0, 1);
         let page = m.stripes[0].pages.get(&0).unwrap();
         assert_eq!(Arc::as_ptr(page) as usize % 64, 0);
@@ -345,7 +318,7 @@ mod tests {
             u64::MAX / PAGE_WORDS - STRIPES as u64,
         ]);
         mssp_testkit::check(0x5AA5_E001, 20, |rng| {
-            let mut mem = SparseMem::new();
+            let mut mem = SparseMem::default();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             // An older clone, what it held, and the pages stored to since.
             let mut snapshot: Option<(SparseMem, BTreeMap<u64, u64>)> = None;
@@ -368,22 +341,22 @@ mod tests {
                     _ => {
                         let clone = mem.clone();
                         assert_eq!(clone, mem);
-                        assert_eq!(clone.shared_pages_with(&mem), mem.resident_pages());
+                        assert_eq!(shared_pages(&clone, &mem), resident_pages(&mem));
                         snapshot = Some((clone, model.clone()));
                         dirtied.clear();
                     }
                 }
                 let resident: BTreeSet<u64> = model.keys().map(|w| w / PAGE_WORDS).collect();
-                assert_eq!(mem.resident_pages(), resident.len());
+                assert_eq!(resident_pages(&mem), resident.len());
                 if let Some((old, old_model)) = &snapshot {
                     // Copy-on-write: the clone reads what it read when it
                     // was taken and still shares every page not stored to.
                     let w = arb_word(rng);
                     assert_eq!(old.load(w), old_model.get(&w).copied().unwrap_or(0));
                     let held = |page: &&u64| old_model.keys().any(|w| w / PAGE_WORDS == **page);
-                    let untouched = old.resident_pages() - dirtied.iter().filter(held).count();
-                    assert_eq!(old.shared_pages_with(&mem), untouched);
-                    assert_eq!(mem.shared_pages_with(old), untouched);
+                    let untouched = resident_pages(old) - dirtied.iter().filter(held).count();
+                    assert_eq!(shared_pages(old, &mem), untouched);
+                    assert_eq!(shared_pages(&mem, old), untouched);
                 }
             }
             let mut words: Vec<(u64, u64)> = mem.iter_words().filter(|&(_, v)| v != 0).collect();
@@ -395,7 +368,7 @@ mod tests {
 
     #[test]
     fn striping_spreads_consecutive_pages() {
-        let mut m = SparseMem::new();
+        let mut m = SparseMem::default();
         for p in 0..STRIPES as u64 {
             m.store(p * PAGE_WORDS, 1);
         }

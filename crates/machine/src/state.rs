@@ -161,13 +161,6 @@ impl MachineState {
             self.write_cell(cell, (old & !em) | binding.value);
         }
     }
-
-    /// Captures the current values of the cells bound in `cells` — the
-    /// projection of this state onto a cell set.
-    #[must_use]
-    pub fn project(&self, cells: impl IntoIterator<Item = Cell>) -> Delta {
-        cells.into_iter().map(|c| (c, self.read_cell(c))).collect()
-    }
 }
 
 /// The storage interface the interpreter executes against.
@@ -295,7 +288,7 @@ pub struct Recording<'a, S> {
 
 impl<'a, S: Storage> Recording<'a, S> {
     /// Wraps `inner`, starting with an empty write set.
-    pub fn new(inner: &'a mut S) -> Recording<'a, S> {
+    pub(crate) fn new(inner: &'a mut S) -> Recording<'a, S> {
         Recording {
             inner,
             writes: Delta::new(),
@@ -304,14 +297,8 @@ impl<'a, S: Storage> Recording<'a, S> {
 
     /// The writes recorded so far (the cumulative `Δ`).
     #[must_use]
-    pub fn writes(&self) -> &Delta {
+    pub(crate) fn writes(&self) -> &Delta {
         &self.writes
-    }
-
-    /// Consumes the adaptor, returning the recorded writes.
-    #[must_use]
-    pub fn into_writes(self) -> Delta {
-        self.writes
     }
 }
 
@@ -397,20 +384,9 @@ mod tests {
         rec.store_word(4, 9);
         rec.write_reg(Reg::A0, 3);
         rec.write_reg(Reg::ZERO, 8); // discarded
-        let w = rec.into_writes();
+        let w = rec.writes;
         assert_eq!(w.len(), 2);
         assert_eq!(w.get(Cell::Mem(4)), Some(9));
         assert_eq!(w.get(Cell::Reg(Reg::A0)), Some(3));
-    }
-
-    #[test]
-    fn project_extracts_named_cells() {
-        let mut s = MachineState::new();
-        s.set_reg(Reg::A0, 1);
-        s.store_word(2, 7);
-        let d = s.project([Cell::Reg(Reg::A0), Cell::Mem(2), Cell::Mem(3)]);
-        assert_eq!(d.get(Cell::Reg(Reg::A0)), Some(1));
-        assert_eq!(d.get(Cell::Mem(2)), Some(7));
-        assert_eq!(d.get(Cell::Mem(3)), Some(0));
     }
 }

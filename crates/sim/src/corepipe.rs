@@ -208,12 +208,6 @@ impl CorePipe {
         self.l1d.invalidate_all();
     }
 
-    /// Indirect-target prediction counts `(correct, incorrect)`.
-    #[must_use]
-    pub fn btb_stats(&self) -> (u64, u64) {
-        self.btb.stats()
-    }
-
     /// Aggregated counters (cache/branch stats are snapshots of the
     /// underlying structures).
     #[must_use]

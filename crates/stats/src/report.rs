@@ -51,18 +51,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table. The first column is left-aligned, the rest
     /// right-aligned (the conventional benchmark-table layout).
     #[must_use]

@@ -85,8 +85,8 @@ pub fn geomean(values: &[f64]) -> f64 {
 /// for v in [1.0, 2.5, 7.0, 11.0] {
 ///     h.add(v);
 /// }
-/// assert_eq!(h.count(), 4);
 /// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.iter_bins().map(|(_, _, n)| n).sum::<u64>(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -126,18 +126,6 @@ impl Histogram {
             let idx = ((v - self.lo) / (self.hi - self.lo) * n as f64) as usize;
             self.bins[idx.min(n - 1)] += 1;
         }
-    }
-
-    /// Total samples (including out-of-range).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Samples below range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     /// Samples at or above range.
@@ -198,7 +186,7 @@ mod tests {
         for (_, _, c) in h.iter_bins() {
             assert_eq!(c, 10);
         }
-        assert_eq!(h.underflow(), 0);
+        assert_eq!(h.underflow, 0);
         assert_eq!(h.overflow(), 0);
     }
 
@@ -212,7 +200,7 @@ mod tests {
         let bins: Vec<u64> = h.iter_bins().map(|(_, _, c)| c).collect();
         assert_eq!(bins, vec![1, 1]);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
     }
 }
 

@@ -80,19 +80,13 @@ impl Rng {
         assert!(!items.is_empty(), "choose: empty slice");
         &items[self.gen_index(0, items.len())]
     }
-
-    /// Derives an independent generator (for splitting one seed across
-    /// sub-tasks without correlating their streams).
-    pub fn fork(&mut self) -> Self {
-        Self::new(self.next_u64())
-    }
 }
 
 /// Runs `body` for `cases` seeded cases derived from `base_seed`.
 ///
 /// Each case gets its own [`Rng`] whose seed is printed on panic, so a
-/// failure message like `seed 0xDEAD...` can be replayed with
-/// `check_one(0xDEAD..., body)`.
+/// failure message like `seed 0xDEAD...` can be replayed by running `body`
+/// on `Rng::new(0xDEAD...)`.
 pub fn check<F: FnMut(&mut Rng)>(base_seed: u64, cases: u32, mut body: F) {
     let mut root = Rng::new(base_seed);
     for case in 0..cases {
@@ -104,12 +98,6 @@ pub fn check<F: FnMut(&mut Rng)>(base_seed: u64, cases: u32, mut body: F) {
             std::panic::resume_unwind(payload);
         }
     }
-}
-
-/// Runs `body` once with the given seed — the replay half of [`check`].
-pub fn check_one<F: FnMut(&mut Rng)>(seed: u64, mut body: F) {
-    let mut rng = Rng::new(seed);
-    body(&mut rng);
 }
 
 #[cfg(test)]
@@ -142,14 +130,6 @@ mod tests {
             seen[rng.gen_index(0, 5)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut a = Rng::new(3);
-        let mut b = a.fork();
-        // Different states ⇒ different next values (overwhelmingly).
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

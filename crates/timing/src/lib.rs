@@ -129,7 +129,7 @@ impl CmpCost {
 
     /// Per-core statistics: `(master, slaves)`.
     #[must_use]
-    pub fn core_stats(&self) -> (CoreStats, Vec<CoreStats>) {
+    pub(crate) fn core_stats(&self) -> (CoreStats, Vec<CoreStats>) {
         (
             self.master.stats(),
             self.slaves.iter().map(CorePipe::stats).collect(),

@@ -7,8 +7,10 @@
 //! mssp run <file.s|workload> [scale] [--stats] [--no-predictor] [--adaptive]
 //!                                        sequential execution
 //!                                        (--stats: also run the threaded
-//!                                        executor and report the O(delta)
-//!                                        verify/commit counters, the
+//!                                        executor and report its task
+//!                                        counts, how many full snapshots
+//!                                        and incremental deltas it
+//!                                        published to workers, the
 //!                                        per-cause squash histogram and
 //!                                        the live-in predictor counters;
 //!                                        --no-predictor: disable live-in

@@ -92,13 +92,11 @@ fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
     Schedule { counters, swaps }
 }
 
-/// Forced swaps only — windows are effectively disabled so the
+/// Forced swaps only — a schedule replaces the divergence detector, so the
 /// controller cannot trigger on its own and perturb the schedule.
 fn forced_config() -> AdaptiveConfig {
     AdaptiveConfig {
-        window_tasks: u64::MAX,
         force_swap_at: vec![(6, Tier::Fast), (14, Tier::Full)],
-        ..AdaptiveConfig::default()
     }
 }
 
