@@ -7,7 +7,7 @@
 use mssp_bench::{prepare, print_header};
 use mssp_distill::DistillConfig;
 use mssp_stats::Table;
-use mssp_timing::{run_baseline, run_mssp_with_engine_config, speedup, TimingConfig};
+use mssp_timing::{run_baseline, run_mssp, speedup, TimingConfig};
 use mssp_workloads::workloads;
 
 fn main() {
@@ -25,9 +25,9 @@ fn main() {
         let base = run_baseline(&program, &tcfg, u64::MAX).expect("baseline");
         let mut row = vec![w.name.to_string()];
         for word_granular in [false, true] {
-            let mut ecfg = tcfg.engine;
-            ecfg.word_granular_live_ins = word_granular;
-            let run = run_mssp_with_engine_config(&program, &d, &tcfg, ecfg).expect("runs");
+            let mut cfg = tcfg;
+            cfg.engine.word_granular_live_ins = word_granular;
+            let run = run_mssp(&program, &d, &cfg).expect("runs");
             let s = &run.run.stats;
             row.push(format!(
                 "{:.3} ({:.1})",

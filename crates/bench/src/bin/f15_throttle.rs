@@ -9,7 +9,7 @@
 use mssp_bench::{prepare, print_header};
 use mssp_distill::DistillConfig;
 use mssp_stats::Table;
-use mssp_timing::{run_baseline, run_mssp_with_engine_config, speedup, TimingConfig};
+use mssp_timing::{run_baseline, run_mssp, speedup, TimingConfig};
 use mssp_workloads::workloads;
 
 fn main() {
@@ -37,15 +37,13 @@ fn main() {
         let (good_d, _) = prepare(&program, &DistillConfig::default());
         let (bad_d, _) = prepare(&program, &bad_dcfg);
 
-        let good =
-            run_mssp_with_engine_config(&program, &good_d, &tcfg, tcfg.engine).expect("runs");
-        let bad = run_mssp_with_engine_config(&program, &bad_d, &tcfg, tcfg.engine).expect("runs");
-        let mut throttled_cfg = tcfg.engine;
-        throttled_cfg.throttle_threshold = 4;
-        throttled_cfg.throttle_window = 64;
-        throttled_cfg.throttle_duration = 32;
-        let saved =
-            run_mssp_with_engine_config(&program, &bad_d, &tcfg, throttled_cfg).expect("runs");
+        let good = run_mssp(&program, &good_d, &tcfg).expect("runs");
+        let bad = run_mssp(&program, &bad_d, &tcfg).expect("runs");
+        let mut throttled_cfg = tcfg;
+        throttled_cfg.engine.throttle_threshold = 4;
+        throttled_cfg.engine.throttle_window = 64;
+        throttled_cfg.engine.throttle_duration = 32;
+        let saved = run_mssp(&program, &bad_d, &throttled_cfg).expect("runs");
         table.row(vec![
             w.name.to_string(),
             format!("{:.3}", speedup(base.cycles, good.run.cycles)),

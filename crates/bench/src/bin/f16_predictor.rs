@@ -16,7 +16,7 @@ use mssp_bench::{apply_slice_feedback, harness_scale, prepare, print_header, squ
 use mssp_core::EngineConfig;
 use mssp_distill::{distill, DistillConfig};
 use mssp_stats::Table;
-use mssp_timing::{run_mssp_with_engine_setup, TimingConfig};
+use mssp_timing::{run_mssp, run_mssp_with_setup, TimingConfig};
 
 const TARGETS: [&str; 4] = ["mcf_like", "vpr_like", "gcc_like", "twolf_like"];
 
@@ -43,25 +43,26 @@ fn main() {
         let program = w.program(harness_scale(w, 1));
         let (distilled, mut profile) = prepare(&program, &dcfg);
 
-        let off_engine = EngineConfig {
-            enable_predictor: false,
-            ..tcfg.engine
+        let off_cfg = TimingConfig {
+            engine: EngineConfig {
+                enable_predictor: false,
+                ..tcfg.engine
+            },
+            ..tcfg
         };
-        let off = run_mssp_with_engine_setup(&program, &distilled, &tcfg, off_engine, |e| {
+        let off = run_mssp_with_setup(&program, &distilled, &off_cfg, |e| {
             e.enable_squash_samples(512);
         })
         .expect("off run");
 
-        let pred = run_mssp_with_engine_setup(&program, &distilled, &tcfg, tcfg.engine, |_| {})
-            .expect("pred run");
+        let pred = run_mssp(&program, &distilled, &tcfg).expect("pred run");
 
         apply_slice_feedback(
             &mut profile,
             off.run.squash_samples.as_deref().unwrap_or(&[]),
         );
         let sliced = distill(&program, &profile, &dcfg).expect("redistill");
-        let full = run_mssp_with_engine_setup(&program, &sliced, &tcfg, tcfg.engine, |_| {})
-            .expect("full run");
+        let full = run_mssp(&program, &sliced, &tcfg).expect("full run");
 
         assert_eq!(
             off.run.state.reg(mssp_workloads::CHECKSUM_REG),

@@ -26,8 +26,7 @@ use mssp_lint::{redistill_validated, LintConfig};
 use mssp_machine::Cell;
 use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
-    run_baseline, run_mssp, run_mssp_with_engine_setup, speedup, BaselineRun, TimingConfig,
-    TimingRun,
+    run_baseline, run_mssp, run_mssp_with_setup, speedup, BaselineRun, TimingConfig, TimingRun,
 };
 use mssp_workloads::{Workload, CHECKSUM_REG, TRAIN_SEED};
 
@@ -208,15 +207,17 @@ pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
             // Attack-off baseline: feedback-free distillation (no
             // slices), predictor disabled, squash samples recorded.
             let (distilled_off, mut profile) = prepare(&program, &default_cfg);
-            let off_engine = EngineConfig {
-                enable_predictor: false,
-                ..tcfg.engine
+            let off_cfg = TimingConfig {
+                engine: EngineConfig {
+                    enable_predictor: false,
+                    ..tcfg.engine
+                },
+                ..tcfg
             };
-            let off =
-                run_mssp_with_engine_setup(&program, &distilled_off, &tcfg, off_engine, |e| {
-                    e.enable_squash_samples(512);
-                })
-                .expect("baseline mssp run");
+            let off = run_mssp_with_setup(&program, &distilled_off, &off_cfg, |e| {
+                e.enable_squash_samples(512);
+            })
+            .expect("baseline mssp run");
             let squash_per_1k_tasks_baseline = squash_per_1k_tasks(&off.run.stats);
             // Thread the observed squashes back as slice feedback and
             // re-distill: this is where spawn guards and live-in slices
@@ -489,11 +490,10 @@ pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
             let controller =
                 AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
             let recompiler = validated_recompiler(&reference, &distilled);
-            let adaptive =
-                run_mssp_with_engine_setup(&reference, &distilled, &tcfg, tcfg.engine, move |e| {
-                    e.enable_adaptive(controller, recompiler);
-                })
-                .expect("adaptive mssp run");
+            let adaptive = run_mssp_with_setup(&reference, &distilled, &tcfg, move |e| {
+                e.enable_adaptive(controller, recompiler);
+            })
+            .expect("adaptive mssp run");
             assert_eq!(
                 baseline.state.reg(CHECKSUM_REG),
                 adaptive.run.state.reg(CHECKSUM_REG),
@@ -556,11 +556,10 @@ pub fn collect_stationary_records() -> Vec<StationaryRecord> {
             let controller =
                 AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
             let recompiler = validated_recompiler(&program, &distilled);
-            let run =
-                run_mssp_with_engine_setup(&program, &distilled, &tcfg, tcfg.engine, move |e| {
-                    e.enable_adaptive(controller, recompiler);
-                })
-                .expect("stationary adaptive run");
+            let run = run_mssp_with_setup(&program, &distilled, &tcfg, move |e| {
+                e.enable_adaptive(controller, recompiler);
+            })
+            .expect("stationary adaptive run");
             let report = run
                 .run
                 .adaptive

@@ -9,8 +9,8 @@
 //! next (recorded as a [`Decision`] so schedules are replayable), and the
 //! granted thread performs its operation under the one global lock, then
 //! keeps running user code until its next shim call. Threads that must wait
-//! (park, contended mutex, condvar, join) mark themselves blocked and hand
-//! the baton on; wakers flip them back to ready.
+//! (park, join) mark themselves blocked and hand the baton on; wakers flip
+//! them back to ready.
 //!
 //! ## How weak memory is modeled
 //!
@@ -103,8 +103,6 @@ pub(crate) struct ExecShared {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BlockedOn {
     Park,
-    Mutex(u32),
-    Condvar(u32),
     Join(usize),
 }
 
@@ -112,8 +110,6 @@ impl BlockedOn {
     fn describe(self) -> &'static str {
         match self {
             BlockedOn::Park => "parked",
-            BlockedOn::Mutex(_) => "waiting for a mutex",
-            BlockedOn::Condvar(_) => "waiting on a condvar",
             BlockedOn::Join(_) => "joining a thread",
         }
     }
@@ -187,40 +183,14 @@ struct CellLoc {
     reads: VClock,
 }
 
-struct MutexLoc {
-    owner: Option<usize>,
-    /// Release clock transferred lock-to-lock.
-    clock: VClock,
-}
-
-struct CvLoc {
-    waiters: VecDeque<usize>,
-}
-
 enum Loc {
     Atomic(AtomicLoc),
     Cell(CellLoc),
-    Mutex(MutexLoc),
-    Cv(CvLoc),
 }
 
 struct LeakEntry {
     label: &'static str,
     freed: bool,
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn pick(&mut self, bound: u32) -> u32 {
-        // xorshift64*; plenty for schedule sampling.
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % bound
-    }
 }
 
 const OP_LOG_CAP: usize = 48;
@@ -232,11 +202,6 @@ pub(crate) struct Exec {
     pub gen: u32,
     max_steps: usize,
     store_history: usize,
-    preemption_bound: usize,
-    stale_read_bound: usize,
-    rng: Option<Rng>,
-    preemptions_used: usize,
-    stale_reads_used: usize,
 
     threads: Vec<ThreadSt>,
     active: usize,
@@ -267,11 +232,7 @@ impl ExecShared {
     /// Create an execution primed with `prefix` and a registered main
     /// thread (tid 0) already granted (it starts as soon as its OS thread
     /// checks in).
-    pub(crate) fn new(
-        cfg: &Config,
-        prefix: Vec<Decision>,
-        rng_seed: Option<u64>,
-    ) -> Arc<ExecShared> {
+    pub(crate) fn new(cfg: &Config, prefix: Vec<Decision>) -> Arc<ExecShared> {
         install_quiet_hook();
         let gen = NEXT_GEN.fetch_add(1, StdOrdering::Relaxed);
         let cv = Arc::new(Condvar::new());
@@ -282,11 +243,6 @@ impl ExecShared {
                 gen,
                 max_steps: cfg.max_steps,
                 store_history: cfg.store_history.max(1),
-                preemption_bound: cfg.preemption_bound,
-                stale_read_bound: cfg.stale_read_bound,
-                rng: rng_seed.map(Rng),
-                preemptions_used: 0,
-                stale_reads_used: 0,
                 threads: vec![main],
                 active: 0,
                 locs: Vec::new(),
@@ -335,35 +291,11 @@ impl Exec {
             } else {
                 p.chosen
             }
-        } else if let Some(rng) = &mut self.rng {
-            // Random sampling mode: pick freely but respect the bounds so
-            // sampled schedules stay comparable to the exhaustive set.
-            let bounded = match kind {
-                DecisionKind::Schedule {
-                    current_runnable: true,
-                } => self.preemptions_used >= self.preemption_bound,
-                DecisionKind::Schedule {
-                    current_runnable: false,
-                } => false,
-                DecisionKind::Value => self.stale_reads_used >= self.stale_read_bound,
-            };
-            if bounded {
-                0
-            } else {
-                rng.pick(options)
-            }
         } else {
             // DFS extension past the prefix: always take option 0 (run the
             // current thread / read the newest store).
             0
         };
-        match kind {
-            DecisionKind::Schedule {
-                current_runnable: true,
-            } if chosen > 0 => self.preemptions_used += 1,
-            DecisionKind::Value if chosen > 0 => self.stale_reads_used += 1,
-            _ => {}
-        }
         self.decisions.push(Decision {
             chosen,
             options,
@@ -555,41 +487,10 @@ impl Exec {
         id
     }
 
-    pub(crate) fn register_mutex(&mut self) -> u32 {
-        let id = self.locs.len() as u32;
-        self.locs.push(Loc::Mutex(MutexLoc {
-            owner: None,
-            clock: VClock::default(),
-        }));
-        id
-    }
-
-    pub(crate) fn register_cv(&mut self) -> u32 {
-        let id = self.locs.len() as u32;
-        self.locs.push(Loc::Cv(CvLoc {
-            waiters: VecDeque::new(),
-        }));
-        id
-    }
-
     fn atomic(&mut self, loc: u32) -> &mut AtomicLoc {
         match &mut self.locs[loc as usize] {
             Loc::Atomic(a) => a,
             _ => unreachable!("location {loc} is not an atomic"),
-        }
-    }
-
-    fn mutex(&mut self, loc: u32) -> &mut MutexLoc {
-        match &mut self.locs[loc as usize] {
-            Loc::Mutex(m) => m,
-            _ => unreachable!("location {loc} is not a mutex"),
-        }
-    }
-
-    fn cvloc(&mut self, loc: u32) -> &mut CvLoc {
-        match &mut self.locs[loc as usize] {
-            Loc::Cv(c) => c,
-            _ => unreachable!("location {loc} is not a condvar"),
         }
     }
 
@@ -856,54 +757,6 @@ impl Exec {
         }
     }
 
-    // ---- mutex / condvar -------------------------------------------------
-
-    /// Try to take the mutex; true on success (acquires the lock's clock).
-    pub(crate) fn mutex_try_lock(&mut self, tid: usize, loc: u32) -> bool {
-        let m = self.mutex(loc);
-        if m.owner.is_none() {
-            m.owner = Some(tid);
-            let c = m.clock.clone();
-            self.threads[tid].clock.join(&c);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Release the mutex and wake every waiter (they re-contend; the
-    /// scheduler enumerates who wins).
-    pub(crate) fn mutex_unlock(&mut self, tid: usize, loc: u32) {
-        let c = self.threads[tid].clock.clone();
-        let m = self.mutex(loc);
-        debug_assert_eq!(m.owner, Some(tid), "unlock of a mutex not held");
-        m.owner = None;
-        m.clock.join(&c);
-        for t in 0..self.threads.len() {
-            if self.threads[t].status == Status::Blocked(BlockedOn::Mutex(loc)) {
-                self.threads[t].status = Status::Ready;
-                self.threads[t].pending = Some("lock-retry");
-            }
-        }
-    }
-
-    /// Enqueue the caller on the condvar (must be called with the paired
-    /// mutex already released by `mutex_unlock`).
-    pub(crate) fn cv_enqueue(&mut self, tid: usize, loc: u32) {
-        self.cvloc(loc).waiters.push_back(tid);
-    }
-
-    /// Wake one waiter. No happens-before edge here: real condvars
-    /// synchronize through their mutex, and so does the model.
-    pub(crate) fn cv_notify(&mut self, loc: u32) {
-        if let Some(w) = self.cvloc(loc).waiters.pop_front() {
-            if self.threads[w].status == Status::Blocked(BlockedOn::Condvar(loc)) {
-                self.threads[w].status = Status::Ready;
-                self.threads[w].pending = Some("condvar-wake");
-            }
-        }
-    }
-
     // ---- leak accounting -------------------------------------------------
 
     /// Register a tracked allocation; returns its id.
@@ -1012,24 +865,6 @@ impl<'a> OpCtx<'a> {
         g.steps += 1;
         g.threads[tid].clock.bump(tid);
         self.guard = Some(g);
-    }
-
-    /// Blocking mutex acquire, built from try-lock + block.
-    pub(crate) fn mutex_lock(&mut self, loc: u32) {
-        let tid = self.tid;
-        while !self.ex().mutex_try_lock(tid, loc) {
-            self.block(BlockedOn::Mutex(loc));
-        }
-    }
-
-    /// Full condvar wait: atomically release the mutex and enqueue, block
-    /// until notified, then re-acquire the mutex.
-    pub(crate) fn cv_wait(&mut self, cv: u32, mutex: u32) {
-        let tid = self.tid;
-        self.ex().mutex_unlock(tid, mutex);
-        self.ex().cv_enqueue(tid, cv);
-        self.block(BlockedOn::Condvar(cv));
-        self.mutex_lock(mutex);
     }
 
     /// Park until the token is available (models `std::thread::park`; no

@@ -1,6 +1,5 @@
 //! The exploration driver: runs a harness closure under every schedule the
-//! bounds allow (iterative-deepening DFS over recorded decisions), or under
-//! randomly sampled schedules for harnesses too big to exhaust.
+//! bounds allow (iterative-deepening DFS over recorded decisions).
 //!
 //! DFS works by *prefix replay*: each execution replays a prefix of
 //! decisions, then extends with defaults (option 0 everywhere: run the
@@ -16,21 +15,6 @@ use std::time::Duration;
 
 use crate::exec::{run_model_thread, ExecShared};
 use crate::trace::{Decision, DecisionKind, Failure, FailureKind, Trace};
-
-/// How the explorer searches the schedule space.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Bounded-exhaustive DFS: every schedule within the preemption and
-    /// stale-read bounds (up to `max_schedules`).
-    Exhaustive,
-    /// Random sampling for harnesses whose bounded space is still too big.
-    Random {
-        /// Number of schedules to sample.
-        iterations: u64,
-        /// Base seed; each iteration derives its own stream from it.
-        seed: u64,
-    },
-}
 
 /// Exploration bounds and knobs.
 #[derive(Clone, Debug)]
@@ -48,8 +32,6 @@ pub struct Config {
     pub max_steps: usize,
     /// Total schedule budget (overridable via `MSSP_CHECK_MAX_SCHEDULES`).
     pub max_schedules: u64,
-    /// Search strategy.
-    pub mode: Mode,
     /// Where `check` writes failing traces (`MSSP_CHECK_TRACE_DIR`), for CI
     /// artifact upload.
     pub trace_dir: Option<std::path::PathBuf>,
@@ -68,7 +50,6 @@ impl Default for Config {
             store_history: 3,
             max_steps: 5_000,
             max_schedules,
-            mode: Mode::Exhaustive,
             trace_dir,
         }
     }
@@ -80,7 +61,7 @@ pub struct Report {
     /// Executions run.
     pub schedules: u64,
     /// True when the bounded space was fully explored (no budget stop, no
-    /// pruned executions, not random mode).
+    /// pruned executions).
     pub complete: bool,
     /// Executions abandoned for exceeding `max_steps`.
     pub pruned: u64,
@@ -130,15 +111,9 @@ struct ExecOutcome {
     pruned: bool,
 }
 
-/// Run one execution with the given decision prefix (DFS) or rng seed
-/// (random mode).
-fn run_one(
-    cfg: &Config,
-    prefix: Vec<Decision>,
-    seed: Option<u64>,
-    f: Arc<dyn Fn() + Send + Sync>,
-) -> ExecOutcome {
-    let shared = ExecShared::new(cfg, prefix, seed);
+/// Run one execution with the given decision prefix.
+fn run_one(cfg: &Config, prefix: Vec<Decision>, f: Arc<dyn Fn() + Send + Sync>) -> ExecOutcome {
+    let shared = ExecShared::new(cfg, prefix);
     let shared2 = Arc::clone(&shared);
     let slot: Arc<Mutex<Option<std::thread::Result<()>>>> = Arc::new(Mutex::new(None));
     let slot2 = Arc::clone(&slot);
@@ -276,48 +251,26 @@ pub fn check(name: &str, cfg: &Config, f: impl Fn() + Send + Sync + 'static) -> 
     let mut complete = true;
     let mut failure = None;
 
-    match &cfg.mode {
-        Mode::Exhaustive => {
-            let mut prefix = Vec::new();
-            loop {
-                let out = run_one(cfg, prefix.clone(), None, Arc::clone(&f));
-                schedules += 1;
-                if out.pruned {
-                    pruned += 1;
-                    complete = false;
-                }
-                if out.outcome.is_some() {
-                    complete = false;
-                    failure = out.outcome;
-                    break;
-                }
-                match next_prefix(&out.decisions, cfg) {
-                    Some(p) => prefix = p,
-                    None => break,
-                }
-                if schedules >= cfg.max_schedules {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        Mode::Random { iterations, seed } => {
+    let mut prefix = Vec::new();
+    loop {
+        let out = run_one(cfg, prefix.clone(), Arc::clone(&f));
+        schedules += 1;
+        if out.pruned {
+            pruned += 1;
             complete = false;
-            for i in 0..*iterations {
-                let exec_seed = seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let out = run_one(cfg, Vec::new(), Some(exec_seed), Arc::clone(&f));
-                schedules += 1;
-                if out.pruned {
-                    pruned += 1;
-                }
-                if out.outcome.is_some() {
-                    failure = out.outcome;
-                    break;
-                }
-                if schedules >= cfg.max_schedules {
-                    break;
-                }
-            }
+        }
+        if out.outcome.is_some() {
+            complete = false;
+            failure = out.outcome;
+            break;
+        }
+        match next_prefix(&out.decisions, cfg) {
+            Some(p) => prefix = p,
+            None => break,
+        }
+        if schedules >= cfg.max_schedules {
+            complete = false;
+            break;
         }
     }
 
@@ -349,5 +302,5 @@ pub fn replay(
     f: impl Fn() + Send + Sync + 'static,
 ) -> Option<Failure> {
     let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);
-    run_one(cfg, trace.decisions.clone(), None, f).outcome
+    run_one(cfg, trace.decisions.clone(), f).outcome
 }

@@ -11,7 +11,7 @@
 //! one runs at a time, every shim operation is a schedule point, and every
 //! scheduling (and stale-value) choice is recorded. The explorer then
 //! enumerates all schedules within a preemption/stale-read bound
-//! (CHESS-style iterative DFS), or samples randomly for larger harnesses.
+//! (CHESS-style iterative DFS).
 //!
 //! What it detects:
 //!
@@ -19,8 +19,8 @@
 //!   no-loss, no-duplication — whatever the harness asserts),
 //! * **data races** on non-atomic state, via FastTrack-style vector
 //!   clocks on [`shim::cell::UnsafeCell`] accesses,
-//! * **deadlocks / lost wakeups**: every thread blocked (parked, lock,
-//!   condvar, join) with nobody left to wake them,
+//! * **deadlocks / lost wakeups**: every thread blocked (parked or
+//!   joining) with nobody left to wake them,
 //! * **leaks and double frees** of [`leak::Tracked`] payloads — the slot
 //!   recycling failure modes of a ring,
 //! * **stale-value bugs**: relaxed loads may observe a bounded set of
@@ -36,8 +36,8 @@
 //!   slightly *stronger* than C11 (it may hide races that require subtle
 //!   SC/non-SC mixing), but it captures exactly the Dekker/StoreLoad
 //!   guarantee the doorbell's paired `fence(SeqCst)` relies on.
-//! * Spurious wakeups (condvar, weak CAS failures, `park`) are not
-//!   generated; the modeled behavior is a subset of what std allows.
+//! * Spurious wakeups (weak CAS failures, `park`) are not generated; the
+//!   modeled behavior is a subset of what std allows.
 //! * Store histories are bounded (default 3 per location), so arbitrarily
 //!   old values are not observable.
 //!
@@ -54,7 +54,7 @@ pub mod shim;
 mod trace;
 mod vc;
 
-pub use explorer::{check, replay, Config, Mode, Report};
+pub use explorer::{check, replay, Config, Report};
 pub use trace::{Decision, DecisionKind, Failure, FailureKind, Trace};
 
 /// Convenience re-export: model-aware `thread::{spawn, yield_now, ...}`

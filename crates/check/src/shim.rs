@@ -82,15 +82,6 @@ pub mod atomic {
         }
     }
 
-    impl Prim for u64 {
-        fn to_u64(self) -> u64 {
-            self
-        }
-        fn from_u64(v: u64) -> Self {
-            v
-        }
-    }
-
     impl Prim for bool {
         fn to_u64(self) -> u64 {
             self as u64
@@ -229,12 +220,6 @@ pub mod atomic {
         usize
     );
     shim_atomic!(
-        /// Model-aware `AtomicU64`.
-        AtomicU64,
-        std::sync::atomic::AtomicU64,
-        u64
-    );
-    shim_atomic!(
         /// Model-aware `AtomicBool`.
         AtomicBool,
         std::sync::atomic::AtomicBool,
@@ -286,7 +271,6 @@ pub mod atomic {
     }
 
     shim_fetch_ops!(AtomicUsize, usize);
-    shim_fetch_ops!(AtomicU64, u64);
 
     /// Memory fence; a schedule point and clock operation in the model.
     pub fn fence(order: Ordering) {
@@ -519,176 +503,5 @@ pub mod thread {
         JoinHandle {
             repr: HandleRepr::Model { tid: child, slot },
         }
-    }
-}
-
-/// A mutex that the model checks for deadlocks and uses as a
-/// happens-before edge (mirrors `std::sync::Mutex`).
-pub struct Mutex<T: ?Sized> {
-    model: ModelRef,
-    std: std::sync::Mutex<()>,
-    value: std::cell::UnsafeCell<T>,
-}
-
-// Same bounds as std::sync::Mutex: the lock (model or std) provides the
-// exclusion that makes sharing the UnsafeCell sound.
-unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
-
-/// RAII guard for [`Mutex`]; `inner` is `Some` on the std path.
-pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
-    inner: Option<std::sync::MutexGuard<'a, ()>>,
-}
-
-impl<T> Mutex<T> {
-    /// Create a new mutex.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            model: ModelRef::new(),
-            std: std::sync::Mutex::new(()),
-            value: std::cell::UnsafeCell::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    fn loc(&self, op: &mut OpCtx<'_>) -> u32 {
-        self.model.resolve(op, |ex, _| ex.register_mutex())
-    }
-
-    /// Acquire the mutex (blocking; a model schedule point).
-    pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
-        match with_op("Mutex::lock", |op| {
-            let loc = self.loc(op);
-            op.mutex_lock(loc);
-        }) {
-            Some(()) => Ok(MutexGuard {
-                lock: self,
-                inner: None,
-            }),
-            None => match self.std.lock() {
-                Ok(g) => Ok(MutexGuard {
-                    lock: self,
-                    inner: Some(g),
-                }),
-                Err(p) => Err(std::sync::PoisonError::new(MutexGuard {
-                    lock: self,
-                    inner: Some(p.into_inner()),
-                })),
-            },
-        }
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mutex").finish_non_exhaustive()
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_none() {
-            // Model-held: release in the model. `None` from with_op means
-            // we are unwinding from an abort; the execution is over.
-            let _ = with_op("Mutex::unlock", |op| {
-                let loc = self.lock.loc(op);
-                let tid = op.tid;
-                op.ex().mutex_unlock(tid, loc);
-            });
-        }
-    }
-}
-
-/// A condition variable paired with [`Mutex`] (mirrors
-/// `std::sync::Condvar`; no spurious wakeups in the model).
-pub struct Condvar {
-    model: ModelRef,
-    std: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condvar.
-    pub const fn new() -> Condvar {
-        Condvar {
-            model: ModelRef::new(),
-            std: std::sync::Condvar::new(),
-        }
-    }
-
-    fn loc(&self, op: &mut OpCtx<'_>) -> u32 {
-        self.model.resolve(op, |ex, _| ex.register_cv())
-    }
-
-    /// Release the guard's mutex, wait for a notification, re-acquire.
-    pub fn wait<'a, T: ?Sized>(
-        &self,
-        guard: MutexGuard<'a, T>,
-    ) -> std::sync::LockResult<MutexGuard<'a, T>> {
-        let lock = guard.lock;
-        if guard.inner.is_none() {
-            // Model path: we release/re-acquire through the model, so the
-            // guard's Drop (model unlock) must not run.
-            std::mem::forget(guard);
-            let _ = with_op("Condvar::wait", |op| {
-                let cv = self.loc(op);
-                let mutex = lock.loc(op);
-                op.cv_wait(cv, mutex);
-            });
-            Ok(MutexGuard { lock, inner: None })
-        } else {
-            let mut guard = guard;
-            let inner = guard.inner.take().expect("std guard present");
-            // Drop with `inner == None` would model-unlock; this guard was
-            // std-held, so skip Drop entirely.
-            std::mem::forget(guard);
-            match self.std.wait(inner) {
-                Ok(g) => Ok(MutexGuard {
-                    lock,
-                    inner: Some(g),
-                }),
-                Err(p) => Err(std::sync::PoisonError::new(MutexGuard {
-                    lock,
-                    inner: Some(p.into_inner()),
-                })),
-            }
-        }
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        match with_op("Condvar::notify_one", |op| {
-            let loc = self.loc(op);
-            op.ex().cv_notify(loc);
-        }) {
-            Some(()) => {}
-            None => self.std.notify_one(),
-        }
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
     }
 }

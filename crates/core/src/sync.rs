@@ -18,15 +18,12 @@
 //! (add to the shim in `mssp-check` first, then re-export here).
 
 #[cfg(not(feature = "model-check"))]
-// The seam mirrors the shim's atomic surface even where the transport does
-// not currently use every item (AtomicU64).
-#[allow(unused_imports)]
 mod imp {
     pub use std::thread;
 
     /// Atomic integers, fences, and memory orderings (std's own).
     pub mod atomic {
-        pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        pub use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
     }
 
     /// Interior-mutable cells with the checker's closure-based access API.
@@ -70,7 +67,6 @@ mod imp {
 }
 
 #[cfg(feature = "model-check")]
-#[allow(unused_imports)]
 mod imp {
     pub use mssp_check::shim::thread;
 

@@ -123,7 +123,7 @@ struct PendingInstr {
     operands: Vec<Operand>,
     /// Address of the first emitted instruction.
     pc: u64,
-    /// Number of encoded instructions this item expands to (fixed after
+    /// Number of instructions this item expands to (fixed after
     /// pass 1 so addresses are stable).
     size: u64,
 }
@@ -438,7 +438,7 @@ impl Assembler {
         Some(ops)
     }
 
-    /// Number of encoded instructions a (pseudo-)instruction expands to.
+    /// Number of instructions a (pseudo-)instruction expands to.
     fn instr_size(&mut self, line: usize, mnemonic: &str, ops: &[Operand]) -> Option<u64> {
         Some(match mnemonic {
             "li" => match ops {

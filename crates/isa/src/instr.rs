@@ -5,7 +5,7 @@
 //! simple enough that the sequential reference semantics (the `SEQ` model of
 //! the paper) fit in one small interpreter.
 //!
-//! All instructions are 32 bits wide when encoded (see [`crate::encode`]).
+//! Every instruction occupies [`INSTR_BYTES`] of the address space.
 //! Immediates are 16-bit signed values; branch/jump offsets are in bytes
 //! relative to the *next* instruction's address, exactly like RISC-V's
 //! `pc + 4` convention would be — here we use `pc + 4 + off`.
@@ -14,10 +14,10 @@ use std::fmt;
 
 use crate::Reg;
 
-/// Width of one encoded instruction, in bytes.
+/// The PC stride: the address distance between consecutive instructions.
 pub const INSTR_BYTES: u64 = 4;
 
-/// A decoded MSSP instruction.
+/// An MSSP instruction.
 ///
 /// Field order conventions:
 /// * ALU register ops: `(rd, rs1, rs2)` — `rd = rs1 op rs2`.

@@ -2,7 +2,7 @@
 //!
 //! The instruction-set architecture underlying the MSSP (Master/Slave
 //! Speculative Parallelization) reproduction: a compact 64-bit RISC ISA with
-//! a binary encoding, an assembler, and a disassembler.
+//! an assembler and a disassembler.
 //!
 //! The MICRO 2002 MSSP paper evaluated on Alpha binaries; MSSP itself is
 //! ISA-agnostic (its formal model never fixes an ISA), so this crate defines
@@ -33,13 +33,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod asm;
-mod encode;
 mod instr;
 mod program;
 mod reg;
 mod span;
 
-pub use encode::{decode, encode, DecodeError};
 pub use instr::{Instr, INSTR_BYTES};
 pub use program::{Program, ValidateError, DATA_BASE, HEAP_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{ParseRegError, Reg, NUM_REGS};

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{encode, Instr, INSTR_BYTES};
+use crate::{Instr, INSTR_BYTES};
 
 /// Default base address of the text (code) segment.
 pub const TEXT_BASE: u64 = 0x0001_0000;
@@ -105,34 +105,6 @@ impl Program {
             TEXT_BASE,
             BTreeMap::new(),
         )
-    }
-
-    /// Decodes a binary text image (one 32-bit word per instruction) into
-    /// a program at [`TEXT_BASE`] — the loader counterpart of
-    /// [`Program::encode_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`crate::DecodeError`] if any word is not a valid
-    /// instruction.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mssp_isa::{Program, Instr, Reg};
-    /// let original = Program::from_instrs(vec![
-    ///     Instr::Addi(Reg::A0, Reg::ZERO, 9),
-    ///     Instr::Halt,
-    /// ]);
-    /// let reloaded = Program::from_encoded(&original.encode_text()).unwrap();
-    /// assert_eq!(reloaded.text(), original.text());
-    /// ```
-    pub fn from_encoded(words: &[u32]) -> Result<Program, crate::DecodeError> {
-        let text = words
-            .iter()
-            .map(|&w| crate::decode(w))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Program::from_instrs(text))
     }
 
     /// The instructions of the text segment, in address order.
@@ -250,12 +222,6 @@ impl Program {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.text.is_empty()
-    }
-
-    /// Encodes the text segment to binary words.
-    #[must_use]
-    pub fn encode_text(&self) -> Vec<u32> {
-        self.text.iter().map(|&i| encode(i)).collect()
     }
 
     /// Checks static well-formedness: every direct branch/jump target must

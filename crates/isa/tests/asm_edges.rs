@@ -1,8 +1,8 @@
-//! Assembler edge-case tests: directive abuse, operand forms, error
-//! recovery, and the binary encode/decode loader path.
+//! Assembler edge-case tests: directive abuse, operand forms and error
+//! recovery.
 
 use mssp_isa::asm::{assemble, assemble_at};
-use mssp_isa::{Instr, Program, Reg};
+use mssp_isa::{Instr, Reg};
 
 #[test]
 fn custom_bases_are_respected() {
@@ -133,22 +133,6 @@ fn errors_report_correct_lines() {
 fn shift_amount_bounds() {
     assert!(assemble("main: slli a0, a0, 63\n halt").is_ok());
     assert!(assemble("main: slli a0, a0, 64\n halt").is_err());
-}
-
-#[test]
-fn encode_decode_loader_round_trips_workload_text() {
-    // The binary loader path must reproduce an assembled program exactly.
-    let p = assemble(
-        "main: addi s0, zero, 9
-         loop: mul  s1, s1, s0
-               sb   s1, -1(sp)
-               addi s0, s0, -1
-               bnez s0, loop
-               halt",
-    )
-    .unwrap();
-    let reloaded = Program::from_encoded(&p.encode_text()).unwrap();
-    assert_eq!(reloaded.text(), p.text());
 }
 
 #[test]

@@ -6,23 +6,12 @@
 //! which is one of the secondary reasons the master runs fast — the paper
 //! makes the same observation about distilled code quality.
 
-/// Gshare predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GshareConfig {
-    /// log2 of the pattern-history table size.
-    pub table_bits: u32,
-    /// Global history length in bits (≤ `table_bits`).
-    pub history_bits: u32,
-}
+/// log2 of the reference core's pattern-history table size.
+const TABLE_BITS: u32 = 12;
 
-impl Default for GshareConfig {
-    fn default() -> GshareConfig {
-        GshareConfig {
-            table_bits: 12,
-            history_bits: 12,
-        }
-    }
-}
+/// The reference core's global history length in bits (at most
+/// `TABLE_BITS`).
+const HISTORY_BITS: u32 = 12;
 
 /// Prediction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,28 +26,20 @@ pub struct BranchStats {
 /// table of 2-bit saturating counters.
 #[derive(Debug, Clone)]
 pub struct Gshare {
-    /// `1 << table_bits` counters.
+    /// `1 << TABLE_BITS` counters.
     table: Vec<u8>,
-    /// Global history, kept masked to `history_bits`.
+    /// Global history, kept to its low `HISTORY_BITS` bits.
     history: u64,
-    history_mask: u64,
     stats: BranchStats,
 }
 
 impl Gshare {
     /// Creates a predictor with all counters weakly-not-taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_bits > table_bits` or `table_bits > 24`.
     #[must_use]
-    pub(crate) fn new(config: GshareConfig) -> Gshare {
-        assert!(config.history_bits <= config.table_bits);
-        assert!(config.table_bits <= 24, "table too large");
+    pub(crate) fn new() -> Gshare {
         Gshare {
-            table: vec![1; 1 << config.table_bits],
+            table: vec![1; 1 << TABLE_BITS],
             history: 0,
-            history_mask: (1 << config.history_bits) - 1,
             stats: BranchStats::default(),
         }
     }
@@ -85,7 +66,7 @@ impl Gshare {
         } else {
             self.table[idx] = self.table[idx].saturating_sub(1);
         }
-        self.history = ((self.history << 1) | taken as u64) & self.history_mask;
+        self.history = ((self.history << 1) | taken as u64) & ((1 << HISTORY_BITS) - 1);
         correct
     }
 
@@ -102,7 +83,7 @@ mod tests {
 
     #[test]
     fn learns_a_constant_direction() {
-        let mut bp = Gshare::new(GshareConfig::default());
+        let mut bp = Gshare::new();
         // Train until the global history register saturates (all-taken)
         // and the counters along the way are warm.
         for _ in 0..32 {
@@ -115,7 +96,7 @@ mod tests {
 
     #[test]
     fn learns_an_alternating_pattern_via_history() {
-        let mut bp = Gshare::new(GshareConfig::default());
+        let mut bp = Gshare::new();
         let mut taken = false;
         // Train on a strict alternation; gshare's history disambiguates.
         for _ in 0..64 {
@@ -134,7 +115,7 @@ mod tests {
 
     #[test]
     fn random_like_pattern_mispredicts_substantially() {
-        let mut bp = Gshare::new(GshareConfig::default());
+        let mut bp = Gshare::new();
         // A pseudo-random direction stream (LCG parity) defeats history.
         let mut x: u64 = 12345;
         let mut miss = 0u64;
@@ -152,7 +133,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut bp = Gshare::new(GshareConfig::default());
+        let mut bp = Gshare::new();
         for _ in 0..10 {
             bp.predict_and_update(0x100, true);
         }

@@ -21,64 +21,24 @@
 use mssp_isa::Instr;
 use mssp_machine::StepInfo;
 
-use crate::{BranchStats, Btb, Cache, CacheConfig, CacheStats, Gshare, GshareConfig};
+use crate::{BranchStats, Btb, Cache, CacheConfig, CacheStats, Gshare};
 
-/// Instruction and penalty latencies, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyConfig {
-    /// Simple ALU / branch / store issue latency.
-    pub alu: u64,
-    /// Multiply latency.
-    pub mul: u64,
-    /// Divide/remainder latency.
-    pub div: u64,
-    /// Load-use latency on an L1 hit.
-    pub load_l1: u64,
-    /// Additional penalty for an L1 miss that hits in L2.
-    pub l2_hit: u64,
-    /// Additional penalty for an L2 miss (memory access).
-    pub mem: u64,
-    /// Pipeline refill penalty for a mispredicted branch.
-    pub mispredict: u64,
-}
+// The reference core's instruction and penalty latencies, in cycles.
 
-impl Default for LatencyConfig {
-    fn default() -> LatencyConfig {
-        LatencyConfig {
-            alu: 1,
-            mul: 3,
-            div: 16,
-            load_l1: 2,
-            l2_hit: 10,
-            mem: 80,
-            mispredict: 8,
-        }
-    }
-}
-
-/// Per-core cache/predictor geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreConfig {
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
-    /// L1 data cache.
-    pub l1d: CacheConfig,
-    /// Branch predictor.
-    pub bp: GshareConfig,
-    /// Latencies.
-    pub lat: LatencyConfig,
-}
-
-impl Default for CoreConfig {
-    fn default() -> CoreConfig {
-        CoreConfig {
-            l1i: CacheConfig::l1_default(),
-            l1d: CacheConfig::l1_default(),
-            bp: GshareConfig::default(),
-            lat: LatencyConfig::default(),
-        }
-    }
-}
+/// Simple ALU / branch / store issue latency.
+const ALU: u64 = 1;
+/// Multiply latency.
+const MUL: u64 = 3;
+/// Divide/remainder latency.
+const DIV: u64 = 16;
+/// Load-use latency on an L1 hit.
+const LOAD_L1: u64 = 2;
+/// Additional penalty for an L1 miss that hits in L2.
+const L2_HIT: u64 = 10;
+/// Additional penalty for an L2 miss (memory access).
+const MEM: u64 = 80;
+/// Pipeline refill penalty for a mispredicted branch.
+const MISPREDICT: u64 = 8;
 
 /// Aggregated core counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,7 +67,8 @@ impl CoreStats {
     }
 }
 
-/// One in-order core with private L1s and a branch predictor.
+/// One in-order core of the reference CMP: private L1s with
+/// [`CacheConfig::l1_default`]'s geometry and a gshare branch predictor.
 ///
 /// The shared L2 is external: [`CorePipe::instr_cost`] takes a callback
 /// invoked on each L1 miss; it must return `true` if the line hit in L2.
@@ -115,11 +76,11 @@ impl CoreStats {
 /// # Examples
 ///
 /// ```
-/// use mssp_sim::{CoreConfig, CorePipe};
+/// use mssp_sim::CorePipe;
 /// use mssp_isa::Instr;
 /// use mssp_machine::StepInfo;
 ///
-/// let mut core = CorePipe::new(CoreConfig::default());
+/// let mut core = CorePipe::default();
 /// let info = StepInfo {
 ///     pc: 0x1000,
 ///     instr: Instr::nop(),
@@ -134,7 +95,6 @@ impl CoreStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CorePipe {
-    config: CoreConfig,
     l1i: Cache,
     l1d: Cache,
     bp: Gshare,
@@ -142,59 +102,50 @@ pub struct CorePipe {
     stats: CoreStats,
 }
 
-impl CorePipe {
-    /// Creates a cold core.
-    #[must_use]
-    pub fn new(config: CoreConfig) -> CorePipe {
+impl Default for CorePipe {
+    /// A cold core.
+    fn default() -> CorePipe {
         CorePipe {
-            config,
-            l1i: Cache::new(config.l1i),
-            l1d: Cache::new(config.l1d),
-            bp: Gshare::new(config.bp),
+            l1i: Cache::new(CacheConfig::l1_default()),
+            l1d: Cache::new(CacheConfig::l1_default()),
+            bp: Gshare::new(),
             btb: Btb::new(512),
             stats: CoreStats::default(),
         }
     }
+}
 
+impl CorePipe {
     /// The cost in cycles of executing `info` on this core. `l2` is
     /// invoked for every L1 miss (instruction or data) with the missing
     /// address and must return whether it hit in the shared L2.
     #[inline]
     pub fn instr_cost(&mut self, info: &StepInfo, mut l2: impl FnMut(u64) -> bool) -> u64 {
-        let lat = &self.config.lat;
         let mut cost = match info.instr {
-            Instr::Mul(..) => lat.mul,
-            Instr::Div(..) | Instr::Divu(..) | Instr::Rem(..) | Instr::Remu(..) => lat.div,
-            i if i.is_load() => lat.load_l1,
-            _ => lat.alu,
+            Instr::Mul(..) => MUL,
+            Instr::Div(..) | Instr::Divu(..) | Instr::Rem(..) | Instr::Remu(..) => DIV,
+            i if i.is_load() => LOAD_L1,
+            _ => ALU,
         };
         // Instruction fetch.
         if !self.l1i.access(info.pc) {
-            cost += if l2(info.pc) {
-                lat.l2_hit
-            } else {
-                lat.l2_hit + lat.mem
-            };
+            cost += if l2(info.pc) { L2_HIT } else { L2_HIT + MEM };
         }
         // Data access.
         if let Some(mem) = info.mem {
             if !self.l1d.access(mem.addr) {
-                cost += if l2(mem.addr) {
-                    lat.l2_hit
-                } else {
-                    lat.l2_hit + lat.mem
-                };
+                cost += if l2(mem.addr) { L2_HIT } else { L2_HIT + MEM };
             }
         }
         // Branch direction prediction.
         if let Some(taken) = info.taken {
             if !self.bp.predict_and_update(info.pc, taken) {
-                cost += lat.mispredict;
+                cost += MISPREDICT;
             }
         }
         // Indirect-jump target prediction (BTB).
         if info.instr.is_indirect_jump() && !self.btb.predict_and_update(info.pc, info.next_pc) {
-            cost += lat.mispredict;
+            cost += MISPREDICT;
         }
         self.stats.instructions += 1;
         self.stats.cycles += cost;
@@ -239,7 +190,7 @@ mod tests {
 
     #[test]
     fn warm_alu_costs_base_latency() {
-        let mut core = CorePipe::new(CoreConfig::default());
+        let mut core = CorePipe::default();
         let i = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&i, &mut |_| true);
         assert_eq!(core.instr_cost(&i, &mut |_| true), 1);
@@ -247,7 +198,7 @@ mod tests {
 
     #[test]
     fn div_costs_more_than_alu() {
-        let mut core = CorePipe::new(CoreConfig::default());
+        let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
         let div = info(0x1000, Instr::Div(Reg::A0, Reg::A1, Reg::A2));
@@ -258,8 +209,7 @@ mod tests {
 
     #[test]
     fn load_miss_hierarchy_costs_stack() {
-        let cfg = CoreConfig::default();
-        let mut core = CorePipe::new(cfg);
+        let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
         let mut load = info(0x1000, Instr::Ld(Reg::A0, Reg::A1, 0));
@@ -270,10 +220,10 @@ mod tests {
         });
         // L1 miss + L2 hit.
         let c1 = core.instr_cost(&load, &mut |_| true);
-        assert_eq!(c1, cfg.lat.load_l1 + cfg.lat.l2_hit);
+        assert_eq!(c1, LOAD_L1 + L2_HIT);
         // Now warm in L1.
         let c2 = core.instr_cost(&load, &mut |_| true);
-        assert_eq!(c2, cfg.lat.load_l1);
+        assert_eq!(c2, LOAD_L1);
         // A different, L2-missing address pays the full memory latency.
         load.mem = Some(mssp_machine::MemAccess {
             addr: 0x9_0000,
@@ -281,44 +231,42 @@ mod tests {
             is_store: false,
         });
         let c3 = core.instr_cost(&load, &mut |_| false);
-        assert_eq!(c3, cfg.lat.load_l1 + cfg.lat.l2_hit + cfg.lat.mem);
+        assert_eq!(c3, LOAD_L1 + L2_HIT + MEM);
     }
 
     #[test]
     fn mispredicted_branch_pays_penalty() {
-        let cfg = CoreConfig::default();
-        let mut core = CorePipe::new(cfg);
+        let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
         let mut br = info(0x1000, Instr::Beq(Reg::A0, Reg::A1, 8));
         br.taken = Some(true);
         // Cold counters predict not-taken: first taken branch mispredicts.
         let c = core.instr_cost(&br, &mut |_| true);
-        assert_eq!(c, cfg.lat.alu + cfg.lat.mispredict);
+        assert_eq!(c, ALU + MISPREDICT);
         // Trained once the global history saturates.
         for _ in 0..32 {
             let _ = core.instr_cost(&br, &mut |_| true);
         }
         let c = core.instr_cost(&br, &mut |_| true);
-        assert_eq!(c, cfg.lat.alu);
+        assert_eq!(c, ALU);
     }
 
     #[test]
     fn squash_invalidates_l1_but_not_training() {
-        let cfg = CoreConfig::default();
-        let mut core = CorePipe::new(cfg);
+        let mut core = CorePipe::default();
         let i = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&i, &mut |_| true);
         assert_eq!(core.instr_cost(&i, &mut |_| true), 1);
         core.squash();
         // Fetch misses again after the squash.
         let c = core.instr_cost(&i, &mut |_| true);
-        assert_eq!(c, cfg.lat.alu + cfg.lat.l2_hit);
+        assert_eq!(c, ALU + L2_HIT);
     }
 
     #[test]
     fn cpi_reported() {
-        let mut core = CorePipe::new(CoreConfig::default());
+        let mut core = CorePipe::default();
         let i = info(0x1000, Instr::nop());
         for _ in 0..100 {
             let _ = core.instr_cost(&i, &mut |_| true);

@@ -26,6 +26,6 @@ mod branch;
 mod cache;
 mod corepipe;
 
-pub use branch::{BranchStats, Btb, Gshare, GshareConfig};
+pub use branch::{BranchStats, Btb, Gshare};
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use corepipe::{CoreConfig, CorePipe, CoreStats, LatencyConfig};
+pub use corepipe::{CorePipe, CoreStats};

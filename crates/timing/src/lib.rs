@@ -47,7 +47,7 @@ use mssp_core::{CoreRole, CostModel, Engine, EngineConfig, EngineError, MsspRun}
 use mssp_distill::Distilled;
 use mssp_isa::Program;
 use mssp_machine::{MachineState, SeqError, SeqMachine, StepInfo};
-use mssp_sim::{Cache, CacheConfig, CoreConfig, CorePipe, CoreStats};
+use mssp_sim::{Cache, CacheConfig, CorePipe, CoreStats};
 
 /// MSSP-specific protocol overheads, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,28 +79,16 @@ impl Default for OverheadConfig {
     }
 }
 
-/// Full timing configuration of the simulated CMP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What varies between timing runs of the simulated CMP. The cores and
+/// the shared L2 are the reference machine's and take no settings: every
+/// core is a [`CorePipe`], and the L2 has [`CacheConfig::l2_default`]'s
+/// geometry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingConfig {
-    /// Per-core configuration (identical for master, slaves, baseline).
-    pub core: CoreConfig,
-    /// Shared L2 geometry.
-    pub l2: CacheConfig,
     /// Protocol overheads.
     pub overhead: OverheadConfig,
     /// Engine parameters (slave count etc.).
     pub engine: EngineConfig,
-}
-
-impl Default for TimingConfig {
-    fn default() -> TimingConfig {
-        TimingConfig {
-            core: CoreConfig::default(),
-            l2: CacheConfig::l2_default(),
-            overhead: OverheadConfig::default(),
-            engine: EngineConfig::default(),
-        }
-    }
 }
 
 /// The CMP cost model: one [`CorePipe`] per core, a shared L2, and the
@@ -118,11 +106,11 @@ impl CmpCost {
     #[must_use]
     pub fn new(config: &TimingConfig) -> CmpCost {
         CmpCost {
-            master: CorePipe::new(config.core),
+            master: CorePipe::default(),
             slaves: (0..config.engine.num_slaves)
-                .map(|_| CorePipe::new(config.core))
+                .map(|_| CorePipe::default())
                 .collect(),
-            l2: Cache::new(config.l2),
+            l2: Cache::new(CacheConfig::l2_default()),
             overhead: config.overhead,
         }
     }
@@ -215,18 +203,20 @@ impl BaselineRun {
 }
 
 /// Runs the original program on one baseline core (private L1s backed by
-/// the shared-L2 geometry).
+/// an L2 of the shared L2's geometry). The baseline is the reference
+/// uniprocessor, so nothing in `_config` changes it; callers pass the
+/// configuration of the MSSP run they compare against.
 ///
 /// # Errors
 ///
 /// Propagates sequential-machine faults (malformed program).
 pub fn run_baseline(
     program: &Program,
-    config: &TimingConfig,
+    _config: &TimingConfig,
     max_steps: u64,
 ) -> Result<BaselineRun, SeqError> {
-    let mut core = CorePipe::new(config.core);
-    let mut l2 = Cache::new(config.l2);
+    let mut core = CorePipe::default();
+    let mut l2 = Cache::new(CacheConfig::l2_default());
     let mut machine = SeqMachine::boot(program);
     let mut cycles: u64 = 0;
     machine.run_observed(max_steps, |info| {
@@ -263,45 +253,25 @@ pub fn run_mssp(
     distilled: &Distilled,
     config: &TimingConfig,
 ) -> Result<TimingRun, EngineError> {
-    run_mssp_with_engine_config(program, distilled, config, config.engine)
+    run_mssp_with_setup(program, distilled, config, |_| {})
 }
 
-/// Like [`run_mssp`] but with an engine configuration overriding
-/// `config.engine` (ablation switches, throttling, slave count) while
-/// keeping the same microarchitectural cost model.
+/// Like [`run_mssp`] but hands the constructed [`Engine`] to `setup`
+/// before running it, so callers can switch on diagnostics
+/// (mismatch/squash samples, commit traces) or install state (a frozen
+/// predictor) that the plain entry point leaves off.
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
-pub fn run_mssp_with_engine_config(
+pub fn run_mssp_with_setup(
     program: &Program,
     distilled: &Distilled,
     config: &TimingConfig,
-    engine_config: EngineConfig,
-) -> Result<TimingRun, EngineError> {
-    run_mssp_with_engine_setup(program, distilled, config, engine_config, |_| {})
-}
-
-/// Like [`run_mssp_with_engine_config`] but additionally hands the
-/// constructed [`Engine`] to `setup` before running it, so callers can
-/// switch on diagnostics (mismatch/squash samples, commit traces) that
-/// the plain entry points leave off.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn run_mssp_with_engine_setup(
-    program: &Program,
-    distilled: &Distilled,
-    config: &TimingConfig,
-    engine_config: EngineConfig,
     setup: impl FnOnce(&mut Engine<'_, CmpCost>),
 ) -> Result<TimingRun, EngineError> {
-    let cost = CmpCost::new(&TimingConfig {
-        engine: engine_config,
-        ..*config
-    });
-    let mut engine = Engine::new(program, distilled, engine_config, cost);
+    let cost = CmpCost::new(config);
+    let mut engine = Engine::new(program, distilled, config.engine, cost);
     setup(&mut engine);
     let (run, cost) = engine.run_returning_cost()?;
     let (master_core, slave_cores) = cost.core_stats();

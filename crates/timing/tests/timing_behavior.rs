@@ -1,11 +1,11 @@
 //! Timing-model behaviour tests: the CMP cost model must respond to its
-//! knobs in the physically sensible direction.
+//! inputs in the physically sensible direction.
 
 use mssp_analysis::Profile;
 use mssp_core::{CoreRole, CostModel};
 use mssp_distill::{distill, DistillConfig};
 use mssp_isa::asm::assemble;
-use mssp_isa::{Instr, Program, Reg};
+use mssp_isa::{Instr, Program, Reg, HEAP_BASE};
 use mssp_machine::StepInfo;
 use mssp_timing::{run_baseline, run_mssp, speedup, CmpCost, OverheadConfig, TimingConfig};
 
@@ -25,16 +25,52 @@ fn fixture() -> (Program, mssp_distill::Distilled) {
     (p, d)
 }
 
+/// Loads one word from each 64-byte line of a 64 KiB heap region, four
+/// times over, in `chunks` equal chunks: each chunk is swept four times
+/// before the next one starts. Every chunking makes the same 4096 loads
+/// of the same 1024 lines; only the reuse distance differs.
+fn strided_loads(chunks: u32) -> Program {
+    let lines = 1024 / chunks;
+    assemble(&format!(
+        "main:  li   s2, {HEAP_BASE}
+                addi s3, zero, {chunks}
+         chunk: addi s0, zero, 4
+         sweep: addi t1, s2, 0
+                addi t2, zero, {lines}
+         line:  ld   t0, 0(t1)
+                add  s1, s1, t0
+                addi t1, t1, 64
+                addi t2, t2, -1
+                bnez t2, line
+                addi s0, s0, -1
+                bnez s0, sweep
+                addi s2, t1, 0
+                addi s3, s3, -1
+                bnez s3, chunk
+                halt"
+    ))
+    .unwrap()
+}
+
 #[test]
-fn slower_memory_slows_the_baseline() {
-    let p = fixture().0;
-    let fast = TimingConfig::default();
-    let mut slow = TimingConfig::default();
-    slow.core.lat.mem = 400;
-    slow.core.lat.l2_hit = 60;
-    let a = run_baseline(&p, &fast, u64::MAX).unwrap();
-    let b = run_baseline(&p, &slow, u64::MAX).unwrap();
-    assert!(b.cycles >= a.cycles);
+fn a_working_set_past_the_l1d_slows_the_baseline() {
+    let tcfg = TimingConfig::default();
+    // 8 KiB chunks fit the 16 KiB L1D while they are reused; one 64 KiB
+    // sweep does not, so only its reuses miss.
+    let fits = run_baseline(&strided_loads(8), &tcfg, u64::MAX).unwrap();
+    let spills = run_baseline(&strided_loads(1), &tcfg, u64::MAX).unwrap();
+    assert!(
+        spills.core.l1d.misses > fits.core.l1d.misses,
+        "L1D misses: {} spilling vs {} fitting",
+        spills.core.l1d.misses,
+        fits.core.l1d.misses
+    );
+    assert!(
+        spills.cpi() > fits.cpi(),
+        "CPI: {:.2} spilling vs {:.2} fitting",
+        spills.cpi(),
+        fits.cpi()
+    );
 }
 
 #[test]
