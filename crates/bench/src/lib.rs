@@ -524,8 +524,8 @@ pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
                 post_swap_dyn_ratio: slice_dyn_ratio(&post, &stats),
                 pre_swap_squash_per_1k: slice_squash_per_1k(&zero, &pre),
                 post_swap_squash_per_1k: slice_squash_per_1k(&post, &stats),
-                recompilations_fast: report.recompilations_fast,
-                recompilations_full: report.recompilations_full,
+                recompilations_fast: stats.recompilations_fast,
+                recompilations_full: stats.recompilations_full,
                 swaps_installed: stats.swaps_installed,
                 candidates_rejected: report.candidates_rejected,
                 recompile_failures: report.recompile_failures,
@@ -568,7 +568,8 @@ pub fn collect_stationary_records() -> Vec<StationaryRecord> {
             StationaryRecord {
                 name: (*name).to_string(),
                 scale,
-                recompilations: report.recompilations(),
+                recompilations: run.run.stats.recompilations_fast
+                    + run.run.stats.recompilations_full,
                 swaps_installed: run.run.stats.swaps_installed,
                 divergent_windows: report.divergent_windows,
             }

@@ -124,10 +124,6 @@ pub(crate) struct SwapCandidate {
 /// Summary of one adaptive run.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveReport {
-    /// Fast-tier recompilations that produced a valid candidate.
-    pub recompilations_fast: u64,
-    /// Full-tier recompilations that produced a valid candidate.
-    pub recompilations_full: u64,
     /// Recompilations the recompiler rejected (distillation error or
     /// lint-gate refusal).
     pub recompile_failures: u64,
@@ -142,14 +138,6 @@ pub struct AdaptiveReport {
     pub divergent_windows: u64,
     /// Evaluation windows completed.
     pub windows: u64,
-}
-
-impl AdaptiveReport {
-    /// Total recompilations that produced a valid candidate.
-    #[must_use]
-    pub fn recompilations(&self) -> u64 {
-        self.recompilations_fast + self.recompilations_full
-    }
 }
 
 /// The divergence detector and tier state machine. See the module docs
@@ -298,10 +286,6 @@ impl AdaptiveController {
         let started = Instant::now();
         match recompiler(&self.live, tier) {
             Ok(d) if self.keeps_segmentation(&d) => {
-                match tier {
-                    Tier::Fast => self.report.recompilations_fast += 1,
-                    Tier::Full => self.report.recompilations_full += 1,
-                }
                 return Some(SwapCandidate {
                     program: Arc::new(d),
                     tier,
@@ -480,7 +464,6 @@ mod tests {
         quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
         assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
         ctl.note_swap_installed(Tier::Full, 0, EngineStats::default());
-        assert_eq!(ctl.report.recompilations(), 2);
         assert_eq!(ctl.report.swaps.len(), 2);
         // Re-divergence from the full program restarts the cycle.
         for _ in 0..4 {
@@ -584,6 +567,6 @@ mod tests {
         let mut moved: Recompiler = Box::new(move |_, _| Ok(wrong.clone()));
         assert!(serve(&mut ctl, &mut moved).is_none());
         assert_eq!(ctl.report.candidates_rejected, 1);
-        assert_eq!(ctl.report.recompilations(), 0);
+        assert!(ctl.report.swaps.is_empty());
     }
 }

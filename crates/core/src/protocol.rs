@@ -1053,7 +1053,6 @@ mod tests {
         let report = report.expect("adaptive run carries a report");
         assert_eq!(report.recompile_failures, 1);
         assert_eq!(report.candidates_rejected, 1);
-        assert_eq!(report.recompilations_fast, 1);
         assert_eq!(report.swaps.len(), 1);
         assert_eq!(report.swaps[0].stats, stats, "marker froze the counters");
     }

@@ -827,7 +827,8 @@ mod tests {
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
         let report = run.adaptive.expect("adaptive run carries a report");
-        assert_eq!(report.recompilations(), 0, "{report:?}");
+        assert_eq!(run.stats.recompilations_fast, 0, "{:?}", run.stats);
+        assert_eq!(run.stats.recompilations_full, 0, "{:?}", run.stats);
         assert_eq!(report.recompile_failures, 0, "{report:?}");
         assert_eq!(run.stats.swaps_installed, 0);
     }

@@ -41,10 +41,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mssp_analysis::{Cfg, ConstProp, Dominators, Liveness, Profile, Terminator};
-use mssp_isa::{asm::li_sequence, Instr, Program, INSTR_BYTES};
+use mssp_isa::{asm::li_sequence, Instr, Program, Reg, INSTR_BYTES};
 
 use crate::boundary::select_boundaries;
-use crate::ir::{layout, DBlock, DInstr};
+use crate::ir::{layout, DBlock, Exit};
 use crate::passes::{run_pipeline, PassDelta, PipelineOutcome};
 use crate::slice::{compute_slices, Slice};
 use crate::{DistillConfig, DistillLevel};
@@ -490,56 +490,54 @@ fn distill_pinned(
         if !retained[bid] {
             continue;
         }
-        let mut instrs = Vec::new();
+        let mut body = Vec::new();
+        let mut exit = Exit::Fall;
         for pc in block.pcs() {
             let instr = program.fetch(pc).expect("pc in text");
+            // A call links the *original* return address, then transfers.
+            if let Instr::Jal(rd, _) | Instr::Jalr(rd, ..) = instr {
+                if !rd.is_zero() {
+                    calls_rewritten += 1;
+                    body.extend(li_sequence(rd, (pc + INSTR_BYTES) as i64));
+                }
+            }
+            // A block ends at its first control instruction, so `exit` is
+            // set at most once, by the block's last instruction.
             match instr {
-                Instr::Jal(rd, _) => {
+                Instr::Jal(..) => {
                     let target = instr.static_target(pc).expect("jal target");
-                    if !rd.is_zero() {
-                        calls_rewritten += 1;
-                        for li in li_sequence(rd, (pc + INSTR_BYTES) as i64) {
-                            instrs.push(DInstr::Copy(li));
-                        }
-                    }
-                    instrs.push(DInstr::Jump(block_start_of(&cfg, target)));
+                    exit = Exit::Jump(block_start_of(&cfg, target));
                 }
-                Instr::Jalr(rd, base, off) => {
-                    if !rd.is_zero() {
-                        calls_rewritten += 1;
-                        for li in li_sequence(rd, (pc + INSTR_BYTES) as i64) {
-                            instrs.push(DInstr::Copy(li));
-                        }
-                        instrs.push(DInstr::Copy(Instr::Jalr(mssp_isa::Reg::ZERO, base, off)));
-                    } else {
-                        instrs.push(DInstr::Copy(instr));
+                Instr::Jalr(_, base, off) => exit = Exit::Stop(Instr::Jalr(Reg::ZERO, base, off)),
+                Instr::Halt => exit = Exit::Stop(instr),
+                _ if instr.is_branch() => match asserts.get(&bid) {
+                    Some(Assert::Taken(target)) => {
+                        asserted_branches += 1;
+                        exit = Exit::Jump(block_start_of(&cfg, *target));
                     }
-                }
-                _ if instr.is_branch() && pc == block.end - INSTR_BYTES => {
-                    match asserts.get(&bid) {
-                        Some(Assert::Taken(target)) => {
-                            asserted_branches += 1;
-                            instrs.push(DInstr::Jump(block_start_of(&cfg, *target)));
-                        }
-                        Some(Assert::NotTaken) => {
-                            asserted_branches += 1;
-                            // Dropped: execution falls through.
-                        }
-                        None => {
-                            let target = instr.static_target(pc).expect("branch target");
-                            instrs.push(DInstr::Branch(instr, block_start_of(&cfg, target)));
-                        }
+                    Some(Assert::NotTaken) => {
+                        asserted_branches += 1;
+                        // Dropped: execution falls through.
                     }
-                }
+                    None => {
+                        let target = instr.static_target(pc).expect("branch target");
+                        exit = Exit::Branch {
+                            instr,
+                            taken: block_start_of(&cfg, target),
+                            other: None,
+                        };
+                    }
+                },
                 _ if instr.is_store() && elide_stores && profile.store_is_write_only(pc) => {
                     stores_elided += 1;
                 }
-                _ => instrs.push(DInstr::Copy(instr)),
+                _ => body.push(instr),
             }
         }
         blocks.push(DBlock {
             orig_start: block.start,
-            instrs,
+            body,
+            exit,
         });
     }
 

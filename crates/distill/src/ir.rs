@@ -1,15 +1,17 @@
 //! The distiller's relocatable intermediate representation.
 //!
 //! Between transformation and final layout, the distilled program is a list
-//! of [`DBlock`]s whose control-flow targets are *symbolic* (original-
-//! program block-start addresses). This lets dead-code elimination delete
-//! instructions without invalidating branch offsets; a final layout pass
-//! assigns distilled addresses and resolves offsets.
+//! of [`DBlock`]s. A block is a body of instructions that never transfer
+//! control, then one typed [`Exit`] whose targets are *symbolic*
+//! (original-program block-start addresses). Dead-code elimination can
+//! therefore delete instructions without invalidating branch offsets, every
+//! pass reads a block's edges through [`successors`], and a final layout
+//! pass assigns distilled addresses and resolves offsets.
 
 use std::collections::BTreeMap;
 
 use mssp_analysis::RegSet;
-use mssp_isa::{Instr, INSTR_BYTES};
+use mssp_isa::{Instr, Reg, INSTR_BYTES};
 
 /// Registers that must stay predictable at given original block starts:
 /// at every task boundary, slaves may read (as live-ins) any register the
@@ -17,42 +19,40 @@ use mssp_isa::{Instr, INSTR_BYTES};
 /// them. Maps original block-start address → required-live registers.
 pub(crate) type BoundaryLive = BTreeMap<u64, RegSet>;
 
-/// One instruction in the relocatable IR. Every variant encodes to exactly
-/// one ISA instruction, so layout is stable under everything except
-/// deletion.
+/// How control leaves a block. Targets name blocks by their *original*
+/// start address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DInstr {
-    /// A verbatim (non-relative) instruction.
-    Copy(Instr),
-    /// A conditional branch to the block starting at the given *original*
-    /// address; falls through otherwise. The carried instruction's offset
-    /// field is ignored until layout.
-    Branch(Instr, u64),
-    /// An unconditional jump to the block starting at the given *original*
-    /// address.
+pub(crate) enum Exit {
+    /// Falls into the next block of the list.
+    Fall,
+    /// An unconditional jump.
     Jump(u64),
+    /// A conditional branch to `taken` (the instruction's offset field is
+    /// ignored until layout); otherwise a jump to `other`, or a
+    /// fall-through when `other` is `None`.
+    Branch {
+        instr: Instr,
+        taken: u64,
+        other: Option<u64>,
+    },
+    /// An indirect jump (successors unknown, every register live) or
+    /// `halt`. Nothing is live at a `halt`: the master's post-halt state is
+    /// never consumed (architected state is produced by slaves executing
+    /// the original program), so keeping values alive to the distilled
+    /// program's end would only inflate the fast path. Removing a write on
+    /// this basis is an approximation — if a slave does read the register
+    /// on some cold path, verification squashes — which is exactly the
+    /// performance-not-correctness contract of distillation.
+    Stop(Instr),
 }
 
-impl DInstr {
-    pub(crate) fn def_reg(&self) -> Option<mssp_isa::Reg> {
+impl Exit {
+    /// The number of instructions layout emits for this exit.
+    pub(crate) fn len(&self) -> usize {
         match self {
-            DInstr::Copy(i) => i.def_reg(),
-            DInstr::Branch(..) | DInstr::Jump(_) => None,
-        }
-    }
-
-    fn use_regs(&self) -> [Option<mssp_isa::Reg>; 2] {
-        match self {
-            DInstr::Copy(i) | DInstr::Branch(i, _) => i.use_regs(),
-            DInstr::Jump(_) => [None, None],
-        }
-    }
-
-    /// Whether DCE may remove this instruction when its write is dead.
-    fn removable(&self) -> bool {
-        match self {
-            DInstr::Copy(i) => i.def_reg().is_some() && !i.is_store() && !i.is_control(),
-            _ => false,
+            Exit::Fall => 0,
+            Exit::Branch { other: Some(_), .. } => 2,
+            _ => 1,
         }
     }
 }
@@ -63,48 +63,59 @@ pub(crate) struct DBlock {
     /// Original-program address of the block's first instruction; doubles
     /// as the symbolic name control flow targets.
     pub orig_start: u64,
-    pub instrs: Vec<DInstr>,
+    /// The block's instructions up to its exit; none transfers control.
+    pub body: Vec<Instr>,
+    /// How control leaves the block.
+    pub exit: Exit,
 }
 
-/// How a block's execution can leave it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BlockExit {
-    /// Falls into the next emitted block (possibly also branching).
-    Open { branch_target: Option<u64> },
-    /// Always jumps to a known block.
-    Always(u64),
-    /// Ends at an indirect jump: successors unknown, every register live.
-    Barrier,
-    /// Ends at `halt`: *nothing* is live. The master's post-halt state is
-    /// never consumed (architected state is produced by slaves executing
-    /// the original program), so keeping values alive to the distilled
-    /// program's end would only inflate the fast path. Removing a write on
-    /// this basis is an approximation — if a slave does read the register
-    /// on some cold path, verification squashes — which is exactly the
-    /// performance-not-correctness contract of distillation.
-    End,
+/// Maps each block's original start to its position in `blocks`.
+pub(crate) fn block_index(blocks: &[DBlock]) -> BTreeMap<u64, usize> {
+    blocks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.orig_start, i))
+        .collect()
 }
 
-pub(crate) fn exit_of(block: &DBlock) -> BlockExit {
-    match block.instrs.last() {
-        Some(DInstr::Jump(t)) => BlockExit::Always(*t),
-        Some(DInstr::Branch(_, t)) => BlockExit::Open {
-            branch_target: Some(*t),
-        },
-        Some(DInstr::Copy(i)) if i.is_halt() => BlockExit::End,
-        Some(DInstr::Copy(i)) if i.is_indirect_jump() => BlockExit::Barrier,
-        _ => BlockExit::Open {
-            branch_target: None,
-        },
+/// The blocks control can reach on leaving block `i` (the taken side
+/// first), and whether it can also leave the IR (an indirect jump, a
+/// target no block holds, or falling off the last block).
+pub(crate) fn successors(
+    blocks: &[DBlock],
+    index: &BTreeMap<u64, usize>,
+    i: usize,
+) -> ([Option<usize>; 2], bool) {
+    // `None` names the fall-through.
+    let follow = |t: Option<u64>| match t {
+        Some(t) => index.get(&t).copied(),
+        None => (i + 1 < blocks.len()).then_some(i + 1),
+    };
+    let one = |s: Option<usize>| ([s, None], s.is_none());
+    match blocks[i].exit {
+        Exit::Fall => one(follow(None)),
+        Exit::Jump(t) => one(follow(Some(t))),
+        Exit::Branch { taken, other, .. } => {
+            let succs = [follow(Some(taken)), follow(other)];
+            (succs, succs.contains(&None))
+        }
+        Exit::Stop(instr) => ([None, None], instr.is_indirect_jump()),
     }
+}
+
+/// Whether `instr` only computes a register: DCE may remove it when that
+/// register is dead, and constant folding may rematerialize it.
+pub(crate) fn is_pure(instr: Instr) -> bool {
+    instr.def_reg().is_some() && !instr.is_store() && !instr.is_control()
 }
 
 /// Dead-code elimination over the IR, to a fixpoint.
 ///
 /// Returns the number of instructions removed. Liveness is the classic
-/// backward may-analysis; `halt` and indirect jumps keep all registers
-/// live, and a fall-through off the end of the IR is treated as a barrier
-/// too (it only happens for the final block).
+/// backward may-analysis over [`successors`]; indirect jumps keep all
+/// registers live, `halt` none, and leaving the IR any other way (a
+/// target no block holds, or falling off the final block) is treated as a
+/// barrier too.
 pub(crate) fn eliminate_dead_code(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
     let mut removed = 0;
     loop {
@@ -117,29 +128,19 @@ pub(crate) fn eliminate_dead_code(blocks: &mut [DBlock], boundary_live: &Boundar
 }
 
 fn dce_pass(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
-    let index: BTreeMap<u64, usize> = blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.orig_start, i))
-        .collect();
+    let index = block_index(blocks);
 
     // Block-level live-in fixpoint. Boundary blocks additionally require
     // the original program's live set at their start (task live-ins).
-    // Branches may appear mid-block after jump threading, so every branch
-    // unions its target's live-in, not just the terminator's.
     let n = blocks.len();
     let mut live_in = vec![RegSet::empty(); n];
     let mut changed = true;
     while changed {
         changed = false;
         for i in (0..n).rev() {
-            let out = block_exit_live(blocks, i, &index, &live_in);
-            let mut live = out;
-            for di in blocks[i].instrs.iter().rev() {
-                if let DInstr::Branch(_, t) = di {
-                    live = live.union(target_live_in(*t, &index, &live_in));
-                }
-                live = transfer(di, live);
+            let mut live = exit_live(blocks, i, &index, &live_in);
+            for &instr in blocks[i].body.iter().rev() {
+                live = transfer(instr, live);
             }
             if let Some(&req) = boundary_live.get(&blocks[i].orig_start) {
                 live = live.union(req);
@@ -154,83 +155,57 @@ fn dce_pass(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
     // Removal sweep.
     let mut removed = 0;
     for i in 0..n {
-        let mut live = block_exit_live(blocks, i, &index, &live_in);
-        let mut keep = vec![true; blocks[i].instrs.len()];
-        for (j, di) in blocks[i].instrs.iter().enumerate().rev() {
-            if let DInstr::Branch(_, t) = di {
-                live = live.union(target_live_in(*t, &index, &live_in));
+        let mut live = exit_live(blocks, i, &index, &live_in);
+        let mut keep = vec![true; blocks[i].body.len()];
+        for (j, &instr) in blocks[i].body.iter().enumerate().rev() {
+            if is_pure(instr) && !live.contains(instr.def_reg().expect("pure")) {
+                keep[j] = false;
+                removed += 1;
+                continue; // dead instruction: no transfer
             }
-            if di.removable() {
-                if let Some(rd) = di.def_reg() {
-                    if !live.contains(rd) {
-                        keep[j] = false;
-                        removed += 1;
-                        continue; // dead instruction: no transfer
-                    }
-                }
-            }
-            live = transfer(di, live);
+            live = transfer(instr, live);
         }
         let mut it = keep.into_iter();
-        blocks[i].instrs.retain(|_| it.next().unwrap());
+        blocks[i].body.retain(|_| it.next().unwrap());
     }
     removed
 }
 
-fn target_live_in(target: u64, index: &BTreeMap<u64, usize>, live_in: &[RegSet]) -> RegSet {
-    index
-        .get(&target)
-        .map(|&j| live_in[j])
-        .unwrap_or_else(RegSet::all)
-}
-
-fn block_exit_live(
+/// The registers live just before block `i`'s exit instruction.
+fn exit_live(
     blocks: &[DBlock],
     i: usize,
     index: &BTreeMap<u64, usize>,
     live_in: &[RegSet],
 ) -> RegSet {
-    let lookup = |t: u64| {
-        index
-            .get(&t)
-            .map(|&j| live_in[j])
-            .unwrap_or_else(RegSet::all)
+    let (succs, leaves) = successors(blocks, index, i);
+    let mut live = if leaves {
+        RegSet::all()
+    } else {
+        RegSet::empty()
     };
-    match exit_of(&blocks[i]) {
-        BlockExit::Barrier => RegSet::all(),
-        BlockExit::End => RegSet::empty(),
-        BlockExit::Always(t) => lookup(t),
-        BlockExit::Open { branch_target } => {
-            let fall = if i + 1 < blocks.len() {
-                live_in[i + 1]
-            } else {
-                RegSet::all()
-            };
-            match branch_target {
-                Some(t) => fall.union(lookup(t)),
-                None => fall,
-            }
-        }
+    for j in succs.into_iter().flatten() {
+        live = live.union(live_in[j]);
+    }
+    match blocks[i].exit {
+        Exit::Branch { instr, .. } | Exit::Stop(instr) => transfer(instr, live),
+        Exit::Fall | Exit::Jump(_) => live,
     }
 }
 
-/// Strongly-live transfer: a *pure* definition (removable instruction)
-/// propagates its uses only when its own result is live. This kills
-/// self-sustaining dead chains — `addi s8, s8, 8`-style instrumentation
-/// counters whose only consumer is themselves — which classic may-liveness
-/// keeps alive forever.
-fn transfer(di: &DInstr, mut live: RegSet) -> RegSet {
-    if di.removable() {
-        let rd = di.def_reg().expect("removable implies a definition");
-        if !live.contains(rd) {
+/// Strongly-live transfer: a *pure* definition propagates its uses only
+/// when its own result is live. This kills self-sustaining dead chains —
+/// `addi s8, s8, 8`-style instrumentation counters whose only consumer is
+/// themselves — which classic may-liveness keeps alive forever.
+fn transfer(instr: Instr, mut live: RegSet) -> RegSet {
+    if let Some(rd) = instr.def_reg() {
+        if is_pure(instr) && !live.contains(rd) {
             // Dead pure definition: contributes nothing.
             return live;
         }
         live.remove(rd);
-    } else if let Some(rd) = di.def_reg() {
-        live.remove(rd);
     }
-    for r in di.use_regs().into_iter().flatten() {
+    for r in instr.use_regs().into_iter().flatten() {
         if !r.is_zero() {
             live.insert(r);
         }
@@ -252,30 +227,34 @@ pub(crate) fn layout(
     let mut cursor = dist_base;
     for b in blocks {
         addr_of.insert(b.orig_start, cursor);
-        cursor += b.instrs.len() as u64 * INSTR_BYTES;
+        cursor += (b.body.len() + b.exit.len()) as u64 * INSTR_BYTES;
     }
     // Pass 2: emission.
     let mut out = Vec::new();
-    let mut pc = dist_base;
     for b in blocks {
-        for di in &b.instrs {
-            let instr = match di {
-                DInstr::Copy(i) => *i,
-                DInstr::Jump(t) => {
-                    let off = rel_offset(pc, addr_of[t]).ok_or(LayoutError {
-                        orig_block: b.orig_start,
-                    })?;
-                    Instr::Jal(mssp_isa::Reg::ZERO, off)
+        out.extend_from_slice(&b.body);
+        // The offset from the next emitted instruction to block `t`.
+        let offset = |out: &Vec<Instr>, t: u64| {
+            let pc = dist_base + out.len() as u64 * INSTR_BYTES;
+            rel_offset(pc, addr_of[&t]).ok_or(LayoutError {
+                orig_block: b.orig_start,
+            })
+        };
+        match b.exit {
+            Exit::Fall => {}
+            Exit::Jump(t) => out.push(Instr::Jal(Reg::ZERO, offset(&out, t)?)),
+            Exit::Branch {
+                instr,
+                taken,
+                other,
+            } => {
+                let off = offset(&out, taken)?;
+                out.push(instr.with_offset(off).expect("branch carries an offset"));
+                if let Some(t) = other {
+                    out.push(Instr::Jal(Reg::ZERO, offset(&out, t)?));
                 }
-                DInstr::Branch(i, t) => {
-                    let off = rel_offset(pc, addr_of[t]).ok_or(LayoutError {
-                        orig_block: b.orig_start,
-                    })?;
-                    i.with_offset(off).expect("branch carries an offset")
-                }
-            };
-            out.push(instr);
-            pc += INSTR_BYTES;
+            }
+            Exit::Stop(instr) => out.push(instr),
         }
     }
     Ok((out, addr_of))
@@ -295,12 +274,20 @@ pub(crate) struct LayoutError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssp_isa::Reg;
 
-    fn block(start: u64, instrs: Vec<DInstr>) -> DBlock {
+    fn block(start: u64, body: Vec<Instr>, exit: Exit) -> DBlock {
         DBlock {
             orig_start: start,
-            instrs,
+            body,
+            exit,
+        }
+    }
+
+    fn branch(instr: Instr, taken: u64) -> Exit {
+        Exit::Branch {
+            instr,
+            taken,
+            other: None,
         }
     }
 
@@ -309,15 +296,15 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 1)), // overwritten
-                DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 2)), // dead at halt
-                DInstr::Copy(Instr::Halt),
+                Instr::Addi(Reg::A0, Reg::ZERO, 1), // overwritten
+                Instr::Addi(Reg::A0, Reg::ZERO, 2), // dead at halt
             ],
+            Exit::Stop(Instr::Halt),
         )];
         // Nothing is live at the distilled program's halt (the master's
         // final state is never consumed), so both writes go.
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 2);
-        assert_eq!(blocks[0].instrs.len(), 1);
+        assert!(blocks[0].body.is_empty());
     }
 
     #[test]
@@ -325,15 +312,13 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![
-                    DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 1)),
-                    DInstr::Branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), 0x100),
-                ],
+                vec![Instr::Addi(Reg::A0, Reg::ZERO, 1)],
+                branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), 0x100),
             ),
-            block(0x108, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x108, vec![], Exit::Stop(Instr::Halt)),
         ];
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 0);
-        assert_eq!(blocks[0].instrs.len(), 2);
+        assert_eq!(blocks[0].body.len(), 1);
     }
 
     #[test]
@@ -343,15 +328,15 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 1)), // feeds dead a1
-                DInstr::Copy(Instr::Addi(Reg::A1, Reg::A0, 1)),   // overwritten
-                DInstr::Copy(Instr::Addi(Reg::A1, Reg::ZERO, 9)),
-                DInstr::Copy(Instr::Sd(Reg::A1, Reg::SP, 0)),
-                DInstr::Copy(Instr::Halt),
+                Instr::Addi(Reg::A0, Reg::ZERO, 1), // feeds dead a1
+                Instr::Addi(Reg::A1, Reg::A0, 1),   // overwritten
+                Instr::Addi(Reg::A1, Reg::ZERO, 9),
+                Instr::Sd(Reg::A1, Reg::SP, 0),
             ],
+            Exit::Stop(Instr::Halt),
         )];
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 2);
-        assert_eq!(blocks[0].instrs.len(), 3);
+        assert_eq!(blocks[0].body.len(), 2);
     }
 
     #[test]
@@ -364,21 +349,19 @@ mod tests {
             block(
                 head,
                 vec![
-                    DInstr::Copy(Instr::Addi(Reg::A0, Reg::A0, 1)), // faint
-                    DInstr::Copy(Instr::Addi(Reg::A1, Reg::A1, -1)),
-                    DInstr::Branch(Instr::Bne(Reg::A1, Reg::ZERO, 0), head),
+                    Instr::Addi(Reg::A0, Reg::A0, 1), // faint
+                    Instr::Addi(Reg::A1, Reg::A1, -1),
                 ],
+                branch(Instr::Bne(Reg::A1, Reg::ZERO, 0), head),
             ),
             block(
                 0x200,
-                vec![
-                    DInstr::Copy(Instr::Sd(Reg::A1, Reg::SP, 0)),
-                    DInstr::Copy(Instr::Halt),
-                ],
+                vec![Instr::Sd(Reg::A1, Reg::SP, 0)],
+                Exit::Stop(Instr::Halt),
             ),
         ];
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 1);
-        assert_eq!(blocks[0].instrs.len(), 2);
+        assert_eq!(blocks[0].body.len(), 1);
     }
 
     #[test]
@@ -388,14 +371,50 @@ mod tests {
         let mut blocks = vec![
             block(
                 loop_head,
-                vec![
-                    DInstr::Copy(Instr::Addi(Reg::A0, Reg::A0, -1)),
-                    DInstr::Branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), loop_head),
-                ],
+                vec![Instr::Addi(Reg::A0, Reg::A0, -1)],
+                branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), loop_head),
             ),
-            block(0x300, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x300, vec![], Exit::Stop(Instr::Halt)),
         ];
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 0);
+    }
+
+    #[test]
+    fn successors_follow_the_exit() {
+        let blocks = vec![
+            block(
+                0x100,
+                vec![],
+                Exit::Branch {
+                    instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                    taken: 0x300,
+                    other: Some(0x200),
+                },
+            ),
+            block(
+                0x200,
+                vec![],
+                branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x900),
+            ),
+            block(0x300, vec![], Exit::Jump(0x100)),
+            block(
+                0x400,
+                vec![],
+                Exit::Stop(Instr::Jalr(Reg::ZERO, Reg::RA, 0)),
+            ),
+            block(0x500, vec![], Exit::Stop(Instr::Halt)),
+            block(0x600, vec![], Exit::Fall),
+        ];
+        let index = block_index(&blocks);
+        let succ = |i| successors(&blocks, &index, i);
+        assert_eq!(succ(0), ([Some(2), Some(1)], false));
+        // A target no block holds leaves the IR; the other side falls.
+        assert_eq!(succ(1), ([None, Some(2)], true));
+        assert_eq!(succ(2), ([Some(0), None], false));
+        assert_eq!(succ(3), ([None, None], true));
+        assert_eq!(succ(4), ([None, None], false));
+        // Falling off the final block leaves the IR.
+        assert_eq!(succ(5), ([None, None], true));
     }
 
     #[test]
@@ -403,13 +422,11 @@ mod tests {
         let blocks = vec![
             block(
                 0x100,
-                vec![
-                    DInstr::Copy(Instr::nop()),
-                    DInstr::Branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x300),
-                ],
+                vec![Instr::nop()],
+                branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x300),
             ),
-            block(0x200, vec![DInstr::Jump(0x100)]),
-            block(0x300, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x200, vec![], Exit::Jump(0x100)),
+            block(0x300, vec![], Exit::Stop(Instr::Halt)),
         ];
         let (instrs, map) = layout(&blocks, 0x8000).unwrap();
         assert_eq!(instrs.len(), 4);
@@ -423,10 +440,36 @@ mod tests {
     }
 
     #[test]
+    fn layout_emits_a_branch_then_its_else_jump() {
+        let blocks = vec![
+            block(
+                0x100,
+                vec![],
+                Exit::Branch {
+                    instr: Instr::Bne(Reg::A0, Reg::ZERO, 0),
+                    taken: 0x300,
+                    other: Some(0x100),
+                },
+            ),
+            block(0x300, vec![], Exit::Stop(Instr::Halt)),
+        ];
+        let (instrs, _) = layout(&blocks, 0x8000).unwrap();
+        // The branch at 0x8000 targets 0x8008; the jump at 0x8004, 0x8000.
+        assert_eq!(
+            instrs,
+            vec![
+                Instr::Bne(Reg::A0, Reg::ZERO, 4),
+                Instr::Jal(Reg::ZERO, -8),
+                Instr::Halt
+            ]
+        );
+    }
+
+    #[test]
     fn empty_block_maps_to_following_address() {
         let blocks = vec![
-            block(0x100, vec![]),
-            block(0x104, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x100, vec![], Exit::Fall),
+            block(0x104, vec![], Exit::Stop(Instr::Halt)),
         ];
         let (instrs, map) = layout(&blocks, 0x8000).unwrap();
         assert_eq!(instrs.len(), 1);

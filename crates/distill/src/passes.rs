@@ -15,9 +15,11 @@
 //! original program's CFG, but the facts the pipeline needs live on the
 //! *asserted* graph the IR encodes (asserted-away edges must not pollute
 //! joins). A custom forward worklist solver therefore runs the same
-//! lattices directly over the block list. Pessimistic boundary facts are
-//! injected wherever the master can (re)enter distilled code with
-//! arbitrary architected state:
+//! lattices directly over the block list, along the edges [`successors`]
+//! reads from each block's typed [`Exit`]; an exit's own instruction
+//! defines nothing, so only block bodies are transferred. Pessimistic
+//! boundary facts are injected wherever the master can (re)enter
+//! distilled code with arbitrary architected state:
 //!
 //! * the distilled entry block,
 //! * every task boundary (the master is re-seeded there after a squash),
@@ -30,12 +32,12 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mssp_analysis::{
-    eval_branch, Analysis, ConstPropAnalysis, ConstVal, CopyPropAnalysis, Profile,
+    eval_branch, Analysis, ConstPropAnalysis, ConstVal, CopyFacts, CopyPropAnalysis, Profile,
 };
-use mssp_isa::{asm::li_sequence, INSTR_BYTES};
+use mssp_isa::{asm::li_sequence, Instr, INSTR_BYTES};
 
 use crate::config::PassConfig;
-use crate::ir::{exit_of, BlockExit, BoundaryLive, DBlock, DInstr};
+use crate::ir::{block_index, is_pure, successors, BoundaryLive, DBlock, Exit};
 
 /// One pass's effect on static size, in pipeline order. The `--stats` CLI
 /// output and ablation tables are rendered from these.
@@ -150,60 +152,28 @@ pub(crate) fn run_pipeline(
 }
 
 fn static_len(blocks: &[DBlock]) -> usize {
-    blocks.iter().map(|b| b.instrs.len()).sum()
-}
-
-fn block_index(blocks: &[DBlock]) -> BTreeMap<u64, usize> {
-    blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.orig_start, i))
-        .collect()
-}
-
-fn transfer_di<A: Analysis>(analysis: &A, di: &DInstr, fact: &mut A::Fact) {
-    match di {
-        // The synthetic pc is safe: IR construction rewrites every call,
-        // so no link-register definition (whose value is pc-dependent)
-        // survives into the IR.
-        DInstr::Copy(i) | DInstr::Branch(i, _) => analysis.transfer(0, *i, fact),
-        DInstr::Jump(_) => {}
-    }
+    blocks.iter().map(|b| b.body.len() + b.exit.len()).sum()
 }
 
 /// Forward worklist solve of `analysis` over the IR graph; returns each
 /// block's entry fact. Blocks named in `entries` (and blocks with no
 /// predecessor) are seeded with the pessimistic boundary fact — the
 /// master can materialize there with arbitrary architected state.
+///
+/// Instructions are transferred at a synthetic pc of 0. That is safe: IR
+/// construction rewrites every call, so no link-register definition
+/// (whose value is pc-dependent) survives into the IR. An exit's own
+/// instruction defines nothing, so only the body is transferred.
 fn solve_ir<A: Analysis>(blocks: &[DBlock], analysis: &A, entries: &BTreeSet<u64>) -> Vec<A::Fact> {
     let n = blocks.len();
     let index = block_index(blocks);
-    let mut entry_facts: Vec<A::Fact> = (0..n).map(|_| analysis.init()).collect();
-
+    let succs: Vec<[Option<usize>; 2]> = (0..n).map(|i| successors(blocks, &index, i).0).collect();
     let mut has_pred = vec![false; n];
-    for (i, b) in blocks.iter().enumerate() {
-        for di in &b.instrs {
-            if let DInstr::Branch(_, t) = di {
-                if let Some(&j) = index.get(t) {
-                    has_pred[j] = true;
-                }
-            }
-        }
-        match exit_of(b) {
-            BlockExit::Always(t) => {
-                if let Some(&j) = index.get(&t) {
-                    has_pred[j] = true;
-                }
-            }
-            BlockExit::Open { .. } => {
-                if i + 1 < n {
-                    has_pred[i + 1] = true;
-                }
-            }
-            BlockExit::Barrier | BlockExit::End => {}
-        }
+    for &j in succs.iter().flatten().flatten() {
+        has_pred[j] = true;
     }
     let boundary = analysis.boundary();
+    let mut entry_facts: Vec<A::Fact> = (0..n).map(|_| analysis.init()).collect();
     for (i, b) in blocks.iter().enumerate() {
         if !has_pred[i] || entries.contains(&b.orig_start) {
             analysis.join(&mut entry_facts[i], &boundary);
@@ -215,36 +185,14 @@ fn solve_ir<A: Analysis>(blocks: &[DBlock], analysis: &A, entries: &BTreeSet<u64
     while let Some(i) = work.pop_front() {
         queued[i] = false;
         let mut fact = entry_facts[i].clone();
-        let join_into = |j: usize,
-                         fact: &A::Fact,
-                         entry_facts: &mut Vec<A::Fact>,
-                         work: &mut VecDeque<usize>,
-                         queued: &mut Vec<bool>| {
-            if analysis.join(&mut entry_facts[j], fact) && !queued[j] {
+        for &instr in &blocks[i].body {
+            analysis.transfer(0, instr, &mut fact);
+        }
+        for j in succs[i].into_iter().flatten() {
+            if analysis.join(&mut entry_facts[j], &fact) && !queued[j] {
                 queued[j] = true;
                 work.push_back(j);
             }
-        };
-        for di in &blocks[i].instrs {
-            if let DInstr::Branch(_, t) = di {
-                if let Some(&j) = index.get(t) {
-                    join_into(j, &fact, &mut entry_facts, &mut work, &mut queued);
-                }
-            }
-            transfer_di(analysis, di, &mut fact);
-        }
-        match exit_of(&blocks[i]) {
-            BlockExit::Always(t) => {
-                if let Some(&j) = index.get(&t) {
-                    join_into(j, &fact, &mut entry_facts, &mut work, &mut queued);
-                }
-            }
-            BlockExit::Open { .. } => {
-                if i + 1 < n {
-                    join_into(i + 1, &fact, &mut entry_facts, &mut work, &mut queued);
-                }
-            }
-            BlockExit::Barrier | BlockExit::End => {}
         }
     }
     entry_facts
@@ -260,43 +208,36 @@ fn const_fold(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> (usize, usize) 
     let entry_facts = solve_ir(blocks, &analysis, entries);
     let mut folded = 0;
     let mut branches = 0;
-    for (i, block) in blocks.iter_mut().enumerate() {
-        let mut fact = entry_facts[i].clone();
-        let mut out = Vec::with_capacity(block.instrs.len());
-        for di in &block.instrs {
-            match di {
-                DInstr::Copy(instr) => {
-                    let pure =
-                        instr.def_reg().is_some() && !instr.is_store() && !instr.is_control();
-                    transfer_di(&analysis, di, &mut fact);
-                    let mut replaced = false;
-                    if pure {
-                        let rd = instr.def_reg().expect("pure implies a definition");
-                        if let ConstVal::Const(v) = fact.get(rd) {
-                            let seq = li_sequence(rd, v as i64);
-                            if seq.len() == 1 && seq[0] != *instr {
-                                out.push(DInstr::Copy(seq[0]));
-                                folded += 1;
-                                replaced = true;
-                            }
-                        }
-                    }
-                    if !replaced {
-                        out.push(*di);
-                    }
+    for (block, mut fact) in blocks.iter_mut().zip(entry_facts) {
+        for instr in &mut block.body {
+            analysis.transfer(0, *instr, &mut fact);
+            if !is_pure(*instr) {
+                continue;
+            }
+            let rd = instr.def_reg().expect("pure implies a definition");
+            if let ConstVal::Const(v) = fact.get(rd) {
+                let seq = li_sequence(rd, v as i64);
+                if seq.len() == 1 && seq[0] != *instr {
+                    *instr = seq[0];
+                    folded += 1;
                 }
-                DInstr::Branch(instr, target) => match eval_branch(*instr, &fact) {
-                    Some(true) => {
-                        out.push(DInstr::Jump(*target));
-                        branches += 1;
-                    }
-                    Some(false) => branches += 1, // falls through
-                    None => out.push(*di),
-                },
-                DInstr::Jump(_) => out.push(*di),
             }
         }
-        block.instrs = out;
+        if let Exit::Branch {
+            instr,
+            taken,
+            other,
+        } = block.exit
+        {
+            if let Some(is_taken) = eval_branch(instr, &fact) {
+                block.exit = if is_taken {
+                    Exit::Jump(taken)
+                } else {
+                    other.map_or(Exit::Fall, Exit::Jump)
+                };
+                branches += 1;
+            }
+        }
     }
     (folded, branches)
 }
@@ -307,33 +248,12 @@ fn const_fold(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> (usize, usize) 
 /// block — the same retention rule as cold-code elision, so the master is
 /// never left without an image for code it demonstrably runs.
 fn prune_unreachable(blocks: &mut Vec<DBlock>, roots: &BTreeSet<u64>) -> usize {
-    let n = blocks.len();
     let index = block_index(blocks);
-    let mut reached = vec![false; n];
+    let mut reached = vec![false; blocks.len()];
     let mut stack: Vec<usize> = roots.iter().filter_map(|r| index.get(r).copied()).collect();
     while let Some(i) = stack.pop() {
-        if std::mem::replace(&mut reached[i], true) {
-            continue;
-        }
-        for di in &blocks[i].instrs {
-            if let DInstr::Branch(_, t) = di {
-                if let Some(&j) = index.get(t) {
-                    stack.push(j);
-                }
-            }
-        }
-        match exit_of(&blocks[i]) {
-            BlockExit::Always(t) => {
-                if let Some(&j) = index.get(&t) {
-                    stack.push(j);
-                }
-            }
-            BlockExit::Open { .. } => {
-                if i + 1 < n {
-                    stack.push(i + 1);
-                }
-            }
-            BlockExit::Barrier | BlockExit::End => {}
+        if !std::mem::replace(&mut reached[i], true) {
+            stack.extend(successors(blocks, &index, i).0.into_iter().flatten());
         }
     }
     let before = blocks.len();
@@ -349,43 +269,32 @@ fn copy_prop(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> usize {
     let analysis = CopyPropAnalysis;
     let entry_facts = solve_ir(blocks, &analysis, entries);
     let mut rewritten = 0;
-    for (i, block) in blocks.iter_mut().enumerate() {
-        let mut fact = entry_facts[i].clone();
-        for di in &mut block.instrs {
-            let new = match *di {
-                DInstr::Copy(instr) => {
-                    DInstr::Copy(instr.map_uses(|r| match fact.get(r).source() {
-                        Some(src) if src != r => {
-                            rewritten += 1;
-                            src
-                        }
-                        _ => r,
-                    }))
-                }
-                DInstr::Branch(instr, t) => DInstr::Branch(
-                    instr.map_uses(|r| match fact.get(r).source() {
-                        Some(src) if src != r => {
-                            rewritten += 1;
-                            src
-                        }
-                        _ => r,
-                    }),
-                    t,
-                ),
-                DInstr::Jump(t) => DInstr::Jump(t),
-            };
-            *di = new;
-            transfer_di(&analysis, di, &mut fact);
+    let mut rewrite = |instr: Instr, fact: &CopyFacts| {
+        instr.map_uses(|r| match fact.get(r).source() {
+            Some(src) if src != r => {
+                rewritten += 1;
+                src
+            }
+            _ => r,
+        })
+    };
+    for (block, mut fact) in blocks.iter_mut().zip(entry_facts) {
+        for instr in &mut block.body {
+            *instr = rewrite(*instr, &fact);
+            analysis.transfer(0, *instr, &mut fact);
+        }
+        if let Exit::Branch { instr, .. } | Exit::Stop(instr) = &mut block.exit {
+            *instr = rewrite(*instr, &fact);
         }
     }
     rewritten
 }
 
 /// Estimated dynamic cost a layout pays for its control transfers: the
-/// profile-weighted number of trailing `Jump` executions plus (layout-
-/// invariant, but kept so alternatives compare on the same scale) branch
-/// executions. Edge weights come from the original program's profiled
-/// edge counts, located via each block's original terminator address
+/// profile-weighted number of `Jump` executions plus (layout-invariant,
+/// but kept so alternatives compare on the same scale) branch executions.
+/// Edge weights come from the original program's profiled edge counts,
+/// located via each block's original terminator address
 /// (`block_ends[start] - INSTR_BYTES`); edges the IR invented (e.g. by
 /// branch folding) that never existed in the original weigh 0, which only
 /// makes the model conservative about reordering around them.
@@ -399,40 +308,43 @@ fn layout_cost(blocks: &[DBlock], profile: &Profile, block_ends: &BTreeMap<u64, 
     };
     let mut cost = 0u64;
     for (i, b) in blocks.iter().enumerate() {
-        let len = b.instrs.len();
-        if len >= 2 {
-            if let (DInstr::Branch(_, taken), DInstr::Jump(fall)) =
-                (b.instrs[len - 2], b.instrs[len - 1])
-            {
-                // The branch executes on both sides, the jump on the
-                // fall side only.
-                cost += weight(b, taken) + 2 * weight(b, fall);
-                continue;
-            }
-        }
-        match b.instrs.last() {
-            Some(DInstr::Branch(_, taken)) => {
-                cost += weight(b, *taken);
-                if let Some(next) = blocks.get(i + 1) {
-                    cost += weight(b, next.orig_start);
-                }
-            }
-            Some(DInstr::Jump(t)) => cost += weight(b, *t),
-            _ => {}
-        }
+        cost += match b.exit {
+            // The branch executes on both sides, the jump on the fall
+            // side only.
+            Exit::Branch {
+                taken,
+                other: Some(fall),
+                ..
+            } => weight(b, taken) + 2 * weight(b, fall),
+            Exit::Branch {
+                taken, other: None, ..
+            } => weight(b, taken) + blocks.get(i + 1).map_or(0, |n| weight(b, n.orig_start)),
+            Exit::Jump(t) => weight(b, t),
+            Exit::Fall | Exit::Stop(_) => 0,
+        };
     }
     cost
 }
 
+/// The branch `instr` negated, to `taken` and otherwise to `other`.
+fn negated(instr: Instr, taken: u64, other: Option<u64>) -> Option<Exit> {
+    Some(Exit::Branch {
+        instr: instr.negated()?,
+        taken,
+        other,
+    })
+}
+
 /// Profile-guided jump threading / superblock straightening.
 ///
-/// Normalizes every implicit fall-through into an explicit jump (making
-/// block order a free variable), lays blocks out along greedy traces that
-/// follow each block's hottest successor, then fixes every trailing
-/// `Branch`+`Jump` pair against the physical order: the jump is elided
-/// when its target follows, the branch is negated (and the jump elided)
-/// when *its* target follows, and otherwise the branch points at the
-/// hotter side so the two-transfer path is the cold one.
+/// Normalizes every implicit fall-through into an explicit jump (a
+/// branch's fall side becomes its else-jump, making block order a free
+/// variable), lays blocks out along greedy traces that follow each
+/// block's hottest successor, then fixes every branch with an else-jump
+/// against the physical order: the jump is elided when its target
+/// follows, the branch is negated (and the jump elided) when *its* target
+/// follows, and otherwise the branch points at the hotter side so the
+/// two-transfer path is the cold one.
 ///
 /// The candidate layout is adopted only if it strictly improves the
 /// profile-weighted transfer cost ([`layout_cost`]), or matches it with
@@ -456,7 +368,10 @@ fn jump_thread(
     }
     // A final block that can fall off the end of the image pins the whole
     // layout (there is nothing to fall into); leave such programs alone.
-    if matches!(exit_of(&blocks[n - 1]), BlockExit::Open { .. }) {
+    if matches!(
+        blocks[n - 1].exit,
+        Exit::Fall | Exit::Branch { other: None, .. }
+    ) {
         return 0;
     }
     let input = blocks.clone();
@@ -464,28 +379,28 @@ fn jump_thread(
 
     // 1. Normalize: explicit jump for every implicit fall-through.
     for i in 0..n - 1 {
-        if matches!(exit_of(&blocks[i]), BlockExit::Open { .. }) {
-            let next = blocks[i + 1].orig_start;
-            blocks[i].instrs.push(DInstr::Jump(next));
+        let next = blocks[i + 1].orig_start;
+        match &mut blocks[i].exit {
+            exit @ Exit::Fall => *exit = Exit::Jump(next),
+            Exit::Branch { other, .. } if other.is_none() => *other = Some(next),
+            _ => {}
         }
     }
 
-    // 2. Point each branch at its colder successor (the trailing jump then
+    // 2. Point each branch at its colder successor (the else-jump then
     // names the hot side, which the trace layout follows). Step 4 re-fixes
     // orientation against the physical order, so this is purely a layout
     // heuristic.
     for block in blocks.iter_mut() {
-        let len = block.instrs.len();
-        if len < 2 {
-            continue;
-        }
-        if let (DInstr::Branch(bi, taken), DInstr::Jump(fall)) =
-            (block.instrs[len - 2], block.instrs[len - 1])
+        if let Exit::Branch {
+            instr,
+            taken,
+            other: Some(fall),
+        } = block.exit
         {
             if hot(taken) > hot(fall) {
-                if let Some(neg) = bi.negated() {
-                    block.instrs[len - 2] = DInstr::Branch(neg, fall);
-                    block.instrs[len - 1] = DInstr::Jump(taken);
+                if let Some(exit) = negated(instr, fall, Some(taken)) {
+                    block.exit = exit;
                 }
             }
         }
@@ -517,18 +432,14 @@ fn jump_thread(
         loop {
             placed[cur] = true;
             order.push(cur);
-            let unplaced = |t: &u64| index.get(t).copied().filter(|&j| !placed[j]);
-            let len = blocks[cur].instrs.len();
-            let next = match blocks[cur].instrs.last() {
-                Some(DInstr::Jump(t)) => unplaced(t).or_else(|| {
-                    if let Some(DInstr::Branch(_, bt)) =
-                        (len >= 2).then(|| blocks[cur].instrs[len - 2]).as_ref()
-                    {
-                        unplaced(bt)
-                    } else {
-                        None
-                    }
-                }),
+            let unplaced = |t: u64| index.get(&t).copied().filter(|&j| !placed[j]);
+            let next = match blocks[cur].exit {
+                Exit::Jump(t) => unplaced(t),
+                Exit::Branch {
+                    taken,
+                    other: Some(fall),
+                    ..
+                } => unplaced(fall).or_else(|| unplaced(taken)),
                 _ => None,
             };
             match next {
@@ -543,40 +454,38 @@ fn jump_thread(
     let mut changed = 0;
     for i in 0..n {
         let next_start = (i + 1 < n).then(|| reordered[i + 1].orig_start);
-        let len = reordered[i].instrs.len();
-        if len >= 2 {
-            if let (DInstr::Branch(bi, taken), DInstr::Jump(fall)) =
-                (reordered[i].instrs[len - 2], reordered[i].instrs[len - 1])
-            {
+        let exit = &mut reordered[i].exit;
+        let fixed = match *exit {
+            Exit::Branch {
+                instr,
+                taken,
+                other: Some(fall),
+            } => {
                 if Some(fall) == next_start {
                     // Hot side physically follows: drop the jump.
-                    reordered[i].instrs.pop();
-                    changed += 1;
+                    Some(Exit::Branch {
+                        instr,
+                        taken,
+                        other: None,
+                    })
                 } else if Some(taken) == next_start {
-                    if let Some(neg) = bi.negated() {
-                        // Branch side follows: negate so it falls through.
-                        reordered[i].instrs[len - 2] = DInstr::Branch(neg, fall);
-                        reordered[i].instrs.pop();
-                        changed += 1;
-                    }
+                    // Branch side follows: negate so it falls through.
+                    negated(instr, fall, None)
                 } else if hot(fall) > hot(taken) {
                     // Neither side adjacent: the branch-taken path costs
                     // one transfer, the jump path two — point the branch
                     // at the strictly-hotter side.
-                    if let Some(neg) = bi.negated() {
-                        reordered[i].instrs[len - 2] = DInstr::Branch(neg, fall);
-                        reordered[i].instrs[len - 1] = DInstr::Jump(taken);
-                        changed += 1;
-                    }
+                    negated(instr, fall, Some(taken))
+                } else {
+                    None
                 }
-                continue;
             }
-        }
-        if let Some(DInstr::Jump(t)) = reordered[i].instrs.last() {
-            if Some(*t) == next_start {
-                reordered[i].instrs.pop();
-                changed += 1;
-            }
+            Exit::Jump(t) if Some(t) == next_start => Some(Exit::Fall),
+            _ => None,
+        };
+        if let Some(new) = fixed {
+            *exit = new;
+            changed += 1;
         }
     }
     // Adopt only on strict lexicographic (dynamic cost, static size)
@@ -598,17 +507,26 @@ fn jump_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssp_isa::{Instr, Reg};
+    use mssp_isa::Reg;
 
-    fn block(start: u64, instrs: Vec<DInstr>) -> DBlock {
+    fn block(start: u64, body: Vec<Instr>, exit: Exit) -> DBlock {
         DBlock {
             orig_start: start,
-            instrs,
+            body,
+            exit,
         }
     }
 
     fn no_entries() -> BTreeSet<u64> {
         BTreeSet::new()
+    }
+
+    fn empty_profile() -> Profile {
+        Profile::collect(
+            &mssp_isa::asm::assemble("main: halt").unwrap(),
+            Profile::UNBOUNDED,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -617,17 +535,14 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 6)),
-                DInstr::Copy(Instr::Addi(Reg::A1, Reg::A0, 1)),
-                DInstr::Copy(Instr::Halt),
+                Instr::Addi(Reg::A0, Reg::ZERO, 6),
+                Instr::Addi(Reg::A1, Reg::A0, 1),
             ],
+            Exit::Stop(Instr::Halt),
         )];
         let (folded, branches) = const_fold(&mut blocks, &no_entries());
         assert_eq!((folded, branches), (1, 0));
-        assert_eq!(
-            blocks[0].instrs[1],
-            DInstr::Copy(Instr::Addi(Reg::A1, Reg::ZERO, 7))
-        );
+        assert_eq!(blocks[0].body[1], Instr::Addi(Reg::A1, Reg::ZERO, 7));
     }
 
     #[test]
@@ -637,20 +552,51 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![
-                    DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 3)),
-                    DInstr::Branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x200),
-                ],
+                vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)],
+                Exit::Branch {
+                    instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                    taken: 0x200,
+                    other: None,
+                },
             ),
-            block(0x108, vec![DInstr::Copy(Instr::Halt)]),
-            block(0x200, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x108, vec![], Exit::Stop(Instr::Halt)),
+            block(0x200, vec![], Exit::Stop(Instr::Halt)),
         ];
         let (_, branches) = const_fold(&mut blocks, &no_entries());
         assert_eq!(branches, 1);
+        assert_eq!(blocks[0].exit, Exit::Fall);
         let roots: BTreeSet<u64> = [0x100].into_iter().collect();
         assert_eq!(prune_unreachable(&mut blocks, &roots), 1);
         assert_eq!(blocks.len(), 2);
         assert!(blocks.iter().all(|b| b.orig_start != 0x200));
+    }
+
+    #[test]
+    fn const_fold_decides_a_branch_that_has_an_else_jump() {
+        // Jump threading leaves `bne a0 → 0x200` with an else-jump to
+        // 0x108. a0 = 3, so the branch is always taken: the block must
+        // become a jump to 0x200, and pruning must keep 0x200 (the block
+        // execution reaches) and drop 0x108.
+        let mut blocks = vec![
+            block(
+                0x100,
+                vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)],
+                Exit::Branch {
+                    instr: Instr::Bne(Reg::A0, Reg::ZERO, 0),
+                    taken: 0x200,
+                    other: Some(0x108),
+                },
+            ),
+            block(0x108, vec![], Exit::Stop(Instr::Halt)),
+            block(0x200, vec![], Exit::Stop(Instr::Halt)),
+        ];
+        let (_, branches) = const_fold(&mut blocks, &no_entries());
+        assert_eq!(branches, 1);
+        assert_eq!(blocks[0].exit, Exit::Jump(0x200));
+        let roots: BTreeSet<u64> = [0x100].into_iter().collect();
+        assert_eq!(prune_unreachable(&mut blocks, &roots), 1);
+        let kept: Vec<u64> = blocks.iter().map(|b| b.orig_start).collect();
+        assert_eq!(kept, vec![0x100, 0x200]);
     }
 
     #[test]
@@ -659,25 +605,17 @@ mod tests {
         // pessimistic, so a use of a0 downstream of the boundary must not
         // fold even though the only IR path sets a0 = 3.
         let mut blocks = vec![
-            block(
-                0x100,
-                vec![DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 3))],
-            ),
+            block(0x100, vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)], Exit::Fall),
             block(
                 0x108,
-                vec![
-                    DInstr::Copy(Instr::Addi(Reg::A1, Reg::A0, 1)),
-                    DInstr::Copy(Instr::Halt),
-                ],
+                vec![Instr::Addi(Reg::A1, Reg::A0, 1)],
+                Exit::Stop(Instr::Halt),
             ),
         ];
         let entries: BTreeSet<u64> = [0x108].into_iter().collect();
         let (folded, _) = const_fold(&mut blocks, &entries);
         assert_eq!(folded, 0);
-        assert_eq!(
-            blocks[1].instrs[0],
-            DInstr::Copy(Instr::Addi(Reg::A1, Reg::A0, 1))
-        );
+        assert_eq!(blocks[1].body[0], Instr::Addi(Reg::A1, Reg::A0, 1));
     }
 
     #[test]
@@ -688,22 +626,53 @@ mod tests {
             block(
                 0x100,
                 vec![
-                    DInstr::Copy(Instr::Addi(Reg::A0, Reg::ZERO, 9)),
-                    DInstr::Copy(Instr::Addi(Reg::A1, Reg::A0, 0)),
+                    Instr::Addi(Reg::A0, Reg::ZERO, 9),
+                    Instr::Addi(Reg::A1, Reg::A0, 0),
                 ],
+                Exit::Fall,
             ),
             block(
                 0x108,
-                vec![
-                    DInstr::Copy(Instr::Addi(Reg::A2, Reg::A1, 1)),
-                    DInstr::Copy(Instr::Halt),
-                ],
+                vec![Instr::Addi(Reg::A2, Reg::A1, 1)],
+                Exit::Stop(Instr::Halt),
             ),
         ];
         assert_eq!(copy_prop(&mut blocks, &no_entries()), 1);
+        assert_eq!(blocks[1].body[0], Instr::Addi(Reg::A2, Reg::A0, 1));
+    }
+
+    #[test]
+    fn copy_prop_rewrites_the_exit_instruction() {
+        // a1 := a0 feeds both the branch and the indirect jump.
+        let mut blocks = vec![
+            block(
+                0x100,
+                vec![Instr::Addi(Reg::A1, Reg::A0, 0)],
+                Exit::Branch {
+                    instr: Instr::Beq(Reg::A1, Reg::ZERO, 0),
+                    taken: 0x100,
+                    other: None,
+                },
+            ),
+            block(
+                0x108,
+                vec![],
+                Exit::Stop(Instr::Jalr(Reg::ZERO, Reg::A1, 0)),
+            ),
+        ];
+        let entries: BTreeSet<u64> = [0x100].into_iter().collect();
+        assert_eq!(copy_prop(&mut blocks, &entries), 2);
         assert_eq!(
-            blocks[1].instrs[0],
-            DInstr::Copy(Instr::Addi(Reg::A2, Reg::A0, 1))
+            blocks[0].exit,
+            Exit::Branch {
+                instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                taken: 0x100,
+                other: None,
+            }
+        );
+        assert_eq!(
+            blocks[1].exit,
+            Exit::Stop(Instr::Jalr(Reg::ZERO, Reg::A0, 0))
         );
     }
 
@@ -713,37 +682,27 @@ mod tests {
         // sibling kept in between. Threading moves 0x300 after 0x100 and
         // elides the jump. (An empty profile means hotness 0 everywhere;
         // trace-following still straightens unconditional chains.)
-        let profile = Profile::collect(
-            &mssp_isa::asm::assemble("main: halt").unwrap(),
-            Profile::UNBOUNDED,
-        )
-        .unwrap();
         let mut blocks = vec![
-            block(0x100, vec![DInstr::Jump(0x300)]),
-            block(0x200, vec![DInstr::Copy(Instr::Halt)]),
-            block(0x300, vec![DInstr::Copy(Instr::Halt)]),
+            block(0x100, vec![], Exit::Jump(0x300)),
+            block(0x200, vec![], Exit::Stop(Instr::Halt)),
+            block(0x300, vec![], Exit::Stop(Instr::Halt)),
         ];
-        let changed = jump_thread(&mut blocks, 0x100, &profile, &BTreeMap::new());
+        let changed = jump_thread(&mut blocks, 0x100, &empty_profile(), &BTreeMap::new());
         assert!(changed >= 1);
         assert_eq!(blocks[0].orig_start, 0x100);
         assert_eq!(blocks[1].orig_start, 0x300);
-        assert!(blocks[0].instrs.is_empty(), "jump elided: {blocks:?}");
+        assert_eq!(blocks[0].exit, Exit::Fall, "jump elided: {blocks:?}");
     }
 
     #[test]
     fn jump_thread_bails_on_open_final_block() {
-        let profile = Profile::collect(
-            &mssp_isa::asm::assemble("main: halt").unwrap(),
-            Profile::UNBOUNDED,
-        )
-        .unwrap();
         let mut blocks = vec![
-            block(0x100, vec![DInstr::Jump(0x200)]),
-            block(0x200, vec![DInstr::Copy(Instr::nop())]), // falls off the end
+            block(0x100, vec![], Exit::Jump(0x200)),
+            block(0x200, vec![Instr::nop()], Exit::Fall), // falls off the end
         ];
         let before = blocks.clone();
         assert_eq!(
-            jump_thread(&mut blocks, 0x100, &profile, &BTreeMap::new()),
+            jump_thread(&mut blocks, 0x100, &empty_profile(), &BTreeMap::new()),
             0
         );
         assert_eq!(blocks, before);
