@@ -32,6 +32,11 @@ use std::fmt;
 use crate::program::segment_end;
 use crate::{Instr, Program, Reg, DATA_BASE, INSTR_BYTES, TEXT_BASE};
 
+/// The largest data segment the assembler lays out. The image is built in
+/// memory, so a `.space` or `.align` that asks for more is an error rather
+/// than an allocation.
+const MAX_DATA_BYTES: u64 = 1 << 24;
+
 /// A reg-reg-imm instruction constructor plus a "signed immediate" /
 /// "swapped operands" flag, depending on the table it appears in.
 type FlaggedRri = (fn(Reg, Reg, i16) -> Instr, bool);
@@ -208,14 +213,32 @@ impl Assembler {
                         if n <= 0 || (n & (n - 1)) != 0 {
                             self.err(line, ".align needs a positive power of two");
                         } else if segment == Segment::Data {
-                            while !(data.len() as u64).is_multiple_of(n as u64) {
-                                data.push(0);
+                            let len = data.len() as u64;
+                            let padded = len + (n as u64 - len % n as u64) % n as u64;
+                            if padded > MAX_DATA_BYTES {
+                                self.err(
+                                    line,
+                                    format!(
+                                        ".align {n} grows the data past {MAX_DATA_BYTES} bytes"
+                                    ),
+                                );
+                            } else {
+                                data.resize(padded as usize, 0);
                             }
                         }
                     }
                     "space" => match self.parse_int(args.trim()) {
                         Some(n) if n >= 0 && segment == Segment::Data => {
-                            data.extend(std::iter::repeat_n(0u8, n as usize));
+                            if data.len() as u64 + n as u64 > MAX_DATA_BYTES {
+                                self.err(
+                                    line,
+                                    format!(
+                                        ".space {n} grows the data past {MAX_DATA_BYTES} bytes"
+                                    ),
+                                );
+                            } else {
+                                data.resize(data.len() + n as usize, 0);
+                            }
                         }
                         _ => self.err(line, ".space needs a non-negative size in .data"),
                     },
@@ -1139,6 +1162,19 @@ mod tests {
     fn entry_directive_overrides_main() {
         let p = assemble(".entry start\nmain: nop\nstart: halt").unwrap();
         assert_eq!(p.entry(), p.symbol("start").unwrap());
+    }
+
+    #[test]
+    fn oversized_data_is_an_error_not_an_allocation() {
+        for src in [
+            ".data\n.space 9223372036854775807",
+            ".data\nx: .byte 1\n.align 0x4000000000000000",
+        ] {
+            let errs = assemble(&format!("{src}\n.text\nmain: halt")).unwrap_err();
+            assert!(errs[0].msg.contains("grows the data past"), "{errs:?}");
+        }
+        let p = assemble(".data\n.space 16\n.align 64\n.text\nmain: halt").unwrap();
+        assert_eq!(p.data().len(), 64);
     }
 
     #[test]
