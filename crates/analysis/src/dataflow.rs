@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use mssp_isa::{Instr, Program, Reg, NUM_REGS};
+use mssp_isa::{lui_value, AluOp, ImmOp, Instr, Program, Reg, INSTR_BYTES, NUM_REGS};
 
 use crate::live::RegSet;
 use crate::{BlockId, Cfg, Terminator};
@@ -465,75 +465,22 @@ impl Analysis for ConstPropAnalysis {
     }
 }
 
-/// Evaluates the value `instr` (known to define a register) writes, given
-/// the facts before it. Mirrors the interpreter's ALU semantics exactly —
-/// including zero-extension of logical immediates and the RISC-V division
-/// conventions.
+/// The value `instr` (known to define a register) writes, given the facts
+/// before it.
 fn eval(pc: u64, instr: Instr, facts: &ConstFacts) -> ConstVal {
-    use Instr::*;
-
-    let bin = |a: Reg, b: Reg, f: fn(u64, u64) -> u64| -> ConstVal {
-        match (facts.get(a), facts.get(b)) {
-            (ConstVal::Const(x), ConstVal::Const(y)) => ConstVal::Const(f(x, y)),
+    match instr {
+        Instr::Alu(op, _, a, b) => match (facts.get(a), facts.get(b)) {
+            (ConstVal::Const(x), ConstVal::Const(y)) => ConstVal::Const(op.eval(x, y)),
             (ConstVal::Varying, _) | (_, ConstVal::Varying) => ConstVal::Varying,
             _ => ConstVal::Unknown,
-        }
-    };
-    let un = |a: Reg, f: &dyn Fn(u64) -> u64| -> ConstVal {
-        match facts.get(a) {
-            ConstVal::Const(x) => ConstVal::Const(f(x)),
+        },
+        Instr::AluImm(op, _, a, imm) => match facts.get(a) {
+            ConstVal::Const(x) => ConstVal::Const(op.eval(x, imm)),
             other => other,
-        }
-    };
-
-    match instr {
-        Add(_, a, b) => bin(a, b, |x, y| x.wrapping_add(y)),
-        Sub(_, a, b) => bin(a, b, |x, y| x.wrapping_sub(y)),
-        And(_, a, b) => bin(a, b, |x, y| x & y),
-        Or(_, a, b) => bin(a, b, |x, y| x | y),
-        Xor(_, a, b) => bin(a, b, |x, y| x ^ y),
-        Sll(_, a, b) => bin(a, b, |x, y| x.wrapping_shl((y & 63) as u32)),
-        Srl(_, a, b) => bin(a, b, |x, y| x.wrapping_shr((y & 63) as u32)),
-        Sra(_, a, b) => bin(a, b, |x, y| {
-            ((x as i64).wrapping_shr((y & 63) as u32)) as u64
-        }),
-        Slt(_, a, b) => bin(a, b, |x, y| ((x as i64) < (y as i64)) as u64),
-        Sltu(_, a, b) => bin(a, b, |x, y| (x < y) as u64),
-        Mul(_, a, b) => bin(a, b, |x, y| x.wrapping_mul(y)),
-        Div(_, a, b) => bin(a, b, |x, y| {
-            let (x, y) = (x as i64, y as i64);
-            if y == 0 {
-                -1i64 as u64
-            } else if x == i64::MIN && y == -1 {
-                x as u64
-            } else {
-                x.wrapping_div(y) as u64
-            }
-        }),
-        Divu(_, a, b) => bin(a, b, |x, y| x.checked_div(y).unwrap_or(u64::MAX)),
-        Rem(_, a, b) => bin(a, b, |x, y| {
-            let (x, y) = (x as i64, y as i64);
-            if y == 0 {
-                x as u64
-            } else if x == i64::MIN && y == -1 {
-                0
-            } else {
-                x.wrapping_rem(y) as u64
-            }
-        }),
-        Remu(_, a, b) => bin(a, b, |x, y| if y == 0 { x } else { x % y }),
-        Addi(_, a, i) => un(a, &move |x| x.wrapping_add(i as i64 as u64)),
-        Andi(_, a, i) => un(a, &move |x| x & (i as u16 as u64)),
-        Ori(_, a, i) => un(a, &move |x| x | (i as u16 as u64)),
-        Xori(_, a, i) => un(a, &move |x| x ^ (i as u16 as u64)),
-        Slti(_, a, i) => un(a, &move |x| ((x as i64) < i as i64) as u64),
-        Sltiu(_, a, i) => un(a, &move |x| (x < (i as i64 as u64)) as u64),
-        Slli(_, a, s) => un(a, &move |x| x.wrapping_shl(s as u32)),
-        Srli(_, a, s) => un(a, &move |x| x.wrapping_shr(s as u32)),
-        Srai(_, a, s) => un(a, &move |x| ((x as i64).wrapping_shr(s as u32)) as u64),
-        Lui(_, i) => ConstVal::Const(((i as i64) << 16) as u64),
+        },
+        Instr::Lui(_, imm) => ConstVal::Const(lui_value(imm)),
         // Link registers hold the (statically known) return address.
-        Jal(..) | Jalr(..) => ConstVal::Const(pc.wrapping_add(mssp_isa::INSTR_BYTES)),
+        Instr::Jal(..) | Instr::Jalr(..) => ConstVal::Const(pc.wrapping_add(INSTR_BYTES)),
         // Loads are data-dependent.
         _ => ConstVal::Varying,
     }
@@ -549,36 +496,20 @@ fn eval(pc: u64, instr: Instr, facts: &ConstFacts) -> ConstVal {
 /// # Examples
 ///
 /// ```
-/// use mssp_isa::{Instr, Reg};
+/// use mssp_isa::{Cond, ImmOp, Instr, Reg};
 /// use mssp_analysis::{eval_branch, Analysis, ConstPropAnalysis};
 ///
 /// let mut facts = ConstPropAnalysis.boundary();
-/// ConstPropAnalysis.transfer(0, Instr::Addi(Reg::A0, Reg::ZERO, 3), &mut facts);
+/// ConstPropAnalysis.transfer(0, Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 3), &mut facts);
 /// // a0 == 3, so `beqz a0` is decidedly not taken.
-/// assert_eq!(eval_branch(Instr::Beq(Reg::A0, Reg::ZERO, -8), &facts), Some(false));
+/// assert_eq!(eval_branch(Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, -8), &facts), Some(false));
 /// ```
 #[must_use]
 pub fn eval_branch(instr: Instr, facts: &ConstFacts) -> Option<bool> {
-    use Instr::*;
-    let (a, b) = match instr {
-        Beq(a, b, _)
-        | Bne(a, b, _)
-        | Blt(a, b, _)
-        | Bge(a, b, _)
-        | Bltu(a, b, _)
-        | Bgeu(a, b, _) => (a, b),
-        _ => return None,
+    let Instr::Branch(cond, a, b, _) = instr else {
+        return None;
     };
-    let (x, y) = (facts.get(a).as_const()?, facts.get(b).as_const()?);
-    Some(match instr {
-        Beq(..) => x == y,
-        Bne(..) => x != y,
-        Blt(..) => (x as i64) < (y as i64),
-        Bge(..) => (x as i64) >= (y as i64),
-        Bltu(..) => x < y,
-        Bgeu(..) => x >= y,
-        _ => unreachable!("matched above"),
-    })
+    Some(cond.holds(facts.get(a).as_const()?, facts.get(b).as_const()?))
 }
 
 /// Forward constant propagation over a program's CFG.
@@ -718,10 +649,9 @@ impl CopyFacts {
 /// also qualify because logical immediates zero-extend.
 #[must_use]
 pub(crate) fn as_reg_copy(instr: Instr) -> Option<(Reg, Reg)> {
-    use Instr::*;
     let (rd, rs) = match instr {
-        Addi(rd, rs, 0) | Ori(rd, rs, 0) | Xori(rd, rs, 0) => (rd, rs),
-        Add(rd, a, b) | Or(rd, a, b) | Xor(rd, a, b) => {
+        Instr::AluImm(ImmOp::Addi | ImmOp::Ori | ImmOp::Xori, rd, rs, 0) => (rd, rs),
+        Instr::Alu(AluOp::Add | AluOp::Or | AluOp::Xor, rd, a, b) => {
             if b.is_zero() {
                 (rd, a)
             } else if a.is_zero() {
@@ -802,6 +732,7 @@ impl Analysis for CopyPropAnalysis {
 mod tests {
     use super::*;
     use mssp_isa::asm::assemble;
+    use mssp_isa::Cond;
 
     fn setup(src: &str) -> (Program, Cfg) {
         let p = assemble(src).unwrap();
@@ -960,15 +891,21 @@ mod tests {
     #[test]
     fn copy_prop_recognizes_zero_moves() {
         assert_eq!(
-            as_reg_copy(Instr::Add(Reg::A1, Reg::A0, Reg::ZERO)),
+            as_reg_copy(Instr::Alu(AluOp::Add, Reg::A1, Reg::A0, Reg::ZERO)),
             Some((Reg::A1, Reg::A0))
         );
         assert_eq!(
-            as_reg_copy(Instr::Or(Reg::A1, Reg::ZERO, Reg::A0)),
+            as_reg_copy(Instr::Alu(AluOp::Or, Reg::A1, Reg::ZERO, Reg::A0)),
             Some((Reg::A1, Reg::A0))
         );
-        assert_eq!(as_reg_copy(Instr::Addi(Reg::A1, Reg::A0, 1)), None);
-        assert_eq!(as_reg_copy(Instr::Addi(Reg::A0, Reg::A0, 0)), None);
+        assert_eq!(
+            as_reg_copy(Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1)),
+            None
+        );
+        assert_eq!(
+            as_reg_copy(Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::A0, 0)),
+            None
+        );
         // Copy *of* the zero register is a recognized li-0.
         let (p, cfg) = setup("main: addi a0, zero, 0\n addi a1, a0, 1\n halt");
         let c = solve(&p, &cfg, &CopyPropAnalysis);
@@ -984,19 +921,22 @@ mod tests {
         let c = ConstProp::compute(&p, &cfg);
         let facts = c.results.after(p.entry() + 4).unwrap();
         assert_eq!(
-            eval_branch(Instr::Blt(Reg::A0, Reg::A1, 0), facts),
+            eval_branch(Instr::Branch(Cond::Blt, Reg::A0, Reg::A1, 0), facts),
             Some(true)
         );
         assert_eq!(
-            eval_branch(Instr::Beq(Reg::A0, Reg::A1, 0), facts),
+            eval_branch(Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 0), facts),
             Some(false)
         );
         assert_eq!(
-            eval_branch(Instr::Bgeu(Reg::A1, Reg::A0, 0), facts),
+            eval_branch(Instr::Branch(Cond::Bgeu, Reg::A1, Reg::A0, 0), facts),
             Some(true)
         );
         // Unknown operand: undecidable.
-        assert_eq!(eval_branch(Instr::Beq(Reg::T3, Reg::A1, 0), facts), None);
+        assert_eq!(
+            eval_branch(Instr::Branch(Cond::Beq, Reg::T3, Reg::A1, 0), facts),
+            None
+        );
         assert_eq!(eval_branch(Instr::Halt, facts), None);
     }
 

@@ -9,7 +9,7 @@
 
 use mssp_analysis::{eval_branch, Analysis, ConstFacts, ConstPropAnalysis, ConstVal};
 use mssp_isa::asm::li_sequence;
-use mssp_isa::{Instr, Program, Reg};
+use mssp_isa::{AluOp, Cond, ImmOp, Instr, Program, Reg};
 use mssp_machine::SeqMachine;
 use mssp_testkit::Rng;
 
@@ -80,32 +80,12 @@ fn agrees(x: i64, y: i64, instr: Instr) {
     );
 }
 
-type RegOp = fn(Reg, Reg, Reg) -> Instr;
-
 #[test]
 fn register_ops_agree_with_the_interpreter() {
-    let ops: [(&str, RegOp); 15] = [
-        ("add", Instr::Add),
-        ("sub", Instr::Sub),
-        ("and", Instr::And),
-        ("or", Instr::Or),
-        ("xor", Instr::Xor),
-        ("sll", Instr::Sll),
-        ("srl", Instr::Srl),
-        ("sra", Instr::Sra),
-        ("slt", Instr::Slt),
-        ("sltu", Instr::Sltu),
-        ("mul", Instr::Mul),
-        ("div", Instr::Div),
-        ("divu", Instr::Divu),
-        ("rem", Instr::Rem),
-        ("remu", Instr::Remu),
-    ];
     let mut rng = Rng::new(0xC0A5_7001);
     let values = operands(&mut rng, 8);
-    for (name, op) in ops {
-        let instr = op(Reg::A0, Reg::A1, Reg::A2);
-        assert_eq!(instr.mnemonic(), name);
+    for op in AluOp::ALL {
+        let instr = Instr::Alu(op, Reg::A0, Reg::A1, Reg::A2);
         for &x in &values {
             for &y in &values {
                 agrees(x, y, instr);
@@ -116,35 +96,16 @@ fn register_ops_agree_with_the_interpreter() {
 
 #[test]
 fn immediate_ops_and_lui_agree_with_the_interpreter() {
-    // Built from an `i64` so the cases read the same whatever integer type
-    // an opcode stores its immediate or shift amount in.
-    type ImmOp = fn(Reg, Reg, i64) -> Instr;
-    let ops: [(&str, ImmOp); 9] = [
-        ("addi", |d, s, i| Instr::Addi(d, s, i as i16)),
-        ("andi", |d, s, i| Instr::Andi(d, s, i as i16)),
-        ("ori", |d, s, i| Instr::Ori(d, s, i as i16)),
-        ("xori", |d, s, i| Instr::Xori(d, s, i as i16)),
-        ("slti", |d, s, i| Instr::Slti(d, s, i as i16)),
-        ("sltiu", |d, s, i| Instr::Sltiu(d, s, i as i16)),
-        ("slli", |d, s, i| {
-            Instr::Slli(d, s, (i & 63).try_into().unwrap())
-        }),
-        ("srli", |d, s, i| {
-            Instr::Srli(d, s, (i & 63).try_into().unwrap())
-        }),
-        ("srai", |d, s, i| {
-            Instr::Srai(d, s, (i & 63).try_into().unwrap())
-        }),
-    ];
     let mut rng = Rng::new(0xC0A5_7002);
     let values = operands(&mut rng, 16);
     let imms = immediates(&mut rng);
-    for (name, op) in ops {
+    for op in ImmOp::ALL {
         for &x in &values {
             for &imm in &imms {
-                let instr = op(Reg::A0, Reg::A1, i64::from(imm));
-                assert_eq!(instr.mnemonic(), name);
-                agrees(x, 0, instr);
+                // The assembler accepts shift amounts in `0..64` only.
+                let shift = matches!(op, ImmOp::Slli | ImmOp::Srli | ImmOp::Srai);
+                let imm = if shift { imm & 63 } else { imm };
+                agrees(x, 0, Instr::AluImm(op, Reg::A0, Reg::A1, imm));
             }
         }
     }
@@ -155,22 +116,12 @@ fn immediate_ops_and_lui_agree_with_the_interpreter() {
 
 #[test]
 fn branch_verdicts_agree_with_the_interpreter() {
-    type Branch = fn(Reg, Reg, i16) -> Instr;
-    let conds: [(&str, Branch); 6] = [
-        ("beq", Instr::Beq),
-        ("bne", Instr::Bne),
-        ("blt", Instr::Blt),
-        ("bge", Instr::Bge),
-        ("bltu", Instr::Bltu),
-        ("bgeu", Instr::Bgeu),
-    ];
     let mut rng = Rng::new(0xC0A5_7003);
     let values = operands(&mut rng, 8);
-    for (name, cond) in conds {
+    for cond in Cond::ALL {
         // A taken branch skips the `addi` that marks the fall-through.
-        let branch = cond(Reg::A1, Reg::A2, 4);
-        assert_eq!(branch.mnemonic(), name);
-        let mark = Instr::Addi(Reg::A3, Reg::ZERO, 1);
+        let branch = Instr::Branch(cond, Reg::A1, Reg::A2, 4);
+        let mark = Instr::AluImm(ImmOp::Addi, Reg::A3, Reg::ZERO, 1);
         for &x in &values {
             for &y in &values {
                 let p = program(x, y, &[branch, mark]);

@@ -483,7 +483,7 @@ mod tests {
         for i in 0..1200u64 {
             let info = StepInfo {
                 pc: 0x9000 + i * 4,
-                instr: mssp_isa::Instr::Addi(Reg::ZERO, Reg::ZERO, 0),
+                instr: mssp_isa::Instr::nop(),
                 next_pc: 0x9000 + i * 4 + 4,
                 halted: false,
                 taken: None,

@@ -274,6 +274,7 @@ pub(crate) struct LayoutError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mssp_isa::{Cond, ImmOp, StoreOp};
 
     fn block(start: u64, body: Vec<Instr>, exit: Exit) -> DBlock {
         DBlock {
@@ -296,8 +297,8 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                Instr::Addi(Reg::A0, Reg::ZERO, 1), // overwritten
-                Instr::Addi(Reg::A0, Reg::ZERO, 2), // dead at halt
+                Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1), // overwritten
+                Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 2), // dead at halt
             ],
             Exit::Stop(Instr::Halt),
         )];
@@ -312,8 +313,8 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![Instr::Addi(Reg::A0, Reg::ZERO, 1)],
-                branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), 0x100),
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1)],
+                branch(Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, 0), 0x100),
             ),
             block(0x108, vec![], Exit::Stop(Instr::Halt)),
         ];
@@ -328,10 +329,10 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                Instr::Addi(Reg::A0, Reg::ZERO, 1), // feeds dead a1
-                Instr::Addi(Reg::A1, Reg::A0, 1),   // overwritten
-                Instr::Addi(Reg::A1, Reg::ZERO, 9),
-                Instr::Sd(Reg::A1, Reg::SP, 0),
+                Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1), // feeds dead a1
+                Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1),   // overwritten
+                Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::ZERO, 9),
+                Instr::Store(StoreOp::Sd, Reg::A1, Reg::SP, 0),
             ],
             Exit::Stop(Instr::Halt),
         )];
@@ -349,14 +350,14 @@ mod tests {
             block(
                 head,
                 vec![
-                    Instr::Addi(Reg::A0, Reg::A0, 1), // faint
-                    Instr::Addi(Reg::A1, Reg::A1, -1),
+                    Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::A0, 1), // faint
+                    Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A1, -1),
                 ],
-                branch(Instr::Bne(Reg::A1, Reg::ZERO, 0), head),
+                branch(Instr::Branch(Cond::Bne, Reg::A1, Reg::ZERO, 0), head),
             ),
             block(
                 0x200,
-                vec![Instr::Sd(Reg::A1, Reg::SP, 0)],
+                vec![Instr::Store(StoreOp::Sd, Reg::A1, Reg::SP, 0)],
                 Exit::Stop(Instr::Halt),
             ),
         ];
@@ -371,8 +372,8 @@ mod tests {
         let mut blocks = vec![
             block(
                 loop_head,
-                vec![Instr::Addi(Reg::A0, Reg::A0, -1)],
-                branch(Instr::Bne(Reg::A0, Reg::ZERO, 0), loop_head),
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::A0, -1)],
+                branch(Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, 0), loop_head),
             ),
             block(0x300, vec![], Exit::Stop(Instr::Halt)),
         ];
@@ -386,7 +387,7 @@ mod tests {
                 0x100,
                 vec![],
                 Exit::Branch {
-                    instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                    instr: Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 0),
                     taken: 0x300,
                     other: Some(0x200),
                 },
@@ -394,7 +395,7 @@ mod tests {
             block(
                 0x200,
                 vec![],
-                branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x900),
+                branch(Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 0), 0x900),
             ),
             block(0x300, vec![], Exit::Jump(0x100)),
             block(
@@ -423,7 +424,7 @@ mod tests {
             block(
                 0x100,
                 vec![Instr::nop()],
-                branch(Instr::Beq(Reg::A0, Reg::ZERO, 0), 0x300),
+                branch(Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 0), 0x300),
             ),
             block(0x200, vec![], Exit::Jump(0x100)),
             block(0x300, vec![], Exit::Stop(Instr::Halt)),
@@ -434,7 +435,7 @@ mod tests {
         assert_eq!(map[&0x200], 0x8008);
         assert_eq!(map[&0x300], 0x800C);
         // The branch at 0x8004 targets 0x800C: offset 4.
-        assert_eq!(instrs[1], Instr::Beq(Reg::A0, Reg::ZERO, 4));
+        assert_eq!(instrs[1], Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 4));
         // The jump at 0x8008 targets 0x8000: offset -12.
         assert_eq!(instrs[2], Instr::Jal(Reg::ZERO, -12));
     }
@@ -446,7 +447,7 @@ mod tests {
                 0x100,
                 vec![],
                 Exit::Branch {
-                    instr: Instr::Bne(Reg::A0, Reg::ZERO, 0),
+                    instr: Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, 0),
                     taken: 0x300,
                     other: Some(0x100),
                 },
@@ -458,7 +459,7 @@ mod tests {
         assert_eq!(
             instrs,
             vec![
-                Instr::Bne(Reg::A0, Reg::ZERO, 4),
+                Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, 4),
                 Instr::Jal(Reg::ZERO, -8),
                 Instr::Halt
             ]

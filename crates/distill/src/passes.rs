@@ -507,7 +507,7 @@ fn jump_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssp_isa::Reg;
+    use mssp_isa::{Cond, ImmOp, Reg};
 
     fn block(start: u64, body: Vec<Instr>, exit: Exit) -> DBlock {
         DBlock {
@@ -535,14 +535,17 @@ mod tests {
         let mut blocks = vec![block(
             0x100,
             vec![
-                Instr::Addi(Reg::A0, Reg::ZERO, 6),
-                Instr::Addi(Reg::A1, Reg::A0, 1),
+                Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 6),
+                Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1),
             ],
             Exit::Stop(Instr::Halt),
         )];
         let (folded, branches) = const_fold(&mut blocks, &no_entries());
         assert_eq!((folded, branches), (1, 0));
-        assert_eq!(blocks[0].body[1], Instr::Addi(Reg::A1, Reg::ZERO, 7));
+        assert_eq!(
+            blocks[0].body[1],
+            Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::ZERO, 7)
+        );
     }
 
     #[test]
@@ -552,9 +555,9 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)],
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 3)],
                 Exit::Branch {
-                    instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                    instr: Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 0),
                     taken: 0x200,
                     other: None,
                 },
@@ -580,9 +583,9 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)],
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 3)],
                 Exit::Branch {
-                    instr: Instr::Bne(Reg::A0, Reg::ZERO, 0),
+                    instr: Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, 0),
                     taken: 0x200,
                     other: Some(0x108),
                 },
@@ -605,17 +608,24 @@ mod tests {
         // pessimistic, so a use of a0 downstream of the boundary must not
         // fold even though the only IR path sets a0 = 3.
         let mut blocks = vec![
-            block(0x100, vec![Instr::Addi(Reg::A0, Reg::ZERO, 3)], Exit::Fall),
+            block(
+                0x100,
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 3)],
+                Exit::Fall,
+            ),
             block(
                 0x108,
-                vec![Instr::Addi(Reg::A1, Reg::A0, 1)],
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1)],
                 Exit::Stop(Instr::Halt),
             ),
         ];
         let entries: BTreeSet<u64> = [0x108].into_iter().collect();
         let (folded, _) = const_fold(&mut blocks, &entries);
         assert_eq!(folded, 0);
-        assert_eq!(blocks[1].body[0], Instr::Addi(Reg::A1, Reg::A0, 1));
+        assert_eq!(
+            blocks[1].body[0],
+            Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1)
+        );
     }
 
     #[test]
@@ -626,19 +636,22 @@ mod tests {
             block(
                 0x100,
                 vec![
-                    Instr::Addi(Reg::A0, Reg::ZERO, 9),
-                    Instr::Addi(Reg::A1, Reg::A0, 0),
+                    Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 9),
+                    Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 0),
                 ],
                 Exit::Fall,
             ),
             block(
                 0x108,
-                vec![Instr::Addi(Reg::A2, Reg::A1, 1)],
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A2, Reg::A1, 1)],
                 Exit::Stop(Instr::Halt),
             ),
         ];
         assert_eq!(copy_prop(&mut blocks, &no_entries()), 1);
-        assert_eq!(blocks[1].body[0], Instr::Addi(Reg::A2, Reg::A0, 1));
+        assert_eq!(
+            blocks[1].body[0],
+            Instr::AluImm(ImmOp::Addi, Reg::A2, Reg::A0, 1)
+        );
     }
 
     #[test]
@@ -647,9 +660,9 @@ mod tests {
         let mut blocks = vec![
             block(
                 0x100,
-                vec![Instr::Addi(Reg::A1, Reg::A0, 0)],
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 0)],
                 Exit::Branch {
-                    instr: Instr::Beq(Reg::A1, Reg::ZERO, 0),
+                    instr: Instr::Branch(Cond::Beq, Reg::A1, Reg::ZERO, 0),
                     taken: 0x100,
                     other: None,
                 },
@@ -665,7 +678,7 @@ mod tests {
         assert_eq!(
             blocks[0].exit,
             Exit::Branch {
-                instr: Instr::Beq(Reg::A0, Reg::ZERO, 0),
+                instr: Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 0),
                 taken: 0x100,
                 other: None,
             }

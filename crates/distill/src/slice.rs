@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mssp_analysis::{Cfg, Profile, Terminator};
-use mssp_isa::{Instr, Program, Reg, INSTR_BYTES};
+use mssp_isa::{ImmOp, Instr, Program, Reg, INSTR_BYTES};
 
 use crate::DistillConfig;
 
@@ -86,11 +86,6 @@ pub struct Slice {
 /// re-proved by the `slice-unsound` lint on every `Distilled`.
 pub const MAX_SLICE_LEN: usize = 16;
 
-/// Is this instruction pure ALU (no memory, no control, no halt)?
-fn is_pure_alu(i: &Instr) -> bool {
-    !i.is_mem() && !i.is_control() && !i.is_halt() && !i.is_branch()
-}
-
 /// Bounded forward reachability walk from `start` over static control
 /// flow, returning the visited PCs (at most `max` instructions).
 fn forward_walk(program: &Program, start: u64, max: usize) -> BTreeSet<u64> {
@@ -128,7 +123,9 @@ fn region_stride(program: &Program, reg: Reg, lo: u64, hi: u64) -> Option<i64> {
         };
         if instr.def_reg() == Some(reg) {
             match (instr, stride) {
-                (Instr::Addi(d, s, imm), None) if d == s => stride = Some(i64::from(imm)),
+                (Instr::AluImm(ImmOp::Addi, d, s, imm), None) if d == s => {
+                    stride = Some(i64::from(imm))
+                }
                 _ => return None, // multiple or non-induction defs
             }
         }
@@ -163,7 +160,7 @@ fn condition_slice(
         // them from the master's spawn-time memory view, which makes
         // pointer-chase exit conditions guardable. Stores and control
         // stay out.
-        if !(is_pure_alu(&instr) || instr.is_load()) || picked.len() + 1 >= MAX_SLICE_LEN {
+        if !(instr.is_alu() || instr.is_load()) || picked.len() + 1 >= MAX_SLICE_LEN {
             return None;
         }
         picked.push((pc, instr));
@@ -301,7 +298,7 @@ pub(crate) fn compute_slices(
                 pc += INSTR_BYTES;
             }
             let [(def_pc, def)] = defs[..] else { continue };
-            if !is_pure_alu(&def) || def.use_regs().into_iter().flatten().any(|u| u == reg) {
+            if !def.is_alu() || def.use_regs().into_iter().flatten().any(|u| u == reg) {
                 continue;
             }
             let operands: Vec<Reg> = def

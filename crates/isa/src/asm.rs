@@ -30,16 +30,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::program::segment_end;
-use crate::{Instr, Program, Reg, DATA_BASE, INSTR_BYTES, TEXT_BASE};
+use crate::{
+    AluOp, Cond, ImmOp, Instr, LoadOp, Program, Reg, StoreOp, DATA_BASE, INSTR_BYTES, TEXT_BASE,
+};
 
 /// The largest data segment the assembler lays out. The image is built in
 /// memory, so a `.space` or `.align` that asks for more is an error rather
 /// than an allocation.
 const MAX_DATA_BYTES: u64 = 1 << 24;
-
-/// A reg-reg-imm instruction constructor plus a "signed immediate" /
-/// "swapped operands" flag, depending on the table it appears in.
-type FlaggedRri = (fn(Reg, Reg, i16) -> Instr, bool);
 
 /// An assembly diagnostic, carrying the 1-based source line.
 ///
@@ -545,7 +543,19 @@ impl Assembler {
         self.imm16(line, delta, "branch displacement")
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// The `reg, off(base)` operands of a load or store.
+    fn mem_operands(&mut self, line: usize, m: &str, ops: &[Operand]) -> Option<(Reg, Reg, i16)> {
+        match ops {
+            [Operand::Reg(r), Operand::Mem(off, base)] => {
+                Some((*r, *base, self.imm16(line, *off, "memory offset")?))
+            }
+            _ => {
+                self.err(line, format!("`{m}` needs `reg, off(base)`"));
+                None
+            }
+        }
+    }
+
     fn emit(&mut self, item: &PendingInstr, symbols: &BTreeMap<String, u64>, out: &mut Vec<Instr>) {
         use Operand as O;
         let line = item.line;
@@ -553,163 +563,79 @@ impl Assembler {
         let ops = &item.operands;
         let pc = item.pc;
 
-        // R-type three-register ALU ops.
-        let rrr: Option<fn(Reg, Reg, Reg) -> Instr> = match m {
-            "add" => Some(Instr::Add),
-            "sub" => Some(Instr::Sub),
-            "and" => Some(Instr::And),
-            "or" => Some(Instr::Or),
-            "xor" => Some(Instr::Xor),
-            "sll" => Some(Instr::Sll),
-            "srl" => Some(Instr::Srl),
-            "sra" => Some(Instr::Sra),
-            "slt" => Some(Instr::Slt),
-            "sltu" => Some(Instr::Sltu),
-            "mul" => Some(Instr::Mul),
-            "div" => Some(Instr::Div),
-            "divu" => Some(Instr::Divu),
-            "rem" => Some(Instr::Rem),
-            "remu" => Some(Instr::Remu),
-            _ => None,
-        };
-        if let Some(ctor) = rrr {
-            if let Some([a, b, c]) = self.expect_regs::<3>(line, m, ops) {
-                out.push(ctor(a, b, c));
+        if let Some(op) = opcode(&AluOp::ALL, m, AluOp::mnemonic) {
+            if let Some([rd, a, b]) = self.expect_regs::<3>(line, m, ops) {
+                out.push(Instr::Alu(op, rd, a, b));
             }
             return;
         }
-
-        // I-type ALU ops.
-        let rri: Option<FlaggedRri> = match m {
-            "addi" => Some((Instr::Addi, true)),
-            "slti" => Some((Instr::Slti, true)),
-            "sltiu" => Some((Instr::Sltiu, true)),
-            "andi" => Some((Instr::Andi, false)),
-            "ori" => Some((Instr::Ori, false)),
-            "xori" => Some((Instr::Xori, false)),
-            _ => None,
-        };
-        if let Some((ctor, signed)) = rri {
+        if let Some(op) = opcode(&ImmOp::ALL, m, ImmOp::mnemonic) {
             match ops.as_slice() {
-                [O::Reg(rd), O::Reg(rs), O::Imm(v)] => {
-                    let imm = if signed {
-                        self.imm16(line, *v, "immediate")
-                    } else {
+                [O::Reg(rd), O::Reg(rs), O::Imm(v)] if !op.is_shift() || (0..64).contains(v) => {
+                    let imm = if op.is_shift() {
+                        Some(*v as i16)
+                    } else if op.zero_extends() {
                         self.uimm16(line, *v, "immediate")
+                    } else {
+                        self.imm16(line, *v, "immediate")
                     };
                     if let Some(imm) = imm {
-                        out.push(ctor(*rd, *rs, imm));
+                        out.push(Instr::AluImm(op, *rd, *rs, imm));
                     }
                 }
+                _ if op.is_shift() => self.err(
+                    line,
+                    format!("`{m}` needs `reg, reg, shamt` with shamt in 0..64"),
+                ),
                 _ => self.err(line, format!("`{m}` needs `reg, reg, imm`")),
             }
             return;
         }
-
-        // Shifts with immediate shift amounts.
-        let shift: Option<fn(Reg, Reg, u8) -> Instr> = match m {
-            "slli" => Some(Instr::Slli),
-            "srli" => Some(Instr::Srli),
-            "srai" => Some(Instr::Srai),
-            _ => None,
-        };
-        if let Some(ctor) = shift {
-            match ops.as_slice() {
-                [O::Reg(rd), O::Reg(rs), O::Imm(v)] if (0..64).contains(v) => {
-                    out.push(ctor(*rd, *rs, *v as u8));
-                }
-                _ => self.err(
-                    line,
-                    format!("`{m}` needs `reg, reg, shamt` with shamt in 0..64"),
-                ),
+        if let Some(op) = opcode(&LoadOp::ALL, m, LoadOp::mnemonic) {
+            if let Some((rd, base, off)) = self.mem_operands(line, m, ops) {
+                out.push(Instr::Load(op, rd, base, off));
+            }
+            return;
+        }
+        if let Some(op) = opcode(&StoreOp::ALL, m, StoreOp::mnemonic) {
+            if let Some((src, base, off)) = self.mem_operands(line, m, ops) {
+                out.push(Instr::Store(op, src, base, off));
             }
             return;
         }
 
-        // Loads and stores.
-        let mem: Option<fn(Reg, Reg, i16) -> Instr> = match m {
-            "lb" => Some(Instr::Lb),
-            "lbu" => Some(Instr::Lbu),
-            "lh" => Some(Instr::Lh),
-            "lhu" => Some(Instr::Lhu),
-            "lw" => Some(Instr::Lw),
-            "lwu" => Some(Instr::Lwu),
-            "ld" => Some(Instr::Ld),
-            "sb" => Some(Instr::Sb),
-            "sh" => Some(Instr::Sh),
-            "sw" => Some(Instr::Sw),
-            "sd" => Some(Instr::Sd),
-            _ => None,
+        // Branches. `<b>z a, label` is `<b> a, zero, label`; `bgt`, `ble`,
+        // `bgtu` and `bleu` are `blt`, `bge`, `bltu` and `bgeu` with their
+        // operands swapped.
+        let (name, zero) = match m {
+            "beqz" | "bnez" | "bltz" | "bgez" | "bgtz" | "blez" => (&m[..m.len() - 1], true),
+            _ => (m, false),
         };
-        if let Some(ctor) = mem {
-            match ops.as_slice() {
-                [O::Reg(r), O::Mem(off, base)] => {
-                    if let Some(off) = self.imm16(line, *off, "memory offset") {
-                        out.push(ctor(*r, *base, off));
-                    }
-                }
-                _ => self.err(line, format!("`{m}` needs `reg, off(base)`")),
-            }
-            return;
-        }
-
-        // Branches.
-        let branch: Option<FlaggedRri> = match m {
-            "beq" => Some((Instr::Beq, false)),
-            "bne" => Some((Instr::Bne, false)),
-            "blt" => Some((Instr::Blt, false)),
-            "bge" => Some((Instr::Bge, false)),
-            "bltu" => Some((Instr::Bltu, false)),
-            "bgeu" => Some((Instr::Bgeu, false)),
-            // Swapped-operand pseudo forms.
-            "bgt" => Some((Instr::Blt, true)),
-            "ble" => Some((Instr::Bge, true)),
-            "bgtu" => Some((Instr::Bltu, true)),
-            "bleu" => Some((Instr::Bgeu, true)),
-            _ => None,
+        let (cond, swapped) = match name {
+            "bgt" => (Some(Cond::Blt), true),
+            "ble" => (Some(Cond::Bge), true),
+            "bgtu" => (Some(Cond::Bltu), true),
+            "bleu" => (Some(Cond::Bgeu), true),
+            _ => (opcode(&Cond::ALL, name, Cond::mnemonic), false),
         };
-        if let Some((ctor, swapped)) = branch {
-            match ops.as_slice() {
-                [O::Reg(a), O::Reg(b), target] => {
-                    if let Some(off) = self.branch_off(line, pc, target, symbols) {
-                        let (x, y) = if swapped { (*b, *a) } else { (*a, *b) };
-                        out.push(ctor(x, y, off));
-                    }
-                }
-                _ => self.err(line, format!("`{m}` needs `reg, reg, label`")),
-            }
-            return;
-        }
-
-        // Compare-to-zero branch pseudos.
-        let zbranch: Option<fn(Reg, Reg, i16) -> Instr> = match m {
-            "beqz" => Some(Instr::Beq),
-            "bnez" => Some(Instr::Bne),
-            "bltz" => Some(Instr::Blt),
-            "bgez" => Some(Instr::Bge),
-            _ => None,
-        };
-        if let Some(ctor) = zbranch {
-            match ops.as_slice() {
-                [O::Reg(a), target] => {
-                    if let Some(off) = self.branch_off(line, pc, target, symbols) {
-                        out.push(ctor(*a, Reg::ZERO, off));
-                    }
-                }
-                _ => self.err(line, format!("`{m}` needs `reg, label`")),
-            }
-            return;
-        }
-        if m == "bgtz" || m == "blez" {
-            match ops.as_slice() {
-                [O::Reg(a), target] => {
-                    if let Some(off) = self.branch_off(line, pc, target, symbols) {
-                        // bgtz a <=> blt zero, a; blez a <=> bge zero, a.
-                        let ctor = if m == "bgtz" { Instr::Blt } else { Instr::Bge };
-                        out.push(ctor(Reg::ZERO, *a, off));
-                    }
-                }
-                _ => self.err(line, format!("`{m}` needs `reg, label`")),
+        if let Some(cond) = cond {
+            let operands = match (ops.as_slice(), zero) {
+                ([O::Reg(a), O::Reg(b), target], false) => Some((*a, *b, target)),
+                ([O::Reg(a), target], true) => Some((*a, Reg::ZERO, target)),
+                _ => None,
+            };
+            let Some((a, b, target)) = operands else {
+                let form = if zero {
+                    "reg, label"
+                } else {
+                    "reg, reg, label"
+                };
+                self.err(line, format!("`{m}` needs `{form}`"));
+                return;
+            };
+            if let Some(off) = self.branch_off(line, pc, target, symbols) {
+                let (a, b) = if swapped { (b, a) } else { (a, b) };
+                out.push(Instr::Branch(cond, a, b, off));
             }
             return;
         }
@@ -785,36 +711,29 @@ impl Assembler {
             }
             "mv" => {
                 if let Some([rd, rs]) = self.expect_regs::<2>(line, m, ops) {
-                    out.push(Instr::Addi(rd, rs, 0));
+                    out.push(Instr::AluImm(ImmOp::Addi, rd, rs, 0));
                 }
             }
             "not" => {
                 if let Some([rd, rs]) = self.expect_regs::<2>(line, m, ops) {
-                    // MIPS-style xori zero-extends, so synthesize NOT via
-                    // nor-less form: rd = rs xor -1 needs a register -1.
-                    // Use: rd = rs; rd = rd xor (all-ones via sltiu trick)?
-                    // Simplest correct single-instr form does not exist; use
-                    // two-op form with the canonical all-ones register idiom:
-                    // not rd, rs  =>  xori rd, rs, 0xFFFF only flips low 16.
-                    // Instead emit sub rd, zero, rs; addi rd, rd, -1
-                    // (== !rs for two's complement).
-                    out.push(Instr::Sub(rd, Reg::ZERO, rs));
-                    out.push(Instr::Addi(rd, rd, -1));
+                    // `xori` zero-extends, so `not` is `sub` then `addi -1`.
+                    out.push(Instr::Alu(AluOp::Sub, rd, Reg::ZERO, rs));
+                    out.push(Instr::AluImm(ImmOp::Addi, rd, rd, -1));
                 }
             }
             "neg" => {
                 if let Some([rd, rs]) = self.expect_regs::<2>(line, m, ops) {
-                    out.push(Instr::Sub(rd, Reg::ZERO, rs));
+                    out.push(Instr::Alu(AluOp::Sub, rd, Reg::ZERO, rs));
                 }
             }
             "seqz" => {
                 if let Some([rd, rs]) = self.expect_regs::<2>(line, m, ops) {
-                    out.push(Instr::Sltiu(rd, rs, 1));
+                    out.push(Instr::AluImm(ImmOp::Sltiu, rd, rs, 1));
                 }
             }
             "snez" => {
                 if let Some([rd, rs]) = self.expect_regs::<2>(line, m, ops) {
-                    out.push(Instr::Sltu(rd, Reg::ZERO, rs));
+                    out.push(Instr::Alu(AluOp::Sltu, rd, Reg::ZERO, rs));
                 }
             }
             "li" => match ops.as_slice() {
@@ -830,7 +749,7 @@ impl Assembler {
                             let hi = ((addr.wrapping_add(0x8000)) >> 16) as i16;
                             let lo = addr as i16;
                             out.push(Instr::Lui(*rd, hi));
-                            out.push(Instr::Addi(*rd, *rd, lo));
+                            out.push(Instr::AluImm(ImmOp::Addi, *rd, *rd, lo));
                         }
                     }
                     None => self.err(line, format!("undefined symbol `{s}`")),
@@ -856,10 +775,15 @@ impl Assembler {
 #[must_use]
 pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
     if (i16::MIN as i64..=i16::MAX as i64).contains(&value) {
-        return vec![Instr::Addi(rd, Reg::ZERO, value as i16)];
+        return vec![Instr::AluImm(ImmOp::Addi, rd, Reg::ZERO, value as i16)];
     }
     if (0..=u16::MAX as i64).contains(&value) {
-        return vec![Instr::Ori(rd, Reg::ZERO, value as u16 as i16)];
+        return vec![Instr::AluImm(
+            ImmOp::Ori,
+            rd,
+            Reg::ZERO,
+            value as u16 as i16,
+        )];
     }
     if (i32::MIN as i64..=i32::MAX as i64).contains(&value) {
         // lui sign-extends from bit 31; the +0x8000 trick pairs with the
@@ -868,7 +792,7 @@ pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
         let lo = value as i16;
         let mut seq = vec![Instr::Lui(rd, hi)];
         if lo != 0 {
-            seq.push(Instr::Addi(rd, rd, lo));
+            seq.push(Instr::AluImm(ImmOp::Addi, rd, rd, lo));
         }
         return seq;
     }
@@ -880,14 +804,19 @@ pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
         ((v >> 16) & 0xFFFF) as u16,
         (v & 0xFFFF) as u16,
     ];
-    let mut seq = vec![Instr::Ori(rd, Reg::ZERO, chunks[0] as i16)];
+    let mut seq = vec![Instr::AluImm(ImmOp::Ori, rd, Reg::ZERO, chunks[0] as i16)];
     for &c in &chunks[1..] {
-        seq.push(Instr::Slli(rd, rd, 16));
+        seq.push(Instr::AluImm(ImmOp::Slli, rd, rd, 16));
         if c != 0 {
-            seq.push(Instr::Ori(rd, rd, c as i16));
+            seq.push(Instr::AluImm(ImmOp::Ori, rd, rd, c as i16));
         }
     }
     seq
+}
+
+/// The opcode among `ops` spelled `m`.
+fn opcode<T: Copy>(ops: &[T], m: &str, mnemonic: fn(T) -> &'static str) -> Option<T> {
+    ops.iter().copied().find(|&op| mnemonic(op) == m)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -1093,7 +1022,10 @@ mod tests {
     #[test]
     fn equ_constants_usable_in_immediates() {
         let p = assemble(".equ N, 12\nmain: addi a0, zero, N\n halt").unwrap();
-        assert_eq!(p.text()[0], Instr::Addi(Reg::A0, Reg::ZERO, 12));
+        assert_eq!(
+            p.text()[0],
+            Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 12)
+        );
     }
 
     #[test]
@@ -1102,10 +1034,19 @@ mod tests {
             "main:\n mv a0, a1\n neg a2, a3\n seqz a4, a5\n snez a6, a7\n nop\n ret\n halt",
         )
         .unwrap();
-        assert_eq!(p.text()[0], Instr::Addi(Reg::A0, Reg::A1, 0));
-        assert_eq!(p.text()[1], Instr::Sub(Reg::A2, Reg::ZERO, Reg::A3));
-        assert_eq!(p.text()[2], Instr::Sltiu(Reg::A4, Reg::A5, 1));
-        assert_eq!(p.text()[3], Instr::Sltu(Reg::A6, Reg::ZERO, Reg::A7));
+        assert_eq!(p.text()[0], Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::A1, 0));
+        assert_eq!(
+            p.text()[1],
+            Instr::Alu(AluOp::Sub, Reg::A2, Reg::ZERO, Reg::A3)
+        );
+        assert_eq!(
+            p.text()[2],
+            Instr::AluImm(ImmOp::Sltiu, Reg::A4, Reg::A5, 1)
+        );
+        assert_eq!(
+            p.text()[3],
+            Instr::Alu(AluOp::Sltu, Reg::A6, Reg::ZERO, Reg::A7)
+        );
         assert_eq!(p.text()[5], Instr::Jalr(Reg::ZERO, Reg::RA, 0));
     }
 
@@ -1145,7 +1086,7 @@ mod tests {
             assemble(".data\nv: .dword 9\n.text\nmain: la a0, v\n ld a1, 0(a0)\n halt").unwrap();
         // la expands to lui+addi; simulate the pair.
         let (hi, lo) = match (p.text()[0], p.text()[1]) {
-            (Instr::Lui(_, hi), Instr::Addi(_, _, lo)) => (hi, lo),
+            (Instr::Lui(_, hi), Instr::AluImm(ImmOp::Addi, _, _, lo)) => (hi, lo),
             other => panic!("unexpected la expansion: {other:?}"),
         };
         let addr = (((hi as i64) << 16) + lo as i64) as u64;
@@ -1180,6 +1121,9 @@ mod tests {
     #[test]
     fn char_literals_parse() {
         let p = assemble("main: addi a0, zero, 'A'\n halt").unwrap();
-        assert_eq!(p.text()[0], Instr::Addi(Reg::A0, Reg::ZERO, 65));
+        assert_eq!(
+            p.text()[0],
+            Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 65)
+        );
     }
 }

@@ -6,9 +6,16 @@
 //! the paper) fit in one small interpreter.
 //!
 //! Every instruction occupies [`INSTR_BYTES`] of the address space.
-//! Immediates are 16-bit signed values; branch/jump offsets are in bytes
-//! relative to the *next* instruction's address, exactly like RISC-V's
-//! `pc + 4` convention would be — here we use `pc + 4 + off`.
+//! Immediates are 16 bits wide, sign-extended except where [`ImmOp`] says
+//! otherwise; branch/jump offsets are in bytes relative to the *next*
+//! instruction's address, exactly like RISC-V's `pc + 4` convention would
+//! be — here we use `pc + 4 + off`.
+//!
+//! Each opcode's meaning and spelling is defined once, by the op enum of
+//! its format: [`AluOp::eval`], [`ImmOp::eval`], [`LoadOp::extend`] and
+//! [`Cond::holds`] are what the interpreter executes and what constant
+//! propagation predicts, and each op's `mnemonic` is what the assembler
+//! parses and the disassembler prints.
 
 use std::fmt;
 
@@ -17,125 +24,411 @@ use crate::Reg;
 /// The PC stride: the address distance between consecutive instructions.
 pub const INSTR_BYTES: u64 = 4;
 
-/// An MSSP instruction.
+/// An MSSP instruction, grouped by operand format.
 ///
-/// Field order conventions:
-/// * ALU register ops: `(rd, rs1, rs2)` — `rd = rs1 op rs2`.
-/// * ALU immediate ops: `(rd, rs1, imm)` — `rd = rs1 op imm`.
-/// * Loads: `(rd, base, off)` — `rd = mem[base + off]`.
-/// * Stores: `(src, base, off)` — `mem[base + off] = src`.
-/// * Branches: `(rs1, rs2, off)` — taken target is `pc + 4 + off`.
+/// Each format's op enum ([`AluOp`], [`ImmOp`], [`LoadOp`], [`StoreOp`],
+/// [`Cond`]) owns its opcodes' mnemonics and semantics, so the
+/// interpreter, constant propagation, the assembler and the disassembler
+/// all read an opcode's meaning and spelling from one place.
+///
+/// Field order conventions, per format:
+/// * [`Instr::Alu`]: `(op, rd, rs1, rs2)` — `rd = rs1 op rs2`.
+/// * [`Instr::AluImm`]: `(op, rd, rs1, imm)` — `rd = rs1 op imm`, the
+///   immediate extended as [`ImmOp`] says.
+/// * [`Instr::Lui`]: `(rd, imm)` — `rd = sext(imm) << 16`.
+/// * [`Instr::Load`]: `(op, rd, base, off)` — `rd = mem[base + off]`.
+/// * [`Instr::Store`]: `(op, src, base, off)` — `mem[base + off] = src`.
+/// * [`Instr::Branch`]: `(cond, rs1, rs2, off)` — taken target is
+///   `pc + 4 + off`.
 /// * [`Instr::Jal`]: `(rd, off)` — `rd = pc + 4; pc = pc + 4 + off`.
 /// * [`Instr::Jalr`]: `(rd, base, off)` — `rd = pc + 4; pc = base + off`.
 ///
 /// # Examples
 ///
 /// ```
-/// use mssp_isa::{Instr, Reg};
+/// use mssp_isa::{AluOp, Instr, Reg};
 ///
-/// let add = Instr::Add(Reg::A0, Reg::A1, Reg::A2);
+/// let add = Instr::Alu(AluOp::Add, Reg::A0, Reg::A1, Reg::A2);
 /// assert_eq!(add.def_reg(), Some(Reg::A0));
 /// assert!(!add.is_control());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
-    /// `rd = rs1 + rs2` (wrapping).
-    Add(Reg, Reg, Reg),
-    /// `rd = rs1 - rs2` (wrapping).
-    Sub(Reg, Reg, Reg),
-    /// `rd = rs1 & rs2`.
-    And(Reg, Reg, Reg),
-    /// `rd = rs1 | rs2`.
-    Or(Reg, Reg, Reg),
-    /// `rd = rs1 ^ rs2`.
-    Xor(Reg, Reg, Reg),
-    /// `rd = rs1 << (rs2 & 63)`.
-    Sll(Reg, Reg, Reg),
-    /// `rd = rs1 >> (rs2 & 63)` (logical).
-    Srl(Reg, Reg, Reg),
-    /// `rd = rs1 >> (rs2 & 63)` (arithmetic).
-    Sra(Reg, Reg, Reg),
-    /// `rd = (rs1 <ₛ rs2) ? 1 : 0` (signed).
-    Slt(Reg, Reg, Reg),
-    /// `rd = (rs1 <ᵤ rs2) ? 1 : 0` (unsigned).
-    Sltu(Reg, Reg, Reg),
-    /// `rd = rs1 * rs2` (wrapping, low 64 bits).
-    Mul(Reg, Reg, Reg),
-    /// `rd = rs1 / rs2` (signed; division by zero yields `-1`,
-    /// `i64::MIN / -1` yields `i64::MIN`, RISC-V style).
-    Div(Reg, Reg, Reg),
-    /// `rd = rs1 / rs2` (unsigned; division by zero yields `u64::MAX`).
-    Divu(Reg, Reg, Reg),
-    /// `rd = rs1 % rs2` (signed; modulo by zero yields `rs1`).
-    Rem(Reg, Reg, Reg),
-    /// `rd = rs1 % rs2` (unsigned; modulo by zero yields `rs1`).
-    Remu(Reg, Reg, Reg),
-
-    /// `rd = rs1 + imm` (wrapping).
-    Addi(Reg, Reg, i16),
-    /// `rd = rs1 & zext(imm)` — logical immediates zero-extend, MIPS-style,
-    /// so `ori` can splice 16-bit chunks when building wide constants.
-    Andi(Reg, Reg, i16),
-    /// `rd = rs1 | zext(imm)` (zero-extended immediate).
-    Ori(Reg, Reg, i16),
-    /// `rd = rs1 ^ zext(imm)` (zero-extended immediate).
-    Xori(Reg, Reg, i16),
-    /// `rd = (rs1 <ₛ sext(imm)) ? 1 : 0`.
-    Slti(Reg, Reg, i16),
-    /// `rd = (rs1 <ᵤ sext(imm)) ? 1 : 0`.
-    Sltiu(Reg, Reg, i16),
-    /// `rd = rs1 << shamt` (`shamt` in `0..64`).
-    Slli(Reg, Reg, u8),
-    /// `rd = rs1 >> shamt` (logical).
-    Srli(Reg, Reg, u8),
-    /// `rd = rs1 >> shamt` (arithmetic).
-    Srai(Reg, Reg, u8),
-    /// `rd = sext(imm) << 16` — load-upper-immediate; pair with
-    /// [`Instr::Ori`] to build 32-bit constants.
+    /// A register-register ALU operation.
+    Alu(AluOp, Reg, Reg, Reg),
+    /// An ALU operation with a 16-bit immediate (or a shift amount).
+    AluImm(ImmOp, Reg, Reg, i16),
+    /// Load-upper-immediate: `rd = sext(imm) << 16`; pair with `ori` to
+    /// build 32-bit constants.
     Lui(Reg, i16),
-
-    /// Load signed byte: `rd = sext8(mem[base + off])`.
-    Lb(Reg, Reg, i16),
-    /// Load unsigned byte.
-    Lbu(Reg, Reg, i16),
-    /// Load signed 16-bit halfword.
-    Lh(Reg, Reg, i16),
-    /// Load unsigned 16-bit halfword.
-    Lhu(Reg, Reg, i16),
-    /// Load signed 32-bit word.
-    Lw(Reg, Reg, i16),
-    /// Load unsigned 32-bit word.
-    Lwu(Reg, Reg, i16),
-    /// Load 64-bit doubleword.
-    Ld(Reg, Reg, i16),
-    /// Store low byte of `src`.
-    Sb(Reg, Reg, i16),
-    /// Store low 16 bits of `src`.
-    Sh(Reg, Reg, i16),
-    /// Store low 32 bits of `src`.
-    Sw(Reg, Reg, i16),
-    /// Store all 64 bits of `src`.
-    Sd(Reg, Reg, i16),
-
-    /// Branch if `rs1 == rs2`.
-    Beq(Reg, Reg, i16),
-    /// Branch if `rs1 != rs2`.
-    Bne(Reg, Reg, i16),
-    /// Branch if `rs1 <ₛ rs2` (signed).
-    Blt(Reg, Reg, i16),
-    /// Branch if `rs1 >=ₛ rs2` (signed).
-    Bge(Reg, Reg, i16),
-    /// Branch if `rs1 <ᵤ rs2` (unsigned).
-    Bltu(Reg, Reg, i16),
-    /// Branch if `rs1 >=ᵤ rs2` (unsigned).
-    Bgeu(Reg, Reg, i16),
+    /// A memory load.
+    Load(LoadOp, Reg, Reg, i16),
+    /// A memory store.
+    Store(StoreOp, Reg, Reg, i16),
+    /// A conditional branch.
+    Branch(Cond, Reg, Reg, i16),
     /// Jump-and-link: `rd = pc + 4; pc += 4 + off`.
     Jal(Reg, i16),
     /// Indirect jump-and-link: `rd = pc + 4; pc = base + off`.
     Jalr(Reg, Reg, i16),
-
     /// Stop execution; the machine state at `Halt` is the program's result.
     Halt,
+}
+
+/// Register-register ALU operations: `rd = rs1 op rs2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AluOp {
+    /// Wrapping addition.
+    Add,
+    /// Wrapping subtraction.
+    Sub,
+    /// Bitwise and.
+    And,
+    /// Bitwise or.
+    Or,
+    /// Bitwise exclusive or.
+    Xor,
+    /// Shift left by `rs2 & 63`.
+    Sll,
+    /// Logical shift right by `rs2 & 63`.
+    Srl,
+    /// Arithmetic shift right by `rs2 & 63`.
+    Sra,
+    /// `1` if `rs1 <ₛ rs2` (signed), else `0`.
+    Slt,
+    /// `1` if `rs1 <ᵤ rs2` (unsigned), else `0`.
+    Sltu,
+    /// Wrapping multiplication (low 64 bits).
+    Mul,
+    /// Signed division; division by zero yields `-1`, `i64::MIN / -1`
+    /// yields `i64::MIN` (RISC-V style).
+    Div,
+    /// Unsigned division; division by zero yields `u64::MAX`.
+    Divu,
+    /// Signed remainder; remainder by zero yields `rs1`.
+    Rem,
+    /// Unsigned remainder; remainder by zero yields `rs1`.
+    Remu,
+}
+
+impl AluOp {
+    /// Every register-register operation.
+    pub const ALL: [AluOp; 15] = {
+        use AluOp::*;
+        [
+            Add, Sub, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Mul, Div, Divu, Rem, Remu,
+        ]
+    };
+
+    /// The assembly mnemonic, e.g. `"add"` (indexed by declaration order).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        [
+            "add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu", "mul", "div",
+            "divu", "rem", "remu",
+        ][self as usize]
+    }
+
+    /// `x op y`: the value the machine writes to `rd`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_isa::AluOp;
+    /// assert_eq!(AluOp::Div.eval(7, 0), u64::MAX);
+    /// assert_eq!(AluOp::Sll.eval(1, 65), 2);
+    /// ```
+    #[inline(always)]
+    #[must_use]
+    pub fn eval(self, x: u64, y: u64) -> u64 {
+        use AluOp::*;
+        let shamt = (y & 63) as u32;
+        match self {
+            Add => x.wrapping_add(y),
+            Sub => x.wrapping_sub(y),
+            And => x & y,
+            Or => x | y,
+            Xor => x ^ y,
+            Sll => x << shamt,
+            Srl => x >> shamt,
+            Sra => ((x as i64) >> shamt) as u64,
+            Slt => u64::from((x as i64) < (y as i64)),
+            Sltu => u64::from(x < y),
+            Mul => x.wrapping_mul(y),
+            Div if y == 0 => u64::MAX,
+            Div => (x as i64).wrapping_div(y as i64) as u64,
+            Divu => x.checked_div(y).unwrap_or(u64::MAX),
+            Rem if y == 0 => x,
+            Rem => (x as i64).wrapping_rem(y as i64) as u64,
+            Remu => x.checked_rem(y).unwrap_or(x),
+        }
+    }
+}
+
+/// ALU operations with an immediate operand: `rd = rs1 op imm`.
+///
+/// Each computes its register-register counterpart on the extended
+/// immediate. Logical immediates zero-extend, MIPS-style, so `ori` can
+/// splice 16-bit chunks when building wide constants; the others
+/// sign-extend. A shift's immediate is its shift amount, in `0..64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ImmOp {
+    /// `rd = rs1 + sext(imm)` (wrapping).
+    Addi,
+    /// `rd = rs1 & zext(imm)`.
+    Andi,
+    /// `rd = rs1 | zext(imm)`.
+    Ori,
+    /// `rd = rs1 ^ zext(imm)`.
+    Xori,
+    /// `rd = (rs1 <ₛ sext(imm)) ? 1 : 0`.
+    Slti,
+    /// `rd = (rs1 <ᵤ sext(imm)) ? 1 : 0`.
+    Sltiu,
+    /// `rd = rs1 << shamt`.
+    Slli,
+    /// `rd = rs1 >> shamt` (logical).
+    Srli,
+    /// `rd = rs1 >> shamt` (arithmetic).
+    Srai,
+}
+
+impl ImmOp {
+    /// Every immediate operation.
+    pub const ALL: [ImmOp; 9] = {
+        use ImmOp::*;
+        [Addi, Andi, Ori, Xori, Slti, Sltiu, Slli, Srli, Srai]
+    };
+
+    /// The assembly mnemonic, e.g. `"addi"` (indexed by declaration order).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        [
+            "addi", "andi", "ori", "xori", "slti", "sltiu", "slli", "srli", "srai",
+        ][self as usize]
+    }
+
+    /// Whether the immediate is zero-extended (the logical operations)
+    /// rather than sign-extended.
+    #[must_use]
+    pub(crate) fn zero_extends(self) -> bool {
+        matches!(self, ImmOp::Andi | ImmOp::Ori | ImmOp::Xori)
+    }
+
+    /// Whether the immediate is a shift amount.
+    #[must_use]
+    pub(crate) fn is_shift(self) -> bool {
+        matches!(self, ImmOp::Slli | ImmOp::Srli | ImmOp::Srai)
+    }
+
+    /// `x op imm`: the value the machine writes to `rd`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_isa::ImmOp;
+    /// assert_eq!(ImmOp::Ori.eval(0, -1), 0xFFFF);
+    /// assert_eq!(ImmOp::Addi.eval(0, -1), u64::MAX);
+    /// ```
+    #[inline(always)]
+    #[must_use]
+    pub fn eval(self, x: u64, imm: i16) -> u64 {
+        use ImmOp::*;
+        let y = if self.zero_extends() {
+            u64::from(imm as u16)
+        } else {
+            imm as i64 as u64
+        };
+        let op = match self {
+            Addi => AluOp::Add,
+            Andi => AluOp::And,
+            Ori => AluOp::Or,
+            Xori => AluOp::Xor,
+            Slti => AluOp::Slt,
+            Sltiu => AluOp::Sltu,
+            Slli => AluOp::Sll,
+            Srli => AluOp::Srl,
+            Srai => AluOp::Sra,
+        };
+        op.eval(x, y)
+    }
+}
+
+/// The value `lui rd, imm` writes: `sext(imm) << 16`.
+#[inline(always)]
+#[must_use]
+pub fn lui_value(imm: i16) -> u64 {
+    ((imm as i64) << 16) as u64
+}
+
+/// Memory loads: `rd = mem[base + off]`, extended to 64 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LoadOp {
+    /// Signed byte.
+    Lb,
+    /// Unsigned byte.
+    Lbu,
+    /// Signed 16-bit halfword.
+    Lh,
+    /// Unsigned 16-bit halfword.
+    Lhu,
+    /// Signed 32-bit word.
+    Lw,
+    /// Unsigned 32-bit word.
+    Lwu,
+    /// 64-bit doubleword.
+    Ld,
+}
+
+impl LoadOp {
+    /// Every load.
+    pub const ALL: [LoadOp; 7] = {
+        use LoadOp::*;
+        [Lb, Lbu, Lh, Lhu, Lw, Lwu, Ld]
+    };
+
+    /// The assembly mnemonic, e.g. `"ld"` (indexed by declaration order).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        ["lb", "lbu", "lh", "lhu", "lw", "lwu", "ld"][self as usize]
+    }
+
+    /// The access width in bytes.
+    #[inline(always)]
+    #[must_use]
+    pub fn bytes(self) -> u8 {
+        use LoadOp::*;
+        match self {
+            Lb | Lbu => 1,
+            Lh | Lhu => 2,
+            Lw | Lwu => 4,
+            Ld => 8,
+        }
+    }
+
+    /// The register value of `raw`, the [`LoadOp::bytes`] loaded
+    /// (zero-extended): sign-extended for `lb`, `lh` and `lw`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_isa::LoadOp;
+    /// assert_eq!(LoadOp::Lb.extend(0xFF), u64::MAX);
+    /// assert_eq!(LoadOp::Lbu.extend(0xFF), 0xFF);
+    /// ```
+    #[inline(always)]
+    #[must_use]
+    pub fn extend(self, raw: u64) -> u64 {
+        let shift = 64 - 8 * u32::from(self.bytes());
+        match self {
+            LoadOp::Lb | LoadOp::Lh | LoadOp::Lw => (((raw << shift) as i64) >> shift) as u64,
+            _ => raw,
+        }
+    }
+}
+
+/// Memory stores: `mem[base + off] = low bytes of src`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StoreOp {
+    /// Low byte.
+    Sb,
+    /// Low 16 bits.
+    Sh,
+    /// Low 32 bits.
+    Sw,
+    /// All 64 bits.
+    Sd,
+}
+
+impl StoreOp {
+    /// Every store.
+    pub const ALL: [StoreOp; 4] = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw, StoreOp::Sd];
+
+    /// The assembly mnemonic, e.g. `"sd"` (indexed by declaration order).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        ["sb", "sh", "sw", "sd"][self as usize]
+    }
+
+    /// The access width in bytes.
+    #[inline(always)]
+    #[must_use]
+    pub fn bytes(self) -> u8 {
+        match self {
+            StoreOp::Sb => 1,
+            StoreOp::Sh => 2,
+            StoreOp::Sw => 4,
+            StoreOp::Sd => 8,
+        }
+    }
+}
+
+/// Branch conditions: the branch is taken when `rs1 cond rs2` holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Cond {
+    /// `rs1 == rs2`.
+    Beq,
+    /// `rs1 != rs2`.
+    Bne,
+    /// `rs1 <ₛ rs2` (signed).
+    Blt,
+    /// `rs1 >=ₛ rs2` (signed).
+    Bge,
+    /// `rs1 <ᵤ rs2` (unsigned).
+    Bltu,
+    /// `rs1 >=ᵤ rs2` (unsigned).
+    Bgeu,
+}
+
+impl Cond {
+    /// Every branch condition.
+    pub const ALL: [Cond; 6] = {
+        use Cond::*;
+        [Beq, Bne, Blt, Bge, Bltu, Bgeu]
+    };
+
+    /// The assembly mnemonic, e.g. `"beq"` (indexed by declaration order).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        ["beq", "bne", "blt", "bge", "bltu", "bgeu"][self as usize]
+    }
+
+    /// Whether a branch on this condition is taken for operands `x`, `y`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_isa::Cond;
+    /// assert!(Cond::Blt.holds(u64::MAX, 0)); // -1 < 0
+    /// assert!(!Cond::Bltu.holds(u64::MAX, 0));
+    /// ```
+    #[inline(always)]
+    #[must_use]
+    pub fn holds(self, x: u64, y: u64) -> bool {
+        use Cond::*;
+        match self {
+            Beq => x == y,
+            Bne => x != y,
+            Blt => (x as i64) < (y as i64),
+            Bge => (x as i64) >= (y as i64),
+            Bltu => x < y,
+            Bgeu => x >= y,
+        }
+    }
+
+    /// The opposite condition: `beq ↔ bne`, `blt ↔ bge`, `bltu ↔ bgeu`.
+    #[must_use]
+    pub fn negated(self) -> Cond {
+        use Cond::*;
+        match self {
+            Beq => Bne,
+            Bne => Beq,
+            Blt => Bge,
+            Bge => Blt,
+            Bltu => Bgeu,
+            Bgeu => Bltu,
+        }
+    }
 }
 
 impl Instr {
@@ -147,51 +440,22 @@ impl Instr {
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// assert_eq!(Instr::Addi(Reg::A0, Reg::ZERO, 1).def_reg(), Some(Reg::A0));
-    /// assert_eq!(Instr::Sd(Reg::A0, Reg::SP, 0).def_reg(), None);
-    /// assert_eq!(Instr::Addi(Reg::ZERO, Reg::A0, 1).def_reg(), None);
+    /// use mssp_isa::{ImmOp, Instr, Reg, StoreOp};
+    /// assert_eq!(Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1).def_reg(), Some(Reg::A0));
+    /// assert_eq!(Instr::Store(StoreOp::Sd, Reg::A0, Reg::SP, 0).def_reg(), None);
+    /// assert_eq!(Instr::AluImm(ImmOp::Addi, Reg::ZERO, Reg::A0, 1).def_reg(), None);
     /// ```
     #[must_use]
     pub fn def_reg(&self) -> Option<Reg> {
         use Instr::*;
         let rd = match *self {
-            Add(rd, ..)
-            | Sub(rd, ..)
-            | And(rd, ..)
-            | Or(rd, ..)
-            | Xor(rd, ..)
-            | Sll(rd, ..)
-            | Srl(rd, ..)
-            | Sra(rd, ..)
-            | Slt(rd, ..)
-            | Sltu(rd, ..)
-            | Mul(rd, ..)
-            | Div(rd, ..)
-            | Divu(rd, ..)
-            | Rem(rd, ..)
-            | Remu(rd, ..)
-            | Addi(rd, ..)
-            | Andi(rd, ..)
-            | Ori(rd, ..)
-            | Xori(rd, ..)
-            | Slti(rd, ..)
-            | Sltiu(rd, ..)
-            | Slli(rd, ..)
-            | Srli(rd, ..)
-            | Srai(rd, ..)
-            | Lui(rd, ..)
-            | Lb(rd, ..)
-            | Lbu(rd, ..)
-            | Lh(rd, ..)
-            | Lhu(rd, ..)
-            | Lw(rd, ..)
-            | Lwu(rd, ..)
-            | Ld(rd, ..)
-            | Jal(rd, ..)
+            Alu(_, rd, ..)
+            | AluImm(_, rd, ..)
+            | Lui(rd, _)
+            | Load(_, rd, ..)
+            | Jal(rd, _)
             | Jalr(rd, ..) => rd,
-            Sb(..) | Sh(..) | Sw(..) | Sd(..) | Beq(..) | Bne(..) | Blt(..) | Bge(..)
-            | Bltu(..) | Bgeu(..) | Halt => return None,
+            Store(..) | Branch(..) | Halt => return None,
         };
         if rd.is_zero() {
             None
@@ -208,54 +472,17 @@ impl Instr {
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// let uses = Instr::Beq(Reg::A0, Reg::A1, 8).use_regs();
+    /// use mssp_isa::{Cond, Instr, Reg};
+    /// let uses = Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 8).use_regs();
     /// assert_eq!(uses, [Some(Reg::A0), Some(Reg::A1)]);
     /// ```
     #[must_use]
     pub fn use_regs(&self) -> [Option<Reg>; 2] {
         use Instr::*;
         match *self {
-            Add(_, a, b)
-            | Sub(_, a, b)
-            | And(_, a, b)
-            | Or(_, a, b)
-            | Xor(_, a, b)
-            | Sll(_, a, b)
-            | Srl(_, a, b)
-            | Sra(_, a, b)
-            | Slt(_, a, b)
-            | Sltu(_, a, b)
-            | Mul(_, a, b)
-            | Div(_, a, b)
-            | Divu(_, a, b)
-            | Rem(_, a, b)
-            | Remu(_, a, b) => [Some(a), Some(b)],
-            Addi(_, a, _)
-            | Andi(_, a, _)
-            | Ori(_, a, _)
-            | Xori(_, a, _)
-            | Slti(_, a, _)
-            | Sltiu(_, a, _)
-            | Slli(_, a, _)
-            | Srli(_, a, _)
-            | Srai(_, a, _) => [Some(a), None],
+            Alu(_, _, a, b) | Store(_, a, b, _) | Branch(_, a, b, _) => [Some(a), Some(b)],
+            AluImm(_, _, a, _) | Load(_, _, a, _) | Jalr(_, a, _) => [Some(a), None],
             Lui(..) | Jal(..) | Halt => [None, None],
-            Lb(_, b, _)
-            | Lbu(_, b, _)
-            | Lh(_, b, _)
-            | Lhu(_, b, _)
-            | Lw(_, b, _)
-            | Lwu(_, b, _)
-            | Ld(_, b, _)
-            | Jalr(_, b, _) => [Some(b), None],
-            Sb(s, b, _) | Sh(s, b, _) | Sw(s, b, _) | Sd(s, b, _) => [Some(s), Some(b)],
-            Beq(a, b, _)
-            | Bne(a, b, _)
-            | Blt(a, b, _)
-            | Bge(a, b, _)
-            | Bltu(a, b, _)
-            | Bgeu(a, b, _) => [Some(a), Some(b)],
         }
     }
 
@@ -270,73 +497,29 @@ impl Instr {
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// let add = Instr::Add(Reg::A0, Reg::A1, Reg::A2);
+    /// use mssp_isa::{AluOp, Instr, Reg};
+    /// let add = Instr::Alu(AluOp::Add, Reg::A0, Reg::A1, Reg::A2);
     /// let swapped = add.map_uses(|r| if r == Reg::A1 { Reg::T0 } else { r });
-    /// assert_eq!(swapped, Instr::Add(Reg::A0, Reg::T0, Reg::A2));
+    /// assert_eq!(swapped, Instr::Alu(AluOp::Add, Reg::A0, Reg::T0, Reg::A2));
     /// ```
     #[must_use]
     pub fn map_uses(self, mut f: impl FnMut(Reg) -> Reg) -> Instr {
         use Instr::*;
         match self {
-            Add(rd, a, b) => Add(rd, f(a), f(b)),
-            Sub(rd, a, b) => Sub(rd, f(a), f(b)),
-            And(rd, a, b) => And(rd, f(a), f(b)),
-            Or(rd, a, b) => Or(rd, f(a), f(b)),
-            Xor(rd, a, b) => Xor(rd, f(a), f(b)),
-            Sll(rd, a, b) => Sll(rd, f(a), f(b)),
-            Srl(rd, a, b) => Srl(rd, f(a), f(b)),
-            Sra(rd, a, b) => Sra(rd, f(a), f(b)),
-            Slt(rd, a, b) => Slt(rd, f(a), f(b)),
-            Sltu(rd, a, b) => Sltu(rd, f(a), f(b)),
-            Mul(rd, a, b) => Mul(rd, f(a), f(b)),
-            Div(rd, a, b) => Div(rd, f(a), f(b)),
-            Divu(rd, a, b) => Divu(rd, f(a), f(b)),
-            Rem(rd, a, b) => Rem(rd, f(a), f(b)),
-            Remu(rd, a, b) => Remu(rd, f(a), f(b)),
-            Addi(rd, a, i) => Addi(rd, f(a), i),
-            Andi(rd, a, i) => Andi(rd, f(a), i),
-            Ori(rd, a, i) => Ori(rd, f(a), i),
-            Xori(rd, a, i) => Xori(rd, f(a), i),
-            Slti(rd, a, i) => Slti(rd, f(a), i),
-            Sltiu(rd, a, i) => Sltiu(rd, f(a), i),
-            Slli(rd, a, s) => Slli(rd, f(a), s),
-            Srli(rd, a, s) => Srli(rd, f(a), s),
-            Srai(rd, a, s) => Srai(rd, f(a), s),
-            Lui(..) | Jal(..) | Halt => self,
-            Lb(rd, b, o) => Lb(rd, f(b), o),
-            Lbu(rd, b, o) => Lbu(rd, f(b), o),
-            Lh(rd, b, o) => Lh(rd, f(b), o),
-            Lhu(rd, b, o) => Lhu(rd, f(b), o),
-            Lw(rd, b, o) => Lw(rd, f(b), o),
-            Lwu(rd, b, o) => Lwu(rd, f(b), o),
-            Ld(rd, b, o) => Ld(rd, f(b), o),
-            Sb(s, b, o) => Sb(f(s), f(b), o),
-            Sh(s, b, o) => Sh(f(s), f(b), o),
-            Sw(s, b, o) => Sw(f(s), f(b), o),
-            Sd(s, b, o) => Sd(f(s), f(b), o),
-            Beq(a, b, o) => Beq(f(a), f(b), o),
-            Bne(a, b, o) => Bne(f(a), f(b), o),
-            Blt(a, b, o) => Blt(f(a), f(b), o),
-            Bge(a, b, o) => Bge(f(a), f(b), o),
-            Bltu(a, b, o) => Bltu(f(a), f(b), o),
-            Bgeu(a, b, o) => Bgeu(f(a), f(b), o),
+            Alu(op, rd, a, b) => Alu(op, rd, f(a), f(b)),
+            AluImm(op, rd, a, i) => AluImm(op, rd, f(a), i),
+            Load(op, rd, b, o) => Load(op, rd, f(b), o),
+            Store(op, s, b, o) => Store(op, f(s), f(b), o),
+            Branch(c, a, b, o) => Branch(c, f(a), f(b), o),
             Jalr(rd, b, o) => Jalr(rd, f(b), o),
+            Lui(..) | Jal(..) | Halt => self,
         }
     }
 
     /// Whether this is a conditional branch.
     #[must_use]
     pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Instr::Beq(..)
-                | Instr::Bne(..)
-                | Instr::Blt(..)
-                | Instr::Bge(..)
-                | Instr::Bltu(..)
-                | Instr::Bgeu(..)
-        )
+        matches!(self, Instr::Branch(..))
     }
 
     /// Whether this is an unconditional direct jump ([`Instr::Jal`]).
@@ -355,31 +538,29 @@ impl Instr {
     /// indirect jump, or halt).
     #[must_use]
     pub fn is_control(&self) -> bool {
-        self.is_branch() || self.is_jump() || self.is_indirect_jump() || self.is_halt()
+        matches!(
+            self,
+            Instr::Branch(..) | Instr::Jal(..) | Instr::Jalr(..) | Instr::Halt
+        )
+    }
+
+    /// Whether this is a pure ALU instruction: it only computes a register
+    /// from registers and immediates (no memory, no control).
+    #[must_use]
+    pub fn is_alu(&self) -> bool {
+        matches!(self, Instr::Alu(..) | Instr::AluImm(..) | Instr::Lui(..))
     }
 
     /// Whether this is a memory load.
     #[must_use]
     pub fn is_load(&self) -> bool {
-        matches!(
-            self,
-            Instr::Lb(..)
-                | Instr::Lbu(..)
-                | Instr::Lh(..)
-                | Instr::Lhu(..)
-                | Instr::Lw(..)
-                | Instr::Lwu(..)
-                | Instr::Ld(..)
-        )
+        matches!(self, Instr::Load(..))
     }
 
     /// Whether this is a memory store.
     #[must_use]
     pub fn is_store(&self) -> bool {
-        matches!(
-            self,
-            Instr::Sb(..) | Instr::Sh(..) | Instr::Sw(..) | Instr::Sd(..)
-        )
+        matches!(self, Instr::Store(..))
     }
 
     /// Whether this instruction accesses memory at all.
@@ -400,22 +581,17 @@ impl Instr {
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
+    /// use mssp_isa::{Cond, Instr, Reg};
     /// // A branch at 0x100 with offset 8 targets 0x10C (pc + 4 + off).
-    /// let b = Instr::Beq(Reg::A0, Reg::ZERO, 8);
+    /// let b = Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 8);
     /// assert_eq!(b.static_target(0x100), Some(0x10C));
     /// ```
     #[must_use]
     pub fn static_target(&self, pc: u64) -> Option<u64> {
-        use Instr::*;
         match *self {
-            Beq(_, _, off)
-            | Bne(_, _, off)
-            | Blt(_, _, off)
-            | Bge(_, _, off)
-            | Bltu(_, _, off)
-            | Bgeu(_, _, off)
-            | Jal(_, off) => Some(pc.wrapping_add(INSTR_BYTES).wrapping_add(off as i64 as u64)),
+            Instr::Branch(.., off) | Instr::Jal(_, off) => {
+                Some(pc.wrapping_add(INSTR_BYTES).wrapping_add(off as i64 as u64))
+            }
             _ => None,
         }
     }
@@ -425,48 +601,12 @@ impl Instr {
     pub fn mnemonic(&self) -> &'static str {
         use Instr::*;
         match self {
-            Add(..) => "add",
-            Sub(..) => "sub",
-            And(..) => "and",
-            Or(..) => "or",
-            Xor(..) => "xor",
-            Sll(..) => "sll",
-            Srl(..) => "srl",
-            Sra(..) => "sra",
-            Slt(..) => "slt",
-            Sltu(..) => "sltu",
-            Mul(..) => "mul",
-            Div(..) => "div",
-            Divu(..) => "divu",
-            Rem(..) => "rem",
-            Remu(..) => "remu",
-            Addi(..) => "addi",
-            Andi(..) => "andi",
-            Ori(..) => "ori",
-            Xori(..) => "xori",
-            Slti(..) => "slti",
-            Sltiu(..) => "sltiu",
-            Slli(..) => "slli",
-            Srli(..) => "srli",
-            Srai(..) => "srai",
+            Alu(op, ..) => op.mnemonic(),
+            AluImm(op, ..) => op.mnemonic(),
             Lui(..) => "lui",
-            Lb(..) => "lb",
-            Lbu(..) => "lbu",
-            Lh(..) => "lh",
-            Lhu(..) => "lhu",
-            Lw(..) => "lw",
-            Lwu(..) => "lwu",
-            Ld(..) => "ld",
-            Sb(..) => "sb",
-            Sh(..) => "sh",
-            Sw(..) => "sw",
-            Sd(..) => "sd",
-            Beq(..) => "beq",
-            Bne(..) => "bne",
-            Blt(..) => "blt",
-            Bge(..) => "bge",
-            Bltu(..) => "bltu",
-            Bgeu(..) => "bgeu",
+            Load(op, ..) => op.mnemonic(),
+            Store(op, ..) => op.mnemonic(),
+            Branch(c, ..) => c.mnemonic(),
             Jal(..) => "jal",
             Jalr(..) => "jalr",
             Halt => "halt",
@@ -481,56 +621,42 @@ impl Instr {
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// let b = Instr::Beq(Reg::A0, Reg::ZERO, 8);
-    /// assert_eq!(b.with_offset(-4), Some(Instr::Beq(Reg::A0, Reg::ZERO, -4)));
+    /// use mssp_isa::{Cond, Instr, Reg};
+    /// let b = Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, 8);
+    /// assert_eq!(b.with_offset(-4), Some(Instr::Branch(Cond::Beq, Reg::A0, Reg::ZERO, -4)));
     /// assert_eq!(Instr::Halt.with_offset(0), None);
     /// ```
     #[must_use]
     pub fn with_offset(&self, off: i16) -> Option<Instr> {
-        use Instr::*;
-        Some(match *self {
-            Beq(a, b, _) => Beq(a, b, off),
-            Bne(a, b, _) => Bne(a, b, off),
-            Blt(a, b, _) => Blt(a, b, off),
-            Bge(a, b, _) => Bge(a, b, off),
-            Bltu(a, b, _) => Bltu(a, b, off),
-            Bgeu(a, b, _) => Bgeu(a, b, off),
-            Jal(rd, _) => Jal(rd, off),
-            _ => return None,
-        })
+        match *self {
+            Instr::Branch(c, a, b, _) => Some(Instr::Branch(c, a, b, off)),
+            Instr::Jal(rd, _) => Some(Instr::Jal(rd, off)),
+            _ => None,
+        }
     }
 
-    /// Flips the polarity of a conditional branch, preserving its offset.
-    ///
-    /// `beq ↔ bne`, `blt ↔ bge`, `bltu ↔ bgeu`. Returns `None` for
-    /// non-branches.
+    /// Flips the polarity of a conditional branch, preserving its offset
+    /// (see [`Cond::negated`]). Returns `None` for non-branches.
     ///
     /// # Examples
     ///
     /// ```
-    /// use mssp_isa::{Instr, Reg};
-    /// let b = Instr::Blt(Reg::A0, Reg::A1, 12);
-    /// assert_eq!(b.negated(), Some(Instr::Bge(Reg::A0, Reg::A1, 12)));
+    /// use mssp_isa::{Cond, Instr, Reg};
+    /// let b = Instr::Branch(Cond::Blt, Reg::A0, Reg::A1, 12);
+    /// assert_eq!(b.negated(), Some(Instr::Branch(Cond::Bge, Reg::A0, Reg::A1, 12)));
     /// ```
     #[must_use]
     pub fn negated(&self) -> Option<Instr> {
-        use Instr::*;
-        Some(match *self {
-            Beq(a, b, off) => Bne(a, b, off),
-            Bne(a, b, off) => Beq(a, b, off),
-            Blt(a, b, off) => Bge(a, b, off),
-            Bge(a, b, off) => Blt(a, b, off),
-            Bltu(a, b, off) => Bgeu(a, b, off),
-            Bgeu(a, b, off) => Bltu(a, b, off),
-            _ => return None,
-        })
+        match *self {
+            Instr::Branch(c, a, b, off) => Some(Instr::Branch(c.negated(), a, b, off)),
+            _ => None,
+        }
     }
 
     /// A canonical no-op (`addi zero, zero, 0`).
     #[must_use]
     pub fn nop() -> Instr {
-        Instr::Addi(Reg::ZERO, Reg::ZERO, 0)
+        Instr::AluImm(ImmOp::Addi, Reg::ZERO, Reg::ZERO, 0)
     }
 }
 
@@ -539,49 +665,11 @@ impl fmt::Display for Instr {
         use Instr::*;
         let m = self.mnemonic();
         match *self {
-            Add(rd, a, b)
-            | Sub(rd, a, b)
-            | And(rd, a, b)
-            | Or(rd, a, b)
-            | Xor(rd, a, b)
-            | Sll(rd, a, b)
-            | Srl(rd, a, b)
-            | Sra(rd, a, b)
-            | Slt(rd, a, b)
-            | Sltu(rd, a, b)
-            | Mul(rd, a, b)
-            | Div(rd, a, b)
-            | Divu(rd, a, b)
-            | Rem(rd, a, b)
-            | Remu(rd, a, b) => {
-                write!(f, "{m} {rd}, {a}, {b}")
-            }
-            Addi(rd, a, i)
-            | Andi(rd, a, i)
-            | Ori(rd, a, i)
-            | Xori(rd, a, i)
-            | Slti(rd, a, i)
-            | Sltiu(rd, a, i) => write!(f, "{m} {rd}, {a}, {i}"),
-            Slli(rd, a, s) | Srli(rd, a, s) | Srai(rd, a, s) => write!(f, "{m} {rd}, {a}, {s}"),
-            Lui(rd, i) => write!(f, "{m} {rd}, {i}"),
-            Lb(rd, b, o)
-            | Lbu(rd, b, o)
-            | Lh(rd, b, o)
-            | Lhu(rd, b, o)
-            | Lw(rd, b, o)
-            | Lwu(rd, b, o)
-            | Ld(rd, b, o) => write!(f, "{m} {rd}, {o}({b})"),
-            Sb(s, b, o) | Sh(s, b, o) | Sw(s, b, o) | Sd(s, b, o) => {
-                write!(f, "{m} {s}, {o}({b})")
-            }
-            Beq(a, b, o)
-            | Bne(a, b, o)
-            | Blt(a, b, o)
-            | Bge(a, b, o)
-            | Bltu(a, b, o)
-            | Bgeu(a, b, o) => write!(f, "{m} {a}, {b}, {o}"),
-            Jal(rd, o) => write!(f, "{m} {rd}, {o}"),
-            Jalr(rd, b, o) => write!(f, "{m} {rd}, {o}({b})"),
+            Alu(_, rd, a, b) => write!(f, "{m} {rd}, {a}, {b}"),
+            AluImm(_, rd, a, i) => write!(f, "{m} {rd}, {a}, {i}"),
+            Lui(rd, i) | Jal(rd, i) => write!(f, "{m} {rd}, {i}"),
+            Load(_, r, b, o) | Store(_, r, b, o) | Jalr(r, b, o) => write!(f, "{m} {r}, {o}({b})"),
+            Branch(_, a, b, o) => write!(f, "{m} {a}, {b}, {o}"),
             Halt => f.write_str(m),
         }
     }
@@ -593,14 +681,17 @@ mod tests {
 
     #[test]
     fn def_reg_zero_is_discarded() {
-        assert_eq!(Instr::Add(Reg::ZERO, Reg::A0, Reg::A1).def_reg(), None);
+        assert_eq!(
+            Instr::Alu(AluOp::Add, Reg::ZERO, Reg::A0, Reg::A1).def_reg(),
+            None
+        );
         assert_eq!(Instr::Jal(Reg::ZERO, 4).def_reg(), None);
         assert_eq!(Instr::Jal(Reg::RA, 4).def_reg(), Some(Reg::RA));
     }
 
     #[test]
     fn classification_is_disjoint_for_control() {
-        let b = Instr::Bne(Reg::A0, Reg::ZERO, -8);
+        let b = Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, -8);
         assert!(b.is_branch() && b.is_control() && !b.is_jump());
         let j = Instr::Jal(Reg::ZERO, 16);
         assert!(j.is_jump() && j.is_control() && !j.is_branch());
@@ -612,15 +703,15 @@ mod tests {
 
     #[test]
     fn loads_and_stores_classified() {
-        let l = Instr::Ld(Reg::A0, Reg::SP, 8);
-        let s = Instr::Sd(Reg::A0, Reg::SP, 8);
+        let l = Instr::Load(LoadOp::Ld, Reg::A0, Reg::SP, 8);
+        let s = Instr::Store(StoreOp::Sd, Reg::A0, Reg::SP, 8);
         assert!(l.is_load() && !l.is_store() && l.is_mem());
         assert!(s.is_store() && !s.is_load() && s.is_mem());
     }
 
     #[test]
     fn static_target_handles_negative_offsets() {
-        let b = Instr::Bne(Reg::A0, Reg::ZERO, -8);
+        let b = Instr::Branch(Cond::Bne, Reg::A0, Reg::ZERO, -8);
         assert_eq!(b.static_target(0x100), Some(0x100 + 4 - 8));
         assert_eq!(
             Instr::Jalr(Reg::ZERO, Reg::RA, 0).static_target(0x100),
@@ -630,28 +721,62 @@ mod tests {
 
     #[test]
     fn negation_round_trips() {
-        let branches = [
-            Instr::Beq(Reg::A0, Reg::A1, 4),
-            Instr::Bne(Reg::A0, Reg::A1, 4),
-            Instr::Blt(Reg::A0, Reg::A1, 4),
-            Instr::Bge(Reg::A0, Reg::A1, 4),
-            Instr::Bltu(Reg::A0, Reg::A1, 4),
-            Instr::Bgeu(Reg::A0, Reg::A1, 4),
-        ];
-        for b in branches {
+        for c in Cond::ALL {
+            let b = Instr::Branch(c, Reg::A0, Reg::A1, 4);
+            assert_ne!(b.negated(), Some(b));
             assert_eq!(b.negated().unwrap().negated().unwrap(), b);
         }
         assert_eq!(Instr::Halt.negated(), None);
     }
 
     #[test]
+    fn every_op_is_listed_in_order_and_spelled_as_named() {
+        fn check<T: Copy + fmt::Debug>(
+            all: &[T],
+            index: fn(T) -> usize,
+            mnemonic: fn(T) -> &'static str,
+        ) {
+            for (i, &op) in all.iter().enumerate() {
+                assert_eq!(index(op), i, "{op:?}");
+                assert_eq!(mnemonic(op), format!("{op:?}").to_lowercase());
+            }
+        }
+        check(&AluOp::ALL, |op| op as usize, AluOp::mnemonic);
+        check(&ImmOp::ALL, |op| op as usize, ImmOp::mnemonic);
+        check(&LoadOp::ALL, |op| op as usize, LoadOp::mnemonic);
+        check(&StoreOp::ALL, |op| op as usize, StoreOp::mnemonic);
+        check(&Cond::ALL, |op| op as usize, Cond::mnemonic);
+    }
+
+    #[test]
+    fn an_instruction_is_six_bytes() {
+        assert_eq!(std::mem::size_of::<Instr>(), 6);
+    }
+
+    #[test]
+    fn alu_instructions_are_the_register_computations() {
+        assert!(Instr::nop().is_alu() && Instr::Lui(Reg::A0, 1).is_alu());
+        assert!(Instr::Alu(AluOp::Div, Reg::A0, Reg::A1, Reg::A2).is_alu());
+        for i in [
+            Instr::Load(LoadOp::Ld, Reg::A0, Reg::SP, 0),
+            Instr::Store(StoreOp::Sd, Reg::A0, Reg::SP, 0),
+            Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 4),
+            Instr::Jal(Reg::RA, 4),
+            Instr::Jalr(Reg::ZERO, Reg::RA, 0),
+            Instr::Halt,
+        ] {
+            assert!(!i.is_alu(), "{i}");
+        }
+    }
+
+    #[test]
     fn display_is_parseable_looking() {
         assert_eq!(
-            Instr::Add(Reg::A0, Reg::A1, Reg::A2).to_string(),
+            Instr::Alu(AluOp::Add, Reg::A0, Reg::A1, Reg::A2).to_string(),
             "add a0, a1, a2"
         );
         assert_eq!(
-            Instr::Ld(Reg::A0, Reg::SP, -16).to_string(),
+            Instr::Load(LoadOp::Ld, Reg::A0, Reg::SP, -16).to_string(),
             "ld a0, -16(sp)"
         );
         assert_eq!(Instr::Halt.to_string(), "halt");
@@ -662,13 +787,13 @@ mod tests {
         let subst = |r: Reg| if r == Reg::A0 { Reg::T1 } else { r };
         // Store: both the value and the base are sources.
         assert_eq!(
-            Instr::Sd(Reg::A0, Reg::A0, 8).map_uses(subst),
-            Instr::Sd(Reg::T1, Reg::T1, 8)
+            Instr::Store(StoreOp::Sd, Reg::A0, Reg::A0, 8).map_uses(subst),
+            Instr::Store(StoreOp::Sd, Reg::T1, Reg::T1, 8)
         );
         // The destination register is never rewritten.
         assert_eq!(
-            Instr::Addi(Reg::A0, Reg::A0, 1).map_uses(subst),
-            Instr::Addi(Reg::A0, Reg::T1, 1)
+            Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::A0, 1).map_uses(subst),
+            Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::T1, 1)
         );
         // Instructions without register sources pass through unchanged.
         assert_eq!(
@@ -681,7 +806,7 @@ mod tests {
     #[test]
     fn use_regs_covers_stores_and_branches() {
         assert_eq!(
-            Instr::Sd(Reg::A0, Reg::SP, 0).use_regs(),
+            Instr::Store(StoreOp::Sd, Reg::A0, Reg::SP, 0).use_regs(),
             [Some(Reg::A0), Some(Reg::SP)]
         );
         assert_eq!(

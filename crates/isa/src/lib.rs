@@ -38,7 +38,7 @@ mod program;
 mod reg;
 mod span;
 
-pub use instr::{Instr, INSTR_BYTES};
+pub use instr::{lui_value, AluOp, Cond, ImmOp, Instr, LoadOp, StoreOp, INSTR_BYTES};
 pub use program::{Program, ValidateError, DATA_BASE, HEAP_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{ParseRegError, Reg, NUM_REGS};
 pub use span::PcSpan;

@@ -29,13 +29,13 @@ pub const HEAP_BASE: u64 = 0x0100_0000;
 /// # Examples
 ///
 /// ```
-/// use mssp_isa::{Instr, Program, Reg};
+/// use mssp_isa::{ImmOp, Instr, Program, Reg};
 ///
 /// let prog = Program::from_instrs(vec![
-///     Instr::Addi(Reg::A0, Reg::ZERO, 7),
+///     Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 7),
 ///     Instr::Halt,
 /// ]);
-/// assert_eq!(prog.fetch(prog.entry()), Some(Instr::Addi(Reg::A0, Reg::ZERO, 7)));
+/// assert_eq!(prog.fetch(prog.entry()), Some(Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 7)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
@@ -295,11 +295,11 @@ impl std::error::Error for ValidateError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Reg;
+    use crate::{ImmOp, Reg};
 
     fn tiny() -> Program {
         Program::from_instrs(vec![
-            Instr::Addi(Reg::A0, Reg::ZERO, 1),
+            Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1),
             Instr::Jal(Reg::ZERO, -8),
             Instr::Halt,
         ])

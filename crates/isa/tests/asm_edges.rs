@@ -2,7 +2,7 @@
 //! recovery.
 
 use mssp_isa::asm::{assemble, assemble_at};
-use mssp_isa::{Instr, Reg};
+use mssp_isa::{ImmOp, Instr, LoadOp, Reg};
 
 #[test]
 fn custom_bases_are_respected() {
@@ -91,9 +91,18 @@ fn hex_binary_and_underscore_literals() {
     let p =
         assemble("main: addi a0, zero, 0x7F\n addi a1, zero, 0b1010\n addi a2, zero, 1_000\n halt")
             .unwrap();
-    assert_eq!(p.text()[0], Instr::Addi(Reg::A0, Reg::ZERO, 0x7F));
-    assert_eq!(p.text()[1], Instr::Addi(Reg::A1, Reg::ZERO, 10));
-    assert_eq!(p.text()[2], Instr::Addi(Reg::A2, Reg::ZERO, 1000));
+    assert_eq!(
+        p.text()[0],
+        Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 0x7F)
+    );
+    assert_eq!(
+        p.text()[1],
+        Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::ZERO, 10)
+    );
+    assert_eq!(
+        p.text()[2],
+        Instr::AluImm(ImmOp::Addi, Reg::A2, Reg::ZERO, 1000)
+    );
 }
 
 #[test]
@@ -105,7 +114,7 @@ fn bad_align_is_reported() {
 #[test]
 fn memory_operand_without_offset() {
     let p = assemble("main: ld a0, (sp)\n halt").unwrap();
-    assert_eq!(p.text()[0], Instr::Ld(Reg::A0, Reg::SP, 0));
+    assert_eq!(p.text()[0], Instr::Load(LoadOp::Ld, Reg::A0, Reg::SP, 0));
 }
 
 #[test]
@@ -120,7 +129,7 @@ fn equ_used_in_offsets_and_la_targets() {
                halt",
     )
     .unwrap();
-    assert_eq!(p.text()[2], Instr::Ld(Reg::A1, Reg::A0, 24));
+    assert_eq!(p.text()[2], Instr::Load(LoadOp::Ld, Reg::A1, Reg::A0, 24));
 }
 
 #[test]

@@ -474,8 +474,6 @@ fn check_slice_unsound(report: &mut Report, distilled: &Distilled) {
 
 /// The structural obligation for one slice; `None` when it holds.
 fn slice_violation(slice: &Slice) -> Option<String> {
-    let is_pure =
-        |i: &mssp_isa::Instr| !i.is_mem() && !i.is_control() && !i.is_halt() && !i.is_branch();
     let p = &slice.program;
     let count = p.len();
     if count == 0 {
@@ -503,7 +501,7 @@ fn slice_violation(slice: &Slice) -> Option<String> {
                                 .to_string(),
                         );
                     }
-                } else if !(is_pure(&instr) || instr.is_load()) {
+                } else if !(instr.is_alu() || instr.is_load()) {
                     return Some(format!(
                         "contains a non-ALU, non-load instruction at slice pc {pc:#x}"
                     ));
@@ -514,7 +512,7 @@ fn slice_violation(slice: &Slice) -> Option<String> {
                     if !is_last {
                         return Some(format!("halts early at slice pc {pc:#x}"));
                     }
-                } else if !is_pure(&instr) {
+                } else if !instr.is_alu() {
                     return Some(format!(
                         "contains a non-ALU instruction at slice pc {pc:#x}"
                     ));

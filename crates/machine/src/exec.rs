@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use mssp_isa::{Instr, Program, INSTR_BYTES};
+use mssp_isa::{lui_value, Instr, Program, INSTR_BYTES};
 
 use crate::Storage;
 
@@ -100,122 +100,50 @@ pub fn step<S: Storage>(storage: &mut S, program: &Program, pc: u64) -> Result<S
     let mut mem = None;
     let mut halted = false;
 
-    // Helpers defined as closures so they can borrow `storage` serially.
-    macro_rules! alu {
-        ($rd:expr, $a:expr, $b:expr, $f:expr) => {{
-            let x = storage.read_reg($a);
-            let y = storage.read_reg($b);
-            let v = $f(x, y);
-            storage.write_reg($rd, v);
-        }};
-    }
-    macro_rules! alu_imm {
-        ($rd:expr, $a:expr, $imm:expr, $f:expr) => {{
-            let x = storage.read_reg($a);
-            let v = $f(x, $imm);
-            storage.write_reg($rd, v);
-        }};
-    }
-    macro_rules! load {
-        ($rd:expr, $base:expr, $off:expr, $len:expr, $signed:expr) => {{
-            let addr = storage.read_reg($base).wrapping_add($off as i64 as u64);
-            let raw = storage.load_bytes(addr, $len);
-            let v = if $signed { sign_extend(raw, $len) } else { raw };
-            storage.write_reg($rd, v);
+    match instr {
+        Alu(op, rd, a, b) => {
+            let v = op.eval(storage.read_reg(a), storage.read_reg(b));
+            storage.write_reg(rd, v);
+        }
+        AluImm(op, rd, a, imm) => {
+            let v = op.eval(storage.read_reg(a), imm);
+            storage.write_reg(rd, v);
+        }
+        Lui(rd, imm) => storage.write_reg(rd, lui_value(imm)),
+        Load(op, rd, base, off) => {
+            let addr = storage.read_reg(base).wrapping_add(off as i64 as u64);
+            let bytes = op.bytes();
+            let v = op.extend(storage.load_bytes(addr, bytes));
+            storage.write_reg(rd, v);
             mem = Some(MemAccess {
                 addr,
-                bytes: $len,
+                bytes,
                 is_store: false,
             });
-        }};
-    }
-    macro_rules! store {
-        ($src:expr, $base:expr, $off:expr, $len:expr) => {{
-            let addr = storage.read_reg($base).wrapping_add($off as i64 as u64);
-            let v = storage.read_reg($src);
-            storage.store_bytes(addr, $len, v);
+        }
+        Store(op, src, base, off) => {
+            let addr = storage.read_reg(base).wrapping_add(off as i64 as u64);
+            let v = storage.read_reg(src);
+            storage.store_bytes(addr, op.bytes(), v);
             mem = Some(MemAccess {
                 addr,
-                bytes: $len,
+                bytes: op.bytes(),
                 is_store: true,
             });
-        }};
-    }
-    macro_rules! branch {
-        ($a:expr, $b:expr, $off:expr, $cmp:expr) => {{
-            let x = storage.read_reg($a);
-            let y = storage.read_reg($b);
-            let t = $cmp(x, y);
+        }
+        Branch(cond, a, b, off) => {
+            let t = cond.holds(storage.read_reg(a), storage.read_reg(b));
             taken = Some(t);
             if t {
-                next_pc = fall.wrapping_add($off as i64 as u64);
+                next_pc = fall.wrapping_add(off as i64 as u64);
             }
-        }};
-    }
-
-    match instr {
-        Add(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x.wrapping_add(y)),
-        Sub(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x.wrapping_sub(y)),
-        And(rd, a, b) => alu!(rd, a, b, |x, y| x & y),
-        Or(rd, a, b) => alu!(rd, a, b, |x, y| x | y),
-        Xor(rd, a, b) => alu!(rd, a, b, |x, y| x ^ y),
-        Sll(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x.wrapping_shl((y & 63) as u32)),
-        Srl(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x.wrapping_shr((y & 63) as u32)),
-        Sra(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| {
-            ((x as i64).wrapping_shr((y & 63) as u32)) as u64
-        }),
-        Slt(rd, a, b) => alu!(rd, a, b, |x, y| ((x as i64) < (y as i64)) as u64),
-        Sltu(rd, a, b) => alu!(rd, a, b, |x, y| (x < y) as u64),
-        Mul(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x.wrapping_mul(y)),
-        Div(rd, a, b) => alu!(rd, a, b, |x, y| signed_div(x as i64, y as i64) as u64),
-        Divu(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| x
-            .checked_div(y)
-            .unwrap_or(u64::MAX)),
-        Rem(rd, a, b) => alu!(rd, a, b, |x, y| signed_rem(x as i64, y as i64) as u64),
-        Remu(rd, a, b) => alu!(rd, a, b, |x: u64, y: u64| if y == 0 { x } else { x % y }),
-
-        Addi(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| x.wrapping_add(i as i64 as u64)),
-        // Logical immediates zero-extend (MIPS-style; see mssp-isa docs).
-        Andi(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| x & (i as u16 as u64)),
-        Ori(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| x | (i as u16 as u64)),
-        Xori(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| x ^ (i as u16 as u64)),
-        Slti(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| {
-            ((x as i64) < i as i64) as u64
-        }),
-        Sltiu(rd, a, i) => alu_imm!(rd, a, i, |x: u64, i: i16| {
-            (x < (i as i64 as u64)) as u64
-        }),
-        Slli(rd, a, s) => alu_imm!(rd, a, s, |x: u64, s: u8| x.wrapping_shl(s as u32)),
-        Srli(rd, a, s) => alu_imm!(rd, a, s, |x: u64, s: u8| x.wrapping_shr(s as u32)),
-        Srai(rd, a, s) => alu_imm!(rd, a, s, |x: u64, s: u8| {
-            ((x as i64).wrapping_shr(s as u32)) as u64
-        }),
-        Lui(rd, i) => storage.write_reg(rd, ((i as i64) << 16) as u64),
-
-        Lb(rd, b, o) => load!(rd, b, o, 1, true),
-        Lbu(rd, b, o) => load!(rd, b, o, 1, false),
-        Lh(rd, b, o) => load!(rd, b, o, 2, true),
-        Lhu(rd, b, o) => load!(rd, b, o, 2, false),
-        Lw(rd, b, o) => load!(rd, b, o, 4, true),
-        Lwu(rd, b, o) => load!(rd, b, o, 4, false),
-        Ld(rd, b, o) => load!(rd, b, o, 8, false),
-        Sb(s, b, o) => store!(s, b, o, 1),
-        Sh(s, b, o) => store!(s, b, o, 2),
-        Sw(s, b, o) => store!(s, b, o, 4),
-        Sd(s, b, o) => store!(s, b, o, 8),
-
-        Beq(a, b, o) => branch!(a, b, o, |x, y| x == y),
-        Bne(a, b, o) => branch!(a, b, o, |x, y| x != y),
-        Blt(a, b, o) => branch!(a, b, o, |x, y| (x as i64) < (y as i64)),
-        Bge(a, b, o) => branch!(a, b, o, |x, y| (x as i64) >= (y as i64)),
-        Bltu(a, b, o) => branch!(a, b, o, |x: u64, y: u64| x < y),
-        Bgeu(a, b, o) => branch!(a, b, o, |x: u64, y: u64| x >= y),
-        Jal(rd, o) => {
-            storage.write_reg(rd, fall);
-            next_pc = fall.wrapping_add(o as i64 as u64);
         }
-        Jalr(rd, base, o) => {
-            let target = storage.read_reg(base).wrapping_add(o as i64 as u64);
+        Jal(rd, off) => {
+            storage.write_reg(rd, fall);
+            next_pc = fall.wrapping_add(off as i64 as u64);
+        }
+        Jalr(rd, base, off) => {
+            let target = storage.read_reg(base).wrapping_add(off as i64 as u64);
             storage.write_reg(rd, fall);
             next_pc = target;
         }
@@ -233,36 +161,6 @@ pub fn step<S: Storage>(storage: &mut S, program: &Program, pc: u64) -> Result<S
         taken,
         mem,
     })
-}
-
-fn sign_extend(v: u64, bytes: u8) -> u64 {
-    let bits = bytes as u32 * 8;
-    if bits >= 64 {
-        v
-    } else {
-        let shift = 64 - bits;
-        (((v << shift) as i64) >> shift) as u64
-    }
-}
-
-fn signed_div(x: i64, y: i64) -> i64 {
-    if y == 0 {
-        -1
-    } else if x == i64::MIN && y == -1 {
-        i64::MIN
-    } else {
-        x / y
-    }
-}
-
-fn signed_rem(x: i64, y: i64) -> i64 {
-    if y == 0 {
-        x
-    } else if x == i64::MIN && y == -1 {
-        0
-    } else {
-        x % y
-    }
 }
 
 #[cfg(test)]

@@ -94,14 +94,14 @@ pub fn eval_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssp_isa::Instr;
+    use mssp_isa::{AluOp, Cond, ImmOp, Instr, LoadOp};
 
     #[test]
     fn guard_slice_reports_branch_outcome() {
         // addi t0, t0, 1; blt t0, s4, ...
         let p = Program::from_instrs(vec![
-            Instr::Addi(Reg::T0, Reg::T0, 1),
-            Instr::Blt(Reg::T0, Reg::S4, -4),
+            Instr::AluImm(ImmOp::Addi, Reg::T0, Reg::T0, 1),
+            Instr::Branch(Cond::Blt, Reg::T0, Reg::S4, -4),
         ]);
         let taken = eval_slice(&p, &[(Reg::T0, 5), (Reg::S4, 10)], 8, |_| 0)
             .unwrap()
@@ -115,7 +115,10 @@ mod tests {
 
     #[test]
     fn live_in_slice_runs_to_halt_and_exposes_registers() {
-        let p = Program::from_instrs(vec![Instr::Add(Reg::A0, Reg::T0, Reg::T1), Instr::Halt]);
+        let p = Program::from_instrs(vec![
+            Instr::Alu(AluOp::Add, Reg::A0, Reg::T0, Reg::T1),
+            Instr::Halt,
+        ]);
         let eval = eval_slice(&p, &[(Reg::T0, 40), (Reg::T1, 2)], 8, |_| 0).unwrap();
         assert_eq!(eval.taken, None);
         assert_eq!(eval.reg(Reg::A0), 42);
@@ -125,8 +128,8 @@ mod tests {
     fn loads_read_through_the_supplied_view() {
         // ld t0, 0(t0); bne t0, zero — one step of a pointer chase.
         let p = Program::from_instrs(vec![
-            Instr::Ld(Reg::T0, Reg::T0, 0),
-            Instr::Bne(Reg::T0, Reg::ZERO, -4),
+            Instr::Load(LoadOp::Ld, Reg::T0, Reg::T0, 0),
+            Instr::Branch(Cond::Bne, Reg::T0, Reg::ZERO, -4),
         ]);
         let eval = eval_slice(
             &p,
@@ -151,8 +154,8 @@ mod tests {
     #[test]
     fn budget_exhaustion_and_faults_yield_none() {
         let p = Program::from_instrs(vec![
-            Instr::Addi(Reg::T0, Reg::T0, 1),
-            Instr::Addi(Reg::T1, Reg::T1, 1),
+            Instr::AluImm(ImmOp::Addi, Reg::T0, Reg::T0, 1),
+            Instr::AluImm(ImmOp::Addi, Reg::T1, Reg::T1, 1),
             Instr::Halt,
         ]);
         assert!(eval_slice(&p, &[], 2, |_| 0).is_none());

@@ -6,7 +6,7 @@
 //! Seeded with `mssp-testkit` (no crate registry in the build
 //! environment); a failing case prints its seed for replay.
 
-use mssp_isa::{Instr, Program, Reg};
+use mssp_isa::{AluOp, ImmOp, Instr, LoadOp, Program, Reg, StoreOp};
 use mssp_machine::{cumulative_writes, seq_n, Cell, Delta, MachineState};
 use mssp_testkit::{check, Rng};
 
@@ -101,18 +101,28 @@ fn arb_program(rng: &mut Rng) -> Program {
                     let a = r(rng);
                     let b = r(rng);
                     match rng.gen_range(0, 6) {
-                        0 => Instr::Add(rd, a, b),
-                        1 => Instr::Sub(rd, a, b),
-                        2 => Instr::Xor(rd, a, b),
-                        3 => Instr::Mul(rd, a, b),
-                        4 => Instr::And(rd, a, b),
-                        _ => Instr::Or(rd, a, b),
+                        0 => Instr::Alu(AluOp::Add, rd, a, b),
+                        1 => Instr::Alu(AluOp::Sub, rd, a, b),
+                        2 => Instr::Alu(AluOp::Xor, rd, a, b),
+                        3 => Instr::Alu(AluOp::Mul, rd, a, b),
+                        4 => Instr::Alu(AluOp::And, rd, a, b),
+                        _ => Instr::Alu(AluOp::Or, rd, a, b),
                     }
                 }
-                1 => Instr::Addi(r(rng), r(rng), rng.next_u64() as i16),
+                1 => Instr::AluImm(ImmOp::Addi, r(rng), r(rng), rng.next_u64() as i16),
                 // sp-relative accesses stay in mapped stack space.
-                2 => Instr::Sd(r(rng), Reg::SP, rng.gen_range(0, 64) as i16 * 8 - 256),
-                _ => Instr::Ld(r(rng), Reg::SP, rng.gen_range(0, 64) as i16 * 8 - 256),
+                2 => Instr::Store(
+                    StoreOp::Sd,
+                    r(rng),
+                    Reg::SP,
+                    rng.gen_range(0, 64) as i16 * 8 - 256,
+                ),
+                _ => Instr::Load(
+                    LoadOp::Ld,
+                    r(rng),
+                    Reg::SP,
+                    rng.gen_range(0, 64) as i16 * 8 - 256,
+                ),
             }
         })
         .collect();

@@ -18,7 +18,7 @@
 //! results (speedups, crossovers) are preserved while the model stays
 //! small enough to verify.
 
-use mssp_isa::Instr;
+use mssp_isa::{AluOp, Instr};
 use mssp_machine::StepInfo;
 
 use crate::{BranchStats, Btb, Cache, CacheConfig, CacheStats, Gshare};
@@ -77,7 +77,7 @@ impl CoreStats {
 ///
 /// ```
 /// use mssp_sim::CorePipe;
-/// use mssp_isa::Instr;
+/// use mssp_isa::{AluOp, Instr};
 /// use mssp_machine::StepInfo;
 ///
 /// let mut core = CorePipe::default();
@@ -122,9 +122,9 @@ impl CorePipe {
     #[inline]
     pub fn instr_cost(&mut self, info: &StepInfo, mut l2: impl FnMut(u64) -> bool) -> u64 {
         let mut cost = match info.instr {
-            Instr::Mul(..) => MUL,
-            Instr::Div(..) | Instr::Divu(..) | Instr::Rem(..) | Instr::Remu(..) => DIV,
-            i if i.is_load() => LOAD_L1,
+            Instr::Alu(AluOp::Mul, ..) => MUL,
+            Instr::Alu(AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu, ..) => DIV,
+            Instr::Load(..) => LOAD_L1,
             _ => ALU,
         };
         // Instruction fetch.
@@ -175,7 +175,7 @@ impl CorePipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mssp_isa::Reg;
+    use mssp_isa::{Cond, LoadOp, Reg};
 
     fn info(pc: u64, instr: Instr) -> StepInfo {
         StepInfo {
@@ -201,7 +201,7 @@ mod tests {
         let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
-        let div = info(0x1000, Instr::Div(Reg::A0, Reg::A1, Reg::A2));
+        let div = info(0x1000, Instr::Alu(AluOp::Div, Reg::A0, Reg::A1, Reg::A2));
         let alu = core.instr_cost(&warm, &mut |_| true);
         let d = core.instr_cost(&div, &mut |_| true);
         assert!(d > alu);
@@ -212,7 +212,7 @@ mod tests {
         let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
-        let mut load = info(0x1000, Instr::Ld(Reg::A0, Reg::A1, 0));
+        let mut load = info(0x1000, Instr::Load(LoadOp::Ld, Reg::A0, Reg::A1, 0));
         load.mem = Some(mssp_machine::MemAccess {
             addr: 0x5_0000,
             bytes: 8,
@@ -239,7 +239,7 @@ mod tests {
         let mut core = CorePipe::default();
         let warm = info(0x1000, Instr::nop());
         let _ = core.instr_cost(&warm, &mut |_| true);
-        let mut br = info(0x1000, Instr::Beq(Reg::A0, Reg::A1, 8));
+        let mut br = info(0x1000, Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 8));
         br.taken = Some(true);
         // Cold counters predict not-taken: first taken branch mispredicts.
         let c = core.instr_cost(&br, &mut |_| true);

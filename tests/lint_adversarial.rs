@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mssp::isa::ImmOp;
 use mssp::lint::fires_at;
 use mssp::prelude::*;
 
@@ -113,7 +114,7 @@ fn liveins_uncovered_fires_when_a_defining_write_is_lost() {
     let corrupted = with_instr_replaced(
         d.program(),
         lost_dist_pc,
-        Instr::Addi(Reg::ZERO, Reg::ZERO, 0),
+        Instr::AluImm(ImmOp::Addi, Reg::ZERO, Reg::ZERO, 0),
     );
     let d = Distilled::from_parts(
         corrupted,
@@ -198,9 +199,9 @@ fn assert_unjustified_fires_on_weakly_biased_assertion() {
 #[test]
 fn fallthrough_off_end_fires_when_text_ends_in_a_plain_op() {
     let p = Program::from_instrs(vec![
-        Instr::Addi(Reg::A0, Reg::ZERO, 1),
-        Instr::Addi(Reg::A1, Reg::ZERO, 2),
-        Instr::Addi(Reg::A2, Reg::ZERO, 3), // no halt: runs off the end
+        Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1),
+        Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::ZERO, 2),
+        Instr::AluImm(ImmOp::Addi, Reg::A2, Reg::ZERO, 3), // no halt: runs off the end
     ]);
     let tb = p.text_base();
     let d = Distilled::from_parts(
