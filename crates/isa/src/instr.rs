@@ -666,6 +666,8 @@ impl fmt::Display for Instr {
         let m = self.mnemonic();
         match *self {
             Alu(_, rd, a, b) => write!(f, "{m} {rd}, {a}, {b}"),
+            // Printed as the value the machine uses, so the text re-assembles.
+            AluImm(op, rd, a, i) if op.zero_extends() => write!(f, "{m} {rd}, {a}, {}", i as u16),
             AluImm(_, rd, a, i) => write!(f, "{m} {rd}, {a}, {i}"),
             Lui(rd, i) | Jal(rd, i) => write!(f, "{m} {rd}, {i}"),
             Load(_, r, b, o) | Store(_, r, b, o) | Jalr(r, b, o) => write!(f, "{m} {r}, {o}({b})"),

@@ -55,109 +55,109 @@ const GOLDEN: &[(&str, [u64; 4])] = &[
     (
         "gzip_like",
         [
-            0xc7cd064f35e1e972,
-            0x86625031bbe06f28,
-            0xc524b57a00143eb6,
-            0x964997ba99ab371b,
+            0xea8f43ecab4454c4,
+            0xcf132241797b634e,
+            0xea377dcfd0af5398,
+            0x58410329085b0822,
         ],
     ),
     (
         "vpr_like",
         [
-            0xca1163240a12d90c,
-            0x7c637977e34d4686,
-            0x90c616256665b16c,
-            0x441bd86765b04d73,
+            0x4095e9eae8d106f0,
+            0xaabbcca0946061a7,
+            0xb23d6c1ce002df9d,
+            0x1b4c687e17fb036f,
         ],
     ),
     (
         "gcc_like",
         [
-            0x0b2c03adf7bb84c5,
-            0xb58e779e90afe80e,
-            0x9de95d6a2b724dd2,
-            0x3626576d6ae43270,
+            0x5900fe84c93edfd8,
+            0xd4add3778526534c,
+            0xc51c7c5203ad17e4,
+            0x9c0202e3f0600bf2,
         ],
     ),
     (
         "mcf_like",
         [
-            0x71478b14de1f4bb1,
-            0x2358cbf9c152cdb0,
-            0x0b89ee258d3b1f0d,
-            0x9ea3028d8036ac9d,
+            0x19bbed805a217e83,
+            0x938e1f92891fbe3b,
+            0x4514fa7a8c265da6,
+            0x359e29db253513cc,
         ],
     ),
     (
         "crafty_like",
         [
-            0x8aff762834e3c108,
-            0x6356adba2c40a958,
-            0xde3bbde87d4d0113,
-            0xb574e3ef533fa656,
+            0x4513b8a2d79d49df,
+            0xedd5576b5d9f2854,
+            0x8cd8d22b83efa512,
+            0xa41460a6bdd2152b,
         ],
     ),
     (
         "parser_like",
         [
-            0x69738968f4aa3e8a,
-            0xd9741fbb27a84523,
-            0xd52407bf5805f990,
-            0x4e9f2d96acf4487c,
+            0x0d8c5b4f168b62ca,
+            0xdb365eb6370352ee,
+            0x1ebf7db5e29d1bac,
+            0x8924cb4885bc23f8,
         ],
     ),
     (
         "eon_like",
         [
-            0x17303e5f69e27922,
-            0x25ecd561e3a1a963,
-            0xc4f15f93857771bc,
-            0xd5ac44684ea93ef5,
+            0x431815b7437994bc,
+            0xe3da9750e3e993c6,
+            0x3b4ea68ff58eeb3d,
+            0x6b41146fa618c46c,
         ],
     ),
     (
         "perlbmk_like",
         [
-            0x433922756568c26f,
-            0x2f6904db660b2b49,
-            0x7c46bdcce432289a,
-            0x9c0c8a072139d073,
+            0x6341b615b954fe6f,
+            0x52af715476be48a0,
+            0x24157a21a74f63f1,
+            0x82727bbb9651932b,
         ],
     ),
     (
         "gap_like",
         [
-            0x08a00f360a2e4f86,
-            0xaf9d6c51d4d0b34c,
-            0xada34006b896a751,
-            0x2c80fadf174cc366,
+            0x29d44bd13176316e,
+            0xb4b2593834b6306f,
+            0xa7c597e0d39b2dbb,
+            0x576dad442cfc1cbb,
         ],
     ),
     (
         "vortex_like",
         [
-            0x454e244dcc3d9543,
-            0x34f52a1f166d5d20,
-            0x18be213de9183646,
-            0xe356daa9ea338fd3,
+            0x69b8cd65e15fbea0,
+            0x129ed48cf82c6353,
+            0x9621e707e9adadf4,
+            0x07838fb73193db4c,
         ],
     ),
     (
         "bzip2_like",
         [
-            0xbb66c67354cc832e,
-            0xbfc756e453740402,
-            0xf69e66bfbd6a18e9,
-            0x882581b665227309,
+            0xb7870b5fcf5648d7,
+            0xb65d38b8bb59fd37,
+            0x39fc05321e29b2b3,
+            0x2195c4163269b82c,
         ],
     ),
     (
         "twolf_like",
         [
-            0xd13239a36288e27a,
-            0x9d27ea7158f47b6b,
-            0x277393d4d56c51e6,
-            0x66b035e96e066285,
+            0x6fcbb8294ef198ec,
+            0x80d7cd1b5d4605ce,
+            0x728e6e7cd579e7cf,
+            0x38ded7760a5149be,
         ],
     ),
 ];
