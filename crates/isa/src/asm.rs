@@ -211,32 +211,14 @@ impl Assembler {
                         if n <= 0 || (n & (n - 1)) != 0 {
                             self.err(line, ".align needs a positive power of two");
                         } else if segment == Segment::Data {
-                            let len = data.len() as u64;
-                            let padded = len + (n as u64 - len % n as u64) % n as u64;
-                            if padded > MAX_DATA_BYTES {
-                                self.err(
-                                    line,
-                                    format!(
-                                        ".align {n} grows the data past {MAX_DATA_BYTES} bytes"
-                                    ),
-                                );
-                            } else {
-                                data.resize(padded as usize, 0);
-                            }
+                            let len = (data.len() as u64).next_multiple_of(n as u64);
+                            self.grow_data(line, &mut data, len);
                         }
                     }
                     "space" => match self.parse_int(args.trim()) {
                         Some(n) if n >= 0 && segment == Segment::Data => {
-                            if data.len() as u64 + n as u64 > MAX_DATA_BYTES {
-                                self.err(
-                                    line,
-                                    format!(
-                                        ".space {n} grows the data past {MAX_DATA_BYTES} bytes"
-                                    ),
-                                );
-                            } else {
-                                data.resize(data.len() + n as usize, 0);
-                            }
+                            let len = data.len() as u64 + n as u64;
+                            self.grow_data(line, &mut data, len);
                         }
                         _ => self.err(line, ".space needs a non-negative size in .data"),
                     },
@@ -361,6 +343,19 @@ impl Assembler {
             Ok(prog)
         } else {
             Err(self.errors)
+        }
+    }
+
+    /// Zero-fills `data` to `len` bytes, or reports a data segment over
+    /// [`MAX_DATA_BYTES`].
+    fn grow_data(&mut self, line: usize, data: &mut Vec<u8>, len: u64) {
+        if len > MAX_DATA_BYTES {
+            self.err(
+                line,
+                format!("data segment of {len} bytes is past the {MAX_DATA_BYTES}-byte limit"),
+            );
+        } else {
+            data.resize(len as usize, 0);
         }
     }
 
@@ -774,16 +769,12 @@ impl Assembler {
 /// ```
 #[must_use]
 pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
+    use ImmOp::{Addi, Ori, Slli};
     if (i16::MIN as i64..=i16::MAX as i64).contains(&value) {
-        return vec![Instr::AluImm(ImmOp::Addi, rd, Reg::ZERO, value as i16)];
+        return vec![Instr::AluImm(Addi, rd, Reg::ZERO, value as i16)];
     }
     if (0..=u16::MAX as i64).contains(&value) {
-        return vec![Instr::AluImm(
-            ImmOp::Ori,
-            rd,
-            Reg::ZERO,
-            value as u16 as i16,
-        )];
+        return vec![Instr::AluImm(Ori, rd, Reg::ZERO, value as u16 as i16)];
     }
     if (i32::MIN as i64..=i32::MAX as i64).contains(&value) {
         // lui sign-extends from bit 31; the +0x8000 trick pairs with the
@@ -792,7 +783,7 @@ pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
         let lo = value as i16;
         let mut seq = vec![Instr::Lui(rd, hi)];
         if lo != 0 {
-            seq.push(Instr::AluImm(ImmOp::Addi, rd, rd, lo));
+            seq.push(Instr::AluImm(Addi, rd, rd, lo));
         }
         return seq;
     }
@@ -804,11 +795,11 @@ pub fn li_sequence(rd: Reg, value: i64) -> Vec<Instr> {
         ((v >> 16) & 0xFFFF) as u16,
         (v & 0xFFFF) as u16,
     ];
-    let mut seq = vec![Instr::AluImm(ImmOp::Ori, rd, Reg::ZERO, chunks[0] as i16)];
+    let mut seq = vec![Instr::AluImm(Ori, rd, Reg::ZERO, chunks[0] as i16)];
     for &c in &chunks[1..] {
-        seq.push(Instr::AluImm(ImmOp::Slli, rd, rd, 16));
+        seq.push(Instr::AluImm(Slli, rd, rd, 16));
         if c != 0 {
-            seq.push(Instr::AluImm(ImmOp::Ori, rd, rd, c as i16));
+            seq.push(Instr::AluImm(Ori, rd, rd, c as i16));
         }
     }
     seq
@@ -1112,7 +1103,7 @@ mod tests {
             ".data\nx: .byte 1\n.align 0x4000000000000000",
         ] {
             let errs = assemble(&format!("{src}\n.text\nmain: halt")).unwrap_err();
-            assert!(errs[0].msg.contains("grows the data past"), "{errs:?}");
+            assert!(errs[0].msg.contains("-byte limit"), "{errs:?}");
         }
         let p = assemble(".data\n.space 16\n.align 64\n.text\nmain: halt").unwrap();
         assert_eq!(p.data().len(), 64);

@@ -122,7 +122,7 @@ impl AluOp {
 
     /// The assembly mnemonic, e.g. `"add"` (indexed by declaration order).
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         [
             "add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu", "mul", "div",
             "divu", "rem", "remu",
@@ -138,6 +138,7 @@ impl AluOp {
     /// assert_eq!(AluOp::Div.eval(7, 0), u64::MAX);
     /// assert_eq!(AluOp::Sll.eval(1, 65), 2);
     /// ```
+    // Inlined into `exec::step`'s arms, as `step` is into its callers.
     #[inline(always)]
     #[must_use]
     pub fn eval(self, x: u64, y: u64) -> u64 {
@@ -202,7 +203,7 @@ impl ImmOp {
 
     /// The assembly mnemonic, e.g. `"addi"` (indexed by declaration order).
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         [
             "addi", "andi", "ori", "xori", "slti", "sltiu", "slli", "srli", "srai",
         ][self as usize]
@@ -289,7 +290,7 @@ impl LoadOp {
 
     /// The assembly mnemonic, e.g. `"ld"` (indexed by declaration order).
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         ["lb", "lbu", "lh", "lhu", "lw", "lwu", "ld"][self as usize]
     }
 
@@ -346,7 +347,7 @@ impl StoreOp {
 
     /// The assembly mnemonic, e.g. `"sd"` (indexed by declaration order).
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         ["sb", "sh", "sw", "sd"][self as usize]
     }
 
@@ -389,7 +390,7 @@ impl Cond {
 
     /// The assembly mnemonic, e.g. `"beq"` (indexed by declaration order).
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         ["beq", "bne", "blt", "bge", "bltu", "bgeu"][self as usize]
     }
 
@@ -418,7 +419,7 @@ impl Cond {
 
     /// The opposite condition: `beq ↔ bne`, `blt ↔ bge`, `bltu ↔ bgeu`.
     #[must_use]
-    pub fn negated(self) -> Cond {
+    pub(crate) fn negated(self) -> Cond {
         use Cond::*;
         match self {
             Beq => Bne,
@@ -635,8 +636,9 @@ impl Instr {
         }
     }
 
-    /// Flips the polarity of a conditional branch, preserving its offset
-    /// (see [`Cond::negated`]). Returns `None` for non-branches.
+    /// Flips the polarity of a conditional branch, preserving its offset:
+    /// `beq ↔ bne`, `blt ↔ bge`, `bltu ↔ bgeu`. Returns `None` for
+    /// non-branches.
     ///
     /// # Examples
     ///

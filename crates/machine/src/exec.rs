@@ -113,8 +113,14 @@ pub fn step<S: Storage>(storage: &mut S, program: &Program, pc: u64) -> Result<S
         Load(op, rd, base, off) => {
             let addr = storage.read_reg(base).wrapping_add(off as i64 as u64);
             let bytes = op.bytes();
-            let v = op.extend(storage.load_bytes(addr, bytes));
-            storage.write_reg(rd, v);
+            // One call per width: each storage's `load_bytes` sees a constant.
+            let raw = match bytes {
+                1 => storage.load_bytes(addr, 1),
+                2 => storage.load_bytes(addr, 2),
+                4 => storage.load_bytes(addr, 4),
+                _ => storage.load_bytes(addr, 8),
+            };
+            storage.write_reg(rd, op.extend(raw));
             mem = Some(MemAccess {
                 addr,
                 bytes,
