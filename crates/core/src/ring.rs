@@ -451,31 +451,6 @@ impl<T: Send> SpscReceiver<T> {
             }
         }
     }
-
-    /// Drain up to `max` immediately-visible items into `out` with a
-    /// single tail publish.
-    ///
-    /// # Partial-progress contract
-    ///
-    /// Returns how many items were moved; `0` is not an error (the ring
-    /// may simply be empty — distinguish disconnect via
-    /// [`SpscReceiver::try_recv`]). Every moved item is appended to
-    /// `out` before the tail publish hands the freed slots back, so a
-    /// producer can never overwrite an undelivered item.
-    #[cfg(test)]
-    pub(crate) fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max && self.refresh() {
-            out.push(self.read_slot());
-            n += 1;
-        }
-        if n > 0 {
-            // why: Release, same edge as `take_slot`: payload reads above
-            // happen-before the producer's Acquire reuse of the slots.
-            self.shared.tail.store(self.tail, Ordering::Release);
-        }
-        n
-    }
 }
 
 impl<T> Drop for SpscReceiver<T> {
@@ -771,6 +746,32 @@ impl<T> Drop for MpscReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Send> SpscReceiver<T> {
+        /// Drain up to `max` immediately-visible items into `out` with a
+        /// single tail publish.
+        ///
+        /// # Partial-progress contract
+        ///
+        /// Returns how many items were moved; `0` is not an error (the ring
+        /// may simply be empty — distinguish disconnect via
+        /// [`SpscReceiver::try_recv`]). Every moved item is appended to
+        /// `out` before the tail publish hands the freed slots back, so a
+        /// producer can never overwrite an undelivered item.
+        pub(crate) fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+            let mut n = 0;
+            while n < max && self.refresh() {
+                out.push(self.read_slot());
+                n += 1;
+            }
+            if n > 0 {
+                // why: Release, same edge as `take_slot`: payload reads above
+                // happen-before the producer's Acquire reuse of the slots.
+                self.shared.tail.store(self.tail, Ordering::Release);
+            }
+            n
+        }
+    }
 
     #[test]
     fn spsc_round_trip_in_order() {
