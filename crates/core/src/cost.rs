@@ -32,6 +32,17 @@ pub enum CoreRole {
 /// [`CostModel::instr_cost`]; zero-cost instructions would let a component
 /// act forever without advancing simulated time.
 pub trait CostModel {
+    /// True only when every answer is a function of the call's arguments
+    /// alone: no state, and no dependence on the order of calls. The
+    /// engine then runs a slave's task in bursts, several instructions per
+    /// visit (see `engine.rs`, "How it schedules"), which makes the same
+    /// calls with the same arguments in another order than one visit per
+    /// instant would. A model whose answers depend on earlier calls
+    /// (`mssp-timing`'s shared L2, a seeded stream of costs) or that
+    /// observes call order (a recording wrapper) leaves it `false`, and
+    /// the engine keeps the per-instant order its schedule pins.
+    const INTERLEAVING_FREE: bool = false;
+
     /// Cost of executing one instruction on the given core.
     fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64;
 
@@ -93,6 +104,8 @@ pub trait CostModel {
 pub struct UnitCost;
 
 impl CostModel for UnitCost {
+    const INTERLEAVING_FREE: bool = true;
+
     fn instr_cost(&mut self, _role: CoreRole, _info: &StepInfo) -> u64 {
         1
     }

@@ -42,17 +42,38 @@
 //! with no penalty, a starved machine starting recovery — which the pass
 //! reads off the wake-up times it returns; a pass of plain instruction
 //! steps (cost at least 1) goes straight on to the next instant. Nothing
-//! is polled: a component that is not due is one comparison. The one
-//! exception to "at most once" is recovery: nothing else can act while a
-//! segment runs, so it runs to its end in one visit, taking `now` with
-//! it, and the rest of that pass acts at the instant of its last step.
+//! is polled: a component that is not due is one comparison.
+//!
+//! Two components may act for more than one instant in a visit:
+//!
+//! * **Recovery.** Nothing else can act while a segment runs, so it runs
+//!   to its end in one visit, taking `now` with it, and the rest of that
+//!   pass acts at the instant of its last step.
+//! * **Slaves, under an interleaving-free cost model**
+//!   ([`CostModel::INTERLEAVING_FREE`], set by [`crate::UnitCost`]). A
+//!   slave reads only its task's own layers and architected state. Only a
+//!   verify act changes either while the task lives (the end of a recovery
+//!   segment changes `arch` too, but only with the window empty), and only
+//!   a verify act ends the task's life. So the pass visits the due slaves
+//!   oldest task first, and each runs its task through every instruction
+//!   that issues strictly before the task's *horizon*: `verify_wake` for
+//!   the oldest task (`NEVER` while it runs on the right path, so it runs
+//!   to its end), and for a younger one also the oldest task's next step,
+//!   since the verify unit cannot act on the oldest task before that step
+//!   finishes it. Every instruction reads what it would have read at its
+//!   own instant and the task ends at the same instant, so the run is the
+//!   same; only the order of [`CostModel`] calls differs, which such a
+//!   model cannot see. A burst may run past `max_cycles`: its task is
+//!   then never verified, because the run loop stops first.
 //!
 //! Each slave holds at most one task, so the slave's slot *is* the
 //! task's home and the in-order window is a queue of slave indices;
-//! nothing ever searches for a task by id. The order of [`CostModel`]
-//! calls is part of the engine's contract (a model may share state
-//! between cores, as the timing model's L2 does), so the priority order
-//! and the same-instant repeat rule are pinned by `tests/engine_schedule.rs`.
+//! nothing ever searches for a task by id. For any other cost model the
+//! order of [`CostModel`] calls is part of the engine's contract (a model
+//! may share state between cores, as the timing model's L2 does), so the
+//! priority order and the same-instant repeat rule are pinned by
+//! `tests/engine_schedule.rs`, and `tests/engine_burst_differential.rs`
+//! holds the burst path to the per-instant one.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -440,8 +461,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
     // ---- scheduling -----------------------------------------------------
 
     /// One pass over the components that are due at `now`, in the fixed
-    /// priority order: recovery, verify unit, slaves ascending, master.
-    /// Returns the earliest wake-up time any component is left with
+    /// priority order: recovery, verify unit, slaves ascending (oldest
+    /// task first, in bursts, under an interleaving-free cost model),
+    /// master. Returns the earliest wake-up time any component is left with
     /// ([`NEVER`] if all of them wait for one another).
     ///
     /// What an earlier component does is visible to the later ones of the
@@ -462,11 +484,15 @@ impl<'a, C: CostModel> Engine<'a, C> {
             return Ok(NEVER);
         }
         let mut next = NEVER;
-        for s in 0..self.slave_wake.len() {
-            if self.slave_wake[s] <= now {
-                self.act_slave(s);
+        if C::INTERLEAVING_FREE {
+            next = self.burst_slaves(now);
+        } else {
+            for s in 0..self.slave_wake.len() {
+                if self.slave_wake[s] <= now {
+                    self.act_slave(s);
+                }
+                next = next.min(self.slave_wake[s]);
             }
-            next = next.min(self.slave_wake[s]);
         }
         if self.master_wake <= now {
             // The one event that arms a slave after the scan passed it.
@@ -702,6 +728,90 @@ impl<'a, C: CostModel> Engine<'a, C> {
             end,
             done_at: busy_until,
         };
+        self.slave_wake[s] = NEVER;
+        if self.window.front() == Some(&s) {
+            self.verify_wake = self.verify_due();
+        }
+    }
+
+    /// The slaves' turn under an interleaving-free cost model: the due
+    /// slaves act oldest task first, each running its task through every
+    /// instruction that issues before the task's horizon, the earliest
+    /// instant at which a verify act could end the task or change what it
+    /// reads. Returns the earliest wake-up the slaves are left with.
+    fn burst_slaves(&mut self, now: u64) -> u64 {
+        let mut next = NEVER;
+        for k in 0..self.window.len() {
+            let s = self.window[k];
+            if self.slave_wake[s] <= now {
+                // The verify unit acts on the oldest task no earlier than
+                // `verify_wake`. That stays `NEVER` while the oldest task
+                // runs on the right path, and finishing it takes at least
+                // its next step: a younger task stops there too.
+                let horizon = if k == 0 {
+                    self.verify_wake
+                } else {
+                    self.verify_wake.min(self.slave_wake[self.window[0]])
+                };
+                self.burst_slave(s, horizon);
+            }
+            next = next.min(self.slave_wake[s]);
+        }
+        next
+    }
+
+    /// Runs slave `s`'s task from `now` until it ends or its next
+    /// instruction would issue at or after `horizon`. The first
+    /// instruction always runs: it is the one `act_slave` would run at
+    /// `now`. Makes the `CostModel` calls and keeps the statistics
+    /// `act_slave` would over the same instants.
+    fn burst_slave(&mut self, s: usize, horizon: u64) {
+        let task = self.slaves[s].as_mut().expect("a due slave holds a task");
+        let rules = SegmentRules {
+            boundaries: &self.boundaries,
+            crossings_per_task: self.crossings_per_task,
+            max_instrs: self.config.max_task_instrs,
+        };
+        let mut pc = task.pc;
+        // When the next instruction issues.
+        let mut at = self.now;
+        let (mut busy, mut instructions) = (0, 0);
+        let (mut storage, executed, crossings) =
+            task.storage_and_counters(&self.arch, None, self.config.word_granular_live_ins);
+        let finished = loop {
+            let info = match step(&mut storage, self.original, pc) {
+                // A fault on a speculative path is a task outcome, not an
+                // engine error.
+                Err(_) => break Some((TaskEnd::Fault, at + 1)),
+                Ok(info) => info,
+            };
+            let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
+            busy += cost;
+            at += cost;
+            if info.halted {
+                break Some((TaskEnd::Halted(pc), at));
+            }
+            *executed += 1;
+            instructions += 1;
+            pc = info.next_pc;
+            if rules.crossed(pc, crossings) {
+                break Some((TaskEnd::Boundary(pc), at));
+            }
+            if *executed >= rules.max_instrs {
+                break Some((TaskEnd::Overrun, at));
+            }
+            if at >= horizon {
+                break None;
+            }
+        };
+        task.pc = pc;
+        self.unit.stats.slave_busy_cycles += busy;
+        self.unit.stats.slave_instructions += instructions;
+        let Some((end, done_at)) = finished else {
+            self.slave_wake[s] = at;
+            return;
+        };
+        task.status = TaskStatus::Done { end, done_at };
         self.slave_wake[s] = NEVER;
         if self.window.front() == Some(&s) {
             self.verify_wake = self.verify_due();

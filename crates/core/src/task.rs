@@ -224,14 +224,27 @@ impl Task {
         committed: Option<&'a Delta>,
         word_granular: bool,
     ) -> TaskStorage<'a> {
-        TaskStorage {
+        self.storage_and_counters(arch, committed, word_granular).0
+    }
+
+    /// [`Task::storage`] together with the two counters the view does not
+    /// borrow, `executed` and `crossings`, so a caller can run many
+    /// instructions under one view.
+    pub(crate) fn storage_and_counters<'a>(
+        &'a mut self,
+        arch: &'a MachineState,
+        committed: Option<&'a Delta>,
+        word_granular: bool,
+    ) -> (TaskStorage<'a>, &'a mut u64, &'a mut u64) {
+        let storage = TaskStorage {
             writes: &mut self.writes,
             live_ins: &mut self.live_ins,
             overlay: &self.overlay,
             committed,
             arch,
             word_granular,
-        }
+        };
+        (storage, &mut self.executed, &mut self.crossings)
     }
 }
 

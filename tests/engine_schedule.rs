@@ -16,6 +16,15 @@
 //! changes every later cost, and zero-latency chains — a spawn whose
 //! slave starts in the same instant, back-to-back commits, a squash whose
 //! recovery starts at once — all occur.
+//!
+//! `Recording<C>` leaves `CostModel::INTERLEAVING_FREE` at its default,
+//! `false`: a wrapper that observes call order must not let the engine
+//! reorder its calls. So every column, `UnitCost`'s included, pins the
+//! per-instant order, the one `CmpCost` and `JitterCost` run under. A bare
+//! `UnitCost` run takes the burst path instead, which makes the same calls
+//! in another order; what it simulates must not move, so its cycles,
+//! committed tasks and squash events are held to the `UnitCost` column
+//! too.
 
 use mssp::core::{CoreRole, CostModel};
 use mssp::machine::StepInfo;
@@ -289,6 +298,31 @@ fn schedule_matches_the_recorded_one() {
         "the schedule moved; this run produced:\n{}",
         as_source.join("\n")
     );
+}
+
+#[test]
+fn bare_unit_cost_bursts_to_the_pinned_outcome() {
+    for ((name, p, d), rows) in fixtures().iter().zip(GOLDEN.chunks(SLAVES.len())) {
+        for (num_slaves, row) in SLAVES.into_iter().zip(rows) {
+            let config = EngineConfig {
+                num_slaves,
+                ..EngineConfig::default()
+            };
+            let run = Engine::new(p, d, config, UnitCost)
+                .run()
+                .expect("the run halts");
+            let (cycles, _, committed, squashes) = row[0];
+            assert_eq!(
+                (
+                    run.cycles,
+                    run.stats.committed_tasks,
+                    run.stats.squash_events()
+                ),
+                (cycles, committed, squashes),
+                "{name} x{num_slaves}"
+            );
+        }
+    }
 }
 
 #[test]
