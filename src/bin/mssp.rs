@@ -33,7 +33,9 @@
 //! ```
 //!
 //! `lint` exits non-zero if any error-severity finding is reported;
-//! `lint all` checks every bundled workload.
+//! `lint all` checks every bundled workload. An argument a subcommand
+//! does not take, a number that does not parse and a flag without its
+//! value are errors, reported before anything runs.
 
 use std::process::ExitCode;
 
@@ -43,27 +45,40 @@ use mssp::prelude::*;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("workloads") => cmd_workloads(),
-        Some("asm") => with_arg(&args, cmd_asm),
-        Some("run") => with_arg(&args, |t| {
+        Some("workloads") => {
+            parse_options(&args[1..], None, &[], &[]).and_then(|_| cmd_workloads())
+        }
+        Some("asm") => with_arg(&args, |t, rest| {
+            parse_options(rest, None, &[], &[])?;
+            cmd_asm(t)
+        }),
+        Some("run") => with_arg(&args, |t, rest| {
+            let switches = ["--stats", "--no-predictor", "--adaptive"];
+            let o = parse_options(rest, Some("scale"), &switches, &[])?;
             cmd_run(
                 t,
-                scale_arg(&args),
-                args.iter().any(|a| a == "--stats"),
-                args.iter().any(|a| a == "--no-predictor"),
-                args.iter().any(|a| a == "--adaptive"),
+                o.number,
+                o.has("--stats"),
+                o.has("--no-predictor"),
+                o.has("--adaptive"),
             )
         }),
-        Some("profile") => with_arg(&args, cmd_profile),
-        Some("distill") => with_arg(&args, |t| {
-            cmd_distill(
-                t,
-                args.iter().any(|a| a == "--stats"),
-                flag_value(&args, "--tier"),
-            )
+        Some("profile") => with_arg(&args, |t, rest| {
+            parse_options(rest, None, &[], &[])?;
+            cmd_profile(t)
         }),
-        Some("lint") => with_arg(&args, |t| cmd_lint(t, args.iter().any(|a| a == "--json"))),
-        Some("exec") => with_arg(&args, |t| cmd_exec(t, scale_arg(&args))),
+        Some("distill") => with_arg(&args, |t, rest| {
+            let o = parse_options(rest, None, &["--stats"], &["--tier"])?;
+            cmd_distill(t, o.has("--stats"), o.value("--tier"))
+        }),
+        Some("lint") => with_arg(&args, |t, rest| {
+            let o = parse_options(rest, None, &["--json"], &[])?;
+            cmd_lint(t, o.has("--json"))
+        }),
+        Some("exec") => with_arg(&args, |t, rest| {
+            let o = parse_options(rest, Some("slave count"), &[], &[])?;
+            cmd_exec(t, o.number)
+        }),
         _ => {
             eprintln!(
                 "usage: mssp <workloads|asm|run|profile|distill|lint|exec> [target] [n] [--json|--stats|--no-predictor|--adaptive|--tier fast|full]\n\
@@ -81,23 +96,75 @@ fn main() -> ExitCode {
     }
 }
 
-fn with_arg(args: &[String], f: impl FnOnce(&str) -> Result<(), String>) -> Result<(), String> {
+/// Calls `f` with the target argument and the arguments after it.
+fn with_arg(
+    args: &[String],
+    f: impl FnOnce(&str, &[String]) -> Result<(), String>,
+) -> Result<(), String> {
     match args.get(1) {
-        Some(target) => f(target),
+        Some(target) => f(target, &args[2..]),
         None => Err("missing target argument".into()),
     }
 }
 
-fn scale_arg(args: &[String]) -> Option<u64> {
-    args.get(2).and_then(|s| s.parse().ok())
+/// The arguments after a subcommand's target.
+struct Options<'a> {
+    /// The number right after the target, for a subcommand that takes one.
+    number: Option<u64>,
+    switches: Vec<&'a str>,
+    /// `--flag VALUE` pairs.
+    values: Vec<(&'a str, &'a str)>,
 }
 
-/// The value following a `--flag VALUE` pair, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+impl Options<'_> {
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+}
+
+/// Parses `args` against what a subcommand accepts: a number called
+/// `number` (if it takes one) first, then any of `switches` and of the
+/// `valued` flags, each followed by its value. Anything else is an error.
+fn parse_options<'a>(
+    args: &'a [String],
+    number: Option<&str>,
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Options<'a>, String> {
+    let mut rest = args.iter().map(String::as_str).peekable();
+    let mut options = Options {
+        number: None,
+        switches: Vec::new(),
+        values: Vec::new(),
+    };
+    if let Some(name) = number {
+        if let Some(arg) = rest.next_if(|a| !a.starts_with("--")) {
+            let n = arg
+                .parse()
+                .map_err(|_| format!("{name} `{arg}` is not a whole number"))?;
+            options.number = Some(n);
+        }
+    }
+    while let Some(arg) = rest.next() {
+        if switches.contains(&arg) {
+            options.switches.push(arg);
+        } else if valued.contains(&arg) {
+            let value = rest
+                .next()
+                .ok_or_else(|| format!("`{arg}` needs a value"))?;
+            options.values.push((arg, value));
+        } else {
+            return Err(format!("unexpected argument `{arg}`"));
+        }
+    }
+    Ok(options)
 }
 
 /// Loads a program from an assembly file or a bundled workload name.
@@ -283,7 +350,7 @@ fn cmd_profile(target: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_distill(target: &str, stats: bool, tier: Option<String>) -> Result<(), String> {
+fn cmd_distill(target: &str, stats: bool, tier: Option<&str>) -> Result<(), String> {
     let p = load(target, None)?;
     let prof = Profile::collect(&p, u64::MAX).map_err(|e| e.to_string())?;
     if let Some(name) = tier {

@@ -155,3 +155,26 @@ fn missing_subcommand_prints_usage() {
     assert!(!ok);
     assert!(stderr.contains("usage"));
 }
+
+#[test]
+fn bad_arguments_are_errors() {
+    for args in [
+        &["run", "gap_like", "abc"][..],
+        &["exec", "gap_like", "1e3"],
+        &["run", "gap_like", "--stat"],
+        &["run", "gap_like", "300", "extra"],
+        &["distill", "gap_like", "--tier"],
+        &["lint", "gzip_like", "--jsn"],
+        &["asm", "gap_like", "300"],
+        &["workloads", "all"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mssp"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
