@@ -64,7 +64,9 @@
 //!   own instant and the task ends at the same instant, so the run is the
 //!   same; only the order of [`CostModel`] calls differs, which such a
 //!   model cannot see. A burst may run past `max_cycles`: its task is
-//!   then never verified, because the run loop stops first.
+//!   then never verified, because the run loop stops first. Under any
+//!   other model the pass gives each due slave a horizon of `now`, so
+//!   the same act runs one instruction.
 //!
 //! Each slave holds at most one task, so the slave's slot *is* the
 //! task's home and the in-order window is a queue of slave indices;
@@ -489,7 +491,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         } else {
             for s in 0..self.slave_wake.len() {
                 if self.slave_wake[s] <= now {
-                    self.act_slave(s);
+                    self.act_slave(s, now);
                 }
                 next = next.min(self.slave_wake[s]);
             }
@@ -682,58 +684,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    fn act_slave(&mut self, s: usize) {
-        let task = self.slaves[s].as_mut().expect("a due slave holds a task");
-        let pc = task.pc;
-        let word_granular = self.config.word_granular_live_ins;
-        let result = {
-            let mut storage = task.storage(&self.arch, None, word_granular);
-            step(&mut storage, self.original, pc)
-        };
-        let (end, busy_until) = match result {
-            // A fault on a speculative path is a task outcome, not an
-            // engine error.
-            Err(_) => (Some(TaskEnd::Fault), self.now + 1),
-            Ok(info) => {
-                let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
-                self.unit.stats.slave_busy_cycles += cost;
-                let busy_until = self.now + cost;
-                if info.halted {
-                    (Some(TaskEnd::Halted(pc)), busy_until)
-                } else {
-                    task.executed += 1;
-                    task.pc = info.next_pc;
-                    self.unit.stats.slave_instructions += 1;
-                    let rules = SegmentRules {
-                        boundaries: &self.boundaries,
-                        crossings_per_task: self.crossings_per_task,
-                        max_instrs: self.config.max_task_instrs,
-                    };
-                    let end = if rules.crossed(info.next_pc, &mut task.crossings) {
-                        Some(TaskEnd::Boundary(info.next_pc))
-                    } else if task.executed >= rules.max_instrs {
-                        Some(TaskEnd::Overrun)
-                    } else {
-                        None
-                    };
-                    (end, busy_until)
-                }
-            }
-        };
-        let Some(end) = end else {
-            self.slave_wake[s] = busy_until;
-            return;
-        };
-        task.status = TaskStatus::Done {
-            end,
-            done_at: busy_until,
-        };
-        self.slave_wake[s] = NEVER;
-        if self.window.front() == Some(&s) {
-            self.verify_wake = self.verify_due();
-        }
-    }
-
     /// The slaves' turn under an interleaving-free cost model: the due
     /// slaves act oldest task first, each running its task through every
     /// instruction that issues before the task's horizon, the earliest
@@ -753,7 +703,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 } else {
                     self.verify_wake.min(self.slave_wake[self.window[0]])
                 };
-                self.burst_slave(s, horizon);
+                self.act_slave(s, horizon);
             }
             next = next.min(self.slave_wake[s]);
         }
@@ -762,10 +712,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     /// Runs slave `s`'s task from `now` until it ends or its next
     /// instruction would issue at or after `horizon`. The first
-    /// instruction always runs: it is the one `act_slave` would run at
-    /// `now`. Makes the `CostModel` calls and keeps the statistics
-    /// `act_slave` would over the same instants.
-    fn burst_slave(&mut self, s: usize, horizon: u64) {
+    /// instruction always runs, so a horizon not after `now` (the
+    /// per-instant pass) runs exactly one. A burst makes the `CostModel`
+    /// calls and keeps the statistics that one-instruction acts would
+    /// over the same instants.
+    fn act_slave(&mut self, s: usize, horizon: u64) {
         let task = self.slaves[s].as_mut().expect("a due slave holds a task");
         let rules = SegmentRules {
             boundaries: &self.boundaries,

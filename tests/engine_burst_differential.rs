@@ -21,10 +21,13 @@
 //! * (d) cycle budgets around a run's length, which must fail or succeed
 //!   alike.
 //!
-//! Two hand-seeded mutations of `Engine::burst_slave` fail this file:
-//! stopping a burst at `at > horizon` instead of `at >= horizon` (caught
-//! by (a)), and a younger task's horizon without the oldest task's next
-//! step (caught by (b)). Visiting the due slaves in index order instead
+//! Both paths run one slave act, `Engine::act_slave(s, horizon)`; the
+//! per-instant pass passes `now`, so a mutation of the act that both
+//! paths share is for `tests/engine_schedule.rs` to catch. Two
+//! hand-seeded mutations of the burst fail this file: stopping it at
+//! `at > horizon` instead of `at >= horizon` (caught by (a)), and a
+//! younger task's horizon without the oldest task's next step (caught by
+//! (b)). Visiting the due slaves in index order instead
 //! of window order is not such a mutation: a younger task visited before
 //! a due oldest one sees a horizon of `now` and runs one instruction, as
 //! the per-instant pass would. That order is only slower.
