@@ -17,12 +17,12 @@ use std::str::FromStr;
 
 use mssp_analysis::Profile;
 use mssp_core::{
-    AdaptiveConfig, AdaptiveController, EngineConfig, EngineStats, Recompiler, SquashReason,
+    AdaptiveConfig, AdaptiveController, AdaptiveReport, EngineConfig, EngineStats, SquashReason,
     SquashSample,
 };
 use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
-use mssp_lint::{redistill_validated, LintConfig};
+use mssp_lint::validated_recompiler;
 use mssp_machine::Cell;
 use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
@@ -359,10 +359,6 @@ pub struct AdaptiveRecord {
     pub pre_swap_squash_per_1k: f64,
     /// Squash rate after the last hot-swap.
     pub post_swap_squash_per_1k: f64,
-    /// Fast-tier recompilations installed.
-    pub recompilations_fast: u64,
-    /// Full-tier recompilations installed.
-    pub recompilations_full: u64,
     /// Hot-swaps installed.
     pub swaps_installed: u64,
     /// Candidates rejected by the segmentation pin or the lint gate.
@@ -385,7 +381,8 @@ pub struct StationaryRecord {
     pub name: String,
     /// Scale the workload ran at.
     pub scale: u64,
-    /// Recompilations triggered (gated to zero).
+    /// Recompiles attempted, whether installed, failed or rejected
+    /// (gated to zero).
     pub recompilations: u64,
     /// Hot-swaps installed (gated to zero).
     pub swaps_installed: u64,
@@ -397,28 +394,11 @@ pub struct StationaryRecord {
 /// half of the adaptive benchmark.
 pub const STATIONARY_WORKLOADS: [&str; 3] = ["gzip_like", "gap_like", "mcf_like"];
 
-/// Builds the adaptive loop's recompiler: the pinned-boundary pipeline
-/// behind `mssp-lint`'s full soundness gate, so every candidate the
-/// executor may install passed `distill_validated`'s lint battery.
-#[must_use]
-pub(crate) fn validated_recompiler(program: &Program, distilled: &Distilled) -> Recompiler {
-    let program = program.clone();
-    let dcfg = DistillConfig::default();
-    let lcfg = LintConfig::default();
-    let boundaries = distilled.boundaries().clone();
-    let crossings = distilled.crossings_per_task().max(1);
-    Box::new(move |profile, tier| {
-        redistill_validated(
-            &program,
-            profile,
-            &dcfg,
-            tier,
-            &boundaries,
-            crossings,
-            &lcfg,
-        )
-        .map_err(|e| e.to_string())
-    })
+/// Recompiles the controller attempted: installed swaps plus recompiles
+/// that failed the lint gate or were rejected for moving the
+/// segmentation.
+fn recompile_attempts(report: &AdaptiveReport) -> u64 {
+    report.swaps.len() as u64 + report.recompile_failures + report.candidates_rejected
 }
 
 fn stats_dyn_ratio(stats: &EngineStats) -> f64 {
@@ -489,7 +469,7 @@ pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
 
             let controller =
                 AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
-            let recompiler = validated_recompiler(&reference, &distilled);
+            let recompiler = Box::new(validated_recompiler(&reference, &distilled));
             let adaptive = run_mssp_with_setup(&reference, &distilled, &tcfg, move |e| {
                 e.enable_adaptive(controller, recompiler);
             })
@@ -524,8 +504,6 @@ pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
                 post_swap_dyn_ratio: slice_dyn_ratio(&post, &stats),
                 pre_swap_squash_per_1k: slice_squash_per_1k(&zero, &pre),
                 post_swap_squash_per_1k: slice_squash_per_1k(&post, &stats),
-                recompilations_fast: stats.recompilations_fast,
-                recompilations_full: stats.recompilations_full,
                 swaps_installed: stats.swaps_installed,
                 candidates_rejected: report.candidates_rejected,
                 recompile_failures: report.recompile_failures,
@@ -555,7 +533,7 @@ pub fn collect_stationary_records() -> Vec<StationaryRecord> {
             let (distilled, profile) = prepare(&program, &DistillConfig::default());
             let controller =
                 AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
-            let recompiler = validated_recompiler(&program, &distilled);
+            let recompiler = Box::new(validated_recompiler(&program, &distilled));
             let run = run_mssp_with_setup(&program, &distilled, &tcfg, move |e| {
                 e.enable_adaptive(controller, recompiler);
             })
@@ -568,8 +546,7 @@ pub fn collect_stationary_records() -> Vec<StationaryRecord> {
             StationaryRecord {
                 name: (*name).to_string(),
                 scale,
-                recompilations: run.run.stats.recompilations_fast
-                    + run.run.stats.recompilations_full,
+                recompilations: recompile_attempts(report),
                 swaps_installed: run.run.stats.swaps_installed,
                 divergent_windows: report.divergent_windows,
             }
@@ -610,8 +587,6 @@ pub fn render_adaptive_json(records: &[AdaptiveRecord], stationary: &[Stationary
             ("post_swap_dyn_ratio", Num(r.post_swap_dyn_ratio)),
             ("pre_swap_squash_per_1k", Num(r.pre_swap_squash_per_1k)),
             ("post_swap_squash_per_1k", Num(r.post_swap_squash_per_1k)),
-            ("recompilations_fast", Int(r.recompilations_fast)),
-            ("recompilations_full", Int(r.recompilations_full)),
             ("swaps_installed", Int(r.swaps_installed)),
             ("candidates_rejected", Int(r.candidates_rejected)),
             ("recompile_failures", Int(r.recompile_failures)),
@@ -631,7 +606,7 @@ pub fn render_adaptive_json(records: &[AdaptiveRecord], stationary: &[Stationary
     });
     let max_stationary = stationary.iter().map(|r| r.recompilations).max();
     Object(vec![
-        ("schema", Str("mssp-bench-adaptive/v2".into())),
+        ("schema", Str("mssp-bench-adaptive/v3".into())),
         ("phase_workloads", Array(phase_workloads.collect())),
         ("stationary", Array(stationary_rows.collect())),
         (
@@ -756,6 +731,23 @@ mod tests {
             eval.baseline.instructions
         );
         assert!(eval.boundary_count > 0);
+    }
+
+    #[test]
+    fn recompile_attempts_count_failed_and_rejected_recompiles() {
+        let installed = mssp_core::SwapMarker {
+            at_committed_tasks: 40,
+            latency_micros: 0,
+            stats: EngineStats::default(),
+        };
+        let report = AdaptiveReport {
+            recompile_failures: 2,
+            candidates_rejected: 1,
+            swaps: vec![installed],
+            ..AdaptiveReport::default()
+        };
+        assert_eq!(recompile_attempts(&report), 4);
+        assert_eq!(recompile_attempts(&AdaptiveReport::default()), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Online adaptive re-distillation: live profiling, divergence detection
-//! and the tier state machine behind distilled-program hot-swap.
+//! Online adaptive re-distillation: live profiling and the divergence
+//! detector behind distilled-program hot-swap.
 //!
 //! The paper's soundness split — distillation is performance-only, the
 //! verify/commit protocol alone guarantees correctness — makes replacing
@@ -14,11 +14,8 @@
 //! * a **divergence detector** comparing observed behaviour against the
 //!   assumptions in the installed distillation (wrong-path/assert failure
 //!   rate, overall squash rate, fraction of verified instructions landing
-//!   in code the training profile called cold);
-//! * a **tier state machine** mirroring a JIT's compilation levels: on
-//!   divergence request a cheap DCE-only recompile ([`Tier::Fast`]) for
-//!   quick relief, then — once the live profile has been stable for two
-//!   windows — the full pipeline ([`Tier::Full`]).
+//!   in code the training profile called cold): a window that diverges
+//!   requests one recompile with the full pass pipeline.
 //!
 //! The controller is executor-agnostic: executors feed it observations
 //! and, at swap-safe points (task boundaries), let it service an
@@ -28,7 +25,7 @@
 //! programs must keep the pinned boundary set and crossing grouping — the
 //! controller rejects anything else — so a swap changes only the master's
 //! fast path, never the slave protocol. The recompiler itself is injected
-//! by callers (typically `mssp-lint`'s `redistill_validated`, keeping
+//! by callers (typically `mssp-lint`'s `validated_recompiler`, keeping
 //! every candidate behind the full lint gate) so this crate stays
 //! independent of the linter.
 
@@ -37,18 +34,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mssp_analysis::Profile;
-use mssp_distill::{Distilled, Tier};
+use mssp_distill::Distilled;
 use mssp_isa::Reg;
 use mssp_machine::StepInfo;
 
 use crate::protocol::{EngineStats, SquashReason};
 
-/// A recompilation callback: given the controller's live profile and a
-/// tier, produce a fresh distilled program (or a rendered error — lint
-/// rejections land here). Callers wire this to `redistill_validated`
-/// with the original program, distiller config and pinned boundary set
-/// captured; the engine never learns about the linter.
-pub type Recompiler = Box<dyn FnMut(&Profile, Tier) -> Result<Distilled, String> + Send>;
+/// A recompilation callback: given the controller's live profile,
+/// produce a fresh distilled program (or a rendered error — lint
+/// rejections land here). Callers wire this to `mssp-lint`'s
+/// `validated_recompiler`, which captures the original program and the
+/// pinned boundary set; the engine never learns about the linter.
+pub type Recompiler = Box<dyn FnMut(&Profile) -> Result<Distilled, String> + Send>;
 
 /// Tasks (committed + squashed) and recovery segments per evaluation
 /// window.
@@ -64,9 +61,6 @@ const MAX_WRONG_PATH_PER_WINDOW: u64 = 2;
 /// training profile called cold (recovery segments walking code the
 /// master's image elided) above which behaviour counts as divergent.
 const MAX_COLD_FRACTION: f64 = 0.25;
-/// Consecutive non-divergent windows after a fast-tier install before the
-/// full-pipeline recompile is requested.
-const STABLE_WINDOWS_FOR_FULL: u64 = 2;
 /// Apply one [`Profile::decay`] round to the live profile every this many
 /// windows.
 const DECAY_EVERY_WINDOWS: u64 = 4;
@@ -76,25 +70,10 @@ const DECAY_EVERY_WINDOWS: u64 = 4;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptiveConfig {
     /// Forced swap schedule for differential testing: at each listed
-    /// committed-task count, request the paired tier. A non-empty schedule
+    /// committed-task count, request a recompile. A non-empty schedule
     /// replaces the divergence detector: the controller then requests only
     /// the listed swaps.
-    pub force_swap_at: Vec<(u64, Tier)>,
-}
-
-/// Where the tier state machine stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Running the offline distillation; divergence requests a fast-tier
-    /// recompile.
-    Watching,
-    /// A recompile is requested; it runs at the next swap-safe point.
-    Pending(Tier),
-    /// A fast-tier program is installed; stable windows accumulate
-    /// toward the full-tier recompile, divergence re-requests fast.
-    FastInstalled,
-    /// The full pipeline is installed; divergence restarts the cycle.
-    FullInstalled,
+    pub force_swap_at: Vec<u64>,
 }
 
 /// One hot-swap install, with the stats counters frozen at that moment
@@ -102,8 +81,6 @@ enum Phase {
 /// can be split per swap.
 #[derive(Debug, Clone, Copy)]
 pub struct SwapMarker {
-    /// Which tier the installed program was compiled at.
-    pub tier: Tier,
     /// Committed tasks at install time.
     pub at_committed_tasks: u64,
     /// Wall-clock microseconds from taking the request to install
@@ -116,7 +93,6 @@ pub struct SwapMarker {
 /// A recompiled program that passed validation and is ready to install.
 pub(crate) struct SwapCandidate {
     pub program: Arc<Distilled>,
-    pub tier: Tier,
     /// Wall-clock microseconds from taking the request to validation.
     pub latency_micros: u64,
 }
@@ -140,7 +116,7 @@ pub struct AdaptiveReport {
     pub windows: u64,
 }
 
-/// The divergence detector and tier state machine. See the module docs
+/// The divergence detector and its recompile request. See the module docs
 /// for the protocol; executors own one of these per adaptive run.
 pub struct AdaptiveController {
     config: AdaptiveConfig,
@@ -155,9 +131,8 @@ pub struct AdaptiveController {
     boundaries: BTreeSet<u64>,
     crossings_per_task: u64,
 
-    phase: Phase,
-    pending_request: Option<Tier>,
-    stable_run: u64,
+    /// A recompile is requested; it runs at the next swap-safe point.
+    pending: bool,
     committed_tasks: u64,
     next_forced: usize,
 
@@ -174,7 +149,7 @@ pub struct AdaptiveController {
 impl std::fmt::Debug for AdaptiveController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdaptiveController")
-            .field("phase", &self.phase)
+            .field("pending", &self.pending)
             .field("committed_tasks", &self.committed_tasks)
             .field("windows", &self.report.windows)
             .field("swaps", &self.report.swaps.len())
@@ -194,16 +169,14 @@ impl AdaptiveController {
         distilled: &Distilled,
         training_profile: &Profile,
     ) -> AdaptiveController {
-        config.force_swap_at.sort_by_key(|&(at, _)| at);
+        config.force_swap_at.sort_unstable();
         AdaptiveController {
             config,
             live: training_profile.clone(),
             hot_pcs: training_profile.iter_exec().map(|(pc, _)| pc).collect(),
             boundaries: distilled.boundaries().clone(),
             crossings_per_task: distilled.crossings_per_task().max(1),
-            phase: Phase::Watching,
-            pending_request: None,
-            stable_run: 0,
+            pending: false,
             committed_tasks: 0,
             next_forced: 0,
             window_tasks: 0,
@@ -243,13 +216,12 @@ impl AdaptiveController {
     pub(crate) fn observe_commit(&mut self, instructions: u64) {
         self.committed_tasks += 1;
         self.window_task_instrs += instructions;
-        while let Some(&(at, tier)) = self.config.force_swap_at.get(self.next_forced) {
+        while let Some(&at) = self.config.force_swap_at.get(self.next_forced) {
             if self.committed_tasks < at {
                 break;
             }
             self.next_forced += 1;
-            self.pending_request = Some(tier);
-            self.phase = Phase::Pending(tier);
+            self.pending = true;
         }
         self.bump_window();
     }
@@ -275,27 +247,27 @@ impl AdaptiveController {
     }
 
     /// Services the outstanding recompile request, if any, at a swap-safe
-    /// point (a task boundary): runs `recompiler` on the live profile at
-    /// the requested tier and returns a candidate that keeps the pinned
-    /// segmentation, for the executor to install and report with
+    /// point (a task boundary): runs `recompiler` on the live profile and
+    /// returns a candidate that keeps the pinned segmentation, for the
+    /// executor to install at this same boundary and report with
     /// [`AdaptiveController::note_swap_installed`]. A failed recompile or
-    /// a rejected candidate is counted and re-arms the state machine, so
-    /// a later divergent window can retry.
+    /// a rejected candidate is counted; the request is spent either way,
+    /// so a later divergent window can retry.
     pub(crate) fn recompile(&mut self, recompiler: &mut Recompiler) -> Option<SwapCandidate> {
-        let tier = self.pending_request.take()?;
+        if !std::mem::take(&mut self.pending) {
+            return None;
+        }
         let started = Instant::now();
-        match recompiler(&self.live, tier) {
+        match recompiler(&self.live) {
             Ok(d) if self.keeps_segmentation(&d) => {
                 return Some(SwapCandidate {
                     program: Arc::new(d),
-                    tier,
                     latency_micros: started.elapsed().as_micros() as u64,
                 });
             }
             Ok(_) => self.report.candidates_rejected += 1,
             Err(_) => self.report.recompile_failures += 1,
         }
-        self.phase = Phase::Watching;
         None
     }
 
@@ -309,23 +281,12 @@ impl AdaptiveController {
 
     /// Reports a hot-swap install, freezing `stats` into the report so
     /// before/after behaviour can be split at this marker.
-    pub(crate) fn note_swap_installed(
-        &mut self,
-        tier: Tier,
-        latency_micros: u64,
-        stats: EngineStats,
-    ) {
+    pub(crate) fn note_swap_installed(&mut self, latency_micros: u64, stats: EngineStats) {
         self.report.swaps.push(SwapMarker {
-            tier,
             at_committed_tasks: self.committed_tasks,
             latency_micros,
             stats,
         });
-        self.phase = match tier {
-            Tier::Fast => Phase::FastInstalled,
-            Tier::Full => Phase::FullInstalled,
-        };
-        self.stable_run = 0;
         // The swap resets the behavioural baseline: stale window counts
         // describe the *previous* program.
         self.reset_window();
@@ -362,23 +323,7 @@ impl AdaptiveController {
             || cold_fraction > MAX_COLD_FRACTION;
         if diverged {
             self.report.divergent_windows += 1;
-        }
-        match (self.phase, diverged) {
-            // Divergence from any installed program requests quick relief.
-            (Phase::Watching | Phase::FastInstalled | Phase::FullInstalled, true) => {
-                self.stable_run = 0;
-                self.pending_request = Some(Tier::Fast);
-                self.phase = Phase::Pending(Tier::Fast);
-            }
-            // A stable stretch after fast relief earns the full pipeline.
-            (Phase::FastInstalled, false) => {
-                self.stable_run += 1;
-                if self.stable_run >= STABLE_WINDOWS_FOR_FULL {
-                    self.pending_request = Some(Tier::Full);
-                    self.phase = Phase::Pending(Tier::Full);
-                }
-            }
-            _ => {}
+            self.pending = true;
         }
         if self.report.windows.is_multiple_of(DECAY_EVERY_WINDOWS) {
             self.live.decay();
@@ -421,13 +366,13 @@ mod tests {
             BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]),
         );
         let ctl = AdaptiveController::new(config, &d, &prof);
-        let rec: Recompiler = Box::new(move |_, _| Ok(d.clone()));
+        let rec: Recompiler = Box::new(move |_| Ok(d.clone()));
         (ctl, rec)
     }
 
-    /// The tier of the candidate `ctl` recompiles at this boundary, if any.
-    fn serve(ctl: &mut AdaptiveController, rec: &mut Recompiler) -> Option<Tier> {
-        ctl.recompile(rec).map(|c| c.tier)
+    /// Whether `ctl` hands over a candidate at this boundary.
+    fn serve(ctl: &mut AdaptiveController, rec: &mut Recompiler) -> bool {
+        ctl.recompile(rec).is_some()
     }
 
     fn quiet_commits(ctl: &mut AdaptiveController, n: u64) {
@@ -436,42 +381,62 @@ mod tests {
         }
     }
 
+    /// One divergent window: four wrong-path squashes, then clean commits.
+    fn divergent_window(ctl: &mut AdaptiveController) {
+        for _ in 0..4 {
+            ctl.observe_squash(SquashReason::WrongPath, 0x1234, &[]);
+        }
+        quiet_commits(ctl, WINDOW_TASKS - 4);
+    }
+
     #[test]
     fn stationary_behaviour_requests_nothing() {
         let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
         quiet_commits(&mut ctl, 1000);
-        assert!(serve(&mut ctl, &mut rec).is_none());
+        assert!(!serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.divergent_windows, 0);
         assert!(ctl.report.windows > 10);
     }
 
     #[test]
-    fn squash_storm_requests_fast_then_stability_earns_full() {
+    fn a_divergent_window_requests_one_recompile() {
         let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
-        // A divergent window: 4 wrong-path squashes, then clean commits.
-        for _ in 0..4 {
-            ctl.observe_squash(SquashReason::WrongPath, 0x1234, &[]);
-        }
-        quiet_commits(&mut ctl, WINDOW_TASKS - 4);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
-        assert!(serve(&mut ctl, &mut rec).is_none(), "request is one-shot");
+        divergent_window(&mut ctl);
         assert!(ctl.live.wrong_path_pcs().contains(&0x1234));
-        // Until the candidate installs, further windows request nothing.
+        assert!(serve(&mut ctl, &mut rec));
+        assert!(!serve(&mut ctl, &mut rec), "request is one-shot");
+        // Clean windows after it request nothing more.
+        quiet_commits(&mut ctl, 4 * WINDOW_TASKS);
+        assert!(!serve(&mut ctl, &mut rec));
+    }
+
+    #[test]
+    fn a_storm_before_the_next_swap_safe_point_yields_one_candidate() {
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
+        for _ in 0..3 {
+            divergent_window(&mut ctl);
+        }
+        assert_eq!(ctl.report.divergent_windows, 3);
+        assert!(serve(&mut ctl, &mut rec));
+        assert!(!serve(&mut ctl, &mut rec));
+    }
+
+    #[test]
+    fn divergence_after_an_install_requests_again() {
+        let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
+        divergent_window(&mut ctl);
+        assert!(serve(&mut ctl, &mut rec));
+        ctl.note_swap_installed(0, EngineStats::default());
         quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
-        assert!(serve(&mut ctl, &mut rec).is_none());
-        // Install lands; two clean windows later the full tier is due.
-        ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
-        quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
-        ctl.note_swap_installed(Tier::Full, 0, EngineStats::default());
-        assert_eq!(ctl.report.swaps.len(), 2);
-        // Re-divergence from the full program restarts the cycle.
+        assert!(!serve(&mut ctl, &mut rec));
         for _ in 0..4 {
             ctl.observe_squash(SquashReason::LiveInMismatch, 0, &[Reg::S2]);
         }
         quiet_commits(&mut ctl, WINDOW_TASKS - 4);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        assert!(serve(&mut ctl, &mut rec));
         assert!(ctl.live.hard_live_ins().contains(&Reg::S2));
+        ctl.note_swap_installed(0, EngineStats::default());
+        assert_eq!(ctl.report.swaps.len(), 2);
     }
 
     #[test]
@@ -492,80 +457,78 @@ mod tests {
             ctl.observe_recovery_step(&info);
         }
         quiet_commits(&mut ctl, WINDOW_TASKS);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        assert!(serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.divergent_windows, 1);
     }
 
     #[test]
-    fn failed_recompile_rearms_the_state_machine() {
+    fn failed_recompile_rearms_the_controller() {
         let (mut ctl, mut rec) = controller(AdaptiveConfig::default());
-        for _ in 0..WINDOW_TASKS {
-            ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
-        }
-        let mut failing: Recompiler = Box::new(|_, _| Err("lint".into()));
-        assert!(serve(&mut ctl, &mut failing).is_none());
+        divergent_window(&mut ctl);
+        let mut failing: Recompiler = Box::new(|_| Err("lint".into()));
+        assert!(!serve(&mut ctl, &mut failing));
         assert_eq!(ctl.report.recompile_failures, 1);
-        // Next divergent window can retry.
-        for _ in 0..WINDOW_TASKS {
-            ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
-        }
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
+        // The next divergent window can retry.
+        divergent_window(&mut ctl);
+        assert!(serve(&mut ctl, &mut rec));
     }
 
     #[test]
     fn forced_schedule_fires_at_committed_task_counts() {
         let config = AdaptiveConfig {
-            force_swap_at: vec![(3, Tier::Fast), (6, Tier::Full)],
+            force_swap_at: vec![3, 6],
         };
         let (mut ctl, mut rec) = controller(config);
         quiet_commits(&mut ctl, 2);
-        assert!(serve(&mut ctl, &mut rec).is_none());
+        assert!(!serve(&mut ctl, &mut rec));
         quiet_commits(&mut ctl, 1);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
-        ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
-        quiet_commits(&mut ctl, 3);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
+        assert!(serve(&mut ctl, &mut rec));
+        ctl.note_swap_installed(0, EngineStats::default());
+        quiet_commits(&mut ctl, 2);
+        assert!(!serve(&mut ctl, &mut rec));
+        quiet_commits(&mut ctl, 1);
+        assert!(serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.swaps[0].at_committed_tasks, 3);
     }
 
     #[test]
     fn unsorted_schedule_fires_every_entry_at_its_count() {
         let config = AdaptiveConfig {
-            force_swap_at: vec![(6, Tier::Full), (3, Tier::Fast)],
+            force_swap_at: vec![6, 3],
         };
         let (mut ctl, mut rec) = controller(config);
         quiet_commits(&mut ctl, 3);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Fast));
-        ctl.note_swap_installed(Tier::Fast, 0, EngineStats::default());
+        assert!(serve(&mut ctl, &mut rec));
+        ctl.note_swap_installed(0, EngineStats::default());
         quiet_commits(&mut ctl, 3);
-        assert_eq!(serve(&mut ctl, &mut rec), Some(Tier::Full));
+        assert!(serve(&mut ctl, &mut rec));
     }
 
     #[test]
     fn forced_schedule_replaces_the_detector() {
         let config = AdaptiveConfig {
-            force_swap_at: vec![(u64::MAX, Tier::Fast)],
+            force_swap_at: vec![u64::MAX],
         };
         let (mut ctl, mut rec) = controller(config);
         // A storm that trips the default detector in its first window.
         for _ in 0..4 * WINDOW_TASKS {
             ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
         }
-        assert!(serve(&mut ctl, &mut rec).is_none());
+        assert!(!serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.windows, 0);
     }
 
     #[test]
     fn candidate_validation_pins_segmentation() {
         let config = AdaptiveConfig {
-            force_swap_at: vec![(1, Tier::Fast)],
+            force_swap_at: vec![1],
         };
         let (mut ctl, _) = controller(config);
         quiet_commits(&mut ctl, 1);
         let p = assemble("main: halt").unwrap();
         let wrong = Distilled::from_parts(p, BTreeSet::from([0xdead]), BTreeMap::new());
-        let mut moved: Recompiler = Box::new(move |_, _| Ok(wrong.clone()));
-        assert!(serve(&mut ctl, &mut moved).is_none());
+        let mut moved: Recompiler = Box::new(move |_| Ok(wrong.clone()));
+        assert!(!serve(&mut ctl, &mut moved));
         assert_eq!(ctl.report.candidates_rejected, 1);
         assert!(ctl.report.swaps.is_empty());
     }

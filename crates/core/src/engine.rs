@@ -373,9 +373,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
     }
 
     /// Enables online adaptive re-distillation: `controller` detects
-    /// divergence and paces the tier state machine, `recompiler`
-    /// produces candidate programs from the live profile (callers wire
-    /// it to `mssp-lint`'s `redistill_validated`, so every candidate
+    /// divergence and requests recompiles, `recompiler` produces
+    /// candidate programs from the live profile (callers wire it to
+    /// `mssp-lint`'s `validated_recompiler`, so every candidate
     /// passes the soundness gate). Recompilation runs inline at the
     /// requesting task boundary, as under the threaded executor, so both
     /// drivers install the same swaps at the same commit points.

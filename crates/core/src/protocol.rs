@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mssp_distill::{Distilled, Tier};
+use mssp_distill::Distilled;
 use mssp_isa::{Program, Reg};
 use mssp_machine::{step, Cell, Delta, DeltaArena, MachineState, StepInfo};
 
@@ -171,12 +171,6 @@ pub struct EngineStats {
     /// an asserted branch against its assertion inside the task window
     /// (each veto hands the window to a sequential recovery segment).
     pub spawn_vetoes: u64,
-    /// Fast-tier (DCE-only) adaptive recompilations that produced a
-    /// valid, installed candidate.
-    pub recompilations_fast: u64,
-    /// Full-pipeline adaptive recompilations that produced a valid,
-    /// installed candidate.
-    pub recompilations_full: u64,
     /// Distilled-program hot-swaps installed at task boundaries.
     pub swaps_installed: u64,
     /// In-flight tasks abandoned by hot-swaps (counted separately from
@@ -461,13 +455,9 @@ impl CommitUnit {
         self.stats.swap_abandoned_tasks += abandoned.0;
         self.stats.wasted_slave_instructions += abandoned.1;
         self.stats.swaps_installed += 1;
-        match candidate.tier {
-            Tier::Fast => self.stats.recompilations_fast += 1,
-            Tier::Full => self.stats.recompilations_full += 1,
-        }
         if let Some(ad) = &mut self.adaptive {
             ad.ctl
-                .note_swap_installed(candidate.tier, candidate.latency_micros, self.stats);
+                .note_swap_installed(candidate.latency_micros, self.stats);
         }
     }
 
@@ -1022,7 +1012,7 @@ mod tests {
         // Scripted recompiler: fails, returns a candidate that moved the
         // boundaries, then a valid one.
         let mut answers = vec![Ok(pinned.clone()), Ok(moved), Err("lint".to_string())];
-        let recompiler: Recompiler = Box::new(move |_, _| answers.pop().unwrap());
+        let recompiler: Recompiler = Box::new(move |_| answers.pop().unwrap());
         let mut unit = CommitUnit::new(EngineConfig::default());
         let controller = AdaptiveController::new(AdaptiveConfig::default(), &pinned, &profile);
         unit.enable_adaptive(controller, recompiler);
@@ -1040,10 +1030,8 @@ mod tests {
         // Had either left the controller pending, this window would not
         // have raised a request and the recompiler would not have run.
         let candidate = diverge(&mut unit).expect("third recompile validates");
-        assert_eq!(candidate.tier, Tier::Fast);
         unit.swap_installed(&candidate, (2, 9));
         assert_eq!(unit.stats.swaps_installed, 1);
-        assert_eq!(unit.stats.recompilations_fast, 1);
         assert_eq!(unit.stats.swap_abandoned_tasks, 2);
         assert_eq!(
             unit.stats.wasted_slave_instructions,

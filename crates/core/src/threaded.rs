@@ -231,7 +231,7 @@ pub fn run_threaded(
 /// [`run_threaded`] with online adaptive re-distillation: `controller`
 /// watches the run for divergence from the training profile and
 /// `recompiler` produces candidate distilled programs from the live
-/// profile (callers wire it to `mssp-lint`'s `redistill_validated`, so
+/// profile (callers wire it to `mssp-lint`'s `validated_recompiler`, so
 /// every installed program passed the soundness gate). Candidates are
 /// installed at commit/recovery task boundaries by bumping the squash
 /// epoch — in-flight speculation is abandoned exactly like a squash, and
@@ -671,7 +671,7 @@ mod tests {
     use crate::adaptive::AdaptiveConfig;
     use crate::UnitCost;
     use mssp_analysis::Profile;
-    use mssp_distill::{distill, redistill, DistillConfig, Tier};
+    use mssp_distill::{distill, redistill, DistillConfig};
     use mssp_isa::asm::assemble;
     use mssp_isa::Reg;
     use mssp_machine::SeqMachine;
@@ -796,21 +796,14 @@ mod tests {
     }
 
     /// A recompiler for tests: re-runs the pinned-boundary pipeline on
-    /// the live profile at the requested tier.
+    /// the live profile.
     fn test_recompiler(p: &Program, d: &Distilled) -> Recompiler {
         let program = p.clone();
         let dcfg = DistillConfig::default();
         let boundaries = d.boundaries().clone();
         let crossings = d.crossings_per_task().max(1);
-        Box::new(move |profile, tier| {
-            redistill(
-                &program,
-                profile,
-                &tier.apply(&dcfg),
-                &boundaries,
-                crossings,
-            )
-            .map_err(|e| e.to_string())
+        Box::new(move |profile| {
+            redistill(&program, profile, &dcfg, &boundaries, crossings).map_err(|e| e.to_string())
         })
     }
 
@@ -821,16 +814,14 @@ mod tests {
         let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
         // A recompiler that must never run: stationary behaviour matching
         // the training profile gives the controller no reason to act.
-        let rec: Recompiler = Box::new(|_, _| Err("recompiled a stationary run".into()));
+        let rec: Recompiler = Box::new(|_| Err("recompiled a stationary run".into()));
         let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec).unwrap();
         let mut seq = SeqMachine::boot(&p);
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
         let report = run.adaptive.expect("adaptive run carries a report");
-        assert_eq!(run.stats.recompilations_fast, 0, "{:?}", run.stats);
-        assert_eq!(run.stats.recompilations_full, 0, "{:?}", run.stats);
         assert_eq!(report.recompile_failures, 0, "{report:?}");
-        assert_eq!(run.stats.swaps_installed, 0);
+        assert_eq!(run.stats.swaps_installed, 0, "{:?}", run.stats);
     }
 
     #[test]
@@ -838,7 +829,7 @@ mod tests {
         let (p, d) = fixture();
         let profile = Profile::collect(&p, u64::MAX).unwrap();
         let config = AdaptiveConfig {
-            force_swap_at: vec![(5, Tier::Fast), (10, Tier::Full)],
+            force_swap_at: vec![5, 10],
         };
         let ctl = AdaptiveController::new(config, &d, &profile);
         let rec = test_recompiler(&p, &d);
@@ -847,13 +838,10 @@ mod tests {
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
         assert_eq!(run.stats.swaps_installed, 2, "{:?}", run.stats);
-        assert_eq!(run.stats.recompilations_fast, 1);
-        assert_eq!(run.stats.recompilations_full, 1);
         let report = run.adaptive.unwrap();
         assert_eq!(report.swaps.len(), 2);
-        assert_eq!(report.swaps[0].tier, Tier::Fast);
         assert_eq!(report.swaps[0].at_committed_tasks, 5);
-        assert_eq!(report.swaps[1].tier, Tier::Full);
+        assert_eq!(report.swaps[1].at_committed_tasks, 10);
     }
 
     #[test]
@@ -876,9 +864,9 @@ mod tests {
     fn exploding_recompiler(p: &Program, d: &Distilled) -> (AdaptiveController, Recompiler) {
         let profile = Profile::collect(p, u64::MAX).unwrap();
         let config = AdaptiveConfig {
-            force_swap_at: vec![(5, Tier::Fast)],
+            force_swap_at: vec![5],
         };
-        let rec: Recompiler = Box::new(|_, _| panic!("recompiler exploded"));
+        let rec: Recompiler = Box::new(|_| panic!("recompiler exploded"));
         (AdaptiveController::new(config, d, &profile), rec)
     }
 

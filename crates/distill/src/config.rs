@@ -139,64 +139,6 @@ impl Default for PassConfig {
     }
 }
 
-/// A recompilation tier for the online adaptive loop: which slice of the
-/// optimizing pass pipeline a re-distillation runs.
-///
-/// The tiers mirror a JIT's compilation levels: when the controller first
-/// detects divergence it wants relief *now*, so the fast tier runs DCE
-/// alone (cheap, single iteration); once the live profile has been stable
-/// for a while the full pipeline is worth its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// DCE-only pipeline ([`PassConfig::dce_only`]): one iteration of
-    /// liveness dead-code elimination over the re-asserted image.
-    Fast,
-    /// The full pipeline ([`PassConfig::all`]): constant folding, copy
-    /// propagation, DCE and jump threading to a fixpoint.
-    Full,
-}
-
-impl Tier {
-    /// The pass-pipeline configuration this tier runs.
-    #[must_use]
-    pub(crate) fn pass_config(self) -> PassConfig {
-        match self {
-            Tier::Fast => PassConfig::dce_only(),
-            Tier::Full => PassConfig::all(),
-        }
-    }
-
-    /// `config` with this tier's pass pipeline substituted in.
-    #[must_use]
-    pub fn apply(self, config: &DistillConfig) -> DistillConfig {
-        DistillConfig {
-            passes: self.pass_config(),
-            ..*config
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Tier::Fast => "fast",
-            Tier::Full => "full",
-        })
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Tier, String> {
-        match s {
-            "fast" => Ok(Tier::Fast),
-            "full" => Ok(Tier::Full),
-            other => Err(format!("unknown tier `{other}` (expected fast|full)")),
-        }
-    }
-}
-
 /// Full distiller configuration.
 ///
 /// # Examples
@@ -283,18 +225,5 @@ mod tests {
     fn display_names() {
         assert_eq!(DistillLevel::Aggressive.to_string(), "aggressive");
         assert_eq!(DistillLevel::all().len(), 3);
-    }
-
-    #[test]
-    fn tier_roundtrips_and_selects_pipelines() {
-        for tier in [Tier::Fast, Tier::Full] {
-            assert_eq!(tier.to_string().parse::<Tier>(), Ok(tier));
-        }
-        assert!("mid".parse::<Tier>().is_err());
-        assert_eq!(Tier::Fast.pass_config(), PassConfig::dce_only());
-        assert_eq!(Tier::Full.pass_config(), PassConfig::all());
-        let cfg = Tier::Fast.apply(&DistillConfig::default());
-        assert_eq!(cfg.passes, PassConfig::dce_only());
-        assert_eq!(cfg.level, DistillLevel::Aggressive);
     }
 }

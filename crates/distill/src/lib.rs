@@ -45,7 +45,7 @@ mod ir;
 mod passes;
 mod slice;
 
-pub use config::{DistillConfig, DistillLevel, PassConfig, Tier};
+pub use config::{DistillConfig, DistillLevel, PassConfig};
 pub use distill::{distill, redistill, DistillError, DistillStats, Distilled};
 pub use passes::PassDelta;
 pub use slice::{Slice, SliceKind, MAX_SLICE_LEN};

@@ -61,10 +61,8 @@ mod lints;
 pub use diag::{escape_json, AddrSpace, Diagnostic, LintId, Report, Severity};
 pub use lints::{boundary_live_ins, fires_at, lint, LintConfig};
 
-use std::collections::BTreeSet;
-
 use mssp_analysis::Profile;
-use mssp_distill::{distill, redistill, DistillConfig, DistillError, Distilled, Tier};
+use mssp_distill::{distill, redistill, DistillConfig, DistillError, Distilled};
 use mssp_isa::Program;
 
 /// Distills `program` and validates the output, rejecting distillations
@@ -90,32 +88,35 @@ pub fn distill_validated(
     gate(program, distilled, profile, lint_config)
 }
 
-/// Re-distills at the given tier with pinned boundaries and validates the
-/// output — [`mssp_distill::redistill`] behind the same soundness gate as
-/// [`distill_validated`].
+/// Builds the online adaptive loop's recompiler for a run of `program`
+/// that starts from `distilled`: each call re-distills `program` from the
+/// live profile it is given, with the default configuration and
+/// `distilled`'s boundary set and crossing grouping pinned, behind the
+/// same soundness gate as [`distill_validated`].
 ///
-/// This is the recompiler the online adaptive loop runs: every candidate
-/// distilled program must clear the full lint battery (including
-/// `slice-unsound`) before it is eligible for hot-swap, so a divergent
-/// live profile can cost performance but can never install a structurally
-/// broken master.
-///
-/// # Errors
-///
-/// Everything [`mssp_distill::redistill`] returns, plus
-/// [`DistillError::Unsound`] when validation fails.
-pub fn redistill_validated(
+/// Every candidate distilled program must clear the full lint battery
+/// (including `slice-unsound`) before it is eligible for hot-swap, so a
+/// divergent live profile can cost performance but can never install a
+/// structurally broken master. A refusal comes back rendered as a
+/// string, which the controller counts as a failed recompile.
+pub fn validated_recompiler(
     program: &Program,
-    profile: &Profile,
-    config: &DistillConfig,
-    tier: Tier,
-    boundaries: &BTreeSet<u64>,
-    crossings_per_task: u64,
-    lint_config: &LintConfig,
-) -> Result<Distilled, DistillError> {
-    let tiered = tier.apply(config);
-    let distilled = redistill(program, profile, &tiered, boundaries, crossings_per_task)?;
-    gate(program, distilled, profile, lint_config)
+    distilled: &Distilled,
+) -> impl FnMut(&Profile) -> Result<Distilled, String> + Send + 'static {
+    let program = program.clone();
+    let boundaries = distilled.boundaries().clone();
+    let crossings = distilled.crossings_per_task().max(1);
+    move |profile| {
+        redistill(
+            &program,
+            profile,
+            &DistillConfig::default(),
+            &boundaries,
+            crossings,
+        )
+        .and_then(|d| gate(&program, d, profile, &LintConfig::default()))
+        .map_err(|e| e.to_string())
+    }
 }
 
 fn gate(

@@ -20,13 +20,9 @@
 //!                                        threaded run and report its
 //!                                        recompile/hot-swap counters)
 //! mssp profile <file.s|workload>         dynamic profile summary
-//! mssp distill <file.s|workload> [--stats] [--tier fast|full]
+//! mssp distill <file.s|workload> [--stats]
 //!                                        show distillation at all levels
-//!                                        (--stats: per-pass pipeline deltas;
-//!                                        --tier: run the named recompilation
-//!                                        tier's pass pipeline instead —
-//!                                        `fast` is liveness DCE only, `full`
-//!                                        the complete optimizing pipeline)
+//!                                        (--stats: per-pass pipeline deltas)
 //! mssp lint <file.s|workload|all> [--json]
 //!                                        statically check distilled output
 //! mssp exec <file.s|workload> [slaves]   full MSSP timing run vs baseline
@@ -34,8 +30,8 @@
 //!
 //! `lint` exits non-zero if any error-severity finding is reported;
 //! `lint all` checks every bundled workload. An argument a subcommand
-//! does not take, a number that does not parse and a flag without its
-//! value are errors, reported before anything runs.
+//! does not take and a number that does not parse are errors, reported
+//! before anything runs.
 
 use std::process::ExitCode;
 
@@ -45,16 +41,14 @@ use mssp::prelude::*;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("workloads") => {
-            parse_options(&args[1..], None, &[], &[]).and_then(|_| cmd_workloads())
-        }
+        Some("workloads") => parse_options(&args[1..], None, &[]).and_then(|_| cmd_workloads()),
         Some("asm") => with_arg(&args, |t, rest| {
-            parse_options(rest, None, &[], &[])?;
+            parse_options(rest, None, &[])?;
             cmd_asm(t)
         }),
         Some("run") => with_arg(&args, |t, rest| {
             let switches = ["--stats", "--no-predictor", "--adaptive"];
-            let o = parse_options(rest, Some("scale"), &switches, &[])?;
+            let o = parse_options(rest, Some("scale"), &switches)?;
             cmd_run(
                 t,
                 o.number,
@@ -64,24 +58,24 @@ fn main() -> ExitCode {
             )
         }),
         Some("profile") => with_arg(&args, |t, rest| {
-            parse_options(rest, None, &[], &[])?;
+            parse_options(rest, None, &[])?;
             cmd_profile(t)
         }),
         Some("distill") => with_arg(&args, |t, rest| {
-            let o = parse_options(rest, None, &["--stats"], &["--tier"])?;
-            cmd_distill(t, o.has("--stats"), o.value("--tier"))
+            let o = parse_options(rest, None, &["--stats"])?;
+            cmd_distill(t, o.has("--stats"))
         }),
         Some("lint") => with_arg(&args, |t, rest| {
-            let o = parse_options(rest, None, &["--json"], &[])?;
+            let o = parse_options(rest, None, &["--json"])?;
             cmd_lint(t, o.has("--json"))
         }),
         Some("exec") => with_arg(&args, |t, rest| {
-            let o = parse_options(rest, Some("slave count"), &[], &[])?;
+            let o = parse_options(rest, Some("slave count"), &[])?;
             cmd_exec(t, o.number)
         }),
         _ => {
             eprintln!(
-                "usage: mssp <workloads|asm|run|profile|distill|lint|exec> [target] [n] [--json|--stats|--no-predictor|--adaptive|--tier fast|full]\n\
+                "usage: mssp <workloads|asm|run|profile|distill|lint|exec> [target] [n] [--json|--stats|--no-predictor|--adaptive]\n\
                  target: an .s file or a bundled workload name (`lint` also accepts `all`)"
             );
             return ExitCode::FAILURE;
@@ -112,37 +106,26 @@ struct Options<'a> {
     /// The number right after the target, for a subcommand that takes one.
     number: Option<u64>,
     switches: Vec<&'a str>,
-    /// `--flag VALUE` pairs.
-    values: Vec<(&'a str, &'a str)>,
 }
 
 impl Options<'_> {
     fn has(&self, switch: &str) -> bool {
         self.switches.contains(&switch)
     }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| *f == flag)
-            .map(|&(_, v)| v)
-    }
 }
 
 /// Parses `args` against what a subcommand accepts: a number called
-/// `number` (if it takes one) first, then any of `switches` and of the
-/// `valued` flags, each followed by its value. Anything else is an error.
+/// `number` (if it takes one) first, then any of `switches`. Anything else
+/// is an error.
 fn parse_options<'a>(
     args: &'a [String],
     number: Option<&str>,
     switches: &[&str],
-    valued: &[&str],
 ) -> Result<Options<'a>, String> {
     let mut rest = args.iter().map(String::as_str).peekable();
     let mut options = Options {
         number: None,
         switches: Vec::new(),
-        values: Vec::new(),
     };
     if let Some(name) = number {
         if let Some(arg) = rest.next_if(|a| !a.starts_with("--")) {
@@ -152,17 +135,11 @@ fn parse_options<'a>(
             options.number = Some(n);
         }
     }
-    while let Some(arg) = rest.next() {
-        if switches.contains(&arg) {
-            options.switches.push(arg);
-        } else if valued.contains(&arg) {
-            let value = rest
-                .next()
-                .ok_or_else(|| format!("`{arg}` needs a value"))?;
-            options.values.push((arg, value));
-        } else {
+    for arg in rest {
+        if !switches.contains(&arg) {
             return Err(format!("unexpected argument `{arg}`"));
         }
+        options.switches.push(arg);
     }
     Ok(options)
 }
@@ -237,23 +214,7 @@ fn cmd_run(
             // profile triggers a lint-gated re-distillation and an epoch
             // hot-swap at the next task boundary.
             let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &prof);
-            let program = p.clone();
-            let dcfg = DistillConfig::default();
-            let lcfg = LintConfig::default();
-            let boundaries = d.boundaries().clone();
-            let crossings = d.crossings_per_task().max(1);
-            let rec: Recompiler = Box::new(move |profile, tier| {
-                redistill_validated(
-                    &program,
-                    profile,
-                    &dcfg,
-                    tier,
-                    &boundaries,
-                    crossings,
-                    &lcfg,
-                )
-                .map_err(|e| e.to_string())
-            });
+            let rec = Box::new(validated_recompiler(&p, &d));
             run_threaded_adaptive(&p, &d, engine_config, ctl, rec).map_err(|e| e.to_string())?
         } else {
             run_threaded(&p, &d, engine_config).map_err(|e| e.to_string())?
@@ -292,10 +253,7 @@ fn cmd_run(
         );
         if let Some(report) = &run.adaptive {
             println!(
-                "  adaptive: {} fast / {} full recompiles, {} hot-swaps \
-                 ({} tasks abandoned), {} failures, {} rejected",
-                s.recompilations_fast,
-                s.recompilations_full,
+                "  adaptive: {} hot-swaps ({} tasks abandoned), {} failures, {} rejected",
                 s.swaps_installed,
                 s.swap_abandoned_tasks,
                 report.recompile_failures,
@@ -307,8 +265,8 @@ fn cmd_run(
             );
             for marker in &report.swaps {
                 println!(
-                    "    swap {:?} at task {} ({} us recompile+validate)",
-                    marker.tier, marker.at_committed_tasks, marker.latency_micros
+                    "    swap at task {} ({} us recompile+validate)",
+                    marker.at_committed_tasks, marker.latency_micros
                 );
             }
         }
@@ -350,29 +308,9 @@ fn cmd_profile(target: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_distill(target: &str, stats: bool, tier: Option<&str>) -> Result<(), String> {
+fn cmd_distill(target: &str, stats: bool) -> Result<(), String> {
     let p = load(target, None)?;
     let prof = Profile::collect(&p, u64::MAX).map_err(|e| e.to_string())?;
-    if let Some(name) = tier {
-        // Show the named recompilation tier — the pass budget the online
-        // adaptive controller uses for hot-swap candidates.
-        let tier: Tier = name.parse()?;
-        let d = distill(&p, &prof, &tier.apply(&DistillConfig::default()))
-            .map_err(|e| e.to_string())?;
-        let s = d.stats();
-        println!(
-            "tier {tier:<8} static {:>4} -> {:>4} | asserted {:>2} | blocks -{:>2} | dce {:>3} | stores -{:>2} | boundaries {} x{}",
-            s.original_static,
-            s.distilled_static,
-            s.asserted_branches,
-            s.removed_blocks,
-            s.dce_removed,
-            s.stores_elided,
-            d.boundaries().len(),
-            d.crossings_per_task(),
-        );
-        return Ok(());
-    }
     for level in DistillLevel::all() {
         let d = distill(&p, &prof, &DistillConfig::at_level(level)).map_err(|e| e.to_string())?;
         let s = d.stats();

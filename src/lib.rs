@@ -66,11 +66,11 @@ pub mod prelude {
         UnitCost,
     };
     pub use mssp_distill::{
-        distill, redistill, DistillConfig, DistillLevel, Distilled, PassConfig, PassDelta, Tier,
+        distill, redistill, DistillConfig, DistillLevel, Distilled, PassConfig, PassDelta,
     };
     pub use mssp_isa::{asm::assemble, Instr, PcSpan, Program, Reg};
     pub use mssp_lint::{
-        distill_validated, lint, redistill_validated, LintConfig, LintId, Report, Severity,
+        distill_validated, lint, validated_recompiler, LintConfig, LintId, Report, Severity,
     };
     pub use mssp_machine::{Cell, Delta, MachineState, SeqMachine};
     pub use mssp_timing::{run_baseline, run_mssp, speedup, TimingConfig};

@@ -12,7 +12,7 @@
 //! workloads, so swaps land in the middle of a live-in-mismatch squash
 //! storm. Both executors recompile at the requesting task boundary, so
 //! there too they must agree on final state, the commit, squash, recovery
-//! and recompile counters, and the swap markers.
+//! and swap counters, and the swap markers.
 
 use mssp::core::{run_threaded_adaptive, AdaptiveConfig, AdaptiveController, Recompiler};
 use mssp::prelude::*;
@@ -45,27 +45,20 @@ fn deterministic_recompiler(p: &Program, d: &Distilled, training: &Profile) -> R
     let dcfg = DistillConfig::default();
     let boundaries = d.boundaries().clone();
     let crossings = d.crossings_per_task().max(1);
-    Box::new(move |_live, tier| {
-        redistill(
-            &program,
-            &profile,
-            &tier.apply(&dcfg),
-            &boundaries,
-            crossings,
-        )
-        .map_err(|e| e.to_string())
+    Box::new(move |_live| {
+        redistill(&program, &profile, &dcfg, &boundaries, crossings).map_err(|e| e.to_string())
     })
 }
 
 /// What both executors must agree on: the commit, squash, recovery and
-/// recompile counters, and each swap's tier and commit point. Left out are
+/// swap counters, and each swap's commit point. Left out are
 /// the in-flight counts (`spawned_tasks`, `squashed_tasks`,
 /// `master_instructions`, `swap_abandoned_tasks`): how far speculation ran
 /// ahead before a squash or a swap cut it off is up to the host's timing.
 #[derive(Debug, PartialEq)]
 struct Schedule {
     counters: Vec<(&'static str, u64)>,
-    swaps: Vec<(Tier, u64)>,
+    swaps: Vec<u64>,
 }
 
 fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
@@ -81,14 +74,8 @@ fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
         ("recovery_segments", s.recovery_segments),
         ("recovery_instructions", s.recovery_instructions),
         ("swaps_installed", s.swaps_installed),
-        ("recompilations_fast", s.recompilations_fast),
-        ("recompilations_full", s.recompilations_full),
     ];
-    let swaps = report
-        .swaps
-        .iter()
-        .map(|m| (m.tier, m.at_committed_tasks))
-        .collect();
+    let swaps = report.swaps.iter().map(|m| m.at_committed_tasks).collect();
     Schedule { counters, swaps }
 }
 
@@ -96,7 +83,7 @@ fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
 /// controller cannot trigger on its own and perturb the schedule.
 fn forced_config() -> AdaptiveConfig {
     AdaptiveConfig {
-        force_swap_at: vec![(6, Tier::Fast), (14, Tier::Full)],
+        force_swap_at: vec![6, 14],
     }
 }
 
@@ -151,14 +138,11 @@ fn forced_swaps_agree_across_executors() {
         assert_eq!(run.stats.squashes_overrun, discrete.stats.squashes_overrun);
         assert_eq!(run.stats.squashes_fault, discrete.stats.squashes_fault);
 
-        // The swap schedule itself: same tiers at the same commit points.
+        // The swap schedule itself: the same commit points.
         assert_eq!(run.stats.swaps_installed, 2, "{workers} workers");
-        assert_eq!(run.stats.recompilations_fast, 1);
-        assert_eq!(run.stats.recompilations_full, 1);
         let report = run.adaptive.as_ref().unwrap();
         assert_eq!(report.swaps.len(), dreport.swaps.len());
         for (t, d_marker) in report.swaps.iter().zip(&dreport.swaps) {
-            assert_eq!(t.tier, d_marker.tier);
             assert_eq!(
                 t.at_committed_tasks, d_marker.at_committed_tasks,
                 "{workers} workers: swap landed at a different commit point"

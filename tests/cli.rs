@@ -38,7 +38,7 @@ fn run_adaptive_reports_the_controller() {
     let (stdout, stderr, ok) = mssp(&["run", "gap_like", "300", "--adaptive"]);
     assert!(ok, "{stdout}{stderr}");
     assert!(
-        stdout.contains("  adaptive: 0 fast / 0 full recompiles, 0 hot-swaps"),
+        stdout.contains("  adaptive: 0 hot-swaps (0 tasks abandoned), 0 failures, 0 rejected"),
         "{stdout}"
     );
     assert!(stdout.contains("windows observed, 0 divergent"), "{stdout}");

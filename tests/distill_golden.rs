@@ -39,18 +39,21 @@ fn image_hash(d: &Distilled) -> u64 {
 }
 
 /// The four configurations pinned, in `GOLDEN`'s column order: the three
-/// levels and the adaptive loop's fast tier over the default
-/// configuration.
+/// levels and the default configuration with liveness DCE as its only
+/// pass.
 fn configs() -> [DistillConfig; 4] {
     [
         DistillConfig::at_level(DistillLevel::None),
         DistillConfig::at_level(DistillLevel::Conservative),
         DistillConfig::at_level(DistillLevel::Aggressive),
-        Tier::Fast.apply(&DistillConfig::default()),
+        DistillConfig {
+            passes: PassConfig::dce_only(),
+            ..DistillConfig::default()
+        },
     ]
 }
 
-/// `(workload, [none, conservative, aggressive, fast])`.
+/// `(workload, [none, conservative, aggressive, dce_only])`.
 const GOLDEN: &[(&str, [u64; 4])] = &[
     (
         "gzip_like",

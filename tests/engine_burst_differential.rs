@@ -211,8 +211,8 @@ fn recompiler(f: &Fixture) -> Recompiler {
     let profile = f.training.clone();
     let boundaries = f.distilled.boundaries().clone();
     let crossings = f.distilled.crossings_per_task().max(1);
-    Box::new(move |_live, tier| {
-        let config = tier.apply(&DistillConfig::default());
+    Box::new(move |_live| {
+        let config = DistillConfig::default();
         redistill(&program, &profile, &config, &boundaries, crossings).map_err(|e| e.to_string())
     })
 }
@@ -236,7 +236,7 @@ fn adaptive_swaps_land_at_the_same_commits() {
             let markers: Vec<_> = report
                 .swaps
                 .iter()
-                .map(|m| (m.tier, m.at_committed_tasks, m.stats))
+                .map(|m| (m.at_committed_tasks, m.stats))
                 .collect();
             (
                 report.recompile_failures,
