@@ -32,19 +32,27 @@ pub enum CoreRole {
 /// [`CostModel::instr_cost`]; zero-cost instructions would let a component
 /// act forever without advancing simulated time.
 pub trait CostModel {
-    /// True only when every answer is a function of the call's arguments
-    /// alone: no state, and no dependence on the order of calls. The
-    /// engine then runs a slave's task in bursts, several instructions per
-    /// visit (see `engine.rs`, "How it schedules"), which makes the same
-    /// calls with the same arguments in another order than one visit per
-    /// instant would. A model whose answers depend on earlier calls
-    /// (`mssp-timing`'s shared L2, a seeded stream of costs) or that
-    /// observes call order (a recording wrapper) leaves it `false`, and
-    /// the engine keeps the per-instant order its schedule pins.
-    const INTERLEAVING_FREE: bool = false;
-
     /// Cost of executing one instruction on the given core.
     fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64;
+
+    /// [`CostModel::instr_cost`]'s answer for the same call, with the same
+    /// effect on the model, when that touches nothing another core shares;
+    /// otherwise `None`, and the model is left as it was.
+    ///
+    /// The engine runs a slave's task in bursts, several instructions per
+    /// visit (see `engine.rs`, "How it schedules"), pricing each with this
+    /// method ahead of its instant. At the first `None` it stops, and
+    /// prices that instruction with `instr_cost` at its own instant, in
+    /// the order one visit per instant makes. So a model that answers
+    /// only for instructions whose cost depends on their own core's state
+    /// sees every shared access in the per-instant order. The default,
+    /// `None`, keeps every call in that order, as a model whose answers
+    /// depend on the order of all calls (a seeded stream of costs) or
+    /// that observes it (a recording wrapper) needs.
+    fn private_instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> Option<u64> {
+        let _ = (role, info);
+        None
+    }
 
     /// Master-side overhead of taking a checkpoint of `cells` live cells.
     fn spawn_overhead(&mut self, cells: usize) -> u64 {
@@ -104,10 +112,12 @@ pub trait CostModel {
 pub struct UnitCost;
 
 impl CostModel for UnitCost {
-    const INTERLEAVING_FREE: bool = true;
-
     fn instr_cost(&mut self, _role: CoreRole, _info: &StepInfo) -> u64 {
         1
+    }
+
+    fn private_instr_cost(&mut self, _role: CoreRole, _info: &StepInfo) -> Option<u64> {
+        Some(1)
     }
 }
 
@@ -133,6 +143,10 @@ mod tests {
         assert_eq!(c.instr_cost(CoreRole::Master, &dummy_info()), 1);
         assert_eq!(c.instr_cost(CoreRole::Slave(3), &dummy_info()), 1);
         assert_eq!(c.instr_cost(CoreRole::Recovery(0), &dummy_info()), 1);
+        assert_eq!(
+            c.private_instr_cost(CoreRole::Slave(3), &dummy_info()),
+            Some(1)
+        );
         assert_eq!(c.spawn_overhead(10), 0);
         assert_eq!(c.dispatch_latency(10), 0);
         assert_eq!(c.commit_cost(10), 0);

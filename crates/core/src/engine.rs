@@ -49,40 +49,46 @@
 //! * **Recovery.** Nothing else can act while a segment runs, so it runs
 //!   to its end in one visit, taking `now` with it, and the rest of that
 //!   pass acts at the instant of its last step.
-//! * **Slaves, under an interleaving-free cost model**
-//!   ([`CostModel::INTERLEAVING_FREE`], set by [`crate::UnitCost`]). A
-//!   slave reads only its task's own layers and architected state. Only a
-//!   verify act changes either while the task lives (the end of a recovery
-//!   segment changes `arch` too, but only with the window empty), and only
-//!   a verify act ends the task's life. So the pass visits the due slaves
-//!   oldest task first, and each runs its task through every instruction
-//!   that issues strictly before the task's *horizon*: `verify_wake` for
-//!   the oldest task (`NEVER` while it runs on the right path, so it runs
-//!   to its end), and for a younger one also the oldest task's next step,
-//!   since the verify unit cannot act on the oldest task before that step
-//!   finishes it. Every instruction reads what it would have read at its
-//!   own instant and the task ends at the same instant, so the run is the
-//!   same; only the order of [`CostModel`] calls differs, which such a
-//!   model cannot see. A burst may run past `max_cycles`: its task is
-//!   then never verified, because the run loop stops first. Under any
-//!   other model the pass gives each due slave a horizon of `now`, so
-//!   the same act runs one instruction.
+//! * **Slaves.** A slave reads only its task's own layers and
+//!   architected state. Only a verify act changes either while the task
+//!   lives (the end of a recovery segment changes `arch` too, but only
+//!   with the window empty), and only a verify act ends the task's life.
+//!   So the pass visits the due slaves oldest task first, and each runs
+//!   its task through every instruction that issues strictly before the
+//!   task's *horizon*: `verify_wake` for the oldest task (`NEVER` while it
+//!   runs on the right path), and for a younger one also the oldest
+//!   task's next step, since the verify unit cannot act on the oldest task
+//!   before that step finishes it. Every instruction reads what it would
+//!   have read at its own instant and the task ends at the same instant.
+//!   A burst prices each instruction ahead of its instant with
+//!   [`CostModel::private_instr_cost`], which answers only when the cost
+//!   touches nothing another core shares ([`crate::UnitCost`] always; the
+//!   timing model when both L1s hit). At the first `None` the slave holds
+//!   that instruction, already executed, and wakes at its issue instant;
+//!   after the burst, a second loop prices every held instruction due at
+//!   `now` with [`CostModel::instr_cost`], slaves ascending, before the
+//!   master acts. So every access to shared model state is made at its
+//!   own instant in the per-instant order, and a model that never answers
+//!   has one instruction priced per slave visit. A burst may run past
+//!   `max_cycles`: its task is then never verified, because the run loop
+//!   stops first.
 //!
 //! Each slave holds at most one task, so the slave's slot *is* the
 //! task's home and the in-order window is a queue of slave indices;
-//! nothing ever searches for a task by id. For any other cost model the
-//! order of [`CostModel`] calls is part of the engine's contract (a model
-//! may share state between cores, as the timing model's L2 does), so the
-//! priority order and the same-instant repeat rule are pinned by
-//! `tests/engine_schedule.rs`, and `tests/engine_burst_differential.rs`
-//! holds the burst path to the per-instant one.
+//! nothing ever searches for a task by id. The order of the
+//! [`CostModel`] calls that may touch shared state is part of the
+//! engine's contract (a model may share state between cores, as the
+//! timing model's L2 does), so the priority order and the same-instant
+//! repeat rule are pinned by `tests/engine_schedule.rs`, and
+//! `tests/engine_burst_differential.rs` holds every burst to the
+//! per-instant order.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState};
+use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::MasterStall;
@@ -269,6 +275,11 @@ pub struct Engine<'a, C> {
     /// When slave `i` issues its next instruction; [`NEVER`] once its
     /// task is done, or while it has none.
     slave_wake: Vec<u64>,
+    /// The instruction slave `i` has executed but not priced, because its
+    /// cost reaches state another core shares: it issues at
+    /// `slave_wake[i]` and is priced then. It issues before any verify act
+    /// that could end its task, so a released slave never holds one.
+    held: Vec<Option<StepInfo>>,
     /// The in-order task window, oldest first, as the indices of the
     /// slaves holding the tasks.
     window: VecDeque<usize>,
@@ -356,6 +367,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             master_wake: NEVER,
             slaves: (0..config.num_slaves).map(|_| None).collect(),
             slave_wake: vec![NEVER; config.num_slaves],
+            held: vec![None; config.num_slaves],
             window: VecDeque::new(),
             arena: DeltaArena::new(),
             recovery: None,
@@ -463,8 +475,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
     // ---- scheduling -----------------------------------------------------
 
     /// One pass over the components that are due at `now`, in the fixed
-    /// priority order: recovery, verify unit, slaves ascending (oldest
-    /// task first, in bursts, under an interleaving-free cost model),
+    /// priority order: recovery, verify unit, slaves (oldest task first,
+    /// in bursts, then ascending for the instructions the bursts held),
     /// master. Returns the earliest wake-up time any component is left with
     /// ([`NEVER`] if all of them wait for one another).
     ///
@@ -485,16 +497,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
         if self.arch_halted {
             return Ok(NEVER);
         }
-        let mut next = NEVER;
-        if C::INTERLEAVING_FREE {
-            next = self.burst_slaves(now);
-        } else {
-            for s in 0..self.slave_wake.len() {
-                if self.slave_wake[s] <= now {
-                    self.act_slave(s, now);
-                }
-                next = next.min(self.slave_wake[s]);
-            }
+        let mut next = self.burst_slaves(now);
+        if next <= now {
+            // Only a held instruction leaves a slave due after its burst.
+            next = self.price_held(now);
         }
         if self.master_wake <= now {
             // The one event that arms a slave after the scan passed it.
@@ -563,6 +569,12 @@ impl<'a, C: CostModel> Engine<'a, C> {
             }
             // A core that owes an instruction is armed relative to `now`.
             assert!(wake >= self.now, "slave {s} is due in the past");
+            if self.held[s].is_some() {
+                let running = slot
+                    .as_ref()
+                    .is_some_and(|task| matches!(task.status, TaskStatus::Running));
+                assert!(running, "slave {s} holds an instruction but runs no task");
+            }
         }
         assert_eq!(self.recovery.is_some(), self.recovery_wake != NEVER);
         assert!(
@@ -684,16 +696,18 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    /// The slaves' turn under an interleaving-free cost model: the due
-    /// slaves act oldest task first, each running its task through every
-    /// instruction that issues before the task's horizon, the earliest
-    /// instant at which a verify act could end the task or change what it
-    /// reads. Returns the earliest wake-up the slaves are left with.
+    /// The slaves' burst: the due slaves act oldest task first, each
+    /// running its task through every instruction that issues before the
+    /// task's horizon, the earliest instant at which a verify act could
+    /// end the task or change what it reads, and stopping early at an
+    /// instruction the cost model cannot price ahead of its instant. A
+    /// slave that holds such an instruction waits for [`Engine::price_held`].
+    /// Returns the earliest wake-up the slaves are left with.
     fn burst_slaves(&mut self, now: u64) -> u64 {
         let mut next = NEVER;
         for k in 0..self.window.len() {
             let s = self.window[k];
-            if self.slave_wake[s] <= now {
+            if self.slave_wake[s] <= now && self.held[s].is_none() {
                 // The verify unit acts on the oldest task no earlier than
                 // `verify_wake`. That stays `NEVER` while the oldest task
                 // runs on the right path, and finishing it takes at least
@@ -710,12 +724,44 @@ impl<'a, C: CostModel> Engine<'a, C> {
         next
     }
 
-    /// Runs slave `s`'s task from `now` until it ends or its next
-    /// instruction would issue at or after `horizon`. The first
-    /// instruction always runs, so a horizon not after `now` (the
-    /// per-instant pass) runs exactly one. A burst makes the `CostModel`
-    /// calls and keeps the statistics that one-instruction acts would
-    /// over the same instants.
+    /// Prices the held instructions that issue at `now` with
+    /// [`CostModel::instr_cost`], slaves ascending, as one visit per
+    /// instant would, and before the master acts. After the burst, a slave
+    /// still due holds one. Returns the earliest wake-up the slaves are
+    /// left with.
+    fn price_held(&mut self, now: u64) -> u64 {
+        let mut next = NEVER;
+        for s in 0..self.slaves.len() {
+            if self.slave_wake[s] <= now {
+                let info = self.held[s].take().expect("a slave due after the burst");
+                let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
+                self.unit.stats.slave_busy_cycles += cost;
+                self.unit.stats.slave_instructions += u64::from(!info.halted);
+                let task = self.slaves[s]
+                    .as_mut()
+                    .expect("a held instruction has a task");
+                let rules = SegmentRules {
+                    boundaries: &self.boundaries,
+                    crossings_per_task: self.crossings_per_task,
+                    max_instrs: self.config.max_task_instrs,
+                };
+                match rules.retire(&info, &mut task.pc, &mut task.executed, &mut task.crossings) {
+                    None => self.slave_wake[s] = now + cost,
+                    Some(end) => self.finish_task(s, end, now + cost),
+                }
+            }
+            next = next.min(self.slave_wake[s]);
+        }
+        next
+    }
+
+    /// Runs slave `s`'s task from `now` until it ends, its next
+    /// instruction would issue at or after `horizon`, or the cost model
+    /// declines to price an instruction ahead of its instant; that one is
+    /// held, and the slave wakes when it issues. The first instruction
+    /// always runs, so a horizon not after `now` runs exactly one. A burst
+    /// makes the statistics, and the calls to the cost model's private
+    /// state, that one-instruction acts would over the same instants.
     fn act_slave(&mut self, s: usize, horizon: u64) {
         let task = self.slaves[s].as_mut().expect("a due slave holds a task");
         let rules = SegmentRules {
@@ -726,9 +772,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let mut pc = task.pc;
         // When the next instruction issues.
         let mut at = self.now;
-        let (mut busy, mut instructions) = (0, 0);
+        let mut busy = 0;
         let (mut storage, executed, crossings) =
             task.storage_and_counters(&self.arch, None, self.config.word_granular_live_ins);
+        let before = *executed;
         let finished = loop {
             let info = match step(&mut storage, self.original, pc) {
                 // A fault on a speculative path is a task outcome, not an
@@ -736,32 +783,36 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 Err(_) => break Some((TaskEnd::Fault, at + 1)),
                 Ok(info) => info,
             };
-            let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
+            let Some(cost) = self.cost.private_instr_cost(CoreRole::Slave(s), &info) else {
+                // Its cost reads shared state: `price_held` prices it.
+                self.held[s] = Some(info);
+                break None;
+            };
+            let cost = cost.max(1);
             busy += cost;
             at += cost;
-            if info.halted {
-                break Some((TaskEnd::Halted(pc), at));
-            }
-            *executed += 1;
-            instructions += 1;
-            pc = info.next_pc;
-            if rules.crossed(pc, crossings) {
-                break Some((TaskEnd::Boundary(pc), at));
-            }
-            if *executed >= rules.max_instrs {
-                break Some((TaskEnd::Overrun, at));
+            if let Some(end) = rules.retire(&info, &mut pc, executed, crossings) {
+                break Some((end, at));
             }
             if at >= horizon {
                 break None;
             }
         };
+        self.unit.stats.slave_instructions += *executed - before;
         task.pc = pc;
         self.unit.stats.slave_busy_cycles += busy;
-        self.unit.stats.slave_instructions += instructions;
-        let Some((end, done_at)) = finished else {
-            self.slave_wake[s] = at;
-            return;
-        };
+        match finished {
+            None => self.slave_wake[s] = at,
+            Some((end, done_at)) => self.finish_task(s, end, done_at),
+        }
+    }
+
+    /// Marks slave `s`'s task done: it ended with `end`, and its last
+    /// instruction completes at `done_at`.
+    fn finish_task(&mut self, s: usize, end: TaskEnd, done_at: u64) {
+        let task = self.slaves[s]
+            .as_mut()
+            .expect("a finishing slave holds a task");
         task.status = TaskStatus::Done { end, done_at };
         self.slave_wake[s] = NEVER;
         if self.window.front() == Some(&s) {

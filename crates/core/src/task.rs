@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mssp_isa::{Program, Reg, INSTR_BYTES};
-use mssp_machine::{expand_mask, step, Cell, Delta, MachineState, Storage};
+use mssp_machine::{expand_mask, step, Cell, Delta, MachineState, StepInfo, Storage};
 
 /// Unique task identity, increasing in spawn (= program) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -186,28 +186,16 @@ impl Task {
                 let mut storage = self.storage(snapshot, committed, false);
                 step(&mut storage, program, pc)
             };
-            match result {
-                Err(_) => return TaskEnd::Fault,
-                Ok(info) => {
-                    if info.halted {
-                        return TaskEnd::Halted(pc);
-                    }
-                    self.executed += 1;
-                    self.pc = info.next_pc;
-                    if rules.crossed(info.next_pc, &mut self.crossings) {
-                        return if abandon() {
-                            TaskEnd::Overrun
-                        } else {
-                            TaskEnd::Boundary(info.next_pc)
-                        };
-                    }
-                    if self.executed >= rules.max_instrs {
-                        return TaskEnd::Overrun;
-                    }
-                    if self.executed.is_multiple_of(64) && abandon() {
-                        return TaskEnd::Overrun;
-                    }
+            let Ok(info) = result else {
+                return TaskEnd::Fault;
+            };
+            match rules.retire(&info, &mut self.pc, &mut self.executed, &mut self.crossings) {
+                Some(TaskEnd::Boundary(_)) if abandon() => return TaskEnd::Overrun,
+                Some(end) => return end,
+                None if self.executed.is_multiple_of(64) && abandon() => {
+                    return TaskEnd::Overrun;
                 }
+                None => {}
             }
         }
     }
@@ -270,6 +258,28 @@ impl SegmentRules<'_> {
         }
         *crossings += 1;
         *crossings >= self.crossings_per_task
+    }
+
+    /// Retires `info`, a speculative task's instruction at `*pc`: counts
+    /// it and moves `pc` past it. Returns the end it brings the task to,
+    /// if any.
+    #[inline(always)]
+    pub(crate) fn retire(
+        &self,
+        info: &StepInfo,
+        pc: &mut u64,
+        executed: &mut u64,
+        crossings: &mut u64,
+    ) -> Option<TaskEnd> {
+        if info.halted {
+            return Some(TaskEnd::Halted(*pc));
+        }
+        *executed += 1;
+        *pc = info.next_pc;
+        if self.crossed(*pc, crossings) {
+            return Some(TaskEnd::Boundary(*pc));
+        }
+        (*executed >= self.max_instrs).then_some(TaskEnd::Overrun)
     }
 }
 

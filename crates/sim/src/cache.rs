@@ -175,13 +175,19 @@ impl Cache {
         self.lookup(line)
     }
 
+    /// The block holding `line`'s set, and the index of the set's first
+    /// way within it.
+    #[inline]
+    fn set_of(&self, line: u64) -> (usize, usize) {
+        let set = (line & self.set_mask) as usize;
+        (set / BLOCK_SETS, set % BLOCK_SETS * self.config.ways)
+    }
+
     #[inline]
     fn lookup(&mut self, line: u64) -> bool {
         self.tick += 1;
-        let ways = self.config.ways;
-        let set = (line & self.set_mask) as usize;
-        let first = set % BLOCK_SETS * ways;
-        let lines = &mut self.blocks[set / BLOCK_SETS][first..first + ways];
+        let (block, first) = self.set_of(line);
+        let lines = &mut self.blocks[block][first..first + self.config.ways];
         // Recency past the epoch: 0 for an invalid line, else ordered as
         // the stamps are. The victim is the first way of least recency.
         let mut victim = 0;
@@ -204,6 +210,21 @@ impl Cache {
             stamp: self.tick,
         };
         false
+    }
+
+    /// Whether [`Cache::access`] of `addr` would hit, without accessing:
+    /// no counter, stamp or remembered line changes.
+    #[inline]
+    #[must_use]
+    pub fn probe(&self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
+            return true;
+        }
+        let (block, first) = self.set_of(line);
+        self.blocks[block][first..first + self.config.ways]
+            .iter()
+            .any(|l| l.stamp > self.epoch && l.tag == line)
     }
 
     /// Invalidates every line (used when a core's speculative state is

@@ -152,6 +152,21 @@ impl CorePipe {
         cost
     }
 
+    /// [`CorePipe::instr_cost`] of `info`, with its effects, if both its
+    /// fetch and its data access hit in the L1s, so it reads nothing
+    /// beyond this core; `None`, with no effect, if either would reach
+    /// the L2.
+    #[inline]
+    pub fn private_cost(&mut self, info: &StepInfo) -> Option<u64> {
+        let data_hits = info.mem.is_none_or(|mem| self.l1d.probe(mem.addr));
+        if !(data_hits && self.l1i.probe(info.pc)) {
+            return None;
+        }
+        Some(self.instr_cost(info, |_| -> bool {
+            unreachable!("an instruction whose L1 accesses hit reads no L2")
+        }))
+    }
+
     /// Squash: discard speculative L1 state (predictor history survives —
     /// it is not architectural).
     pub fn squash(&mut self) {
@@ -262,6 +277,58 @@ mod tests {
         // Fetch misses again after the squash.
         let c = core.instr_cost(&i, &mut |_| true);
         assert_eq!(c, ALU + L2_HIT);
+    }
+
+    /// On a seeded stream of fetches, loads, stores and branches over a
+    /// few lines, with squashes interleaved, `private_cost` either prices
+    /// an instruction exactly as `instr_cost` does without consulting the
+    /// L2, or declines and changes nothing.
+    #[test]
+    fn private_cost_is_instr_cost_without_the_l2() {
+        let mut rng = mssp_testkit::Rng::new(0xC0E);
+        let mut core = CorePipe::default();
+        let (mut private, mut declined) = (0, 0);
+        for _ in 0..20_000 {
+            let pc = 0x1000 + rng.gen_range(0, 1 << 12) * 4;
+            let mut i = info(pc, Instr::nop());
+            match rng.gen_range(0, 4) {
+                0 => {
+                    i.instr = Instr::Load(LoadOp::Ld, Reg::A0, Reg::A1, 0);
+                    i.mem = Some(mssp_machine::MemAccess {
+                        addr: 0x8_0000 + rng.gen_range(0, 1 << 15),
+                        bytes: 8,
+                        is_store: rng.gen_bool(1, 2),
+                    });
+                }
+                1 => {
+                    i.instr = Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 8);
+                    i.taken = Some(rng.gen_bool(1, 2));
+                }
+                2 if rng.gen_bool(1, 200) => core.squash(),
+                _ => {}
+            }
+            let mut reference = core.clone();
+            let mut reads = 0;
+            let expected = reference.instr_cost(&i, |_| {
+                reads += 1;
+                true
+            });
+            let before = core.stats();
+            match core.private_cost(&i) {
+                Some(cost) => {
+                    assert_eq!((cost, reads), (expected, 0), "{i:?}");
+                    private += 1;
+                }
+                None => {
+                    assert!(reads > 0, "{i:?} declined without an L2 read");
+                    assert_eq!(core.stats(), before, "{i:?} declined with effects");
+                    assert_eq!(core.instr_cost(&i, |_| true), expected, "{i:?}");
+                    declined += 1;
+                }
+            }
+            assert_eq!(core.stats(), reference.stats());
+        }
+        assert!(private > 1000 && declined > 1000, "{private} / {declined}");
     }
 
     #[test]

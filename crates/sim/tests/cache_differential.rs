@@ -4,6 +4,8 @@
 //! seeded address streams (sequential runs, repeats of one line, strided
 //! conflicts within a set, random addresses) with `invalidate_all`
 //! interleaved, and must agree on every access and on the final counters.
+//! Before every access `Cache::probe` must predict the reference's answer
+//! and change nothing: neither the counters nor any later hit or miss.
 
 use mssp_sim::{Cache, CacheConfig, CacheStats};
 use mssp_testkit::{check, Rng};
@@ -27,11 +29,21 @@ impl Reference {
         }
     }
 
+    /// The set and tag of `addr`.
+    fn place(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr / self.line_bytes;
+        let sets = self.sets.len() as u64;
+        ((line_addr % sets) as usize, line_addr / sets)
+    }
+
+    fn would_hit(&self, addr: u64) -> bool {
+        let (set, tag) = self.place(addr);
+        self.sets[set].iter().any(|l| l.1 && l.0 == tag)
+    }
+
     fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let line_addr = addr / self.line_bytes;
-        let set_idx = (line_addr % self.sets.len() as u64) as usize;
-        let tag = line_addr / self.sets.len() as u64;
+        let (set_idx, tag) = self.place(addr);
         let set = &mut self.sets[set_idx];
         if let Some(line) = set.iter_mut().find(|l| l.1 && l.0 == tag) {
             line.2 = self.tick;
@@ -106,6 +118,13 @@ fn differential(config: CacheConfig, seed: u64, cases: u32, accesses: usize) {
                 }
             };
             for &addr in &burst {
+                let stats = cache.stats();
+                assert_eq!(
+                    cache.probe(addr),
+                    reference.would_hit(addr),
+                    "{config:?}: probe {addr:#x}"
+                );
+                assert_eq!(cache.stats(), stats, "{config:?}: probe {addr:#x}");
                 assert_eq!(
                     cache.access(addr),
                     reference.access(addr),

@@ -117,7 +117,7 @@ impl CmpCost {
 
     /// Per-core statistics: `(master, slaves)`.
     #[must_use]
-    pub(crate) fn core_stats(&self) -> (CoreStats, Vec<CoreStats>) {
+    pub fn core_stats(&self) -> (CoreStats, Vec<CoreStats>) {
         (
             self.master.stats(),
             self.slaves.iter().map(CorePipe::stats).collect(),
@@ -129,7 +129,10 @@ impl CmpCost {
     }
 
     /// The core `role` runs on. The engine numbers slaves below the
-    /// configured count; a role past it wraps around.
+    /// configured count; a role past it wraps around, onto a core another
+    /// slave uses too. `private_instr_cost` then misses that sharing, so a
+    /// run configures the engine and the model with one slave count, as
+    /// [`run_mssp`] does.
     fn core<'a>(
         master: &'a mut CorePipe,
         slaves: &'a mut [CorePipe],
@@ -150,6 +153,12 @@ impl CostModel for CmpCost {
         let l2 = &mut self.l2;
         Self::core(&mut self.master, &mut self.slaves, role)
             .instr_cost(info, |addr| l2.access(addr))
+    }
+
+    /// The core's own cost when its L1s serve both the fetch and the data
+    /// access: only an L1 miss reads the shared L2.
+    fn private_instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> Option<u64> {
+        Self::core(&mut self.master, &mut self.slaves, role).private_cost(info)
     }
 
     fn spawn_overhead(&mut self, _cells: usize) -> u64 {

@@ -1,59 +1,94 @@
-//! The burst path against the per-instant path.
+//! The burst path against the per-instant order.
 //!
-//! Under a cost model whose `INTERLEAVING_FREE` is true, `Engine` visits
-//! the due slaves oldest task first and runs each task, in one visit,
-//! through every instruction that issues before its horizon: the next
-//! verify act for the oldest task, and for a younger one also the oldest
-//! task's next step. Under any other model it visits every due slave once
-//! per instant, in index order. Nothing a slave reads changes between two
-//! verify acts, so the two paths must produce the same run. This file
-//! holds them to that, field by field:
+//! `Engine` visits the due slaves oldest task first and runs each task, in
+//! one visit, through every instruction that issues before its horizon:
+//! the next verify act for the oldest task, and for a younger one also the
+//! oldest task's next step. It prices each instruction ahead of its
+//! instant with `CostModel::private_instr_cost`; at the first `None` it
+//! holds that instruction, and prices it with `instr_cost` at its own
+//! instant, slaves ascending, before the master acts. A model that answers
+//! `None` for every instruction, as `InOrder<C>` does, therefore has one
+//! instruction priced per slave visit, in the per-instant order. Nothing a
+//! slave reads changes between two verify acts, and a private answer
+//! touches nothing another core shares, so the two must produce the same
+//! run. This file holds them to that, field by field, each model bare
+//! against `InOrder` of itself:
 //!
-//! * (a) `UnitCost` against `PerInstant`, the same costs with the flag
-//!   left `false`, on every workload at 1, 2, 4 and 8 slaves, with the
+//! * (a) `UnitCost`, on every workload at 1, 2, 4 and 8 slaves, with the
 //!   phase workloads trained on phase A alone so that they squash;
-//! * (b) a stateless model with varying overheads, flag on against flag
-//!   off. Its dispatch latencies let a younger task be due while the
-//!   oldest one waits, which `UnitCost` never does, so only this suite
-//!   reaches the front-task term of the horizon;
-//! * (c) default-controller adaptive runs, whose hot-swaps must land at
+//! * (b) a stateless model with varying overheads. Its dispatch latencies
+//!   let a younger task be due while the oldest one waits, which
+//!   `UnitCost` never does, so this suite reaches the front-task term of
+//!   the horizon;
+//! * (c) `CmpCost`, whose private answers cover L1 hits and whose held
+//!   instructions read the shared L2, compared on its per-core counters
+//!   too;
+//! * (d) default-controller adaptive runs, whose hot-swaps must land at
 //!   the same commits;
-//! * (d) cycle budgets around a run's length, which must fail or succeed
+//! * (e) cycle budgets around a run's length, which must fail or succeed
 //!   alike.
 //!
-//! Both paths run one slave act, `Engine::act_slave(s, horizon)`; the
-//! per-instant pass passes `now`, so a mutation of the act that both
-//! paths share is for `tests/engine_schedule.rs` to catch. Two
-//! hand-seeded mutations of the burst fail this file: stopping it at
-//! `at > horizon` instead of `at >= horizon` (caught by (a)), and a
-//! younger task's horizon without the oldest task's next step (caught by
-//! (b)). Visiting the due slaves in index order instead
-//! of window order is not such a mutation: a younger task visited before
-//! a due oldest one sees a horizon of `now` and runs one instruction, as
-//! the per-instant pass would. That order is only slower.
+//! Both runs go through one slave act, `Engine::act_slave`, and one
+//! pricing loop, `Engine::price_held`. Three hand-seeded mutations fail
+//! this file: stopping a burst at `at > horizon` instead of
+//! `at >= horizon` (caught by (a)); a younger task's horizon without the
+//! oldest task's next step (caught by (b), and by (c) through the
+//! engine's debug invariants); and a `Cache::probe` that reports a hit on
+//! a line invalidated by a squash (caught by (c)). A fourth, pricing held
+//! instructions in window order instead of index order, passes here: both
+//! runs share the pricing loop, so it moves their calls alike, and the
+//! `CmpCost` and `JitterCost` goldens of `tests/engine_schedule.rs` catch
+//! it. Visiting the due slaves in index order instead of window order is
+//! not a mutation of the run at all: a younger task visited before a due
+//! oldest one sees a horizon of `now` and runs one instruction, as the
+//! per-instant pass would. That order is only slower.
 
 use mssp::core::{AdaptiveConfig, AdaptiveController, CoreRole, CostModel, Recompiler};
 use mssp::machine::StepInfo;
 use mssp::prelude::*;
+use mssp::timing::CmpCost;
 use mssp::workloads::{phase_workloads, TRAIN_SEED};
 
-/// `UnitCost`'s costs on the per-instant path.
-struct PerInstant;
+/// `C` with every slave instruction priced at its own instant: every hook
+/// is `C`'s except `private_instr_cost`, left at its default `None`.
+struct InOrder<C>(C);
 
-impl CostModel for PerInstant {
-    fn instr_cost(&mut self, _role: CoreRole, _info: &StepInfo) -> u64 {
-        1
+impl<C: CostModel> CostModel for InOrder<C> {
+    fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64 {
+        self.0.instr_cost(role, info)
+    }
+
+    fn spawn_overhead(&mut self, cells: usize) -> u64 {
+        self.0.spawn_overhead(cells)
+    }
+
+    fn dispatch_latency(&mut self, cells: usize) -> u64 {
+        self.0.dispatch_latency(cells)
+    }
+
+    fn verify_cost(&mut self, live_ins: usize) -> u64 {
+        self.0.verify_cost(live_ins)
+    }
+
+    fn commit_cost(&mut self, live_outs: usize) -> u64 {
+        self.0.commit_cost(live_outs)
+    }
+
+    fn squash_penalty(&mut self) -> u64 {
+        self.0.squash_penalty()
+    }
+
+    fn on_squash(&mut self, role: CoreRole) {
+        self.0.on_squash(role);
     }
 }
 
 /// Costs that are functions of their arguments alone, but not constant:
 /// instructions take 1 to 3 cycles by PC and role, and every overhead is
-/// sometimes zero and sometimes not.
-struct Stateless<const FREE: bool>;
+/// sometimes zero and sometimes not. Every instruction is priced ahead.
+struct Stateless;
 
-impl<const FREE: bool> CostModel for Stateless<FREE> {
-    const INTERLEAVING_FREE: bool = FREE;
-
+impl CostModel for Stateless {
     fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64 {
         let role = match role {
             CoreRole::Master => 0,
@@ -61,6 +96,10 @@ impl<const FREE: bool> CostModel for Stateless<FREE> {
             CoreRole::Recovery(_) => 2,
         };
         1 + (info.pc / 4 + role) % 3
+    }
+
+    fn private_instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> Option<u64> {
+        Some(self.instr_cost(role, info))
     }
 
     fn spawn_overhead(&mut self, cells: usize) -> u64 {
@@ -182,7 +221,7 @@ fn unit_cost_bursts_match_the_per_instant_schedule() {
     for f in standard_fixtures().iter().chain(&phase_fixtures()) {
         for n in SLAVES {
             let burst = engine(f, slaves(n), UnitCost).run().unwrap();
-            let per_instant = engine(f, slaves(n), PerInstant).run().unwrap();
+            let per_instant = engine(f, slaves(n), InOrder(UnitCost)).run().unwrap();
             assert_same_run(&burst, &per_instant, &format!("{} x{n}", f.name));
             squashed += burst.stats.squash_events();
         }
@@ -195,13 +234,52 @@ fn stateless_overheads_burst_like_the_per_instant_schedule() {
     let mut squashed = 0;
     for f in standard_fixtures().iter().chain(&phase_fixtures()) {
         for n in SLAVES {
-            let burst = engine(f, slaves(n), Stateless::<true>).run().unwrap();
-            let per_instant = engine(f, slaves(n), Stateless::<false>).run().unwrap();
+            let burst = engine(f, slaves(n), Stateless).run().unwrap();
+            let per_instant = engine(f, slaves(n), InOrder(Stateless)).run().unwrap();
             assert_same_run(&burst, &per_instant, &format!("{} x{n}", f.name));
             squashed += burst.stats.squash_events();
         }
     }
     assert!(squashed > 0, "no run squashed");
+}
+
+/// The timing model of a CMP with `n` slave cores.
+fn cmp_cost(n: usize) -> CmpCost {
+    CmpCost::new(&TimingConfig {
+        engine: slaves(n),
+        ..TimingConfig::default()
+    })
+}
+
+#[test]
+fn cmp_cost_bursts_like_the_per_instant_schedule() {
+    let (mut squashed, mut l2_reads) = (0, 0);
+    for f in standard_fixtures().iter().chain(&phase_fixtures()) {
+        for n in SLAVES {
+            let label = format!("{} x{n}", f.name);
+            let (burst, cost) = engine(f, slaves(n), cmp_cost(n))
+                .run_returning_cost()
+                .unwrap();
+            let (per_instant, InOrder(in_order)) = engine(f, slaves(n), InOrder(cmp_cost(n)))
+                .run_returning_cost()
+                .unwrap();
+            assert_same_run(&burst, &per_instant, &label);
+            // `TimingRun::master_core` and `slave_cores`.
+            let (master_core, slave_cores) = cost.core_stats();
+            assert_eq!(
+                (master_core, slave_cores.clone()),
+                in_order.core_stats(),
+                "{label}: core counters"
+            );
+            squashed += burst.stats.squash_events();
+            l2_reads += slave_cores
+                .iter()
+                .map(|c| c.l1i.misses + c.l1d.misses)
+                .sum::<u64>();
+        }
+    }
+    assert!(squashed > 0, "no run squashed");
+    assert!(l2_reads > 0, "no slave instruction read the L2");
 }
 
 /// Redistills from the training profile, whatever the live one says, so
@@ -229,7 +307,7 @@ fn adaptive_swaps_land_at_the_same_commits() {
     let mut swaps = 0;
     for f in &phase_fixtures() {
         let burst = adaptive_run(f, UnitCost);
-        let per_instant = adaptive_run(f, PerInstant);
+        let per_instant = adaptive_run(f, InOrder(UnitCost));
         assert_same_run(&burst, &per_instant, f.name);
         let report = |run: &MsspRun| {
             let report = run.adaptive.as_ref().expect("adaptive enabled");
@@ -265,7 +343,7 @@ fn cycle_budgets_fail_or_succeed_alike() {
                 };
                 let label = format!("{} x{n} within {max_cycles}", f.name);
                 let burst = engine(f, config, UnitCost).run();
-                let per_instant = engine(f, config, PerInstant).run();
+                let per_instant = engine(f, config, InOrder(UnitCost)).run();
                 match (burst, per_instant) {
                     (Ok(b), Ok(p)) => assert_same_run(&b, &p, &label),
                     (Err(b), Err(p)) => assert_eq!(b, p, "{label}"),

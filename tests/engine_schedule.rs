@@ -17,14 +17,15 @@
 //! slave starts in the same instant, back-to-back commits, a squash whose
 //! recovery starts at once — all occur.
 //!
-//! `Recording<C>` leaves `CostModel::INTERLEAVING_FREE` at its default,
-//! `false`: a wrapper that observes call order must not let the engine
-//! reorder its calls. So every column, `UnitCost`'s included, pins the
-//! per-instant order, the one `CmpCost` and `JitterCost` run under. A bare
-//! `UnitCost` run takes the burst path instead, which makes the same calls
-//! in another order; what it simulates must not move, so its cycles,
-//! committed tasks and squash events are held to the `UnitCost` column
-//! too.
+//! `Recording<C>` leaves `CostModel::private_instr_cost` at its default,
+//! `None`: a wrapper that observes call order must not let the engine
+//! price an instruction ahead of its instant. So every column, `UnitCost`'s
+//! and `CmpCost`'s included, pins the per-instant order, one instruction
+//! priced per slave visit. A bare `UnitCost` or `CmpCost` run bursts
+//! instead: it prices ahead every instruction whose cost touches only its
+//! own core, which makes the same calls in another order. What it
+//! simulates must not move, so its cycles, committed tasks and squash
+//! events are held to its column too.
 
 use mssp::core::{CoreRole, CostModel};
 use mssp::machine::StepInfo;
@@ -198,6 +199,17 @@ fn fixtures() -> Vec<(&'static str, Program, Distilled)> {
 
 const SLAVES: [usize; 3] = [1, 2, 7];
 
+/// The timing model of a CMP with `num_slaves` slave cores.
+fn cmp_cost(num_slaves: usize) -> CmpCost {
+    CmpCost::new(&TimingConfig {
+        engine: EngineConfig {
+            num_slaves,
+            ..EngineConfig::default()
+        },
+        ..TimingConfig::default()
+    })
+}
+
 /// Recorded at d303e1a, before `Engine::run_returning_cost` was touched.
 /// Rows follow `fixtures()` x `SLAVES`; columns are `UnitCost`, `CmpCost`,
 /// `JitterCost`.
@@ -265,16 +277,9 @@ fn schedule_matches_the_recorded_one() {
     let mut labels = Vec::new();
     for (name, p, d) in &fixtures() {
         for slaves in SLAVES {
-            let timing = TimingConfig {
-                engine: EngineConfig {
-                    num_slaves: slaves,
-                    ..EngineConfig::default()
-                },
-                ..TimingConfig::default()
-            };
             actual.push([
                 pinned(p, d, slaves, UnitCost),
-                pinned(p, d, slaves, CmpCost::new(&timing)),
+                pinned(p, d, slaves, cmp_cost(slaves)),
                 pinned(p, d, slaves, JitterCost(Rng::new(0x5EED + slaves as u64))),
             ]);
             labels.push(format!("{name} x{slaves}"));
@@ -300,18 +305,20 @@ fn schedule_matches_the_recorded_one() {
     );
 }
 
-#[test]
-fn bare_unit_cost_bursts_to_the_pinned_outcome() {
+/// Runs a bare cost model (no `Recording` wrapper) on every fixture and
+/// holds its cycles, committed tasks and squash events to golden column
+/// `column`.
+fn assert_bare_runs_match<C: CostModel>(column: usize, cost: impl Fn(usize) -> C) {
     for ((name, p, d), rows) in fixtures().iter().zip(GOLDEN.chunks(SLAVES.len())) {
         for (num_slaves, row) in SLAVES.into_iter().zip(rows) {
             let config = EngineConfig {
                 num_slaves,
                 ..EngineConfig::default()
             };
-            let run = Engine::new(p, d, config, UnitCost)
+            let run = Engine::new(p, d, config, cost(num_slaves))
                 .run()
                 .expect("the run halts");
-            let (cycles, _, committed, squashes) = row[0];
+            let (cycles, _, committed, squashes) = row[column];
             assert_eq!(
                 (
                     run.cycles,
@@ -323,6 +330,16 @@ fn bare_unit_cost_bursts_to_the_pinned_outcome() {
             );
         }
     }
+}
+
+#[test]
+fn bare_unit_cost_bursts_to_the_pinned_outcome() {
+    assert_bare_runs_match(0, |_| UnitCost);
+}
+
+#[test]
+fn bare_cmp_cost_bursts_to_the_pinned_outcome() {
+    assert_bare_runs_match(1, cmp_cost);
 }
 
 #[test]
