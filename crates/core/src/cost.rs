@@ -39,11 +39,12 @@ pub trait CostModel {
     /// effect on the model, when that touches nothing another core shares;
     /// otherwise `None`, and the model is left as it was.
     ///
-    /// The engine runs a slave's task in bursts, several instructions per
-    /// visit (see `engine.rs`, "How it schedules"), pricing each with this
-    /// method ahead of its instant. At the first `None` it stops, and
-    /// prices that instruction with `instr_cost` at its own instant, in
-    /// the order one visit per instant makes. So a model that answers
+    /// The engine runs a slave's task and the master's distilled program
+    /// in bursts, several instructions per visit (see `engine.rs`, "How it
+    /// schedules"), pricing each with this method ahead of its instant. At
+    /// the first `None` it stops, and prices that instruction with
+    /// `instr_cost` at its own instant, in the order one visit per instant
+    /// makes. So a model that answers
     /// only for instructions whose cost depends on their own core's state
     /// sees every shared access in the per-instant order. The default,
     /// `None`, keeps every call in that order, as a model whose answers

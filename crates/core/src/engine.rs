@@ -44,7 +44,7 @@
 //! steps (cost at least 1) goes straight on to the next instant. Nothing
 //! is polled: a component that is not due is one comparison.
 //!
-//! Two components may act for more than one instant in a visit:
+//! Three components may act for more than one instant in a visit:
 //!
 //! * **Recovery.** Nothing else can act while a segment runs, so it runs
 //!   to its end in one visit, taking `now` with it, and the rest of that
@@ -72,6 +72,17 @@
 //!   has one instruction priced per slave visit. A burst may run past
 //!   `max_cycles`: its task is then never verified, because the run loop
 //!   stops first.
+//! * **The master.** It reads only its private state, a snapshot taken at
+//!   restart under its own writes, and only a verify act squashes it or
+//!   restarts it. So a visit that does not spawn runs the distilled
+//!   program through every instruction that issues before a younger
+//!   task's horizon, stopping at an armed spawn, a halt or a loss. Its
+//!   first instruction issues now and is priced with
+//!   [`CostModel::instr_cost`]; later ones are priced ahead, and the
+//!   first that cannot be is held, as a slave's is, and priced at its
+//!   instant after the slaves'. With the window empty the horizon is
+//!   `now`: a master that halts or is lost there starves the machine, and
+//!   starvation recovery must start at the instant of that instruction.
 //!
 //! Each slave holds at most one task, so the slave's slot *is* the
 //! task's home and the in-order window is a queue of slave indices;
@@ -261,12 +272,19 @@ pub struct Engine<'a, C> {
 
     /// The master, its installed program and its spawn bookkeeping.
     seat: MasterSeat<'a>,
-    /// When the master's current instruction or spawn completes.
+    /// When the master's current instruction or spawn completes, or,
+    /// while it holds an instruction, when that one issues.
     master_busy_until: u64,
-    /// When the master next acts: `master_busy_until` while it is active
-    /// and has an instruction to run or a free slave for its pending
-    /// spawn, [`NEVER`] otherwise. Kept equal to [`Engine::master_due`].
+    /// When the master next acts: `master_busy_until` while it holds an
+    /// instruction, or is active and has an instruction to run or a free
+    /// slave for its pending spawn, [`NEVER`] otherwise. Kept equal to
+    /// [`Engine::master_due`].
     master_wake: u64,
+    /// The instruction the master has executed but not priced, because
+    /// its cost reaches state another core shares: it issues at
+    /// `master_busy_until` and is priced then. Like a slave's, it issues
+    /// before any verify act, so nothing squashes a master holding one.
+    master_held: Option<StepInfo>,
 
     /// One slot per slave core, holding the task it runs (or ran, until
     /// the task commits). A slave holds at most one task, so the slot is
@@ -365,6 +383,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             arch_halted: false,
             master_busy_until: 0,
             master_wake: NEVER,
+            master_held: None,
             slaves: (0..config.num_slaves).map(|_| None).collect(),
             slave_wake: vec![NEVER; config.num_slaves],
             held: vec![None; config.num_slaves],
@@ -527,10 +546,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    /// When the master can next act, from scratch: it needs to be active,
-    /// and a pending spawn needs a free slave.
+    /// When the master can next act, from scratch: it needs to hold an
+    /// instruction, or to be active with a free slave for a pending spawn.
     fn master_due(&self) -> u64 {
-        if self.seat.can_act(self.window.len() < self.slaves.len()) {
+        if self.master_held.is_some() || self.seat.can_act(self.window.len() < self.slaves.len()) {
             self.master_busy_until
         } else {
             NEVER
@@ -582,6 +601,14 @@ impl<'a, C: CostModel> Engine<'a, C> {
             "recovery is due in the past"
         );
         assert!(self.recovery.is_none() || self.window.is_empty());
+        if self.master_held.is_some() {
+            assert!(!self.window.is_empty(), "the master holds with no task");
+            assert_eq!(self.master_wake, self.master_busy_until);
+            assert!(
+                self.master_wake >= self.now,
+                "the master is due in the past"
+            );
+        }
         // These two may lie in the past, but only because the unit waited
         // for another component (a task to verify, a slave to free), which
         // is exactly what the from-scratch answers say.
@@ -820,11 +847,21 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    /// The master's turn. Returns the slave it dispatched a task to, if
-    /// it spawned one.
+    /// The master's turn: a spawn, or a burst of distilled instructions.
+    /// Returns the slave it dispatched a task to, if it spawned one.
+    ///
+    /// A burst runs the master through every instruction that issues
+    /// before its horizon, the earliest instant at which a verify act
+    /// could squash it: as for a younger task, the verify unit's wake-up
+    /// or the oldest task's next step. It stops early at a halt, a loss,
+    /// an armed spawn, or an instruction the cost model cannot price
+    /// ahead, which is held. With the window empty the horizon is `now`:
+    /// a master that halts or is lost there starves the machine, and
+    /// starvation recovery starts at the instant the per-instant step
+    /// would have found it.
     fn act_master(&mut self) -> Option<usize> {
         let mut dispatched = None;
-        if self.seat.master.pending_spawn().is_some() {
+        if self.master_held.is_none() && self.seat.master.pending_spawn().is_some() {
             let slave = self.free_slave().expect("a placeable spawn has a slave");
             let (task, cells) = self.seat.spawn(&mut self.unit, &mut self.arena, slave);
             self.slaves[slave] = Some(task);
@@ -838,10 +875,31 @@ impl<'a, C: CostModel> Engine<'a, C> {
             // unit checks its start PC without waiting for it to finish.
             self.verify_wake = self.verify_due();
             dispatched = Some(slave);
-        } else if let Some(info) = self.seat.step(&mut self.unit.stats) {
-            let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
-            self.master_busy_until = self.now + cost;
-            self.unit.stats.master_busy_cycles += cost;
+        } else if let Some(info) = self
+            .master_held
+            .take()
+            .or_else(|| self.seat.step(&mut self.unit.stats))
+        {
+            // The first instruction issues now: priced as at its instant.
+            let mut at = self.now + self.cost.instr_cost(CoreRole::Master, &info).max(1);
+            let horizon = match self.window.front() {
+                None => self.now,
+                Some(&s) => self.verify_wake.min(self.slave_wake[s]),
+            };
+            while at < horizon {
+                // `None`, touching nothing, once the master has halted, is
+                // lost or has armed a spawn: that spawn waits for its instant.
+                let Some(info) = self.seat.step(&mut self.unit.stats) else {
+                    break;
+                };
+                let Some(cost) = self.cost.private_instr_cost(CoreRole::Master, &info) else {
+                    self.master_held = Some(info);
+                    break;
+                };
+                at += cost.max(1);
+            }
+            self.unit.stats.master_busy_cycles += at - self.now;
+            self.master_busy_until = at;
         }
         // Stepping may have halted the master, lost it, or armed a spawn
         // that no slave is free for.
@@ -854,6 +912,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Squashes the oldest task, every younger one and the master, then
     /// starts the recovery segment.
     fn squash_and_recover(&mut self, reason: SquashReason) {
+        debug_assert!(self.master_held.is_none(), "held past a verify act");
         let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
         let dying = self.in_flight_work();
         let cells = self.unit.squash(reason, failing, &self.arch, dying);
@@ -884,6 +943,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
 
     /// Discards every in-flight task and frees the slaves running them.
     fn release_slaves(&mut self) {
+        debug_assert!(self.master_held.is_none(), "held past a verify act");
         for (i, slot) in self.slaves.iter_mut().enumerate() {
             if let Some(task) = slot.take() {
                 self.arena.put(task.live_ins);
@@ -909,6 +969,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Reseeds the master from architected state on the installed
     /// program, or on `swap`, which it installs.
     fn restart_master(&mut self, swap: Option<Arc<Distilled>>) {
+        debug_assert!(self.master_held.is_none(), "held past a verify act");
         self.seat.restart(&mut self.unit.stats, &self.arch, swap);
         self.master_busy_until = self.now;
         self.master_wake = self.master_due();

@@ -172,6 +172,7 @@ impl Master {
     /// `None` if the master is stalled (halted/lost/pending spawn).
     /// Landing on a task boundary arms a pending spawn, which also stalls
     /// the master until the engine dispatches it.
+    #[inline]
     pub fn step(&mut self, distilled: &Distilled) -> Option<StepInfo> {
         if self.status != MasterStall::Active || self.pending_spawn.is_some() {
             return None;

@@ -535,9 +535,14 @@ impl<'a> MasterSeat<'a> {
     }
 
     /// Executes and counts one master instruction. Past the run-ahead
-    /// bound without a spawn, marks the master lost instead: `None`.
+    /// bound without a spawn, marks the master lost instead: `None`. A
+    /// master that cannot step (halted, lost, or with a spawn pending)
+    /// gets `None` and is left as it was.
     #[inline]
     pub(crate) fn step(&mut self, stats: &mut EngineStats) -> Option<StepInfo> {
+        if !self.can_act(false) {
+            return None;
+        }
         if self.since_spawn > self.runahead {
             self.master.mark_lost();
             return None;
@@ -1043,6 +1048,56 @@ mod tests {
         assert_eq!(report.candidates_rejected, 1);
         assert_eq!(report.swaps.len(), 1);
         assert_eq!(report.swaps[0].stats, stats, "marker froze the counters");
+    }
+
+    /// A master that cannot step is left as it was, whatever its run-ahead
+    /// count: a pending spawn stays pending, a halted master stays halted.
+    #[test]
+    fn a_master_that_cannot_step_is_left_as_it_was() {
+        let seat_on = |src: &str, boundary: Option<&str>| {
+            let p = assemble(src).unwrap();
+            let boundaries: BTreeSet<u64> =
+                boundary.map(|b| p.symbol(b).unwrap()).into_iter().collect();
+            let mut map = BTreeMap::from([(p.entry(), p.entry())]);
+            map.extend(boundaries.iter().map(|&b| (b, b)));
+            let d = Distilled::from_parts(p.clone(), boundaries, map);
+            (d, MachineState::boot(&p))
+        };
+        let (mut unit, mut arena, mut stats) = (
+            CommitUnit::new(EngineConfig::default()),
+            DeltaArena::new(),
+            EngineStats::default(),
+        );
+
+        let (d, arch) = seat_on(
+            "main: addi s0, zero, 1\nloop: addi s1, s1, 1\nj loop",
+            Some("loop"),
+        );
+        let mut seat = MasterSeat::new(&d, &arch, 0);
+        let (task, _) = seat.spawn(&mut unit, &mut arena, 0);
+        assert_eq!(task.start_pc, arch.pc(), "the boot spawn");
+        assert!(
+            seat.step(&mut stats).is_some(),
+            "the step that arms a spawn"
+        );
+        let armed = seat.master.pending_spawn();
+        assert!(armed.is_some());
+        assert!(seat.step(&mut stats).is_none());
+        assert_eq!(
+            seat.master.pending_spawn(),
+            armed,
+            "the spawn stays pending"
+        );
+        assert_eq!(seat.master.status(), MasterStall::Active);
+        assert_eq!(stats.master_instructions, 1);
+
+        let (d, arch) = seat_on("main: halt", None);
+        let mut seat = MasterSeat::new(&d, &arch, 0);
+        seat.spawn(&mut unit, &mut arena, 0);
+        assert!(seat.step(&mut stats).is_some_and(|info| info.halted));
+        assert!(seat.step(&mut stats).is_none());
+        assert_eq!(seat.master.status(), MasterStall::Halted);
+        assert_eq!(stats.master_instructions, 2);
     }
 
     #[test]

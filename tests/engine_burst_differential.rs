@@ -1,15 +1,21 @@
 //! The burst path against the per-instant order.
 //!
-//! `Engine` visits the due slaves oldest task first and runs each task, in
-//! one visit, through every instruction that issues before its horizon:
-//! the next verify act for the oldest task, and for a younger one also the
-//! oldest task's next step. It prices each instruction ahead of its
-//! instant with `CostModel::private_instr_cost`; at the first `None` it
-//! holds that instruction, and prices it with `instr_cost` at its own
-//! instant, slaves ascending, before the master acts. A model that answers
-//! `None` for every instruction, as `InOrder<C>` does, therefore has one
-//! instruction priced per slave visit, in the per-instant order. Nothing a
-//! slave reads changes between two verify acts, and a private answer
+//! `Engine` runs slaves and the master in bursts. It visits the due
+//! slaves oldest task first and runs each task, in one visit, through
+//! every instruction that issues before its horizon: the next verify act
+//! for the oldest task, and for a younger one also the oldest task's next
+//! step. The master's horizon is a younger task's; with the window empty
+//! it is `now`, and the master runs one instruction: a master that halts
+//! or is lost there starts starvation recovery at that instruction's
+//! instant. Bursts price instructions ahead of their instant with
+//! `CostModel::private_instr_cost` (all but the master's first, which
+//! issues at the visit); at the first `None` the core holds that
+//! instruction and prices it with `instr_cost` at its own instant,
+//! slaves ascending, then the master. A model that answers
+//! `None` for every instruction, as `InOrder<C>` does, therefore has
+//! every slave and master instruction priced at its instant, in the
+//! per-instant order. Nothing a slave reads changes between two verify
+//! acts, the master reads only its private state, and a private answer
 //! touches nothing another core shares, so the two must produce the same
 //! run. This file holds them to that, field by field, each model bare
 //! against `InOrder` of itself:
@@ -26,31 +32,56 @@
 //! * (d) default-controller adaptive runs, whose hot-swaps must land at
 //!   the same commits;
 //! * (e) cycle budgets around a run's length, which must fail or succeed
-//!   alike.
+//!   alike;
+//! * (f) hostile masters, one that halts at once and one that scribbles
+//!   wrong values and loses itself on a small `master_runahead`, under
+//!   all three models at 1, 2, 4 and 8 slaves;
+//! * (g) a `master_runahead` sweep over 1..400 under `UnitCost`, which
+//!   moves the instant at which the master is lost across every step of
+//!   its bursts.
 //!
-//! Both runs go through one slave act, `Engine::act_slave`, and one
-//! pricing loop, `Engine::price_held`. Three hand-seeded mutations fail
-//! this file: stopping a burst at `at > horizon` instead of
-//! `at >= horizon` (caught by (a)); a younger task's horizon without the
-//! oldest task's next step (caught by (b), and by (c) through the
-//! engine's debug invariants); and a `Cache::probe` that reports a hit on
-//! a line invalidated by a squash (caught by (c)). A fourth, pricing held
-//! instructions in window order instead of index order, passes here: both
-//! runs share the pricing loop, so it moves their calls alike, and the
-//! `CmpCost` and `JitterCost` goldens of `tests/engine_schedule.rs` catch
-//! it. Visiting the due slaves in index order instead of window order is
-//! not a mutation of the run at all: a younger task visited before a due
-//! oldest one sees a horizon of `now` and runs one instruction, as the
-//! per-instant pass would. That order is only slower.
+//! Both runs go through one slave act, `Engine::act_slave`, one pricing
+//! loop, `Engine::price_held`, and one master act, `Engine::act_master`.
+//! These hand-seeded mutations fail this file:
+//!
+//! * stopping a slave burst at `at > horizon` instead of `at >= horizon`
+//!   (caught by (a));
+//! * a younger task's horizon without the oldest task's next step (caught
+//!   by (b), and by (c) through the engine's debug invariants);
+//! * a `Cache::probe` that reports a hit on a line invalidated by a squash
+//!   (caught by (c));
+//! * a master horizon of `NEVER` with the window empty (caught by (f),
+//!   and in a debug build also by (b) and (c) through the engine's
+//!   invariant that a held master instruction has a task in flight);
+//! * a master horizon without the front-task term (caught by (b), (c) and
+//!   (f));
+//! * `Engine::master_due` ignoring a held master instruction (caught by
+//!   (b), (c) and (f));
+//! * `MasterSeat::step` checking the run-ahead bound before whether the
+//!   master can step, so that a burst stepping past an armed spawn marks
+//!   the master lost (caught by (g) alone, first at `gap_like` x1,
+//!   `master_runahead` 82).
+//!
+//! Pricing held instructions in window order instead of index order
+//! passes here: both runs share the pricing loop, so it moves their calls
+//! alike, and the `CmpCost` and `JitterCost` goldens of
+//! `tests/engine_schedule.rs` catch it. Visiting the due slaves in index
+//! order instead of window order is not a mutation of the run at all: a
+//! younger task visited before a due oldest one sees a horizon of `now`
+//! and runs one instruction, as the per-instant pass would. That order is
+//! only slower.
 
 use mssp::core::{AdaptiveConfig, AdaptiveController, CoreRole, CostModel, Recompiler};
 use mssp::machine::StepInfo;
 use mssp::prelude::*;
 use mssp::timing::CmpCost;
 use mssp::workloads::{phase_workloads, TRAIN_SEED};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
 
-/// `C` with every slave instruction priced at its own instant: every hook
-/// is `C`'s except `private_instr_cost`, left at its default `None`.
+/// `C` with every slave and master instruction priced at its own instant:
+/// every hook is `C`'s except `private_instr_cost`, left at its default
+/// `None`.
 struct InOrder<C>(C);
 
 impl<C: CostModel> CostModel for InOrder<C> {
@@ -349,6 +380,113 @@ fn cycle_budgets_fail_or_succeed_alike() {
                     (Err(b), Err(p)) => assert_eq!(b, p, "{label}"),
                     (b, p) => panic!("{label}: {:?} against {:?}", b.err(), p.err()),
                 }
+            }
+        }
+    }
+}
+
+/// `f`'s program under a hand-written master: `source`, entered at its
+/// `main` from the program's entry, and at its `evil` label (or `main`)
+/// from every boundary, so every restart finds it.
+fn hostile(f: &Fixture, source: &str) -> Fixture {
+    let master = assemble(source).unwrap();
+    let boundaries = f.distilled.boundaries().clone();
+    let evil = master.symbol("evil").unwrap_or(master.entry());
+    let mut map: BTreeMap<u64, u64> = boundaries.iter().map(|&b| (b, evil)).collect();
+    map.insert(f.program.entry(), master.entry());
+    Fixture {
+        name: f.name,
+        program: f.program.clone(),
+        training: f.training.clone(),
+        distilled: Distilled::from_parts(master, boundaries, map),
+    }
+}
+
+/// Halts at its first instruction, after the spawn its restart makes.
+const HALTING: &str = "main: halt";
+
+/// Scribbles into registers and memory, and spins 0 to 7 times between
+/// boundary crossings, so a small run-ahead bound loses it on some of
+/// them and not on others.
+const SCRIBBLER: &str = "
+    main: addi s1, zero, 123
+    evil: addi s0, zero, 77
+          addi s1, s1, 13
+          sd   s1, -8(sp)
+          ld   t1, -16(sp)
+          andi t0, s1, 7
+    spin: beqz t0, evil
+          addi t0, t0, -1
+          j    spin";
+
+/// The run-ahead bound the scribbler loses itself on.
+const SCRIBBLER_RUNAHEAD: u64 = 12;
+
+/// Runs `f` under `cost` and `InOrder(cost)`, compares the runs and what
+/// `model_state` reads off the two models at the end, and returns the
+/// first run.
+fn assert_same_run_under<C: CostModel, T: PartialEq + Debug>(
+    f: &Fixture,
+    config: EngineConfig,
+    cost: impl Fn() -> C,
+    model_state: impl Fn(&C) -> T,
+) -> MsspRun {
+    let label = format!(
+        "{} x{} master_runahead {}",
+        f.name, config.num_slaves, config.master_runahead
+    );
+    let (burst, burst_cost) = engine(f, config, cost()).run_returning_cost().unwrap();
+    let (per_instant, InOrder(in_order_cost)) = engine(f, config, InOrder(cost()))
+        .run_returning_cost()
+        .unwrap();
+    assert_same_run(&burst, &per_instant, &label);
+    assert_eq!(
+        model_state(&burst_cost),
+        model_state(&in_order_cost),
+        "{label}: model state"
+    );
+    burst
+}
+
+#[test]
+fn hostile_masters_burst_like_the_per_instant_schedule() {
+    let standard = standard_fixtures();
+    let mut recovered = 0;
+    for name in ["gap_like", "mcf_like"] {
+        let f = standard.iter().find(|f| f.name == name).unwrap();
+        for (source, runahead) in [
+            (HALTING, EngineConfig::default().master_runahead),
+            (SCRIBBLER, SCRIBBLER_RUNAHEAD),
+        ] {
+            let f = hostile(f, source);
+            for n in SLAVES {
+                let config = EngineConfig {
+                    master_runahead: runahead,
+                    ..slaves(n)
+                };
+                let run = assert_same_run_under(&f, config, || UnitCost, |_| ());
+                recovered += run.stats.recovery_segments;
+                assert_same_run_under(&f, config, || Stateless, |_| ());
+                // `TimingRun::master_core` and `slave_cores`.
+                assert_same_run_under(&f, config, || cmp_cost(n), CmpCost::core_stats);
+            }
+        }
+    }
+    assert!(recovered > 0, "no hostile master was recovered from");
+}
+
+#[test]
+fn master_runahead_sweep_bursts_like_the_per_instant_schedule() {
+    let standard = standard_fixtures();
+    for name in ["gap_like", "mcf_like"] {
+        let f = standard.iter().find(|f| f.name == name).unwrap();
+        for n in [1, 4] {
+            for master_runahead in 1..400 {
+                let config = EngineConfig {
+                    master_runahead,
+                    ..slaves(n)
+                };
+                assert_same_run_under(f, config, || UnitCost, |_| ());
             }
         }
     }
