@@ -353,6 +353,7 @@ pub struct SquashSample {
 /// the rest of the engine.)
 fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'t Task> {
     let &s = window.front()?;
+    // why: the window lists exactly the slaves that hold a task.
     Some(slaves[s].as_ref().expect("the window names held tasks"))
 }
 
@@ -570,6 +571,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
         for &s in &self.window {
             let task = self.slaves[s]
                 .as_ref()
+                // why: this is the invariant under check; a break is a bug.
                 .expect("the window names held tasks");
             assert!(previous < Some(task.id), "window out of spawn order");
             previous = Some(task.id);
@@ -630,6 +632,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             self.window.is_empty() && self.verify_wake == NEVER && self.master_wake == NEVER,
             "recovery runs alone"
         );
+        // why: `recovery_wake` is due only while a segment is held.
         let segment = self.recovery.as_mut().expect("recovery is due");
         let rules = SegmentRules {
             boundaries: &self.boundaries,
@@ -652,6 +655,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     }
 
     fn finish_recovery(&mut self, halted: bool) {
+        // why: only `act_recovery` calls this, at its segment's end.
         let segment = self.recovery.take().expect("recovery active");
         self.recovery_wake = NEVER;
         let executed = segment.commit(&mut self.arch);
@@ -677,6 +681,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     }
 
     fn act_verify(&mut self) {
+        // why: `verify_due` is `NEVER` with the window empty.
         let task = oldest(&self.window, &self.slaves).expect("verify is due on a task");
         if task.start_pc != self.arch.pc() {
             self.squash_and_recover(SquashReason::WrongPath);
@@ -694,7 +699,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Task safety established and the commit superimposition applied:
     /// account for the oldest task and release its slave.
     fn commit_oldest(&mut self, end_pc: u64, halted: bool) {
+        // why: the caller just verified the window's front task.
         let s = self.window.pop_front().expect("front exists");
+        // why: the window lists exactly the slaves that hold a task.
         let task = self.slaves[s].take().expect("the window names held tasks");
         let vcost = self.cost.verify_cost(task.live_ins.len());
         let ccost = self.cost.commit_cost(task.writes.len());
@@ -760,12 +767,15 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let mut next = NEVER;
         for s in 0..self.slaves.len() {
             if self.slave_wake[s] <= now {
+                // why: a burst leaves a slave due at `now` only when it
+                // holds the instruction the model declined to price.
                 let info = self.held[s].take().expect("a slave due after the burst");
                 let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
                 self.unit.stats.slave_busy_cycles += cost;
                 self.unit.stats.slave_instructions += u64::from(!info.halted);
                 let task = self.slaves[s]
                     .as_mut()
+                    // why: a slave holds an instruction only for a running task.
                     .expect("a held instruction has a task");
                 let rules = SegmentRules {
                     boundaries: &self.boundaries,
@@ -790,6 +800,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// makes the statistics, and the calls to the cost model's private
     /// state, that one-instruction acts would over the same instants.
     fn act_slave(&mut self, s: usize, horizon: u64) {
+        // why: `burst_slaves` visits only the window's slaves, which hold tasks.
         let task = self.slaves[s].as_mut().expect("a due slave holds a task");
         let rules = SegmentRules {
             boundaries: &self.boundaries,
@@ -839,6 +850,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     fn finish_task(&mut self, s: usize, end: TaskEnd, done_at: u64) {
         let task = self.slaves[s]
             .as_mut()
+            // why: only a slave running a task steps, and so finishes one.
             .expect("a finishing slave holds a task");
         task.status = TaskStatus::Done { end, done_at };
         self.slave_wake[s] = NEVER;
@@ -862,6 +874,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
     fn act_master(&mut self) -> Option<usize> {
         let mut dispatched = None;
         if self.master_held.is_none() && self.seat.master.pending_spawn().is_some() {
+            // why: `master_due` is `NEVER` for a pending spawn with the
+            // window full, and a slave is free while it is not.
             let slave = self.free_slave().expect("a placeable spawn has a slave");
             let (task, cells) = self.seat.spawn(&mut self.unit, &mut self.arena, slave);
             self.slaves[slave] = Some(task);
@@ -913,6 +927,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// starts the recovery segment.
     fn squash_and_recover(&mut self, reason: SquashReason) {
         debug_assert!(self.master_held.is_none(), "held past a verify act");
+        // why: only `act_verify` squashes, on the window's oldest task.
         let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
         let dying = self.in_flight_work();
         let cells = self.unit.squash(reason, failing, &self.arch, dying);

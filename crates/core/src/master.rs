@@ -136,6 +136,8 @@ impl Master {
     ///
     /// Panics if no spawn is pending.
     pub fn take_spawn(&mut self, prev_task: Option<u64>) -> (u64, Vec<Arc<Delta>>) {
+        // why: the `# Panics` contract above; the drivers spawn only on
+        // `pending_spawn().is_some()`.
         let start = self.pending_spawn.take().expect("spawn must be pending");
         if let Some(prev) = prev_task {
             let seg = Arc::new(std::mem::take(&mut self.segment));
@@ -171,8 +173,9 @@ impl Master {
     /// Executes one distilled instruction. Returns the step info, or
     /// `None` if the master is stalled (halted/lost/pending spawn).
     /// Landing on a task boundary arms a pending spawn, which also stalls
-    /// the master until the engine dispatches it.
-    #[inline]
+    /// the master until the engine dispatches it. Always inlined, as
+    /// `exec::step` is: the drivers call it once per master instruction.
+    #[inline(always)]
     pub fn step(&mut self, distilled: &Distilled) -> Option<StepInfo> {
         if self.status != MasterStall::Active || self.pending_spawn.is_some() {
             return None;

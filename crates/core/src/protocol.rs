@@ -538,7 +538,11 @@ impl<'a> MasterSeat<'a> {
     /// bound without a spawn, marks the master lost instead: `None`. A
     /// master that cannot step (halted, lost, or with a spawn pending)
     /// gets `None` and is left as it was.
-    #[inline]
+    ///
+    /// Always inlined, with [`Master::step`]: a driver's burst calls it
+    /// per instruction, and an out-of-line call hands the `StepInfo` back
+    /// through the stack (DESIGN.md §6, "The hot-path rule").
+    #[inline(always)]
     pub(crate) fn step(&mut self, stats: &mut EngineStats) -> Option<StepInfo> {
         if !self.can_act(false) {
             return None;

@@ -355,6 +355,7 @@ impl<T: Send> SpscSender<T> {
         }
         let mut sent = 0;
         while !queue.is_empty() && self.has_space() {
+            // why: the loop condition just saw the queue non-empty.
             let item = queue.pop_front().expect("checked non-empty");
             self.write_slot(item);
             sent += 1;

@@ -258,9 +258,10 @@ impl Distilled {
     }
 
     /// If `dist_pc` is the distilled address of a task boundary, the
-    /// boundary's original PC — the master's spawn trigger.
+    /// boundary's original PC — the master's spawn trigger. Always
+    /// inlined: the master asks it once per instruction.
     #[must_use]
-    #[inline]
+    #[inline(always)]
     pub fn boundary_at_dist(&self, dist_pc: u64) -> Option<u64> {
         match self.program.index_of_pc(dist_pc) {
             Some(index) => self.boundary_table[index],
@@ -390,6 +391,8 @@ fn distill_pinned(
                     let target = program
                         .fetch(branch_pc)
                         .and_then(|i| i.static_target(branch_pc))
+                        // why: the block ends in a `Terminator::Branch`, a
+                        // conditional branch of the text, with an offset.
                         .expect("branch has a static target");
                     asserts.insert(bid, Assert::Taken(target));
                 } else {
@@ -493,6 +496,7 @@ fn distill_pinned(
         let mut body = Vec::new();
         let mut exit = Exit::Fall;
         for pc in block.pcs() {
+            // why: the CFG's blocks cover the program's text and no more.
             let instr = program.fetch(pc).expect("pc in text");
             // A call links the *original* return address, then transfers.
             if let Instr::Jal(rd, _) | Instr::Jalr(rd, ..) = instr {
@@ -505,6 +509,7 @@ fn distill_pinned(
             // set at most once, by the block's last instruction.
             match instr {
                 Instr::Jal(..) => {
+                    // why: a `jal` always has a pc-relative target.
                     let target = instr.static_target(pc).expect("jal target");
                     exit = Exit::Jump(block_start_of(&cfg, target));
                 }
@@ -520,6 +525,7 @@ fn distill_pinned(
                         // Dropped: execution falls through.
                     }
                     None => {
+                        // why: a conditional branch always has a target.
                         let target = instr.static_target(pc).expect("branch target");
                         exit = Exit::Branch {
                             instr,
@@ -602,6 +608,8 @@ fn distill_pinned(
     );
     distilled_program
         .validate()
+        // why: `layout` aims every branch and jump at a block it placed,
+        // and failed above on an offset out of range.
         .expect("layout produced in-range targets");
 
     let boundary_dist: BTreeMap<u64, u64> = boundaries
@@ -669,6 +677,7 @@ fn crossings_per_task_of(
 }
 
 fn block_start_of(cfg: &Cfg, pc: u64) -> u64 {
+    // why: the CFG starts a block at every static control target.
     let bid = cfg.block_at(pc).expect("control targets are block leaders");
     cfg.blocks()[bid].start
 }

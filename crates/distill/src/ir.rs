@@ -158,15 +158,15 @@ fn dce_pass(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
         let mut live = exit_live(blocks, i, &index, &live_in);
         let mut keep = vec![true; blocks[i].body.len()];
         for (j, &instr) in blocks[i].body.iter().enumerate().rev() {
-            if is_pure(instr) && !live.contains(instr.def_reg().expect("pure")) {
+            if is_pure(instr) && instr.def_reg().is_some_and(|rd| !live.contains(rd)) {
                 keep[j] = false;
                 removed += 1;
                 continue; // dead instruction: no transfer
             }
             live = transfer(instr, live);
         }
-        let mut it = keep.into_iter();
-        blocks[i].body.retain(|_| it.next().unwrap());
+        let mut keep = keep.into_iter();
+        blocks[i].body.retain(|_| keep.next() == Some(true));
     }
     removed
 }
@@ -249,6 +249,8 @@ pub(crate) fn layout(
                 other,
             } => {
                 let off = offset(&out, taken)?;
+                // why: an `Exit::Branch` holds a conditional branch, which
+                // carries an offset.
                 out.push(instr.with_offset(off).expect("branch carries an offset"));
                 if let Some(t) = other {
                     out.push(Instr::Jal(Reg::ZERO, offset(&out, t)?));

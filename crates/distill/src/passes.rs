@@ -211,10 +211,9 @@ fn const_fold(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> (usize, usize) 
     for (block, mut fact) in blocks.iter_mut().zip(entry_facts) {
         for instr in &mut block.body {
             analysis.transfer(0, *instr, &mut fact);
-            if !is_pure(*instr) {
+            let Some(rd) = instr.def_reg().filter(|_| is_pure(*instr)) else {
                 continue;
-            }
-            let rd = instr.def_reg().expect("pure implies a definition");
+            };
             if let ConstVal::Const(v) = fact.get(rd) {
                 let seq = li_sequence(rd, v as i64);
                 if seq.len() == 1 && seq[0] != *instr {
@@ -257,8 +256,8 @@ fn prune_unreachable(blocks: &mut Vec<DBlock>, roots: &BTreeSet<u64>) -> usize {
         }
     }
     let before = blocks.len();
-    let mut it = reached.into_iter();
-    blocks.retain(|_| it.next().unwrap());
+    let mut reached = reached.into_iter();
+    blocks.retain(|_| reached.next() == Some(true));
     before - blocks.len()
 }
 

@@ -209,7 +209,10 @@ pub(crate) fn compute_slices(
         let away_pc = if asserted_taken {
             block.end // fall-through
         } else {
+            // why: the block ends in a `Terminator::Branch`, a conditional
+            // branch of the text, which has a target.
             let branch = program.fetch(branch_pc).expect("branch in text");
+            // why: as above.
             branch.static_target(branch_pc).expect("branch target")
         };
         // Relevance: the discarded path either reaches a PC where a
@@ -272,6 +275,7 @@ pub(crate) fn compute_slices(
             let w = (crossings_per_task as f64 * iters as f64 / home_crossings as f64).ceil();
             (w as u64).clamp(1, 4096)
         };
+        // why: the block ends in a `Terminator::Branch` of the text.
         instrs.push(program.fetch(branch_pc).expect("branch in text"));
         out.entry(home).or_default().push(Slice {
             kind: SliceKind::SpawnGuard { asserted_taken },

@@ -71,8 +71,11 @@ impl Program {
             "text base must be 4-byte aligned"
         );
         let text_end = segment_end(text_base, text.len(), INSTR_BYTES)
+            // why: the `# Panics` contract above; the assembler rejects
+            // such a segment with an error before it builds a `Program`.
             .expect("text segment runs past the top of the address space");
         let data_end = segment_end(data_base, data.len(), 1)
+            // why: as for the text segment.
             .expect("data segment runs past the top of the address space");
         assert!(
             text_end <= data_base || data_end <= text_base,

@@ -109,6 +109,8 @@ impl Reg {
     /// ```
     #[must_use]
     pub fn new(index: u8) -> Reg {
+        // why: the `# Panics` contract above; `Reg::try_new` is the
+        // fallible form.
         Reg::try_new(index).expect("register index out of range (must be < 32)")
     }
 

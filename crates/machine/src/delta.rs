@@ -477,6 +477,7 @@ impl MemCells {
 /// What an index slot holds for the entry at `position`.
 #[inline]
 fn position_plus_one(position: usize) -> u32 {
+    // why: 2^32 memory cells would take 64 GiB of entries; no run comes near.
     u32::try_from(position + 1).expect("a delta holds fewer than 2^32 memory cells")
 }
 

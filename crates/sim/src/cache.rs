@@ -33,6 +33,16 @@
 //! a hit without a set lookup. It is not re-stamped either: no other line
 //! is touched meanwhile, so the LRU order a new stamp would give is the
 //! order the set already has.
+//!
+//! # Looking before accessing
+//!
+//! [`Cache::access`] looks the line up and applies the outcome in one go.
+//! A caller that must know whether an access hits before committing to it
+//! (a core pricing an instruction only if it stays in its own L1s) splits
+//! it in two: [`Cache::find`] looks the line up and changes nothing, and
+//! on a hit [`Cache::take`] applies exactly what `access` would (the hit
+//! counter, the tick, the line's stamp and the remembered line) at the
+//! way `find` returned, with no second lookup.
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +93,17 @@ struct Line {
     tag: u64,
     /// Tick of the last access to this line; valid iff after the epoch.
     stamp: u64,
+}
+
+/// A resident line, as [`Cache::find`] found it: what [`Cache::take`]
+/// needs to apply the hit without a second set lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheHit {
+    /// Line address (`addr >> line_shift`).
+    line: u64,
+    /// The line's block and index within it; `None` for the line of the
+    /// previous access, which `access` hits without a set lookup.
+    slot: Option<(usize, usize)>,
 }
 
 /// Hit/miss counters.
@@ -212,19 +233,36 @@ impl Cache {
         false
     }
 
-    /// Whether [`Cache::access`] of `addr` would hit, without accessing:
-    /// no counter, stamp or remembered line changes.
-    #[inline]
+    /// Where [`Cache::access`] of `addr` would hit, without accessing: no
+    /// counter, stamp or remembered line changes. `None` if it would miss.
+    #[inline(always)]
     #[must_use]
-    pub fn probe(&self, addr: u64) -> bool {
+    pub fn find(&self, addr: u64) -> Option<CacheHit> {
         let line = addr >> self.line_shift;
         if self.last_line == Some(line) {
-            return true;
+            return Some(CacheHit { line, slot: None });
         }
         let (block, first) = self.set_of(line);
-        self.blocks[block][first..first + self.config.ways]
+        let way = self.blocks[block][first..first + self.config.ways]
             .iter()
-            .any(|l| l.stamp > self.epoch && l.tag == line)
+            .position(|l| l.stamp > self.epoch && l.tag == line)?;
+        Some(CacheHit {
+            line,
+            slot: Some((block, first + way)),
+        })
+    }
+
+    /// Applies the hit `hit`, which [`Cache::find`] returned with no access
+    /// or invalidation since: exactly what [`Cache::access`] of its address
+    /// would do, without looking the line up again.
+    #[inline(always)]
+    pub fn take(&mut self, hit: CacheHit) {
+        self.stats.hits += 1;
+        if let Some((block, index)) = hit.slot {
+            self.tick += 1;
+            self.blocks[block][index].stamp = self.tick;
+            self.last_line = Some(hit.line);
+        }
     }
 
     /// Invalidates every line (used when a core's speculative state is

@@ -121,22 +121,52 @@ impl CorePipe {
     /// address and must return whether it hit in the shared L2.
     #[inline]
     pub fn instr_cost(&mut self, info: &StepInfo, mut l2: impl FnMut(u64) -> bool) -> u64 {
-        let mut cost = match info.instr {
-            Instr::Alu(AluOp::Mul, ..) => MUL,
-            Instr::Alu(AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu, ..) => DIV,
-            Instr::Load(..) => LOAD_L1,
-            _ => ALU,
-        };
+        let mut penalty = 0;
         // Instruction fetch.
         if !self.l1i.access(info.pc) {
-            cost += if l2(info.pc) { L2_HIT } else { L2_HIT + MEM };
+            penalty += if l2(info.pc) { L2_HIT } else { L2_HIT + MEM };
         }
         // Data access.
         if let Some(mem) = info.mem {
             if !self.l1d.access(mem.addr) {
-                cost += if l2(mem.addr) { L2_HIT } else { L2_HIT + MEM };
+                penalty += if l2(mem.addr) { L2_HIT } else { L2_HIT + MEM };
             }
         }
+        self.charge(info, penalty)
+    }
+
+    /// [`CorePipe::instr_cost`] of `info`, with its effects, if both its
+    /// fetch and its data access hit in the L1s, so it reads nothing
+    /// beyond this core; `None`, with no effect, if either would reach
+    /// the L2. Each L1 looks the line up once: the hit `find` returns is
+    /// the one `take` applies.
+    #[inline(always)]
+    pub fn private_cost(&mut self, info: &StepInfo) -> Option<u64> {
+        let fetch = self.l1i.find(info.pc)?;
+        let data = match info.mem {
+            None => None,
+            Some(mem) => Some(self.l1d.find(mem.addr)?),
+        };
+        self.l1i.take(fetch);
+        if let Some(data) = data {
+            self.l1d.take(data);
+        }
+        Some(self.charge(info, 0))
+    }
+
+    /// Charges `info` on top of `penalty` cycles of L1 misses: its op
+    /// latency, and a misprediction for a wrong branch direction or
+    /// indirect-jump target, training both predictors. Counts the
+    /// instruction and returns its cost.
+    #[inline(always)]
+    fn charge(&mut self, info: &StepInfo, penalty: u64) -> u64 {
+        let mut cost = penalty
+            + match info.instr {
+                Instr::Alu(AluOp::Mul, ..) => MUL,
+                Instr::Alu(AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu, ..) => DIV,
+                Instr::Load(..) => LOAD_L1,
+                _ => ALU,
+            };
         // Branch direction prediction.
         if let Some(taken) = info.taken {
             if !self.bp.predict_and_update(info.pc, taken) {
@@ -150,21 +180,6 @@ impl CorePipe {
         self.stats.instructions += 1;
         self.stats.cycles += cost;
         cost
-    }
-
-    /// [`CorePipe::instr_cost`] of `info`, with its effects, if both its
-    /// fetch and its data access hit in the L1s, so it reads nothing
-    /// beyond this core; `None`, with no effect, if either would reach
-    /// the L2.
-    #[inline]
-    pub fn private_cost(&mut self, info: &StepInfo) -> Option<u64> {
-        let data_hits = info.mem.is_none_or(|mem| self.l1d.probe(mem.addr));
-        if !(data_hits && self.l1i.probe(info.pc)) {
-            return None;
-        }
-        Some(self.instr_cost(info, |_| -> bool {
-            unreachable!("an instruction whose L1 accesses hit reads no L2")
-        }))
     }
 
     /// Squash: discard speculative L1 state (predictor history survives —
@@ -191,6 +206,7 @@ impl CorePipe {
 mod tests {
     use super::*;
     use mssp_isa::{Cond, LoadOp, Reg};
+    use std::ops::Range;
 
     fn info(pc: u64, instr: Instr) -> StepInfo {
         StepInfo {
@@ -282,20 +298,26 @@ mod tests {
     /// On a seeded stream of fetches, loads, stores and branches over a
     /// few lines, with squashes interleaved, `private_cost` either prices
     /// an instruction exactly as `instr_cost` does without consulting the
-    /// L2, or declines and changes nothing.
+    /// L2, or declines and changes nothing. After the stream, a core that
+    /// priced every instruction with `instr_cost` holds the same lines in
+    /// the same LRU order in both L1s: a hit applied differently from
+    /// `access` shows there even before it moves a counter.
     #[test]
     fn private_cost_is_instr_cost_without_the_l2() {
+        const CODE: Range<u64> = 0x1000..0x1000 + (4 << 12);
+        const DATA: Range<u64> = 0x8_0000..0x8_0000 + (1 << 15);
         let mut rng = mssp_testkit::Rng::new(0xC0E);
         let mut core = CorePipe::default();
+        let mut in_order = CorePipe::default();
         let (mut private, mut declined) = (0, 0);
         for _ in 0..20_000 {
-            let pc = 0x1000 + rng.gen_range(0, 1 << 12) * 4;
+            let pc = CODE.start + rng.gen_range(0, 1 << 12) * 4;
             let mut i = info(pc, Instr::nop());
             match rng.gen_range(0, 4) {
                 0 => {
                     i.instr = Instr::Load(LoadOp::Ld, Reg::A0, Reg::A1, 0);
                     i.mem = Some(mssp_machine::MemAccess {
-                        addr: 0x8_0000 + rng.gen_range(0, 1 << 15),
+                        addr: DATA.start + rng.gen_range(0, DATA.end - DATA.start),
                         bytes: 8,
                         is_store: rng.gen_bool(1, 2),
                     });
@@ -304,7 +326,10 @@ mod tests {
                     i.instr = Instr::Branch(Cond::Beq, Reg::A0, Reg::A1, 8);
                     i.taken = Some(rng.gen_bool(1, 2));
                 }
-                2 if rng.gen_bool(1, 200) => core.squash(),
+                2 if rng.gen_bool(1, 200) => {
+                    core.squash();
+                    in_order.squash();
+                }
                 _ => {}
             }
             let mut reference = core.clone();
@@ -327,8 +352,35 @@ mod tests {
                 }
             }
             assert_eq!(core.stats(), reference.stats());
+            assert_eq!(in_order.instr_cost(&i, |_| true), expected, "{i:?}");
         }
         assert!(private > 1000 && declined > 1000, "{private} / {declined}");
+        assert_same_lru(&mut core.l1i, &mut in_order.l1i, CODE);
+        assert_same_lru(&mut core.l1d, &mut in_order.l1d, DATA);
+        assert_eq!(core.stats(), in_order.stats());
+    }
+
+    /// `a` and `b`, two L1s, hold the same lines of `window` in the same
+    /// LRU order. Residency is read with `find`, line by line; the order
+    /// by one new line per set, which evicts each set's LRU way, and a
+    /// second read.
+    fn assert_same_lru(a: &mut Cache, b: &mut Cache, window: Range<u64>) {
+        let l1 = CacheConfig::l1_default();
+        let line = l1.line_bytes as u64;
+        let resident = |c: &Cache| -> Vec<bool> {
+            window
+                .clone()
+                .step_by(l1.line_bytes)
+                .map(|addr| c.find(addr).is_some())
+                .collect()
+        };
+        assert_eq!(resident(a), resident(b), "residency in {window:x?}");
+        // Line `2^24 + set` maps to `set`, and lies outside both windows.
+        for set in 0..(l1.size_bytes / l1.line_bytes / l1.ways) as u64 {
+            let conflict = ((1 << 24) + set) * line;
+            assert_eq!(a.access(conflict), b.access(conflict));
+        }
+        assert_eq!(resident(a), resident(b), "LRU order in {window:x?}");
     }
 
     #[test]

@@ -27,5 +27,5 @@ mod cache;
 mod corepipe;
 
 pub use branch::{BranchStats, Btb, Gshare};
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheHit, CacheStats};
 pub use corepipe::{CorePipe, CoreStats};

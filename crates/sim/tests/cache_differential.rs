@@ -4,8 +4,11 @@
 //! seeded address streams (sequential runs, repeats of one line, strided
 //! conflicts within a set, random addresses) with `invalidate_all`
 //! interleaved, and must agree on every access and on the final counters.
-//! Before every access `Cache::probe` must predict the reference's answer
-//! and change nothing: neither the counters nor any later hit or miss.
+//! Before every access `Cache::find` must predict the reference's answer
+//! and change nothing: neither the counters nor any later hit or miss. A
+//! third cache sees the same stream but applies every hit `find` reports
+//! with `Cache::take` instead of `access`; it must agree with the other
+//! two on every later access and on the counters after each one.
 
 use mssp_sim::{Cache, CacheConfig, CacheStats};
 use mssp_testkit::{check, Rng};
@@ -76,6 +79,8 @@ fn differential(config: CacheConfig, seed: u64, cases: u32, accesses: usize) {
     let window = 4 * config.size_bytes as u64;
     check(seed, cases, |rng: &mut Rng| {
         let mut cache = Cache::new(config);
+        // Takes every hit `find` reports instead of accessing it.
+        let mut taker = Cache::new(config);
         let mut reference = Reference::new(config);
         let base = rng.next_u64();
         let mut recent = base;
@@ -112,6 +117,7 @@ fn differential(config: CacheConfig, seed: u64, cases: u32, accesses: usize) {
                 _ => {
                     if rng.gen_bool(1, 3) {
                         cache.invalidate_all();
+                        taker.invalidate_all();
                         reference.invalidate_all();
                     }
                     Vec::new()
@@ -119,22 +125,28 @@ fn differential(config: CacheConfig, seed: u64, cases: u32, accesses: usize) {
             };
             for &addr in &burst {
                 let stats = cache.stats();
+                let found = cache.find(addr);
                 assert_eq!(
-                    cache.probe(addr),
+                    found.is_some(),
                     reference.would_hit(addr),
-                    "{config:?}: probe {addr:#x}"
+                    "{config:?}: find {addr:#x}"
                 );
-                assert_eq!(cache.stats(), stats, "{config:?}: probe {addr:#x}");
-                assert_eq!(
-                    cache.access(addr),
-                    reference.access(addr),
-                    "{config:?}: access {addr:#x}"
-                );
+                assert_eq!(cache.stats(), stats, "{config:?}: find {addr:#x}");
+                let hit = reference.access(addr);
+                assert_eq!(cache.access(addr), hit, "{config:?}: access {addr:#x}");
+                let found = taker.find(addr);
+                assert_eq!(found.is_some(), hit, "{config:?}: taker {addr:#x}");
+                match found {
+                    Some(found) => taker.take(found),
+                    None => assert!(!taker.access(addr), "{config:?}: taker {addr:#x}"),
+                }
+                assert_eq!(taker.stats(), cache.stats(), "{config:?}: take {addr:#x}");
             }
             done += burst.len();
             recent = burst.last().copied().unwrap_or(recent);
         }
         assert_eq!(cache.stats(), reference.stats, "{config:?}");
+        assert_eq!(taker.stats(), reference.stats, "{config:?}: taker");
     });
 }
 

@@ -102,12 +102,14 @@ pub struct CmpCost {
 }
 
 impl CmpCost {
-    /// Creates a cold CMP with the configured number of slave cores.
+    /// Creates a cold CMP with the configured number of slave cores, and
+    /// one if the configuration asks for none: a slave or recovery role
+    /// always has a core to run on.
     #[must_use]
     pub fn new(config: &TimingConfig) -> CmpCost {
         CmpCost {
             master: CorePipe::default(),
-            slaves: (0..config.engine.num_slaves)
+            slaves: (0..config.engine.num_slaves.max(1))
                 .map(|_| CorePipe::default())
                 .collect(),
             l2: Cache::new(CacheConfig::l2_default()),
@@ -133,6 +135,7 @@ impl CmpCost {
     /// slave uses too. `private_instr_cost` then misses that sharing, so a
     /// run configures the engine and the model with one slave count, as
     /// [`run_mssp`] does.
+    #[inline(always)]
     fn core<'a>(
         master: &'a mut CorePipe,
         slaves: &'a mut [CorePipe],
@@ -149,6 +152,7 @@ impl CmpCost {
 }
 
 impl CostModel for CmpCost {
+    #[inline]
     fn instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> u64 {
         let l2 = &mut self.l2;
         Self::core(&mut self.master, &mut self.slaves, role)
@@ -156,7 +160,9 @@ impl CostModel for CmpCost {
     }
 
     /// The core's own cost when its L1s serve both the fetch and the data
-    /// access: only an L1 miss reads the shared L2.
+    /// access: only an L1 miss reads the shared L2. Always inlined: the
+    /// engine's bursts call it once per simulated instruction.
+    #[inline(always)]
     fn private_instr_cost(&mut self, role: CoreRole, info: &StepInfo) -> Option<u64> {
         Self::core(&mut self.master, &mut self.slaves, role).private_cost(info)
     }
@@ -375,6 +381,29 @@ mod tests {
         let mssp = run_mssp(&p, &d, &cfg).unwrap();
         assert!(mssp.master_core.instructions > 0);
         assert!(mssp.slave_cores.iter().any(|s| s.instructions > 0));
+    }
+
+    /// Zero slaves in the configuration still leave a slave core: every
+    /// role prices, privately too, and squashes without a panic.
+    #[test]
+    fn zero_slaves_still_price_every_role() {
+        let mut cfg = TimingConfig::default();
+        cfg.engine.num_slaves = 0;
+        let mut cost = CmpCost::new(&cfg);
+        let info = StepInfo {
+            pc: 0x1000,
+            instr: mssp_isa::Instr::nop(),
+            next_pc: 0x1004,
+            halted: false,
+            taken: None,
+            mem: None,
+        };
+        for role in [CoreRole::Master, CoreRole::Slave(0), CoreRole::Recovery(3)] {
+            assert!(cost.instr_cost(role, &info) > 0, "{role:?}");
+            assert_eq!(cost.private_instr_cost(role, &info), Some(1), "{role:?}");
+            cost.on_squash(role);
+        }
+        assert_eq!(cost.core_stats().1.len(), 1);
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //!   (caught by (a));
 //! * a younger task's horizon without the oldest task's next step (caught
 //!   by (b), and by (c) through the engine's debug invariants);
-//! * a `Cache::probe` that reports a hit on a line invalidated by a squash
-//!   (caught by (c));
+//! * a `Cache::find` that reports a hit on a line invalidated by a squash
+//!   (caught by (c) and (f));
 //! * a master horizon of `NEVER` with the window empty (caught by (f),
 //!   and in a debug build also by (b) and (c) through the engine's
 //!   invariant that a held master instruction has a task in flight);
