@@ -86,8 +86,11 @@ impl Cfg {
     ///
     /// # Panics
     ///
-    /// Panics if the program is empty or its entry is out of range
-    /// (guaranteed not to happen for [`Program`]s built by the assembler).
+    /// Panics if the program is empty, its entry is out of range, or a
+    /// direct branch or jump targets a PC outside its text, which
+    /// [`Program::validate`] rejects (guaranteed not to happen for
+    /// [`Program`]s built by the assembler or the distiller, which
+    /// validate).
     #[must_use]
     pub fn build(program: &Program) -> Cfg {
         assert!(
@@ -124,6 +127,9 @@ impl Cfg {
             // leader, whichever comes first.
             let mut end = start;
             while end < end_limit {
+                // why: every leader of a valid program lies in its text (the
+                // `# Panics` contract), and `end` stays below the next
+                // leader or the end of the text.
                 let instr = program.fetch(end).expect("leader within text");
                 end += INSTR_BYTES;
                 if instr.is_control() {
@@ -143,6 +149,8 @@ impl Cfg {
             .iter()
             .map(|b| {
                 let last_pc = b.end - INSTR_BYTES;
+                // why: a block holds at least its leader, an instruction
+                // of the text, and `last_pc` is its last one.
                 (last_pc, program.fetch(last_pc).expect("block instr"))
             })
             .collect();
@@ -153,6 +161,8 @@ impl Cfg {
                 let taken = last
                     .static_target(last_pc)
                     .and_then(lookup)
+                    // why: a valid program's direct targets lie in its text
+                    // (the `# Panics` contract), and each one is a leader.
                     .expect("validated branch target");
                 match lookup(next_pc) {
                     Some(fallthrough) => Terminator::Branch { taken, fallthrough },
@@ -164,6 +174,7 @@ impl Cfg {
                 let target = last
                     .static_target(last_pc)
                     .and_then(lookup)
+                    // why: as for a branch's target.
                     .expect("validated jump target");
                 Terminator::Jump { target }
             } else if last.is_indirect_jump() {

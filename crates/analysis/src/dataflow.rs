@@ -108,8 +108,8 @@ impl<F> DataflowResults<F> {
     }
 }
 
-/// Runs `analysis` over `cfg` to a fixpoint and records per-instruction
-/// facts.
+/// Runs `analysis` over `cfg`, the CFG of `program`, to a fixpoint and
+/// records per-instruction facts.
 pub(crate) fn solve<A: Analysis>(
     program: &Program,
     cfg: &Cfg,
@@ -166,6 +166,8 @@ pub(crate) fn solve<A: Analysis>(
             Direction::Forward => {
                 for pc in block.pcs() {
                     before.insert(pc, fact.clone());
+                    // why: `cfg` is `program`'s (the callers' `# Panics`
+                    // contract), so its blocks lie in the text.
                     let instr = program.fetch(pc).expect("pc within text");
                     analysis.transfer(pc, instr, &mut fact);
                     after.insert(pc, fact.clone());
@@ -174,6 +176,7 @@ pub(crate) fn solve<A: Analysis>(
             Direction::Backward => {
                 for pc in block.pcs().collect::<Vec<_>>().into_iter().rev() {
                     after.insert(pc, fact.clone());
+                    // why: as in the forward sweep.
                     let instr = program.fetch(pc).expect("pc within text");
                     analysis.transfer(pc, instr, &mut fact);
                     before.insert(pc, fact.clone());
@@ -223,12 +226,15 @@ fn transfer_block<A: Analysis>(
     match direction {
         Direction::Forward => {
             for pc in block.pcs() {
+                // why: `cfg` is `program`'s (the callers' `# Panics`
+                // contract), so its blocks lie in the text.
                 let instr = program.fetch(pc).expect("pc within text");
                 analysis.transfer(pc, instr, &mut fact);
             }
         }
         Direction::Backward => {
             for pc in block.pcs().collect::<Vec<_>>().into_iter().rev() {
+                // why: as in the forward direction.
                 let instr = program.fetch(pc).expect("pc within text");
                 analysis.transfer(pc, instr, &mut fact);
             }
@@ -337,7 +343,11 @@ pub struct ReachingDefs {
 }
 
 impl ReachingDefs {
-    /// Computes reaching definitions for `program`.
+    /// Computes reaching definitions for `program`, whose CFG is `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not `program`'s CFG.
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> ReachingDefs {
         ReachingDefs {
@@ -537,7 +547,11 @@ pub struct ConstProp {
 }
 
 impl ConstProp {
-    /// Computes constant propagation for `program`.
+    /// Computes constant propagation for `program`, whose CFG is `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not `program`'s CFG.
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> ConstProp {
         ConstProp {

@@ -151,7 +151,11 @@ impl Analysis for LiveAnalysis {
 }
 
 impl Liveness {
-    /// Computes backward liveness over the CFG of `program`.
+    /// Computes backward liveness over `cfg`, the CFG of `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is not `program`'s CFG.
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> Liveness {
         Liveness {

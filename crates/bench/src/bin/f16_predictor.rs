@@ -12,11 +12,10 @@
 //! cheap master restarts; the component columns show which predictor
 //! (last-value, stride, finite-context) carried the accuracy.
 
-use mssp_bench::{apply_slice_feedback, harness_scale, prepare, print_header, squash_per_1k_tasks};
-use mssp_core::EngineConfig;
+use mssp_bench::{harness_scale, prepare, print_header, slice_feedback_run, squash_per_1k_tasks};
 use mssp_distill::{distill, DistillConfig};
 use mssp_stats::Table;
-use mssp_timing::{run_mssp, run_mssp_with_setup, TimingConfig};
+use mssp_timing::{run_mssp, TimingConfig};
 
 const TARGETS: [&str; 4] = ["mcf_like", "vpr_like", "gcc_like", "twolf_like"];
 
@@ -42,30 +41,13 @@ fn main() {
         let w = mssp_workloads::Workload::by_name(name).expect("workload exists");
         let program = w.program(harness_scale(w, 1));
         let (distilled, mut profile) = prepare(&program, &dcfg);
-
-        let off_cfg = TimingConfig {
-            engine: EngineConfig {
-                enable_predictor: false,
-                ..tcfg.engine
-            },
-            ..tcfg
-        };
-        let off = run_mssp_with_setup(&program, &distilled, &off_cfg, |e| {
-            e.enable_squash_samples(512);
-        })
-        .expect("off run");
-
+        let off = slice_feedback_run(&program, &distilled, &tcfg, &mut profile);
         let pred = run_mssp(&program, &distilled, &tcfg).expect("pred run");
-
-        apply_slice_feedback(
-            &mut profile,
-            off.run.squash_samples.as_deref().unwrap_or(&[]),
-        );
         let sliced = distill(&program, &profile, &dcfg).expect("redistill");
         let full = run_mssp(&program, &sliced, &tcfg).expect("full run");
 
         assert_eq!(
-            off.run.state.reg(mssp_workloads::CHECKSUM_REG),
+            off.state.reg(mssp_workloads::CHECKSUM_REG),
             full.run.state.reg(mssp_workloads::CHECKSUM_REG),
             "all configurations must reach the same architected checksum"
         );
@@ -82,7 +64,7 @@ fn main() {
         };
         table.row(vec![
             name.to_string(),
-            format!("{:.1}", squash_per_1k_tasks(&off.run.stats)),
+            format!("{:.1}", squash_per_1k_tasks(&off.stats)),
             format!("{:.1}", squash_per_1k_tasks(&pred.run.stats)),
             format!("{:.1}", squash_per_1k_tasks(&full.run.stats)),
             full.run.stats.spawn_vetoes.to_string(),

@@ -1,6 +1,6 @@
 //! T10 — executable checks of the companion formal model: superimposition
 //! algebra (Definition 8), Lemma 3 (`seq(S,n) = S ← Δ(S,n)`), the jumping
-//! refinement (commit trace ⊑ SEQ trace), and master-independence of the
+//! refinement (commit points ⊑ SEQ trace), and master-independence of the
 //! committed state (adversarial masters). Complements the proptest suites
 //! with a one-shot, human-readable report.
 
@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
 use mssp_bench::print_header;
-use mssp_core::{Engine, EngineConfig, UnitCost};
+use mssp_core::{check_refinement, Engine, EngineConfig, Event, UnitCost};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::Reg;
@@ -108,36 +108,19 @@ fn main() {
     });
     check("Lemma 3: seq(S,n) = S <- delta(S,n)", 5, ok);
 
-    // Jumping refinement: commit trace is a subsequence of the SEQ trace.
+    // Jumping refinement: the commit points are a strictly ordered
+    // subsequence of the SEQ trace, and the final states agree.
     let mut refinement_ok = true;
     for w in workloads().iter().take(4) {
         let p = w.program(600);
         let profile = Profile::collect(&p, u64::MAX).expect("profiles");
         let d = distill(&p, &profile, &DistillConfig::default()).expect("distills");
-        let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-        engine.enable_commit_trace();
-        let run = engine.run().expect("runs");
-        let trace = run.commit_trace.expect("trace enabled");
-        let mut seq_pcs = vec![p.entry()];
-        let mut m = SeqMachine::boot(&p);
-        loop {
-            let info = m.step().expect("runs");
-            if info.halted {
-                seq_pcs.push(info.pc);
-                break;
-            }
-            seq_pcs.push(info.next_pc);
-        }
-        let mut pos = 0usize;
-        for &pc in &trace {
-            match seq_pcs[pos..].iter().position(|&s| s == pc) {
-                Some(off) => pos += off,
-                None => {
-                    refinement_ok = false;
-                    break;
-                }
-            }
-        }
+        let mut commits = Vec::new();
+        let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+        let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
+            .run()
+            .expect("runs");
+        refinement_ok &= check_refinement(&p, &commits, &run.state).is_ok();
     }
     check("jumping refinement (4 workloads)", 4, refinement_ok);
 

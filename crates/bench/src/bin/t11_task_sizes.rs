@@ -5,7 +5,7 @@
 //! spread.
 
 use mssp_bench::{prepare, print_header};
-use mssp_core::{Engine, UnitCost};
+use mssp_core::{Engine, Event, UnitCost};
 use mssp_distill::DistillConfig;
 use mssp_stats::{Histogram, Summary};
 use mssp_timing::TimingConfig;
@@ -23,11 +23,15 @@ fn main() {
         let w = Workload::by_name(name).expect("known");
         let program = w.program(w.default_scale / 2);
         let (d, _) = prepare(&program, &dcfg);
-        let mut engine = Engine::new(&program, &d, tcfg.engine, UnitCost);
-        engine.enable_task_size_trace();
-        let run = engine.run().expect("runs");
-        let sizes = run.task_sizes.expect("trace enabled");
-        let samples: Vec<f64> = sizes.iter().map(|&s| s as f64).collect();
+        let mut samples = Vec::new();
+        let observer = |_: u64, event: Event<'_>| {
+            if let Event::Commit { instructions, .. } = event {
+                samples.push(instructions as f64);
+            }
+        };
+        Engine::observed(&program, &d, tcfg.engine, UnitCost, observer)
+            .run()
+            .expect("runs");
         let summary = Summary::of(&samples);
         println!(
             "{name}: {} tasks | mean {:.0} | min {:.0} | max {:.0} | stddev {:.0}",

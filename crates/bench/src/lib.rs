@@ -17,8 +17,8 @@ use std::str::FromStr;
 
 use mssp_analysis::Profile;
 use mssp_core::{
-    AdaptiveConfig, AdaptiveController, AdaptiveReport, EngineConfig, EngineStats, SquashReason,
-    SquashSample,
+    AdaptiveConfig, AdaptiveController, AdaptiveReport, Engine, EngineConfig, EngineStats, Event,
+    MsspRun, SquashReason,
 };
 use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
@@ -26,7 +26,8 @@ use mssp_lint::validated_recompiler;
 use mssp_machine::Cell;
 use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
-    run_baseline, run_mssp, run_mssp_with_setup, speedup, BaselineRun, TimingConfig, TimingRun,
+    run_baseline, run_mssp, run_mssp_with_setup, speedup, BaselineRun, CmpCost, TimingConfig,
+    TimingRun,
 };
 use mssp_workloads::{Workload, CHECKSUM_REG, TRAIN_SEED};
 
@@ -182,11 +183,10 @@ pub struct SpeedupRecord {
 ///
 /// Each workload runs the full squash-rate-attack pipeline: a
 /// feedback-free measurement run with the live-in predictor off
-/// establishes the baseline squash rate and collects squash samples,
-/// those samples are threaded back into the profile as slice feedback
-/// ([`apply_slice_feedback`]), and the headline numbers come from a
-/// re-distillation carrying pre-computation slices, run with the
-/// predictor on.
+/// establishes the baseline squash rate and threads its squashes back
+/// into the profile as slice feedback ([`slice_feedback_run`]), and the
+/// headline numbers come from a re-distillation carrying pre-computation
+/// slices, run with the predictor on.
 ///
 /// # Panics
 ///
@@ -205,27 +205,12 @@ pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
             let scale = w.default_scale;
             let program = w.program(scale);
             // Attack-off baseline: feedback-free distillation (no
-            // slices), predictor disabled, squash samples recorded.
+            // slices), predictor disabled, its squashes threaded back as
+            // slice feedback. Re-distilling is where spawn guards and
+            // live-in slices are born.
             let (distilled_off, mut profile) = prepare(&program, &default_cfg);
-            let off_cfg = TimingConfig {
-                engine: EngineConfig {
-                    enable_predictor: false,
-                    ..tcfg.engine
-                },
-                ..tcfg
-            };
-            let off = run_mssp_with_setup(&program, &distilled_off, &off_cfg, |e| {
-                e.enable_squash_samples(512);
-            })
-            .expect("baseline mssp run");
-            let squash_per_1k_tasks_baseline = squash_per_1k_tasks(&off.run.stats);
-            // Thread the observed squashes back as slice feedback and
-            // re-distill: this is where spawn guards and live-in slices
-            // are born.
-            apply_slice_feedback(
-                &mut profile,
-                off.run.squash_samples.as_deref().unwrap_or(&[]),
-            );
+            let off = slice_feedback_run(&program, &distilled_off, &tcfg, &mut profile);
+            let squash_per_1k_tasks_baseline = squash_per_1k_tasks(&off.stats);
             let distilled = distill(&program, &profile, &default_cfg).expect("distillation");
             // Headline run: slices + predictor on.
             let baseline = run_baseline(&program, &tcfg, u64::MAX).expect("baseline runs");
@@ -265,13 +250,42 @@ pub fn squash_per_1k_tasks(stats: &EngineStats) -> f64 {
     }
 }
 
-/// Threads squash observations from a measurement run back into the
-/// profile as slice feedback — the distiller's input for the
-/// pre-computation slice pass. Live-in mismatch register cells become
-/// hard live-ins; wrong-path events record the architected PC the master
-/// failed to predict.
-pub fn apply_slice_feedback(profile: &mut Profile, samples: &[SquashSample]) {
-    for s in samples {
+/// Squash events of a feedback run that [`slice_feedback_run`] threads
+/// back into the profile: the first this many.
+const FEEDBACK_SQUASHES: usize = 512;
+
+/// The feedback-free measurement run: `program` with `distilled` as its
+/// master, under the timing model with the live-in predictor off. Its
+/// first 512 squash events are threaded back into `profile` as slice
+/// feedback — the distiller's input for the pre-computation slice pass.
+/// Live-in mismatch register cells become hard live-ins; wrong-path
+/// events record the architected PC the master failed to predict.
+///
+/// # Panics
+///
+/// Panics if the run fails (a broken build, not a measurement).
+pub fn slice_feedback_run(
+    program: &Program,
+    distilled: &Distilled,
+    tcfg: &TimingConfig,
+    profile: &mut Profile,
+) -> MsspRun {
+    let off = TimingConfig {
+        engine: EngineConfig {
+            enable_predictor: false,
+            ..tcfg.engine
+        },
+        ..*tcfg
+    };
+    let mut squashes = 0;
+    let observer = |_: u64, event: Event<'_>| {
+        let Event::Squash(s) = event else {
+            return;
+        };
+        squashes += 1;
+        if squashes > FEEDBACK_SQUASHES {
+            return;
+        }
         match s.reason {
             SquashReason::LiveInMismatch => {
                 for &(cell, _, _) in &s.cells {
@@ -283,7 +297,10 @@ pub fn apply_slice_feedback(profile: &mut Profile, samples: &[SquashSample]) {
             SquashReason::WrongPath => profile.mark_wrong_path(s.arch_pc),
             SquashReason::Overrun | SquashReason::Fault => {}
         }
-    }
+    };
+    Engine::observed(program, distilled, off.engine, CmpCost::new(&off), observer)
+        .run()
+        .expect("feedback run")
 }
 
 /// Master-instructions / committed-instructions for one evaluation — the

@@ -179,16 +179,6 @@ pub struct MsspRun {
     pub state: MachineState,
     /// Run statistics.
     pub stats: EngineStats,
-    /// Architected PCs at each commit point, if tracing was enabled with
-    /// [`Engine::enable_commit_trace`]. The jumping-refinement property:
-    /// this is always a subsequence of the sequential machine's PC trace.
-    pub commit_trace: Option<Vec<u64>>,
-    /// All-cause squash samples, if enabled with
-    /// [`Engine::enable_squash_samples`].
-    pub squash_samples: Option<Vec<SquashSample>>,
-    /// Committed task sizes, if enabled with
-    /// [`Engine::enable_task_size_trace`].
-    pub task_sizes: Option<Vec<u64>>,
     /// Final accuracy summary of the live-in value predictor (all zeros
     /// when the predictor was disabled or never trained).
     pub predictor_report: PredictorReport,
@@ -259,7 +249,7 @@ const NEVER: u64 = u64::MAX;
 /// assert_eq!(run.state.reg(mssp_isa::Reg::S1), seq.state().reg(mssp_isa::Reg::S1));
 /// ```
 #[derive(Debug)]
-pub struct Engine<'a, C> {
+pub struct Engine<'a, C, O = ()> {
     original: &'a Program,
     boundaries: BoundarySet,
     crossings_per_task: u64,
@@ -319,21 +309,67 @@ pub struct Engine<'a, C> {
 
     /// The protocol core: statistics, predictor, throttle, adaptive loop.
     unit: CommitUnit,
-    /// Architected PCs at each commit point, recorded when tracing is on.
-    commit_trace: Option<Vec<u64>>,
-    /// All-cause squash samples, recorded when diagnostics are on.
-    squash_samples: Option<Vec<SquashSample>>,
-    /// Most samples `squash_samples` may hold.
-    squash_sample_cap: usize,
-    /// Committed task sizes (instructions), recorded when enabled.
-    task_sizes: Option<Vec<u64>>,
+    /// Told of every commit and squash, at its instant.
+    observer: O,
 }
 
-/// A recorded squash event of any cause (diagnostics): what the verify
-/// unit saw when it killed the task window. Wrong-path events carry the
-/// architected PC the master failed to predict, which is what the
-/// next-task predictor trains on.
-#[derive(Debug, Clone)]
+/// What an [`Observer`] is told: one protocol act of a run. Commits, of a
+/// task or a recovery segment, are the jumping refinement's commit points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event<'e> {
+    /// The verify unit committed the oldest task.
+    Commit {
+        /// The architected PC after the commit.
+        end_pc: u64,
+        /// Instructions the task executed.
+        instructions: u64,
+    },
+    /// A recovery segment committed.
+    Recovery {
+        /// The architected PC after the commit.
+        end_pc: u64,
+        /// Instructions the segment executed.
+        instructions: u64,
+    },
+    /// The verify unit squashed the task window.
+    Squash(&'e SquashSample),
+}
+
+impl Event<'_> {
+    /// The architected PC a commit lands on; `None` for a squash.
+    #[must_use]
+    pub fn commit_pc(&self) -> Option<u64> {
+        match *self {
+            Event::Commit { end_pc, .. } | Event::Recovery { end_pc, .. } => Some(end_pc),
+            Event::Squash(_) => None,
+        }
+    }
+}
+
+/// Receives a run's [`Event`]s, each stamped with the instant of the
+/// verify or recovery act that produced it. [`Engine`] is monomorphised
+/// over its observer, so `()`, the default, compiles to nothing; any
+/// `FnMut(u64, Event<'_>)` closure is one.
+pub trait Observer {
+    /// Called once per event, in the order the events happen.
+    fn event(&mut self, at: u64, event: Event<'_>);
+}
+
+impl Observer for () {
+    #[inline(always)]
+    fn event(&mut self, _at: u64, _event: Event<'_>) {}
+}
+
+impl<F: FnMut(u64, Event<'_>)> Observer for F {
+    fn event(&mut self, at: u64, event: Event<'_>) {
+        self(at, event);
+    }
+}
+
+/// A squash of any cause: what the verify unit saw when it killed the
+/// task window. Wrong-path squashes carry the architected PC the master
+/// failed to predict, which is what the next-task predictor trains on.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SquashSample {
     /// Why the squash happened.
     pub reason: SquashReason,
@@ -358,7 +394,8 @@ fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'
 }
 
 impl<'a, C: CostModel> Engine<'a, C> {
-    /// Creates an engine booted at the original program's entry.
+    /// Creates an engine booted at the original program's entry, with no
+    /// observer.
     ///
     /// # Panics
     ///
@@ -370,6 +407,25 @@ impl<'a, C: CostModel> Engine<'a, C> {
         config: EngineConfig,
         cost: C,
     ) -> Engine<'a, C> {
+        Engine::observed(original, distilled, config, cost, ())
+    }
+}
+
+impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
+    /// Like [`Engine::new`], with `observer` told of every commit and
+    /// squash of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.num_slaves` is zero.
+    #[must_use]
+    pub fn observed(
+        original: &'a Program,
+        distilled: &'a Distilled,
+        config: EngineConfig,
+        cost: C,
+        observer: O,
+    ) -> Engine<'a, C, O> {
         assert!(config.num_slaves > 0, "MSSP needs at least one slave");
         let arch = MachineState::boot(original);
         let mut engine = Engine {
@@ -395,10 +451,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             verify_busy_until: 0,
             verify_wake: NEVER,
             unit: CommitUnit::new(config),
-            commit_trace: None,
-            squash_samples: None,
-            squash_sample_cap: 0,
-            task_sizes: None,
+            observer,
         };
         engine.master_wake = engine.master_due();
         engine
@@ -413,28 +466,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// drivers install the same swaps at the same commit points.
     pub fn enable_adaptive(&mut self, controller: AdaptiveController, recompiler: Recompiler) {
         self.unit.enable_adaptive(controller, recompiler);
-    }
-
-    /// Enables recording of every committed task's instruction count (for
-    /// task-size distribution studies).
-    pub fn enable_task_size_trace(&mut self) {
-        self.task_sizes = Some(Vec::new());
-    }
-
-    /// Enables recording of all-cause squash samples — the first `cap`
-    /// squash events of the run, exactly; later ones are dropped — for
-    /// squash-attribution diagnostics. Memory grows with the samples
-    /// actually recorded, not with `cap`.
-    pub fn enable_squash_samples(&mut self, cap: usize) {
-        self.squash_samples = Some(Vec::new());
-        self.squash_sample_cap = cap;
-    }
-
-    /// Enables recording of the architected PC at every commit point.
-    /// Used by the jumping-refinement tests: the recorded sequence must be
-    /// a subsequence of the sequential machine's PC trace.
-    pub fn enable_commit_trace(&mut self) {
-        self.commit_trace = Some(vec![self.arch.pc()]);
     }
 
     /// Runs the machine to architectural halt.
@@ -482,9 +513,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 cycles: self.now,
                 state: self.arch,
                 stats,
-                commit_trace: self.commit_trace,
-                squash_samples: self.squash_samples,
-                task_sizes: self.task_sizes,
                 predictor_report,
                 adaptive,
             },
@@ -659,9 +687,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let segment = self.recovery.take().expect("recovery active");
         self.recovery_wake = NEVER;
         let executed = segment.commit(&mut self.arch);
-        if let Some(trace) = &mut self.commit_trace {
-            trace.push(self.arch.pc());
-        }
+        let event = Event::Recovery {
+            end_pc: self.arch.pc(),
+            instructions: executed,
+        };
+        self.observer.event(self.now, event);
         let next = self.unit.recovered(executed);
         if halted {
             self.arch_halted = true;
@@ -708,9 +738,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
         self.verify_busy_until = self.now + vcost + ccost;
         self.unit.stats.verify_busy_cycles += vcost + ccost;
         self.unit.commit(&task);
-        if let Some(sizes) = &mut self.task_sizes {
-            sizes.push(task.executed);
-        }
+        let event = Event::Commit {
+            end_pc,
+            instructions: task.executed,
+        };
+        self.observer.event(self.now, event);
         self.seat.master.on_commit(task.id.0);
         self.arena.put(task.live_ins);
         self.arena.put(task.writes);
@@ -718,9 +750,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
         // pending spawn has a slave to place it on.
         self.verify_wake = self.verify_due();
         self.master_wake = self.master_due();
-        if let Some(trace) = &mut self.commit_trace {
-            trace.push(end_pc);
-        }
         if halted {
             self.arch_halted = true;
         } else {
@@ -931,17 +960,14 @@ impl<'a, C: CostModel> Engine<'a, C> {
         let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
         let dying = self.in_flight_work();
         let cells = self.unit.squash(reason, failing, &self.arch, dying);
-        if let Some(samples) = &mut self.squash_samples {
-            if samples.len() < self.squash_sample_cap {
-                samples.push(SquashSample {
-                    reason,
-                    task_start_pc: failing.start_pc,
-                    arch_pc: self.arch.pc(),
-                    executed: failing.executed,
-                    cells,
-                });
-            }
-        }
+        let sample = SquashSample {
+            reason,
+            task_start_pc: failing.start_pc,
+            arch_pc: self.arch.pc(),
+            executed: failing.executed,
+            cells,
+        };
+        self.observer.event(self.now, Event::Squash(&sample));
         // The master stays down until recovery reaches the next boundary;
         // `finish_recovery` reseeds it from the then-consistent
         // architected state.
@@ -1166,24 +1192,21 @@ mod tests {
         let p = assemble(SUM).unwrap();
         let prof = Profile::collect(&p, u64::MAX).unwrap();
         let d = distill(&p, &prof, &DistillConfig::default()).unwrap();
-        let mut engine = Engine::new(
-            &p,
-            &d,
-            EngineConfig {
-                num_slaves: 3,
-                ..EngineConfig::default()
-            },
-            UnitCost,
-        );
-        engine.enable_commit_trace();
-        let run = engine.run().unwrap();
+        let config = EngineConfig {
+            num_slaves: 3,
+            ..EngineConfig::default()
+        };
+        let mut commits = Vec::new();
+        let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+        let run = Engine::observed(&p, &d, config, UnitCost, observer)
+            .run()
+            .unwrap();
 
         // Jumping refinement: commit points appear in order within the
         // sequential trace (and final state matches). The typed checker
         // reports `CommitOutOfOrder` instead of panicking mid-test.
-        crate::check_refinement(&p, &run).expect("commit trace refines SEQ");
-        let trace = run.commit_trace.expect("tracing enabled");
-        assert!(trace.len() > 2, "expected several commit points");
+        crate::check_refinement(&p, &commits, &run.state).expect("commit trace refines SEQ");
+        assert!(commits.len() > 2, "expected several commit points");
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod threaded;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveReport, Recompiler, SwapMarker};
 pub use cost::{CoreRole, CostModel, UnitCost};
-pub use engine::{Engine, EngineConfig, EngineError, MsspRun, SquashSample};
+pub use engine::{Engine, EngineConfig, EngineError, Event, MsspRun, Observer, SquashSample};
 pub use master::{Master, MasterStall};
 pub use predictor::{Predictor, PredictorReport};
 pub use protocol::{verify_and_commit, EngineStats, SquashReason, VerifyOutcome};

@@ -1,36 +1,34 @@
 //! An independent jumping-refinement checker.
 //!
-//! Given a program and a completed MSSP run (with commit tracing enabled),
-//! [`check_refinement`] re-executes the sequential machine and verifies
-//! the formal claim end to end:
+//! Given a program, the architected PCs at a run's commit points (what an
+//! [`crate::Observer`] sees as [`crate::Event::commit_pc`]) and the run's
+//! final state, [`check_refinement`] re-executes the sequential machine
+//! and verifies the formal claim end to end:
 //!
-//! 1. every commit-point PC appears in the sequential PC trace, in order
-//!    (the "jumps" of the jumping refinement land only on real sequential
-//!    states), and
+//! 1. the commit points are a strictly increasing subsequence of the
+//!    sequential PC trace: each lands on a real sequential state, after
+//!    the one the previous commit landed on (the "jumps" of the jumping
+//!    refinement move forward only), and
 //! 2. the final architected state equals the sequential final state on
 //!    every register and every word of memory either execution touched.
 //!
 //! The checker is deliberately independent of the engine's internals — it
-//! consumes only the public [`MsspRun`] — so it can serve as an oracle
-//! when modifying the engine.
+//! consumes only what a run reports — so it can serve as an oracle when
+//! modifying the engine. It is the one subsequence check of the
+//! workspace.
 
 use std::fmt;
 
 use mssp_isa::{Program, Reg};
-use mssp_machine::SeqMachine;
-
-use crate::MsspRun;
+use mssp_machine::{MachineState, SeqMachine};
 
 /// A refinement violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefinementError {
-    /// The run carried no commit trace (enable it with
-    /// [`crate::Engine::enable_commit_trace`]).
-    NoTrace,
-    /// A commit-point PC was not found in (the remainder of) the
-    /// sequential trace.
+    /// A commit-point PC was not found in the sequential trace after the
+    /// state the previous commit point landed on.
     CommitOutOfOrder {
-        /// Index within the commit trace.
+        /// Index within the commit points.
         index: usize,
         /// The offending PC.
         pc: u64,
@@ -60,7 +58,6 @@ pub enum RefinementError {
 impl fmt::Display for RefinementError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RefinementError::NoTrace => write!(f, "run has no commit trace"),
             RefinementError::CommitOutOfOrder { index, pc } => {
                 write!(f, "commit #{index} at {pc:#x} breaks sequential order")
             }
@@ -81,18 +78,18 @@ impl fmt::Display for RefinementError {
 
 impl std::error::Error for RefinementError {}
 
-/// Verifies that `run` is a jumping refinement of the sequential execution
-/// of `program`. See the `refinement` module documentation.
+/// Verifies that a run which committed at `commits` and ended in `state`
+/// is a jumping refinement of the sequential execution of `program`. See
+/// the `refinement` module documentation.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
-pub fn check_refinement(program: &Program, run: &MsspRun) -> Result<(), RefinementError> {
-    let trace = run
-        .commit_trace
-        .as_deref()
-        .ok_or(RefinementError::NoTrace)?;
-
+pub fn check_refinement(
+    program: &Program,
+    commits: &[u64],
+    state: &MachineState,
+) -> Result<(), RefinementError> {
     // Build the sequential PC trace and final state.
     let mut seq_pcs = vec![program.entry()];
     let mut machine = SeqMachine::boot(program);
@@ -107,11 +104,11 @@ pub fn check_refinement(program: &Program, run: &MsspRun) -> Result<(), Refineme
         seq_pcs.push(info.next_pc);
     }
 
-    // 1. Ordered-subsequence check.
+    // 1. Strictly ordered subsequence: each commit advances.
     let mut pos = 0usize;
-    for (index, &pc) in trace.iter().enumerate() {
+    for (index, &pc) in commits.iter().enumerate() {
         match seq_pcs[pos..].iter().position(|&s| s == pc) {
-            Some(off) => pos += off,
+            Some(off) => pos += off + 1,
             None => return Err(RefinementError::CommitOutOfOrder { index, pc }),
         }
     }
@@ -119,7 +116,7 @@ pub fn check_refinement(program: &Program, run: &MsspRun) -> Result<(), Refineme
     // 2. Final-state equality: registers...
     let seq_state = machine.state();
     for reg in Reg::all() {
-        let (m, s) = (run.state.reg(reg), seq_state.reg(reg));
+        let (m, s) = (state.reg(reg), seq_state.reg(reg));
         if m != s {
             return Err(RefinementError::RegisterMismatch {
                 reg,
@@ -129,15 +126,14 @@ pub fn check_refinement(program: &Program, run: &MsspRun) -> Result<(), Refineme
         }
     }
     // ...and every memory word either side touched.
-    let words: std::collections::BTreeSet<u64> = run
-        .state
+    let words: std::collections::BTreeSet<u64> = state
         .mem()
         .iter_words()
         .map(|(w, _)| w)
         .chain(seq_state.mem().iter_words().map(|(w, _)| w))
         .collect();
     for widx in words {
-        let (m, s) = (run.state.load_word(widx), seq_state.load_word(widx));
+        let (m, s) = (state.load_word(widx), seq_state.load_word(widx));
         if m != s {
             return Err(RefinementError::MemoryMismatch {
                 widx,
@@ -152,12 +148,14 @@ pub fn check_refinement(program: &Program, run: &MsspRun) -> Result<(), Refineme
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, EngineConfig, UnitCost};
+    use crate::{Engine, EngineConfig, Event, UnitCost};
     use mssp_analysis::Profile;
     use mssp_distill::{distill, DistillConfig};
     use mssp_isa::asm::assemble;
 
-    fn fixture() -> (Program, mssp_distill::Distilled) {
+    /// A program, the commit points of an honest run of it and that
+    /// run's final state.
+    fn honest() -> (Program, Vec<u64>, MachineState) {
         let p = assemble(
             "main:  addi s0, zero, 150
              loop:  add  s1, s1, s0
@@ -169,71 +167,69 @@ mod tests {
         .unwrap();
         let profile = Profile::collect(&p, u64::MAX).unwrap();
         let d = distill(&p, &profile, &DistillConfig::default()).unwrap();
-        (p, d)
+        let mut commits = Vec::new();
+        let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+        let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
+            .run()
+            .unwrap();
+        (p, commits, run.state)
     }
 
     #[test]
     fn honest_run_passes() {
-        let (p, d) = fixture();
-        let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-        engine.enable_commit_trace();
-        let run = engine.run().unwrap();
-        check_refinement(&p, &run).unwrap();
-    }
-
-    #[test]
-    fn missing_trace_is_reported() {
-        let (p, d) = fixture();
-        let run = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
-            .run()
-            .unwrap();
-        assert_eq!(check_refinement(&p, &run), Err(RefinementError::NoTrace));
+        let (p, commits, state) = honest();
+        assert!(commits.len() > 2, "{commits:?}");
+        check_refinement(&p, &commits, &state).unwrap();
     }
 
     #[test]
     fn corrupted_state_is_caught() {
-        let (p, d) = fixture();
-        let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-        engine.enable_commit_trace();
-        let mut run = engine.run().unwrap();
+        let (p, commits, mut state) = honest();
         // Sabotage the final state: the checker must notice.
-        let v = run.state.reg(Reg::S1);
-        run.state.set_reg(Reg::S1, v ^ 1);
+        let v = state.reg(Reg::S1);
+        state.set_reg(Reg::S1, v ^ 1);
         assert!(matches!(
-            check_refinement(&p, &run),
+            check_refinement(&p, &commits, &state),
             Err(RefinementError::RegisterMismatch { reg, .. }) if reg == Reg::S1
         ));
     }
 
     #[test]
     fn corrupted_memory_is_caught() {
-        let (p, d) = fixture();
-        let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-        engine.enable_commit_trace();
-        let mut run = engine.run().unwrap();
+        let (p, commits, mut state) = honest();
         let widx = (mssp_isa::STACK_TOP - 8) >> 3;
-        let v = run.state.load_word(widx);
-        run.state.store_word(widx, v.wrapping_add(7));
+        let v = state.load_word(widx);
+        state.store_word(widx, v.wrapping_add(7));
         assert!(matches!(
-            check_refinement(&p, &run),
+            check_refinement(&p, &commits, &state),
             Err(RefinementError::MemoryMismatch { .. })
         ));
     }
 
     #[test]
     fn forged_trace_is_caught() {
-        let (p, d) = fixture();
-        let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-        engine.enable_commit_trace();
-        let mut run = engine.run().unwrap();
+        let (p, mut commits, state) = honest();
         // Insert a PC that the sequential machine never reaches after the
         // halt (out-of-order by construction).
-        if let Some(trace) = &mut run.commit_trace {
-            trace.push(p.entry());
-        }
+        commits.push(p.entry());
         assert!(matches!(
-            check_refinement(&p, &run),
+            check_refinement(&p, &commits, &state),
             Err(RefinementError::CommitOutOfOrder { .. })
         ));
+    }
+
+    #[test]
+    fn a_stuttering_trace_is_caught() {
+        let (p, mut commits, state) = honest();
+        // The sequential run is at the entry once; two commit points
+        // there are one more than it reaches.
+        commits.splice(0..0, [p.entry(), p.entry()]);
+        assert_eq!(
+            check_refinement(&p, &commits, &state),
+            Err(RefinementError::CommitOutOfOrder {
+                index: 1,
+                pc: p.entry()
+            })
+        );
     }
 }

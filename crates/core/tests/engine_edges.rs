@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
-use mssp_core::{Engine, EngineConfig, EngineError, SquashReason, UnitCost};
+use mssp_core::{Engine, EngineConfig, EngineError, Event, SquashReason, SquashSample, UnitCost};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::{Program, Reg};
@@ -111,12 +111,15 @@ fn wild_jump_in_original_program_faults_recovery() {
 fn mismatch_samples_capture_failing_cells() {
     let p = assemble(SUM).unwrap();
     let d = liar(&p);
-    let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-    engine.enable_squash_samples(16);
-    let run = engine.run().unwrap();
+    let mut samples = Vec::new();
+    let observer = |_: u64, event: Event<'_>| match event {
+        Event::Squash(s) if s.reason == SquashReason::LiveInMismatch => samples.push(s.clone()),
+        _ => {}
+    };
+    let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
+        .run()
+        .unwrap();
     assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
-    let mut samples = run.squash_samples.unwrap();
-    samples.retain(|s| s.reason == SquashReason::LiveInMismatch);
     assert!(!samples.is_empty(), "lying master must produce samples");
     // The mismatching cell is s1 with the liar's arithmetic progression.
     assert!(samples[0]
@@ -129,15 +132,18 @@ fn mismatch_samples_capture_failing_cells() {
 fn task_size_trace_sums_to_committed_instructions() {
     let p = assemble(SUM).unwrap();
     let d = honest(&p);
-    let mut engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
-    engine.enable_task_size_trace();
-    let run = engine.run().unwrap();
-    let sizes = run.task_sizes.unwrap();
-    let from_tasks: u64 = sizes.iter().sum();
-    assert_eq!(
-        from_tasks + run.stats.recovery_instructions,
-        run.stats.committed_instructions
-    );
+    let (mut from_tasks, mut from_recovery) = (0, 0);
+    let observer = |_: u64, event: Event<'_>| match event {
+        Event::Commit { instructions, .. } => from_tasks += instructions,
+        Event::Recovery { instructions, .. } => from_recovery += instructions,
+        Event::Squash(_) => {}
+    };
+    let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
+        .run()
+        .unwrap();
+    assert!(from_tasks > 0);
+    assert_eq!(from_recovery, run.stats.recovery_instructions);
+    assert_eq!(from_tasks + from_recovery, run.stats.committed_instructions);
 }
 
 #[test]
@@ -260,30 +266,32 @@ fn throttling_reduces_wasted_work_under_a_bad_master() {
 // ---- scheduler edges ------------------------------------------------------
 
 #[test]
-fn squash_samples_stop_at_the_cap_exactly() {
+fn the_observer_sees_every_squash() {
     let p = assemble(&SUM.replace("120", "4000")).unwrap();
     let d = liar(&p);
     let cfg = EngineConfig {
         enable_predictor: false,
         ..EngineConfig::default()
     };
-    let samples = |cap: Option<usize>| {
-        let mut engine = Engine::new(&p, &d, cfg, UnitCost);
-        if let Some(cap) = cap {
-            engine.enable_squash_samples(cap);
-        }
-        let run = engine.run().unwrap();
+    // The first `cap` squashes, as a capped reader keeps them.
+    let samples = |cap: usize| {
+        let mut samples: Vec<SquashSample> = Vec::new();
+        let observer = |_: u64, event: Event<'_>| match event {
+            Event::Squash(s) if samples.len() < cap => samples.push(s.clone()),
+            _ => {}
+        };
+        let run = Engine::observed(&p, &d, cfg, UnitCost, observer)
+            .run()
+            .unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
-        (run.squash_samples, run.stats.squash_events())
+        (samples, run.stats.squash_events())
     };
-    let (all, events) = samples(Some(usize::MAX));
+    let (all, events) = samples(usize::MAX);
     assert!(events > 1500, "{events} squashes");
-    assert_eq!(all.unwrap().len() as u64, events);
-    assert_eq!(samples(Some(3)).0.unwrap().len(), 3);
-    // Past any preallocation the engine may make.
-    assert_eq!(samples(Some(1500)).0.unwrap().len(), 1500);
-    assert!(samples(Some(0)).0.unwrap().is_empty());
-    assert!(samples(None).0.is_none());
+    assert_eq!(all.len() as u64, events);
+    for cap in [0, 3, 1500] {
+        assert_eq!(samples(cap).0, all[..cap], "cap {cap}");
+    }
 }
 
 #[test]

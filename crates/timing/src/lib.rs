@@ -272,9 +272,8 @@ pub fn run_mssp(
 }
 
 /// Like [`run_mssp`] but hands the constructed [`Engine`] to `setup`
-/// before running it, so callers can switch on diagnostics
-/// (mismatch/squash samples, commit traces) or install state (a frozen
-/// predictor) that the plain entry point leaves off.
+/// before running it, so callers can switch on what the plain entry
+/// point leaves off (the adaptive loop).
 ///
 /// # Errors
 ///

@@ -276,6 +276,7 @@ impl Workload {
     #[must_use]
     pub fn program_with_seed(&self, scale: u64, seed: u64) -> Program {
         self.try_program_with_seed(scale, seed)
+            // why: the `# Panics` contract above.
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -313,6 +314,7 @@ impl Workload {
     #[must_use]
     pub fn phase_program(&self, scale: u64, phase_b: u64) -> Program {
         self.try_phase_program(scale, phase_b, DEFAULT_SEED)
+            // why: the `# Panics` contract above.
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

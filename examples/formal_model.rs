@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example formal_model`
 
-use mssp::core::check_refinement;
+use mssp::core::{check_refinement, Event};
 use mssp::machine::{cumulative_writes, seq_n, Cell, Delta};
 use mssp::prelude::*;
 
@@ -56,12 +56,22 @@ fn main() {
     // let the independent checker confirm the refinement end to end.
     let profile = Profile::collect(&program, u64::MAX).unwrap();
     let distilled = distill(&program, &profile, &DistillConfig::default()).unwrap();
-    let mut engine = Engine::new(&program, &distilled, EngineConfig::default(), UnitCost);
-    engine.enable_commit_trace();
-    let run = engine.run().unwrap();
-    let commits = run.commit_trace.as_ref().map_or(0, Vec::len);
-    check_refinement(&program, &run).unwrap();
-    println!("Jumping refinement:             {commits} commit points (= SEQ states) OK");
+    let mut commits = Vec::new();
+    let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+    let run = Engine::observed(
+        &program,
+        &distilled,
+        EngineConfig::default(),
+        UnitCost,
+        observer,
+    )
+    .run()
+    .unwrap();
+    check_refinement(&program, &commits, &run.state).unwrap();
+    println!(
+        "Jumping refinement:             {} commit points (= SEQ states) OK",
+        commits.len()
+    );
 
     println!("\nEvery claim of the formal model held on concrete executions.");
 }

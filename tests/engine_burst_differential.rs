@@ -17,8 +17,9 @@
 //! per-instant order. Nothing a slave reads changes between two verify
 //! acts, the master reads only its private state, and a private answer
 //! touches nothing another core shares, so the two must produce the same
-//! run. This file holds them to that, field by field, each model bare
-//! against `InOrder` of itself:
+//! run. This file holds them to that, field by field and on the whole
+//! stream of observed events with their instants, each model bare against
+//! `InOrder` of itself:
 //!
 //! * (a) `UnitCost`, on every workload at 1, 2, 4 and 8 slaves, with the
 //!   phase workloads trained on phase A alone so that they squash;
@@ -71,7 +72,9 @@
 //! and runs one instruction, as the per-instant pass would. That order is
 //! only slower.
 
-use mssp::core::{AdaptiveConfig, AdaptiveController, CoreRole, CostModel, Recompiler};
+use mssp::core::{
+    AdaptiveConfig, AdaptiveController, CoreRole, CostModel, EngineError, Event, Recompiler,
+};
 use mssp::machine::StepInfo;
 use mssp::prelude::*;
 use mssp::timing::CmpCost;
@@ -203,12 +206,38 @@ fn phase_fixtures() -> Vec<Fixture> {
 
 const SLAVES: [usize; 4] = [1, 2, 4, 8];
 
-fn engine<'a, C: CostModel>(f: &'a Fixture, config: EngineConfig, cost: C) -> Engine<'a, C> {
-    let mut engine = Engine::new(&f.program, &f.distilled, config, cost);
-    engine.enable_commit_trace();
-    engine.enable_task_size_trace();
-    engine.enable_squash_samples(usize::MAX);
-    engine
+/// A finished run, every event its observer saw with its instant, and
+/// the cost model as the run left it.
+struct Observed<C> {
+    run: MsspRun,
+    events: Vec<(u64, String)>,
+    cost: C,
+}
+
+/// Runs `f` under `cost`, with the adaptive loop on if `controller` is
+/// given.
+fn observe_with<C: CostModel>(
+    f: &Fixture,
+    config: EngineConfig,
+    cost: C,
+    controller: Option<AdaptiveController>,
+) -> Result<Observed<C>, EngineError> {
+    let mut events = Vec::new();
+    let observer = |at: u64, event: Event<'_>| events.push((at, format!("{event:?}")));
+    let mut engine = Engine::observed(&f.program, &f.distilled, config, cost, observer);
+    if let Some(controller) = controller {
+        engine.enable_adaptive(controller, recompiler(f));
+    }
+    let (run, cost) = engine.run_returning_cost()?;
+    Ok(Observed { run, events, cost })
+}
+
+fn observe<C: CostModel>(
+    f: &Fixture,
+    config: EngineConfig,
+    cost: C,
+) -> Result<Observed<C>, EngineError> {
+    observe_with(f, config, cost, None)
 }
 
 fn slaves(n: usize) -> EngineConfig {
@@ -219,31 +248,21 @@ fn slaves(n: usize) -> EngineConfig {
 }
 
 /// Asserts that two runs agree on everything but the adaptive report,
-/// which holds wall-clock time.
-fn assert_same_run(burst: &MsspRun, per_instant: &MsspRun, label: &str) {
-    assert_eq!(burst.cycles, per_instant.cycles, "{label}: cycles");
-    assert!(burst.state == per_instant.state, "{label}: final state");
-    assert_eq!(burst.stats, per_instant.stats, "{label}: stats");
+/// which holds wall-clock time, and on every event at its instant.
+fn assert_same_run<A, B>(burst: &Observed<A>, per_instant: &Observed<B>, label: &str) {
+    let (b, p) = (&burst.run, &per_instant.run);
+    assert_eq!(b.cycles, p.cycles, "{label}: cycles");
+    assert!(b.state == p.state, "{label}: final state");
+    assert_eq!(b.stats, p.stats, "{label}: stats");
+    assert_eq!(b.predictor_report, p.predictor_report, "{label}: predictor");
     assert_eq!(
-        burst.commit_trace, per_instant.commit_trace,
-        "{label}: commit trace"
+        burst.events.len(),
+        per_instant.events.len(),
+        "{label}: event count"
     );
-    assert_eq!(burst.task_sizes, per_instant.task_sizes, "{label}: sizes");
-    assert_eq!(
-        burst.predictor_report, per_instant.predictor_report,
-        "{label}: predictor"
-    );
-    let samples = |run: &MsspRun| {
-        let samples = run.squash_samples.as_ref().expect("samples enabled");
-        samples
-            .iter()
-            .map(|s| {
-                let sample = (s.reason, s.task_start_pc, s.arch_pc, s.executed);
-                (sample, s.cells.clone())
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(samples(burst), samples(per_instant), "{label}: squashes");
+    for (i, (b, p)) in burst.events.iter().zip(&per_instant.events).enumerate() {
+        assert_eq!(b, p, "{label}: event #{i}");
+    }
 }
 
 #[test]
@@ -251,10 +270,10 @@ fn unit_cost_bursts_match_the_per_instant_schedule() {
     let mut squashed = 0;
     for f in standard_fixtures().iter().chain(&phase_fixtures()) {
         for n in SLAVES {
-            let burst = engine(f, slaves(n), UnitCost).run().unwrap();
-            let per_instant = engine(f, slaves(n), InOrder(UnitCost)).run().unwrap();
+            let burst = observe(f, slaves(n), UnitCost).unwrap();
+            let per_instant = observe(f, slaves(n), InOrder(UnitCost)).unwrap();
             assert_same_run(&burst, &per_instant, &format!("{} x{n}", f.name));
-            squashed += burst.stats.squash_events();
+            squashed += burst.run.stats.squash_events();
         }
     }
     assert!(squashed > 0, "no run squashed");
@@ -265,10 +284,10 @@ fn stateless_overheads_burst_like_the_per_instant_schedule() {
     let mut squashed = 0;
     for f in standard_fixtures().iter().chain(&phase_fixtures()) {
         for n in SLAVES {
-            let burst = engine(f, slaves(n), Stateless).run().unwrap();
-            let per_instant = engine(f, slaves(n), InOrder(Stateless)).run().unwrap();
+            let burst = observe(f, slaves(n), Stateless).unwrap();
+            let per_instant = observe(f, slaves(n), InOrder(Stateless)).unwrap();
             assert_same_run(&burst, &per_instant, &format!("{} x{n}", f.name));
-            squashed += burst.stats.squash_events();
+            squashed += burst.run.stats.squash_events();
         }
     }
     assert!(squashed > 0, "no run squashed");
@@ -288,21 +307,17 @@ fn cmp_cost_bursts_like_the_per_instant_schedule() {
     for f in standard_fixtures().iter().chain(&phase_fixtures()) {
         for n in SLAVES {
             let label = format!("{} x{n}", f.name);
-            let (burst, cost) = engine(f, slaves(n), cmp_cost(n))
-                .run_returning_cost()
-                .unwrap();
-            let (per_instant, InOrder(in_order)) = engine(f, slaves(n), InOrder(cmp_cost(n)))
-                .run_returning_cost()
-                .unwrap();
+            let burst = observe(f, slaves(n), cmp_cost(n)).unwrap();
+            let per_instant = observe(f, slaves(n), InOrder(cmp_cost(n))).unwrap();
             assert_same_run(&burst, &per_instant, &label);
             // `TimingRun::master_core` and `slave_cores`.
-            let (master_core, slave_cores) = cost.core_stats();
+            let (master_core, slave_cores) = burst.cost.core_stats();
             assert_eq!(
                 (master_core, slave_cores.clone()),
-                in_order.core_stats(),
+                per_instant.cost.0.core_stats(),
                 "{label}: core counters"
             );
-            squashed += burst.stats.squash_events();
+            squashed += burst.run.stats.squash_events();
             l2_reads += slave_cores
                 .iter()
                 .map(|c| c.l1i.misses + c.l1d.misses)
@@ -326,11 +341,9 @@ fn recompiler(f: &Fixture) -> Recompiler {
     })
 }
 
-fn adaptive_run<C: CostModel>(f: &Fixture, cost: C) -> MsspRun {
+fn adaptive_run<C: CostModel>(f: &Fixture, cost: C) -> Observed<C> {
     let controller = AdaptiveController::new(AdaptiveConfig::default(), &f.distilled, &f.training);
-    let mut engine = engine(f, EngineConfig::default(), cost);
-    engine.enable_adaptive(controller, recompiler(f));
-    engine.run().unwrap()
+    observe_with(f, EngineConfig::default(), cost, Some(controller)).unwrap()
 }
 
 #[test]
@@ -353,8 +366,13 @@ fn adaptive_swaps_land_at_the_same_commits() {
                 markers,
             )
         };
-        assert_eq!(report(&burst), report(&per_instant), "{}: swaps", f.name);
-        swaps += burst.stats.swaps_installed;
+        assert_eq!(
+            report(&burst.run),
+            report(&per_instant.run),
+            "{}: swaps",
+            f.name
+        );
+        swaps += burst.run.stats.swaps_installed;
     }
     assert!(swaps > 0, "no run swapped");
 }
@@ -366,15 +384,15 @@ fn cycle_budgets_fail_or_succeed_alike() {
     let gap = standard.iter().find(|f| f.name == "gap_like").unwrap();
     for f in [gap, &phase[0]] {
         for n in [1, 4] {
-            let cycles = engine(f, slaves(n), UnitCost).run().unwrap().cycles;
+            let cycles = observe(f, slaves(n), UnitCost).unwrap().run.cycles;
             for max_cycles in [cycles / 3, cycles - 1, cycles] {
                 let config = EngineConfig {
                     max_cycles,
                     ..slaves(n)
                 };
                 let label = format!("{} x{n} within {max_cycles}", f.name);
-                let burst = engine(f, config, UnitCost).run();
-                let per_instant = engine(f, config, InOrder(UnitCost)).run();
+                let burst = observe(f, config, UnitCost);
+                let per_instant = observe(f, config, InOrder(UnitCost));
                 match (burst, per_instant) {
                     (Ok(b), Ok(p)) => assert_same_run(&b, &p, &label),
                     (Err(b), Err(p)) => assert_eq!(b, p, "{label}"),
@@ -435,17 +453,15 @@ fn assert_same_run_under<C: CostModel, T: PartialEq + Debug>(
         "{} x{} master_runahead {}",
         f.name, config.num_slaves, config.master_runahead
     );
-    let (burst, burst_cost) = engine(f, config, cost()).run_returning_cost().unwrap();
-    let (per_instant, InOrder(in_order_cost)) = engine(f, config, InOrder(cost()))
-        .run_returning_cost()
-        .unwrap();
+    let burst = observe(f, config, cost()).unwrap();
+    let per_instant = observe(f, config, InOrder(cost())).unwrap();
     assert_same_run(&burst, &per_instant, &label);
     assert_eq!(
-        model_state(&burst_cost),
-        model_state(&in_order_cost),
+        model_state(&burst.cost),
+        model_state(&per_instant.cost.0),
         "{label}: model state"
     );
-    burst
+    burst.run
 }
 
 #[test]

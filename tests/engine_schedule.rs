@@ -5,11 +5,16 @@
 //! model may carry state shared between cores (`CmpCost`'s L2), the
 //! *order* of `CostModel` calls is observable in the cycle count. This
 //! file folds every cost-model call of a run — which hook, its argument,
-//! what it returned — into one hash, together with the commit trace, and
+//! what it returned — into one hash, together with the commit points, and
 //! compares `(cycles, hash, committed tasks, squash events)` against
 //! values recorded before the scheduler was rebuilt to stop polling
 //! (commit d303e1a). Any change to who acts when, or in what order, moves
 //! at least one of them.
+//!
+//! A fifth column is the determinism hash of the run's observed events:
+//! every commit, recovery commit and squash, with its instant and its
+//! contents, folded in order. It pins what the first four do not: the
+//! instant of each commit and squash, and what each squash saw.
 //!
 //! `JitterCost` draws every cost from one seeded stream in call order
 //! (instructions 1..=4 cycles, every overhead 0..=3), so a reordering
@@ -24,10 +29,10 @@
 //! priced per slave visit. A bare `UnitCost` or `CmpCost` run bursts
 //! instead: it prices ahead every instruction whose cost touches only its
 //! own core, which makes the same calls in another order. What it
-//! simulates must not move, so its cycles, committed tasks and squash
-//! events are held to its column too.
+//! simulates must not move, so its cycles, committed tasks, squash events
+//! and event hash are held to its column too.
 
-use mssp::core::{CoreRole, CostModel};
+use mssp::core::{CoreRole, CostModel, Event};
 use mssp::machine::StepInfo;
 use mssp::prelude::*;
 use mssp::timing::CmpCost;
@@ -143,19 +148,72 @@ impl CostModel for JitterCost {
     }
 }
 
-/// `(cycles, hash, committed tasks, squash events)` of one run.
-type Pinned = (u64, u64, u64, u64);
+/// `(cycles, hash, committed tasks, squash events, event hash)` of one
+/// run.
+type Pinned = (u64, u64, u64, u64, u64);
 
-fn pinned<C: CostModel>(p: &Program, d: &Distilled, num_slaves: usize, cost: C) -> Pinned {
+/// The words [`fold`] takes for one event at its instant.
+fn event_words(at: u64, event: Event<'_>) -> Vec<u64> {
+    match event {
+        Event::Commit {
+            end_pc,
+            instructions,
+        } => vec![1, at, end_pc, instructions],
+        Event::Recovery {
+            end_pc,
+            instructions,
+        } => vec![2, at, end_pc, instructions],
+        Event::Squash(s) => {
+            let mut words = vec![
+                3,
+                at,
+                s.reason as u64,
+                s.task_start_pc,
+                s.arch_pc,
+                s.executed,
+            ];
+            for &(cell, predicted, architected) in &s.cells {
+                let (kind, index) = match cell {
+                    Cell::Reg(r) => (1, r.index() as u64),
+                    Cell::Pc => (2, 0),
+                    Cell::Mem(w) => (3, w),
+                };
+                words.extend([kind, index, predicted, architected]);
+            }
+            words
+        }
+    }
+}
+
+/// Runs `d` on `p` under `cost`. Returns the run, the cost model as the
+/// run left it, the hash of the run's events and its commit points, the
+/// entry first.
+fn observed_run<C: CostModel>(
+    p: &Program,
+    d: &Distilled,
+    num_slaves: usize,
+    cost: C,
+) -> (MsspRun, C, u64, Vec<u64>) {
     let config = EngineConfig {
         num_slaves,
         ..EngineConfig::default()
     };
-    let mut engine = Engine::new(p, d, config, Recording::new(cost));
-    engine.enable_commit_trace();
-    let (run, cost) = engine.run_returning_cost().expect("the run halts");
+    let mut events = 0xCBF2_9CE4_8422_2325;
+    let mut commits = vec![p.entry()];
+    let observer = |at: u64, event: Event<'_>| {
+        fold(&mut events, &event_words(at, event));
+        commits.extend(event.commit_pc());
+    };
+    let (run, cost) = Engine::observed(p, d, config, cost, observer)
+        .run_returning_cost()
+        .expect("the run halts");
+    (run, cost, events, commits)
+}
+
+fn pinned<C: CostModel>(p: &Program, d: &Distilled, num_slaves: usize, cost: C) -> Pinned {
+    let (run, cost, events, commits) = observed_run(p, d, num_slaves, Recording::new(cost));
     let mut hash = cost.hash;
-    fold(&mut hash, &run.commit_trace.expect("tracing enabled"));
+    fold(&mut hash, &commits);
     let s = run.stats;
     fold(
         &mut hash,
@@ -170,7 +228,13 @@ fn pinned<C: CostModel>(p: &Program, d: &Distilled, num_slaves: usize, cost: C) 
             s.verify_busy_cycles,
         ],
     );
-    (run.cycles, hash, s.committed_tasks, s.squash_events())
+    (
+        run.cycles,
+        hash,
+        s.committed_tasks,
+        s.squash_events(),
+        events,
+    )
 }
 
 /// The three programs with their distillations: `gap_like` and `mcf_like`
@@ -210,64 +274,65 @@ fn cmp_cost(num_slaves: usize) -> CmpCost {
     })
 }
 
-/// Recorded at d303e1a, before `Engine::run_returning_cost` was touched.
-/// Rows follow `fixtures()` x `SLAVES`; columns are `UnitCost`, `CmpCost`,
-/// `JitterCost`.
+/// Recorded at d303e1a, before `Engine::run_returning_cost` was touched;
+/// the event hashes were recorded when the run observer replaced the
+/// engine's recordings. Rows follow `fixtures()` x `SLAVES`; columns are
+/// `UnitCost`, `CmpCost`, `JitterCost`.
 #[rustfmt::skip]
 const GOLDEN: &[[Pinned; 3]] = &[
     // gap_like x1
     [
-        (22032, 0x62006d7ad3dd8059, 89, 0),
-        (43350, 0x1e7fae5777ce8bee, 89, 0),
-        (55541, 0x425790127913e593, 89, 0),
+        (22032, 0x62006d7ad3dd8059, 89, 0, 0x146d02e360984e1c),
+        (43350, 0x1e7fae5777ce8bee, 89, 0, 0x8d553d1ccd3b88bb),
+        (55541, 0x425790127913e593, 89, 0, 0x267a840a7038a3be),
     ],
     // gap_like x2
     [
-        (12820, 0x3c54f3fba6e2f31d, 89, 0),
-        (26895, 0x8a7ff5899fd8cd31, 89, 0),
-        (32290, 0x99164255e2744d13, 89, 0),
+        (12820, 0x3c54f3fba6e2f31d, 89, 0, 0x1455e9a08cba7d99),
+        (26895, 0x8a7ff5899fd8cd31, 89, 0, 0x8b81fd04a759adf9),
+        (32290, 0x99164255e2744d13, 89, 0, 0x7b9f41d8fb4e1de8),
     ],
     // gap_like x7
     [
-        (12255, 0xd377f69d48d51886, 89, 0),
-        (24014, 0x97a2b6f3668f8db2, 89, 0),
-        (30655, 0x7972c04b830bc4d0, 89, 0),
+        (12255, 0xd377f69d48d51886, 89, 0, 0x75fef7084ad4a2c6),
+        (24014, 0x97a2b6f3668f8db2, 89, 0, 0x74c4cd74a5dee018),
+        (30655, 0x7972c04b830bc4d0, 89, 0, 0x5ee0b21fbd6f9f0a),
     ],
     // mcf_like x1
     [
-        (11034, 0xd753ab83d17d30c1, 43, 0),
-        (20230, 0xdd85f9462b288134, 43, 0),
-        (27945, 0x3a67ae40546ddac6, 43, 0),
+        (11034, 0xd753ab83d17d30c1, 43, 0, 0x43070be0f70622b3),
+        (20230, 0xdd85f9462b288134, 43, 0, 0x9608560d6270464a),
+        (27945, 0x3a67ae40546ddac6, 43, 0, 0x1b5a779944f449ea),
     ],
     // mcf_like x2
     [
-        (11032, 0x316099091cd6c63f, 43, 0),
-        (19625, 0xd4013595c2a6be2a, 43, 0),
-        (27577, 0xb827a86a5f91b12b, 43, 0),
+        (11032, 0x316099091cd6c63f, 43, 0, 0x775470210ebd779f),
+        (19625, 0xd4013595c2a6be2a, 43, 0, 0xa6ea33d950fae5c3),
+        (27577, 0xb827a86a5f91b12b, 43, 0, 0x37a8509d5c59d37c),
     ],
     // mcf_like x7
     [
-        (11032, 0x316099091cd6c63f, 43, 0),
-        (19625, 0xd4013595c2a6be2a, 43, 0),
-        (27492, 0x4f9561e0ad475b14, 43, 0),
+        (11032, 0x316099091cd6c63f, 43, 0, 0x775470210ebd779f),
+        (19625, 0xd4013595c2a6be2a, 43, 0, 0xa6ea33d950fae5c3),
+        (27492, 0x4f9561e0ad475b14, 43, 0, 0xc096345822406135),
     ],
     // phase_flip x1
     [
-        (40770, 0x261b4a1b0f683b18, 70, 23),
-        (49598, 0x295f7aafc5c1f677, 70, 23),
-        (102112, 0x95e1e2d62b134bbc, 70, 23),
+        (40770, 0x261b4a1b0f683b18, 70, 23, 0x3f108840c1a1935b),
+        (49598, 0x295f7aafc5c1f677, 70, 23, 0xf928c7a39a5bed28),
+        (102112, 0x95e1e2d62b134bbc, 70, 23, 0x4c1ee768febce2d9),
     ],
     // phase_flip x2
     [
-        (36010, 0x2753b912c5c4ba74, 70, 23),
-        (44945, 0x46d58df712779502, 70, 23),
-        (90354, 0xc2c5023b3a3ceeb2, 70, 23),
+        (36010, 0x2753b912c5c4ba74, 70, 23, 0x2fb283838e0ef935),
+        (44945, 0x46d58df712779502, 70, 23, 0x6fb4994b222f69cd),
+        (90354, 0xc2c5023b3a3ceeb2, 70, 23, 0x5be33b2186eccc79),
     ],
     // phase_flip x7
     [
-        (36010, 0x2753b912c5c4ba74, 70, 23),
-        (44945, 0x46d58df712779502, 70, 23),
-        (90207, 0x6da5d15b8aa1062a, 70, 23),
+        (36010, 0x2753b912c5c4ba74, 70, 23, 0x2fb283838e0ef935),
+        (44945, 0x46d58df712779502, 70, 23, 0x6fb4994b222f69cd),
+        (90207, 0x6da5d15b8aa1062a, 70, 23, 0x88d9c2317f58d576),
     ],
 ];
 
@@ -291,8 +356,10 @@ fn schedule_matches_the_recorded_one() {
         .map(|(row, label)| {
             let cells: Vec<String> = row
                 .iter()
-                .map(|(cycles, hash, tasks, squashes)| {
-                    format!("        ({cycles}, {hash:#018x}, {tasks}, {squashes}),")
+                .map(|(cycles, hash, tasks, squashes, events)| {
+                    format!(
+                        "        ({cycles}, {hash:#018x}, {tasks}, {squashes}, {events:#018x}),"
+                    )
                 })
                 .collect();
             format!("    // {label}\n    [\n{}\n    ],", cells.join("\n"))
@@ -306,26 +373,21 @@ fn schedule_matches_the_recorded_one() {
 }
 
 /// Runs a bare cost model (no `Recording` wrapper) on every fixture and
-/// holds its cycles, committed tasks and squash events to golden column
-/// `column`.
+/// holds its cycles, committed tasks, squash events and event hash to
+/// golden column `column`: a burst emits the per-instant event stream.
 fn assert_bare_runs_match<C: CostModel>(column: usize, cost: impl Fn(usize) -> C) {
     for ((name, p, d), rows) in fixtures().iter().zip(GOLDEN.chunks(SLAVES.len())) {
         for (num_slaves, row) in SLAVES.into_iter().zip(rows) {
-            let config = EngineConfig {
-                num_slaves,
-                ..EngineConfig::default()
-            };
-            let run = Engine::new(p, d, config, cost(num_slaves))
-                .run()
-                .expect("the run halts");
-            let (cycles, _, committed, squashes) = row[column];
+            let (run, _, events, _) = observed_run(p, d, num_slaves, cost(num_slaves));
+            let (cycles, _, committed, squashes, golden_events) = row[column];
             assert_eq!(
                 (
                     run.cycles,
                     run.stats.committed_tasks,
-                    run.stats.squash_events()
+                    run.stats.squash_events(),
+                    events
                 ),
-                (cycles, committed, squashes),
+                (cycles, committed, squashes, golden_events),
                 "{name} x{num_slaves}"
             );
         }
@@ -348,7 +410,7 @@ fn the_frozen_profile_fixture_squashes_under_jitter() {
     // paths a scheduler can get wrong.
     let fixtures = fixtures();
     let (_, p, d) = &fixtures[2];
-    let (_, _, committed, squashes) = pinned(p, d, 7, JitterCost(Rng::new(1)));
+    let (_, _, committed, squashes, _) = pinned(p, d, 7, JitterCost(Rng::new(1)));
     assert!(committed > 20, "{committed} tasks");
     assert!(squashes > 5, "{squashes} squashes");
 }

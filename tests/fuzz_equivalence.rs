@@ -11,6 +11,7 @@
 mod common;
 
 use common::arb_loop_nest;
+use mssp::core::Event;
 use mssp::prelude::*;
 use mssp_testkit::check;
 
@@ -42,11 +43,13 @@ fn random_programs_commit_sequential_state() {
             num_slaves: slaves,
             ..EngineConfig::default()
         };
-        let mut engine = Engine::new(&program, &d, cfg, UnitCost);
-        engine.enable_commit_trace();
-        let run = engine.run().expect("terminates");
+        let mut commits = Vec::new();
+        let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+        let run = Engine::observed(&program, &d, cfg, UnitCost, observer)
+            .run()
+            .expect("terminates");
         // Independent oracle: the full jumping-refinement check.
-        check_refinement(&program, &run).expect("refinement holds");
+        check_refinement(&program, &commits, &run.state).expect("refinement holds");
 
         // Full-state equivalence: registers and all touched memory.
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
@@ -101,10 +104,12 @@ fn pass_ablations_commit_identical_state() {
                 ..DistillConfig::default()
             };
             let d = distill(&program, &profile, &dcfg).expect("distills");
-            let mut engine = Engine::new(&program, &d, EngineConfig::default(), UnitCost);
-            engine.enable_commit_trace();
-            let run = engine.run().expect("terminates");
-            check_refinement(&program, &run).expect("refinement holds");
+            let mut commits = Vec::new();
+            let observer = |_: u64, event: Event<'_>| commits.extend(event.commit_pc());
+            let run = Engine::observed(&program, &d, EngineConfig::default(), UnitCost, observer)
+                .run()
+                .expect("terminates");
+            check_refinement(&program, &commits, &run.state).expect("refinement holds");
             assert_eq!(
                 run.state.reg(Reg::S1),
                 seq.state().reg(Reg::S1),

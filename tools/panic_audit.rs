@@ -22,6 +22,12 @@ const AUDITED: &[&str] = &[
     "crates/machine/src",
     "crates/distill/src",
     "crates/core/src",
+    "crates/analysis/src",
+    "crates/sim/src",
+    "crates/timing/src",
+    "crates/lint/src",
+    "crates/stats/src",
+    "crates/workloads/src",
 ];
 
 /// The calls that panic on a broken assumption.
