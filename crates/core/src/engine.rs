@@ -28,6 +28,12 @@
 //! * **Recovery** re-executes the failed segment non-speculatively, one
 //!   instruction per step; the master restarts once it has committed.
 //!
+//! The run ends at the commit that halts the program, unless it ends
+//! earlier, at the first commit point at or past
+//! [`EngineConfig::max_instrs`], which the `CommitUnit` checks. Commits
+//! are verify or recovery acts, which no burst moves, so the cut needs no
+//! rule of its own.
+//!
 //! ## How it schedules
 //!
 //! Every component carries a *wake-up time*: the cycle at which it next
@@ -69,9 +75,7 @@
 //!   `now` with [`CostModel::instr_cost`], slaves ascending, before the
 //!   master acts. So every access to shared model state is made at its
 //!   own instant in the per-instant order, and a model that never answers
-//!   has one instruction priced per slave visit. A burst may run past
-//!   `max_cycles`: its task is then never verified, because the run loop
-//!   stops first.
+//!   has one instruction priced per slave visit.
 //! * **The master.** It reads only its private state, a snapshot taken at
 //!   restart under its own writes, and only a verify act squashes it or
 //!   restarts it. So a visit that does not spawn runs the distilled
@@ -111,8 +115,7 @@ use crate::protocol::{
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
 
-/// Engine configuration. Every field acts under both executors except the
-/// two that are driver-specific by nature: `max_cycles` and
+/// Engine configuration. Every field acts under both executors except
 /// `word_granular_live_ins` (discrete [`Engine`] only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -125,12 +128,14 @@ pub struct EngineConfig {
     /// Master instructions allowed without crossing a boundary before the
     /// master is declared lost (bounds run-away distilled loops).
     pub master_runahead: u64,
-    /// Simulated-cycle budget; exceeding it aborts the run.
-    pub max_cycles: u64,
-    /// Instruction cap for a single recovery segment (a backstop against
-    /// boundary-free infinite loops; the sequential program would not
-    /// terminate either).
-    pub max_recovery_instrs: u64,
+    /// Budget in architected instructions (committed task instructions
+    /// plus recovery instructions), the one measure of progress both
+    /// drivers share and no master can inflate. A run stops at the first
+    /// commit point at or past it, and a recovery segment at the budget
+    /// left: see [`EngineError::Budget`]. So a run completes only if it
+    /// halts in fewer instructions, as under `SeqMachine::run_to_halt`.
+    /// The default, 2^32, bounds a program that never halts.
+    pub max_instrs: u64,
     /// Ablation switch: degrade live-in tracking to whole-word granularity
     /// (recreates false sharing between tasks writing adjacent bytes).
     pub word_granular_live_ins: bool,
@@ -159,8 +164,7 @@ impl Default for EngineConfig {
             num_slaves: 7,
             max_task_instrs: 1 << 14,
             master_runahead: 1 << 17,
-            max_cycles: u64::MAX / 2,
-            max_recovery_instrs: u64::MAX / 2,
+            max_instrs: 1 << 32,
             word_granular_live_ins: false,
             throttle_threshold: 0,
             throttle_window: 64,
@@ -187,26 +191,35 @@ pub struct MsspRun {
     pub adaptive: Option<AdaptiveReport>,
 }
 
-/// Engine failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Engine failure, under either driver.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// Exceeded [`EngineConfig::max_cycles`].
-    CycleLimit,
     /// The *original* program faulted during non-speculative recovery —
     /// a genuine program error, not a speculation artifact.
     RecoveryFault(Fault),
-    /// A recovery segment exceeded [`EngineConfig::max_recovery_instrs`].
-    RecoveryLimit,
+    /// The run reached a commit point, a halting one too, at or past
+    /// [`EngineConfig::max_instrs`] architected instructions, and stopped
+    /// there. So `state` is the state `mssp_machine::SeqMachine` reaches
+    /// after exactly `retired` instructions: the jumping refinement on a
+    /// truncated run. A cut in recovery retires exactly the budget; a cut
+    /// at a task commit, less than `max_task_instrs` more.
+    Budget {
+        /// Architected instructions retired.
+        retired: u64,
+        /// The architected state reached.
+        state: Box<MachineState>,
+    },
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::CycleLimit => write!(f, "simulated cycle budget exceeded"),
             EngineError::RecoveryFault(fault) => {
                 write!(f, "original program faulted in recovery: {fault}")
             }
-            EngineError::RecoveryLimit => write!(f, "recovery segment exceeded instruction cap"),
+            EngineError::Budget { retired, .. } => {
+                write!(f, "instruction budget spent after {retired} instructions")
+            }
         }
     }
 }
@@ -395,11 +408,7 @@ fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'
 
 impl<'a, C: CostModel> Engine<'a, C> {
     /// Creates an engine booted at the original program's entry, with no
-    /// observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.num_slaves` is zero.
+    /// observer. With no slaves, recovery carries the whole run.
     #[must_use]
     pub fn new(
         original: &'a Program,
@@ -414,10 +423,6 @@ impl<'a, C: CostModel> Engine<'a, C> {
 impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     /// Like [`Engine::new`], with `observer` told of every commit and
     /// squash of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.num_slaves` is zero.
     #[must_use]
     pub fn observed(
         original: &'a Program,
@@ -426,7 +431,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         cost: C,
         observer: O,
     ) -> Engine<'a, C, O> {
-        assert!(config.num_slaves > 0, "MSSP needs at least one slave");
         let arch = MachineState::boot(original);
         let mut engine = Engine {
             original,
@@ -468,7 +472,8 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         self.unit.enable_adaptive(controller, recompiler);
     }
 
-    /// Runs the machine to architectural halt.
+    /// Runs the machine to architectural halt, or to the commit point
+    /// that spends its instruction budget, whichever comes first.
     ///
     /// # Errors
     ///
@@ -501,9 +506,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
                 self.start_recovery(0);
             } else {
                 self.now = next;
-                if self.now > self.config.max_cycles {
-                    return Err(EngineError::CycleLimit);
-                }
             }
         }
         self.seat.harvest_vetoes(&mut self.unit.stats);
@@ -540,7 +542,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         // Recovery ran to its end: the rest of the pass acts at that instant.
         let now = self.now;
         if self.verify_wake <= now && !self.arch_halted {
-            self.act_verify();
+            self.act_verify()?;
         }
         if self.arch_halted {
             return Ok(NEVER);
@@ -652,9 +654,8 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     /// While a segment runs nothing else can act — the window is empty,
     /// the slaves are released, the verify unit is idle and the master is
     /// offline — so each pass until the end would visit recovery alone.
-    /// The loop makes the same `CostModel` calls those passes would, makes
-    /// the run loop's cycle check at each advance, and ends the segment at
-    /// the instant of its last step.
+    /// The loop makes the same `CostModel` calls those passes would, and
+    /// ends the segment at the instant of its last step.
     fn act_recovery(&mut self) -> Result<(), EngineError> {
         debug_assert!(
             self.window.is_empty() && self.verify_wake == NEVER && self.master_wake == NEVER,
@@ -665,24 +666,20 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
-            max_instrs: self.config.max_recovery_instrs,
+            max_instrs: self.config.max_task_instrs,
         };
         loop {
             let (info, end) = segment.step(&mut self.unit, self.original, &self.arch, &rules)?;
             let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
             self.unit.stats.recovery_busy_cycles += cost;
             if let Some(end) = end {
-                self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
-                return Ok(());
+                return self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
             }
             self.now += cost;
-            if self.now > self.config.max_cycles {
-                return Err(EngineError::CycleLimit);
-            }
         }
     }
 
-    fn finish_recovery(&mut self, halted: bool) {
+    fn finish_recovery(&mut self, halted: bool) -> Result<(), EngineError> {
         // why: only `act_recovery` calls this, at its segment's end.
         let segment = self.recovery.take().expect("recovery active");
         self.recovery_wake = NEVER;
@@ -692,15 +689,12 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             instructions: executed,
         };
         self.observer.event(self.now, event);
-        let next = self.unit.recovered(executed);
-        if halted {
-            self.arch_halted = true;
-            return;
-        }
+        let next = self.unit.recovered(executed, &self.arch)?;
+        self.arch_halted = halted;
         // While throttled, keep the master offline and let starvation
         // recovery carry execution sequentially.
-        if next == AfterRecovery::StayOffline {
-            return;
+        if halted || next == AfterRecovery::StayOffline {
+            return Ok(());
         }
         if self.seat.master.status() != MasterStall::Active {
             self.restart_master(None);
@@ -708,27 +702,29 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         // A recovery end is a consistent task boundary — the discrete
         // engine's second swap point (alongside commits).
         self.try_adaptive_swap();
+        Ok(())
     }
 
-    fn act_verify(&mut self) {
+    fn act_verify(&mut self) -> Result<(), EngineError> {
         // why: `verify_due` is `NEVER` with the window empty.
         let task = oldest(&self.window, &self.slaves).expect("verify is due on a task");
         if task.start_pc != self.arch.pc() {
             self.squash_and_recover(SquashReason::WrongPath);
-            return;
+            return Ok(());
         }
         let TaskStatus::Done { end, .. } = task.status else {
             unreachable!("verify is due on a right-path task only once it is done");
         };
         match verify_and_commit(&mut self.arch, task, end) {
             VerifyOutcome::Squash(reason) => self.squash_and_recover(reason),
-            VerifyOutcome::Commit { end_pc, halted } => self.commit_oldest(end_pc, halted),
+            VerifyOutcome::Commit { end_pc, halted } => return self.commit_oldest(end_pc, halted),
         }
+        Ok(())
     }
 
     /// Task safety established and the commit superimposition applied:
     /// account for the oldest task and release its slave.
-    fn commit_oldest(&mut self, end_pc: u64, halted: bool) {
+    fn commit_oldest(&mut self, end_pc: u64, halted: bool) -> Result<(), EngineError> {
         // why: the caller just verified the window's front task.
         let s = self.window.pop_front().expect("front exists");
         // why: the window lists exactly the slaves that hold a task.
@@ -737,12 +733,12 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         let ccost = self.cost.commit_cost(task.writes.len());
         self.verify_busy_until = self.now + vcost + ccost;
         self.unit.stats.verify_busy_cycles += vcost + ccost;
-        self.unit.commit(&task);
         let event = Event::Commit {
             end_pc,
             instructions: task.executed,
         };
         self.observer.event(self.now, event);
+        self.unit.commit(&task, &self.arch)?;
         self.seat.master.on_commit(task.id.0);
         self.arena.put(task.live_ins);
         self.arena.put(task.writes);
@@ -757,6 +753,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             // at a consistent task boundary.
             self.try_adaptive_swap();
         }
+        Ok(())
     }
 
     /// The slaves' burst: the due slaves act oldest task first, each
@@ -1236,46 +1233,61 @@ mod tests {
         }
     }
 
+    /// Runs `p` under `d` on a budget of `max_instrs`, asserts that it
+    /// stops at a count of at least that with `SeqMachine`'s state after
+    /// exactly that count, and returns the count.
+    fn cut_at(p: &Program, d: &Distilled, max_instrs: u64) -> u64 {
+        let config = EngineConfig {
+            max_instrs,
+            ..EngineConfig::default()
+        };
+        let err = Engine::new(p, d, config, UnitCost).run().unwrap_err();
+        let EngineError::Budget { retired, state } = err else {
+            panic!("{err}");
+        };
+        let mut seq = SeqMachine::boot(p);
+        seq.run(retired).unwrap();
+        assert_eq!(seq.instructions(), retired);
+        assert!(*state == *seq.state(), "cut at {retired}");
+        assert!(retired >= max_instrs);
+        retired
+    }
+
     #[test]
-    fn cycle_limit_reported() {
+    fn budget_cut_lands_on_the_sequential_state() {
         let p = assemble(SUM).unwrap();
         let prof = Profile::collect(&p, u64::MAX).unwrap();
         let d = distill(&p, &prof, &DistillConfig::default()).unwrap();
-        let config = EngineConfig {
-            max_cycles: 10,
-            ..EngineConfig::default()
-        };
-        let err = Engine::new(&p, &d, config, UnitCost).run().unwrap_err();
-        assert_eq!(err, EngineError::CycleLimit);
+        let retired = cut_at(&p, &d, 10);
+        assert!(retired < 10 + EngineConfig::default().max_task_instrs);
     }
 
     /// Under a master that halts after its first spawn, recovery segments
-    /// carry the run to its `halt`, so the final instant is reached inside
-    /// `act_recovery`'s loop, which must check the budget exactly as the
-    /// run loop does.
+    /// carry the run to its `halt`, so every cut past the first task falls
+    /// in recovery, which stops at the budget exactly. A halt is no cut.
     #[test]
-    fn cycle_limit_is_exact_in_a_recovery_only_run() {
+    fn budget_is_exact_in_a_recovery_only_run() {
         let p = assemble(SUM).unwrap();
         let prof = Profile::collect(&p, u64::MAX).unwrap();
         let honest = distill(&p, &prof, &DistillConfig::default()).unwrap();
         let dead = assemble("main: halt").unwrap();
         let map = BTreeMap::from([(p.entry(), dead.entry())]);
         let d = Distilled::from_parts(dead, honest.boundaries().clone(), map);
-        let run_within = |max_cycles| {
-            let config = EngineConfig {
-                max_cycles,
-                ..EngineConfig::default()
-            };
-            Engine::new(&p, &d, config, UnitCost).run()
-        };
-        let run = run_within(u64::MAX / 2).unwrap();
+        let run = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
+            .run()
+            .unwrap();
         assert_eq!(run.stats.committed_tasks, 1, "{:?}", run.stats);
         assert!(run.stats.recovery_segments > 1, "{:?}", run.stats);
-        assert_eq!(run_within(run.cycles).unwrap().cycles, run.cycles);
-        assert_eq!(
-            run_within(run.cycles - 1).unwrap_err(),
-            EngineError::CycleLimit
-        );
+        let all = run.stats.committed_instructions;
+        for max_instrs in [all / 2, all - 1, all] {
+            assert_eq!(cut_at(&p, &d, max_instrs), max_instrs);
+        }
+        let config = EngineConfig {
+            max_instrs: all + 1,
+            ..EngineConfig::default()
+        };
+        let full = Engine::new(&p, &d, config, UnitCost).run().unwrap();
+        assert_eq!(full.cycles, run.cycles);
     }
 
     #[test]

@@ -317,8 +317,13 @@ impl CommitUnit {
         predicted
     }
 
-    /// `task` passed the memoization test and its writes are architected.
-    pub(crate) fn commit(&mut self, task: &Task) {
+    /// `task` passed the memoization test and its writes are architected
+    /// in `arch`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Budget`] if the commit spent the instruction budget.
+    pub(crate) fn commit(&mut self, task: &Task, arch: &MachineState) -> Result<(), EngineError> {
         let live_ins = task.live_ins.len() as u64;
         let stats = &mut self.stats;
         stats.committed_tasks += 1;
@@ -337,6 +342,7 @@ impl CommitUnit {
         if let Some(ad) = &mut self.adaptive {
             ad.ctl.observe_commit(task.executed);
         }
+        self.within_budget(arch)
     }
 
     /// The oldest task `failing` failed verification against `arch`; it
@@ -419,23 +425,44 @@ impl CommitUnit {
         }
     }
 
-    /// A recovery segment of `executed` instructions committed. Only now,
-    /// at a *consistent* architected point, may the master restart: at
-    /// squash time it would read a torn mix of pre- and post-recovery
-    /// values.
-    pub(crate) fn recovered(&mut self, executed: u64) -> AfterRecovery {
+    /// A recovery segment of `executed` instructions committed, leaving
+    /// `arch`. Only now, at a *consistent* architected point, may the
+    /// master restart: at squash time it would read a torn mix of pre- and
+    /// post-recovery values.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Budget`] if the segment spent the instruction budget.
+    pub(crate) fn recovered(
+        &mut self,
+        executed: u64,
+        arch: &MachineState,
+    ) -> Result<AfterRecovery, EngineError> {
         self.stats.recovery_segments += 1;
         self.stats.recovery_instructions += executed;
         self.stats.committed_instructions += executed;
+        self.within_budget(arch)?;
         if let Some(ad) = &mut self.adaptive {
             ad.ctl.observe_recovery_segment();
         }
         if self.throttle_remaining > 0 {
             self.throttle_remaining -= 1;
-            AfterRecovery::StayOffline
+            Ok(AfterRecovery::StayOffline)
         } else {
-            AfterRecovery::RestartMaster
+            Ok(AfterRecovery::RestartMaster)
         }
+    }
+
+    /// The run's one budget check, made at every commit point: the run
+    /// stops at the first one at or past `max_instrs`, with the
+    /// architected state `arch` it reached.
+    fn within_budget(&self, arch: &MachineState) -> Result<(), EngineError> {
+        let retired = self.stats.committed_instructions;
+        if retired < self.config.max_instrs {
+            return Ok(());
+        }
+        let state = Box::new(arch.clone());
+        Err(EngineError::Budget { retired, state })
     }
 
     /// Pumps the adaptive loop at a swap-safe point (a commit or the end
@@ -603,14 +630,17 @@ impl RecoverySegment {
     }
 
     /// Executes one instruction against `arch`; `Some(end)` once the
-    /// segment reached `halt` or its last boundary and is ready to
-    /// [commit](RecoverySegment::commit). Recovery is verified execution,
-    /// so every instruction feeds the adaptive controller's live profile.
+    /// segment reached `halt`, its last boundary under `rules`, or the
+    /// instructions left of `unit`'s budget (whatever `rules.max_instrs`
+    /// says), and is ready to [commit](RecoverySegment::commit). A segment
+    /// cut at the budget commits what it has run: its writes are
+    /// non-speculative. Recovery is verified execution, so every
+    /// instruction feeds the adaptive controller's live profile.
     ///
     /// # Errors
     ///
     /// `RecoveryFault` if the original program faults (a genuine program
-    /// error), `RecoveryLimit` past `rules.max_instrs` instructions.
+    /// error).
     #[inline]
     pub(crate) fn step(
         &mut self,
@@ -627,16 +657,10 @@ impl RecoverySegment {
         if let Some(ad) = &mut unit.adaptive {
             ad.ctl.observe_recovery_step(&info);
         }
-        if info.halted {
-            return Ok((info, Some(TaskEnd::Halted(self.pc))));
-        }
-        self.executed += 1;
-        self.pc = info.next_pc;
-        if self.executed > rules.max_instrs {
-            return Err(EngineError::RecoveryLimit);
-        }
-        let ended = rules.crossed(self.pc, &mut self.crossings);
-        Ok((info, ended.then_some(TaskEnd::Boundary(self.pc))))
+        let mut rules = *rules;
+        rules.max_instrs = unit.config.max_instrs - unit.stats.committed_instructions;
+        let end = rules.retire(&info, &mut self.pc, &mut self.executed, &mut self.crossings);
+        Ok((info, end))
     }
 
     /// Applies the ended segment's writes and PC to `arch` atomically;
@@ -816,12 +840,15 @@ mod tests {
             assert!(overlay.is_empty(), "an untrained predictor injects nothing");
         }
         let a = task(0x100, 10, &[(S1, 1), (Cell::Mem(8), 2)], &[(S1, 3)]);
-        unit.commit(&a);
+        unit.commit(&a, &arch).unwrap();
         let b = task(0x180, 7, &[], &[]);
         assert!(unit
             .squash(SquashReason::WrongPath, &b, &arch, (2, 11))
             .is_empty());
-        assert_eq!(unit.recovered(20), AfterRecovery::RestartMaster);
+        assert_eq!(
+            unit.recovered(20, &arch).unwrap(),
+            AfterRecovery::RestartMaster
+        );
         assert!(unit.poll_swap().is_none(), "no adaptive loop, no candidate");
         let expected = EngineStats {
             spawned_tasks: 3,
@@ -859,15 +886,24 @@ mod tests {
         let doomed = task(0x100, 5, &[], &[]);
         for _ in 0..2 {
             unit.squash(SquashReason::Overrun, &doomed, &arch, (1, 5));
-            assert_eq!(unit.recovered(4), AfterRecovery::RestartMaster);
+            assert_eq!(
+                unit.recovered(4, &arch).unwrap(),
+                AfterRecovery::RestartMaster
+            );
         }
         assert_eq!(unit.stats.throttle_events, 0, "at the threshold, not over");
         unit.squash(SquashReason::Fault, &doomed, &arch, (1, 5));
         assert_eq!(unit.stats.throttle_events, 1);
         for _ in 0..3 {
-            assert_eq!(unit.recovered(4), AfterRecovery::StayOffline);
+            assert_eq!(
+                unit.recovered(4, &arch).unwrap(),
+                AfterRecovery::StayOffline
+            );
         }
-        assert_eq!(unit.recovered(4), AfterRecovery::RestartMaster);
+        assert_eq!(
+            unit.recovered(4, &arch).unwrap(),
+            AfterRecovery::RestartMaster
+        );
         assert_eq!(unit.stats.recovery_segments, 6);
         assert_eq!(unit.stats.squashes_overrun, 2);
         assert_eq!(unit.stats.squashes_fault, 1);
@@ -878,11 +914,14 @@ mod tests {
         for _ in 0..3 {
             unit.squash(SquashReason::Overrun, &doomed, &arch, (1, 5));
             for _ in 0..8 {
-                unit.commit(&doomed);
+                unit.commit(&doomed, &arch).unwrap();
             }
         }
         assert_eq!(unit.stats.throttle_events, 0);
-        assert_eq!(unit.recovered(4), AfterRecovery::RestartMaster);
+        assert_eq!(
+            unit.recovered(4, &arch).unwrap(),
+            AfterRecovery::RestartMaster
+        );
     }
 
     #[test]
@@ -914,7 +953,7 @@ mod tests {
         // mismatches on it is a predicted squash and a miss.
         let mut reader = task(0x200, 5, &[(S1, 9)], &[]);
         reader.predicted = predicted;
-        unit.commit(&reader);
+        unit.commit(&reader, &arch).unwrap();
         assert_eq!(unit.stats.predictor_hits, 1);
         arch.set_reg(Reg::S1, 10);
         unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
@@ -986,23 +1025,45 @@ mod tests {
         assert_eq!(arch.pc(), loop_pc + 3 * mssp_isa::INSTR_BYTES, "halt PC");
     }
 
+    /// A segment cut at the budget left commits the non-speculative
+    /// writes it made, and the unit reports the budget spent with the
+    /// state reached: the sequential state after exactly the budget.
     #[test]
-    fn recovery_segment_reports_the_cap_and_genuine_faults() {
+    fn recovery_segment_stops_at_the_budget_and_reports_genuine_faults() {
         let p = assemble(LOOP).unwrap();
         let boundaries = BoundarySet::default();
         let rules = SegmentRules {
             boundaries: &boundaries,
             crossings_per_task: 1,
-            max_instrs: 2,
+            max_instrs: 1,
         };
-        let mut unit = CommitUnit::new(EngineConfig::default());
+        let budget = |max_instrs| {
+            CommitUnit::new(EngineConfig {
+                max_instrs,
+                ..EngineConfig::default()
+            })
+        };
+        let mut unit = budget(5);
         let mut arch = MachineState::boot(&p);
-        let mut segment = RecoverySegment::new(arch.pc());
-        for _ in 0..2 {
-            assert!(segment.step(&mut unit, &p, &arch, &rules).is_ok());
-        }
-        let capped = segment.step(&mut unit, &p, &arch, &rules);
-        assert_eq!(capped.unwrap_err(), EngineError::RecoveryLimit);
+        let (executed, halted) = RecoverySegment::run(&mut unit, &p, &mut arch, &rules).unwrap();
+        assert_eq!(
+            (executed, halted),
+            (5, false),
+            "the budget, not the task cap"
+        );
+        let Err(EngineError::Budget { retired, state }) = unit.recovered(5, &arch) else {
+            panic!("the budget is spent");
+        };
+        let mut seq = mssp_machine::SeqMachine::boot(&p);
+        seq.run(5).unwrap();
+        assert_eq!((retired, &*state), (5, seq.state()));
+
+        // Committed instructions count against it.
+        let mut unit = budget(5);
+        let mut arch = MachineState::boot(&p);
+        unit.commit(&task(0, 3, &[], &[]), &arch).unwrap();
+        let (executed, _) = RecoverySegment::run(&mut unit, &p, &mut arch, &rules).unwrap();
+        assert_eq!(executed, 2);
 
         arch.set_pc(0xdead_0000);
         let fault = RecoverySegment::run(&mut unit, &p, &mut arch, &rules);
@@ -1110,7 +1171,8 @@ mod tests {
         // it: 0.0 with no live-in presented (never the 0/0 NaN), 1.0 after.
         assert_eq!(EngineStats::default().recheck_ratio(), 0.0);
         let mut unit = CommitUnit::new(EngineConfig::default());
-        unit.commit(&task(0x100, 3, &[(S1, 1)], &[]));
+        let t = task(0x100, 3, &[(S1, 1)], &[]);
+        unit.commit(&t, &MachineState::new()).unwrap();
         assert_eq!(unit.stats.recheck_ratio(), 1.0);
         assert_eq!(unit.stats.pre_verified_tasks, 0);
     }

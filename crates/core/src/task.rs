@@ -244,25 +244,17 @@ pub struct SegmentRules<'a> {
     pub boundaries: &'a BoundarySet,
     /// A task ends at its Nth boundary crossing.
     pub crossings_per_task: u64,
-    /// Instruction cap; exceeding it is an overrun (always squashes).
+    /// Instruction cap. A task that reaches it is overrun (and always
+    /// squashes); a recovery segment is capped at the budget left instead,
+    /// and commits there.
     pub max_instrs: u64,
 }
 
 impl SegmentRules<'_> {
-    /// Counts `next_pc` into `crossings` if it is a boundary; true when
-    /// that crossing is the segment's last (the quota is reached).
-    #[inline]
-    pub(crate) fn crossed(&self, next_pc: u64, crossings: &mut u64) -> bool {
-        if !self.boundaries.contains(next_pc) {
-            return false;
-        }
-        *crossings += 1;
-        *crossings >= self.crossings_per_task
-    }
-
-    /// Retires `info`, a speculative task's instruction at `*pc`: counts
-    /// it and moves `pc` past it. Returns the end it brings the task to,
-    /// if any.
+    /// Retires `info`, a segment's instruction at `*pc`: counts it, moves
+    /// `pc` past it and counts a boundary it reaches into `crossings`.
+    /// Returns the end it brings the segment to, if any: `halt`, the
+    /// crossing that reaches the quota, or the cap.
     #[inline(always)]
     pub(crate) fn retire(
         &self,
@@ -276,8 +268,11 @@ impl SegmentRules<'_> {
         }
         *executed += 1;
         *pc = info.next_pc;
-        if self.crossed(*pc, crossings) {
-            return Some(TaskEnd::Boundary(*pc));
+        if self.boundaries.contains(*pc) {
+            *crossings += 1;
+            if *crossings >= self.crossings_per_task {
+                return Some(TaskEnd::Boundary(*pc));
+            }
         }
         (*executed >= self.max_instrs).then_some(TaskEnd::Overrun)
     }

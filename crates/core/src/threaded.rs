@@ -84,9 +84,10 @@ const DRAIN_BATCH: usize = 64;
 const MASTER_SLICE: usize = 128;
 
 /// How a threaded run can fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadedError {
-    /// The protocol itself failed — see [`EngineError`].
+    /// The protocol itself failed — see [`EngineError`]: a recovery fault,
+    /// or [`EngineConfig::max_instrs`] spent.
     Engine(EngineError),
     /// A worker thread died (panicked) mid-run.
     ///
@@ -213,8 +214,9 @@ fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
 /// # Errors
 ///
 /// Returns [`ThreadedError::Engine`] if the original program faults
-/// during non-speculative recovery or a recovery segment exceeds its cap,
-/// and [`ThreadedError::WorkerDied`] if a worker thread panics.
+/// during non-speculative recovery or the run spends
+/// [`EngineConfig::max_instrs`], and [`ThreadedError::WorkerDied`] if a
+/// worker thread panics.
 ///
 /// # Panics
 ///
@@ -265,32 +267,21 @@ fn run_threaded_inner(
     config: EngineConfig,
     adaptive: Option<(AdaptiveController, Recompiler)>,
 ) -> Result<ThreadedRun, ThreadedError> {
-    assert!(config.num_slaves > 0, "MSSP needs at least one slave");
     let start_time = std::time::Instant::now();
     let boundaries = BoundarySet::new(distilled.boundaries().clone());
-    // Task and recovery segments end alike, under different caps.
-    let task_rules = SegmentRules {
+    // Task and recovery segments end alike; recovery is capped by the budget.
+    let rules = SegmentRules {
         boundaries: &boundaries,
         crossings_per_task: distilled.crossings_per_task().max(1),
         max_instrs: config.max_task_instrs,
-    };
-    let recovery_rules = SegmentRules {
-        max_instrs: config.max_recovery_instrs,
-        ..task_rules
     };
     let current_epoch = AtomicU64::new(0);
     let mut unit = CommitUnit::new(config);
     if let Some((ctl, rec)) = adaptive {
         unit.enable_adaptive(ctl, rec);
     }
-    let (coordinator, work_rxs, coord_tx) = Coordinator::new(
-        original,
-        distilled,
-        config,
-        recovery_rules,
-        &current_epoch,
-        unit,
-    );
+    let (coordinator, work_rxs, coord_tx) =
+        Coordinator::new(original, distilled, config, rules, &current_epoch, unit);
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
         let mut threads = Vec::with_capacity(config.num_slaves);
@@ -301,7 +292,7 @@ fn run_threaded_inner(
                 let _guard = DeadManSwitch {
                     tx: coord_tx.clone(),
                 };
-                worker_loop(original, task_rules, current_epoch, &mut work_rx, &coord_tx);
+                worker_loop(original, rules, current_epoch, &mut work_rx, &coord_tx);
             }));
         }
         drop(coord_tx); // coordinator keeps only the receiver
@@ -381,7 +372,7 @@ fn worker_loop(
 /// in spawn order.
 struct Coordinator<'a> {
     original: &'a Program,
-    /// Recovery-segment rules (the cap is `max_recovery_instrs`).
+    /// Segment rules; a recovery segment's cap is the budget left.
     rules: SegmentRules<'a>,
     current_epoch: &'a AtomicU64,
     work_txs: Vec<SpscSender<WorkItem>>,
@@ -577,7 +568,7 @@ impl<'a> Coordinator<'a> {
     /// they join the committed view, the master prunes its segment, and a
     /// ready hot-swap installs.
     fn commit(&mut self, result: WorkResult, halted: bool) -> Result<(), ThreadedError> {
-        self.unit.commit(&result.task);
+        self.unit.commit(&result.task, &self.arch)?;
         self.seat.master.on_commit(result.task.id.0);
         self.pending_deltas += 1;
         self.pending_cells += result.task.writes.len();
@@ -631,7 +622,7 @@ impl<'a> Coordinator<'a> {
             let (executed, halted) =
                 RecoverySegment::run(&mut self.unit, self.original, &mut self.arch, &self.rules)?;
             self.halted = halted;
-            if self.unit.recovered(executed) == AfterRecovery::RestartMaster {
+            if self.unit.recovered(executed, &self.arch)? == AfterRecovery::RestartMaster {
                 break;
             }
         }
@@ -890,9 +881,11 @@ mod tests {
 
     #[test]
     fn threaded_error_formats_and_converts() {
-        let e: ThreadedError = EngineError::RecoveryLimit.into();
-        assert_eq!(e, ThreadedError::Engine(EngineError::RecoveryLimit));
-        assert!(e.to_string().contains("recovery"));
+        let state = Box::new(MachineState::new());
+        let budget = EngineError::Budget { retired: 7, state };
+        let e: ThreadedError = budget.clone().into();
+        assert_eq!(e, ThreadedError::Engine(budget));
+        assert!(e.to_string().contains("budget spent after 7"));
         assert!(ThreadedError::WorkerDied.to_string().contains("worker"));
         use std::error::Error;
         assert!(e.source().is_some());

@@ -1,5 +1,5 @@
-//! Engine edge-path tests: overrun, fault, master run-ahead, recovery
-//! caps, diagnostics APIs — the squash/recovery machinery under hostile
+//! Engine edge-path tests: overrun, fault, master run-ahead, the
+//! instruction budget, diagnostics APIs — the squash/recovery machinery under hostile
 //! configurations.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,20 +76,24 @@ fn master_runahead_cap_marks_master_lost_but_stays_correct() {
 }
 
 #[test]
-fn recovery_cap_reports_engine_error() {
-    // A program that loops forever with no boundary: recovery cannot end.
+fn a_boundary_free_loop_spends_the_budget_in_recovery() {
+    // A program that loops forever with no boundary: only the budget ends
+    // its one recovery segment, and the segment commits at the budget.
     let p = assemble("main: j main").unwrap();
     let dead = assemble("main: halt").unwrap();
     let mut map = BTreeMap::new();
     map.insert(p.entry(), dead.entry());
     let d = Distilled::from_parts(dead, BTreeSet::new(), map);
     let cfg = EngineConfig {
-        max_recovery_instrs: 1_000,
+        max_instrs: 1_000,
         max_task_instrs: 100,
         ..EngineConfig::default()
     };
     let err = Engine::new(&p, &d, cfg, UnitCost).run().unwrap_err();
-    assert_eq!(err, EngineError::RecoveryLimit);
+    let EngineError::Budget { retired, state } = err else {
+        panic!("{err}");
+    };
+    assert_eq!((retired, state.pc()), (1_000, p.entry()));
 }
 
 #[test]
@@ -358,27 +362,49 @@ impl mssp_core::CostModel for Counting {
     }
 }
 
+/// A budget stops the run at the task commit that spends it: the cut
+/// run saw every commit the full run saw up to that one, and priced
+/// exactly the instructions the full run had priced when it made it.
 #[test]
-fn the_cycle_limit_fires_at_the_same_instant() {
-    let p = assemble(SUM).unwrap();
+fn the_budget_stops_the_run_at_its_commit() {
+    let p = mssp_workloads::Workload::by_name("gap_like")
+        .unwrap()
+        .program(120);
     let d = honest(&p);
     let priced = std::rc::Rc::new(std::cell::Cell::new(0));
-    let run = |max_cycles: u64| {
+    // Every commit point: the instructions retired and priced by then.
+    let run = |max_instrs: u64| {
         priced.set(0);
         let cfg = EngineConfig {
-            max_cycles,
+            num_slaves: 2,
+            max_instrs,
             ..EngineConfig::default()
         };
-        Engine::new(&p, &d, cfg, Counting(priced.clone())).run()
+        let (mut retired, mut commits) = (0, Vec::new());
+        let observer = |_at: u64, event: Event<'_>| {
+            assert!(!matches!(event, Event::Recovery { .. }), "{event:?}");
+            if let Event::Commit { instructions, .. } = event {
+                retired += instructions;
+                commits.push((retired, priced.get()));
+            }
+        };
+        let outcome = Engine::observed(&p, &d, cfg, Counting(priced.clone()), observer).run();
+        (outcome.map(|run| run.cycles), commits)
     };
-    let full = run(u64::MAX / 2).unwrap();
-    // The limit is exclusive: the instant the run halts in is allowed.
-    assert_eq!(run(full.cycles).unwrap().cycles, full.cycles);
-    assert_eq!(run(full.cycles - 1).unwrap_err(), EngineError::CycleLimit);
-    // Everything due up to and including cycle 100 was priced, nothing
-    // after. Recorded at d303e1a.
-    assert_eq!(run(100).unwrap_err(), EngineError::CycleLimit);
-    assert_eq!(priced.get(), 101);
+    let (full, commits) = run(u64::MAX);
+    full.unwrap();
+    assert!(commits.len() > 10, "{commits:?}");
+    for (i, &(retired, priced_then)) in commits.iter().enumerate().skip(1) {
+        let before = commits[i - 1].0;
+        for max_instrs in [before + 1, retired] {
+            let (cut, seen) = run(max_instrs);
+            // The last commit, which halts the program, is cut alike.
+            let err = cut.unwrap_err();
+            assert!(matches!(err, EngineError::Budget { retired: r, .. } if r == retired));
+            assert_eq!(seen, commits[..=i], "within {max_instrs}");
+            assert_eq!(priced.get(), priced_then, "within {max_instrs}");
+        }
+    }
 }
 
 #[test]

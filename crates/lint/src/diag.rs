@@ -55,7 +55,9 @@ pub enum LintId {
     /// An asserted branch's training bias is below the configured
     /// threshold (or the branch was never executed in training).
     AssertUnjustified,
-    /// Distilled control can fall through off the end of the text segment.
+    /// Control can leave the text segment: distilled control falls through
+    /// off its end, or a direct jump or branch of either program targets
+    /// a PC outside it.
     CfgFallthroughOffEnd,
     /// Distilled code unreachable from every master entry point.
     UnreachableAfterAssert,

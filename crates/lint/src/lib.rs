@@ -19,7 +19,7 @@
 //! |------|----------|------------|
 //! | `boundary-unmapped` | error | every boundary has a distilled PC |
 //! | `liveins-uncovered` | error | master can compute all task live-ins |
-//! | `cfg-fallthrough-off-end` | error | distilled text cannot run off its end |
+//! | `cfg-fallthrough-off-end` | error | control cannot leave the text: no fall-through off the distilled end, no direct jump out |
 //! | `assert-unjustified` | warning | asserted branches clear the bias threshold |
 //! | `unreachable-after-assert` | warning | no unreachable distilled code |
 //! | `boundary-in-cold-code` | warning | boundaries recur in training |

@@ -72,6 +72,20 @@ pub fn lint(
     if program.is_empty() || dist_prog.is_empty() {
         return report;
     }
+    // A direct transfer out of the text has no block to build a CFG with.
+    for (image, space) in [
+        (program, AddrSpace::Original),
+        (dist_prog, AddrSpace::Distilled),
+    ] {
+        if let Err(e) = image.validate() {
+            let message = format!("control leaves the text segment: {e}");
+            let lint = LintId::CfgFallthroughOffEnd;
+            report.push(Diagnostic::new(lint, PcSpan::point(e.pc), space, message));
+        }
+    }
+    if report.has_errors() {
+        return report;
+    }
 
     let orig_cfg = Cfg::build(program);
     let dist_cfg = Cfg::build(dist_prog);

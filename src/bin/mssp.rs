@@ -389,7 +389,7 @@ fn cmd_exec(target: &str, slaves: Option<u64>) -> Result<(), String> {
     let d = distill(&p, &prof, &DistillConfig::default()).map_err(|e| e.to_string())?;
     let mut cfg = TimingConfig::default();
     if let Some(s) = slaves {
-        cfg.engine.num_slaves = s.max(1) as usize;
+        cfg.engine.num_slaves = s as usize;
     }
     let base = run_baseline(&p, &cfg, u64::MAX).map_err(|e| e.to_string())?;
     let mssp = run_mssp(&p, &d, &cfg).map_err(|e| e.to_string())?;

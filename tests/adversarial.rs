@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mssp::core::{EngineError, ThreadedError};
 use mssp::prelude::*;
 use mssp_testkit::{check, Rng};
 
@@ -114,5 +115,60 @@ fn random_boundary_sets_are_harmless() {
             .run()
             .expect("terminates");
         assert_eq!(run.state.reg(Reg::S1), expected);
+    });
+}
+
+/// An original program that never halts, and its boundaries: ROADMAP item
+/// 14's countdown from zero, whose loop head is a boundary, or `main: j
+/// main`, which has none, so that only the budget ends its recovery.
+fn endless(rng: &mut Rng) -> (Program, BTreeSet<u64>) {
+    if rng.gen_bool(1, 2) {
+        return (assemble("main: j main").unwrap(), BTreeSet::new());
+    }
+    let p = assemble(
+        "main: addi s0, zero, 0
+         loop: addi s1, s1, 1
+               addi s0, s0, -1
+               bnez s0, loop
+               halt",
+    )
+    .unwrap();
+    let boundaries = BTreeSet::from([p.symbol("loop").unwrap()]);
+    (p, boundaries)
+}
+
+/// Whatever the master, a program that never halts returns the budget
+/// error under both drivers, in `SeqMachine`'s state after exactly the
+/// instructions the run reports.
+#[test]
+fn any_master_on_a_program_that_never_halts_spends_the_budget() {
+    const BUDGET: u64 = 20_000;
+    check(0xADD5_0003, 24, |rng| {
+        let master = assemble(&arb_master(rng)).expect("master assembles");
+        let (p, boundaries) = endless(rng);
+        let mut map = BTreeMap::from([(p.entry(), master.entry())]);
+        for &b in &boundaries {
+            map.insert(b, master.symbol("spin").expect("label"));
+        }
+        let d = Distilled::from_parts(master, boundaries, map);
+        let cfg = EngineConfig {
+            num_slaves: rng.gen_index(0, 5),
+            max_instrs: BUDGET,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&p, &d, cfg, UnitCost).run().map(|_| ());
+        let threaded = match run_threaded(&p, &d, cfg) {
+            Err(ThreadedError::Engine(e)) => e,
+            other => panic!("threaded: {:?}", other.map(|_| ())),
+        };
+        for err in [engine.unwrap_err(), threaded] {
+            let EngineError::Budget { retired, state } = err else {
+                panic!("expected the budget error, got: {err}");
+            };
+            assert!((BUDGET..BUDGET + cfg.max_task_instrs).contains(&retired));
+            let mut seq = SeqMachine::boot(&p);
+            seq.run(retired).unwrap();
+            assert!(*state == *seq.state(), "state at {retired}");
+        }
     });
 }

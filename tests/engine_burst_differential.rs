@@ -32,8 +32,9 @@
 //!   too;
 //! * (d) default-controller adaptive runs, whose hot-swaps must land at
 //!   the same commits;
-//! * (e) cycle budgets around a run's length, which must fail or succeed
-//!   alike;
+//! * (e) instruction budgets up to a run's length, which must cut it at
+//!   the same commit, with the same state and the same events up to the
+//!   cut, and one past it, which must let both halt;
 //! * (f) hostile masters, one that halts at once and one that scribbles
 //!   wrong values and loses itself on a small `master_runahead`, under
 //!   all three models at 1, 2, 4 and 8 slaves;
@@ -214,22 +215,25 @@ struct Observed<C> {
     cost: C,
 }
 
+/// Every event a run's observer saw, with its instant.
+type Events = Vec<(u64, String)>;
+
 /// Runs `f` under `cost`, with the adaptive loop on if `controller` is
-/// given.
+/// given: the run's outcome, and its events up to where it stopped.
 fn observe_with<C: CostModel>(
     f: &Fixture,
     config: EngineConfig,
     cost: C,
     controller: Option<AdaptiveController>,
-) -> Result<Observed<C>, EngineError> {
+) -> (Result<(MsspRun, C), EngineError>, Events) {
     let mut events = Vec::new();
     let observer = |at: u64, event: Event<'_>| events.push((at, format!("{event:?}")));
     let mut engine = Engine::observed(&f.program, &f.distilled, config, cost, observer);
     if let Some(controller) = controller {
         engine.enable_adaptive(controller, recompiler(f));
     }
-    let (run, cost) = engine.run_returning_cost()?;
-    Ok(Observed { run, events, cost })
+    let outcome = engine.run_returning_cost();
+    (outcome, events)
 }
 
 fn observe<C: CostModel>(
@@ -237,7 +241,9 @@ fn observe<C: CostModel>(
     config: EngineConfig,
     cost: C,
 ) -> Result<Observed<C>, EngineError> {
-    observe_with(f, config, cost, None)
+    let (outcome, events) = observe_with(f, config, cost, None);
+    let (run, cost) = outcome?;
+    Ok(Observed { run, events, cost })
 }
 
 fn slaves(n: usize) -> EngineConfig {
@@ -343,7 +349,9 @@ fn recompiler(f: &Fixture) -> Recompiler {
 
 fn adaptive_run<C: CostModel>(f: &Fixture, cost: C) -> Observed<C> {
     let controller = AdaptiveController::new(AdaptiveConfig::default(), &f.distilled, &f.training);
-    observe_with(f, EngineConfig::default(), cost, Some(controller)).unwrap()
+    let (outcome, events) = observe_with(f, EngineConfig::default(), cost, Some(controller));
+    let (run, cost) = outcome.unwrap();
+    Observed { run, events, cost }
 }
 
 #[test]
@@ -377,27 +385,30 @@ fn adaptive_swaps_land_at_the_same_commits() {
     assert!(swaps > 0, "no run swapped");
 }
 
+/// Budgets up to a run's length cut it, at the same commit under both
+/// schedules; one past its length lets it halt.
 #[test]
-fn cycle_budgets_fail_or_succeed_alike() {
+fn instruction_budgets_cut_both_schedules_alike() {
     let standard = standard_fixtures();
     let phase = phase_fixtures();
     let gap = standard.iter().find(|f| f.name == "gap_like").unwrap();
     for f in [gap, &phase[0]] {
         for n in [1, 4] {
-            let cycles = observe(f, slaves(n), UnitCost).unwrap().run.cycles;
-            for max_cycles in [cycles / 3, cycles - 1, cycles] {
+            let full = observe(f, slaves(n), UnitCost).unwrap();
+            let committed = full.run.stats.committed_instructions;
+            for max_instrs in [committed / 3, committed - 1, committed, committed + 1] {
                 let config = EngineConfig {
-                    max_cycles,
+                    max_instrs,
                     ..slaves(n)
                 };
-                let label = format!("{} x{n} within {max_cycles}", f.name);
-                let burst = observe(f, config, UnitCost);
-                let per_instant = observe(f, config, InOrder(UnitCost));
-                match (burst, per_instant) {
-                    (Ok(b), Ok(p)) => assert_same_run(&b, &p, &label),
-                    (Err(b), Err(p)) => assert_eq!(b, p, "{label}"),
-                    (b, p) => panic!("{label}: {:?} against {:?}", b.err(), p.err()),
-                }
+                let label = format!("{} x{n} within {max_instrs}", f.name);
+                let (burst, burst_events) = observe_with(f, config, UnitCost, None);
+                let (per_instant, events) = observe_with(f, config, InOrder(UnitCost), None);
+                let burst = burst.map(|(run, _)| (run.cycles, run.state));
+                let per_instant = per_instant.map(|(run, _)| (run.cycles, run.state));
+                assert!(burst == per_instant, "{label}: outcome");
+                assert_eq!(burst.is_ok(), max_instrs > committed, "{label}");
+                assert_eq!(burst_events, events, "{label}: events up to the cut");
             }
         }
     }

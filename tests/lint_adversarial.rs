@@ -223,6 +223,29 @@ fn fallthrough_off_end_fires_when_text_ends_in_a_plain_op() {
     assert!(finding.message.contains("addi"), "{finding}");
 }
 
+/// `Program::from_instrs` accepts a direct jump out of its text, which no
+/// CFG can be built over: `lint` reports it, in the program it found it
+/// in, instead of panicking.
+#[test]
+fn a_direct_jump_out_of_the_text_is_an_error_not_a_panic() {
+    let p = assemble("main: addi a0, zero, 1\n halt").unwrap();
+    let wild = Program::from_instrs(vec![Instr::Jal(Reg::ZERO, 64), Instr::Halt]);
+    let tb = wild.text_base();
+    let d = Distilled::from_parts(wild.clone(), BTreeSet::new(), BTreeMap::from([(tb, tb)]));
+    let report = run_lint(&p, &d, &Profile::empty());
+    assert_fires_only(&report, LintId::CfgFallthroughOffEnd);
+    let finding = report.iter().next().unwrap();
+    assert_eq!(finding.space, mssp::lint::AddrSpace::Distilled);
+    assert!(fires_at(&report, LintId::CfgFallthroughOffEnd, tb));
+
+    // The original program is checked too.
+    let honest = Distilled::from_parts(p.clone(), BTreeSet::new(), BTreeMap::from([(tb, tb)]));
+    let report = run_lint(&wild, &honest, &Profile::empty());
+    assert!(report.has_errors());
+    let spaces: Vec<_> = report.iter().map(|d| d.space).collect();
+    assert_eq!(spaces, [mssp::lint::AddrSpace::Original]);
+}
+
 // ---------------------------------------------------------------------
 // unreachable-after-assert (warning)
 // ---------------------------------------------------------------------
