@@ -131,9 +131,8 @@ pub struct Profile {
     loaded_words: WordSet,
     /// Per-store-PC footprint of written words.
     store_words: BTreeMap<u64, WordSet>,
-    /// Slice feedback: registers whose live-in values the run-time
-    /// predictor flagged as hard to predict (observed in live-in
-    /// mismatch squashes).
+    /// Slice feedback: registers whose live-in values the master got
+    /// wrong (observed in live-in mismatch squashes).
     hard_live_ins: BTreeSet<Reg>,
     /// Slice feedback: architected PCs where wrong-path squashes landed
     /// (the master's asserted control flow departed from reality here).

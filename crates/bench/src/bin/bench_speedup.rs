@@ -71,7 +71,6 @@ fn run() -> Result<bool, String> {
             "dce-only ratio",
             "squash/1k",
             "sq/1k base",
-            "pred acc",
             "slices",
         ]);
         for r in &records {
@@ -82,7 +81,6 @@ fn run() -> Result<bool, String> {
                 fmt3(r.dyn_ratio_dce_only),
                 format!("{:.1}", r.squash_per_1k_tasks),
                 format!("{:.1}", r.squash_per_1k_tasks_baseline),
-                fmt3(r.predictor_accuracy),
                 r.slices_emitted.to_string(),
             ]);
         }

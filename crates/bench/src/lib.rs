@@ -17,8 +17,8 @@ use std::str::FromStr;
 
 use mssp_analysis::Profile;
 use mssp_core::{
-    AdaptiveConfig, AdaptiveController, AdaptiveReport, Engine, EngineConfig, EngineStats, Event,
-    MsspRun, SquashReason,
+    AdaptiveConfig, AdaptiveController, AdaptiveReport, Engine, EngineStats, Event, MsspRun,
+    SquashReason,
 };
 use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
@@ -161,15 +161,12 @@ pub struct SpeedupRecord {
     /// every record carries its own improvement baseline.
     pub dyn_ratio_dce_only: f64,
     /// Squash events per thousand spawned tasks in the headline run
-    /// (slice-feedback distillation, live-in predictor on).
+    /// (slice-feedback distillation).
     pub squash_per_1k_tasks: f64,
     /// The same rate with the squash-rate attack disabled — feedback-free
-    /// distillation (no slices) and the predictor off — so every record
-    /// carries its own squash-rate improvement baseline.
+    /// distillation (no slices) — so every record carries its own
+    /// squash-rate improvement baseline.
     pub squash_per_1k_tasks_baseline: f64,
-    /// Verified live-in predictor accuracy in the headline run
-    /// (hits / (hits + misses); `0` when nothing was injected).
-    pub predictor_accuracy: f64,
     /// Pre-computation slices the feedback distillation emitted.
     pub slices_emitted: usize,
     /// Static instructions in the original text.
@@ -182,11 +179,10 @@ pub struct SpeedupRecord {
 /// one [`SpeedupRecord`] per workload, in bundle order.
 ///
 /// Each workload runs the full squash-rate-attack pipeline: a
-/// feedback-free measurement run with the live-in predictor off
-/// establishes the baseline squash rate and threads its squashes back
-/// into the profile as slice feedback ([`slice_feedback_run`]), and the
-/// headline numbers come from a re-distillation carrying pre-computation
-/// slices, run with the predictor on.
+/// feedback-free measurement run establishes the baseline squash rate
+/// and threads its squashes back into the profile as slice feedback
+/// ([`slice_feedback_run`]), and the headline numbers come from a
+/// re-distillation carrying pre-computation slices.
 ///
 /// # Panics
 ///
@@ -205,14 +201,14 @@ pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
             let scale = w.default_scale;
             let program = w.program(scale);
             // Attack-off baseline: feedback-free distillation (no
-            // slices), predictor disabled, its squashes threaded back as
-            // slice feedback. Re-distilling is where spawn guards and
-            // live-in slices are born.
+            // slices), its squashes threaded back as slice feedback.
+            // Re-distilling is where spawn guards and live-in slices are
+            // born.
             let (distilled_off, mut profile) = prepare(&program, &default_cfg);
             let off = slice_feedback_run(&program, &distilled_off, &tcfg, &mut profile);
             let squash_per_1k_tasks_baseline = squash_per_1k_tasks(&off.stats);
             let distilled = distill(&program, &profile, &default_cfg).expect("distillation");
-            // Headline run: slices + predictor on.
+            // Headline run: with slices.
             let baseline = run_baseline(&program, &tcfg, u64::MAX).expect("baseline runs");
             let mssp = run_mssp(&program, &distilled, &tcfg).expect("mssp runs");
             assert_eq!(
@@ -231,7 +227,6 @@ pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
                 dyn_ratio_dce_only: dyn_ratio(&dce),
                 squash_per_1k_tasks: squash_per_1k_tasks(stats),
                 squash_per_1k_tasks_baseline,
-                predictor_accuracy: stats.predictor_accuracy(),
                 slices_emitted: distilled.stats().slices_emitted,
                 static_original: distilled.stats().original_static,
                 static_distilled: distilled.stats().distilled_static,
@@ -255,9 +250,9 @@ pub fn squash_per_1k_tasks(stats: &EngineStats) -> f64 {
 const FEEDBACK_SQUASHES: usize = 512;
 
 /// The feedback-free measurement run: `program` with `distilled` as its
-/// master, under the timing model with the live-in predictor off. Its
-/// first 512 squash events are threaded back into `profile` as slice
-/// feedback — the distiller's input for the pre-computation slice pass.
+/// master, under the timing model. Its first 512 squash events are
+/// threaded back into `profile` as slice feedback — the distiller's input
+/// for the pre-computation slice pass.
 /// Live-in mismatch register cells become hard live-ins; wrong-path
 /// events record the architected PC the master failed to predict.
 ///
@@ -270,13 +265,6 @@ pub fn slice_feedback_run(
     tcfg: &TimingConfig,
     profile: &mut Profile,
 ) -> MsspRun {
-    let off = TimingConfig {
-        engine: EngineConfig {
-            enable_predictor: false,
-            ..tcfg.engine
-        },
-        ..*tcfg
-    };
     let mut squashes = 0;
     let observer = |_: u64, event: Event<'_>| {
         let Event::Squash(s) = event else {
@@ -298,9 +286,15 @@ pub fn slice_feedback_run(
             SquashReason::Overrun | SquashReason::Fault => {}
         }
     };
-    Engine::observed(program, distilled, off.engine, CmpCost::new(&off), observer)
-        .run()
-        .expect("feedback run")
+    Engine::observed(
+        program,
+        distilled,
+        tcfg.engine,
+        CmpCost::new(tcfg),
+        observer,
+    )
+    .run()
+    .expect("feedback run")
 }
 
 /// Master-instructions / committed-instructions for one evaluation — the
@@ -330,14 +324,13 @@ pub fn render_speedup_json(records: &[SpeedupRecord]) -> String {
                 "squash_per_1k_tasks_baseline",
                 Num(r.squash_per_1k_tasks_baseline),
             ),
-            ("predictor_accuracy", Num(r.predictor_accuracy)),
             ("slices_emitted", Int(r.slices_emitted as u64)),
             ("static_original", Int(r.static_original as u64)),
             ("static_distilled", Int(r.static_distilled as u64)),
         ])
     });
     Object(vec![
-        ("schema", Str("mssp-bench-speedup/v3".into())),
+        ("schema", Str("mssp-bench-speedup/v4".into())),
         ("workloads", Array(workloads.collect())),
         ("geomean_speedup", geo(|r| r.speedup)),
         ("geomean_dyn_ratio", geo(|r| r.dyn_ratio)),

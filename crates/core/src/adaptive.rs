@@ -35,8 +35,7 @@ use std::time::Instant;
 
 use mssp_analysis::Profile;
 use mssp_distill::Distilled;
-use mssp_isa::Reg;
-use mssp_machine::StepInfo;
+use mssp_machine::{Cell, StepInfo};
 
 use crate::protocol::{EngineStats, SquashReason};
 
@@ -228,20 +227,24 @@ impl AdaptiveController {
 
     /// Records one squash event: window counters plus slice feedback into
     /// the live profile (`mark_wrong_path` for failed assertions,
-    /// `mark_hard_live_in` for mispredicted registers).
+    /// `mark_hard_live_in` for the registers among the `mismatched`
+    /// live-ins; memory live-in footprints depend on executor timing,
+    /// register live-ins do not).
     pub(crate) fn observe_squash(
         &mut self,
         reason: SquashReason,
         arch_pc: u64,
-        mismatched: &[Reg],
+        mismatched: &[(Cell, u64, u64)],
     ) {
         self.window_squashes += 1;
         if reason == SquashReason::WrongPath {
             self.window_wrong_path += 1;
             self.live.mark_wrong_path(arch_pc);
         }
-        for &reg in mismatched {
-            self.live.mark_hard_live_in(reg);
+        for &(cell, _, _) in mismatched {
+            if let Cell::Reg(reg) = cell {
+                self.live.mark_hard_live_in(reg);
+            }
         }
         self.bump_window();
     }
@@ -345,6 +348,7 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use mssp_isa::asm::assemble;
+    use mssp_isa::Reg;
     use std::collections::BTreeMap;
 
     /// A controller pinned to a one-boundary loop, and a recompiler that
@@ -430,11 +434,12 @@ mod tests {
         quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
         assert!(!serve(&mut ctl, &mut rec));
         for _ in 0..4 {
-            ctl.observe_squash(SquashReason::LiveInMismatch, 0, &[Reg::S2]);
+            let cells = [(Cell::Reg(Reg::S2), 1, 2), (Cell::Mem(4), 1, 2)];
+            ctl.observe_squash(SquashReason::LiveInMismatch, 0, &cells);
         }
         quiet_commits(&mut ctl, WINDOW_TASKS - 4);
         assert!(serve(&mut ctl, &mut rec));
-        assert!(ctl.live.hard_live_ins().contains(&Reg::S2));
+        assert_eq!(ctl.live.hard_live_ins(), &BTreeSet::from([Reg::S2]));
         ctl.note_swap_installed(0, EngineStats::default());
         assert_eq!(ctl.report.swaps.len(), 2);
     }

@@ -11,8 +11,8 @@
 //! The engine is one of two drivers of the protocol core in
 //! `protocol.rs`: it decides *when* a spawn, a commit, a squash or a
 //! recovery step happens (virtual cycles) and what it costs; what each
-//! event *means* — counters, predictor training, throttling, hot-swaps —
-//! is the `CommitUnit`'s business.
+//! event *means* — counters, throttling, hot-swaps — is the
+//! `CommitUnit`'s business.
 //!
 //! ## What it schedules
 //!
@@ -107,7 +107,6 @@ use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::MasterStall;
-use crate::predictor::PredictorReport;
 use crate::protocol::{
     verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, RecoverySegment,
     SquashReason, VerifyOutcome,
@@ -149,13 +148,6 @@ pub struct EngineConfig {
     pub throttle_window: u64,
     /// Recovery segments to run sequentially once throttled.
     pub throttle_duration: u64,
-    /// Live-in value prediction: when a per-(boundary, register) component
-    /// predictor is confident, its value is injected into the spawned
-    /// task's overlay, overriding the master's checkpoint for that cell.
-    /// Injected values are read as live-ins and verified at commit, so a
-    /// wrong prediction costs a squash, never correctness. The predictor
-    /// trains only on architected values observed at verify time.
-    pub enable_predictor: bool,
 }
 
 impl Default for EngineConfig {
@@ -169,7 +161,6 @@ impl Default for EngineConfig {
             throttle_threshold: 0,
             throttle_window: 64,
             throttle_duration: 16,
-            enable_predictor: true,
         }
     }
 }
@@ -183,9 +174,6 @@ pub struct MsspRun {
     pub state: MachineState,
     /// Run statistics.
     pub stats: EngineStats,
-    /// Final accuracy summary of the live-in value predictor (all zeros
-    /// when the predictor was disabled or never trained).
-    pub predictor_report: PredictorReport,
     /// Adaptive re-distillation summary, if enabled with
     /// [`Engine::enable_adaptive`].
     pub adaptive: Option<AdaptiveReport>,
@@ -320,7 +308,7 @@ pub struct Engine<'a, C, O = ()> {
     /// empty. Kept equal to [`Engine::verify_due`].
     verify_wake: u64,
 
-    /// The protocol core: statistics, predictor, throttle, adaptive loop.
+    /// The protocol core: statistics, throttle, adaptive loop.
     unit: CommitUnit,
     /// Told of every commit and squash, at its instant.
     observer: O,
@@ -381,7 +369,7 @@ impl<F: FnMut(u64, Event<'_>)> Observer for F {
 
 /// A squash of any cause: what the verify unit saw when it killed the
 /// task window. Wrong-path squashes carry the architected PC the master
-/// failed to predict, which is what the next-task predictor trains on.
+/// failed to predict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SquashSample {
     /// Why the squash happened.
@@ -509,13 +497,12 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             }
         }
         self.seat.harvest_vetoes(&mut self.unit.stats);
-        let (stats, predictor_report, adaptive) = self.unit.finish();
+        let (stats, adaptive) = self.unit.finish();
         Ok((
             MsspRun {
                 cycles: self.now,
                 state: self.arch,
                 stats,
-                predictor_report,
                 adaptive,
             },
             self.cost,
@@ -713,6 +700,8 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             return Ok(());
         }
         let TaskStatus::Done { end, .. } = task.status else {
+            // why: `verify_due` is `NEVER` for a right-path task still
+            // running.
             unreachable!("verify is due on a right-path task only once it is done");
         };
         match verify_and_commit(&mut self.arch, task, end) {
@@ -903,7 +892,9 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             // why: `master_due` is `NEVER` for a pending spawn with the
             // window full, and a slave is free while it is not.
             let slave = self.free_slave().expect("a placeable spawn has a slave");
-            let (task, cells) = self.seat.spawn(&mut self.unit, &mut self.arena, slave);
+            let (task, cells) = self
+                .seat
+                .spawn(&mut self.unit.stats, &mut self.arena, slave);
             self.slaves[slave] = Some(task);
             self.window.push_back(slave);
             let dispatch = self.cost.dispatch_latency(cells);
@@ -1301,12 +1292,10 @@ mod tests {
     }
 
     #[test]
-    fn predictor_rescues_commits_from_a_clobbering_master() {
+    fn a_clobbering_master_commits_the_sequential_state() {
         // The master clobbers s2 inside the loop while the original
-        // holds it at 9: every checkpoint is wrong on s2, so every task
-        // live-in-mismatches until the last-value predictor saturates on
-        // the constant architected value and overrides the checkpoint at
-        // spawn — from then on tasks commit on the injected prediction.
+        // holds it at 9: every checkpoint is wrong on s2, so tasks that
+        // read it live-in-mismatch, and recovery carries the run.
         let p = assemble(
             "main: addi s2, zero, 9
                    addi s0, zero, 200
@@ -1337,44 +1326,14 @@ mod tests {
         );
 
         let run = mssp_run(&p, &d, 4);
-        assert_eq!(run.state.reg(Reg::S1), seq_state(&p).reg(Reg::S1));
-        assert!(
-            run.stats.predictor_hits > 0,
-            "prediction must rescue commits: {:?}",
-            run.stats
-        );
-        assert!(run.stats.predictor_overrides >= run.stats.predictor_hits);
-        assert!(run.stats.squashes_live_in_stale > 0);
-        // Attribution partitions live-in squashes exactly.
-        assert_eq!(
-            run.stats.squashes_live_in,
-            run.stats.squashes_live_in_predicted + run.stats.squashes_live_in_stale
-        );
-        assert!(run.predictor_report.observations > 0);
-        assert!(run.predictor_report.last_value_correct > 0);
-
-        // Same fixture, predictor off: the squash storm runs unchecked.
-        let off = Engine::new(
-            &p,
-            &d,
-            EngineConfig {
-                num_slaves: 4,
-                enable_predictor: false,
-                ..EngineConfig::default()
-            },
-            UnitCost,
-        )
-        .run()
-        .unwrap();
-        assert_eq!(off.state.reg(Reg::S1), seq_state(&p).reg(Reg::S1));
-        assert_eq!(off.stats.predictor_overrides, 0);
-        assert!(
-            off.stats.squashes_live_in > run.stats.squashes_live_in,
-            "off {} vs on {}",
-            off.stats.squashes_live_in,
-            run.stats.squashes_live_in
-        );
-        assert_eq!(off.predictor_report.observations, 0);
+        assert_eq!(run.state, seq_state(&p));
+        let s = run.stats;
+        assert!(s.squashes_live_in > 0, "{s:?}");
+        // Every squash hands its window to a recovery segment.
+        assert_eq!(s.recovery_segments, s.squash_events(), "{s:?}");
+        let seq = SeqMachine::boot(&p).run(u64::MAX).unwrap();
+        assert_eq!(s.committed_instructions, seq.instructions);
+        assert!(s.recovery_instructions > 0);
     }
 
     #[test]

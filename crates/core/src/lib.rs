@@ -49,7 +49,6 @@ mod engine;
 mod master;
 #[cfg(feature = "model-check")]
 pub mod mutation;
-mod predictor;
 mod protocol;
 mod refinement;
 pub mod ring;
@@ -61,7 +60,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveReport, Recompile
 pub use cost::{CoreRole, CostModel, UnitCost};
 pub use engine::{Engine, EngineConfig, EngineError, Event, MsspRun, Observer, SquashSample};
 pub use master::{Master, MasterStall};
-pub use predictor::{Predictor, PredictorReport};
 pub use protocol::{verify_and_commit, EngineStats, SquashReason, VerifyOutcome};
 pub use refinement::{check_refinement, RefinementError};
 pub use task::{

@@ -3,10 +3,9 @@
 //! The paper rests correctness on a single in-order verify/commit unit.
 //! This module is that unit's *policy*, written once: what a spawn, a
 //! commit, a squash, a recovery segment and a hot-swap **mean** — which
-//! counters move, what the value predictor learns, when the squash
-//! throttle takes the master offline, when a recompiled program may be
-//! installed. It performs no I/O, keeps no clock and owns no architected
-//! state. The drivers decide **when**: [`crate::Engine`] raises the events
+//! counters move, when the squash throttle takes the master offline,
+//! when a recompiled program may be installed. It performs no I/O, keeps
+//! no clock and owns no architected state. The drivers decide **when**: [`crate::Engine`] raises the events
 //! from virtual time, the threaded coordinator from worker results and
 //! its own master slices.
 //!
@@ -17,13 +16,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mssp_distill::Distilled;
-use mssp_isa::{Program, Reg};
+use mssp_isa::Program;
 use mssp_machine::{step, Cell, Delta, DeltaArena, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::engine::{EngineConfig, EngineError};
 use crate::master::{Master, MasterStall};
-use crate::predictor::{Predictor, PredictorReport};
 use crate::task::{RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId};
 
 /// Why a squash happened.
@@ -105,12 +103,6 @@ pub struct EngineStats {
     pub squashes_wrong_path: u64,
     /// Squash events caused by live-in mismatches.
     pub squashes_live_in: u64,
-    /// Of which events where a predictor-injected cell was among the
-    /// mismatches (the predictor guessed wrong).
-    pub squashes_live_in_predicted: u64,
-    /// Of which events with no predictor involvement (the master's
-    /// checkpoint was stale on its own).
-    pub squashes_live_in_stale: u64,
     /// Squash events caused by task overruns.
     pub squashes_overrun: u64,
     /// Squash events caused by task faults.
@@ -158,15 +150,6 @@ pub struct EngineStats {
     /// into the committed view instead of a fresh snapshot (threaded
     /// executor).
     pub deltas_published: u64,
-    /// Live-in cells whose checkpoint value was overridden by the value
-    /// predictor at spawn.
-    pub predictor_overrides: u64,
-    /// Predictor-injected cells that a committed task actually read (the
-    /// prediction survived verification).
-    pub predictor_hits: u64,
-    /// Predictor-injected cells found among the mismatches of a live-in
-    /// squash (the prediction was wrong).
-    pub predictor_misses: u64,
     /// Spawns the master suppressed because a spawn-guard slice resolved
     /// an asserted branch against its assertion inside the task window
     /// (each veto hands the window to a sequential recovery segment).
@@ -190,17 +173,13 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of verified predictor injections that turned out correct
-    /// (`hits / (hits + misses)`); `0.0` when nothing was ever verified —
-    /// never NaN, so a gate that compares it compares a number.
+    /// Constant `0.0` — the live-in value predictor it measured was
+    /// removed, since the distilled master already is the live-in
+    /// predictor; kept only because the benchmark ledger still reads it
+    /// (`core.engine.predictor_accuracy`).
     #[must_use]
     pub fn predictor_accuracy(&self) -> f64 {
-        let verified = self.predictor_hits + self.predictor_misses;
-        if verified == 0 {
-            0.0
-        } else {
-            self.predictor_hits as f64 / verified as f64
-        }
+        0.0
     }
 
     /// Total squash events.
@@ -269,9 +248,6 @@ pub(crate) enum AfterRecovery {
 pub(crate) struct CommitUnit {
     pub stats: EngineStats,
     pub config: EngineConfig,
-    /// Trained only on architected values at verify time, consulted at
-    /// spawn — so per-epoch predictions are deterministic across drivers.
-    predictor: Predictor,
     /// Squash events inside the throttle window, stamped with its clock.
     recent_squashes: VecDeque<u64>,
     /// Tasks processed (committed or squashed): the throttle's clock.
@@ -294,29 +270,6 @@ impl CommitUnit {
         self.adaptive = Some(Adaptive { ctl, recompiler });
     }
 
-    /// The master spawned a task at `start_pc`. Confident live-in
-    /// predictions go in at the overlay front — index 0 wins layered
-    /// reads, so they override the master's checkpoint and, like any
-    /// overlay-sourced read, are recorded as live-ins and verified at
-    /// commit. Returns the injected cells (the task's `predicted` list).
-    pub(crate) fn spawn(&mut self, start_pc: u64, overlay: &mut Vec<Arc<Delta>>) -> Vec<Cell> {
-        self.stats.spawned_tasks += 1;
-        // Never trained when `enable_predictor` is off, so never confident.
-        let predictions = self.predictor.predict(start_pc);
-        if predictions.is_empty() {
-            return Vec::new();
-        }
-        let mut delta = Delta::new();
-        let mut predicted = Vec::with_capacity(predictions.len());
-        for &(reg, value) in &predictions {
-            delta.set(Cell::Reg(reg), value);
-            predicted.push(Cell::Reg(reg));
-        }
-        overlay.insert(0, Arc::new(delta));
-        self.stats.predictor_overrides += predictions.len() as u64;
-        predicted
-    }
-
     /// `task` passed the memoization test and its writes are architected
     /// in `arch`.
     ///
@@ -333,11 +286,6 @@ impl CommitUnit {
         stats.live_in_mem_cells += task.live_ins.mem_cells() as u64;
         stats.live_out_cells += task.writes.len() as u64;
         stats.max_live_in_cells = stats.max_live_in_cells.max(live_ins);
-        // A predicted cell the committed task actually read is a verified
-        // hit (every live-in matched, or we would not be here); injections
-        // the task never read count as neither hit nor miss.
-        let hit = |c: &&Cell| task.live_ins.contains(**c);
-        stats.predictor_hits += task.predicted.iter().filter(hit).count() as u64;
         self.tasks_processed += 1;
         if let Some(ad) = &mut self.adaptive {
             ad.ctl.observe_commit(task.executed);
@@ -366,35 +314,12 @@ impl CommitUnit {
         }
         stats.squashed_tasks += tasks;
         stats.wasted_slave_instructions += instructions;
-        let mut cells = Vec::new();
-        if reason == SquashReason::LiveInMismatch {
-            cells = failing.live_ins.mismatches_against(arch);
-            // Attribute the event: did a predictor injection take part in
-            // the failure, or was the master's checkpoint stale on its own?
-            let missed = |p: &&Cell| cells.iter().any(|(c, _, _)| c == *p);
-            let misses = failing.predicted.iter().filter(missed).count() as u64;
-            if misses > 0 {
-                stats.squashes_live_in_predicted += 1;
-                stats.predictor_misses += misses;
-            } else {
-                stats.squashes_live_in_stale += 1;
-            }
-        }
-        // Train-on-verified-only: the architected side of each mismatch is
-        // committed truth. Register cells only — memory live-in footprints
-        // depend on executor timing, register live-ins do not.
-        let regs = cells.iter().filter_map(|&(c, _, truth)| match c {
-            Cell::Reg(r) => Some((r, truth)),
-            _ => None,
-        });
-        if self.config.enable_predictor {
-            for (reg, truth) in regs.clone() {
-                self.predictor.train(failing.start_pc, reg, truth);
-            }
-        }
+        let cells = match reason {
+            SquashReason::LiveInMismatch => failing.live_ins.mismatches_against(arch),
+            _ => Vec::new(),
+        };
         if let Some(ad) = &mut self.adaptive {
-            let regs: Vec<Reg> = regs.map(|(r, _)| r).collect();
-            ad.ctl.observe_squash(reason, arch.pc(), &regs);
+            ad.ctl.observe_squash(reason, arch.pc(), &cells);
         }
         self.throttle_on_squash();
         cells
@@ -489,9 +414,9 @@ impl CommitUnit {
     }
 
     /// Ends the run.
-    pub(crate) fn finish(self) -> (EngineStats, PredictorReport, Option<AdaptiveReport>) {
+    pub(crate) fn finish(self) -> (EngineStats, Option<AdaptiveReport>) {
         let adaptive = self.adaptive.map(|ad| ad.ctl.into_report());
-        (self.stats, self.predictor.report(), adaptive)
+        (self.stats, adaptive)
     }
 }
 
@@ -586,23 +511,22 @@ impl<'a> MasterSeat<'a> {
         Some(info)
     }
 
-    /// Turns the pending spawn into the next task, bound for `slave`: the
-    /// master closes its segment, `unit` injects its predictions, and the
-    /// task's live-in and write buffers come from `arena`. Also returns
-    /// the cells of the master's newest checkpoint segment.
+    /// Turns the pending spawn into the next task, bound for `slave`, and
+    /// counts it in `stats`: the master closes its segment, and the task's
+    /// live-in and write buffers come from `arena`. Also returns the cells
+    /// of the master's newest checkpoint segment.
     pub(crate) fn spawn(
         &mut self,
-        unit: &mut CommitUnit,
+        stats: &mut EngineStats,
         arena: &mut DeltaArena,
         slave: usize,
     ) -> (Task, usize) {
-        let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
+        let (start, overlay) = self.master.take_spawn(self.last_spawned);
         let cells = overlay.first().map_or(0, |d| d.len());
-        let predicted = unit.spawn(start, &mut overlay);
+        stats.spawned_tasks += 1;
         let id = TaskId(self.next_task_id);
         self.next_task_id += 1;
-        let mut task = Task::with_buffers(id, start, slave, overlay, arena.take(), arena.take());
-        task.predicted = predicted;
+        let task = Task::with_buffers(id, start, slave, overlay, arena.take(), arena.take());
         self.last_spawned = Some(id.0);
         self.since_spawn = 0;
         (task, cells)
@@ -697,6 +621,7 @@ mod tests {
     use crate::task::BoundarySet;
     use mssp_analysis::Profile;
     use mssp_isa::asm::assemble;
+    use mssp_isa::Reg;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// A finished task as the verify unit sees it.
@@ -834,11 +759,6 @@ mod tests {
     fn scripted_events_produce_exact_stats() {
         let mut unit = CommitUnit::new(EngineConfig::default());
         let arch = MachineState::new();
-        for _ in 0..3 {
-            let mut overlay = Vec::new();
-            assert!(unit.spawn(0x100, &mut overlay).is_empty());
-            assert!(overlay.is_empty(), "an untrained predictor injects nothing");
-        }
         let a = task(0x100, 10, &[(S1, 1), (Cell::Mem(8), 2)], &[(S1, 3)]);
         unit.commit(&a, &arch).unwrap();
         let b = task(0x180, 7, &[], &[]);
@@ -851,7 +771,6 @@ mod tests {
         );
         assert!(unit.poll_swap().is_none(), "no adaptive loop, no candidate");
         let expected = EngineStats {
-            spawned_tasks: 3,
             committed_tasks: 1,
             committed_instructions: 30,
             squashed_tasks: 2,
@@ -867,9 +786,8 @@ mod tests {
             ..EngineStats::default()
         };
         assert_eq!(unit.stats, expected);
-        let (stats, predictor, adaptive) = unit.finish();
+        let (stats, adaptive) = unit.finish();
         assert_eq!(stats, expected);
-        assert_eq!(predictor.observations, 0);
         assert!(adaptive.is_none());
     }
 
@@ -925,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn live_in_squash_trains_on_registers_only_and_attributes_the_blame() {
+    fn live_in_squash_reports_the_mismatches_in_cell_order() {
         let mut arch = MachineState::new();
         arch.set_reg(Reg::S1, 9);
         arch.store_word(16, 8);
@@ -933,45 +851,22 @@ mod tests {
         let stale = task(0x200, 5, &[(S1, 5), (Cell::Mem(16), 7)], &[]);
         let cells = unit.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
         assert_eq!(cells, vec![(S1, 5, 9), (Cell::Mem(16), 7, 8)]);
-        assert_eq!(unit.stats.squashes_live_in_stale, 1);
-        assert_eq!(unit.predictor.report().cells, 1, "the memory cell is not");
-        assert_eq!(unit.predictor.report().observations, 1);
-
-        // The architected value repeats: the predictor grows confident and
-        // overrides the master's checkpoint at the next spawn.
         for _ in 0..3 {
             unit.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
         }
-        let mut overlay = vec![Arc::new(Delta::new())];
-        let predicted = unit.spawn(0x200, &mut overlay);
-        assert_eq!(predicted, vec![S1]);
-        assert_eq!(overlay.len(), 2);
-        assert_eq!(overlay[0].get(S1), Some(9), "injected at the front");
-        assert_eq!(unit.stats.predictor_overrides, 1);
-
-        // A committed task that read the injected cell is a hit; one that
-        // mismatches on it is a predicted squash and a miss.
-        let mut reader = task(0x200, 5, &[(S1, 9)], &[]);
-        reader.predicted = predicted;
+        // A task that read the architected value commits; one that read a
+        // value the architected state has since left squashes.
+        let reader = task(0x200, 5, &[(S1, 9)], &[]);
         unit.commit(&reader, &arch).unwrap();
-        assert_eq!(unit.stats.predictor_hits, 1);
         arch.set_reg(Reg::S1, 10);
-        unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
-        assert_eq!(unit.stats.squashes_live_in_predicted, 1);
-        assert_eq!(unit.stats.predictor_misses, 1);
-        assert_eq!(unit.stats.squashes_live_in_stale, 4);
+        let cells = unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
+        assert_eq!(cells, vec![(S1, 9, 10)]);
         assert_eq!(unit.stats.squashes_live_in, 5);
-
-        // Switched off, the predictor never learns and never injects.
-        let mut off = CommitUnit::new(EngineConfig {
-            enable_predictor: false,
-            ..EngineConfig::default()
-        });
-        for _ in 0..4 {
-            off.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
-        }
-        assert_eq!(off.predictor.report().observations, 0);
-        assert!(off.spawn(0x200, &mut Vec::new()).is_empty());
+        assert_eq!(
+            (unit.stats.squashed_tasks, unit.stats.committed_tasks),
+            (5, 1)
+        );
+        assert_eq!(unit.stats.wasted_slave_instructions, 25);
     }
 
     const LOOP: &str = "
@@ -1107,7 +1002,7 @@ mod tests {
             unit.stats.wasted_slave_instructions,
             3 * WINDOW_TASKS * 5 + 9
         );
-        let (stats, _, report) = unit.finish();
+        let (stats, report) = unit.finish();
         let report = report.expect("adaptive run carries a report");
         assert_eq!(report.recompile_failures, 1);
         assert_eq!(report.candidates_rejected, 1);
@@ -1128,18 +1023,14 @@ mod tests {
             let d = Distilled::from_parts(p.clone(), boundaries, map);
             (d, MachineState::boot(&p))
         };
-        let (mut unit, mut arena, mut stats) = (
-            CommitUnit::new(EngineConfig::default()),
-            DeltaArena::new(),
-            EngineStats::default(),
-        );
+        let (mut arena, mut stats) = (DeltaArena::new(), EngineStats::default());
 
         let (d, arch) = seat_on(
             "main: addi s0, zero, 1\nloop: addi s1, s1, 1\nj loop",
             Some("loop"),
         );
         let mut seat = MasterSeat::new(&d, &arch, 0);
-        let (task, _) = seat.spawn(&mut unit, &mut arena, 0);
+        let (task, _) = seat.spawn(&mut stats, &mut arena, 0);
         assert_eq!(task.start_pc, arch.pc(), "the boot spawn");
         assert!(
             seat.step(&mut stats).is_some(),
@@ -1158,11 +1049,12 @@ mod tests {
 
         let (d, arch) = seat_on("main: halt", None);
         let mut seat = MasterSeat::new(&d, &arch, 0);
-        seat.spawn(&mut unit, &mut arena, 0);
+        seat.spawn(&mut stats, &mut arena, 0);
         assert!(seat.step(&mut stats).is_some_and(|info| info.halted));
         assert!(seat.step(&mut stats).is_none());
         assert_eq!(seat.master.status(), MasterStall::Halted);
         assert_eq!(stats.master_instructions, 2);
+        assert_eq!(stats.spawned_tasks, 2, "each spawn counts itself");
     }
 
     #[test]

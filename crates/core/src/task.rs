@@ -84,10 +84,6 @@ pub struct Task {
     pub slave: usize,
     /// Master-predicted overlay, newest segment first.
     pub overlay: Vec<Arc<Delta>>,
-    /// Cells whose overlay values were injected by the live-in value
-    /// predictor rather than produced by the master (metrics only: the
-    /// verify unit treats them like any other overlay-sourced live-in).
-    pub predicted: Vec<Cell>,
     /// Recorded live-ins.
     pub live_ins: Delta,
     /// Accumulated writes (live-outs).
@@ -128,7 +124,6 @@ impl Task {
             pc: start_pc,
             slave,
             overlay,
-            predicted: Vec::new(),
             live_ins,
             writes,
             executed: 0,

@@ -468,7 +468,7 @@ impl<'a> Coordinator<'a> {
         // ring close is what actually ends the loops.
         self.current_epoch.store(u64::MAX, Ordering::Relaxed);
         self.seat.harvest_vetoes(&mut self.unit.stats);
-        let (stats, _, adaptive) = self.unit.finish();
+        let (stats, adaptive) = self.unit.finish();
         (outcome.map(|()| self.arch), stats, adaptive)
     }
 
@@ -551,7 +551,7 @@ impl<'a> Coordinator<'a> {
     fn dispatch(&mut self) {
         let (task, _) = self
             .seat
-            .spawn(&mut self.unit, &mut self.arena, self.next_worker);
+            .spawn(&mut self.unit.stats, &mut self.arena, self.next_worker);
         self.in_flight.push_back(task.id.0);
         let mut view = self.arena.take();
         view.clone_from(&self.folded);

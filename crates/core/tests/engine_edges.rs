@@ -273,10 +273,6 @@ fn throttling_reduces_wasted_work_under_a_bad_master() {
 fn the_observer_sees_every_squash() {
     let p = assemble(&SUM.replace("120", "4000")).unwrap();
     let d = liar(&p);
-    let cfg = EngineConfig {
-        enable_predictor: false,
-        ..EngineConfig::default()
-    };
     // The first `cap` squashes, as a capped reader keeps them.
     let samples = |cap: usize| {
         let mut samples: Vec<SquashSample> = Vec::new();
@@ -284,7 +280,7 @@ fn the_observer_sees_every_squash() {
             Event::Squash(s) if samples.len() < cap => samples.push(s.clone()),
             _ => {}
         };
-        let run = Engine::observed(&p, &d, cfg, UnitCost, observer)
+        let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
             .run()
             .unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));

@@ -87,6 +87,8 @@ pub struct PageHasher(u64);
 
 impl Hasher for PageHasher {
     fn write(&mut self, _: &[u8]) {
+        // why: the documented contract: `u64` keys hash through
+        // `write_u64`, and the type takes no other key.
         unreachable!("a page index is hashed as one u64");
     }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! mssp workloads                         list bundled benchmarks
 //! mssp asm <file.s>                      assemble + disassemble a source file
-//! mssp run <file.s|workload> [scale] [--stats] [--no-predictor] [--adaptive]
+//! mssp run <file.s|workload> [scale] [--stats] [--adaptive]
 //!                                        sequential execution
 //!                                        (--stats: also run the threaded
 //!                                        executor and report its task
@@ -12,9 +12,7 @@
 //!                                        and incremental deltas it
 //!                                        published to workers, the
 //!                                        per-cause squash histogram and
-//!                                        the live-in predictor counters;
-//!                                        --no-predictor: disable live-in
-//!                                        value prediction in that run;
+//!                                        the spawn vetoes;
 //!                                        --adaptive: arm the online
 //!                                        re-distillation controller in the
 //!                                        threaded run and report its
@@ -47,15 +45,8 @@ fn main() -> ExitCode {
             cmd_asm(t)
         }),
         Some("run") => with_arg(&args, |t, rest| {
-            let switches = ["--stats", "--no-predictor", "--adaptive"];
-            let o = parse_options(rest, Some("scale"), &switches)?;
-            cmd_run(
-                t,
-                o.number,
-                o.has("--stats"),
-                o.has("--no-predictor"),
-                o.has("--adaptive"),
-            )
+            let o = parse_options(rest, Some("scale"), &["--stats", "--adaptive"])?;
+            cmd_run(t, o.number, o.has("--stats"), o.has("--adaptive"))
         }),
         Some("profile") => with_arg(&args, |t, rest| {
             parse_options(rest, None, &[])?;
@@ -75,7 +66,7 @@ fn main() -> ExitCode {
         }),
         _ => {
             eprintln!(
-                "usage: mssp <workloads|asm|run|profile|distill|lint|exec> [target] [n] [--json|--stats|--no-predictor|--adaptive]\n\
+                "usage: mssp <workloads|asm|run|profile|distill|lint|exec> [target] [n] [--json|--stats|--adaptive]\n\
                  target: an .s file or a bundled workload name (`lint` also accepts `all`)"
             );
             return ExitCode::FAILURE;
@@ -186,13 +177,7 @@ fn cmd_asm(target: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(
-    target: &str,
-    scale: Option<u64>,
-    stats: bool,
-    no_predictor: bool,
-    adaptive: bool,
-) -> Result<(), String> {
+fn cmd_run(target: &str, scale: Option<u64>, stats: bool, adaptive: bool) -> Result<(), String> {
     let p = load(target, scale)?;
     let mut m = SeqMachine::boot(&p);
     let summary = m.run(u64::MAX).map_err(|e| e.to_string())?;
@@ -205,19 +190,16 @@ fn cmd_run(
         // to workers.
         let prof = Profile::collect(&p, u64::MAX).map_err(|e| e.to_string())?;
         let d = distill(&p, &prof, &DistillConfig::default()).map_err(|e| e.to_string())?;
-        let engine_config = EngineConfig {
-            enable_predictor: !no_predictor,
-            ..EngineConfig::default()
-        };
         let run = if adaptive {
             // Arm the online controller: divergence from the training
             // profile triggers a lint-gated re-distillation and an epoch
             // hot-swap at the next task boundary.
             let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &prof);
             let rec = Box::new(validated_recompiler(&p, &d));
-            run_threaded_adaptive(&p, &d, engine_config, ctl, rec).map_err(|e| e.to_string())?
+            run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec)
+                .map_err(|e| e.to_string())?
         } else {
-            run_threaded(&p, &d, engine_config).map_err(|e| e.to_string())?
+            run_threaded(&p, &d, EngineConfig::default()).map_err(|e| e.to_string())?
         };
         if &run.state != m.state() {
             return Err("threaded state mismatch — correctness bug".into());
@@ -233,22 +215,11 @@ fn cmd_run(
             s.snapshots_materialized, s.deltas_published
         );
         println!(
-            "  squashes: {} wrong-path, {} live-in ({} predicted / {} stale), \
-             {} overrun, {} fault",
+            "  squashes: {} wrong-path, {} live-in, {} overrun, {} fault; {} spawn vetoes",
             s.squashes_wrong_path,
             s.squashes_live_in,
-            s.squashes_live_in_predicted,
-            s.squashes_live_in_stale,
             s.squashes_overrun,
-            s.squashes_fault
-        );
-        println!(
-            "  predictor: {} overrides, {} hits, {} misses (accuracy {:.3}); \
-             {} spawn vetoes",
-            s.predictor_overrides,
-            s.predictor_hits,
-            s.predictor_misses,
-            s.predictor_accuracy(),
+            s.squashes_fault,
             s.spawn_vetoes
         );
         if let Some(report) = &run.adaptive {

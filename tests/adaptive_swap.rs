@@ -67,8 +67,6 @@ fn schedule(s: &EngineStats, report: &AdaptiveReport) -> Schedule {
         ("committed_instructions", s.committed_instructions),
         ("squashes_wrong_path", s.squashes_wrong_path),
         ("squashes_live_in", s.squashes_live_in),
-        ("squashes_live_in_predicted", s.squashes_live_in_predicted),
-        ("squashes_live_in_stale", s.squashes_live_in_stale),
         ("squashes_overrun", s.squashes_overrun),
         ("squashes_fault", s.squashes_fault),
         ("recovery_segments", s.recovery_segments),

@@ -11,7 +11,7 @@
 //! The discrete engine recycles its tasks' live-in and write buffers the
 //! same way, and its schedule is deterministic, so its rate is one
 //! number: 3.60 per committed task (the overlay `Vec`, the master's
-//! closed segment and its bank, the occasional predictor delta); 7.73
+//! closed segment and its bank); 7.73
 //! with a fresh pair of deltas per task. Its bound, too, is about twice
 //! the measurement — below what losing the recycling costs.
 //!

@@ -162,6 +162,7 @@ fn bad_arguments_are_errors() {
         &["run", "gap_like", "abc"][..],
         &["exec", "gap_like", "1e3"],
         &["run", "gap_like", "--stat"],
+        &["run", "gap_like", "--no-predictor"],
         &["run", "gap_like", "300", "extra"],
         &["distill", "gap_like", "--tier"],
         &["lint", "gzip_like", "--jsn"],

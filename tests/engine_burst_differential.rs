@@ -260,7 +260,6 @@ fn assert_same_run<A, B>(burst: &Observed<A>, per_instant: &Observed<B>, label: 
     assert_eq!(b.cycles, p.cycles, "{label}: cycles");
     assert!(b.state == p.state, "{label}: final state");
     assert_eq!(b.stats, p.stats, "{label}: stats");
-    assert_eq!(b.predictor_report, p.predictor_report, "{label}: predictor");
     assert_eq!(
         burst.events.len(),
         per_instant.events.len(),

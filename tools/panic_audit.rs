@@ -1,5 +1,6 @@
-//! Panic audit: every `unwrap()`, `expect(` and `panic!(` in the library
-//! code of the crates an MSSP run executes must say why it cannot fire.
+//! Panic audit: every `unwrap()`, `expect(`, `panic!(` and `unreachable!(`
+//! in the library code of the crates an MSSP run executes must say why it
+//! cannot fire.
 //!
 //! The paper's guarantee is that only verify/commit matters for
 //! correctness, so no master, however wrong, and no input a caller can
@@ -7,7 +8,7 @@
 //! contract (`# Panics` on a constructor) or an invariant the code upholds
 //! elsewhere, and in both cases a reader should not have to rediscover
 //! which. This test walks the audited sources and fails on any code line
-//! that calls one of the three without a `// why:` comment: on the same
+//! that calls one of the four without a `// why:` comment: on the same
 //! line, or anywhere in the contiguous comment block directly above it.
 //! Test modules (from a `#[cfg(test)]` that opens a `mod`) are skipped.
 
@@ -31,7 +32,7 @@ const AUDITED: &[&str] = &[
 ];
 
 /// The calls that panic on a broken assumption.
-const PANICS: &[&str] = &["unwrap()", "expect(", "panic!("];
+const PANICS: &[&str] = &["unwrap()", "expect(", "panic!(", "unreachable!("];
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -132,7 +133,7 @@ fn every_library_panic_has_a_why_comment() {
     }
     assert!(
         violations.is_empty(),
-        "unwrap()/expect(/panic!( without an adjacent `// why:` comment \
+        "unwrap()/expect(/panic!(/unreachable!( without an adjacent `// why:` comment \
          (same line or in the comment block above):\n{violations}\
          Say in one line why the call cannot fire (the invariant that holds, \
          or the documented `# Panics` contract), or remove it."
@@ -147,6 +148,7 @@ fn the_matcher_sees_calls_not_names() {
     assert!(code_panics("let x = y.unwrap();"));
     assert!(code_panics("    .expect(\"reason\");"));
     assert!(code_panics("std::panic!(\"boom\")"));
+    assert!(code_panics("_ => unreachable!(\"no\"),"));
     assert!(!code_panics("let x = y.unwrap_or(0);"));
     assert!(!code_panics("self.expect_token(\"(\")?;"));
     assert!(!code_panics("#[should_panic(expected = \"x\")]"));
