@@ -50,8 +50,9 @@ pub struct BasicBlock {
 
 impl BasicBlock {
     /// Iterates over the instruction addresses of this block.
-    pub fn pcs(&self) -> impl Iterator<Item = u64> {
-        (self.start..self.end).step_by(INSTR_BYTES as usize)
+    pub fn pcs(&self) -> impl DoubleEndedIterator<Item = u64> {
+        let start = self.start;
+        (0..(self.end - start) / INSTR_BYTES).map(move |i| start + i * INSTR_BYTES)
     }
 }
 

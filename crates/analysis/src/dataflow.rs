@@ -1,15 +1,18 @@
-//! A generic worklist dataflow framework over [`Cfg`]s.
+//! One worklist dataflow solver, over any [`Graph`].
 //!
-//! Every static analysis in this workspace — liveness for dead-code
-//! elimination, reaching definitions and constant propagation for the
-//! static soundness linter — is an instance of the same scheme: facts from
-//! a join-semilattice, a transfer function per instruction, and a worklist
-//! solver that iterates block-level facts to a fixpoint before recording
-//! per-instruction results. [`Analysis`] captures the lattice (via
-//! [`Analysis::join`]) and the transfer; a worklist solver runs it in
-//! either direction.
+//! Every static analysis in this workspace — liveness, reaching
+//! definitions and constant propagation for the static soundness linter,
+//! and the distiller's constant propagation, copy propagation and
+//! dead-code elimination over its relocatable IR — is an instance of the
+//! same scheme: facts from a join-semilattice and a transfer function per
+//! instruction ([`Analysis`]), iterated to a fixpoint by one FIFO worklist
+//! ([`solve`]) over a [`Graph`] of nodes with successor edges and a
+//! straight-line body each. A program's [`Cfg`] is one such graph; the
+//! per-instruction facts of [`Liveness`](crate::Liveness),
+//! [`ReachingDefs`] and [`ConstProp`] are swept from its solution.
 //!
-//! Indirect control flow is approximated conservatively and uniformly:
+//! On a [`Cfg`], indirect control flow is approximated conservatively and
+//! uniformly:
 //!
 //! * **Backward** analyses receive the [`Analysis::boundary`] fact at
 //!   `Halt` and `Indirect` block exits (successors unknown or the program's
@@ -44,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use mssp_isa::{lui_value, AluOp, ImmOp, Instr, Program, Reg, INSTR_BYTES, NUM_REGS};
 
 use crate::live::RegSet;
-use crate::{BlockId, Cfg, Terminator};
+use crate::Cfg;
 
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +59,10 @@ pub enum Direction {
 }
 
 /// One dataflow analysis: a join-semilattice of facts plus a transfer
-/// function. See the module docs for the solver's treatment of indirect
-/// control flow.
+/// function.
 pub trait Analysis {
-    /// The lattice element propagated through the CFG.
-    type Fact: Clone + PartialEq;
+    /// The lattice element propagated through the graph.
+    type Fact: Clone;
 
     /// Which way facts flow.
     fn direction(&self) -> Direction;
@@ -68,9 +70,8 @@ pub trait Analysis {
     /// The optimistic starting fact — the identity of [`Analysis::join`].
     fn init(&self) -> Self::Fact;
 
-    /// The fact at the analysis boundary: program entry (forward) or
-    /// `Halt`/`Indirect` exits (backward), plus pred-less blocks for
-    /// forward analyses (conservative indirect-target stand-ins).
+    /// The pessimistic fact, seeded where the solver's client cannot see
+    /// everything that flows in (see the module docs for a [`Cfg`]).
     fn boundary(&self) -> Self::Fact;
 
     /// Joins `other` into `into`, returning whether `into` changed.
@@ -80,6 +81,103 @@ pub trait Analysis {
     /// direction (for backward analyses, `fact` is the post-instruction
     /// fact on entry and the pre-instruction fact on return).
     fn transfer(&self, pc: u64, instr: Instr, fact: &mut Self::Fact);
+}
+
+/// A graph [`solve`] runs over: nodes, each with successor edges and a
+/// straight-line body.
+pub trait Graph {
+    /// Each node's successors; the nodes are `0..len`.
+    fn successors(&self) -> Vec<Vec<usize>>;
+
+    /// The instructions of `node` with their addresses, in execution order.
+    fn body(&self, node: usize) -> impl DoubleEndedIterator<Item = (u64, Instr)> + '_;
+}
+
+/// Solves `analysis` over `graph` to a fixpoint and returns the fact at
+/// each node's analysis-order start: its entry going forward, the end of
+/// its body going backward.
+///
+/// `seed(node, sourceless)` gives that fact's starting value, where
+/// `sourceless` says no edge flows into the point (the node has no
+/// predecessor going forward, no successor going backward). The worklist
+/// is FIFO and push-style: a node's output is joined into each of its
+/// analysis-order destinations, and a destination whose fact changed is
+/// queued. Every node starts queued, in analysis order (`0..n` forward,
+/// `n-1..0` backward). A monotone transfer reaches the same least
+/// fixpoint in any order; copy propagation's is not monotone, and the
+/// distiller's folds depend on this order.
+pub fn solve<G: Graph, A: Analysis>(
+    graph: &G,
+    analysis: &A,
+    mut seed: impl FnMut(usize, bool) -> A::Fact,
+) -> Vec<A::Fact> {
+    let succs = graph.successors();
+    let n = succs.len();
+    let mut preds = vec![Vec::new(); n];
+    for (i, s) in succs.iter().enumerate() {
+        for &j in s {
+            preds[j].push(i);
+        }
+    }
+    let direction = analysis.direction();
+    let (sources, dests) = match direction {
+        Direction::Forward => (&preds, &succs),
+        Direction::Backward => (&succs, &preds),
+    };
+    let mut facts: Vec<A::Fact> = (0..n).map(|i| seed(i, sources[i].is_empty())).collect();
+    let mut queued = vec![true; n];
+    let mut work: VecDeque<usize> = match direction {
+        Direction::Forward => (0..n).collect(),
+        Direction::Backward => (0..n).rev().collect(),
+    };
+    while let Some(i) = work.pop_front() {
+        queued[i] = false;
+        let mut out = facts[i].clone();
+        for (pc, instr) in in_order(graph.body(i), direction) {
+            analysis.transfer(pc, instr, &mut out);
+        }
+        for &j in &dests[i] {
+            if analysis.join(&mut facts[j], &out) && !queued[j] {
+                queued[j] = true;
+                work.push_back(j);
+            }
+        }
+    }
+    facts
+}
+
+/// `body` in analysis order.
+fn in_order<I: DoubleEndedIterator>(
+    body: I,
+    direction: Direction,
+) -> impl Iterator<Item = I::Item> {
+    let (forward, backward) = match direction {
+        Direction::Forward => (Some(body), None),
+        Direction::Backward => (None, Some(body.rev())),
+    };
+    forward
+        .into_iter()
+        .flatten()
+        .chain(backward.into_iter().flatten())
+}
+
+/// A program's CFG as a [`Graph`]: its blocks, their static edges and the
+/// program's instructions.
+impl Graph for (&Program, &Cfg) {
+    fn successors(&self) -> Vec<Vec<usize>> {
+        (0..self.1.blocks().len())
+            .map(|b| self.1.successors(b))
+            .collect()
+    }
+
+    fn body(&self, node: usize) -> impl DoubleEndedIterator<Item = (u64, Instr)> + '_ {
+        let program = self.0;
+        self.1.blocks()[node].pcs().map(move |pc| {
+            // why: `cfg` is `program`'s (the callers' `# Panics`
+            // contract), so its blocks lie in the text.
+            (pc, program.fetch(pc).expect("pc within text"))
+        })
+    }
 }
 
 /// The solved facts of one analysis over one CFG.
@@ -94,7 +192,43 @@ pub(crate) struct DataflowResults<F> {
     after: BTreeMap<u64, F>,
 }
 
-impl<F> DataflowResults<F> {
+impl<F: Clone> DataflowResults<F> {
+    /// Runs `analysis` over `cfg`, the CFG of `program`, to a fixpoint and
+    /// records per-instruction facts. The boundary fact seeds every block
+    /// nothing flows into, and the entry block going forward.
+    pub(crate) fn compute<A: Analysis<Fact = F>>(
+        program: &Program,
+        cfg: &Cfg,
+        analysis: &A,
+    ) -> DataflowResults<F> {
+        let graph = (program, cfg);
+        let direction = analysis.direction();
+        let starts = solve(&graph, analysis, |b, sourceless| {
+            if sourceless || (direction == Direction::Forward && b == cfg.entry()) {
+                analysis.boundary()
+            } else {
+                analysis.init()
+            }
+        });
+        let mut results = DataflowResults {
+            before: BTreeMap::new(),
+            after: BTreeMap::new(),
+        };
+        for (b, mut fact) in starts.into_iter().enumerate() {
+            for (pc, instr) in in_order(graph.body(b), direction) {
+                let pre = fact.clone();
+                analysis.transfer(pc, instr, &mut fact);
+                let (before, after) = match direction {
+                    Direction::Forward => (pre, fact.clone()),
+                    Direction::Backward => (fact.clone(), pre),
+                };
+                results.before.insert(pc, before);
+                results.after.insert(pc, after);
+            }
+        }
+        results
+    }
+
     /// The fact holding just before the instruction at `pc` executes.
     #[must_use]
     pub(crate) fn before(&self, pc: u64) -> Option<&F> {
@@ -106,141 +240,6 @@ impl<F> DataflowResults<F> {
     pub(crate) fn after(&self, pc: u64) -> Option<&F> {
         self.after.get(&pc)
     }
-}
-
-/// Runs `analysis` over `cfg`, the CFG of `program`, to a fixpoint and
-/// records per-instruction facts.
-pub(crate) fn solve<A: Analysis>(
-    program: &Program,
-    cfg: &Cfg,
-    analysis: &A,
-) -> DataflowResults<A::Fact> {
-    let n = cfg.blocks().len();
-    let direction = analysis.direction();
-
-    // `input[b]` is the fact at the block's analysis-order start: block
-    // entry for forward analyses, block exit for backward ones.
-    let mut input: Vec<A::Fact> = Vec::with_capacity(n);
-    for bid in 0..n {
-        let mut fact = analysis.init();
-        if at_boundary(cfg, bid, direction) {
-            analysis.join(&mut fact, &analysis.boundary());
-        }
-        input.push(fact);
-    }
-    let mut output: Vec<A::Fact> = (0..n)
-        .map(|bid| transfer_block(program, cfg, bid, direction, analysis, &input[bid]))
-        .collect();
-
-    // Worklist over blocks: seed in analysis order, then chase changes.
-    let mut queue: VecDeque<BlockId> = match direction {
-        Direction::Forward => (0..n).collect(),
-        Direction::Backward => (0..n).rev().collect(),
-    };
-    let mut queued = vec![true; n];
-    while let Some(bid) = queue.pop_front() {
-        queued[bid] = false;
-        // Re-join this block's input from its analysis-order sources, then
-        // re-transfer; a changed output re-enqueues the destinations.
-        for src in flow_sources(cfg, bid, direction) {
-            analysis.join(&mut input[bid], &output[src]);
-        }
-        let out = transfer_block(program, cfg, bid, direction, analysis, &input[bid]);
-        if out != output[bid] {
-            output[bid] = out;
-            for dst in flow_dests(cfg, bid, direction) {
-                if !queued[dst] {
-                    queued[dst] = true;
-                    queue.push_back(dst);
-                }
-            }
-        }
-    }
-
-    // Final sweep: per-instruction facts.
-    let mut before = BTreeMap::new();
-    let mut after = BTreeMap::new();
-    for (bid, block) in cfg.blocks().iter().enumerate() {
-        let mut fact = input[bid].clone();
-        match direction {
-            Direction::Forward => {
-                for pc in block.pcs() {
-                    before.insert(pc, fact.clone());
-                    // why: `cfg` is `program`'s (the callers' `# Panics`
-                    // contract), so its blocks lie in the text.
-                    let instr = program.fetch(pc).expect("pc within text");
-                    analysis.transfer(pc, instr, &mut fact);
-                    after.insert(pc, fact.clone());
-                }
-            }
-            Direction::Backward => {
-                for pc in block.pcs().collect::<Vec<_>>().into_iter().rev() {
-                    after.insert(pc, fact.clone());
-                    // why: as in the forward sweep.
-                    let instr = program.fetch(pc).expect("pc within text");
-                    analysis.transfer(pc, instr, &mut fact);
-                    before.insert(pc, fact.clone());
-                }
-            }
-        }
-    }
-
-    DataflowResults { before, after }
-}
-
-/// Whether the boundary fact applies at block `bid`'s analysis-order start.
-fn at_boundary(cfg: &Cfg, bid: BlockId, direction: Direction) -> bool {
-    match direction {
-        Direction::Forward => bid == cfg.entry() || cfg.predecessors(bid).is_empty(),
-        Direction::Backward => matches!(
-            cfg.blocks()[bid].terminator,
-            Terminator::Halt | Terminator::Indirect
-        ),
-    }
-}
-
-fn flow_sources(cfg: &Cfg, bid: BlockId, direction: Direction) -> Vec<BlockId> {
-    match direction {
-        Direction::Forward => cfg.predecessors(bid).to_vec(),
-        Direction::Backward => cfg.successors(bid),
-    }
-}
-
-fn flow_dests(cfg: &Cfg, bid: BlockId, direction: Direction) -> Vec<BlockId> {
-    match direction {
-        Direction::Forward => cfg.successors(bid),
-        Direction::Backward => cfg.predecessors(bid).to_vec(),
-    }
-}
-
-fn transfer_block<A: Analysis>(
-    program: &Program,
-    cfg: &Cfg,
-    bid: BlockId,
-    direction: Direction,
-    analysis: &A,
-    input: &A::Fact,
-) -> A::Fact {
-    let block = &cfg.blocks()[bid];
-    let mut fact = input.clone();
-    match direction {
-        Direction::Forward => {
-            for pc in block.pcs() {
-                // why: `cfg` is `program`'s (the callers' `# Panics`
-                // contract), so its blocks lie in the text.
-                let instr = program.fetch(pc).expect("pc within text");
-                analysis.transfer(pc, instr, &mut fact);
-            }
-        }
-        Direction::Backward => {
-            for pc in block.pcs().collect::<Vec<_>>().into_iter().rev() {
-                // why: as in the forward direction.
-                let instr = program.fetch(pc).expect("pc within text");
-                analysis.transfer(pc, instr, &mut fact);
-            }
-        }
-    }
-    fact
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +350,7 @@ impl ReachingDefs {
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> ReachingDefs {
         ReachingDefs {
-            results: solve(program, cfg, &ReachingDefsAnalysis),
+            results: DataflowResults::compute(program, cfg, &ReachingDefsAnalysis),
         }
     }
 
@@ -431,10 +430,9 @@ impl ConstFacts {
 
 /// The constant-propagation [`Analysis`] instance.
 ///
-/// Exported (alongside [`CopyPropAnalysis`]) so clients with their own
-/// CFG-like structures — the distiller's relocatable IR in particular —
-/// can drive the same lattice and transfer functions through a custom
-/// solver.
+/// Exported (alongside [`CopyPropAnalysis`]) so clients with graphs of
+/// their own — the distiller's relocatable IR in particular — can run the
+/// same lattice and transfer functions through [`solve`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstPropAnalysis;
 
@@ -555,7 +553,7 @@ impl ConstProp {
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> ConstProp {
         ConstProp {
-            results: solve(program, cfg, &ConstPropAnalysis),
+            results: DataflowResults::compute(program, cfg, &ConstPropAnalysis),
         }
     }
 
@@ -864,7 +862,7 @@ mod tests {
                    addi a2, a1, 1
                    halt",
         );
-        let c = solve(&p, &cfg, &CopyPropAnalysis);
+        let c = DataflowResults::compute(&p, &cfg, &CopyPropAnalysis);
         // Before the a0 redefinition, a1 copies a0...
         assert_eq!(
             copy_before(&c, p.entry() + 4, Reg::A1),
@@ -881,7 +879,7 @@ mod tests {
                    addi a2, a1, 0
                    halt",
         );
-        let c = solve(&p, &cfg, &CopyPropAnalysis);
+        let c = DataflowResults::compute(&p, &cfg, &CopyPropAnalysis);
         assert_eq!(
             copy_before(&c, p.entry() + 8, Reg::A2),
             CopyVal::Of(Reg::A0)
@@ -897,7 +895,7 @@ mod tests {
              else: addi a1, a3, 0
              join: halt",
         );
-        let c = solve(&p, &cfg, &CopyPropAnalysis);
+        let c = DataflowResults::compute(&p, &cfg, &CopyPropAnalysis);
         let join = p.symbol("join").unwrap();
         assert_eq!(copy_before(&c, join, Reg::A1), CopyVal::Fresh);
     }
@@ -922,7 +920,7 @@ mod tests {
         );
         // Copy *of* the zero register is a recognized li-0.
         let (p, cfg) = setup("main: addi a0, zero, 0\n addi a1, a0, 1\n halt");
-        let c = solve(&p, &cfg, &CopyPropAnalysis);
+        let c = DataflowResults::compute(&p, &cfg, &CopyPropAnalysis);
         assert_eq!(
             copy_before(&c, p.entry() + 4, Reg::A0),
             CopyVal::Of(Reg::ZERO)

@@ -5,8 +5,10 @@
 //!
 //! * [`Cfg`] — control-flow graph recovery from a binary.
 //! * [`Dominators`] / [`natural_loops`] — dominance and loop structure.
-//! * [`Analysis`] — a generic forward/backward worklist dataflow framework
-//!   over [`Cfg`]s.
+//! * [`Analysis`] / [`Graph`] / [`solve`] — one forward/backward worklist
+//!   dataflow solver, over [`Cfg`]s and any other graph of straight-line
+//!   blocks (the distiller's IR runs its constant propagation, copy
+//!   propagation and dead-code elimination on it).
 //! * [`Liveness`] — backward register liveness (for dead-code elimination),
 //!   an instance of the framework.
 //! * [`ReachingDefs`] / [`ConstProp`] / [`CopyPropAnalysis`] — forward
@@ -49,8 +51,8 @@ mod profile;
 
 pub use cfg::{BasicBlock, BlockId, Cfg, Terminator};
 pub use dataflow::{
-    eval_branch, Analysis, ConstFacts, ConstProp, ConstPropAnalysis, ConstVal, CopyFacts,
-    CopyPropAnalysis, CopyVal, DefSites, Direction, ReachingDefs,
+    eval_branch, solve, Analysis, ConstFacts, ConstProp, ConstPropAnalysis, ConstVal, CopyFacts,
+    CopyPropAnalysis, CopyVal, DefSites, Direction, Graph, ReachingDefs,
 };
 pub use dom::{natural_loops, Dominators, NaturalLoop};
 pub use live::{Liveness, RegSet};

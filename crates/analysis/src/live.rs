@@ -13,7 +13,7 @@
 
 use mssp_isa::{Instr, Program, Reg, NUM_REGS};
 
-use crate::dataflow::{solve, Analysis, DataflowResults, Direction};
+use crate::dataflow::{Analysis, DataflowResults, Direction};
 use crate::Cfg;
 
 /// A set of registers, represented as a 32-bit mask.
@@ -159,7 +159,7 @@ impl Liveness {
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> Liveness {
         Liveness {
-            results: solve(program, cfg, &LiveAnalysis),
+            results: DataflowResults::compute(program, cfg, &LiveAnalysis),
         }
     }
 

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use mssp_analysis::Profile;
 use mssp_distill::Distilled;
-use mssp_machine::{Cell, StepInfo};
+use mssp_machine::{Cell, Delta, MachineState, StepInfo};
 
 use crate::protocol::{EngineStats, SquashReason};
 
@@ -225,24 +225,25 @@ impl AdaptiveController {
         self.bump_window();
     }
 
-    /// Records one squash event: window counters plus slice feedback into
-    /// the live profile (`mark_wrong_path` for failed assertions,
-    /// `mark_hard_live_in` for the registers among the `mismatched`
-    /// live-ins; memory live-in footprints depend on executor timing,
-    /// register live-ins do not).
+    /// Records the squash of a task that read `live_ins`, against `arch`:
+    /// window counters plus slice feedback into the live profile
+    /// (`mark_wrong_path` for failed assertions, `mark_hard_live_in` for
+    /// the registers among the live-ins of a live-in mismatch; memory
+    /// live-in footprints depend on executor timing, register live-ins do
+    /// not).
     pub(crate) fn observe_squash(
         &mut self,
         reason: SquashReason,
-        arch_pc: u64,
-        mismatched: &[(Cell, u64, u64)],
+        live_ins: &Delta,
+        arch: &MachineState,
     ) {
         self.window_squashes += 1;
         if reason == SquashReason::WrongPath {
             self.window_wrong_path += 1;
-            self.live.mark_wrong_path(arch_pc);
-        }
-        for &(cell, _, _) in mismatched {
-            if let Cell::Reg(reg) = cell {
+            self.live.mark_wrong_path(arch.pc());
+        } else if reason == SquashReason::LiveInMismatch {
+            for (cell, _, _) in live_ins.mismatches_against(arch) {
+                let Cell::Reg(reg) = cell else { continue };
                 self.live.mark_hard_live_in(reg);
             }
         }
@@ -385,10 +386,24 @@ mod tests {
         }
     }
 
+    /// Squashes, for `reason`, a task that read `live_ins`, against an
+    /// architected state at `pc` with `s2 = 2`.
+    fn squash(
+        ctl: &mut AdaptiveController,
+        reason: SquashReason,
+        pc: u64,
+        live_ins: &[(Cell, u64)],
+    ) {
+        let mut arch = MachineState::new();
+        arch.set_pc(pc);
+        arch.set_reg(Reg::S2, 2);
+        ctl.observe_squash(reason, &live_ins.iter().copied().collect(), &arch);
+    }
+
     /// One divergent window: four wrong-path squashes, then clean commits.
     fn divergent_window(ctl: &mut AdaptiveController) {
         for _ in 0..4 {
-            ctl.observe_squash(SquashReason::WrongPath, 0x1234, &[]);
+            squash(ctl, SquashReason::WrongPath, 0x1234, &[]);
         }
         quiet_commits(ctl, WINDOW_TASKS - 4);
     }
@@ -434,8 +449,8 @@ mod tests {
         quiet_commits(&mut ctl, 2 * WINDOW_TASKS);
         assert!(!serve(&mut ctl, &mut rec));
         for _ in 0..4 {
-            let cells = [(Cell::Reg(Reg::S2), 1, 2), (Cell::Mem(4), 1, 2)];
-            ctl.observe_squash(SquashReason::LiveInMismatch, 0, &cells);
+            let live_ins = [(Cell::Reg(Reg::S2), 1), (Cell::Mem(4), 1)];
+            squash(&mut ctl, SquashReason::LiveInMismatch, 0, &live_ins);
         }
         quiet_commits(&mut ctl, WINDOW_TASKS - 4);
         assert!(serve(&mut ctl, &mut rec));
@@ -517,7 +532,7 @@ mod tests {
         let (mut ctl, mut rec) = controller(config);
         // A storm that trips the default detector in its first window.
         for _ in 0..4 * WINDOW_TASKS {
-            ctl.observe_squash(SquashReason::WrongPath, 0, &[]);
+            squash(&mut ctl, SquashReason::WrongPath, 0, &[]);
         }
         assert!(!serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.windows, 0);

@@ -352,11 +352,17 @@ impl Event<'_> {
 /// over its observer, so `()`, the default, compiles to nothing; any
 /// `FnMut(u64, Event<'_>)` closure is one.
 pub trait Observer {
+    /// Whether the observer reads [`SquashSample::cells`]; when `false`
+    /// the engine leaves it empty and builds no mismatch list.
+    const WANTS_CELLS: bool = true;
+
     /// Called once per event, in the order the events happen.
     fn event(&mut self, at: u64, event: Event<'_>);
 }
 
 impl Observer for () {
+    const WANTS_CELLS: bool = false;
+
     #[inline(always)]
     fn event(&mut self, _at: u64, _event: Event<'_>) {}
 }
@@ -381,7 +387,8 @@ pub struct SquashSample {
     /// Instructions the failing task had executed.
     pub executed: u64,
     /// Mismatching live-in cells `(cell, predicted, architected)`;
-    /// non-empty only for [`SquashReason::LiveInMismatch`].
+    /// non-empty only for [`SquashReason::LiveInMismatch`], and only for
+    /// an observer that [wants them](Observer::WANTS_CELLS).
     pub cells: Vec<(Cell, u64, u64)>,
 }
 
@@ -947,14 +954,17 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         // why: only `act_verify` squashes, on the window's oldest task.
         let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
         let dying = self.in_flight_work();
-        let cells = self.unit.squash(reason, failing, &self.arch, dying);
-        let sample = SquashSample {
+        self.unit.squash(reason, failing, &self.arch, dying);
+        let mut sample = SquashSample {
             reason,
             task_start_pc: failing.start_pc,
             arch_pc: self.arch.pc(),
             executed: failing.executed,
-            cells,
+            cells: Vec::new(),
         };
+        if O::WANTS_CELLS && reason == SquashReason::LiveInMismatch {
+            sample.cells = failing.live_ins.mismatches_against(&self.arch);
+        }
         self.observer.event(self.now, Event::Squash(&sample));
         // The master stays down until recovery reaches the next boundary;
         // `finish_recovery` reseeds it from the then-consistent

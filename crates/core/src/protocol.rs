@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{step, Cell, Delta, DeltaArena, MachineState, StepInfo};
+use mssp_machine::{step, Delta, DeltaArena, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::engine::{EngineConfig, EngineError};
@@ -72,8 +72,8 @@ pub fn verify_and_commit(arch: &mut MachineState, task: &Task, end: TaskEnd) -> 
         TaskEnd::Fault => VerifyOutcome::Squash(SquashReason::Fault),
         TaskEnd::Boundary(end_pc) | TaskEnd::Halted(end_pc) => {
             // The verdict is order-free: it asks whether any live-in
-            // disagrees, not which (`CommitUnit::squash`, which reports
-            // them, uses `mismatches_against`).
+            // disagrees, not which (the adaptive controller and the
+            // engine's squash samples name them with `mismatches_against`).
             if !task.live_ins.consistent_with_state(arch) {
                 return VerifyOutcome::Squash(SquashReason::LiveInMismatch);
             }
@@ -295,16 +295,14 @@ impl CommitUnit {
 
     /// The oldest task `failing` failed verification against `arch`; it
     /// and every younger task die: `(tasks, instructions)` of in-flight
-    /// work. Returns the mismatching live-ins `(cell, predicted,
-    /// architected)`, non-empty only for a live-in mismatch. The driver
-    /// discards the tasks and starts a recovery segment.
+    /// work. The driver discards the tasks and starts a recovery segment.
     pub(crate) fn squash(
         &mut self,
         reason: SquashReason,
         failing: &Task,
         arch: &MachineState,
         (tasks, instructions): (u64, u64),
-    ) -> Vec<(Cell, u64, u64)> {
+    ) {
         let stats = &mut self.stats;
         match reason {
             SquashReason::WrongPath => stats.squashes_wrong_path += 1,
@@ -314,15 +312,10 @@ impl CommitUnit {
         }
         stats.squashed_tasks += tasks;
         stats.wasted_slave_instructions += instructions;
-        let cells = match reason {
-            SquashReason::LiveInMismatch => failing.live_ins.mismatches_against(arch),
-            _ => Vec::new(),
-        };
         if let Some(ad) = &mut self.adaptive {
-            ad.ctl.observe_squash(reason, arch.pc(), &cells);
+            ad.ctl.observe_squash(reason, &failing.live_ins, arch);
         }
         self.throttle_on_squash();
-        cells
     }
 
     /// The paper's dual-mode fallback: with a pathological master, more
@@ -622,6 +615,7 @@ mod tests {
     use mssp_analysis::Profile;
     use mssp_isa::asm::assemble;
     use mssp_isa::Reg;
+    use mssp_machine::Cell;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// A finished task as the verify unit sees it.
@@ -762,9 +756,7 @@ mod tests {
         let a = task(0x100, 10, &[(S1, 1), (Cell::Mem(8), 2)], &[(S1, 3)]);
         unit.commit(&a, &arch).unwrap();
         let b = task(0x180, 7, &[], &[]);
-        assert!(unit
-            .squash(SquashReason::WrongPath, &b, &arch, (2, 11))
-            .is_empty());
+        unit.squash(SquashReason::WrongPath, &b, &arch, (2, 11));
         assert_eq!(
             unit.recovered(20, &arch).unwrap(),
             AfterRecovery::RestartMaster
@@ -849,9 +841,9 @@ mod tests {
         arch.store_word(16, 8);
         let mut unit = CommitUnit::new(EngineConfig::default());
         let stale = task(0x200, 5, &[(S1, 5), (Cell::Mem(16), 7)], &[]);
-        let cells = unit.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
+        let cells = stale.live_ins.mismatches_against(&arch);
         assert_eq!(cells, vec![(S1, 5, 9), (Cell::Mem(16), 7, 8)]);
-        for _ in 0..3 {
+        for _ in 0..4 {
             unit.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
         }
         // A task that read the architected value commits; one that read a
@@ -859,8 +851,9 @@ mod tests {
         let reader = task(0x200, 5, &[(S1, 9)], &[]);
         unit.commit(&reader, &arch).unwrap();
         arch.set_reg(Reg::S1, 10);
-        let cells = unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
+        let cells = reader.live_ins.mismatches_against(&arch);
         assert_eq!(cells, vec![(S1, 9, 10)]);
+        unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
         assert_eq!(unit.stats.squashes_live_in, 5);
         assert_eq!(
             (unit.stats.squashed_tasks, unit.stats.committed_tasks),

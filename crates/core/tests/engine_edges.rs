@@ -5,7 +5,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
-use mssp_core::{Engine, EngineConfig, EngineError, Event, SquashReason, SquashSample, UnitCost};
+use mssp_core::{
+    Engine, EngineConfig, EngineError, Event, Observer, SquashReason, SquashSample, UnitCost,
+};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::{Program, Reg};
@@ -130,6 +132,31 @@ fn mismatch_samples_capture_failing_cells() {
         .cells
         .iter()
         .any(|(c, _, _)| matches!(c, mssp_machine::Cell::Reg(r) if *r == Reg::S1)));
+}
+
+#[test]
+fn an_observer_that_wants_no_cells_gets_empty_samples() {
+    struct LiveInSquashes<'a>(&'a mut u64);
+    impl Observer for LiveInSquashes<'_> {
+        const WANTS_CELLS: bool = false;
+
+        fn event(&mut self, _: u64, event: Event<'_>) {
+            if let Event::Squash(s) = event {
+                assert!(s.cells.is_empty(), "{s:?}");
+                *self.0 += u64::from(s.reason == SquashReason::LiveInMismatch);
+            }
+        }
+    }
+    let p = assemble(SUM).unwrap();
+    let d = liar(&p);
+    let mut seen = 0;
+    let observer = LiveInSquashes(&mut seen);
+    let run = Engine::observed(&p, &d, EngineConfig::default(), UnitCost, observer)
+        .run()
+        .unwrap();
+    assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
+    assert!(seen > 0);
+    assert_eq!(seen, run.stats.squashes_live_in);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use mssp_analysis::RegSet;
+use mssp_analysis::{solve, Analysis, Direction, Graph, RegSet};
 use mssp_isa::{Instr, Reg, INSTR_BYTES};
 
 /// Registers that must stay predictable at given original block starts:
@@ -53,6 +53,14 @@ impl Exit {
             Exit::Fall => 0,
             Exit::Branch { other: Some(_), .. } => 2,
             _ => 1,
+        }
+    }
+
+    /// The exit's own instruction: a branch, an indirect jump or `halt`.
+    pub(crate) fn instr(&self) -> Option<Instr> {
+        match *self {
+            Exit::Branch { instr, .. } | Exit::Stop(instr) => Some(instr),
+            Exit::Fall | Exit::Jump(_) => None,
         }
     }
 }
@@ -109,108 +117,129 @@ pub(crate) fn is_pure(instr: Instr) -> bool {
     instr.def_reg().is_some() && !instr.is_store() && !instr.is_control()
 }
 
-/// Dead-code elimination over the IR, to a fixpoint.
+/// The IR as a dataflow [`Graph`]: the edges [`successors`] reads, and
+/// each block's body followed by its exit's instruction.
 ///
-/// Returns the number of instructions removed. Liveness is the classic
-/// backward may-analysis over [`successors`]; indirect jumps keep all
-/// registers live, `halt` none, and leaving the IR any other way (a
-/// target no block holds, or falling off the final block) is treated as a
-/// barrier too.
-pub(crate) fn eliminate_dead_code(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
-    let mut removed = 0;
-    loop {
-        let n = dce_pass(blocks, boundary_live);
-        if n == 0 {
-            return removed;
-        }
-        removed += n;
+/// Instructions are transferred at a synthetic pc of 0. That is safe: IR
+/// construction rewrites every call, so no link-register definition (whose
+/// value is pc-dependent) survives into a body, and a forward fact never
+/// flows out of a `Stop`, the one exit whose instruction may define one.
+pub(crate) struct Ir<'a>(pub(crate) &'a [DBlock]);
+
+impl Graph for Ir<'_> {
+    fn successors(&self) -> Vec<Vec<usize>> {
+        let index = block_index(self.0);
+        (0..self.0.len())
+            .map(|i| {
+                successors(self.0, &index, i)
+                    .0
+                    .into_iter()
+                    .flatten()
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn body(&self, node: usize) -> impl DoubleEndedIterator<Item = (u64, Instr)> + '_ {
+        let block = &self.0[node];
+        block
+            .body
+            .iter()
+            .copied()
+            .chain(block.exit.instr())
+            .map(|instr| (0, instr))
     }
 }
 
-fn dce_pass(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
+/// Dead-code elimination over the IR.
+///
+/// Returns the number of instructions removed. Liveness is [`StronglyLive`]
+/// over [`successors`]; indirect jumps keep all registers live, `halt`
+/// none, and leaving the IR any other way (a target no block holds, or
+/// falling off the final block) is treated as a barrier too. A boundary
+/// block's floor (the original program's live set at its start) is seeded
+/// at the exit of each predecessor, the only place a fact at a block's
+/// start flows to.
+///
+/// One solve finds every dead definition: a removed definition acts as the
+/// identity on every iterate below the fixpoint, so removing it changes no
+/// fact.
+pub(crate) fn eliminate_dead_code(blocks: &mut [DBlock], boundary_live: &BoundaryLive) -> usize {
     let index = block_index(blocks);
+    let floor = |j: usize| boundary_live.get(&blocks[j].orig_start).copied();
+    let exit_live = solve(&Ir(blocks), &StronglyLive, |i, _| {
+        let (succs, leaves) = successors(blocks, &index, i);
+        let live = if leaves {
+            StronglyLive.boundary()
+        } else {
+            StronglyLive.init()
+        };
+        succs
+            .into_iter()
+            .flatten()
+            .filter_map(floor)
+            .fold(live, RegSet::union)
+    });
 
-    // Block-level live-in fixpoint. Boundary blocks additionally require
-    // the original program's live set at their start (task live-ins).
-    let n = blocks.len();
-    let mut live_in = vec![RegSet::empty(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut live = exit_live(blocks, i, &index, &live_in);
-            for &instr in blocks[i].body.iter().rev() {
-                live = transfer(instr, live);
-            }
-            if let Some(&req) = boundary_live.get(&blocks[i].orig_start) {
-                live = live.union(req);
-            }
-            if live != live_in[i] {
-                live_in[i] = live;
-                changed = true;
-            }
-        }
-    }
-
-    // Removal sweep.
     let mut removed = 0;
-    for i in 0..n {
-        let mut live = exit_live(blocks, i, &index, &live_in);
-        let mut keep = vec![true; blocks[i].body.len()];
-        for (j, &instr) in blocks[i].body.iter().enumerate().rev() {
-            if is_pure(instr) && instr.def_reg().is_some_and(|rd| !live.contains(rd)) {
-                keep[j] = false;
-                removed += 1;
-                continue; // dead instruction: no transfer
-            }
-            live = transfer(instr, live);
+    for (block, mut live) in blocks.iter_mut().zip(exit_live) {
+        if let Some(instr) = block.exit.instr() {
+            StronglyLive.transfer(0, instr, &mut live);
         }
+        let mut keep = vec![true; block.body.len()];
+        for (j, &instr) in block.body.iter().enumerate().rev() {
+            keep[j] = !(is_pure(instr) && instr.def_reg().is_some_and(|rd| !live.contains(rd)));
+            StronglyLive.transfer(0, instr, &mut live);
+        }
+        let before = block.body.len();
         let mut keep = keep.into_iter();
-        blocks[i].body.retain(|_| keep.next() == Some(true));
+        block.body.retain(|_| keep.next() == Some(true));
+        removed += before - block.body.len();
     }
     removed
 }
 
-/// The registers live just before block `i`'s exit instruction.
-fn exit_live(
-    blocks: &[DBlock],
-    i: usize,
-    index: &BTreeMap<u64, usize>,
-    live_in: &[RegSet],
-) -> RegSet {
-    let (succs, leaves) = successors(blocks, index, i);
-    let mut live = if leaves {
-        RegSet::all()
-    } else {
-        RegSet::empty()
-    };
-    for j in succs.into_iter().flatten() {
-        live = live.union(live_in[j]);
-    }
-    match blocks[i].exit {
-        Exit::Branch { instr, .. } | Exit::Stop(instr) => transfer(instr, live),
-        Exit::Fall | Exit::Jump(_) => live,
-    }
-}
+/// Strongly-live registers, backward: a *pure* definition propagates its
+/// uses only when its own result is live. This kills self-sustaining dead
+/// chains — `addi s8, s8, 8`-style instrumentation counters whose only
+/// consumer is themselves — which classic may-liveness keeps alive
+/// forever.
+struct StronglyLive;
 
-/// Strongly-live transfer: a *pure* definition propagates its uses only
-/// when its own result is live. This kills self-sustaining dead chains —
-/// `addi s8, s8, 8`-style instrumentation counters whose only consumer is
-/// themselves — which classic may-liveness keeps alive forever.
-fn transfer(instr: Instr, mut live: RegSet) -> RegSet {
-    if let Some(rd) = instr.def_reg() {
-        if is_pure(instr) && !live.contains(rd) {
-            // Dead pure definition: contributes nothing.
-            return live;
-        }
-        live.remove(rd);
+impl Analysis for StronglyLive {
+    type Fact = RegSet;
+
+    fn direction(&self) -> Direction {
+        Direction::Backward
     }
-    for r in instr.use_regs().into_iter().flatten() {
-        if !r.is_zero() {
-            live.insert(r);
+
+    fn init(&self) -> RegSet {
+        RegSet::empty()
+    }
+
+    fn boundary(&self) -> RegSet {
+        RegSet::all()
+    }
+
+    fn join(&self, into: &mut RegSet, other: &RegSet) -> bool {
+        let merged = into.union(*other);
+        std::mem::replace(into, merged) != merged
+    }
+
+    fn transfer(&self, _pc: u64, instr: Instr, live: &mut RegSet) {
+        if let Some(rd) = instr.def_reg() {
+            if is_pure(instr) && !live.contains(rd) {
+                // Dead pure definition: contributes nothing.
+                return;
+            }
+            live.remove(rd);
+        }
+        for r in instr.use_regs().into_iter().flatten() {
+            if !r.is_zero() {
+                live.insert(r);
+            }
         }
     }
-    live
 }
 
 /// Final layout: assigns distilled addresses and resolves symbolic targets.
@@ -340,6 +369,52 @@ mod tests {
         )];
         assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 2);
         assert_eq!(blocks[0].body.len(), 2);
+
+        // Across a block edge: a0 feeds only the overwritten a1 of the
+        // successor, so both go in the same call.
+        let mut blocks = vec![
+            block(
+                0x100,
+                vec![Instr::AluImm(ImmOp::Addi, Reg::A0, Reg::ZERO, 1)], // feeds dead a1
+                Exit::Fall,
+            ),
+            block(
+                0x104,
+                vec![
+                    Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::A0, 1), // overwritten
+                    Instr::AluImm(ImmOp::Addi, Reg::A1, Reg::ZERO, 9),
+                    Instr::Store(StoreOp::Sd, Reg::A1, Reg::SP, 0),
+                ],
+                Exit::Stop(Instr::Halt),
+            ),
+        ];
+        assert_eq!(eliminate_dead_code(&mut blocks, &BTreeMap::new()), 2);
+        assert!(blocks[0].body.is_empty());
+        assert_eq!(blocks[1].body.len(), 2);
+    }
+
+    #[test]
+    fn dce_keeps_writes_a_boundary_floor_requires() {
+        // 0x104 is a task boundary whose floor holds s2: a slave starting
+        // there may read it, so the write feeding it stays, although no
+        // distilled instruction reads s2. With no floor, it goes.
+        let blocks = vec![
+            block(
+                0x100,
+                vec![Instr::AluImm(ImmOp::Addi, Reg::S2, Reg::ZERO, 5)],
+                Exit::Fall,
+            ),
+            block(0x104, vec![], Exit::Stop(Instr::Halt)),
+        ];
+        let floor: BoundaryLive = [(0x104, [Reg::S2].into_iter().collect())]
+            .into_iter()
+            .collect();
+        let mut kept = blocks.clone();
+        assert_eq!(eliminate_dead_code(&mut kept, &floor), 0);
+        assert_eq!(kept, blocks);
+        let mut cut = blocks;
+        assert_eq!(eliminate_dead_code(&mut cut, &BTreeMap::new()), 1);
+        assert!(cut[0].body.is_empty());
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //!
 //! ## Dataflow over the IR
 //!
-//! [`ConstPropAnalysis`] and [`CopyPropAnalysis`] were written against the
-//! original program's CFG, but the facts the pipeline needs live on the
-//! *asserted* graph the IR encodes (asserted-away edges must not pollute
-//! joins). A custom forward worklist solver therefore runs the same
-//! lattices directly over the block list, along the edges [`successors`]
-//! reads from each block's typed [`Exit`]; an exit's own instruction
-//! defines nothing, so only block bodies are transferred. Pessimistic
-//! boundary facts are injected wherever the master can (re)enter
-//! distilled code with arbitrary architected state:
+//! The facts the pipeline needs live on the *asserted* graph the IR
+//! encodes (asserted-away edges must not pollute joins), not on the
+//! original program's CFG. The IR is therefore a dataflow graph of its own
+//! ([`Ir`]: the edges [`successors`] reads from each block's typed
+//! [`Exit`]), and [`ConstPropAnalysis`] and [`CopyPropAnalysis`] run on it
+//! through [`mssp_analysis::solve`], the solver the linter's CFG analyses
+//! and this crate's DCE use too. Pessimistic boundary facts are seeded
+//! wherever the master can (re)enter distilled code with arbitrary
+//! architected state:
 //!
 //! * the distilled entry block,
 //! * every task boundary (the master is re-seeded there after a squash),
@@ -29,15 +29,15 @@
 //! * every block with no IR predecessor (retained as a hot root; nothing
 //!   flows facts into it).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::{
-    eval_branch, Analysis, ConstPropAnalysis, ConstVal, CopyFacts, CopyPropAnalysis, Profile,
+    eval_branch, solve, Analysis, ConstPropAnalysis, ConstVal, CopyFacts, CopyPropAnalysis, Profile,
 };
 use mssp_isa::{asm::li_sequence, Instr, INSTR_BYTES};
 
 use crate::config::PassConfig;
-use crate::ir::{block_index, is_pure, successors, BoundaryLive, DBlock, Exit};
+use crate::ir::{block_index, is_pure, successors, BoundaryLive, DBlock, Exit, Ir};
 
 /// One pass's effect on static size, in pipeline order. The `--stats` CLI
 /// output and ablation tables are rendered from these.
@@ -155,47 +155,22 @@ fn static_len(blocks: &[DBlock]) -> usize {
     blocks.iter().map(|b| b.body.len() + b.exit.len()).sum()
 }
 
-/// Forward worklist solve of `analysis` over the IR graph; returns each
-/// block's entry fact. Blocks named in `entries` (and blocks with no
-/// predecessor) are seeded with the pessimistic boundary fact — the
-/// master can materialize there with arbitrary architected state.
-///
-/// Instructions are transferred at a synthetic pc of 0. That is safe: IR
-/// construction rewrites every call, so no link-register definition
-/// (whose value is pc-dependent) survives into the IR. An exit's own
-/// instruction defines nothing, so only the body is transferred.
-fn solve_ir<A: Analysis>(blocks: &[DBlock], analysis: &A, entries: &BTreeSet<u64>) -> Vec<A::Fact> {
-    let n = blocks.len();
-    let index = block_index(blocks);
-    let succs: Vec<[Option<usize>; 2]> = (0..n).map(|i| successors(blocks, &index, i).0).collect();
-    let mut has_pred = vec![false; n];
-    for &j in succs.iter().flatten().flatten() {
-        has_pred[j] = true;
-    }
-    let boundary = analysis.boundary();
-    let mut entry_facts: Vec<A::Fact> = (0..n).map(|_| analysis.init()).collect();
-    for (i, b) in blocks.iter().enumerate() {
-        if !has_pred[i] || entries.contains(&b.orig_start) {
-            analysis.join(&mut entry_facts[i], &boundary);
+/// Each block's entry fact under the forward `analysis` over the IR.
+/// Blocks named in `entries` and blocks with no predecessor are seeded
+/// with the pessimistic boundary fact — the master can materialize there
+/// with arbitrary architected state.
+fn entry_facts<A: Analysis>(
+    blocks: &[DBlock],
+    analysis: &A,
+    entries: &BTreeSet<u64>,
+) -> Vec<A::Fact> {
+    solve(&Ir(blocks), analysis, |i, sourceless| {
+        if sourceless || entries.contains(&blocks[i].orig_start) {
+            analysis.boundary()
+        } else {
+            analysis.init()
         }
-    }
-
-    let mut queued = vec![true; n];
-    let mut work: VecDeque<usize> = (0..n).collect();
-    while let Some(i) = work.pop_front() {
-        queued[i] = false;
-        let mut fact = entry_facts[i].clone();
-        for &instr in &blocks[i].body {
-            analysis.transfer(0, instr, &mut fact);
-        }
-        for j in succs[i].into_iter().flatten() {
-            if analysis.join(&mut entry_facts[j], &fact) && !queued[j] {
-                queued[j] = true;
-                work.push_back(j);
-            }
-        }
-    }
-    entry_facts
+    })
 }
 
 /// Constant propagation & folding: ALU results that are constant on every
@@ -205,7 +180,7 @@ fn solve_ir<A: Analysis>(blocks: &[DBlock], analysis: &A, entries: &BTreeSet<u64
 /// fall-through. Returns `(instructions folded, branches folded)`.
 fn const_fold(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> (usize, usize) {
     let analysis = ConstPropAnalysis;
-    let entry_facts = solve_ir(blocks, &analysis, entries);
+    let entry_facts = entry_facts(blocks, &analysis, entries);
     let mut folded = 0;
     let mut branches = 0;
     for (block, mut fact) in blocks.iter_mut().zip(entry_facts) {
@@ -266,7 +241,7 @@ fn prune_unreachable(blocks: &mut Vec<DBlock>, roots: &BTreeSet<u64>) -> usize {
 /// DCE. Returns the number of operand rewrites.
 fn copy_prop(blocks: &mut [DBlock], entries: &BTreeSet<u64>) -> usize {
     let analysis = CopyPropAnalysis;
-    let entry_facts = solve_ir(blocks, &analysis, entries);
+    let entry_facts = entry_facts(blocks, &analysis, entries);
     let mut rewritten = 0;
     let mut rewrite = |instr: Instr, fact: &CopyFacts| {
         instr.map_uses(|r| match fact.get(r).source() {
