@@ -564,7 +564,7 @@ impl Profile {
     }
 
     /// Whether any slice feedback is present. When `false`, the
-    /// distiller's pre-computation slice pass is a no-op, so profiles
+    /// distiller's spawn-guard pass is a no-op, so profiles
     /// without feedback distill exactly as before.
     #[must_use]
     pub fn has_slice_feedback(&self) -> bool {
@@ -603,7 +603,7 @@ impl Profile {
     /// Memory footprints and slice-feedback sets are *sticky*: they carry
     /// no weight, only membership, and keeping them is conservative (a
     /// stale write-only word can only suppress an elision; a stale
-    /// hard-live-in only adds a validated pre-computation slice).
+    /// hard-live-in only adds a validated spawn guard).
     pub fn decay(&mut self) {
         for n in self.exec.values_mut() {
             *n >>= 1;

@@ -1,5 +1,5 @@
-//! F16 — the squash-rate attack: distiller pre-computation slices
-//! against the squash causes of the squash-prone workloads. Two
+//! F16 — the squash-rate attack: distiller spawn guards against the
+//! squash causes of the squash-prone workloads. Two
 //! configurations per workload:
 //!
 //! - `off`: default distillation, no slice feedback;
@@ -49,8 +49,7 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Guards veto doomed spawns before they ship (wrong-path squashes\n\
-         become master restarts); live-in slices recompute the hard\n\
-         live-ins the feedback run squashed on. `full` is the\n\
-         configuration BENCH_speedup gates on."
+         become master restarts). `full` is the configuration\n\
+         BENCH_speedup gates on."
     );
 }

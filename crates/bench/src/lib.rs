@@ -167,7 +167,7 @@ pub struct SpeedupRecord {
     /// distillation (no slices) — so every record carries its own
     /// squash-rate improvement baseline.
     pub squash_per_1k_tasks_baseline: f64,
-    /// Pre-computation slices the feedback distillation emitted.
+    /// Spawn guards the feedback distillation emitted.
     pub slices_emitted: usize,
     /// Static instructions in the original text.
     pub static_original: usize,
@@ -182,7 +182,7 @@ pub struct SpeedupRecord {
 /// feedback-free measurement run establishes the baseline squash rate
 /// and threads its squashes back into the profile as slice feedback
 /// ([`slice_feedback_run`]), and the headline numbers come from a
-/// re-distillation carrying pre-computation slices.
+/// re-distillation carrying spawn guards.
 ///
 /// # Panics
 ///
@@ -202,13 +202,12 @@ pub fn collect_speedup_records() -> Vec<SpeedupRecord> {
             let program = w.program(scale);
             // Attack-off baseline: feedback-free distillation (no
             // slices), its squashes threaded back as slice feedback.
-            // Re-distilling is where spawn guards and live-in slices are
-            // born.
+            // Re-distilling is where spawn guards are born.
             let (distilled_off, mut profile) = prepare(&program, &default_cfg);
             let off = slice_feedback_run(&program, &distilled_off, &tcfg, &mut profile);
             let squash_per_1k_tasks_baseline = squash_per_1k_tasks(&off.stats);
             let distilled = distill(&program, &profile, &default_cfg).expect("distillation");
-            // Headline run: with slices.
+            // Headline run: with spawn guards.
             let baseline = run_baseline(&program, &tcfg, u64::MAX).expect("baseline runs");
             let mssp = run_mssp(&program, &distilled, &tcfg).expect("mssp runs");
             assert_eq!(
@@ -252,7 +251,7 @@ const FEEDBACK_SQUASHES: usize = 512;
 /// The feedback-free measurement run: `program` with `distilled` as its
 /// master, under the timing model. Its first 512 squash events are
 /// threaded back into `profile` as slice feedback — the distiller's input
-/// for the pre-computation slice pass.
+/// for the spawn-guard pass.
 /// Live-in mismatch register cells become hard live-ins; wrong-path
 /// events record the architected PC the master failed to predict.
 ///

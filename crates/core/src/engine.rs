@@ -1348,7 +1348,7 @@ mod tests {
 
     #[test]
     fn spawn_guard_vetoes_the_doomed_spawn_at_loop_exit() {
-        use mssp_distill::{Slice, SliceKind};
+        use mssp_distill::Slice;
         // The master asserts phase A's back-edge forever; once the
         // architected run moves on to phase B, every further spawn
         // starts at the A boundary and is a guaranteed wrong-path
@@ -1403,9 +1403,7 @@ mod tests {
         // vetoes — a fed-back decrement would count down *through* zero
         // and miss it.
         let guard = Slice {
-            kind: SliceKind::SpawnGuard {
-                asserted_taken: true,
-            },
+            asserted_taken: true,
             program: assemble("main: bnez s0, main").unwrap(),
             inputs: vec![(Reg::S0, -1)],
             window: 1,

@@ -32,8 +32,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mssp_distill::{Distilled, SliceKind, MAX_SLICE_LEN};
-use mssp_isa::Reg;
+use mssp_distill::{Distilled, MAX_GUARD_WINDOW, MAX_SLICE_LEN};
+use mssp_isa::{Reg, NUM_REGS};
 use mssp_machine::{eval_slice, step, Cell, Delta, MachineState, StepInfo, Storage};
 
 /// Why the master is not currently producing predictions.
@@ -234,28 +234,24 @@ impl Master {
         self.state.reg(r)
     }
 
-    /// Runs the pre-computation slices attached to boundary `orig_pc`.
+    /// Runs the spawn guards attached to boundary `orig_pc`.
     ///
-    /// Spawn guards probe the asserted branch over every crossing of the
+    /// Each guard probes its asserted branch over every crossing of the
     /// upcoming window (seeding each input with its per-crossing stride);
     /// any resolution against the asserted direction vetoes the spawn.
-    /// Live-in slices recompute their target from spawn-available values
-    /// and write the result into the *segment only* — correcting the
-    /// checkpoint handed to the new task without perturbing the master's
-    /// own read view. An inconclusive slice (fault, budget) is ignored:
-    /// slices steer performance, never correctness.
+    /// An inconclusive guard (fault, budget) is ignored: guards steer
+    /// performance, never correctness. So is a guard with more inputs
+    /// than there are registers, and no guard probes more than
+    /// [`MAX_GUARD_WINDOW`] crossings each way: `with_slices` takes any
+    /// guard, and a hostile one must not stall the master's step.
     fn spawn_allowed(&mut self, distilled: &Distilled, orig_pc: u64) -> bool {
-        let slices = distilled.slices_at(orig_pc);
-        if slices.is_empty() {
-            return true;
-        }
         let budget = MAX_SLICE_LEN as u64 + 1;
         let mut inputs: Vec<(Reg, u64)> = Vec::new();
-        // Guards first: a vetoed spawn must not ship live-in corrections.
-        for slice in slices {
-            let SliceKind::SpawnGuard { asserted_taken } = slice.kind else {
+        for slice in distilled.slices_at(orig_pc) {
+            if slice.inputs.len() > NUM_REGS {
                 continue;
-            };
+            }
+            let window = slice.window.min(MAX_GUARD_WINDOW);
             // Inputs the slice itself redefines (loop induction updates,
             // pointer-chase loads) are fed back across probes: probe `j+1`
             // starts from probe `j`'s result. The rest advance by their
@@ -280,11 +276,11 @@ impl Master {
             // divergence. Only stride-recoverable inputs can rewind;
             // slices with fed-back inputs probe forward only.
             let lookback = if fed.is_empty() {
-                slice.window.min(self.crossings_since_restart) as i64
+                window.min(self.crossings_since_restart) as i64
             } else {
                 0
             };
-            'probe: for j in -lookback..=slice.window as i64 {
+            for j in -lookback..=window as i64 {
                 inputs.clear();
                 for &(r, stride) in &slice.inputs {
                     let v = match fed.iter().find(|&&(fr, _)| fr == r) {
@@ -298,26 +294,13 @@ impl Master {
                 });
                 let Some(eval) = eval else { break };
                 match eval.taken {
-                    Some(taken) if taken != asserted_taken => return false,
+                    Some(taken) if taken != slice.asserted_taken => return false,
                     Some(_) => {}
-                    None => break 'probe,
+                    None => break,
                 }
                 for (r, v) in &mut fed {
                     *v = eval.reg(*r);
                 }
-            }
-        }
-        for slice in slices {
-            let SliceKind::LiveIn { target } = slice.kind else {
-                continue;
-            };
-            inputs.clear();
-            inputs.extend(slice.inputs.iter().map(|&(r, _)| (r, self.view(r))));
-            let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
-                self.state.load_word(widx)
-            });
-            if let Some(eval) = eval {
-                self.segment.set(Cell::Reg(target), eval.reg(target));
             }
         }
         true

@@ -118,8 +118,7 @@ pub struct DistillStats {
     pub jumps_threaded: usize,
     /// Pipeline iterations actually run before the fixpoint (or budget).
     pub pipeline_iterations: usize,
-    /// Pre-computation slices (spawn guards + live-in slices) emitted
-    /// from squash feedback in the profile.
+    /// Spawn guards emitted from squash feedback in the profile.
     pub slices_emitted: usize,
 }
 
@@ -199,10 +198,12 @@ impl Distilled {
         self
     }
 
-    /// Returns this `Distilled` with an explicit pre-computation slice
-    /// map (boundary original PC → slices). The "bring your own
-    /// distiller" counterpart of the slice pass; the lint-adversarial
-    /// tests use it to plant deliberately unsound slices.
+    /// Returns this `Distilled` with an explicit spawn-guard map
+    /// (boundary original PC → guards). The "bring your own distiller"
+    /// counterpart of the slice pass; the lint-adversarial tests use it
+    /// to plant deliberately unsound guards. Nothing here bounds a
+    /// guard: the master caps what it probes, and `slice-unsound`
+    /// reports what breaks the contract.
     #[must_use]
     pub fn with_slices(mut self, slices: BTreeMap<u64, Vec<Slice>>) -> Distilled {
         self.stats.slices_emitted = slices.values().map(Vec::len).sum();
@@ -210,7 +211,7 @@ impl Distilled {
         self
     }
 
-    /// Pre-computation slices attached to the boundary at `orig_pc`
+    /// Spawn guards attached to the boundary at `orig_pc`
     /// (empty for boundaries without squash feedback).
     #[must_use]
     pub fn slices_at(&self, orig_pc: u64) -> &[Slice] {
@@ -369,35 +370,19 @@ fn distill_pinned(
     let cfg = Cfg::build(program);
     let dom = Dominators::compute(&cfg);
 
-    // --- Pass 1: decide branch assertions. ---
-    #[derive(Clone, Copy)]
-    enum Assert {
-        Taken(u64),
-        NotTaken,
-    }
-    let mut asserts: BTreeMap<usize, Assert> = BTreeMap::new();
+    // --- Pass 1: decide branch assertions (block id → asserted
+    // direction, `true` for taken). ---
+    let mut asserts: BTreeMap<usize, bool> = BTreeMap::new();
     if let Some(threshold) = config.effective_assert_bias() {
         for (bid, block) in cfg.blocks().iter().enumerate() {
             let Terminator::Branch { .. } = block.terminator else {
                 continue;
             };
-            let branch_pc = block.end - INSTR_BYTES;
-            let Some(counts) = profile.branch(branch_pc) else {
+            let Some(counts) = profile.branch(block.end - INSTR_BYTES) else {
                 continue; // never executed in training: leave intact
             };
-            let Some(bias) = counts.bias() else { continue };
-            if bias >= threshold {
-                if counts.mostly_taken() {
-                    let target = program
-                        .fetch(branch_pc)
-                        .and_then(|i| i.static_target(branch_pc))
-                        // why: the block ends in a `Terminator::Branch`, a
-                        // conditional branch of the text, with an offset.
-                        .expect("branch has a static target");
-                    asserts.insert(bid, Assert::Taken(target));
-                } else {
-                    asserts.insert(bid, Assert::NotTaken);
-                }
+            if counts.bias().is_some_and(|bias| bias >= threshold) {
+                asserts.insert(bid, counts.mostly_taken());
             }
         }
     }
@@ -415,10 +400,8 @@ fn distill_pinned(
     let succs = |bid: usize| -> Vec<usize> {
         let block = &cfg.blocks()[bid];
         let mut out = match (block.terminator, asserts.get(&bid)) {
-            (Terminator::Branch { taken, .. }, Some(Assert::Taken(_))) => vec![taken],
-            (Terminator::Branch { fallthrough, .. }, Some(Assert::NotTaken)) => {
-                vec![fallthrough]
-            }
+            (Terminator::Branch { taken, .. }, Some(true)) => vec![taken],
+            (Terminator::Branch { fallthrough, .. }, Some(false)) => vec![fallthrough],
             _ => cfg.successors(bid),
         };
         if is_call(bid) {
@@ -515,25 +498,22 @@ fn distill_pinned(
                 }
                 Instr::Jalr(_, base, off) => exit = Exit::Stop(Instr::Jalr(Reg::ZERO, base, off)),
                 Instr::Halt => exit = Exit::Stop(instr),
-                _ if instr.is_branch() => match asserts.get(&bid) {
-                    Some(Assert::Taken(target)) => {
-                        asserted_branches += 1;
-                        exit = Exit::Jump(block_start_of(&cfg, *target));
-                    }
-                    Some(Assert::NotTaken) => {
-                        asserted_branches += 1;
+                _ if instr.is_branch() => {
+                    // why: a conditional branch always has a target.
+                    let target = instr.static_target(pc).expect("branch target");
+                    let taken = block_start_of(&cfg, target);
+                    exit = match asserts.get(&bid) {
+                        Some(true) => Exit::Jump(taken),
                         // Dropped: execution falls through.
-                    }
-                    None => {
-                        // why: a conditional branch always has a target.
-                        let target = instr.static_target(pc).expect("branch target");
-                        exit = Exit::Branch {
+                        Some(false) => Exit::Fall,
+                        None => Exit::Branch {
                             instr,
-                            taken: block_start_of(&cfg, target),
+                            taken,
                             other: None,
-                        };
-                    }
-                },
+                        },
+                    };
+                    asserted_branches += usize::from(asserts.contains_key(&bid));
+                }
                 _ if instr.is_store() && elide_stores && profile.store_is_write_only(pc) => {
                     stores_elided += 1;
                 }
@@ -617,7 +597,7 @@ fn distill_pinned(
         .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
         .collect();
 
-    // --- Pass 7: pre-computation slices (squash-feedback-gated). ---
+    // --- Pass 7: spawn guards (squash-feedback-gated). ---
     let crossings_per_task = match pin {
         Some((_, n)) => n.max(1),
         None => crossings_per_task_of(profile, &boundaries, config),
@@ -626,9 +606,9 @@ fn distill_pinned(
         program,
         &cfg,
         profile,
+        &asserts,
         &boundaries,
         crossings_per_task,
-        config,
     );
 
     let counters = pipeline.counters;

@@ -48,4 +48,4 @@ mod slice;
 pub use config::{DistillConfig, DistillLevel, PassConfig};
 pub use distill::{distill, redistill, DistillError, DistillStats, Distilled};
 pub use passes::PassDelta;
-pub use slice::{Slice, SliceKind, MAX_SLICE_LEN};
+pub use slice::{Slice, MAX_GUARD_WINDOW, MAX_SLICE_LEN};

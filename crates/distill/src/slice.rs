@@ -1,69 +1,45 @@
-//! Pre-computation slices (the Prophet-style squash-rate attack).
+//! Spawn guards (the Prophet-style squash-rate attack).
 //!
 //! When a previous MSSP run reports *where* speculation failed — the
 //! architected PCs of wrong-path squashes and the registers behind
 //! live-in mismatches, threaded back into the [`Profile`] as slice
 //! feedback — this pass extracts, per task boundary, short straight-line
 //! programs the run-time can execute against the master's checkpoint
-//! view:
+//! view. Each one is a **spawn guard**: it re-evaluates an asserted
+//! branch condition over the upcoming task window. The distilled program
+//! replaced the branch with its dominant direction; the guard recomputes
+//! the *real* condition from spawn-available values and, when the rare
+//! direction is due inside the window, tells the master to veto the spawn
+//! and fall back to a sequential recovery segment instead of feeding the
+//! verify unit a doomed task.
 //!
-//! * **Spawn guards** re-evaluate an asserted branch condition over the
-//!   upcoming task window. The distilled program replaced the branch with
-//!   its dominant direction; the guard recomputes the *real* condition
-//!   from spawn-available values and, when the rare direction is due
-//!   inside the window, tells the master to veto the spawn and fall back
-//!   to a sequential recovery segment instead of feeding the verify unit
-//!   a doomed task.
-//! * **Live-in slices** recompute a hard-to-predict live-in register from
-//!   loop-invariant inputs, so the checkpoint ships the computed value
-//!   instead of the master's (possibly stale) copy.
-//!
-//! Like distillation itself, slices are purely a performance artifact:
+//! Like distillation itself, guards are purely a performance artifact:
 //! a wrong guard costs a recovery segment or a squash, never
-//! correctness — every slice-sourced value still rides the normal
-//! live-in verification. The `slice-unsound` lint additionally proves
-//! each emitted slice reads only spawn-available values (declared
-//! inputs, earlier slice results, or — in guards — loads answered from
-//! the master's spawn-time memory view), keeping the contract auditable.
+//! correctness. The `slice-unsound` lint additionally proves each
+//! emitted guard reads only spawn-available values (declared inputs,
+//! earlier slice results, or loads answered from the master's spawn-time
+//! memory view), keeping the contract auditable.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mssp_analysis::{Cfg, Profile, Terminator};
 use mssp_isa::{ImmOp, Instr, Program, Reg, INSTR_BYTES};
 
-use crate::DistillConfig;
-
 /// Instruction budget of the forward relevance walk from an asserted-away
 /// branch direction toward the profile's squash-feedback PCs.
 const MAX_WALK: usize = 32;
 
-/// What a slice computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceKind {
-    /// Re-evaluates an asserted branch condition; the final instruction
-    /// of the slice program is the branch itself. If any evaluation over
-    /// the spawn window resolves *against* the asserted direction, the
-    /// master vetoes the spawn.
-    SpawnGuard {
-        /// The direction the distiller asserted (and the master follows).
-        asserted_taken: bool,
-    },
-    /// Recomputes one live-in register from spawn-available inputs; the
-    /// result overrides the master's checkpoint value for that cell.
-    LiveIn {
-        /// The register the slice produces.
-        target: Reg,
-    },
-}
-
-/// A pre-computation slice attached to a task boundary.
+/// A spawn guard attached to a task boundary: a short program that
+/// re-evaluates an asserted branch over the spawn window. If any
+/// evaluation resolves *against* the asserted direction, the master
+/// vetoes the spawn.
 #[derive(Debug, Clone)]
 pub struct Slice {
-    /// What the slice computes.
-    pub kind: SliceKind,
-    /// The slice body as a standalone straight-line program (entry at its
-    /// text base; live-in slices end in `halt`, guards end in the guarded
-    /// branch, whose encoded offset is never followed).
+    /// The direction the distiller asserted (and the master follows).
+    pub asserted_taken: bool,
+    /// The guard body as a standalone straight-line program (entry at its
+    /// text base), ending in the guarded branch, whose encoded offset is
+    /// never followed.
     pub program: Program,
     /// Input registers the slice reads, each with its estimated
     /// per-boundary-crossing stride in the original loop (`0` for
@@ -73,11 +49,11 @@ pub struct Slice {
     /// pointer-chase loads), which are fed back probe-to-probe instead
     /// and carry stride `0` here.
     pub inputs: Vec<(Reg, i64)>,
-    /// Boundary crossings one spawned task covers — the range of `j` a
-    /// guard must clear before the spawn is allowed.
+    /// Boundary crossings one spawned task covers — the range of `j` the
+    /// guard must clear before the spawn is allowed, at most
+    /// [`MAX_GUARD_WINDOW`].
     pub window: u64,
-    /// The original-program PC the slice was extracted from (the asserted
-    /// branch, or the live-in's defining instruction) — the diagnostic
+    /// The original-program PC of the asserted branch — the diagnostic
     /// anchor for `slice-unsound`.
     pub home_pc: u64,
 }
@@ -85,6 +61,11 @@ pub struct Slice {
 /// Hard ceiling on slice length, enforced by construction here and
 /// re-proved by the `slice-unsound` lint on every `Distilled`.
 pub const MAX_SLICE_LEN: usize = 16;
+
+/// Hard ceiling on a guard's probe window: the distiller clamps to it,
+/// the master probes at most this many crossings each way, and the
+/// `slice-unsound` lint rejects a window over it.
+pub const MAX_GUARD_WINDOW: u64 = 4096;
 
 /// Bounded forward reachability walk from `start` over static control
 /// flow, returning the visited PCs (at most `max` instructions).
@@ -171,50 +152,34 @@ fn condition_slice(
     Some((picked.into_iter().map(|(_, i)| i).collect(), needed))
 }
 
-/// Runs the slice pass. Active only when the profile carries slice
-/// feedback (squash observations from a previous run); without feedback
-/// the result is empty and distillation output is byte-identical to a
-/// feedback-free run.
+/// Runs the slice pass over pass 1's branch assertions (block id →
+/// asserted direction, `true` for taken). Active only when the profile
+/// carries slice feedback (squash observations from a previous run);
+/// without feedback the result is empty and distillation output is
+/// byte-identical to a feedback-free run.
 pub(crate) fn compute_slices(
     program: &Program,
     cfg: &Cfg,
     profile: &Profile,
+    asserts: &BTreeMap<usize, bool>,
     boundaries: &BTreeSet<u64>,
     crossings_per_task: u64,
-    config: &DistillConfig,
 ) -> BTreeMap<u64, Vec<Slice>> {
     let mut out: BTreeMap<u64, Vec<Slice>> = BTreeMap::new();
     if !profile.has_slice_feedback() || boundaries.is_empty() {
         return out;
     }
-    let Some(threshold) = config.effective_assert_bias() else {
-        return out;
-    };
     let hard = profile.hard_live_ins();
     let wrong = profile.wrong_path_pcs();
 
-    for block in cfg.blocks() {
-        let Terminator::Branch { .. } = block.terminator else {
+    for (&bid, &asserted_taken) in asserts {
+        let block = &cfg.blocks()[bid];
+        let Terminator::Branch { taken, fallthrough } = block.terminator else {
             continue;
         };
         let branch_pc = block.end - INSTR_BYTES;
-        let Some(counts) = profile.branch(branch_pc) else {
-            continue;
-        };
-        if counts.bias().is_none_or(|b| b < threshold) {
-            continue; // not asserted: the master evaluates it for real
-        }
-        let asserted_taken = counts.mostly_taken();
         // The direction the distiller threw away.
-        let away_pc = if asserted_taken {
-            block.end // fall-through
-        } else {
-            // why: the block ends in a `Terminator::Branch`, a conditional
-            // branch of the text, which has a target.
-            let branch = program.fetch(branch_pc).expect("branch in text");
-            // why: as above.
-            branch.static_target(branch_pc).expect("branch target")
-        };
+        let away_pc = cfg.blocks()[if asserted_taken { fallthrough } else { taken }].start;
         // Relevance: the discarded path either reaches a PC where a
         // wrong-path squash landed, or defines a hard-to-predict live-in.
         let walk = forward_walk(program, away_pc, MAX_WALK);
@@ -272,66 +237,17 @@ pub(crate) fn compute_slices(
         let window = if home_crossings == 0 || iters == 0 {
             crossings_per_task
         } else {
-            let w = (crossings_per_task as f64 * iters as f64 / home_crossings as f64).ceil();
-            (w as u64).clamp(1, 4096)
+            (crossings_per_task as f64 * iters as f64 / home_crossings as f64).ceil() as u64
         };
         // why: the block ends in a `Terminator::Branch` of the text.
         instrs.push(program.fetch(branch_pc).expect("branch in text"));
         out.entry(home).or_default().push(Slice {
-            kind: SliceKind::SpawnGuard { asserted_taken },
+            asserted_taken,
             program: Program::from_instrs(instrs),
             inputs: strided,
-            window,
+            window: window.clamp(1, MAX_GUARD_WINDOW),
             home_pc: branch_pc,
         });
-
-        // Live-in slice: if the discarded path is the only thing keeping a
-        // hard register fresh, but the *hot* region recomputes it from
-        // loop-invariant inputs, ship the recomputation. Conservative by
-        // design — only loop-invariant operands qualify, so the value the
-        // master computes at spawn holds for the whole window.
-        for &reg in hard.iter() {
-            let mut defs = Vec::new();
-            let mut pc = home;
-            while pc < next_boundary {
-                if let Some(i) = program.fetch(pc) {
-                    if i.def_reg() == Some(reg) {
-                        defs.push((pc, i));
-                    }
-                }
-                pc += INSTR_BYTES;
-            }
-            let [(def_pc, def)] = defs[..] else { continue };
-            if !def.is_alu() || def.use_regs().into_iter().flatten().any(|u| u == reg) {
-                continue;
-            }
-            let operands: Vec<Reg> = def
-                .use_regs()
-                .into_iter()
-                .flatten()
-                .filter(|r| *r != Reg::ZERO)
-                .collect();
-            let invariant = operands
-                .iter()
-                .all(|&r| region_stride(program, r, home, next_boundary) == Some(0));
-            if !invariant {
-                continue;
-            }
-            let slices = out.entry(home).or_default();
-            if slices
-                .iter()
-                .any(|s| matches!(s.kind, SliceKind::LiveIn { target } if target == reg))
-            {
-                continue;
-            }
-            slices.push(Slice {
-                kind: SliceKind::LiveIn { target: reg },
-                program: Program::from_instrs(vec![def, Instr::Halt]),
-                inputs: operands.into_iter().map(|r| (r, 0)).collect(),
-                window,
-                home_pc: def_pc,
-            });
-        }
     }
     out
 }
@@ -378,14 +294,9 @@ mod tests {
             .slices()
             .values()
             .flatten()
-            .find(|s| matches!(s.kind, SliceKind::SpawnGuard { .. }))
+            .next()
             .expect("a spawn guard for the asserted back-edge");
-        assert_eq!(
-            guard.kind,
-            SliceKind::SpawnGuard {
-                asserted_taken: true
-            }
-        );
+        assert!(guard.asserted_taken);
         // The slice ends in the guarded branch and redefines its own
         // input (the induction decrement), so the input is declared with
         // stride 0 and fed back probe-to-probe.
@@ -397,26 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn hard_live_in_feedback_emits_an_invariant_recomputation() {
-        let p = assemble(LOOP).unwrap();
+    fn hard_live_in_feedback_alone_guards_the_arm_that_defines_it() {
+        // No wrong-path PC: the only feedback is that s4 kept mismatching
+        // at verify. The asserted-away arm of the back-edge (the loop
+        // exit) defines s4, so the back-edge gets a guard.
+        let p = assemble(&LOOP.replace("halt", "addi s4, s1, 0\n halt")).unwrap();
         let mut profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
-        let exit_pc = p.text_end() - INSTR_BYTES;
-        profile.mark_wrong_path(exit_pc);
-        // s2 kept mismatching at verify; the hot region recomputes it
-        // from the loop-invariant s3, so a live-in slice can ship that
-        // recomputation to spawn time.
-        profile.mark_hard_live_in(Reg::S2);
+        profile.mark_hard_live_in(Reg::S4);
         let d = distill(&p, &profile, &DistillConfig::default()).unwrap();
-        let live_in = d
-            .slices()
-            .values()
-            .flatten()
-            .find(|s| matches!(s.kind, SliceKind::LiveIn { .. }))
-            .expect("a live-in recomputation slice for s2");
-        assert_eq!(live_in.kind, SliceKind::LiveIn { target: Reg::S2 });
-        assert_eq!(live_in.inputs, vec![(Reg::S3, 0)]);
-        let last = live_in.program.iter_pcs().last().unwrap().1;
-        assert!(last.is_halt());
+        let guards: Vec<&Slice> = d.slices().values().flatten().collect();
+        let [guard] = guards[..] else {
+            panic!("one guard for the asserted back-edge, got {guards:?}");
+        };
+        assert!(guard.asserted_taken);
+        assert_eq!(guard.home_pc, p.symbol("loop").unwrap() + 3 * INSTR_BYTES);
+        let last = guard.program.iter_pcs().last().unwrap().1;
+        assert!(last.is_branch());
     }
 
     #[test]
@@ -443,10 +350,7 @@ mod tests {
         profile.mark_wrong_path(p.text_end() - INSTR_BYTES);
         let d = distill(&p, &profile, &DistillConfig::default()).unwrap();
         assert!(
-            d.slices()
-                .values()
-                .flatten()
-                .all(|s| !matches!(s.kind, SliceKind::SpawnGuard { .. })),
+            d.slices().is_empty(),
             "the t3 guard must be dropped, got {:?}",
             d.slices()
         );

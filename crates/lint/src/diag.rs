@@ -68,9 +68,10 @@ pub enum LintId {
     DeadStoreInDistilled,
     /// The boundary set degenerated to the entry PC alone.
     DegenerateBoundarySet,
-    /// A pre-computation slice reads values that are not available at
-    /// spawn time (undeclared inputs, stores, control flow), or is not
-    /// the short straight-line program its kind promises.
+    /// A spawn guard reads values that are not available at spawn time
+    /// (undeclared inputs, stores, control flow), is not the short
+    /// straight-line program ending in its branch, or asks for a window
+    /// or an input list the master will not probe.
     SliceUnsound,
 }
 

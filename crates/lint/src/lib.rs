@@ -25,7 +25,7 @@
 //! | `boundary-in-cold-code` | warning | boundaries recur in training |
 //! | `dead-store-in-distilled` | warning | no dead register writes survive |
 //! | `degenerate-boundary-set` | warning | boundary selection found a recurring site |
-//! | `slice-unsound` | error | pre-computation slices read only spawn-available values |
+//! | `slice-unsound` | error | spawn guards end in their branch, read only spawn-available values, and keep to the master's window and input caps |
 //!
 //! ## Quick start
 //!

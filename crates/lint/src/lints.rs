@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 
 use mssp_analysis::{Cfg, ConstProp, Liveness, Profile, ReachingDefs, RegSet};
-use mssp_distill::{Distilled, Slice, SliceKind, MAX_SLICE_LEN};
-use mssp_isa::{PcSpan, Program};
+use mssp_distill::{Distilled, Slice, MAX_GUARD_WINDOW, MAX_SLICE_LEN};
+use mssp_isa::{PcSpan, Program, Reg, NUM_REGS};
 
 use crate::diag::{AddrSpace, Diagnostic, LintId, Report};
 
@@ -464,13 +464,15 @@ fn check_degenerate_boundary_set(
     }
 }
 
-/// `slice-unsound` (error): every pre-computation slice attached to a
-/// boundary must be the short, straight-line, register-pure program its
-/// kind promises, reading only spawn-available values — its declared
-/// inputs, its own earlier results, and the zero register. A slice
-/// violating this hands the master a value that does not exist at spawn
-/// time, turning the guard/live-in machinery into a deterministic squash
-/// (or spurious-veto) generator.
+/// `slice-unsound` (error): every spawn guard attached to a boundary must
+/// be the short, straight-line program that ends in the guarded branch,
+/// with a probe window of 1 to [`MAX_GUARD_WINDOW`] crossings and at most
+/// `NUM_REGS` inputs, reading only spawn-available values — its
+/// declared inputs, its own earlier results, the zero register and
+/// memory. A guard violating this hands the master a value that does not
+/// exist at spawn time, turning the guard machinery into a deterministic
+/// squash (or spurious-veto) generator, or asks for more probes than the
+/// master runs.
 fn check_slice_unsound(report: &mut Report, distilled: &Distilled) {
     for (&boundary, slices) in distilled.slices() {
         for slice in slices {
@@ -479,14 +481,14 @@ fn check_slice_unsound(report: &mut Report, distilled: &Distilled) {
                     LintId::SliceUnsound,
                     PcSpan::point(slice.home_pc),
                     AddrSpace::Original,
-                    format!("pre-computation slice for boundary {boundary:#x} {why}"),
+                    format!("spawn guard for boundary {boundary:#x} {why}"),
                 ));
             }
         }
     }
 }
 
-/// The structural obligation for one slice; `None` when it holds.
+/// The structural obligation for one guard; `None` when it holds.
 fn slice_violation(slice: &Slice) -> Option<String> {
     let p = &slice.program;
     let count = p.len();
@@ -498,43 +500,31 @@ fn slice_violation(slice: &Slice) -> Option<String> {
             "has {count} instructions, over the {MAX_SLICE_LEN}-instruction limit"
         ));
     }
-    let mut avail: std::collections::BTreeSet<mssp_isa::Reg> =
-        slice.inputs.iter().map(|&(r, _)| r).collect();
-    let mut defined: std::collections::BTreeSet<mssp_isa::Reg> = std::collections::BTreeSet::new();
+    if !(1..=MAX_GUARD_WINDOW).contains(&slice.window) {
+        return Some(format!(
+            "probes a window of {} crossings, outside 1..={MAX_GUARD_WINDOW}",
+            slice.window
+        ));
+    }
+    if slice.inputs.len() > NUM_REGS {
+        return Some(format!(
+            "declares {} inputs, more than the {NUM_REGS} registers",
+            slice.inputs.len()
+        ));
+    }
+    let mut avail: std::collections::BTreeSet<Reg> = slice.inputs.iter().map(|&(r, _)| r).collect();
     for (i, (pc, instr)) in p.iter_pcs().enumerate() {
-        let is_last = i + 1 == count;
-        match slice.kind {
-            SliceKind::SpawnGuard { .. } => {
-                // Guards may also load: the evaluator answers loads from
-                // the master's spawn-time memory view, which is itself
-                // spawn-available. Stores and control stay forbidden.
-                if is_last {
-                    if !instr.is_branch() {
-                        return Some(
-                            "is a spawn guard whose final instruction is not a conditional branch"
-                                .to_string(),
-                        );
-                    }
-                } else if !(instr.is_alu() || instr.is_load()) {
-                    return Some(format!(
-                        "contains a non-ALU, non-load instruction at slice pc {pc:#x}"
-                    ));
-                }
+        // Guards may load: the evaluator answers loads from the master's
+        // spawn-time memory view, which is itself spawn-available. Stores
+        // and control stay forbidden, `halt` included.
+        if i + 1 == count {
+            if !instr.is_branch() {
+                return Some("ends in something other than a conditional branch".to_string());
             }
-            SliceKind::LiveIn { .. } => {
-                if instr.is_halt() {
-                    if !is_last {
-                        return Some(format!("halts early at slice pc {pc:#x}"));
-                    }
-                } else if !instr.is_alu() {
-                    return Some(format!(
-                        "contains a non-ALU instruction at slice pc {pc:#x}"
-                    ));
-                }
-            }
-        }
-        if instr.is_halt() {
-            continue;
+        } else if !(instr.is_alu() || instr.is_load()) {
+            return Some(format!(
+                "contains a non-ALU, non-load instruction at slice pc {pc:#x}"
+            ));
         }
         for r in instr.use_regs().into_iter().flatten() {
             if !r.is_zero() && !avail.contains(&r) {
@@ -546,12 +536,6 @@ fn slice_violation(slice: &Slice) -> Option<String> {
         }
         if let Some(d) = instr.def_reg() {
             avail.insert(d);
-            defined.insert(d);
-        }
-    }
-    if let SliceKind::LiveIn { target } = slice.kind {
-        if !defined.contains(&target) {
-            return Some(format!("never defines its live-in target {target}"));
         }
     }
     None

@@ -1,13 +1,13 @@
 //! Straight-line slice evaluation.
 //!
-//! Pre-computation slices (see `mssp-distill`) are tiny straight-line
-//! programs the master evaluates against its checkpoint view at spawn
-//! time: spawn guards end in the guarded branch (the caller wants its
-//! outcome), live-in slices end in `halt` (the caller wants a register).
-//! This evaluator runs such a program from a seeded register file; loads
-//! read through the caller-supplied `load` view (the master's
-//! spawn-time memory), stores are discarded — the `slice-unsound` lint
-//! only admits slices whose reads are spawn-available. A slice that
+//! Spawn guards (see `mssp-distill`) are tiny straight-line programs the
+//! master evaluates against its checkpoint view at spawn time; each ends
+//! in the guarded branch, whose outcome the caller wants. This evaluator
+//! runs such a program from a seeded register file, and also stops at
+//! `halt`, which a hostile guard may contain. Loads read through the
+//! caller-supplied `load` view (the master's spawn-time memory), stores
+//! are discarded — the `slice-unsound` lint only admits slices whose
+//! reads are spawn-available. A slice that
 //! nevertheless faults or fails to terminate inside the step budget
 //! simply yields `None`; slice results only ever steer performance, so
 //! "no answer" is always an acceptable answer.
@@ -21,8 +21,7 @@ use crate::Storage;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceEval {
     /// Outcome of the final executed instruction when it was a
-    /// conditional branch (spawn guards), `None` when the program ran to
-    /// `halt` (live-in slices).
+    /// conditional branch, `None` when the program ran to `halt`.
     pub taken: Option<bool>,
     regs: [u64; NUM_REGS],
 }
@@ -114,7 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn live_in_slice_runs_to_halt_and_exposes_registers() {
+    fn halt_ends_the_slice_and_exposes_registers() {
         let p = Program::from_instrs(vec![
             Instr::Alu(AluOp::Add, Reg::A0, Reg::T0, Reg::T1),
             Instr::Halt,

@@ -262,7 +262,9 @@ pub struct TimingRun {
 ///
 /// # Errors
 ///
-/// Propagates engine errors (cycle budget, recovery faults).
+/// Propagates engine errors: [`EngineError::Budget`] when the run spends
+/// its instruction budget, [`EngineError::RecoveryFault`] when the
+/// original program faults.
 pub fn run_mssp(
     program: &Program,
     distilled: &Distilled,

@@ -172,3 +172,68 @@ fn any_master_on_a_program_that_never_halts_spends_the_budget() {
         }
     });
 }
+
+/// Spawn guards no distiller would emit: one that never vetoes over a
+/// window of 2^40 crossings, and one that declares 20,000 copies of one
+/// fed-back input. The master caps what it probes, so every executor
+/// still ends in `SeqMachine`'s state, and promptly: the runs go on a
+/// thread, and a run still going after 10 s fails the test instead of
+/// hanging it.
+#[test]
+fn hostile_spawn_guards_cannot_stall_the_master() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let (p, _, _) = reference();
+        let mut seq = SeqMachine::boot(&p);
+        seq.run(u64::MAX).unwrap();
+        let profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
+        let d = distill(&p, &profile, &DistillConfig::default()).unwrap();
+        let always_taken = mssp::distill::Slice {
+            asserted_taken: true,
+            program: assemble("main: beq zero, zero, main").unwrap(),
+            inputs: Vec::new(),
+            window: 1 << 40,
+            home_pc: p.entry(),
+        };
+        let many_inputs = mssp::distill::Slice {
+            program: assemble("main: addi t0, t0, 1\n beq zero, zero, main").unwrap(),
+            inputs: vec![(Reg::T0, 0); 20_000],
+            window: mssp::distill::MAX_GUARD_WINDOW,
+            ..always_taken.clone()
+        };
+        // The same guard asserted the other way vetoes: the master does
+        // evaluate what is attached.
+        let vetoing = mssp::distill::Slice {
+            asserted_taken: false,
+            ..always_taken.clone()
+        };
+        for guard in [always_taken, many_inputs, vetoing] {
+            let slices = d.boundaries().iter().map(|&b| (b, vec![guard.clone()]));
+            let d = d.clone().with_slices(slices.collect());
+            let engine = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
+                .run()
+                .unwrap();
+            let timed = run_mssp(&p, &d, &TimingConfig::default()).unwrap().run;
+            let vetoes = engine.stats.spawn_vetoes;
+            assert_eq!(vetoes > 0, !guard.asserted_taken, "{:?}", engine.stats);
+            assert!(engine.state == *seq.state());
+            assert!(timed.state == *seq.state());
+            for num_slaves in [1, 2] {
+                let cfg = EngineConfig {
+                    num_slaves,
+                    ..EngineConfig::default()
+                };
+                let threaded = run_threaded(&p, &d, cfg).unwrap();
+                assert!(threaded.state == *seq.state());
+            }
+        }
+        tx.send(()).unwrap();
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Err(RecvTimeoutError::Timeout) => panic!("a hostile spawn guard held a run past 10 s"),
+        _ => worker.join().expect("every run ends in SeqMachine's state"),
+    }
+}

@@ -404,7 +404,7 @@ fn recurring_entry_is_not_degenerate() {
 
 #[test]
 fn slice_unsound_fires_on_undeclared_input() {
-    // Start from a distillation that lints clean, then plant a live-in
+    // Start from a distillation that lints clean, then plant a halt-ended
     // slice whose body reads a register it never declared as an input —
     // a value that simply does not exist at spawn time.
     let p = assemble(
@@ -427,15 +427,18 @@ fn slice_unsound_fires_on_undeclared_input() {
     let boundary = *d.boundaries().iter().next().unwrap();
     let home = p.symbol("loop").unwrap();
     let slice = mssp::distill::Slice {
-        kind: mssp::distill::SliceKind::LiveIn { target: Reg::S1 },
+        asserted_taken: true,
         program: assemble("main: add s1, t1, zero\n halt").unwrap(),
         inputs: Vec::new(), // t1 deliberately undeclared
         window: 4,
         home_pc: home,
     };
-    let d = d.with_slices(BTreeMap::from([(boundary, vec![slice])]));
+    let planted = |slice: &mssp::distill::Slice| {
+        d.clone()
+            .with_slices(BTreeMap::from([(boundary, vec![slice.clone()])]))
+    };
 
-    let report = run_lint(&p, &d, &profile);
+    let report = run_lint(&p, &planted(&slice), &profile);
     assert_fires_only(&report, LintId::SliceUnsound);
     assert!(fires_at(&report, LintId::SliceUnsound, home));
     assert!(report.has_errors());
@@ -445,6 +448,32 @@ fn slice_unsound_fires_on_undeclared_input() {
         "message should name the obligation: {}",
         finding.message
     );
+
+    // Declared, the input is fine, but a slice that ends in `halt`
+    // guards no branch.
+    let declared = mssp::distill::Slice {
+        inputs: vec![(Reg::T1, 0)],
+        ..slice.clone()
+    };
+    let report = run_lint(&p, &planted(&declared), &profile);
+    assert_fires_only(&report, LintId::SliceUnsound);
+    let finding = report.of(LintId::SliceUnsound).next().unwrap();
+    assert!(
+        finding.message.contains("other than a conditional branch"),
+        "message should name the obligation: {}",
+        finding.message
+    );
+
+    // Attached anyway, it never vetoes and cannot move committed state.
+    let mut seq = SeqMachine::boot(&p);
+    seq.run(u64::MAX).unwrap();
+    for s in [slice, declared] {
+        let run = Engine::new(&p, &planted(&s), EngineConfig::default(), UnitCost)
+            .run()
+            .unwrap();
+        assert_eq!(run.stats.spawn_vetoes, 0, "{:?}", run.stats);
+        assert!(run.state == *seq.state());
+    }
 }
 
 #[test]
@@ -465,9 +494,7 @@ fn slice_unsound_fires_on_guard_with_store_or_bad_terminator() {
     // Guards may read memory (the evaluator answers loads from the
     // master's spawn-time view) but must never write it.
     let storing_guard = mssp::distill::Slice {
-        kind: mssp::distill::SliceKind::SpawnGuard {
-            asserted_taken: true,
-        },
+        asserted_taken: true,
         program: assemble(
             "main: sd   s0, -8(sp)
                    bnez s0, main",
@@ -480,21 +507,37 @@ fn slice_unsound_fires_on_guard_with_store_or_bad_terminator() {
     // A guard whose final instruction is not the guarded branch cannot
     // veto anything.
     let branchless_guard = mssp::distill::Slice {
-        kind: mssp::distill::SliceKind::SpawnGuard {
-            asserted_taken: false,
-        },
+        asserted_taken: false,
         program: assemble("main: addi s0, s0, -1\n halt").unwrap(),
         inputs: vec![(Reg::S0, -1)],
         window: 4,
         home_pc: home,
     };
-    let d = d.with_slices(BTreeMap::from([(
-        boundary,
-        vec![storing_guard, branchless_guard],
-    )]));
+    // A sound guard, broken three ways the master will not probe: no
+    // window, a window past its cap, and more inputs than registers.
+    let sound = mssp::distill::Slice {
+        asserted_taken: true,
+        program: assemble("main: bnez s0, main").unwrap(),
+        inputs: vec![(Reg::S0, -1)],
+        window: mssp::distill::MAX_GUARD_WINDOW,
+        home_pc: home,
+    };
+    let unprobed = [
+        (0, sound.inputs.clone()),
+        (sound.window + 1, sound.inputs.clone()),
+        (4, vec![(Reg::S0, -1); mssp::isa::NUM_REGS + 1]),
+    ]
+    .map(|(window, inputs)| mssp::distill::Slice {
+        window,
+        inputs,
+        ..sound.clone()
+    });
+    let mut guards = vec![sound, storing_guard, branchless_guard];
+    guards.extend(unprobed);
+    let d = d.with_slices(BTreeMap::from([(boundary, guards)]));
 
     let report = run_lint(&p, &d, &profile);
     assert_fires_only(&report, LintId::SliceUnsound);
-    assert_eq!(report.of(LintId::SliceUnsound).count(), 2);
+    assert_eq!(report.of(LintId::SliceUnsound).count(), 5);
     assert!(report.has_errors());
 }
