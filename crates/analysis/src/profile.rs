@@ -50,7 +50,7 @@
 //! pages, hashed with [`PageHasher`], only when an access lands on another
 //! page, and once more when the run ends.
 //! [`Profile::store_is_write_only`] is a page-wise AND of a store's
-//! footprint with the loaded words, and [`Profile::merge`] a page-wise OR.
+//! footprint with the loaded words.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
@@ -156,15 +156,6 @@ impl WordSet {
 
     fn insert_access(&mut self, mem: MemAccess) {
         access_words(mem, |word| self.insert(word));
-    }
-
-    fn union_with(&mut self, other: &WordSet) {
-        for (&key, bits) in &other.0 {
-            let page = self.0.entry(key).or_insert([0; 8]);
-            for (w, b) in page.iter_mut().zip(bits) {
-                *w |= b;
-            }
-        }
     }
 
     fn is_disjoint(&self, other: &WordSet) -> bool {
@@ -571,33 +562,6 @@ impl Profile {
         !self.hard_live_ins.is_empty() || !self.wrong_path_pcs.is_empty()
     }
 
-    /// Accumulates another profile into this one: counts add, footprints
-    /// and slice-feedback sets union. Used by the online adaptive loop to
-    /// fold per-segment observations into a long-lived live profile.
-    pub fn merge(&mut self, other: &Profile) {
-        for (&pc, &n) in &other.exec {
-            *self.exec.entry(pc).or_insert(0) += n;
-        }
-        for (&pc, c) in &other.branches {
-            let e = self.branches.entry(pc).or_default();
-            e.taken += c.taken;
-            e.not_taken += c.not_taken;
-        }
-        for (&edge, &n) in &other.edges {
-            *self.edges.entry(edge).or_insert(0) += n;
-        }
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.branch_instrs += other.branch_instrs;
-        self.loaded_words.union_with(&other.loaded_words);
-        for (&pc, words) in &other.store_words {
-            self.store_words.entry(pc).or_default().union_with(words);
-        }
-        self.hard_live_ins.extend(&other.hard_live_ins);
-        self.wrong_path_pcs.extend(&other.wrong_path_pcs);
-    }
-
     /// Exponentially decays every count by halving it, pruning entries
     /// that reach zero, so a live profile forgets old program phases.
     /// Memory footprints and slice-feedback sets are *sticky*: they carry
@@ -735,59 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_unions_sets() {
-        let (p, mut a) = profiled(
-            "main: addi a0, zero, 3
-             loop: sd a0, -8(sp)
-                   ld a1, -8(sp)
-                   addi a0, a0, -1
-                   bnez a0, loop
-                   halt",
-        );
-        let b = a.clone();
-        let loop_pc = p.symbol("loop").unwrap();
-        let branch_pc = loop_pc + 12;
-        let before_exec = a.exec_count(loop_pc);
-        let before_branch = a.branch(branch_pc).unwrap();
-        a.mark_hard_live_in(Reg::A0);
-        let mut other = b.clone();
-        other.mark_wrong_path(branch_pc);
-        a.merge(&other);
-        assert_eq!(a.exec_count(loop_pc), 2 * before_exec);
-        assert_eq!(a.branch(branch_pc).unwrap().taken, 2 * before_branch.taken);
-        assert_eq!(
-            a.edge_count(branch_pc, loop_pc),
-            2 * b.edge_count(branch_pc, loop_pc)
-        );
-        assert_eq!(a.dynamic_instructions(), 2 * b.dynamic_instructions());
-        assert_eq!(a.loads(), 2 * b.loads());
-        assert_eq!(a.stores(), 2 * b.stores());
-        assert_eq!(a.dynamic_branches(), 2 * b.dynamic_branches());
-        assert!(a.hard_live_ins().contains(&Reg::A0));
-        assert!(a.wrong_path_pcs().contains(&branch_pc));
-        assert!(a.has_slice_feedback());
-    }
-
-    #[test]
-    fn merge_into_empty_is_identity_on_counts() {
-        let (p, prof) = profiled(
-            "main: addi a0, zero, 5
-             loop: addi a0, a0, -1
-                   bnez a0, loop
-                   halt",
-        );
-        let mut merged = Profile::empty();
-        merged.merge(&prof);
-        let loop_pc = p.symbol("loop").unwrap();
-        assert_eq!(merged.exec_count(loop_pc), prof.exec_count(loop_pc));
-        assert_eq!(merged.dynamic_instructions(), prof.dynamic_instructions());
-        assert_eq!(
-            merged.branch(loop_pc + 4).unwrap(),
-            prof.branch(loop_pc + 4).unwrap()
-        );
-    }
-
-    #[test]
     fn decay_halves_counts_and_prunes_zeros() {
         let (p, mut prof) = profiled(
             "main: addi a0, zero, 9
@@ -816,19 +727,6 @@ mod tests {
         assert_eq!(prof.exec_count(loop_pc), 0);
         assert_eq!(prof.dynamic_branches(), 0);
         assert!(prof.branch(loop_pc + 4).is_none());
-    }
-
-    #[test]
-    fn store_footprints_survive_merge() {
-        let (p, prof) = profiled(
-            "main: sd a0, -8(sp)
-                   halt",
-        );
-        let main_pc = p.symbol("main").unwrap();
-        assert!(prof.store_is_write_only(main_pc));
-        let mut merged = Profile::empty();
-        merged.merge(&prof);
-        assert!(merged.store_is_write_only(main_pc));
     }
 
     #[test]
@@ -886,7 +784,7 @@ mod tests {
     fn footprints_straddle_words_and_bit_pages() {
         // 4092 = 0xffc: eight bytes there are words 511 and 512, the last
         // word of bit page 0 and the first of page 1.
-        let (p, mut prof) = profiled(
+        let (p, prof) = profiled(
             "main: li   t0, 4092
              st:   sd   a0, 0(t0)
                    ld   a1, -12(t0)
@@ -909,10 +807,6 @@ mod tests {
         assert_eq!(q.symbol("st"), Some(st));
         assert_eq!(members(&straddle.loaded_words), [511, 512]);
         assert!(!straddle.store_is_write_only(st));
-        prof.merge(&straddle);
-        assert_eq!(members(&prof.loaded_words), [510, 511, 512, 513]);
-        assert_eq!(members(&prof.store_words[&st]), [511, 512]);
-        assert!(!prof.store_is_write_only(st));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use mssp_distill::{Distilled, MAX_GUARD_WINDOW, MAX_SLICE_LEN};
 use mssp_isa::{Reg, NUM_REGS};
-use mssp_machine::{eval_slice, step, Cell, Delta, MachineState, StepInfo, Storage};
+use mssp_machine::{eval_slice, step, Cell, Delta, MachineState, SliceEval, StepInfo, Storage};
 
 /// Why the master is not currently producing predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,27 +246,25 @@ impl Master {
     /// guard, and a hostile one must not stall the master's step.
     fn spawn_allowed(&mut self, distilled: &Distilled, orig_pc: u64) -> bool {
         let budget = MAX_SLICE_LEN as u64 + 1;
-        let mut inputs: Vec<(Reg, u64)> = Vec::new();
+        let mut inputs = [(Reg::ZERO, 0); NUM_REGS];
         for slice in distilled.slices_at(orig_pc) {
-            if slice.inputs.len() > NUM_REGS {
+            let Some(probe) = inputs.get_mut(..slice.inputs.len()) else {
                 continue;
-            }
+            };
             let window = slice.window.min(MAX_GUARD_WINDOW);
             // Inputs the slice itself redefines (loop induction updates,
             // pointer-chase loads) are fed back across probes: probe `j+1`
             // starts from probe `j`'s result. The rest advance by their
             // statically recovered per-crossing stride.
-            let defs: std::collections::BTreeSet<Reg> = slice
+            let defs = slice
                 .program
                 .iter_pcs()
                 .filter_map(|(_, i)| i.def_reg())
-                .collect();
-            let mut fed: Vec<(Reg, u64)> = slice
+                .fold(0u32, |mask, r| mask | 1 << r.index());
+            let fed = slice
                 .inputs
                 .iter()
-                .filter(|&&(r, _)| defs.contains(&r))
-                .map(|&(r, _)| (r, self.view(r)))
-                .collect();
+                .fold(0, |mask, &(r, _)| mask | defs & 1 << r.index());
             // Retrospective probes: the rare path may have fallen *behind*
             // the master already — an asserted branch deviating at crossing
             // -k leaves the master silently diverged, and every task it
@@ -275,21 +273,24 @@ impl Master {
             // that into a veto, and the recovery restart heals the
             // divergence. Only stride-recoverable inputs can rewind;
             // slices with fed-back inputs probe forward only.
-            let lookback = if fed.is_empty() {
+            let lookback = if fed == 0 {
                 window.min(self.crossings_since_restart) as i64
             } else {
                 0
             };
+            // The previous probe's register file, which fed-back inputs
+            // read. A guard with fed-back inputs starts at `j = 0`, where
+            // they read the view.
+            let mut last: Option<SliceEval> = None;
             for j in -lookback..=window as i64 {
-                inputs.clear();
-                for &(r, stride) in &slice.inputs {
-                    let v = match fed.iter().find(|&&(fr, _)| fr == r) {
-                        Some(&(_, v)) => v,
-                        None => self.view(r).wrapping_add_signed(stride.wrapping_mul(j)),
+                for (input, &(r, stride)) in probe.iter_mut().zip(&slice.inputs) {
+                    let v = match last {
+                        Some(last) if fed & 1 << r.index() != 0 => last.reg(r),
+                        _ => self.view(r).wrapping_add_signed(stride.wrapping_mul(j)),
                     };
-                    inputs.push((r, v));
+                    *input = (r, v);
                 }
-                let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
+                let eval = eval_slice(&slice.program, probe, budget, |widx| {
                     self.state.load_word(widx)
                 });
                 let Some(eval) = eval else { break };
@@ -298,9 +299,7 @@ impl Master {
                     Some(_) => {}
                     None => break,
                 }
-                for (r, v) in &mut fed {
-                    *v = eval.reg(*r);
-                }
+                last = Some(eval);
             }
         }
         true

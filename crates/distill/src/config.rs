@@ -45,8 +45,8 @@ impl std::fmt::Display for DistillLevel {
     }
 }
 
-/// Per-pass toggles and the fixpoint budget of the distiller's optimizing
-/// pass pipeline (see `mssp_distill::passes`).
+/// Per-pass toggles of the distiller's optimizing pass pipeline (see
+/// `mssp_distill::passes`).
 ///
 /// The pipeline runs after branch asserting / cold-code elision and before
 /// layout, at every level except [`DistillLevel::None`]. Each toggle
@@ -83,9 +83,6 @@ pub struct PassConfig {
     /// Profile-guided jump threading / superblock straightening: hot
     /// paths are relaid so the master falls through its dominant trace.
     pub jump_thread: bool,
-    /// Maximum pipeline iterations; within one iteration each enabled
-    /// pass runs once, and the pipeline stops early at a fixpoint.
-    pub max_iterations: usize,
 }
 
 impl PassConfig {
@@ -97,7 +94,6 @@ impl PassConfig {
             copy_prop: true,
             dce: true,
             jump_thread: true,
-            max_iterations: 4,
         }
     }
 
@@ -109,7 +105,6 @@ impl PassConfig {
             copy_prop: false,
             dce: false,
             jump_thread: false,
-            max_iterations: 0,
         }
     }
 
@@ -120,16 +115,14 @@ impl PassConfig {
     pub fn dce_only() -> PassConfig {
         PassConfig {
             dce: true,
-            max_iterations: 1,
             ..PassConfig::none()
         }
     }
 
-    /// Whether any pass is enabled (with a non-zero budget).
+    /// Whether any pass is enabled.
     #[must_use]
     pub(crate) fn any_enabled(&self) -> bool {
-        self.max_iterations > 0
-            && (self.const_fold || self.copy_prop || self.dce || self.jump_thread)
+        self.const_fold || self.copy_prop || self.dce || self.jump_thread
     }
 }
 

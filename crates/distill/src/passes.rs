@@ -1,7 +1,7 @@
 //! The distiller's optimizing pass pipeline.
 //!
 //! Runs between IR construction and layout, transforming the relocatable
-//! [`DBlock`] list to a fixpoint under a per-pass iteration budget. Every
+//! [`DBlock`] list to a fixpoint under a fixed iteration budget. Every
 //! pass is profile- or dataflow-guided and *approximation-tolerant*: a
 //! wrong transform costs the master squashes, never correctness, because
 //! slaves execute the original program (the paper's decoupling of
@@ -65,6 +65,10 @@ pub(crate) struct PipelineCounters {
     pub iterations: usize,
 }
 
+/// Most pipeline iterations; within one iteration each enabled pass runs
+/// once, and the pipeline stops early at a fixpoint.
+const MAX_ITERATIONS: usize = 4;
+
 /// The pipeline's result: counters plus the per-pass size trace.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PipelineOutcome {
@@ -73,7 +77,7 @@ pub(crate) struct PipelineOutcome {
 }
 
 /// Runs the enabled passes over `blocks` to a fixpoint (bounded by
-/// `config.max_iterations`).
+/// [`MAX_ITERATIONS`]).
 ///
 /// `entry` is the distilled entry block's original address, `reseed` the
 /// extra original addresses where the master can enter with arbitrary
@@ -98,7 +102,7 @@ pub(crate) fn run_pipeline(
     let mut prune_roots: BTreeSet<u64> = entries.clone();
     prune_roots.extend(hot_roots.iter().copied());
 
-    for iteration in 1..=config.max_iterations {
+    for iteration in 1..=MAX_ITERATIONS {
         let snapshot = blocks.clone();
         if config.const_fold {
             let before = static_len(blocks);

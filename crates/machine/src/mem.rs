@@ -5,37 +5,31 @@
 //! reference machine total and deterministic even when a mis-steered MSSP
 //! slave wanders into unmapped addresses.
 //!
-//! # Layout for multi-threaded readers
+//! # Snapshots
 //!
-//! The threaded executor shares one base snapshot across every worker
-//! while the coordinator keeps mutating its own architected copy, so two
-//! properties matter beyond the single-threaded case:
-//!
-//! * **Pages are cache-line aligned.** [`Page`] is `#[repr(align(64))]`,
-//!   which (a) keeps page data from straddling a line boundary shared
-//!   with unrelated heap objects and (b) pushes the `Arc` refcount
-//!   header onto its *own* line — a coordinator bumping refcounts while
-//!   cloning a snapshot never write-shares a line with workers streaming
-//!   page data.
-//! * **The page table is striped.** Pages are spread across
-//!   [`STRIPES`] independent, line-padded hash maps keyed by the low
-//!   bits of the page index, so concurrent readers of *different* pages
-//!   walk different map allocations instead of contending on one table's
-//!   buckets.
+//! The master restarts from a clone of architected state after every
+//! squash, and the threaded coordinator publishes a fresh base snapshot
+//! for its workers every few commits, so a clone must be cheap. A
+//! `SparseMem` is one page table of reference-counted pages: a clone
+//! copies the table (one allocation) and bumps one refcount per resident
+//! page, and a store after it copies only the page it touches. Each
+//! snapshot owns its table, and no thread writes a table another thread
+//! reads, so the table needs no layout for concurrent readers. A [`Page`]
+//! is `#[repr(align(64))]`, which keeps its data off lines shared with
+//! unrelated heap objects and puts the `Arc` refcount in front of it on a
+//! line of its own: a coordinator bumping refcounts while it clones a
+//! snapshot never write-shares a line with workers streaming page data.
 //!
 //! # The lookup
 //!
 //! Every load and store of every machine in the workspace — the
 //! sequential reference, the master's private state, a slave's
 //! fall-through to architected state, each live-in compare and each
-//! committed write — finds its page here, so the stripes hash a page
+//! committed write — finds its page here, so the table hashes a page
 //! index with one multiply and a fold ([`PageHasher`]) instead of the
 //! standard library's keyed SipHash. The keys are page indices of a
 //! simulated program, not input an attacker shapes, and a degenerate
-//! distribution costs probe length, never correctness. The hasher decides
-//! only the bucket *within* a stripe's map — the stripe still comes from
-//! the low bits of the page index and a page is still one aligned `Arc`
-//! allocation — so the two layout properties above do not depend on it.
+//! distribution costs probe length, never correctness.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -43,9 +37,6 @@ use std::sync::Arc;
 
 /// Words per page (4 KiB pages).
 const PAGE_WORDS: u64 = 512;
-
-/// Number of independent page-table stripes (power of two).
-const STRIPES: usize = 8;
 
 /// One 4 KiB page, aligned to a cache line so the page data — and the
 /// `Arc` header in front of it — never share a line with neighbours.
@@ -65,8 +56,10 @@ impl Page {
 
 /// Hashes one page index: a multiply spreads it over the high bits (which
 /// pick the map's control byte), and folding the high half onto the low
-/// one carries that to the bits that pick the bucket — within a stripe
-/// the low bits of every key are the same.
+/// one carries that to the bits that pick the bucket. Without the fold
+/// the low bits of the product would depend only on the low bits of the
+/// index, so regions whose page indices agree there (a stack and a heap
+/// a power of two apart) would share buckets.
 ///
 /// It hashes `u64` keys only (any other key panics), for maps keyed by a
 /// page index such as the profiler's footprint pages.
@@ -104,14 +97,6 @@ impl Hasher for PageHasher {
     }
 }
 
-/// One page-table stripe, padded to a cache line so adjacent stripes can
-/// be touched by different threads without false sharing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[repr(align(64))]
-struct Stripe {
-    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
-}
-
 /// Sparse 64-bit-word-addressed memory with zero-fill semantics.
 ///
 /// Addresses used with this type are *word indices* (byte address / 8); the
@@ -119,32 +104,19 @@ struct Stripe {
 ///
 /// Pages are reference-counted and copied on write, so cloning a
 /// `SparseMem` (the MSSP master snapshots architected state at every
-/// restart) costs one refcount bump per resident page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// restart) costs one table copy and one refcount bump per resident page.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseMem {
-    stripes: [Stripe; STRIPES],
-}
-
-impl Default for SparseMem {
-    fn default() -> SparseMem {
-        SparseMem {
-            stripes: std::array::from_fn(|_| Stripe::default()),
-        }
-    }
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 impl SparseMem {
-    #[inline]
-    fn stripe_of(page_idx: u64) -> usize {
-        (page_idx as usize) & (STRIPES - 1)
-    }
-
     /// Loads the word at word index `widx` (zero if never written).
     #[must_use]
     #[inline]
     pub(crate) fn load(&self, widx: u64) -> u64 {
         let page_idx = widx / PAGE_WORDS;
-        match self.stripes[Self::stripe_of(page_idx)].pages.get(&page_idx) {
+        match self.pages.get(&page_idx) {
             Some(page) => page.words[(widx % PAGE_WORDS) as usize],
             None => 0,
         }
@@ -154,7 +126,7 @@ impl SparseMem {
     #[inline]
     pub(crate) fn store(&mut self, widx: u64, value: u64) {
         let page_idx = widx / PAGE_WORDS;
-        let page = self.stripes[Self::stripe_of(page_idx)]
+        let page = self
             .pages
             .entry(page_idx)
             .or_insert_with(|| Arc::new(Page::zeroed()));
@@ -179,14 +151,12 @@ impl SparseMem {
     /// Iterates over all words ever written (including those re-written to
     /// zero), as `(word_index, value)` pairs in unspecified order.
     pub fn iter_words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.stripes.iter().flat_map(|s| {
-            s.pages.iter().flat_map(|(p, page)| {
-                let base = p * PAGE_WORDS;
-                page.words
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, &v)| (base + i as u64, v))
-            })
+        self.pages.iter().flat_map(|(p, page)| {
+            let base = p * PAGE_WORDS;
+            page.words
+                .iter()
+                .enumerate()
+                .map(move |(i, &v)| (base + i as u64, v))
         })
     }
 }
@@ -202,7 +172,7 @@ mod tests {
 
     /// Number of resident (allocated) pages.
     fn resident_pages(m: &SparseMem) -> usize {
-        m.stripes.iter().map(|s| s.pages.len()).sum()
+        m.pages.len()
     }
 
     /// Number of pages `a` and `b` share physically (the same allocation):
@@ -212,16 +182,10 @@ mod tests {
     /// publishing a snapshot per commit costs O(pages written since the
     /// last snapshot), not O(total state).
     fn shared_pages(a: &SparseMem, b: &SparseMem) -> usize {
-        a.stripes
+        a.pages
             .iter()
-            .zip(&b.stripes)
-            .map(|(a, b)| {
-                a.pages
-                    .iter()
-                    .filter(|(k, p)| b.pages.get(k).is_some_and(|q| Arc::ptr_eq(p, q)))
-                    .count()
-            })
-            .sum()
+            .filter(|(k, p)| b.pages.get(k).is_some_and(|q| Arc::ptr_eq(p, q)))
+            .count()
     }
 
     #[test]
@@ -297,28 +261,24 @@ mod tests {
     #[test]
     fn pages_are_cache_line_aligned() {
         assert_eq!(std::mem::align_of::<Page>(), 64);
-        assert_eq!(std::mem::align_of::<Stripe>(), 64);
         // The Arc payload itself lands on a line boundary, which forces
         // the refcount header onto the preceding (separate) line.
         let mut m = SparseMem::default();
         m.store(0, 1);
-        let page = m.stripes[0].pages.get(&0).unwrap();
+        let page = m.pages.get(&0).unwrap();
         assert_eq!(Arc::as_ptr(page) as usize % 64, 0);
     }
 
     #[test]
     fn random_stores_loads_and_clones_follow_a_map_model() {
         use std::collections::{BTreeMap, BTreeSet};
-        // Pages that share a stripe, pages that differ only above bit 32
-        // of the page index, neighbours, and the ends of the range.
+        // Pages whose low index bits agree, pages that differ only above
+        // bit 32 of the page index, neighbours, and the ends of the range.
         let mut pages: Vec<u64> = (0..6).collect();
-        pages.extend((1..6).map(|i| i * STRIPES as u64));
+        pages.extend((1..6).map(|i| i * 8));
         pages.extend((1..6).map(|i| i << 32));
-        pages.extend((1..4).map(|i| (i << 32) + STRIPES as u64));
-        pages.extend([
-            u64::MAX / PAGE_WORDS,
-            u64::MAX / PAGE_WORDS - STRIPES as u64,
-        ]);
+        pages.extend((1..4).map(|i| (i << 32) + 8));
+        pages.extend([u64::MAX / PAGE_WORDS, u64::MAX / PAGE_WORDS - 8]);
         mssp_testkit::check(0x5AA5_E001, 20, |rng| {
             let mut mem = SparseMem::default();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -366,20 +326,5 @@ mod tests {
             let want: Vec<(u64, u64)> = model.into_iter().filter(|&(_, v)| v != 0).collect();
             assert_eq!(words, want);
         });
-    }
-
-    #[test]
-    fn striping_spreads_consecutive_pages() {
-        let mut m = SparseMem::default();
-        for p in 0..STRIPES as u64 {
-            m.store(p * PAGE_WORDS, 1);
-        }
-        for s in &m.stripes {
-            assert_eq!(
-                s.pages.len(),
-                1,
-                "consecutive pages land on distinct stripes"
-            );
-        }
     }
 }

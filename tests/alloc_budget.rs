@@ -4,16 +4,23 @@
 //! nothing; what remains is, per *spawn*, the master's prediction
 //! overlay (a `Vec` of `Arc` layers), plus an occasional checkpoint
 //! segment and the amortized per-32-commits snapshot materialization.
-//! The bound is about twice what this measures (6.6-11.5 over 25 runs;
-//! pipeline warm-up does not fully cancel at these scales), so it
-//! catches per-task heap traffic doubling, not one extra allocation.
+//! It measures 3.3-4.1 over 25 release runs (pipeline warm-up does not
+//! fully cancel at these scales). The bound of 16 dates from when it
+//! measured 6.6-11.5, so it catches per-task heap traffic quadrupling,
+//! not one extra allocation.
 //!
 //! The discrete engine recycles its tasks' live-in and write buffers the
 //! same way, and its schedule is deterministic, so its rate is one
-//! number: 3.60 per committed task (the overlay `Vec`, the master's
+//! number: 3.59 per committed task (the overlay `Vec`, the master's
 //! closed segment and its bank); 7.73
 //! with a fresh pair of deltas per task. Its bound, too, is about twice
-//! the measurement — below what losing the recycling costs.
+//! the measurement — below what losing the recycling costs. A spawn
+//! guard on every boundary adds nothing to it: the master probes a
+//! guard from stack buffers.
+//!
+//! A snapshot of architected state is one page-table copy: cloning
+//! `twolf_like`'s halted state (8 resident pages) makes one allocation,
+//! and each page is shared, not copied.
 //!
 //! Building the CMP timing model, `CmpCost::new` with the default
 //! configuration, makes 58 allocations: for each of the 16 L1s (an
@@ -36,6 +43,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mssp::core::{run_threaded, EngineConfig};
+use mssp::distill::Slice;
 use mssp::prelude::*;
 use mssp::timing::CmpCost;
 
@@ -125,6 +133,21 @@ fn marginal_per_task(execute: impl Fn(&Program, &Distilled) -> Outcome) -> (f64,
     (per_task, detail)
 }
 
+/// A spawn guard on every boundary of `d` that never vetoes: its branch
+/// is always taken, as asserted, and its one input is fed back from
+/// probe to probe, since the guard itself redefines it.
+fn guard_every_boundary(d: &Distilled) -> Distilled {
+    let guard = Slice {
+        asserted_taken: true,
+        program: assemble("main: addi t0, t0, 1\n beq zero, zero, main").unwrap(),
+        inputs: vec![(Reg::T0, 0)],
+        window: 4,
+        home_pc: 0,
+    };
+    let slices = d.boundaries().iter().map(|&b| (b, vec![guard.clone()]));
+    d.clone().with_slices(slices.collect())
+}
+
 #[test]
 fn steady_state_allocations_per_committed_task_are_bounded() {
     let config = EngineConfig::default();
@@ -138,6 +161,27 @@ fn steady_state_allocations_per_committed_task_are_bounded() {
         (run.state, run.stats)
     });
     assert!(discrete <= 7.0, "discrete: {detail}");
+    // Attaching the guards is set-up, which differencing cancels.
+    let (guarded, guarded_detail) = marginal_per_task(|p, d| {
+        let run = Engine::new(p, &guard_every_boundary(d), config, UnitCost)
+            .run()
+            .unwrap();
+        assert_eq!(run.stats.spawn_vetoes, 0);
+        (run.state, run.stats)
+    });
+    assert!(
+        guarded <= discrete,
+        "spawn guards allocate: {guarded_detail}, unguarded {detail}"
+    );
+
+    let twolf = Workload::by_name("twolf_like").unwrap().program(1_000);
+    let mut seq = SeqMachine::boot(&twolf);
+    seq.run(u64::MAX).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let snapshot = seq.state().clone();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(snapshot == *seq.state());
+    assert_eq!(allocs, 1, "cloning a halted twolf_like state");
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let cost = CmpCost::new(&TimingConfig::default());
