@@ -261,7 +261,7 @@ fn fixtures() -> Vec<(&'static str, Program, Distilled)> {
     out
 }
 
-const SLAVES: [usize; 3] = [1, 2, 7];
+const SLAVES: [usize; 4] = [0, 1, 2, 7];
 
 /// The timing model of a CMP with `num_slaves` slave cores.
 fn cmp_cost(num_slaves: usize) -> CmpCost {
@@ -276,10 +276,18 @@ fn cmp_cost(num_slaves: usize) -> CmpCost {
 
 /// Recorded at d303e1a, before `Engine::run_returning_cost` was touched;
 /// the event hashes were recorded when the run observer replaced the
-/// engine's recordings. Rows follow `fixtures()` x `SLAVES`; columns are
+/// engine's recordings. The zero-slave rows, in which recovery runs
+/// every instruction, were recorded at b326960, before recovery stopped
+/// buffering its writes. Rows follow `fixtures()` x `SLAVES`; columns are
 /// `UnitCost`, `CmpCost`, `JitterCost`.
 #[rustfmt::skip]
 const GOLDEN: &[[Pinned; 3]] = &[
+    // gap_like x0
+    [
+        (21943, 0x0b7f4deaa83a492f, 0, 0, 0xa500bf7eb7d2041c),
+        (42449, 0x8e5108c679535ec8, 0, 0, 0x09cdadc613be56fa),
+        (55214, 0x8f4e54cadfc22f1b, 0, 0, 0x160231f458069dab),
+    ],
     // gap_like x1
     [
         (22032, 0x62006d7ad3dd8059, 89, 0, 0x146d02e360984e1c),
@@ -298,6 +306,12 @@ const GOLDEN: &[[Pinned; 3]] = &[
         (24014, 0x97a2b6f3668f8db2, 89, 0, 0x74c4cd74a5dee018),
         (30655, 0x7972c04b830bc4d0, 89, 0, 0x5ee0b21fbd6f9f0a),
     ],
+    // mcf_like x0
+    [
+        (10991, 0x9a3bee712f2859e6, 0, 0, 0x6fb80e4d82b6c3c9),
+        (20457, 0x4860fd6e88a71b82, 0, 0, 0x285d9e51cb2b48bb),
+        (27703, 0x5dcae47da5d1cf53, 0, 0, 0x0b150f6f5afa969a),
+    ],
     // mcf_like x1
     [
         (11034, 0xd753ab83d17d30c1, 43, 0, 0x43070be0f70622b3),
@@ -315,6 +329,12 @@ const GOLDEN: &[[Pinned; 3]] = &[
         (11032, 0x316099091cd6c63f, 43, 0, 0x775470210ebd779f),
         (19625, 0xd4013595c2a6be2a, 43, 0, 0xa6ea33d950fae5c3),
         (27492, 0x4f9561e0ad475b14, 43, 0, 0xc096345822406135),
+    ],
+    // phase_flip x0
+    [
+        (31132, 0x47a9cbf3a63f94ee, 0, 0, 0xc1af6f74ada2fa8e),
+        (36378, 0x10842eaa3741d9d8, 0, 0, 0x2ae2a6be3d5bf34e),
+        (78197, 0xcbbe3cb68b348e4c, 0, 0, 0x89c425ab0f9c5874),
     ],
     // phase_flip x1
     [
