@@ -26,7 +26,8 @@
 //!   in spawn order. Any failure squashes the failed task, all younger
 //!   tasks, and the master.
 //! * **Recovery** re-executes the failed segment non-speculatively, one
-//!   instruction per step; the master restarts once it has committed.
+//!   instruction per step, straight on architected state; the master
+//!   restarts once it has reached the segment end.
 //!
 //! The run ends at the commit that halts the program, unless it ends
 //! earlier, at the first commit point at or past
@@ -108,8 +109,8 @@ use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState, StepInfo};
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::MasterStall;
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, RecoverySegment,
-    SquashReason, VerifyOutcome,
+    recover, verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, SquashReason,
+    VerifyOutcome,
 };
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
@@ -183,7 +184,9 @@ pub struct MsspRun {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The *original* program faulted during non-speculative recovery —
-    /// a genuine program error, not a speculation artifact.
+    /// a genuine program error, not a speculation artifact. The run ends
+    /// there and returns no state: recovery writes architected state in
+    /// place, so it is left part-way through the faulting segment.
     RecoveryFault(Fault),
     /// The run reached a commit point, a halting one too, at or past
     /// [`EngineConfig::max_instrs`] architected instructions, and stopped
@@ -295,11 +298,10 @@ pub struct Engine<'a, C, O = ()> {
     /// Live-in and write buffers of committed and squashed tasks, cleared,
     /// for the tasks to come.
     arena: DeltaArena,
-    /// The recovery segment in progress. The window is empty and the
-    /// master offline for as long as one runs.
-    recovery: Option<RecoverySegment>,
-    /// When the recovery segment's next instruction issues; [`NEVER`]
-    /// while there is none.
+    /// When the pending recovery segment's first instruction issues;
+    /// [`NEVER`] while none is pending. The window is empty and the
+    /// master offline from a segment's start to its end, so nothing moves
+    /// `arch`'s PC, where the segment starts.
     recovery_wake: u64,
     /// When the verify unit's current commit or squash completes.
     verify_busy_until: u64,
@@ -445,7 +447,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             held: vec![None; config.num_slaves],
             window: VecDeque::new(),
             arena: DeltaArena::new(),
-            recovery: None,
             recovery_wake: NEVER,
             verify_busy_until: 0,
             verify_wake: NEVER,
@@ -621,12 +622,11 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
                 assert!(running, "slave {s} holds an instruction but runs no task");
             }
         }
-        assert_eq!(self.recovery.is_some(), self.recovery_wake != NEVER);
         assert!(
             self.recovery_wake >= self.now,
             "recovery is due in the past"
         );
-        assert!(self.recovery.is_none() || self.window.is_empty());
+        assert!(self.recovery_wake == NEVER || self.window.is_empty());
         if self.master_held.is_some() {
             assert!(!self.window.is_empty(), "the master holds with no task");
             assert_eq!(self.master_wake, self.master_busy_until);
@@ -655,29 +655,22 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             self.window.is_empty() && self.verify_wake == NEVER && self.master_wake == NEVER,
             "recovery runs alone"
         );
-        // why: `recovery_wake` is due only while a segment is held.
-        let segment = self.recovery.as_mut().expect("recovery is due");
+        self.recovery_wake = NEVER;
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
             max_instrs: self.config.max_task_instrs,
         };
-        loop {
-            let (info, end) = segment.step(&mut self.unit, self.original, &self.arch, &rules)?;
-            let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
-            self.unit.stats.recovery_busy_cycles += cost;
-            if let Some(end) = end {
-                return self.finish_recovery(matches!(end, TaskEnd::Halted(_)));
-            }
-            self.now += cost;
-        }
-    }
-
-    fn finish_recovery(&mut self, halted: bool) -> Result<(), EngineError> {
-        // why: only `act_recovery` calls this, at its segment's end.
-        let segment = self.recovery.take().expect("recovery active");
-        self.recovery_wake = NEVER;
-        let executed = segment.commit(&mut self.arch);
+        let (cost, now) = (&mut self.cost, &mut self.now);
+        let (mut busy, mut last) = (0, 0);
+        let price = |info: &StepInfo| {
+            *now += last;
+            last = cost.instr_cost(CoreRole::Recovery(0), info).max(1);
+            busy += last;
+        };
+        let (executed, halted) =
+            recover(&mut self.unit, self.original, &mut self.arch, &rules, price)?;
+        self.unit.stats.recovery_busy_cycles += busy;
         let event = Event::Recovery {
             end_pc: self.arch.pc(),
             instructions: executed,
@@ -967,7 +960,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         }
         self.observer.event(self.now, Event::Squash(&sample));
         // The master stays down until recovery reaches the next boundary;
-        // `finish_recovery` reseeds it from the then-consistent
+        // `act_recovery` reseeds it from the then-consistent
         // architected state.
         self.seat.master.mark_lost();
         self.release_slaves();
@@ -1000,8 +993,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     /// from now; 0 for starvation recovery (no tasks, no recovery, master
     /// unable to produce work), the squash penalty after a squash.
     fn start_recovery(&mut self, delay: u64) {
-        debug_assert!(self.window.is_empty() && self.recovery.is_none());
-        self.recovery = Some(RecoverySegment::new(self.arch.pc()));
+        debug_assert!(self.window.is_empty() && self.recovery_wake == NEVER);
         self.recovery_wake = self.now + delay;
     }
 

@@ -12,7 +12,9 @@
 //!
 //! The master executes in a **private machine state**: a snapshot of
 //! architected state taken at restart — its cache view — that its own
-//! writes go straight into, so a read is one plain state read. The
+//! writes go straight into, so a read is one plain state read. It steps
+//! a [`Recording`] over that state, which also records every write into
+//! `segment`. The
 //! snapshot's memory pages are copy-on-write, shared with architected
 //! state until the master first stores to them; a restart therefore pays
 //! one 4 KiB page copy per page the master goes on to write, and nothing
@@ -34,7 +36,7 @@ use std::sync::Arc;
 
 use mssp_distill::{Distilled, MAX_GUARD_WINDOW, MAX_SLICE_LEN};
 use mssp_isa::{Reg, NUM_REGS};
-use mssp_machine::{eval_slice, step, Cell, Delta, MachineState, SliceEval, StepInfo, Storage};
+use mssp_machine::{eval_slice, step, Delta, MachineState, Recording, SliceEval, StepInfo};
 
 /// Why the master is not currently producing predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,10 +182,7 @@ impl Master {
         if self.status != MasterStall::Active || self.pending_spawn.is_some() {
             return None;
         }
-        let mut storage = MasterStorage {
-            state: &mut self.state,
-            segment: &mut self.segment,
-        };
+        let mut storage = Recording::new(&mut self.state, &mut self.segment);
         let info = match step(&mut storage, distilled.program(), self.dpc) {
             Ok(info) => info,
             Err(_) => {
@@ -306,42 +305,13 @@ impl Master {
     }
 }
 
-/// The master's storage: its private machine state. Writes also land in
-/// the current segment (the next task's overlay).
-struct MasterStorage<'a> {
-    state: &'a mut MachineState,
-    segment: &'a mut Delta,
-}
-
-impl Storage for MasterStorage<'_> {
-    fn read_reg(&mut self, r: Reg) -> u64 {
-        self.state.reg(r)
-    }
-
-    #[inline(always)]
-    fn write_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.state.set_reg(r, value);
-            self.segment.set_reg(r, value);
-        }
-    }
-
-    fn load_word(&mut self, widx: u64) -> u64 {
-        self.state.load_word(widx)
-    }
-
-    fn store_word(&mut self, widx: u64, value: u64) {
-        self.state.store_word(widx, value);
-        self.segment.set(Cell::Mem(widx), value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mssp_analysis::Profile;
     use mssp_distill::{distill, DistillConfig, DistillLevel};
     use mssp_isa::asm::assemble;
+    use mssp_machine::{Cell, Storage};
 
     fn setup(src: &str, target: u64) -> (mssp_isa::Program, Distilled) {
         let p = assemble(src).unwrap();

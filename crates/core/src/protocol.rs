@@ -5,24 +5,28 @@
 //! commit, a squash, a recovery segment and a hot-swap **mean** — which
 //! counters move, when the squash throttle takes the master offline,
 //! when a recompiled program may be installed. It performs no I/O, keeps
-//! no clock and owns no architected state. The drivers decide **when**: [`crate::Engine`] raises the events
-//! from virtual time, the threaded coordinator from worker results and
-//! its own master slices.
+//! no clock and owns no architected state. The drivers decide **when**:
+//! [`crate::Engine`] raises the events from virtual time, the threaded
+//! coordinator from worker results and its own master slices.
 //!
 //! [`verify_and_commit`] is the single verdict oracle: both drivers call
 //! it on the oldest finished task, and nothing else decides a commit.
+//! `recover` is the single recovery loop: both drivers run a segment
+//! through it, straight on the architected state they pass in — a
+//! segment runs alone, so its writes need no atomic commit — and the
+//! engine prices each instruction in the closure it hands over.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{step, Delta, DeltaArena, MachineState, StepInfo};
+use mssp_machine::{step, DeltaArena, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::engine::{EngineConfig, EngineError};
 use crate::master::{Master, MasterStall};
-use crate::task::{RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId};
+use crate::task::{SegmentRules, Task, TaskEnd, TaskId};
 
 /// Why a squash happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -526,85 +530,46 @@ impl<'a> MasterSeat<'a> {
     }
 }
 
-/// One non-speculative recovery segment: the original program run from
-/// the architected PC to the next task end, its writes buffered and
-/// committed atomically — forward progress however wrong the master is.
-#[derive(Debug, Default)]
-pub(crate) struct RecoverySegment {
-    pc: u64,
-    writes: Delta,
-    executed: u64,
-    crossings: u64,
-}
-
-impl RecoverySegment {
-    /// A segment starting at the architected PC `pc`.
-    pub(crate) fn new(pc: u64) -> RecoverySegment {
-        RecoverySegment {
-            pc,
-            ..RecoverySegment::default()
-        }
-    }
-
-    /// Executes one instruction against `arch`; `Some(end)` once the
-    /// segment reached `halt`, its last boundary under `rules`, or the
-    /// instructions left of `unit`'s budget (whatever `rules.max_instrs`
-    /// says), and is ready to [commit](RecoverySegment::commit). A segment
-    /// cut at the budget commits what it has run: its writes are
-    /// non-speculative. Recovery is verified execution, so every
-    /// instruction feeds the adaptive controller's live profile.
-    ///
-    /// # Errors
-    ///
-    /// `RecoveryFault` if the original program faults (a genuine program
-    /// error).
-    #[inline]
-    pub(crate) fn step(
-        &mut self,
-        unit: &mut CommitUnit,
-        program: &Program,
-        arch: &MachineState,
-        rules: &SegmentRules<'_>,
-    ) -> Result<(StepInfo, Option<TaskEnd>), EngineError> {
-        let mut storage = RecoveryStorage {
-            writes: &mut self.writes,
-            arch,
-        };
-        let info = step(&mut storage, program, self.pc).map_err(EngineError::RecoveryFault)?;
+/// Runs one non-speculative recovery segment: the original program from
+/// `arch`'s PC to the next task end under `rules` — `halt`, the crossing
+/// that reaches the quota, or the instructions left of `unit`'s budget,
+/// whatever `rules.max_instrs` says — executed straight on `arch`, whose
+/// PC it leaves at the segment end. Forward progress however wrong the
+/// master is. A segment runs alone (the window is empty and the master
+/// offline), so no reader needs its writes to land atomically, and one
+/// cut at the budget has retired every instruction it ran. Recovery is
+/// verified execution: every instruction feeds the adaptive controller's
+/// live profile, then `on_step`. Returns the instructions executed and
+/// whether the program halted, for [`CommitUnit::recovered`].
+///
+/// # Errors
+///
+/// `RecoveryFault` if the original program faults (a genuine program
+/// error); `arch` keeps the writes made before the fault, and its PC.
+pub(crate) fn recover(
+    unit: &mut CommitUnit,
+    program: &Program,
+    arch: &mut MachineState,
+    rules: &SegmentRules<'_>,
+    mut on_step: impl FnMut(&StepInfo),
+) -> Result<(u64, bool), EngineError> {
+    let rules = SegmentRules {
+        max_instrs: unit.config.max_instrs - unit.stats.committed_instructions,
+        ..*rules
+    };
+    let (mut pc, mut executed, mut crossings) = (arch.pc(), 0, 0);
+    let end = loop {
+        let info = step(arch, program, pc).map_err(EngineError::RecoveryFault)?;
         if let Some(ad) = &mut unit.adaptive {
             ad.ctl.observe_recovery_step(&info);
         }
-        let mut rules = *rules;
-        rules.max_instrs = unit.config.max_instrs - unit.stats.committed_instructions;
-        let end = rules.retire(&info, &mut self.pc, &mut self.executed, &mut self.crossings);
-        Ok((info, end))
-    }
-
-    /// Applies the ended segment's writes and PC to `arch` atomically;
-    /// returns the instructions executed, for [`CommitUnit::recovered`].
-    pub(crate) fn commit(self, arch: &mut MachineState) -> u64 {
-        arch.apply(&self.writes);
-        arch.set_pc(self.pc);
-        self.executed
-    }
-
-    /// Runs one whole segment from `arch`'s PC and commits it; returns the
-    /// instructions executed and whether the program halted. Errors as
-    /// [`RecoverySegment::step`].
-    pub(crate) fn run(
-        unit: &mut CommitUnit,
-        program: &Program,
-        arch: &mut MachineState,
-        rules: &SegmentRules<'_>,
-    ) -> Result<(u64, bool), EngineError> {
-        let mut segment = RecoverySegment::new(arch.pc());
-        let end = loop {
-            if let (_, Some(end)) = segment.step(unit, program, arch, rules)? {
-                break end;
-            }
-        };
-        Ok((segment.commit(arch), matches!(end, TaskEnd::Halted(_))))
-    }
+        on_step(&info);
+        if let Some(end) = rules.retire(&info, &mut pc, &mut executed, &mut crossings) {
+            break end;
+        }
+    };
+    arch.set_pc(pc);
+    Ok((executed, matches!(end, TaskEnd::Halted(_))))
 }
 
 #[cfg(test)]
@@ -870,7 +835,7 @@ mod tests {
               halt";
 
     #[test]
-    fn recovery_segment_ends_at_the_nth_crossing_and_commits_atomically() {
+    fn recovery_ends_at_the_nth_crossing_with_the_pc_there() {
         let p = assemble(LOOP).unwrap();
         let loop_pc = p.symbol("loop").unwrap();
         let boundaries = BoundarySet::new(BTreeSet::from([loop_pc]));
@@ -881,22 +846,15 @@ mod tests {
         };
         let mut unit = CommitUnit::new(EngineConfig::default());
         let mut arch = MachineState::boot(&p);
-        let boot = arch.clone();
-        let mut segment = RecoverySegment::new(arch.pc());
         let mut steps = 0;
-        let end = loop {
+        let (executed, halted) = recover(&mut unit, &p, &mut arch, &rules, |info| {
             steps += 1;
-            let (info, end) = segment.step(&mut unit, &p, &arch, &rules).unwrap();
             assert!(!info.halted);
-            assert_eq!(arch, boot, "writes stay buffered until the commit");
-            if let Some(end) = end {
-                break end;
-            }
-        };
+        })
+        .unwrap();
         // Entry falls into `loop` (crossing 1); one iteration later the
         // back-edge crosses it again (crossing 2).
-        assert_eq!((steps, end), (4, TaskEnd::Boundary(loop_pc)));
-        assert_eq!(segment.commit(&mut arch), 4);
+        assert_eq!((steps, executed, halted), (4, 4, false));
         assert_eq!(
             (arch.pc(), arch.reg(Reg::S1), arch.reg(Reg::S0)),
             (loop_pc, 1, 2)
@@ -907,14 +865,14 @@ mod tests {
             crossings_per_task: 100,
             ..rules
         };
-        let (executed, halted) = RecoverySegment::run(&mut unit, &p, &mut arch, &far).unwrap();
+        let (executed, halted) = recover(&mut unit, &p, &mut arch, &far, |_| {}).unwrap();
         assert!(halted);
         assert_eq!((executed, arch.reg(Reg::S1)), (6, 3));
         assert_eq!(arch.pc(), loop_pc + 3 * mssp_isa::INSTR_BYTES, "halt PC");
     }
 
-    /// A segment cut at the budget left commits the non-speculative
-    /// writes it made, and the unit reports the budget spent with the
+    /// A segment cut at the budget left keeps the non-speculative writes
+    /// it made, and the unit reports the budget spent with the
     /// state reached: the sequential state after exactly the budget.
     #[test]
     fn recovery_segment_stops_at_the_budget_and_reports_genuine_faults() {
@@ -933,7 +891,7 @@ mod tests {
         };
         let mut unit = budget(5);
         let mut arch = MachineState::boot(&p);
-        let (executed, halted) = RecoverySegment::run(&mut unit, &p, &mut arch, &rules).unwrap();
+        let (executed, halted) = recover(&mut unit, &p, &mut arch, &rules, |_| {}).unwrap();
         assert_eq!(
             (executed, halted),
             (5, false),
@@ -950,13 +908,13 @@ mod tests {
         let mut unit = budget(5);
         let mut arch = MachineState::boot(&p);
         unit.commit(&task(0, 3, &[], &[]), &arch).unwrap();
-        let (executed, _) = RecoverySegment::run(&mut unit, &p, &mut arch, &rules).unwrap();
+        let (executed, _) = recover(&mut unit, &p, &mut arch, &rules, |_| {}).unwrap();
         assert_eq!(executed, 2);
 
         arch.set_pc(0xdead_0000);
-        let fault = RecoverySegment::run(&mut unit, &p, &mut arch, &rules);
+        let fault = recover(&mut unit, &p, &mut arch, &rules, |_| {});
         assert!(matches!(fault, Err(EngineError::RecoveryFault(_))));
-        assert_eq!(arch.pc(), 0xdead_0000, "a failed segment commits nothing");
+        assert_eq!(arch.pc(), 0xdead_0000, "the PC stays at the faulting PC");
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! makes the task's execution *safe* in the formal sense: consistency +
 //! completeness ⇒ committing it advances architected state exactly as the
 //! sequential machine would (Theorem 2).
+//!
+//! A recovery segment ends under the same [`SegmentRules`], but runs
+//! alone, straight on architected state, with nothing to record or
+//! buffer. [`RecoveryStorage`] is its buffered form, which no executor
+//! runs on; the benchmark ledger's trace loop still times it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -379,10 +384,15 @@ impl Storage for TaskStorage<'_> {
     }
 }
 
-/// Storage for a non-speculative recovery segment: reads see the task's
-/// own writes over architected state directly (no prediction overlay, no
-/// live-in recording — the values *are* correct by construction), writes
-/// are buffered for one atomic commit at segment end.
+/// Storage for a non-speculative segment with buffered writes: reads see
+/// the segment's own writes over architected state directly (no
+/// prediction overlay, no live-in recording — the values *are* correct by
+/// construction), writes are buffered for one atomic commit at segment
+/// end.
+///
+/// No executor runs on it: a recovery segment runs alone, so both drivers
+/// execute it straight on architected state. It is kept for the
+/// benchmark ledger's trace loop, which times the buffered form.
 #[derive(Debug)]
 pub struct RecoveryStorage<'a> {
     /// The recovery segment's private write buffer.

@@ -57,8 +57,8 @@ use mssp_machine::{Delta, DeltaArena, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
 use crate::protocol::{
-    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, RecoverySegment,
-    SquashReason, VerifyOutcome,
+    recover, verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, SquashReason,
+    VerifyOutcome,
 };
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd};
@@ -619,8 +619,9 @@ impl<'a> Coordinator<'a> {
         }
         let swap = swap.map(|candidate| (candidate, abandoned));
         while swap.is_none() && !self.halted {
+            let rules = &self.rules;
             let (executed, halted) =
-                RecoverySegment::run(&mut self.unit, self.original, &mut self.arch, &self.rules)?;
+                recover(&mut self.unit, self.original, &mut self.arch, rules, |_| {})?;
             self.halted = halted;
             if self.unit.recovered(executed, &self.arch)? == AfterRecovery::RestartMaster {
                 break;

@@ -340,12 +340,7 @@ pub fn cumulative_writes(
     let mut writes = Delta::new();
     for _ in 0..n {
         let pc = state.pc();
-        let info = {
-            let mut rec = Recording::new(&mut state);
-            let info = step(&mut rec, program, pc)?;
-            writes.superimpose_in_place(rec.writes());
-            info
-        };
+        let info = step(&mut Recording::new(&mut state, &mut writes), program, pc)?;
         if info.halted {
             break;
         }

@@ -274,31 +274,24 @@ impl Storage for MachineState {
     }
 }
 
-/// A [`Storage`] adaptor that records every write into a [`Delta`] while
-/// forwarding to an inner storage.
+/// A [`Storage`] adaptor that records every write into a borrowed
+/// [`Delta`] while forwarding to an inner storage.
 ///
 /// Wrapping the sequential machine in a `Recording` storage computes the
 /// paper's cumulative-writes function `Δ(S, n)` — used by the formal-model
-/// tests to check Lemma 3 (`seq(S, n) = S ← Δ(S, n)`).
+/// tests to check Lemma 3 (`seq(S, n) = S ← Δ(S, n)`). The MSSP master
+/// steps one over its private state, recording the next task's overlay
+/// segment.
 #[derive(Debug)]
 pub struct Recording<'a, S> {
     inner: &'a mut S,
-    writes: Delta,
+    writes: &'a mut Delta,
 }
 
 impl<'a, S: Storage> Recording<'a, S> {
-    /// Wraps `inner`, starting with an empty write set.
-    pub(crate) fn new(inner: &'a mut S) -> Recording<'a, S> {
-        Recording {
-            inner,
-            writes: Delta::new(),
-        }
-    }
-
-    /// The writes recorded so far (the cumulative `Δ`).
-    #[must_use]
-    pub(crate) fn writes(&self) -> &Delta {
-        &self.writes
+    /// Wraps `inner`, adding its writes to `writes`.
+    pub fn new(inner: &'a mut S, writes: &'a mut Delta) -> Recording<'a, S> {
+        Recording { inner, writes }
     }
 }
 
@@ -307,11 +300,12 @@ impl<S: Storage> Storage for Recording<'_, S> {
         self.inner.read_reg(r)
     }
 
+    #[inline(always)]
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
-            self.writes.set(Cell::Reg(r), value);
+            self.inner.write_reg(r, value);
+            self.writes.set_reg(r, value);
         }
-        self.inner.write_reg(r, value);
     }
 
     fn load_word(&mut self, widx: u64) -> u64 {
@@ -378,13 +372,12 @@ mod tests {
 
     #[test]
     fn recording_captures_writes_only() {
-        let mut s = MachineState::new();
-        let mut rec = Recording::new(&mut s);
+        let (mut s, mut w) = (MachineState::new(), Delta::new());
+        let mut rec = Recording::new(&mut s, &mut w);
         let _ = rec.load_word(4); // reads are not recorded
         rec.store_word(4, 9);
         rec.write_reg(Reg::A0, 3);
         rec.write_reg(Reg::ZERO, 8); // discarded
-        let w = rec.writes;
         assert_eq!(w.len(), 2);
         assert_eq!(w.get(Cell::Mem(4)), Some(9));
         assert_eq!(w.get(Cell::Reg(Reg::A0)), Some(3));
