@@ -14,11 +14,10 @@
 //! architected state taken at restart — its cache view — that its own
 //! writes go straight into, so a read is one plain state read. It steps
 //! a [`Recording`] over that state, which also records every write into
-//! `segment`. The
-//! snapshot's memory pages are copy-on-write, shared with architected
-//! state until the master first stores to them; a restart therefore pays
-//! one 4 KiB page copy per page the master goes on to write, and nothing
-//! per instruction. Reading *live* architected state instead would let
+//! `segment`. The snapshot's memory pages are copy-on-write, shared with
+//! architected state until the master first stores to them; a restart
+//! therefore pays one 4 KiB page copy per page the master goes on to
+//! write, and nothing per instruction. Reading *live* architected state instead would let
 //! the verify pipeline (which can run ahead of a cache-cold master) feed
 //! the master values from its own future, desynchronizing it by a segment
 //! on every such race; the private state makes the master's view

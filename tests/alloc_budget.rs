@@ -134,8 +134,8 @@ const RECOVERY: Per = ("recovery segment", |s| s.recovery_segments);
 /// cancels every setup cost (thread spawns, boot state, ring
 /// construction, arena warm-up) and leaves the rate of the per-unit cycle.
 fn marginal(
-    execute: impl Fn(&Program, &Distilled) -> Outcome,
     (unit, count): Per,
+    execute: impl Fn(&Program, &Distilled) -> Outcome,
 ) -> (f64, String) {
     let (allocs_small, small) = measure(2_048, &execute);
     let (allocs_large, large) = measure(4_096, &execute);
@@ -167,46 +167,34 @@ fn guard_every_boundary(d: &Distilled) -> Distilled {
 #[test]
 fn steady_state_allocations_per_committed_task_are_bounded() {
     let config = EngineConfig::default();
-    let (threaded, detail) = marginal(
-        |p, d| {
-            let run = run_threaded(p, d, config).unwrap();
-            (run.state, run.stats)
-        },
-        TASK,
-    );
+    let (threaded, detail) = marginal(TASK, |p, d| {
+        let run = run_threaded(p, d, config).unwrap();
+        (run.state, run.stats)
+    });
     assert!(threaded <= 16.0, "threaded: {detail}");
-    let (discrete, detail) = marginal(
-        |p, d| {
-            let run = Engine::new(p, d, config, UnitCost).run().unwrap();
-            (run.state, run.stats)
-        },
-        TASK,
-    );
+    let (discrete, detail) = marginal(TASK, |p, d| {
+        let run = Engine::new(p, d, config, UnitCost).run().unwrap();
+        (run.state, run.stats)
+    });
     assert!(discrete <= 7.0, "discrete: {detail}");
     // With no slave, recovery runs every instruction.
     let alone = EngineConfig {
         num_slaves: 0,
         ..config
     };
-    let (recovery, recovery_detail) = marginal(
-        |p, d| {
-            let run = Engine::new(p, d, alone, UnitCost).run().unwrap();
-            (run.state, run.stats)
-        },
-        RECOVERY,
-    );
+    let (recovery, recovery_detail) = marginal(RECOVERY, |p, d| {
+        let run = Engine::new(p, d, alone, UnitCost).run().unwrap();
+        (run.state, run.stats)
+    });
     assert!(recovery < 0.05, "recovery allocates: {recovery_detail}");
     // Attaching the guards is set-up, which differencing cancels.
-    let (guarded, guarded_detail) = marginal(
-        |p, d| {
-            let run = Engine::new(p, &guard_every_boundary(d), config, UnitCost)
-                .run()
-                .unwrap();
-            assert_eq!(run.stats.spawn_vetoes, 0);
-            (run.state, run.stats)
-        },
-        TASK,
-    );
+    let (guarded, guarded_detail) = marginal(TASK, |p, d| {
+        let run = Engine::new(p, &guard_every_boundary(d), config, UnitCost)
+            .run()
+            .unwrap();
+        assert_eq!(run.stats.spawn_vetoes, 0);
+        (run.state, run.stats)
+    });
     assert!(
         guarded <= discrete,
         "spawn guards allocate: {guarded_detail}, unguarded {detail}"
