@@ -155,7 +155,7 @@ impl WordSet {
     }
 
     fn insert_access(&mut self, mem: MemAccess) {
-        access_words(mem, |word| self.insert(word));
+        mem.words(|word| self.insert(word));
     }
 
     fn is_disjoint(&self, other: &WordSet) -> bool {
@@ -165,19 +165,6 @@ impl WordSet {
                 .get(key)
                 .is_none_or(|o| bits.iter().zip(o).all(|(a, b)| a & b == 0))
         })
-    }
-}
-
-/// Calls `f` on the first word `mem` touches, and on the last if that is
-/// another. An access at the top of the address space wraps to word 0, as
-/// `Storage::load_bytes` does.
-#[inline]
-fn access_words(mem: MemAccess, mut f: impl FnMut(u64)) {
-    let first = mem.addr >> 3;
-    let last = mem.addr.wrapping_add(u64::from(mem.bytes) - 1) >> 3;
-    f(first);
-    if last != first {
-        f(last);
     }
 }
 
@@ -206,7 +193,7 @@ impl WordTally {
 
     #[inline]
     fn insert_access(&mut self, mem: MemAccess) {
-        access_words(mem, |word| self.insert(word));
+        mem.words(|word| self.insert(word));
     }
 
     /// ORs the buffered page into the map and empties the buffer.

@@ -12,17 +12,18 @@
 //!
 //! The master executes in a **private machine state**: a snapshot of
 //! architected state taken at restart — its cache view — that its own
-//! writes go straight into, so a read is one plain state read. It steps
-//! a [`Recording`] over that state, which also records every write into
-//! `segment`. The snapshot's memory pages are copy-on-write, shared with
-//! architected state until the master first stores to them; a restart
-//! therefore pays one 4 KiB page copy per page the master goes on to
-//! write, and nothing per instruction. Reading *live* architected state instead would let
-//! the verify pipeline (which can run ahead of a cache-cold master) feed
-//! the master values from its own future, desynchronizing it by a segment
-//! on every such race; the private state makes the master's view
-//! time-consistent, and staleness is resolved the MSSP way (squash and
-//! reseed).
+//! writes go straight into, so a read is one plain state read. It runs
+//! `exec::step` on that state, as the sequential machine does, and adds
+//! the cells each step wrote to `segment` from the step's own report
+//! ([`StepInfo::record_writes`]). The snapshot's memory pages are
+//! copy-on-write, shared with architected state until the master first
+//! stores to them; a restart therefore pays one 4 KiB page copy per page
+//! the master goes on to write, and nothing per instruction. Reading
+//! *live* architected state instead would let the verify pipeline (which
+//! can run ahead of a cache-cold master) feed the master values from its
+//! own future, desynchronizing it by a segment on every such race; the
+//! private state makes the master's view time-consistent, and staleness
+//! is resolved the MSSP way (squash and reseed).
 //!
 //! Indirect jumps land on *original*-space targets (the distiller
 //! preserves the original register/memory image), which the master
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 use mssp_distill::{Distilled, MAX_GUARD_WINDOW, MAX_SLICE_LEN};
 use mssp_isa::{Reg, NUM_REGS};
-use mssp_machine::{eval_slice, step, Delta, MachineState, Recording, SliceEval, StepInfo};
+use mssp_machine::{eval_slice, step, Delta, MachineState, SliceEval, StepInfo};
 
 /// Why the master is not currently producing predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +172,10 @@ impl Master {
         }
     }
 
-    /// Executes one distilled instruction. Returns the step info, or
-    /// `None` if the master is stalled (halted/lost/pending spawn).
+    /// Executes one distilled instruction on the master's private state
+    /// and binds the cells it wrote, with their new values, in the open
+    /// segment. Returns the step info, or `None` if the master is stalled
+    /// (halted/lost/pending spawn).
     /// Landing on a task boundary arms a pending spawn, which also stalls
     /// the master until the engine dispatches it. Always inlined, as
     /// `exec::step` is: the drivers call it once per master instruction.
@@ -181,14 +184,14 @@ impl Master {
         if self.status != MasterStall::Active || self.pending_spawn.is_some() {
             return None;
         }
-        let mut storage = Recording::new(&mut self.state, &mut self.segment);
-        let info = match step(&mut storage, distilled.program(), self.dpc) {
+        let info = match step(&mut self.state, distilled.program(), self.dpc) {
             Ok(info) => info,
             Err(_) => {
                 self.status = MasterStall::Lost;
                 return None;
             }
         };
+        info.record_writes(&self.state, &mut self.segment);
         if info.halted {
             self.status = MasterStall::Halted;
             return Some(info);
@@ -473,6 +476,81 @@ mod tests {
         }
     }
 
+    /// Runs the master and the layered reference side by side over `d`,
+    /// squashing every seventh task, and checks that they spawn the same
+    /// tasks with the same overlays and that no master store reaches
+    /// architected state. Returns the tasks spawned and the restarts.
+    fn run_against_the_reference(p: &mssp_isa::Program, d: &Distilled) -> (u64, u64) {
+        assert!(d.slices().is_empty(), "the reference runs no slices");
+        let mut arch = MachineState::boot(p);
+        // Architected state built alongside `arch` but never snapshotted,
+        // so it shares no page with a master.
+        let mut unshared = MachineState::boot(p);
+        let mut m = Master::restart_at(d, p.entry(), true, arch.clone());
+        let mut reference = LayeredReference {
+            base: arch.clone(),
+            since_restart: Delta::new(),
+            segment: Delta::new(),
+        };
+        let mut ref_dpc = d.to_dist(p.entry()).unwrap();
+        let mut ref_spawn = Some(p.entry());
+        let mut ref_live: VecDeque<(u64, Delta)> = VecDeque::new();
+        let mut prev: Option<u64> = None;
+        let (mut spawned, mut restarts) = (0u64, 0);
+
+        while let Some(want_start) = ref_spawn {
+            assert_eq!(m.pending_spawn(), Some(want_start), "task {spawned}");
+            if let Some(prev) = prev {
+                let closed = std::mem::take(&mut reference.segment);
+                arch.apply(&closed);
+                unshared.apply(&closed);
+                ref_live.push_back((prev, closed));
+            }
+            let (start, overlay) = m.take_spawn(prev);
+            assert_eq!(start, want_start);
+            let got: Vec<&Delta> = overlay.iter().map(|seg| &**seg).collect();
+            let want: Vec<&Delta> = ref_live.iter().rev().map(|(_, seg)| seg).collect();
+            assert_eq!(got, want, "overlay of task {spawned}");
+            prev = Some(spawned);
+            spawned += 1;
+
+            if spawned % 3 == 0 {
+                // All but the newest task commit.
+                m.on_commit(spawned - 2);
+                ref_live.retain(|&(id, _)| id > spawned - 2);
+            }
+            if spawned % 7 == 0 {
+                // Squash: both restart here, from architected state as
+                // the segments closed so far left it.
+                restarts += 1;
+                m = Master::restart_at(d, start, true, arch.clone());
+                reference = LayeredReference {
+                    base: arch.clone(),
+                    since_restart: Delta::new(),
+                    segment: Delta::new(),
+                };
+                ref_live.clear();
+                ref_dpc = d.to_dist(start).unwrap();
+                let (restart_pc, restart_overlay) = m.take_spawn(None);
+                assert_eq!(restart_pc, start);
+                assert!(restart_overlay.is_empty());
+                prev = None;
+            }
+
+            while m.pending_spawn().is_none() && m.status() == MasterStall::Active {
+                m.step(d);
+            }
+            (ref_spawn, ref_dpc) = reference_run(d, &mut reference, ref_dpc);
+            // The master stored into pages it shares with `arch`.
+            assert_eq!(
+                arch, unshared,
+                "master writes leaked into architected state"
+            );
+        }
+        assert_eq!(m.status(), MasterStall::Halted);
+        (spawned, restarts)
+    }
+
     #[test]
     fn private_state_master_predicts_like_the_layered_reader_across_a_restart() {
         // Byte, half-word and straddling word stores over two pages, read
@@ -503,74 +581,24 @@ mod tests {
                   ret",
             12,
         );
-        assert!(d.slices().is_empty(), "the reference runs no slices");
-        let buf = p.symbol("buf").unwrap() >> 3;
-
-        let mut arch = MachineState::boot(&p);
-        let mut m = Master::restart_at(&d, p.entry(), true, arch.clone());
-        let mut reference = LayeredReference {
-            base: arch.clone(),
-            since_restart: Delta::new(),
-            segment: Delta::new(),
-        };
-        let mut ref_dpc = d.to_dist(p.entry()).unwrap();
-        let mut ref_spawn = Some(p.entry());
-        let mut ref_live: VecDeque<(u64, Delta)> = VecDeque::new();
-        let mut prev: Option<u64> = None;
-        let (mut spawned, mut restarts) = (0u64, 0);
-
-        while let Some(want_start) = ref_spawn {
-            assert_eq!(m.pending_spawn(), Some(want_start), "task {spawned}");
-            if let Some(prev) = prev {
-                let closed = std::mem::take(&mut reference.segment);
-                arch.apply(&closed);
-                ref_live.push_back((prev, closed));
-            }
-            let (start, overlay) = m.take_spawn(prev);
-            assert_eq!(start, want_start);
-            let got: Vec<&Delta> = overlay.iter().map(|seg| &**seg).collect();
-            let want: Vec<&Delta> = ref_live.iter().rev().map(|(_, seg)| seg).collect();
-            assert_eq!(got, want, "overlay of task {spawned}");
-            prev = Some(spawned);
-            spawned += 1;
-
-            if spawned % 3 == 0 {
-                // All but the newest task commit.
-                m.on_commit(spawned - 2);
-                ref_live.retain(|&(id, _)| id > spawned - 2);
-            }
-            if spawned % 7 == 0 {
-                // Squash: both restart here, from architected state as
-                // the segments closed so far left it.
-                restarts += 1;
-                m = Master::restart_at(&d, start, true, arch.clone());
-                reference = LayeredReference {
-                    base: arch.clone(),
-                    since_restart: Delta::new(),
-                    segment: Delta::new(),
-                };
-                ref_live.clear();
-                ref_dpc = d.to_dist(start).unwrap();
-                let (restart_pc, restart_overlay) = m.take_spawn(None);
-                assert_eq!(restart_pc, start);
-                assert!(restart_overlay.is_empty());
-                prev = None;
-            }
-
-            let before: Vec<u64> = (0..1024).map(|w| arch.load_word(buf + w)).collect();
-            while m.pending_spawn().is_none() && m.status() == MasterStall::Active {
-                m.step(&d);
-            }
-            (ref_spawn, ref_dpc) = reference_run(&d, &mut reference, ref_dpc);
-            // The master stored into pages it shares with `arch`.
-            let after: Vec<u64> = (0..1024).map(|w| arch.load_word(buf + w)).collect();
-            assert_eq!(before, after, "master writes leaked into architected state");
+        let mut runs = vec![(p, d)];
+        // Real distillations: a profile without squash feedback attaches
+        // no spawn guard, so the reference can run them too.
+        for name in ["gzip_like", "mcf_like", "gap_like"] {
+            let p = mssp_workloads::Workload::by_name(name)
+                .unwrap()
+                .program(400);
+            let prof = Profile::collect(&p, u64::MAX).unwrap();
+            let d = distill(&p, &prof, &DistillConfig::default()).unwrap();
+            runs.push((p, d));
         }
-        assert_eq!(m.status(), MasterStall::Halted);
-        assert!(
-            spawned > 20 && restarts >= 3,
-            "{spawned} tasks, {restarts} restarts"
-        );
+        for (p, d) in &runs {
+            let (spawned, restarts) = run_against_the_reference(p, d);
+            assert!(
+                spawned > 20 && restarts >= 3,
+                "{spawned} tasks, {restarts} restarts"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 
 use mssp_isa::{lui_value, Instr, Program, INSTR_BYTES};
 
-use crate::Storage;
+use crate::{Cell, Delta, MachineState, Storage};
 
 /// An execution fault.
 ///
@@ -46,6 +46,32 @@ pub struct MemAccess {
     pub is_store: bool,
 }
 
+impl MemAccess {
+    /// Calls `f` on the first word the access touches, and on the last if
+    /// that is another. An access at the top of the address space wraps to
+    /// word 0, as [`Storage::load_bytes`] does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_machine::MemAccess;
+    ///
+    /// let mut words = Vec::new();
+    /// let straddle = MemAccess { addr: 6, bytes: 4, is_store: true };
+    /// straddle.words(|w| words.push(w));
+    /// assert_eq!(words, [0, 1]);
+    /// ```
+    #[inline(always)]
+    pub fn words(self, mut f: impl FnMut(u64)) {
+        let first = self.addr >> 3;
+        let last = self.addr.wrapping_add(u64::from(self.bytes) - 1) >> 3;
+        f(first);
+        if last != first {
+            f(last);
+        }
+    }
+}
+
 /// Everything observable about one executed instruction.
 ///
 /// Consumers: the profiler (edge counts from `pc` → `next_pc`), the timing
@@ -65,6 +91,38 @@ pub struct StepInfo {
     pub taken: Option<bool>,
     /// For loads and stores, the access performed.
     pub mem: Option<MemAccess>,
+}
+
+impl StepInfo {
+    /// Binds in `writes` every cell this step wrote, with its value in
+    /// `state`, the state the step was executed against: the defined
+    /// register, and each word a store touched, whole (a sub-word store
+    /// read-modify-writes its word). Cells are bound in the order the
+    /// step wrote them.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssp_isa::asm::assemble;
+    /// use mssp_machine::{step, Cell, Delta, MachineState};
+    ///
+    /// let p = assemble("main: sb sp, 1(zero)\n halt").unwrap();
+    /// let (mut s, mut writes) = (MachineState::boot(&p), Delta::new());
+    /// step(&mut s, &p, p.entry()).unwrap().record_writes(&s, &mut writes);
+    /// assert_eq!(writes.get(Cell::Mem(0)), Some(s.load_word(0)));
+    /// assert_eq!(writes.len(), 1);
+    /// ```
+    // Always inlined: the master calls it once per instruction of its
+    // burst, and out of line it would be a call per simulated instruction.
+    #[inline(always)]
+    pub fn record_writes(&self, state: &MachineState, writes: &mut Delta) {
+        if let Some(r) = self.instr.def_reg() {
+            writes.set_reg(r, state.reg(r));
+        }
+        if let Some(mem) = self.mem.filter(|m| m.is_store) {
+            mem.words(|w| _ = writes.set(Cell::Mem(w), state.load_word(w)));
+        }
+    }
 }
 
 /// Executes the instruction at `pc` against `storage`.

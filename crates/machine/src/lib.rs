@@ -54,4 +54,4 @@ pub use exec::{step, Fault, MemAccess, StepInfo};
 pub use mem::{PageHasher, SparseMem};
 pub use seq::{cumulative_writes, seq_n, HaltError, RunSummary, SeqError, SeqMachine, StopReason};
 pub use sliceval::{eval_slice, SliceEval};
-pub use state::{MachineState, Recording, Storage};
+pub use state::{MachineState, Storage};

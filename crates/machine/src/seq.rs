@@ -10,7 +10,7 @@ use std::fmt;
 
 use mssp_isa::Program;
 
-use crate::{step, Delta, Fault, MachineState, Recording, StepInfo};
+use crate::{step, Delta, Fault, MachineState, StepInfo};
 
 /// Why a sequential run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,7 +340,8 @@ pub fn cumulative_writes(
     let mut writes = Delta::new();
     for _ in 0..n {
         let pc = state.pc();
-        let info = step(&mut Recording::new(&mut state, &mut writes), program, pc)?;
+        let info = step(&mut state, program, pc)?;
+        info.record_writes(&state, &mut writes);
         if info.halted {
             break;
         }
@@ -413,6 +414,61 @@ mod tests {
             via_delta.apply(&delta);
             assert_eq!(direct, via_delta, "Lemma 3 violated at n={n}");
         }
+    }
+
+    #[test]
+    fn cumulative_writes_binds_written_cells_whole() {
+        use crate::{Cell, MaskedVal};
+        use mssp_isa::{Instr, LoadOp, StoreOp};
+
+        // Runs `instr` once with `a0 = addr`, `a1` a pattern and all ones
+        // in the word at `addr`; returns `Δ(S, 1)` without its PC, and the
+        // state the step leaves.
+        let one_step = |instr: Instr, addr: u64| {
+            let p = Program::from_instrs(vec![instr, Instr::Halt]);
+            let mut s = MachineState::boot(&p);
+            s.set_reg(Reg::A0, addr);
+            s.set_reg(Reg::A1, 0x1122_3344_5566_7788);
+            s.store_word(addr >> 3, u64::MAX);
+            let mut writes = cumulative_writes(&p, s.clone(), 1).unwrap();
+            assert_eq!(writes.remove(Cell::Pc), Some(p.entry() + 4));
+            (writes, seq_n(&p, s, 1).unwrap())
+        };
+
+        let (writes, after) = one_step(Instr::Load(LoadOp::Ld, Reg::A2, Reg::A0, 0), 0x4000);
+        let bound: Vec<_> = writes.iter().collect();
+        assert_eq!(
+            bound,
+            [(Cell::Reg(Reg::A2), u64::MAX)],
+            "a load binds no word"
+        );
+        assert_eq!(after.reg(Reg::A2), u64::MAX);
+
+        let (writes, _) = one_step(Instr::Load(LoadOp::Ld, Reg::ZERO, Reg::A0, 0), 0x4000);
+        assert!(writes.is_empty(), "an x0 write binds nothing");
+
+        let (writes, after) = one_step(Instr::Store(StoreOp::Sb, Reg::A1, Reg::A0, 3), 0x4000);
+        let word = 0xFFFF_FFFF_88FF_FFFF;
+        assert_eq!(after.load_word(0x800), word);
+        let bound: Vec<_> = writes.iter_masked().collect();
+        assert_eq!(bound, [(Cell::Mem(0x800), MaskedVal::full(word))]);
+
+        // The top of the address space wraps to word 0.
+        let (writes, after) =
+            one_step(Instr::Store(StoreOp::Sd, Reg::A1, Reg::A0, 0), u64::MAX - 3);
+        let (top, bottom) = (0x5566_7788_FFFF_FFFF, 0x1122_3344);
+        assert_eq!(
+            (after.load_word(u64::MAX >> 3), after.load_word(0)),
+            (top, bottom)
+        );
+        let bound: Vec<_> = writes.iter_masked().collect();
+        assert_eq!(
+            bound,
+            [
+                (Cell::Mem(0), MaskedVal::full(bottom)),
+                (Cell::Mem(u64::MAX >> 3), MaskedVal::full(top)),
+            ]
+        );
     }
 
     #[test]

@@ -165,11 +165,16 @@ impl MachineState {
 
 /// The storage interface the interpreter executes against.
 ///
-/// The sequential machine implements it directly over [`MachineState`];
-/// the MSSP engine implements it with a layered view (task-local writes →
-/// master checkpoint → architected state) that records live-ins as a side
-/// effect. Read methods take `&mut self` precisely so implementations can
-/// record what was read.
+/// [`MachineState`] implements it directly: the sequential machine and
+/// recovery step architected state, and the MSSP master its private copy
+/// of it, learning what each step wrote from
+/// [`StepInfo::record_writes`](crate::StepInfo::record_writes). A slave
+/// steps a layered view instead (task-local writes → master checkpoint →
+/// committed view → architected state) that records live-ins as a side
+/// effect; `mssp-core` also keeps a buffered recovery storage that only
+/// the benchmark's trace loop steps, and spawn-guard slices step a
+/// register file over a memory reader. Read methods take `&mut self`
+/// precisely so implementations can record what was read.
 ///
 /// Byte-granular accesses are provided methods built on the word-granular
 /// primitives, so every implementation inherits identical sub-word and
@@ -274,50 +279,6 @@ impl Storage for MachineState {
     }
 }
 
-/// A [`Storage`] adaptor that records every write into a borrowed
-/// [`Delta`] while forwarding to an inner storage.
-///
-/// Wrapping the sequential machine in a `Recording` storage computes the
-/// paper's cumulative-writes function `Δ(S, n)` — used by the formal-model
-/// tests to check Lemma 3 (`seq(S, n) = S ← Δ(S, n)`). The MSSP master
-/// steps one over its private state, recording the next task's overlay
-/// segment.
-#[derive(Debug)]
-pub struct Recording<'a, S> {
-    inner: &'a mut S,
-    writes: &'a mut Delta,
-}
-
-impl<'a, S: Storage> Recording<'a, S> {
-    /// Wraps `inner`, adding its writes to `writes`.
-    pub fn new(inner: &'a mut S, writes: &'a mut Delta) -> Recording<'a, S> {
-        Recording { inner, writes }
-    }
-}
-
-impl<S: Storage> Storage for Recording<'_, S> {
-    fn read_reg(&mut self, r: Reg) -> u64 {
-        self.inner.read_reg(r)
-    }
-
-    #[inline(always)]
-    fn write_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.inner.write_reg(r, value);
-            self.writes.set_reg(r, value);
-        }
-    }
-
-    fn load_word(&mut self, widx: u64) -> u64 {
-        self.inner.load_word(widx)
-    }
-
-    fn store_word(&mut self, widx: u64, value: u64) {
-        self.writes.set(Cell::Mem(widx), value);
-        self.inner.store_word(widx, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,18 +329,5 @@ mod tests {
         // Crossing a word boundary.
         s.store_bytes(6, 8, 0x1122_3344_5566_7788);
         assert_eq!(s.load_bytes(6, 8), 0x1122_3344_5566_7788);
-    }
-
-    #[test]
-    fn recording_captures_writes_only() {
-        let (mut s, mut w) = (MachineState::new(), Delta::new());
-        let mut rec = Recording::new(&mut s, &mut w);
-        let _ = rec.load_word(4); // reads are not recorded
-        rec.store_word(4, 9);
-        rec.write_reg(Reg::A0, 3);
-        rec.write_reg(Reg::ZERO, 8); // discarded
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.get(Cell::Mem(4)), Some(9));
-        assert_eq!(w.get(Cell::Reg(Reg::A0)), Some(3));
     }
 }

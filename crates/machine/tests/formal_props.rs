@@ -89,13 +89,16 @@ fn apply_composes() {
 }
 
 /// A random but well-formed program: straight-line ALU/memory code ending
-/// in `halt`, so every program terminates.
+/// in `halt`, so every program terminates. It writes every kind of cell:
+/// registers by ALU ops, `lui`, loads and `jal rd, 0` (a link to the next
+/// instruction), and memory by stores of every width; the narrow ones land
+/// at any byte offset, so some straddle two words.
 fn arb_program(rng: &mut Rng) -> Program {
     let len = rng.gen_range(1, 40);
     let mut body: Vec<Instr> = (0..len)
         .map(|_| {
             let r = |rng: &mut Rng| Reg::new(rng.gen_range(4, 12) as u8);
-            match rng.gen_range(0, 4) {
+            match rng.gen_range(0, 7) {
                 0 => {
                     let rd = r(rng);
                     let a = r(rng);
@@ -117,6 +120,12 @@ fn arb_program(rng: &mut Rng) -> Program {
                     Reg::SP,
                     rng.gen_range(0, 64) as i16 * 8 - 256,
                 ),
+                3 => {
+                    let op = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw][rng.gen_range(0, 3) as usize];
+                    Instr::Store(op, r(rng), Reg::SP, rng.gen_range(0, 512) as i16 - 256)
+                }
+                4 => Instr::Lui(r(rng), rng.next_u64() as i16),
+                5 => Instr::Jal(r(rng), 0),
                 _ => Instr::Load(
                     LoadOp::Ld,
                     r(rng),
