@@ -253,7 +253,7 @@ impl AdaptiveController {
     /// Services the outstanding recompile request, if any, at a swap-safe
     /// point (a task boundary): runs `recompiler` on the live profile and
     /// returns a candidate that keeps the pinned segmentation, for the
-    /// executor to install at this same boundary and report with
+    /// commit unit to install at this same boundary and report with
     /// [`AdaptiveController::note_swap_installed`]. A failed recompile or
     /// a rejected candidate is counted; the request is spent either way,
     /// so a later divergent window can retry.

@@ -100,23 +100,19 @@
 //! per-instant order.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use mssp_distill::Distilled;
 use mssp_isa::Program;
-use mssp_machine::{step, Cell, DeltaArena, Fault, MachineState, StepInfo};
+use mssp_machine::{step, Cell, Fault, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
-use crate::master::MasterStall;
 use crate::protocol::{
-    recover, verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, SquashReason,
-    VerifyOutcome,
+    verify_and_commit, AfterRecovery, CommitUnit, EngineStats, SquashReason, VerifyOutcome,
 };
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
 
-/// Engine configuration. Every field acts under both executors except
-/// `word_granular_live_ins` (discrete [`Engine`] only).
+/// Engine configuration. Every field acts under both executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of slave processors (the paper's CMP had one master plus
@@ -257,15 +253,11 @@ pub struct Engine<'a, C, O = ()> {
     original: &'a Program,
     boundaries: BoundarySet,
     crossings_per_task: u64,
-    config: EngineConfig,
     cost: C,
 
     now: u64,
-    arch: MachineState,
     arch_halted: bool,
 
-    /// The master, its installed program and its spawn bookkeeping.
-    seat: MasterSeat<'a>,
     /// When the master's current instruction or spawn completes, or,
     /// while it holds an instruction, when that one issues.
     master_busy_until: u64,
@@ -295,9 +287,6 @@ pub struct Engine<'a, C, O = ()> {
     /// The in-order task window, oldest first, as the indices of the
     /// slaves holding the tasks.
     window: VecDeque<usize>,
-    /// Live-in and write buffers of committed and squashed tasks, cleared,
-    /// for the tasks to come.
-    arena: DeltaArena,
     /// When the pending recovery segment's first instruction issues;
     /// [`NEVER`] while none is pending. The window is empty and the
     /// master offline from a segment's start to its end, so nothing moves
@@ -310,8 +299,9 @@ pub struct Engine<'a, C, O = ()> {
     /// empty. Kept equal to [`Engine::verify_due`].
     verify_wake: u64,
 
-    /// The protocol core: statistics, throttle, adaptive loop.
-    unit: CommitUnit,
+    /// The protocol core: architected state, the master, statistics,
+    /// throttle, adaptive loop.
+    unit: CommitUnit<'a>,
     /// Told of every commit and squash, at its instant.
     observer: O,
 }
@@ -403,6 +393,12 @@ fn oldest<'t>(window: &VecDeque<usize>, slaves: &'t [Option<Task>]) -> Option<&'
     Some(slaves[s].as_ref().expect("the window names held tasks"))
 }
 
+/// The tasks in flight and the instructions they have executed so far.
+fn in_flight_work(window: &VecDeque<usize>, slaves: &[Option<Task>]) -> (u64, u64) {
+    let executed = slaves.iter().flatten().map(|t| t.executed).sum();
+    (window.len() as u64, executed)
+}
+
 impl<'a, C: CostModel> Engine<'a, C> {
     /// Creates an engine booted at the original program's entry, with no
     /// observer. With no slaves, recovery carries the whole run.
@@ -428,16 +424,12 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         cost: C,
         observer: O,
     ) -> Engine<'a, C, O> {
-        let arch = MachineState::boot(original);
         let mut engine = Engine {
             original,
             boundaries: BoundarySet::new(distilled.boundaries().clone()),
             crossings_per_task: distilled.crossings_per_task().max(1),
-            config,
             cost,
             now: 0,
-            seat: MasterSeat::new(distilled, &arch, config.master_runahead),
-            arch,
             arch_halted: false,
             master_busy_until: 0,
             master_wake: NEVER,
@@ -446,11 +438,10 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             slave_wake: vec![NEVER; config.num_slaves],
             held: vec![None; config.num_slaves],
             window: VecDeque::new(),
-            arena: DeltaArena::new(),
             recovery_wake: NEVER,
             verify_busy_until: 0,
             verify_wake: NEVER,
-            unit: CommitUnit::new(config),
+            unit: CommitUnit::new(original, distilled, config),
             observer,
         };
         engine.master_wake = engine.master_due();
@@ -504,12 +495,11 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
                 self.now = next;
             }
         }
-        self.seat.harvest_vetoes(&mut self.unit.stats);
-        let (stats, adaptive) = self.unit.finish();
+        let (state, stats, adaptive) = self.unit.finish();
         Ok((
             MsspRun {
                 cycles: self.now,
-                state: self.arch,
+                state,
                 stats,
                 adaptive,
             },
@@ -566,7 +556,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             return NEVER;
         };
         match task.status {
-            _ if task.start_pc != self.arch.pc() => self.verify_busy_until,
+            _ if task.start_pc != self.unit.arch.pc() => self.verify_busy_until,
             TaskStatus::Done { done_at, .. } => self.verify_busy_until.max(done_at),
             TaskStatus::Running => NEVER,
         }
@@ -575,7 +565,8 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     /// When the master can next act, from scratch: it needs to hold an
     /// instruction, or to be active with a free slave for a pending spawn.
     fn master_due(&self) -> u64 {
-        if self.master_held.is_some() || self.seat.can_act(self.window.len() < self.slaves.len()) {
+        let room = self.window.len() < self.slaves.len();
+        if self.master_held.is_some() || self.unit.master_can_act(room) {
             self.master_busy_until
         } else {
             NEVER
@@ -659,7 +650,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
-            max_instrs: self.config.max_task_instrs,
+            max_instrs: self.unit.config.max_task_instrs,
         };
         let (cost, now) = (&mut self.cost, &mut self.now);
         let (mut busy, mut last) = (0, 0);
@@ -668,34 +659,27 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             last = cost.instr_cost(CoreRole::Recovery(0), info).max(1);
             busy += last;
         };
-        let (executed, halted) =
-            recover(&mut self.unit, self.original, &mut self.arch, &rules, price)?;
+        let (executed, halted) = self.unit.recover(self.original, &rules, price)?;
         self.unit.stats.recovery_busy_cycles += busy;
         let event = Event::Recovery {
-            end_pc: self.arch.pc(),
+            end_pc: self.unit.arch.pc(),
             instructions: executed,
         };
         self.observer.event(self.now, event);
-        let next = self.unit.recovered(executed, &self.arch)?;
         self.arch_halted = halted;
-        // While throttled, keep the master offline and let starvation
-        // recovery carry execution sequentially.
-        if halted || next == AfterRecovery::StayOffline {
-            return Ok(());
+        // While throttled, the master stays offline and starvation
+        // recovery carries execution sequentially.
+        if self.unit.recovered(executed, halted)? == AfterRecovery::Resume {
+            self.master_busy_until = self.now;
+            self.master_wake = self.master_due();
         }
-        if self.seat.master.status() != MasterStall::Active {
-            self.restart_master(None);
-        }
-        // A recovery end is a consistent task boundary — the discrete
-        // engine's second swap point (alongside commits).
-        self.try_adaptive_swap();
         Ok(())
     }
 
     fn act_verify(&mut self) -> Result<(), EngineError> {
         // why: `verify_due` is `NEVER` with the window empty.
         let task = oldest(&self.window, &self.slaves).expect("verify is due on a task");
-        if task.start_pc != self.arch.pc() {
+        if task.start_pc != self.unit.arch.pc() {
             self.squash_and_recover(SquashReason::WrongPath);
             return Ok(());
         }
@@ -704,7 +688,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             // running.
             unreachable!("verify is due on a right-path task only once it is done");
         };
-        match verify_and_commit(&mut self.arch, task, end) {
+        match verify_and_commit(&mut self.unit.arch, task, end) {
             VerifyOutcome::Squash(reason) => self.squash_and_recover(reason),
             VerifyOutcome::Commit { end_pc, halted } => return self.commit_oldest(end_pc, halted),
         }
@@ -727,20 +711,25 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             instructions: task.executed,
         };
         self.observer.event(self.now, event);
-        self.unit.commit(&task, &self.arch)?;
-        self.seat.master.on_commit(task.id.0);
-        self.arena.put(task.live_ins);
-        self.arena.put(task.writes);
+        self.unit.commit(&task)?;
+        self.unit.arena.put(task.live_ins);
+        self.unit.arena.put(task.writes);
         // The next task is the oldest now, and a master stalled on its
         // pending spawn has a slave to place it on.
         self.verify_wake = self.verify_due();
         self.master_wake = self.master_due();
         if halted {
             self.arch_halted = true;
-        } else {
-            // Commits are the primary swap point: architected state sits
-            // at a consistent task boundary.
-            self.try_adaptive_swap();
+            return Ok(());
+        }
+        // Commits are the primary swap point: architected state sits at a
+        // consistent task boundary. A swap restarts the master on the new
+        // program and abandons the tasks in flight like a squash, but
+        // needs no recovery segment.
+        let (window, slaves) = (&self.window, &self.slaves);
+        if self.unit.swap(|| in_flight_work(window, slaves)) {
+            self.master_busy_until = self.now;
+            self.release_slaves();
         }
         Ok(())
     }
@@ -795,7 +784,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
                 let rules = SegmentRules {
                     boundaries: &self.boundaries,
                     crossings_per_task: self.crossings_per_task,
-                    max_instrs: self.config.max_task_instrs,
+                    max_instrs: self.unit.config.max_task_instrs,
                 };
                 match rules.retire(&info, &mut task.pc, &mut task.executed, &mut task.crossings) {
                     None => self.slave_wake[s] = now + cost,
@@ -820,14 +809,15 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         let rules = SegmentRules {
             boundaries: &self.boundaries,
             crossings_per_task: self.crossings_per_task,
-            max_instrs: self.config.max_task_instrs,
+            max_instrs: self.unit.config.max_task_instrs,
         };
         let mut pc = task.pc;
         // When the next instruction issues.
         let mut at = self.now;
         let mut busy = 0;
+        let word_granular = self.unit.config.word_granular_live_ins;
         let (mut storage, executed, crossings) =
-            task.storage_and_counters(&self.arch, None, self.config.word_granular_live_ins);
+            task.storage_and_counters(&self.unit.arch, None, word_granular);
         let before = *executed;
         let finished = loop {
             let info = match step(&mut storage, self.original, pc) {
@@ -888,13 +878,11 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     /// would have found it.
     fn act_master(&mut self) -> Option<usize> {
         let mut dispatched = None;
-        if self.master_held.is_none() && self.seat.master.pending_spawn().is_some() {
+        if self.master_held.is_none() && self.unit.spawn_pending() {
             // why: `master_due` is `NEVER` for a pending spawn with the
             // window full, and a slave is free while it is not.
             let slave = self.free_slave().expect("a placeable spawn has a slave");
-            let (task, cells) = self
-                .seat
-                .spawn(&mut self.unit.stats, &mut self.arena, slave);
+            let (task, cells) = self.unit.spawn(slave);
             self.slaves[slave] = Some(task);
             self.window.push_back(slave);
             let dispatch = self.cost.dispatch_latency(cells);
@@ -906,11 +894,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             // unit checks its start PC without waiting for it to finish.
             self.verify_wake = self.verify_due();
             dispatched = Some(slave);
-        } else if let Some(info) = self
-            .master_held
-            .take()
-            .or_else(|| self.seat.step(&mut self.unit.stats))
-        {
+        } else if let Some(info) = self.master_held.take().or_else(|| self.unit.step_master()) {
             // The first instruction issues now: priced as at its instant.
             let mut at = self.now + self.cost.instr_cost(CoreRole::Master, &info).max(1);
             let horizon = match self.window.front() {
@@ -920,7 +904,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             while at < horizon {
                 // `None`, touching nothing, once the master has halted, is
                 // lost or has armed a spawn: that spawn waits for its instant.
-                let Some(info) = self.seat.step(&mut self.unit.stats) else {
+                let Some(info) = self.unit.step_master() else {
                     break;
                 };
                 let Some(cost) = self.cost.private_instr_cost(CoreRole::Master, &info) else {
@@ -941,28 +925,26 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     // ---- squash & recovery ----------------------------------------------
 
     /// Squashes the oldest task, every younger one and the master, then
-    /// starts the recovery segment.
+    /// starts the recovery segment. The master stays down until recovery
+    /// reaches the next boundary, where the unit reseeds it from the
+    /// then-consistent architected state.
     fn squash_and_recover(&mut self, reason: SquashReason) {
         debug_assert!(self.master_held.is_none(), "held past a verify act");
         // why: only `act_verify` squashes, on the window's oldest task.
         let failing = oldest(&self.window, &self.slaves).expect("a squash has a failing task");
-        let dying = self.in_flight_work();
-        self.unit.squash(reason, failing, &self.arch, dying);
+        let dying = in_flight_work(&self.window, &self.slaves);
+        self.unit.squash(reason, failing, dying);
         let mut sample = SquashSample {
             reason,
             task_start_pc: failing.start_pc,
-            arch_pc: self.arch.pc(),
+            arch_pc: self.unit.arch.pc(),
             executed: failing.executed,
             cells: Vec::new(),
         };
         if O::WANTS_CELLS && reason == SquashReason::LiveInMismatch {
-            sample.cells = failing.live_ins.mismatches_against(&self.arch);
+            sample.cells = failing.live_ins.mismatches_against(&self.unit.arch);
         }
         self.observer.event(self.now, Event::Squash(&sample));
-        // The master stays down until recovery reaches the next boundary;
-        // `act_recovery` reseeds it from the then-consistent
-        // architected state.
-        self.seat.master.mark_lost();
         self.release_slaves();
         self.cost.on_squash(CoreRole::Master);
 
@@ -978,8 +960,8 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         debug_assert!(self.master_held.is_none(), "held past a verify act");
         for (i, slot) in self.slaves.iter_mut().enumerate() {
             if let Some(task) = slot.take() {
-                self.arena.put(task.live_ins);
-                self.arena.put(task.writes);
+                self.unit.arena.put(task.live_ins);
+                self.unit.arena.put(task.writes);
                 self.cost.on_squash(CoreRole::Slave(i));
                 self.slave_wake[i] = NEVER;
             }
@@ -995,35 +977,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     fn start_recovery(&mut self, delay: u64) {
         debug_assert!(self.window.is_empty() && self.recovery_wake == NEVER);
         self.recovery_wake = self.now + delay;
-    }
-
-    /// Reseeds the master from architected state on the installed
-    /// program, or on `swap`, which it installs.
-    fn restart_master(&mut self, swap: Option<Arc<Distilled>>) {
-        debug_assert!(self.master_held.is_none(), "held past a verify act");
-        self.seat.restart(&mut self.unit.stats, &self.arch, swap);
-        self.master_busy_until = self.now;
-        self.master_wake = self.master_due();
-    }
-
-    /// Installs a validated candidate if the protocol core has one ready:
-    /// the master restarts on the new program and in-flight tasks are
-    /// abandoned like a squash. No recovery segment is needed — unlike a
-    /// squash, architected state already sits at a task boundary.
-    fn try_adaptive_swap(&mut self) {
-        let Some(candidate) = self.unit.poll_swap() else {
-            return;
-        };
-        // First, so the swap marker's counters include the old master's vetoes.
-        self.restart_master(Some(Arc::clone(&candidate.program)));
-        self.unit.swap_installed(&candidate, self.in_flight_work());
-        self.release_slaves();
-    }
-
-    /// The tasks in flight and the instructions they have executed so far.
-    fn in_flight_work(&self) -> (u64, u64) {
-        let executed = self.slaves.iter().flatten().map(|t| t.executed).sum();
-        (self.window.len() as u64, executed)
     }
 
     /// The lowest-numbered slave holding no task.

@@ -1,20 +1,21 @@
 //! The MSSP protocol core: one sans-IO commit unit under two drivers.
 //!
 //! The paper rests correctness on a single in-order verify/commit unit.
-//! This module is that unit's *policy*, written once: what a spawn, a
-//! commit, a squash, a recovery segment and a hot-swap **mean** — which
-//! counters move, when the squash throttle takes the master offline,
-//! when a recompiled program may be installed. It performs no I/O, keeps
-//! no clock and owns no architected state. The drivers decide **when**:
-//! [`crate::Engine`] raises the events from virtual time, the threaded
-//! coordinator from worker results and its own master slices.
+//! This module is that unit, written once: what a spawn, a commit, a
+//! squash, a recovery segment and a hot-swap **mean** — which counters
+//! move, what becomes of the master, when the squash throttle keeps it
+//! offline, when a recompiled program may be installed. It owns
+//! architected state and the master, performs no I/O and keeps no clock.
+//! The drivers decide **when**: [`crate::Engine`] raises the events from
+//! virtual time, the threaded coordinator from worker results and its own
+//! master slices.
 //!
 //! [`verify_and_commit`] is the single verdict oracle: both drivers call
 //! it on the oldest finished task, and nothing else decides a commit.
-//! `recover` is the single recovery loop: both drivers run a segment
-//! through it, straight on the architected state they pass in — a
-//! segment runs alone, so its writes need no atomic commit — and the
-//! engine prices each instruction in the closure it hands over.
+//! `CommitUnit::recover` is the single recovery loop: both drivers run a
+//! segment through it, straight on architected state — a segment runs
+//! alone, so its writes need no atomic commit — and the engine prices
+//! each instruction in the closure it hands over.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use mssp_distill::Distilled;
 use mssp_isa::Program;
 use mssp_machine::{step, DeltaArena, MachineState, StepInfo};
 
-use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
+use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::engine::{EngineConfig, EngineError};
 use crate::master::{Master, MasterStall};
 use crate::task::{SegmentRules, Task, TaskEnd, TaskId};
@@ -233,25 +234,43 @@ impl std::fmt::Debug for Adaptive {
     }
 }
 
-/// What the driver does with the master after a recovery segment.
+/// What the master does after a recovery segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AfterRecovery {
-    /// Reseed it from the now-consistent architected state.
-    RestartMaster,
-    /// The squash throttle is engaged: keep it offline and run the next
-    /// segment sequentially too (the paper's dual-mode fallback).
+    /// The master runs on: a hot-swap ready here restarts it on the new
+    /// program; otherwise it restarts from the now-consistent architected
+    /// state unless it is still active.
+    Resume,
+    /// The program halted, or the squash throttle is engaged: the master
+    /// stays offline and the next segment runs sequentially too (the
+    /// paper's dual-mode fallback).
     StayOffline,
 }
 
-/// The in-order verify/commit unit's policy state. Drivers raise events
-/// on it and act on the answers; they write `stats` directly only for the
-/// counters nobody else can know (their own cores' busy cycles and
-/// instruction counts, the coordinator's snapshot counters); the
-/// [`MasterSeat`] writes the master's.
-#[derive(Debug, Default)]
-pub(crate) struct CommitUnit {
+/// The in-order verify/commit unit: architected state, the master, and
+/// the policy over both. Drivers raise events on it and act on the
+/// answers; they write `stats` directly only for the counters nobody
+/// else can know (their own cores' busy cycles and instruction counts,
+/// the coordinator's snapshot counters).
+#[derive(Debug)]
+pub(crate) struct CommitUnit<'a> {
     pub stats: EngineStats,
     pub config: EngineConfig,
+    /// Architected state: what tasks verify against and commit into.
+    pub arch: MachineState,
+    /// Live-in and write buffers of decided tasks, cleared, for the
+    /// tasks to come.
+    pub arena: DeltaArena,
+    master: Master,
+    /// The offline distilled program, and the latest hot-swap if any.
+    offline: &'a Distilled,
+    swapped: Option<Arc<Distilled>>,
+    /// Master instructions since its last spawn or restart.
+    since_spawn: u64,
+    /// The task spawned last since the restart; its segment closes at the
+    /// next spawn.
+    last_spawned: Option<u64>,
+    next_task_id: u64,
     /// Squash events inside the throttle window, stamped with its clock.
     recent_squashes: VecDeque<u64>,
     /// Tasks processed (committed or squashed): the throttle's clock.
@@ -261,11 +280,26 @@ pub(crate) struct CommitUnit {
     adaptive: Option<Adaptive>,
 }
 
-impl CommitUnit {
-    pub(crate) fn new(config: EngineConfig) -> CommitUnit {
+impl<'a> CommitUnit<'a> {
+    /// A unit booted at `original`'s entry, with a master on `distilled`
+    /// seeded from the boot state.
+    pub(crate) fn new(original: &Program, distilled: &'a Distilled, config: EngineConfig) -> Self {
+        let arch = MachineState::boot(original);
         CommitUnit {
+            stats: EngineStats::default(),
             config,
-            ..CommitUnit::default()
+            master: Master::restart_at(distilled, arch.pc(), true, arch.clone()),
+            arch,
+            arena: DeltaArena::new(),
+            offline: distilled,
+            swapped: None,
+            since_spawn: 0,
+            last_spawned: None,
+            next_task_id: 0,
+            recent_squashes: VecDeque::new(),
+            tasks_processed: 0,
+            throttle_remaining: 0,
+            adaptive: None,
         }
     }
 
@@ -274,13 +308,67 @@ impl CommitUnit {
         self.adaptive = Some(Adaptive { ctl, recompiler });
     }
 
-    /// `task` passed the memoization test and its writes are architected
-    /// in `arch`.
+    /// Whether the master waits to spawn a task.
+    pub(crate) fn spawn_pending(&self) -> bool {
+        self.master.pending_spawn().is_some()
+    }
+
+    /// Whether the master can act: it is active, and a pending spawn has
+    /// `room` in the task window.
+    #[inline]
+    pub(crate) fn master_can_act(&self, room: bool) -> bool {
+        self.master.status() == MasterStall::Active && (!self.spawn_pending() || room)
+    }
+
+    /// Executes and counts one master instruction on the installed
+    /// program. Past the run-ahead bound without a spawn, marks the
+    /// master lost instead: `None`. A master that cannot step (halted,
+    /// lost, or with a spawn pending) gets `None` and is left as it was.
+    ///
+    /// Always inlined, with [`Master::step`]: a driver's burst calls it
+    /// per instruction, and an out-of-line call hands the `StepInfo` back
+    /// through the stack (DESIGN.md §6, "The hot-path rule").
+    #[inline(always)]
+    pub(crate) fn step_master(&mut self) -> Option<StepInfo> {
+        if !self.master_can_act(false) {
+            return None;
+        }
+        if self.since_spawn > self.config.master_runahead {
+            self.master.mark_lost();
+            return None;
+        }
+        let info = self
+            .master
+            .step(self.swapped.as_deref().unwrap_or(self.offline))?;
+        self.stats.master_instructions += 1;
+        self.since_spawn += 1;
+        Some(info)
+    }
+
+    /// Turns the master's pending spawn into the next task, bound for
+    /// `slave`: the master closes its segment, and the task's live-in and
+    /// write buffers come from the arena. Also returns the cells of the
+    /// master's newest checkpoint segment.
+    pub(crate) fn spawn(&mut self, slave: usize) -> (Task, usize) {
+        let (start, overlay) = self.master.take_spawn(self.last_spawned);
+        let cells = overlay.first().map_or(0, |d| d.len());
+        self.stats.spawned_tasks += 1;
+        let id = TaskId(self.next_task_id);
+        self.next_task_id += 1;
+        let (live_ins, writes) = (self.arena.take(), self.arena.take());
+        let task = Task::with_buffers(id, start, slave, overlay, live_ins, writes);
+        self.last_spawned = Some(id.0);
+        self.since_spawn = 0;
+        (task, cells)
+    }
+
+    /// `task` passed the memoization test and its writes are architected:
+    /// the master prunes the segments of the tasks up to it.
     ///
     /// # Errors
     ///
     /// [`EngineError::Budget`] if the commit spent the instruction budget.
-    pub(crate) fn commit(&mut self, task: &Task, arch: &MachineState) -> Result<(), EngineError> {
+    pub(crate) fn commit(&mut self, task: &Task) -> Result<(), EngineError> {
         let live_ins = task.live_ins.len() as u64;
         let stats = &mut self.stats;
         stats.committed_tasks += 1;
@@ -294,17 +382,18 @@ impl CommitUnit {
         if let Some(ad) = &mut self.adaptive {
             ad.ctl.observe_commit(task.executed);
         }
-        self.within_budget(arch)
+        self.master.on_commit(task.id.0);
+        self.within_budget()
     }
 
-    /// The oldest task `failing` failed verification against `arch`; it
-    /// and every younger task die: `(tasks, instructions)` of in-flight
-    /// work. The driver discards the tasks and starts a recovery segment.
+    /// The oldest task `failing` failed verification; it, every younger
+    /// task and the master die: `(tasks, instructions)` of in-flight work.
+    /// The driver discards the tasks and starts a recovery segment; the
+    /// master stays lost until [`CommitUnit::recovered`].
     pub(crate) fn squash(
         &mut self,
         reason: SquashReason,
         failing: &Task,
-        arch: &MachineState,
         (tasks, instructions): (u64, u64),
     ) {
         let stats = &mut self.stats;
@@ -317,9 +406,10 @@ impl CommitUnit {
         stats.squashed_tasks += tasks;
         stats.wasted_slave_instructions += instructions;
         if let Some(ad) = &mut self.adaptive {
-            ad.ctl.observe_squash(reason, &failing.live_ins, arch);
+            ad.ctl.observe_squash(reason, &failing.live_ins, &self.arch);
         }
         self.throttle_on_squash();
+        self.master.mark_lost();
     }
 
     /// The paper's dual-mode fallback: with a pathological master, more
@@ -347,10 +437,57 @@ impl CommitUnit {
         }
     }
 
-    /// A recovery segment of `executed` instructions committed, leaving
-    /// `arch`. Only now, at a *consistent* architected point, may the
-    /// master restart: at squash time it would read a torn mix of pre- and
-    /// post-recovery values.
+    /// Runs one non-speculative recovery segment: the original program
+    /// from the architected PC to the next task end under `rules` —
+    /// `halt`, the crossing that reaches the quota, or the instructions
+    /// left of the budget, whatever `rules.max_instrs` says — executed
+    /// straight on architected state, whose PC it leaves at the segment
+    /// end. Forward progress however wrong the master is. A segment runs
+    /// alone (the window is empty and the master offline), so no reader
+    /// needs its writes to land atomically, and one cut at the budget has
+    /// retired every instruction it ran. Recovery is verified execution:
+    /// every instruction feeds the adaptive controller's live profile,
+    /// then `on_step`. Returns the instructions executed and whether the
+    /// program halted, for [`CommitUnit::recovered`].
+    ///
+    /// # Errors
+    ///
+    /// `RecoveryFault` if the original program faults (a genuine program
+    /// error); architected state keeps the writes made before the fault,
+    /// and its PC.
+    pub(crate) fn recover(
+        &mut self,
+        program: &Program,
+        rules: &SegmentRules<'_>,
+        mut on_step: impl FnMut(&StepInfo),
+    ) -> Result<(u64, bool), EngineError> {
+        let rules = SegmentRules {
+            max_instrs: self.config.max_instrs - self.stats.committed_instructions,
+            ..*rules
+        };
+        let (mut pc, mut executed, mut crossings) = (self.arch.pc(), 0, 0);
+        let end = loop {
+            let info = step(&mut self.arch, program, pc).map_err(EngineError::RecoveryFault)?;
+            if let Some(ad) = &mut self.adaptive {
+                ad.ctl.observe_recovery_step(&info);
+            }
+            on_step(&info);
+            if let Some(end) = rules.retire(&info, &mut pc, &mut executed, &mut crossings) {
+                break end;
+            }
+        };
+        self.arch.set_pc(pc);
+        Ok((executed, matches!(end, TaskEnd::Halted(_))))
+    }
+
+    /// A recovery segment of `executed` instructions committed, halting
+    /// the program or not. Only now, at a *consistent* architected point,
+    /// may the master restart: at squash time it would read a torn mix of
+    /// pre- and post-recovery values. Unless the program halted or the
+    /// throttle keeps it offline, a ready hot-swap installs, which
+    /// restarts the master on the new program; otherwise a master that is
+    /// not active restarts on the installed one. An active master — with
+    /// no slave, one whose first spawn waits forever — runs on untouched.
     ///
     /// # Errors
     ///
@@ -358,218 +495,90 @@ impl CommitUnit {
     pub(crate) fn recovered(
         &mut self,
         executed: u64,
-        arch: &MachineState,
+        halted: bool,
     ) -> Result<AfterRecovery, EngineError> {
         self.stats.recovery_segments += 1;
         self.stats.recovery_instructions += executed;
         self.stats.committed_instructions += executed;
-        self.within_budget(arch)?;
+        self.within_budget()?;
         if let Some(ad) = &mut self.adaptive {
             ad.ctl.observe_recovery_segment();
         }
         if self.throttle_remaining > 0 {
             self.throttle_remaining -= 1;
-            Ok(AfterRecovery::StayOffline)
-        } else {
-            Ok(AfterRecovery::RestartMaster)
+            return Ok(AfterRecovery::StayOffline);
         }
+        if halted {
+            return Ok(AfterRecovery::StayOffline);
+        }
+        // A recovery end is a consistent task boundary, the second swap
+        // point beside commits; with the window empty, a swap abandons
+        // nothing.
+        if !self.swap(|| (0, 0)) && self.master.status() != MasterStall::Active {
+            self.restart_master();
+        }
+        Ok(AfterRecovery::Resume)
     }
 
     /// The run's one budget check, made at every commit point: the run
     /// stops at the first one at or past `max_instrs`, with the
-    /// architected state `arch` it reached.
-    fn within_budget(&self, arch: &MachineState) -> Result<(), EngineError> {
+    /// architected state it reached.
+    fn within_budget(&self) -> Result<(), EngineError> {
         let retired = self.stats.committed_instructions;
         if retired < self.config.max_instrs {
             return Ok(());
         }
-        let state = Box::new(arch.clone());
+        let state = Box::new(self.arch.clone());
         Err(EngineError::Budget { retired, state })
     }
 
     /// Pumps the adaptive loop at a swap-safe point (a commit or the end
     /// of a recovery segment): services a pending request by recompiling
-    /// right here, and returns a validated candidate for the driver to
-    /// install.
-    pub(crate) fn poll_swap(&mut self) -> Option<SwapCandidate> {
-        let Adaptive { ctl, recompiler } = self.adaptive.as_mut()?;
-        ctl.recompile(recompiler)
-    }
-
-    /// The driver installed `candidate`, abandoning `(tasks, instructions)`
-    /// of in-flight work like a squash — its predictions came from the
-    /// outgoing program — but a swap is not a misprediction: no squash is
-    /// counted and no recovery segment runs.
-    pub(crate) fn swap_installed(&mut self, candidate: &SwapCandidate, abandoned: (u64, u64)) {
-        self.stats.swap_abandoned_tasks += abandoned.0;
-        self.stats.wasted_slave_instructions += abandoned.1;
+    /// right here and installs a validated candidate. The master restarts
+    /// on it from architected state, and the in-flight work, `(tasks,
+    /// instructions)` from `in_flight`, asked only now, is abandoned like
+    /// a squash's — its predictions came from the outgoing program — but
+    /// a swap is not a misprediction: no squash is counted and no recovery
+    /// segment runs. Returns whether a swap installed, so the driver
+    /// discards its in-flight tasks.
+    pub(crate) fn swap(&mut self, in_flight: impl FnOnce() -> (u64, u64)) -> bool {
+        let Some(Adaptive { ctl, recompiler }) = &mut self.adaptive else {
+            return false;
+        };
+        let Some(candidate) = ctl.recompile(recompiler) else {
+            return false;
+        };
+        self.swapped = Some(Arc::clone(&candidate.program));
+        // First, so the swap marker's counters include the old master's vetoes.
+        self.restart_master();
+        let (tasks, instructions) = in_flight();
+        self.stats.swap_abandoned_tasks += tasks;
+        self.stats.wasted_slave_instructions += instructions;
         self.stats.swaps_installed += 1;
         if let Some(ad) = &mut self.adaptive {
             ad.ctl
                 .note_swap_installed(candidate.latency_micros, self.stats);
         }
+        true
     }
 
-    /// Ends the run.
-    pub(crate) fn finish(self) -> (EngineStats, Option<AdaptiveReport>) {
-        let adaptive = self.adaptive.map(|ad| ad.ctl.into_report());
-        (self.stats, adaptive)
-    }
-}
-
-/// The master as a driver holds it: the [`Master`] plus what both drivers
-/// keep around it — the installed program (the offline one or the latest
-/// hot-swap), the run-ahead bound, and the ids spawned tasks take.
-#[derive(Debug)]
-pub(crate) struct MasterSeat<'a> {
-    pub master: Master,
-    offline: &'a Distilled,
-    swapped: Option<Arc<Distilled>>,
-    runahead: u64,
-    /// Master instructions since its last spawn or restart.
-    since_spawn: u64,
-    /// The task spawned last since the restart; its segment closes at the
-    /// next spawn.
-    last_spawned: Option<u64>,
-    next_task_id: u64,
-}
-
-impl<'a> MasterSeat<'a> {
-    /// A master booted on `distilled` at `arch`'s PC, seeded with `arch`.
-    pub(crate) fn new(distilled: &'a Distilled, arch: &MachineState, runahead: u64) -> Self {
-        MasterSeat {
-            master: Master::restart_at(distilled, arch.pc(), true, arch.clone()),
-            offline: distilled,
-            swapped: None,
-            runahead,
-            since_spawn: 0,
-            last_spawned: None,
-            next_task_id: 0,
-        }
-    }
-
-    /// The installed distilled program.
-    pub(crate) fn program(&self) -> &Distilled {
-        self.swapped.as_deref().unwrap_or(self.offline)
-    }
-
-    /// Whether the master can act: it is active, and a pending spawn has
-    /// `room` in the task window.
-    #[inline]
-    pub(crate) fn can_act(&self, room: bool) -> bool {
-        self.master.status() == MasterStall::Active
-            && (self.master.pending_spawn().is_none() || room)
-    }
-
-    /// Moves the master's spawn-guard vetoes into `stats`.
-    pub(crate) fn harvest_vetoes(&mut self, stats: &mut EngineStats) {
-        stats.spawn_vetoes += self.master.take_vetoed_spawns();
-    }
-
-    /// Reseeds the master from `arch` on the installed program, installing
-    /// `swap` first if given; the outgoing master's vetoes are harvested.
-    pub(crate) fn restart(
-        &mut self,
-        stats: &mut EngineStats,
-        arch: &MachineState,
-        swap: Option<Arc<Distilled>>,
-    ) {
-        self.harvest_vetoes(stats);
-        if let Some(program) = swap {
-            self.swapped = Some(program);
-        }
-        self.master = Master::restart_at(self.program(), arch.pc(), true, arch.clone());
+    /// Reseeds the master from architected state on the installed program;
+    /// the outgoing master's vetoes are counted.
+    fn restart_master(&mut self) {
+        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        let program = self.swapped.as_deref().unwrap_or(self.offline);
+        self.master = Master::restart_at(program, self.arch.pc(), true, self.arch.clone());
         self.since_spawn = 0;
         self.last_spawned = None;
     }
 
-    /// Executes and counts one master instruction. Past the run-ahead
-    /// bound without a spawn, marks the master lost instead: `None`. A
-    /// master that cannot step (halted, lost, or with a spawn pending)
-    /// gets `None` and is left as it was.
-    ///
-    /// Always inlined, with [`Master::step`]: a driver's burst calls it
-    /// per instruction, and an out-of-line call hands the `StepInfo` back
-    /// through the stack (DESIGN.md §6, "The hot-path rule").
-    #[inline(always)]
-    pub(crate) fn step(&mut self, stats: &mut EngineStats) -> Option<StepInfo> {
-        if !self.can_act(false) {
-            return None;
-        }
-        if self.since_spawn > self.runahead {
-            self.master.mark_lost();
-            return None;
-        }
-        let info = self
-            .master
-            .step(self.swapped.as_deref().unwrap_or(self.offline))?;
-        stats.master_instructions += 1;
-        self.since_spawn += 1;
-        Some(info)
+    /// Ends the run: the architected state it reached, its statistics with
+    /// the master's last vetoes counted, and the adaptive report.
+    pub(crate) fn finish(mut self) -> (MachineState, EngineStats, Option<AdaptiveReport>) {
+        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        let adaptive = self.adaptive.map(|ad| ad.ctl.into_report());
+        (self.arch, self.stats, adaptive)
     }
-
-    /// Turns the pending spawn into the next task, bound for `slave`, and
-    /// counts it in `stats`: the master closes its segment, and the task's
-    /// live-in and write buffers come from `arena`. Also returns the cells
-    /// of the master's newest checkpoint segment.
-    pub(crate) fn spawn(
-        &mut self,
-        stats: &mut EngineStats,
-        arena: &mut DeltaArena,
-        slave: usize,
-    ) -> (Task, usize) {
-        let (start, overlay) = self.master.take_spawn(self.last_spawned);
-        let cells = overlay.first().map_or(0, |d| d.len());
-        stats.spawned_tasks += 1;
-        let id = TaskId(self.next_task_id);
-        self.next_task_id += 1;
-        let task = Task::with_buffers(id, start, slave, overlay, arena.take(), arena.take());
-        self.last_spawned = Some(id.0);
-        self.since_spawn = 0;
-        (task, cells)
-    }
-}
-
-/// Runs one non-speculative recovery segment: the original program from
-/// `arch`'s PC to the next task end under `rules` — `halt`, the crossing
-/// that reaches the quota, or the instructions left of `unit`'s budget,
-/// whatever `rules.max_instrs` says — executed straight on `arch`, whose
-/// PC it leaves at the segment end. Forward progress however wrong the
-/// master is. A segment runs alone (the window is empty and the master
-/// offline), so no reader needs its writes to land atomically, and one
-/// cut at the budget has retired every instruction it ran. Recovery is
-/// verified execution: every instruction feeds the adaptive controller's
-/// live profile, then `on_step`. Returns the instructions executed and
-/// whether the program halted, for [`CommitUnit::recovered`].
-///
-/// # Errors
-///
-/// `RecoveryFault` if the original program faults (a genuine program
-/// error); `arch` keeps the writes made before the fault, and its PC.
-pub(crate) fn recover(
-    unit: &mut CommitUnit,
-    program: &Program,
-    arch: &mut MachineState,
-    rules: &SegmentRules<'_>,
-    mut on_step: impl FnMut(&StepInfo),
-) -> Result<(u64, bool), EngineError> {
-    let rules = SegmentRules {
-        max_instrs: unit.config.max_instrs - unit.stats.committed_instructions,
-        ..*rules
-    };
-    let (mut pc, mut executed, mut crossings) = (arch.pc(), 0, 0);
-    let end = loop {
-        let info = step(arch, program, pc).map_err(EngineError::RecoveryFault)?;
-        if let Some(ad) = &mut unit.adaptive {
-            ad.ctl.observe_recovery_step(&info);
-        }
-        on_step(&info);
-        if let Some(end) = rules.retire(&info, &mut pc, &mut executed, &mut crossings) {
-            break end;
-        }
-    };
-    arch.set_pc(pc);
-    Ok((executed, matches!(end, TaskEnd::Halted(_))))
 }
 
 #[cfg(test)]
@@ -714,19 +723,33 @@ mod tests {
         assert_eq!(arch, before);
     }
 
+    const LOOP: &str = "
+        main: addi s0, zero, 3
+        loop: addi s1, s1, 1
+              addi s0, s0, -1
+              bnez s0, loop
+              halt";
+
+    /// `src` as its own distilled program, with the labels `boundaries`
+    /// as task boundaries.
+    fn identity(src: &str, boundaries: &[&str]) -> (Program, Distilled) {
+        let p = assemble(src).unwrap();
+        let pcs: BTreeSet<u64> = boundaries.iter().map(|b| p.symbol(b).unwrap()).collect();
+        let mut map = BTreeMap::from([(p.entry(), p.entry())]);
+        map.extend(pcs.iter().map(|&b| (b, b)));
+        (p.clone(), Distilled::from_parts(p, pcs, map))
+    }
+
     #[test]
     fn scripted_events_produce_exact_stats() {
-        let mut unit = CommitUnit::new(EngineConfig::default());
-        let arch = MachineState::new();
+        let (p, d) = identity(LOOP, &["loop"]);
+        let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
         let a = task(0x100, 10, &[(S1, 1), (Cell::Mem(8), 2)], &[(S1, 3)]);
-        unit.commit(&a, &arch).unwrap();
+        unit.commit(&a).unwrap();
         let b = task(0x180, 7, &[], &[]);
-        unit.squash(SquashReason::WrongPath, &b, &arch, (2, 11));
-        assert_eq!(
-            unit.recovered(20, &arch).unwrap(),
-            AfterRecovery::RestartMaster
-        );
-        assert!(unit.poll_swap().is_none(), "no adaptive loop, no candidate");
+        unit.squash(SquashReason::WrongPath, &b, (2, 11));
+        assert_eq!(unit.recovered(20, false).unwrap(), AfterRecovery::Resume);
+        assert!(!unit.swap(|| (1, 1)), "no adaptive loop, no swap");
         let expected = EngineStats {
             committed_tasks: 1,
             committed_instructions: 30,
@@ -743,7 +766,8 @@ mod tests {
             ..EngineStats::default()
         };
         assert_eq!(unit.stats, expected);
-        let (stats, adaptive) = unit.finish();
+        let (state, stats, adaptive) = unit.finish();
+        assert_eq!(state, MachineState::boot(&p), "no task wrote to it");
         assert_eq!(stats, expected);
         assert!(adaptive.is_none());
     }
@@ -756,69 +780,125 @@ mod tests {
             throttle_duration: 3,
             ..EngineConfig::default()
         };
-        let mut unit = CommitUnit::new(config);
-        let arch = MachineState::new();
+        let (p, d) = identity(LOOP, &["loop"]);
+        let mut unit = CommitUnit::new(&p, &d, config);
         let doomed = task(0x100, 5, &[], &[]);
         for _ in 0..2 {
-            unit.squash(SquashReason::Overrun, &doomed, &arch, (1, 5));
-            assert_eq!(
-                unit.recovered(4, &arch).unwrap(),
-                AfterRecovery::RestartMaster
-            );
+            unit.squash(SquashReason::Overrun, &doomed, (1, 5));
+            assert_eq!(unit.recovered(4, false).unwrap(), AfterRecovery::Resume);
         }
         assert_eq!(unit.stats.throttle_events, 0, "at the threshold, not over");
-        unit.squash(SquashReason::Fault, &doomed, &arch, (1, 5));
+        unit.squash(SquashReason::Fault, &doomed, (1, 5));
         assert_eq!(unit.stats.throttle_events, 1);
         for _ in 0..3 {
-            assert_eq!(
-                unit.recovered(4, &arch).unwrap(),
-                AfterRecovery::StayOffline
-            );
+            let after = unit.recovered(4, false).unwrap();
+            assert_eq!(after, AfterRecovery::StayOffline);
         }
-        assert_eq!(
-            unit.recovered(4, &arch).unwrap(),
-            AfterRecovery::RestartMaster
-        );
+        assert_eq!(unit.recovered(4, false).unwrap(), AfterRecovery::Resume);
         assert_eq!(unit.stats.recovery_segments, 6);
         assert_eq!(unit.stats.squashes_overrun, 2);
         assert_eq!(unit.stats.squashes_fault, 1);
 
         // The same three squashes spread wider than the window never
         // count together.
-        let mut unit = CommitUnit::new(config);
+        let mut unit = CommitUnit::new(&p, &d, config);
         for _ in 0..3 {
-            unit.squash(SquashReason::Overrun, &doomed, &arch, (1, 5));
+            unit.squash(SquashReason::Overrun, &doomed, (1, 5));
             for _ in 0..8 {
-                unit.commit(&doomed, &arch).unwrap();
+                unit.commit(&doomed).unwrap();
             }
         }
         assert_eq!(unit.stats.throttle_events, 0);
-        assert_eq!(
-            unit.recovered(4, &arch).unwrap(),
-            AfterRecovery::RestartMaster
-        );
+        assert_eq!(unit.recovered(4, false).unwrap(), AfterRecovery::Resume);
+    }
+
+    /// The one restart rule both drivers follow: a squash loses the
+    /// master, the throttle keeps it lost, the end of the first segment
+    /// past the throttle restarts it there, and an active master runs on.
+    #[test]
+    fn squash_loses_the_master_and_only_a_lost_one_restarts() {
+        let config = EngineConfig {
+            throttle_threshold: 1,
+            throttle_duration: 1,
+            ..EngineConfig::default()
+        };
+        let (p, d) = identity(LOOP, &["loop"]);
+        let boundaries = BoundarySet::new(d.boundaries().clone());
+        let rules = SegmentRules {
+            boundaries: &boundaries,
+            crossings_per_task: 1,
+            max_instrs: 100,
+        };
+        let mut unit = CommitUnit::new(&p, &d, config);
+        let segment = |unit: &mut CommitUnit<'_>| {
+            let (executed, halted) = unit.recover(&p, &rules, |_| {}).unwrap();
+            unit.recovered(executed, halted).unwrap()
+        };
+        // Booted with its first spawn pending, as a master with no slave
+        // keeps it: active, so a segment's end leaves it as it was.
+        let entry = Some(p.entry());
+        assert_eq!(unit.master.pending_spawn(), entry);
+        assert_eq!(segment(&mut unit), AfterRecovery::Resume);
+        assert_ne!(unit.arch.pc(), p.entry());
+        assert_eq!(unit.master.pending_spawn(), entry, "not restarted");
+
+        let doomed = task(unit.arch.pc(), 1, &[], &[]);
+        unit.squash(SquashReason::Overrun, &doomed, (1, 1));
+        assert_eq!(unit.master.status(), MasterStall::Lost);
+        unit.squash(SquashReason::Overrun, &doomed, (1, 1));
+        assert_eq!(unit.stats.throttle_events, 1);
+        assert_eq!(segment(&mut unit), AfterRecovery::StayOffline);
+        assert_eq!(unit.master.status(), MasterStall::Lost, "throttled");
+        assert_eq!(segment(&mut unit), AfterRecovery::Resume);
+        assert_eq!(unit.master.status(), MasterStall::Active);
+        assert_eq!(unit.master.pending_spawn(), Some(unit.arch.pc()));
+    }
+
+    /// A candidate ready at a segment's end restarts the lost master once,
+    /// on the candidate.
+    #[test]
+    fn a_ready_candidate_restarts_the_master_on_itself() {
+        let (p, d) = identity(LOOP, &["loop"]);
+        let profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
+        let candidate = d.clone();
+        let recompiler: Recompiler = Box::new(move |_| Ok(candidate.clone()));
+        let swap_after_one = AdaptiveConfig {
+            force_swap_at: vec![1],
+        };
+        let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
+        let controller = AdaptiveController::new(swap_after_one, &d, &profile);
+        unit.enable_adaptive(controller, recompiler);
+        unit.commit(&task(p.entry(), 2, &[], &[])).unwrap();
+        unit.squash(SquashReason::WrongPath, &task(0, 1, &[], &[]), (1, 1));
+        assert_eq!(unit.recovered(3, false).unwrap(), AfterRecovery::Resume);
+        assert!(unit.swapped.is_some(), "the candidate is installed");
+        assert_eq!(unit.master.status(), MasterStall::Active);
+        assert_eq!(unit.master.pending_spawn(), Some(unit.arch.pc()));
+        let (_, stats, report) = unit.finish();
+        assert_eq!(stats.swaps_installed, 1);
+        assert_eq!(report.expect("an adaptive run").swaps.len(), 1);
     }
 
     #[test]
     fn live_in_squash_reports_the_mismatches_in_cell_order() {
-        let mut arch = MachineState::new();
-        arch.set_reg(Reg::S1, 9);
-        arch.store_word(16, 8);
-        let mut unit = CommitUnit::new(EngineConfig::default());
+        let (p, d) = identity(LOOP, &["loop"]);
+        let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
+        unit.arch.set_reg(Reg::S1, 9);
+        unit.arch.store_word(16, 8);
         let stale = task(0x200, 5, &[(S1, 5), (Cell::Mem(16), 7)], &[]);
-        let cells = stale.live_ins.mismatches_against(&arch);
+        let cells = stale.live_ins.mismatches_against(&unit.arch);
         assert_eq!(cells, vec![(S1, 5, 9), (Cell::Mem(16), 7, 8)]);
         for _ in 0..4 {
-            unit.squash(SquashReason::LiveInMismatch, &stale, &arch, (1, 5));
+            unit.squash(SquashReason::LiveInMismatch, &stale, (1, 5));
         }
         // A task that read the architected value commits; one that read a
         // value the architected state has since left squashes.
         let reader = task(0x200, 5, &[(S1, 9)], &[]);
-        unit.commit(&reader, &arch).unwrap();
-        arch.set_reg(Reg::S1, 10);
-        let cells = reader.live_ins.mismatches_against(&arch);
+        unit.commit(&reader).unwrap();
+        unit.arch.set_reg(Reg::S1, 10);
+        let cells = reader.live_ins.mismatches_against(&unit.arch);
         assert_eq!(cells, vec![(S1, 9, 10)]);
-        unit.squash(SquashReason::LiveInMismatch, &reader, &arch, (1, 5));
+        unit.squash(SquashReason::LiveInMismatch, &reader, (1, 5));
         assert_eq!(unit.stats.squashes_live_in, 5);
         assert_eq!(
             (unit.stats.squashed_tasks, unit.stats.committed_tasks),
@@ -827,16 +907,9 @@ mod tests {
         assert_eq!(unit.stats.wasted_slave_instructions, 25);
     }
 
-    const LOOP: &str = "
-        main: addi s0, zero, 3
-        loop: addi s1, s1, 1
-              addi s0, s0, -1
-              bnez s0, loop
-              halt";
-
     #[test]
     fn recovery_ends_at_the_nth_crossing_with_the_pc_there() {
-        let p = assemble(LOOP).unwrap();
+        let (p, d) = identity(LOOP, &["loop"]);
         let loop_pc = p.symbol("loop").unwrap();
         let boundaries = BoundarySet::new(BTreeSet::from([loop_pc]));
         let rules = SegmentRules {
@@ -844,17 +917,18 @@ mod tests {
             crossings_per_task: 2,
             max_instrs: 100,
         };
-        let mut unit = CommitUnit::new(EngineConfig::default());
-        let mut arch = MachineState::boot(&p);
+        let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
         let mut steps = 0;
-        let (executed, halted) = recover(&mut unit, &p, &mut arch, &rules, |info| {
-            steps += 1;
-            assert!(!info.halted);
-        })
-        .unwrap();
+        let (executed, halted) = unit
+            .recover(&p, &rules, |info| {
+                steps += 1;
+                assert!(!info.halted);
+            })
+            .unwrap();
         // Entry falls into `loop` (crossing 1); one iteration later the
         // back-edge crosses it again (crossing 2).
         assert_eq!((steps, executed, halted), (4, 4, false));
+        let arch = &unit.arch;
         assert_eq!(
             (arch.pc(), arch.reg(Reg::S1), arch.reg(Reg::S0)),
             (loop_pc, 1, 2)
@@ -865,10 +939,11 @@ mod tests {
             crossings_per_task: 100,
             ..rules
         };
-        let (executed, halted) = recover(&mut unit, &p, &mut arch, &far, |_| {}).unwrap();
+        let (executed, halted) = unit.recover(&p, &far, |_| {}).unwrap();
         assert!(halted);
-        assert_eq!((executed, arch.reg(Reg::S1)), (6, 3));
-        assert_eq!(arch.pc(), loop_pc + 3 * mssp_isa::INSTR_BYTES, "halt PC");
+        assert_eq!((executed, unit.arch.reg(Reg::S1)), (6, 3));
+        let halt_pc = loop_pc + 3 * mssp_isa::INSTR_BYTES;
+        assert_eq!(unit.arch.pc(), halt_pc);
     }
 
     /// A segment cut at the budget left keeps the non-speculative writes
@@ -876,28 +951,25 @@ mod tests {
     /// state reached: the sequential state after exactly the budget.
     #[test]
     fn recovery_segment_stops_at_the_budget_and_reports_genuine_faults() {
-        let p = assemble(LOOP).unwrap();
+        let (p, d) = identity(LOOP, &[]);
         let boundaries = BoundarySet::default();
         let rules = SegmentRules {
             boundaries: &boundaries,
             crossings_per_task: 1,
             max_instrs: 1,
         };
-        let budget = |max_instrs| {
-            CommitUnit::new(EngineConfig {
-                max_instrs,
-                ..EngineConfig::default()
-            })
+        let config = EngineConfig {
+            max_instrs: 5,
+            ..EngineConfig::default()
         };
-        let mut unit = budget(5);
-        let mut arch = MachineState::boot(&p);
-        let (executed, halted) = recover(&mut unit, &p, &mut arch, &rules, |_| {}).unwrap();
+        let mut unit = CommitUnit::new(&p, &d, config);
+        let (executed, halted) = unit.recover(&p, &rules, |_| {}).unwrap();
         assert_eq!(
             (executed, halted),
             (5, false),
             "the budget, not the task cap"
         );
-        let Err(EngineError::Budget { retired, state }) = unit.recovered(5, &arch) else {
+        let Err(EngineError::Budget { retired, state }) = unit.recovered(5, false) else {
             panic!("the budget is spent");
         };
         let mut seq = mssp_machine::SeqMachine::boot(&p);
@@ -905,55 +977,56 @@ mod tests {
         assert_eq!((retired, &*state), (5, seq.state()));
 
         // Committed instructions count against it.
-        let mut unit = budget(5);
-        let mut arch = MachineState::boot(&p);
-        unit.commit(&task(0, 3, &[], &[]), &arch).unwrap();
-        let (executed, _) = recover(&mut unit, &p, &mut arch, &rules, |_| {}).unwrap();
+        let mut unit = CommitUnit::new(&p, &d, config);
+        unit.commit(&task(0, 3, &[], &[])).unwrap();
+        let (executed, _) = unit.recover(&p, &rules, |_| {}).unwrap();
         assert_eq!(executed, 2);
 
-        arch.set_pc(0xdead_0000);
-        let fault = recover(&mut unit, &p, &mut arch, &rules, |_| {});
+        unit.arch.set_pc(0xdead_0000);
+        let fault = unit.recover(&p, &rules, |_| {});
         assert!(matches!(fault, Err(EngineError::RecoveryFault(_))));
-        assert_eq!(arch.pc(), 0xdead_0000, "the PC stays at the faulting PC");
+        assert_eq!(
+            unit.arch.pc(),
+            0xdead_0000,
+            "the PC stays at the faulting PC"
+        );
     }
 
     #[test]
     fn rejected_and_failed_recompiles_each_rearm_the_controller() {
-        let p = assemble(LOOP).unwrap();
+        let (p, pinned) = identity(LOOP, &["loop"]);
         let profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
         let boundary = p.symbol("loop").unwrap();
-        let identity = BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]);
-        let pinned = Distilled::from_parts(p.clone(), BTreeSet::from([boundary]), identity.clone());
-        let moved = Distilled::from_parts(p.clone(), BTreeSet::from([p.entry()]), identity);
+        let identity_map = BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]);
+        let moved = Distilled::from_parts(p.clone(), BTreeSet::from([p.entry()]), identity_map);
         // Scripted recompiler: fails, returns a candidate that moved the
         // boundaries, then a valid one.
         let mut answers = vec![Ok(pinned.clone()), Ok(moved), Err("lint".to_string())];
         let recompiler: Recompiler = Box::new(move |_| answers.pop().unwrap());
-        let mut unit = CommitUnit::new(EngineConfig::default());
+        let mut unit = CommitUnit::new(&p, &pinned, EngineConfig::default());
         let controller = AdaptiveController::new(AdaptiveConfig::default(), &pinned, &profile);
         unit.enable_adaptive(controller, recompiler);
 
-        let arch = MachineState::new();
         let doomed = task(boundary, 1, &[], &[]);
-        let diverge = |unit: &mut CommitUnit| {
+        let diverge = |unit: &mut CommitUnit<'_>| {
             for _ in 0..WINDOW_TASKS {
-                unit.squash(SquashReason::WrongPath, &doomed, &arch, (1, 5));
+                unit.squash(SquashReason::WrongPath, &doomed, (1, 5));
             }
-            unit.poll_swap()
+            unit.swap(|| (2, 9))
         };
-        assert!(diverge(&mut unit).is_none(), "failed recompile");
-        assert!(diverge(&mut unit).is_none(), "rejected candidate");
+        assert!(!diverge(&mut unit), "failed recompile");
+        assert!(!diverge(&mut unit), "rejected candidate");
         // Had either left the controller pending, this window would not
         // have raised a request and the recompiler would not have run.
-        let candidate = diverge(&mut unit).expect("third recompile validates");
-        unit.swap_installed(&candidate, (2, 9));
+        assert!(diverge(&mut unit), "third recompile validates");
+        assert_eq!(unit.master.status(), MasterStall::Active, "restarted");
         assert_eq!(unit.stats.swaps_installed, 1);
         assert_eq!(unit.stats.swap_abandoned_tasks, 2);
         assert_eq!(
             unit.stats.wasted_slave_instructions,
             3 * WINDOW_TASKS * 5 + 9
         );
-        let (stats, report) = unit.finish();
+        let (_, stats, report) = unit.finish();
         let report = report.expect("adaptive run carries a report");
         assert_eq!(report.recompile_failures, 1);
         assert_eq!(report.candidates_rejected, 1);
@@ -965,47 +1038,32 @@ mod tests {
     /// count: a pending spawn stays pending, a halted master stays halted.
     #[test]
     fn a_master_that_cannot_step_is_left_as_it_was() {
-        let seat_on = |src: &str, boundary: Option<&str>| {
-            let p = assemble(src).unwrap();
-            let boundaries: BTreeSet<u64> =
-                boundary.map(|b| p.symbol(b).unwrap()).into_iter().collect();
-            let mut map = BTreeMap::from([(p.entry(), p.entry())]);
-            map.extend(boundaries.iter().map(|&b| (b, b)));
-            let d = Distilled::from_parts(p.clone(), boundaries, map);
-            (d, MachineState::boot(&p))
+        let config = EngineConfig {
+            master_runahead: 0,
+            ..EngineConfig::default()
         };
-        let (mut arena, mut stats) = (DeltaArena::new(), EngineStats::default());
-
-        let (d, arch) = seat_on(
-            "main: addi s0, zero, 1\nloop: addi s1, s1, 1\nj loop",
-            Some("loop"),
-        );
-        let mut seat = MasterSeat::new(&d, &arch, 0);
-        let (task, _) = seat.spawn(&mut stats, &mut arena, 0);
-        assert_eq!(task.start_pc, arch.pc(), "the boot spawn");
-        assert!(
-            seat.step(&mut stats).is_some(),
-            "the step that arms a spawn"
-        );
-        let armed = seat.master.pending_spawn();
+        let spin = "main: addi s0, zero, 1\nloop: addi s1, s1, 1\nj loop";
+        let (p, d) = identity(spin, &["loop"]);
+        let mut unit = CommitUnit::new(&p, &d, config);
+        let (task, _) = unit.spawn(0);
+        assert_eq!(task.start_pc, unit.arch.pc(), "the boot spawn");
+        assert!(unit.step_master().is_some(), "the step that arms a spawn");
+        let armed = unit.master.pending_spawn();
         assert!(armed.is_some());
-        assert!(seat.step(&mut stats).is_none());
-        assert_eq!(
-            seat.master.pending_spawn(),
-            armed,
-            "the spawn stays pending"
-        );
-        assert_eq!(seat.master.status(), MasterStall::Active);
-        assert_eq!(stats.master_instructions, 1);
+        assert!(unit.step_master().is_none());
+        let pending = unit.master.pending_spawn();
+        assert_eq!(pending, armed, "the spawn stays pending");
+        assert_eq!(unit.master.status(), MasterStall::Active);
+        assert_eq!(unit.stats.master_instructions, 1);
 
-        let (d, arch) = seat_on("main: halt", None);
-        let mut seat = MasterSeat::new(&d, &arch, 0);
-        seat.spawn(&mut stats, &mut arena, 0);
-        assert!(seat.step(&mut stats).is_some_and(|info| info.halted));
-        assert!(seat.step(&mut stats).is_none());
-        assert_eq!(seat.master.status(), MasterStall::Halted);
-        assert_eq!(stats.master_instructions, 2);
-        assert_eq!(stats.spawned_tasks, 2, "each spawn counts itself");
+        let (p, d) = identity("main: halt", &[]);
+        let mut unit = CommitUnit::new(&p, &d, config);
+        unit.spawn(0);
+        assert!(unit.step_master().is_some_and(|info| info.halted));
+        assert!(unit.step_master().is_none());
+        assert_eq!(unit.master.status(), MasterStall::Halted);
+        assert_eq!(unit.stats.master_instructions, 1);
+        assert_eq!(unit.stats.spawned_tasks, 1, "the spawn counts itself");
     }
 
     #[test]
@@ -1013,9 +1071,9 @@ mod tests {
         // The ledger divides nothing by this, but it does take medians of
         // it: 0.0 with no live-in presented (never the 0/0 NaN), 1.0 after.
         assert_eq!(EngineStats::default().recheck_ratio(), 0.0);
-        let mut unit = CommitUnit::new(EngineConfig::default());
-        let t = task(0x100, 3, &[(S1, 1)], &[]);
-        unit.commit(&t, &MachineState::new()).unwrap();
+        let (p, d) = identity(LOOP, &["loop"]);
+        let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
+        unit.commit(&task(0x100, 3, &[(S1, 1)], &[])).unwrap();
         assert_eq!(unit.stats.recheck_ratio(), 1.0);
         assert_eq!(unit.stats.pre_verified_tasks, 0);
     }

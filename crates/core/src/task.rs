@@ -159,7 +159,7 @@ impl Task {
         rules: &SegmentRules<'_>,
         abandon: impl FnMut() -> bool,
     ) -> TaskEnd {
-        self.run_segment_with_view(program, snapshot, None, rules, abandon)
+        self.run_segment_with_view(program, snapshot, None, rules, false, abandon)
     }
 
     /// [`Task::run_segment`] with an optional *committed view*: one
@@ -168,56 +168,46 @@ impl Task {
     /// satisfied from it are recorded as live-ins exactly like snapshot
     /// reads, so verification semantics are unchanged — the view merely
     /// keeps the task's picture of architected state fresh without
-    /// materializing a new snapshot.
+    /// materializing a new snapshot. `word_granular` is
+    /// [`Task::storage_and_counters`]'s.
     pub(crate) fn run_segment_with_view(
         &mut self,
         program: &Program,
         snapshot: &MachineState,
         committed: Option<&Delta>,
         rules: &SegmentRules<'_>,
+        word_granular: bool,
         mut abandon: impl FnMut() -> bool,
     ) -> TaskEnd {
         if abandon() {
             return TaskEnd::Overrun;
         }
-        loop {
-            let pc = self.pc;
-            let result = {
-                let mut storage = self.storage(snapshot, committed, false);
-                step(&mut storage, program, pc)
+        let mut pc = self.pc;
+        let (mut storage, executed, crossings) =
+            self.storage_and_counters(snapshot, committed, word_granular);
+        let end = loop {
+            let Ok(info) = step(&mut storage, program, pc) else {
+                break TaskEnd::Fault;
             };
-            let Ok(info) = result else {
-                return TaskEnd::Fault;
-            };
-            match rules.retire(&info, &mut self.pc, &mut self.executed, &mut self.crossings) {
-                Some(TaskEnd::Boundary(_)) if abandon() => return TaskEnd::Overrun,
-                Some(end) => return end,
-                None if self.executed.is_multiple_of(64) && abandon() => {
-                    return TaskEnd::Overrun;
-                }
+            match rules.retire(&info, &mut pc, executed, crossings) {
+                Some(TaskEnd::Boundary(_)) if abandon() => break TaskEnd::Overrun,
+                Some(end) => break end,
+                None if executed.is_multiple_of(64) && abandon() => break TaskEnd::Overrun,
                 None => {}
             }
-        }
+        };
+        self.pc = pc;
+        end
     }
 
-    /// A [`Storage`] view for executing one instruction of this task
-    /// against the architected state `arch`, with an optional committed
-    /// view layered over it. `word_granular` degrades live-in tracking to
-    /// whole words (the ablation of byte masking: sub-word stores
+    /// A [`Storage`] view for executing this task against the architected
+    /// state `arch`, with an optional committed view layered over it,
+    /// together with the two counters the view does not borrow,
+    /// `executed` and `crossings`, so a caller can run many instructions
+    /// under one view. `word_granular` degrades live-in tracking to whole
+    /// words (the ablation of byte masking: sub-word stores
     /// read-modify-write their containing word and record it entirely as
     /// a live-in, recreating false sharing between adjacent tasks).
-    pub(crate) fn storage<'a>(
-        &'a mut self,
-        arch: &'a MachineState,
-        committed: Option<&'a Delta>,
-        word_granular: bool,
-    ) -> TaskStorage<'a> {
-        self.storage_and_counters(arch, committed, word_granular).0
-    }
-
-    /// [`Task::storage`] together with the two counters the view does not
-    /// borrow, `executed` and `crossings`, so a caller can run many
-    /// instructions under one view.
     pub(crate) fn storage_and_counters<'a>(
         &'a mut self,
         arch: &'a MachineState,
@@ -524,7 +514,7 @@ mod tests {
             delta(&[(Cell::Mem(2), 211), (Cell::Mem(3), 333)]), // older
         ];
         let mut task = Task::new(TaskId(0), 0x100, 0, overlay);
-        let mut st = task.storage(&arch, None, false);
+        let mut st = task.storage_and_counters(&arch, None, false).0;
         assert_eq!(st.load_word(1), 100); // from arch
         assert_eq!(st.load_word(2), 222); // newest overlay wins
         assert_eq!(st.load_word(3), 333); // older overlay
@@ -538,13 +528,13 @@ mod tests {
         arch.store_word(5, 50);
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch, None, false);
+            let mut st = task.storage_and_counters(&arch, None, false).0;
             assert_eq!(st.load_word(5), 50);
         }
         // Architected state changes (an older task committed).
         arch.store_word(5, 51);
         {
-            let mut st = task.storage(&arch, None, false);
+            let mut st = task.storage_and_counters(&arch, None, false).0;
             // The task re-reads its recorded live-in, not the new value:
             // its view stays internally consistent.
             assert_eq!(st.load_word(5), 50);
@@ -565,7 +555,7 @@ mod tests {
             .collect();
         let mut task = Task::new(TaskId(0), 0, 0, overlay);
         {
-            let mut st = task.storage(&arch, Some(&committed), false);
+            let mut st = task.storage_and_counters(&arch, Some(&committed), false).0;
             assert_eq!(st.load_word(2), 222); // prediction overlay wins
             assert_eq!(st.load_word(1), 111); // committed view over arch
             assert_eq!(st.load_word(3), 0); // falls through to arch
@@ -581,7 +571,7 @@ mod tests {
         let arch = MachineState::new();
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch, None, false);
+            let mut st = task.storage_and_counters(&arch, None, false).0;
             st.write_reg(Reg::A0, 9);
             assert_eq!(st.read_reg(Reg::A0), 9);
         }
@@ -595,7 +585,7 @@ mod tests {
         let overlay = vec![delta(&[(Cell::Reg(Reg::A1), 7)])];
         let mut task = Task::new(TaskId(0), 0, 0, overlay);
         {
-            let mut st = task.storage(&arch, None, false);
+            let mut st = task.storage_and_counters(&arch, None, false).0;
             assert_eq!(st.read_reg(Reg::A1), 7);
         }
         // The predicted value is a live-in: it must match architected
@@ -609,7 +599,7 @@ mod tests {
         let arch = MachineState::new();
         let mut task = Task::new(TaskId(0), 0, 0, Vec::new());
         {
-            let mut st = task.storage(&arch, None, false);
+            let mut st = task.storage_and_counters(&arch, None, false).0;
             assert_eq!(st.read_reg(Reg::ZERO), 0);
             st.write_reg(Reg::ZERO, 5);
         }

@@ -9,10 +9,10 @@
 //! virtual time. A run therefore takes `num_slaves` worker threads plus
 //! the caller's. The coordinator turns results into `CommitUnit` events
 //! (spawn, commit, squash, recovered, swap) and the unit's answers into
-//! epoch bumps and master restarts; an adaptive run recompiles on it too,
-//! at the requesting task boundary, as `Engine` does. It decides *when*;
-//! what each event means is written once, in the core, and the master's
-//! bookkeeping once, in `MasterSeat`.
+//! epoch bumps; an adaptive run recompiles on it too, at the requesting
+//! task boundary, as `Engine` does. It decides *when*; what each event
+//! means, for the counters and for the master, is written once, in the
+//! core.
 //! DESIGN.md §6a-§6c carry the full arguments for what is summarized here.
 //!
 //! # Contention-free hot path
@@ -30,8 +30,8 @@
 //!
 //! # One verdict, incremental snapshot publishing
 //!
-//! The coordinator owns architected state, keeps it eagerly applied, and
-//! decides the oldest finished task with [`verify_and_commit`] — the call
+//! The coordinator's protocol core owns architected state, keeps it
+//! eagerly applied, and the coordinator decides the oldest finished task with [`verify_and_commit`] — the call
 //! `Engine::act_verify` makes, and the only verdict function there is.
 //! Workers just run the segment.
 //!
@@ -55,11 +55,8 @@ use mssp_distill::Distilled;
 use mssp_isa::Program;
 use mssp_machine::{Delta, DeltaArena, MachineState};
 
-use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler, SwapCandidate};
-use crate::protocol::{
-    recover, verify_and_commit, AfterRecovery, CommitUnit, EngineStats, MasterSeat, SquashReason,
-    VerifyOutcome,
-};
+use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
+use crate::protocol::{verify_and_commit, CommitUnit, EngineStats, SquashReason, VerifyOutcome};
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd};
 use crate::{EngineConfig, EngineError};
@@ -200,6 +197,12 @@ fn flush_outboxes<T: Send>(
     Ok(())
 }
 
+/// The tasks in flight and the instructions the finished ones ran.
+fn in_flight_work(in_flight: &VecDeque<u64>, done: &[(u64, WorkResult)]) -> (u64, u64) {
+    let executed = done.iter().map(|(_, r)| r.task.executed).sum();
+    (in_flight.len() as u64, executed)
+}
+
 /// Returns a result's delta buffers to the arena (stale epoch, squash).
 fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
     let WorkResult { mut task, view, .. } = r;
@@ -276,15 +279,15 @@ fn run_threaded_inner(
         max_instrs: config.max_task_instrs,
     };
     let current_epoch = AtomicU64::new(0);
-    let mut unit = CommitUnit::new(config);
+    let mut unit = CommitUnit::new(original, distilled, config);
     if let Some((ctl, rec)) = adaptive {
         unit.enable_adaptive(ctl, rec);
     }
-    let (coordinator, work_rxs, coord_tx) =
-        Coordinator::new(original, distilled, config, rules, &current_epoch, unit);
+    let (coordinator, work_rxs, coord_tx) = Coordinator::new(original, rules, &current_epoch, unit);
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
         let mut threads = Vec::with_capacity(config.num_slaves);
+        let word_granular = config.word_granular_live_ins;
         for mut work_rx in work_rxs {
             let coord_tx = coord_tx.clone();
             let current_epoch = &current_epoch;
@@ -292,7 +295,8 @@ fn run_threaded_inner(
                 let _guard = DeadManSwitch {
                     tx: coord_tx.clone(),
                 };
-                worker_loop(original, rules, current_epoch, &mut work_rx, &coord_tx);
+                let rx = &mut work_rx;
+                worker_loop(original, rules, word_granular, current_epoch, rx, &coord_tx);
             }));
         }
         drop(coord_tx); // coordinator keeps only the receiver
@@ -319,12 +323,14 @@ fn run_threaded_inner(
     })
 }
 
-/// Worker thread body: execute tasks against their dispatch-time view.
+/// Worker thread body: execute tasks against their dispatch-time view,
+/// recording live-ins whole words at a time if `word_granular`.
 /// The loop is allocation-free: every buffer it touches arrives in the
 /// work item and leaves in the result.
 fn worker_loop(
     original: &Program,
     rules: SegmentRules<'_>,
+    word_granular: bool,
     current_epoch: &AtomicU64,
     work_rx: &mut SpscReceiver<WorkItem>,
     coord_tx: &MpscSender<CoordMsg>,
@@ -344,13 +350,14 @@ fn worker_loop(
         // The hot loop: no lock, no shared mutable state. The closure
         // polls the epoch so squashed work is dropped at entry, at the
         // task's last boundary crossing, and every 64 instructions.
-        let end = task.run_segment_with_view(original, &base, committed, &rules, || {
-            // why: Relaxed; a stale read only delays the abandon by one
-            // poll interval — squash correctness rests on the coordinator
-            // discarding results whose epoch tag mismatches, not on when
-            // the worker notices.
-            current_epoch.load(Ordering::Relaxed) != epoch
-        });
+        let end =
+            task.run_segment_with_view(original, &base, committed, &rules, word_granular, || {
+                // why: Relaxed; a stale read only delays the abandon by one
+                // poll interval — squash correctness rests on the coordinator
+                // discarding results whose epoch tag mismatches, not on when
+                // the worker notices.
+                current_epoch.load(Ordering::Relaxed) != epoch
+            });
         // The coordinator never reads the overlay; drop it here to spare
         // the commit path the refcount churn.
         task.overlay = Vec::new();
@@ -367,9 +374,8 @@ fn worker_loop(
 }
 
 /// The verify/commit coordinator, the threaded driver of the protocol
-/// core: owns architected state and the master, dispatches the master's
-/// spawns to workers, and presents their results to [`verify_and_commit`]
-/// in spawn order.
+/// core: steps the core's master, dispatches its spawns to workers, and
+/// presents their results to [`verify_and_commit`] in spawn order.
 struct Coordinator<'a> {
     original: &'a Program,
     /// Segment rules; a recovery segment's cap is the budget left.
@@ -377,14 +383,13 @@ struct Coordinator<'a> {
     current_epoch: &'a AtomicU64,
     work_txs: Vec<SpscSender<WorkItem>>,
     coord_rx: MpscReceiver<CoordMsg>,
-    unit: CommitUnit,
-    seat: MasterSeat<'a>,
+    /// The protocol core: architected state, the master, statistics.
+    unit: CommitUnit<'a>,
     /// The speculation window: at most this many tasks in flight.
     window: usize,
 
-    arena: DeltaArena,
-    arch: MachineState,
-    /// Last materialized snapshot of `arch`, shared with every dispatch.
+    /// Last materialized snapshot of architected state, shared with every
+    /// dispatch.
     base: Arc<MachineState>,
     /// Superimposition of the writes committed since `base`: the committed
     /// view cloned into every spawn. Maintained incrementally per commit.
@@ -410,19 +415,16 @@ impl<'a> Coordinator<'a> {
     /// result sender they share.
     fn new(
         original: &'a Program,
-        distilled: &'a Distilled,
-        config: EngineConfig,
         rules: SegmentRules<'a>,
         current_epoch: &'a AtomicU64,
-        mut unit: CommitUnit,
+        mut unit: CommitUnit<'a>,
     ) -> (Self, Vec<SpscReceiver<WorkItem>>, MpscSender<CoordMsg>) {
+        let slaves = unit.config.num_slaves;
         // Sized far above the speculation window so workers never meet a
         // full result ring in practice.
-        let (coord_tx, coord_rx) = ring::mpsc((config.num_slaves * 8).max(1024));
-        let (work_txs, work_rxs): (Vec<_>, Vec<_>) = (0..config.num_slaves)
-            .map(|_| ring::spsc(WORK_RING_CAP))
-            .unzip();
-        let arch = MachineState::boot(original);
+        let (coord_tx, coord_rx) = ring::mpsc((slaves * 8).max(1024));
+        let (work_txs, work_rxs): (Vec<_>, Vec<_>) =
+            (0..slaves).map(|_| ring::spsc(WORK_RING_CAP)).unzip();
         unit.stats.snapshots_materialized += 1;
         let coordinator = Coordinator {
             original,
@@ -431,12 +433,9 @@ impl<'a> Coordinator<'a> {
             outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
             work_txs,
             coord_rx,
+            base: Arc::new(unit.arch.clone()),
             unit,
-            seat: MasterSeat::new(distilled, &arch, config.master_runahead),
-            window: config.num_slaves * 2,
-            arena: DeltaArena::new(),
-            base: Arc::new(arch.clone()),
-            arch,
+            window: slaves * 2,
             folded: Delta::new(),
             pending_deltas: 0,
             pending_cells: 0,
@@ -467,18 +466,16 @@ impl<'a> Coordinator<'a> {
         // comes from the epoch tag carried inside each message, and the
         // ring close is what actually ends the loops.
         self.current_epoch.store(u64::MAX, Ordering::Relaxed);
-        self.seat.harvest_vetoes(&mut self.unit.stats);
-        let (stats, adaptive) = self.unit.finish();
-        (outcome.map(|()| self.arch), stats, adaptive)
+        let (state, stats, adaptive) = self.unit.finish();
+        (outcome.map(|()| state), stats, adaptive)
     }
 
     fn run_to_halt(&mut self) -> Result<(), ThreadedError> {
         while !self.halted {
-            let master_can_act = self.seat.can_act(self.in_flight.len() < self.window);
+            let master_can_act = self.unit.master_can_act(self.in_flight.len() < self.window);
             if !master_can_act && self.in_flight.is_empty() {
-                // Starved: the master is lost or halted and nothing is in
-                // flight. Sequential recovery, then reseed the master.
-                self.recover_and_restart(None)?;
+                // Starved: the master cannot act and nothing is in flight.
+                self.recover()?;
                 continue;
             }
             self.drain(!master_can_act)?;
@@ -490,7 +487,7 @@ impl<'a> Coordinator<'a> {
                 };
                 let (_, result) = self.done.swap_remove(pos);
                 self.in_flight.pop_front();
-                match verify_and_commit(&mut self.arch, &result.task, result.end) {
+                match verify_and_commit(&mut self.unit.arch, &result.task, result.end) {
                     VerifyOutcome::Commit { halted, .. } => self.commit(result, halted)?,
                     VerifyOutcome::Squash(reason) => self.squash(reason, result)?,
                 }
@@ -500,13 +497,13 @@ impl<'a> Coordinator<'a> {
             }
 
             for _ in 0..MASTER_SLICE {
-                if !self.seat.can_act(self.in_flight.len() < self.window) {
+                if !self.unit.master_can_act(self.in_flight.len() < self.window) {
                     break;
                 }
-                if self.seat.master.pending_spawn().is_some() {
+                if self.unit.spawn_pending() {
                     self.dispatch();
                 } else {
-                    self.seat.step(&mut self.unit.stats);
+                    self.unit.step_master();
                 }
             }
             // One ring publish per worker per loop. A short send (full
@@ -539,7 +536,7 @@ impl<'a> Coordinator<'a> {
             if r.epoch == self.epoch {
                 self.done.push((r.task.id.0, r));
             } else {
-                recycle_result(&mut self.arena, r);
+                recycle_result(&mut self.unit.arena, r);
             }
         }
         self.inbox = inbox;
@@ -549,11 +546,9 @@ impl<'a> Coordinator<'a> {
     /// Turns the master's pending spawn into a task and queues it for the
     /// next worker, round-robin, with the current committed view.
     fn dispatch(&mut self) {
-        let (task, _) = self
-            .seat
-            .spawn(&mut self.unit.stats, &mut self.arena, self.next_worker);
+        let (task, _) = self.unit.spawn(self.next_worker);
         self.in_flight.push_back(task.id.0);
-        let mut view = self.arena.take();
+        let mut view = self.unit.arena.take();
         view.clone_from(&self.folded);
         self.outbox[self.next_worker].push_back(WorkItem {
             epoch: self.epoch,
@@ -565,15 +560,15 @@ impl<'a> Coordinator<'a> {
     }
 
     /// The oldest task passed the oracle and its writes are architected:
-    /// they join the committed view, the master prunes its segment, and a
-    /// ready hot-swap installs.
+    /// they join the committed view, and a ready hot-swap installs. The
+    /// view is current then, so a swap abandons only the old program's
+    /// speculation.
     fn commit(&mut self, result: WorkResult, halted: bool) -> Result<(), ThreadedError> {
-        self.unit.commit(&result.task, &self.arch)?;
-        self.seat.master.on_commit(result.task.id.0);
+        self.unit.commit(&result.task)?;
         self.pending_deltas += 1;
         self.pending_cells += result.task.writes.len();
         self.folded.superimpose_in_place(&result.task.writes);
-        recycle_result(&mut self.arena, result);
+        recycle_result(&mut self.unit.arena, result);
         if self.pending_deltas >= MAX_PENDING_DELTAS || self.pending_cells >= MAX_PENDING_CELLS {
             self.rebase();
         } else {
@@ -583,73 +578,53 @@ impl<'a> Coordinator<'a> {
             self.halted = true;
             return Ok(());
         }
-        match self.unit.poll_swap() {
-            Some(candidate) => self.recover_and_restart(Some(candidate)),
-            None => Ok(()),
+        let (in_flight, done) = (&self.in_flight, &self.done);
+        if self.unit.swap(|| in_flight_work(in_flight, done)) {
+            self.abandon();
         }
+        Ok(())
     }
 
     /// Squashes the oldest task and everything younger, then recovers.
     fn squash(&mut self, reason: SquashReason, result: WorkResult) -> Result<(), ThreadedError> {
-        let (younger, executed) = self.in_flight_work();
+        let (younger, executed) = in_flight_work(&self.in_flight, &self.done);
         let dying = (younger + 1, executed + result.task.executed);
-        self.unit.squash(reason, &result.task, &self.arch, dying);
-        recycle_result(&mut self.arena, result);
-        self.recover_and_restart(None)
+        self.unit.squash(reason, &result.task, dying);
+        recycle_result(&mut self.unit.arena, result);
+        self.abandon();
+        self.recover()
     }
 
-    /// Ends the speculation epoch and starts the next from a consistent
-    /// architected state: bumps the epoch (nothing from the old master may
-    /// leak into the reseeded run) and discards in-flight work. Without a
-    /// `swap` it then runs recovery segments — several while the squash
-    /// throttle keeps the master offline — and takes a candidate the unit
-    /// has ready (speculation is already abandoned: a pending swap rides
-    /// for free). With one, architected state already sits at the task
-    /// boundary just committed. Last, it rebases the snapshot and restarts
-    /// the master, on the swapped-in program if any.
-    fn recover_and_restart(&mut self, swap: Option<SwapCandidate>) -> Result<(), ThreadedError> {
-        let abandoned = self.in_flight_work();
+    /// Ends the speculation epoch: bumps it, so nothing from the old
+    /// master leaks into the next one's run, and discards the work in
+    /// flight.
+    fn abandon(&mut self) {
         self.epoch += 1;
         // why: Relaxed; advisory abandon hint — stale results are filtered
         // by their message epoch tag regardless.
         self.current_epoch.store(self.epoch, Ordering::Relaxed);
         self.in_flight.clear();
         for (_, r) in self.done.drain(..) {
-            recycle_result(&mut self.arena, r);
+            recycle_result(&mut self.unit.arena, r);
         }
-        let swap = swap.map(|candidate| (candidate, abandoned));
-        while swap.is_none() && !self.halted {
-            let rules = &self.rules;
-            let (executed, halted) =
-                recover(&mut self.unit, self.original, &mut self.arch, rules, |_| {})?;
-            self.halted = halted;
-            if self.unit.recovered(executed, &self.arch)? == AfterRecovery::RestartMaster {
-                break;
-            }
-        }
-        self.rebase();
-        if self.halted {
-            return Ok(());
-        }
-        let swap = swap.or_else(|| self.unit.poll_swap().map(|candidate| (candidate, (0, 0))));
-        let program = swap.as_ref().map(|(c, _)| Arc::clone(&c.program));
-        self.seat.restart(&mut self.unit.stats, &self.arch, program);
-        if let Some((candidate, abandoned)) = swap {
-            self.unit.swap_installed(&candidate, abandoned);
-        }
-        Ok(())
     }
 
-    /// The tasks in flight and the instructions the finished ones ran.
-    fn in_flight_work(&self) -> (u64, u64) {
-        let executed = self.done.iter().map(|(_, r)| r.task.executed).sum();
-        (self.in_flight.len() as u64, executed)
+    /// Runs one recovery segment from architected state, with the window
+    /// empty, and rebases the snapshot at its end. The unit then restarts
+    /// the master, or keeps it offline while throttled, and starvation
+    /// runs the next segment.
+    fn recover(&mut self) -> Result<(), ThreadedError> {
+        let (executed, halted) = self.unit.recover(self.original, &self.rules, |_| {})?;
+        self.halted = halted;
+        self.rebase();
+        self.unit.recovered(executed, halted)?;
+        Ok(())
     }
 
     /// Materializes a fresh base snapshot from architected state; the
     /// committed view starts over empty.
     fn rebase(&mut self) {
-        self.base = Arc::new(self.arch.clone());
+        self.base = Arc::new(self.unit.arch.clone());
         self.folded.clear();
         self.pending_deltas = 0;
         self.pending_cells = 0;

@@ -88,3 +88,34 @@ fn unaligned_word_straddles_are_exact() {
         .unwrap();
     assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
 }
+
+/// The ablation of byte masking under both executors: with whole-word
+/// live-ins a byte store reads the word it lands in, so the tasks record
+/// memory live-ins, and still commit the sequential state.
+#[test]
+fn word_granular_live_ins_act_under_both_executors() {
+    let p = assemble(BYTE_WRITER).unwrap();
+    let mut seq = SeqMachine::boot(&p);
+    seq.run(u64::MAX).unwrap();
+    let profile = Profile::collect(&p, u64::MAX).unwrap();
+    let dcfg = DistillConfig {
+        target_task_size: 24,
+        ..DistillConfig::default()
+    };
+    let d = distill(&p, &profile, &dcfg).unwrap();
+    let config = EngineConfig {
+        num_slaves: 1,
+        word_granular_live_ins: true,
+        ..EngineConfig::default()
+    };
+    let discrete = Engine::new(&p, &d, config, UnitCost).run().unwrap();
+    let threaded = run_threaded(&p, &d, config).unwrap();
+    let runs = [
+        ("Engine", discrete.state, discrete.stats),
+        ("run_threaded", threaded.state, threaded.stats),
+    ];
+    for (executor, state, stats) in runs {
+        assert!(stats.live_in_mem_cells > 0, "{executor}: {stats:?}");
+        assert!(state == *seq.state(), "{executor}: not sequential");
+    }
+}

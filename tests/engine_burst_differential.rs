@@ -59,10 +59,10 @@
 //!   (f));
 //! * `Engine::master_due` ignoring a held master instruction (caught by
 //!   (b), (c) and (f));
-//! * `MasterSeat::step` checking the run-ahead bound before whether the
-//!   master can step, so that a burst stepping past an armed spawn marks
-//!   the master lost (caught by (g) alone, first at `gap_like` x1,
-//!   `master_runahead` 82).
+//! * `CommitUnit::step_master` checking the run-ahead bound before
+//!   whether the master can step, so that a burst stepping past an armed
+//!   spawn marks the master lost (caught by (g) alone, first at
+//!   `gap_like` x1, `master_runahead` 82).
 //!
 //! Pricing held instructions in window order instead of index order
 //! passes here: both runs share the pricing loop, so it moves their calls

@@ -6,10 +6,10 @@
 # binary, with nm and objdump, and fails if
 #   * the binary has no `Engine<C,O>::pass` symbol, or
 #   * a `pass` calls one of the per-instruction functions out of line:
-#     `MasterSeat::step`, `private_instr_cost`, `boundary_at_dist` or
-#     `StepInfo::record_writes`.
+#     `CommitUnit::step_master`, `private_instr_cost`, `boundary_at_dist`
+#     or `StepInfo::record_writes`.
 # Anything else may stay a call: per-task-event functions, the L2 path
-# (`CmpCost::instr_cost`), `protocol::recover` (once per recovery
+# (`CmpCost::instr_cost`), `CommitUnit::recover` (once per recovery
 # segment), `Storage::{load_bytes, store_bytes}` and the store closure of
 # `record_writes`.
 #
@@ -21,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bin=${1:-benchmark/target/release/mssp-benchmark}
-forbidden='MasterSeat.*::step|private_instr_cost|boundary_at_dist|record_writes'
+forbidden='CommitUnit.*::step_master|private_instr_cost|boundary_at_dist|record_writes'
 
 # One "address size" line per copy of `pass`, one copy per engine type.
 syms=$(nm -C -S --defined-only "$bin" | grep 'Engine<C,O>::pass' | cut -d' ' -f1,2 || true)
