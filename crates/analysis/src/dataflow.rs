@@ -21,6 +21,18 @@
 //!   at every block with no static predecessors — the stand-ins for
 //!   indirect-jump targets, whose in-edges the CFG cannot represent.
 //!
+//! ## Storage
+//!
+//! The solved facts of a [`Cfg`] analysis are dense: one `Vec` of facts
+//! before each instruction and one after, indexed by the instruction's
+//! slot in the text (`(pc - text_base) / INSTR_BYTES`), and no fact is a
+//! map. A reaching-definitions fact is one bitset over the text's slots
+//! plus the registers that may hold outside values; the registers a
+//! site defines are read off its instruction, through one mask of slots
+//! per register built once per program. Its join is a word-wise OR, and
+//! its transfer clears the defined register's slots and sets the
+//! instruction's own bit.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -42,7 +54,7 @@
 //! assert_eq!(sites, vec![p.entry()]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use mssp_isa::{lui_value, AluOp, ImmOp, Instr, Program, Reg, INSTR_BYTES, NUM_REGS};
 
@@ -180,16 +192,19 @@ impl Graph for (&Program, &Cfg) {
     }
 }
 
-/// The solved facts of one analysis over one CFG.
+/// The solved facts of one analysis over one CFG, one per program point.
 ///
-/// Facts are indexed in *execution* order regardless of the analysis
-/// direction: [`DataflowResults::before`] is the program point immediately
-/// preceding an instruction, [`DataflowResults::after`] the one following
-/// it.
+/// Facts are stored densely: two `Vec`s with one entry per instruction
+/// slot, indexed by `(pc - text_base) / INSTR_BYTES`, as
+/// [`Program::index_of_pc`] indexes the text. They are indexed in
+/// *execution* order regardless of the analysis direction:
+/// [`DataflowResults::before`] is the program point immediately preceding
+/// an instruction, [`DataflowResults::after`] the one following it.
 #[derive(Debug, Clone)]
 pub(crate) struct DataflowResults<F> {
-    before: BTreeMap<u64, F>,
-    after: BTreeMap<u64, F>,
+    text_base: u64,
+    before: Vec<F>,
+    after: Vec<F>,
 }
 
 impl<F: Clone> DataflowResults<F> {
@@ -210,35 +225,56 @@ impl<F: Clone> DataflowResults<F> {
                 analysis.init()
             }
         });
-        let mut results = DataflowResults {
-            before: BTreeMap::new(),
-            after: BTreeMap::new(),
-        };
+        let mut before = Vec::with_capacity(program.len());
+        let mut after = Vec::with_capacity(program.len());
+        // The blocks partition the text in address order, so each block's
+        // points, appended in execution order, land at their slots.
         for (b, mut fact) in starts.into_iter().enumerate() {
+            let first = before.len();
             for (pc, instr) in in_order(graph.body(b), direction) {
                 let pre = fact.clone();
                 analysis.transfer(pc, instr, &mut fact);
-                let (before, after) = match direction {
-                    Direction::Forward => (pre, fact.clone()),
-                    Direction::Backward => (fact.clone(), pre),
+                let post = fact.clone();
+                let (into_pre, into_post) = match direction {
+                    Direction::Forward => (&mut before, &mut after),
+                    Direction::Backward => (&mut after, &mut before),
                 };
-                results.before.insert(pc, before);
-                results.after.insert(pc, after);
+                into_pre.push(pre);
+                into_post.push(post);
+            }
+            if direction == Direction::Backward {
+                before[first..].reverse();
+                after[first..].reverse();
             }
         }
-        results
+        assert_eq!(before.len(), program.len(), "cfg is not program's");
+        DataflowResults {
+            text_base: program.text_base(),
+            before,
+            after,
+        }
+    }
+
+    /// The slot of the instruction at `pc`, if it is one of the text's.
+    fn slot(&self, pc: u64) -> Option<usize> {
+        let offset = pc.wrapping_sub(self.text_base);
+        if !offset.is_multiple_of(INSTR_BYTES) {
+            return None;
+        }
+        let slot = usize::try_from(offset / INSTR_BYTES).ok()?;
+        (slot < self.before.len()).then_some(slot)
     }
 
     /// The fact holding just before the instruction at `pc` executes.
     #[must_use]
     pub(crate) fn before(&self, pc: u64) -> Option<&F> {
-        self.before.get(&pc)
+        self.slot(pc).map(|i| &self.before[i])
     }
 
     /// The fact holding just after the instruction at `pc` executes.
     #[must_use]
     pub(crate) fn after(&self, pc: u64) -> Option<&F> {
-        self.after.get(&pc)
+        self.slot(pc).map(|i| &self.after[i])
     }
 }
 
@@ -246,32 +282,67 @@ impl<F: Clone> DataflowResults<F> {
 // Reaching definitions
 // ---------------------------------------------------------------------------
 
-/// Per-register reaching-definition sites at one program point.
+/// Reaching-definition sites at one program point.
 ///
-/// A register's value may come from any of the instruction addresses in
-/// `DefSites::defs_of`, and/or from outside the analyzed code — the boot
+/// `sites` has one bit per instruction slot of the text, set where that
+/// slot's definition may reach the point; which register a site defines
+/// is the instruction's, so the sites of one register are `sites` masked
+/// with [`ReachingDefsAnalysis::defs_of`]. `external` holds the registers
+/// whose value may also come from outside the analyzed code — the boot
 /// state, or writes preceding an indirect-jump entry the CFG cannot see.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DefSites {
-    defs: BTreeMap<Reg, BTreeSet<u64>>,
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DefSites {
+    sites: Vec<u64>,
     external: RegSet,
 }
 
-impl DefSites {
-    /// The instruction addresses whose definition of `r` may reach this
-    /// point.
-    pub(crate) fn defs_of(&self, r: Reg) -> impl Iterator<Item = u64> + '_ {
-        self.defs.get(&r).into_iter().flatten().copied()
-    }
-
-    /// Whether any *instruction* definition of `r` reaches this point.
-    #[must_use]
-    pub fn has_instr_def(&self, r: Reg) -> bool {
-        self.defs.get(&r).is_some_and(|s| !s.is_empty())
-    }
+/// Reaching definitions as an [`Analysis`] over one program's slots.
+#[derive(Debug, Clone)]
+struct ReachingDefsAnalysis {
+    text_base: u64,
+    /// Words per bitset: one bit per instruction slot.
+    words: usize,
+    /// For each register, the slots whose instruction defines it:
+    /// `words` words per register, by register index.
+    def_masks: Vec<u64>,
 }
 
-struct ReachingDefsAnalysis;
+impl ReachingDefsAnalysis {
+    fn new(program: &Program) -> ReachingDefsAnalysis {
+        let words = program.len().div_ceil(64);
+        let mut def_masks = vec![0; NUM_REGS * words];
+        for (slot, instr) in program.text().iter().enumerate() {
+            if let Some(rd) = instr.def_reg() {
+                def_masks[rd.index() * words + slot / 64] |= 1 << (slot % 64);
+            }
+        }
+        ReachingDefsAnalysis {
+            text_base: program.text_base(),
+            words,
+            def_masks,
+        }
+    }
+
+    /// The slots whose instruction defines `r`.
+    fn defs_of(&self, r: Reg) -> &[u64] {
+        &self.def_masks[r.index() * self.words..][..self.words]
+    }
+
+    /// The addresses of `fact`'s sites that define `r`, ascending.
+    fn sites_of<'a>(&'a self, fact: &'a DefSites, r: Reg) -> impl Iterator<Item = u64> + 'a {
+        let text_base = self.text_base;
+        fact.sites.iter().zip(self.defs_of(r)).enumerate().flat_map(
+            move |(word, (&sites, &defs))| {
+                let mut bits = sites & defs;
+                std::iter::from_fn(move || {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits.checked_sub(1)?;
+                    Some(text_base + (word as u64 * 64 + u64::from(bit)) * INSTR_BYTES)
+                })
+            },
+        )
+    }
+}
 
 impl Analysis for ReachingDefsAnalysis {
     type Fact = DefSites;
@@ -281,35 +352,38 @@ impl Analysis for ReachingDefsAnalysis {
     }
 
     fn init(&self) -> DefSites {
-        DefSites::default()
+        DefSites {
+            sites: vec![0; self.words],
+            external: RegSet::empty(),
+        }
     }
 
     fn boundary(&self) -> DefSites {
         DefSites {
-            defs: BTreeMap::new(),
             external: RegSet::all(),
+            ..self.init()
         }
     }
 
     fn join(&self, into: &mut DefSites, other: &DefSites) -> bool {
         let mut changed = false;
-        for (&r, sites) in &other.defs {
-            let entry = into.defs.entry(r).or_default();
-            for &s in sites {
-                changed |= entry.insert(s);
-            }
+        for (word, &theirs) in into.sites.iter_mut().zip(&other.sites) {
+            changed |= theirs & !*word != 0;
+            *word |= theirs;
         }
         let merged = into.external.union(other.external);
-        if merged != into.external {
-            into.external = merged;
-            changed = true;
-        }
+        changed |= merged != into.external;
+        into.external = merged;
         changed
     }
 
     fn transfer(&self, pc: u64, instr: Instr, fact: &mut DefSites) {
         if let Some(rd) = instr.def_reg() {
-            fact.defs.insert(rd, BTreeSet::from([pc]));
+            for (word, &defs) in fact.sites.iter_mut().zip(self.defs_of(rd)) {
+                *word &= !defs;
+            }
+            let slot = ((pc - self.text_base) / INSTR_BYTES) as usize;
+            fact.sites[slot / 64] |= 1 << (slot % 64);
             fact.external.remove(rd);
         }
     }
@@ -338,6 +412,7 @@ impl Analysis for ReachingDefsAnalysis {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReachingDefs {
+    analysis: ReachingDefsAnalysis,
     results: DataflowResults<DefSites>,
 }
 
@@ -349,24 +424,36 @@ impl ReachingDefs {
     /// Panics if `cfg` is not `program`'s CFG.
     #[must_use]
     pub fn compute(program: &Program, cfg: &Cfg) -> ReachingDefs {
+        let analysis = ReachingDefsAnalysis::new(program);
         ReachingDefs {
-            results: DataflowResults::compute(program, cfg, &ReachingDefsAnalysis),
+            results: DataflowResults::compute(program, cfg, &analysis),
+            analysis,
         }
     }
 
-    /// The definition sites reaching the point just before `pc`.
-    #[must_use]
-    pub fn before(&self, pc: u64) -> Option<&DefSites> {
-        self.results.before(pc)
-    }
-
     /// The instruction addresses whose definition of `r` may reach the
-    /// point just before `pc` (empty for unanalyzed addresses).
+    /// point just before `pc`, ascending (empty for unanalyzed addresses).
     pub fn defs_before(&self, pc: u64, r: Reg) -> impl Iterator<Item = u64> + '_ {
         self.results
             .before(pc)
             .into_iter()
-            .flat_map(move |f| f.defs_of(r))
+            .flat_map(move |f| self.analysis.sites_of(f, r))
+    }
+
+    /// Whether any *instruction* definition of `r` may reach the point
+    /// just before `pc` (false for unanalyzed addresses).
+    #[must_use]
+    pub fn has_instr_def_before(&self, pc: u64, r: Reg) -> bool {
+        self.defs_before(pc, r).next().is_some()
+    }
+
+    /// The registers whose value just before `pc` may come from outside
+    /// the analyzed code (all of them for unanalyzed addresses).
+    #[must_use]
+    pub fn external_before(&self, pc: u64) -> RegSet {
+        self.results
+            .before(pc)
+            .map_or(RegSet::all(), |f| f.external)
     }
 }
 
@@ -773,11 +860,7 @@ mod tests {
         let defs = ReachingDefs::compute(&p, &cfg);
         let at_use: Vec<u64> = defs.defs_before(p.entry() + 8, Reg::A0).collect();
         assert_eq!(at_use, vec![p.entry() + 4], "first def must be killed");
-        assert!(!defs
-            .before(p.entry() + 8)
-            .unwrap()
-            .external
-            .contains(Reg::A0));
+        assert!(!defs.external_before(p.entry() + 8).contains(Reg::A0));
     }
 
     #[test]
@@ -799,9 +882,8 @@ mod tests {
     fn reaching_defs_external_at_entry() {
         let (p, cfg) = setup("main: addi a1, a0, 0\n halt");
         let defs = ReachingDefs::compute(&p, &cfg);
-        let f = defs.before(p.entry()).unwrap();
-        assert!(f.external.contains(Reg::A0));
-        assert!(!f.has_instr_def(Reg::A0));
+        assert!(defs.external_before(p.entry()).contains(Reg::A0));
+        assert!(!defs.has_instr_def_before(p.entry(), Reg::A0));
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod profile;
 pub use cfg::{BasicBlock, BlockId, Cfg, Terminator};
 pub use dataflow::{
     eval_branch, solve, Analysis, ConstFacts, ConstProp, ConstPropAnalysis, ConstVal, CopyFacts,
-    CopyPropAnalysis, CopyVal, DefSites, Direction, Graph, ReachingDefs,
+    CopyPropAnalysis, CopyVal, Direction, Graph, ReachingDefs,
 };
 pub use dom::{natural_loops, Dominators, NaturalLoop};
 pub use live::{Liveness, RegSet};

@@ -39,7 +39,7 @@
 //! write [`Delta`] is folded into a running committed view that every
 //! spawn gets a pooled clone of, layered over an immutable
 //! `Arc<MachineState>` base; a full snapshot is materialized only past a
-//! length/size threshold or on squash.
+//! length/size threshold or at the first dispatch after a recovery.
 //!
 //! A stale snapshot can never corrupt state — a stale read fails the
 //! memoization test and squashes, a performance event — and staleness is
@@ -391,6 +391,9 @@ struct Coordinator<'a> {
     /// Last materialized snapshot of architected state, shared with every
     /// dispatch.
     base: Arc<MachineState>,
+    /// Whether recovery has moved architected state past `base`; the next
+    /// dispatch rebases first.
+    base_stale: bool,
     /// Superimposition of the writes committed since `base`: the committed
     /// view cloned into every spawn. Maintained incrementally per commit.
     folded: Delta,
@@ -434,6 +437,7 @@ impl<'a> Coordinator<'a> {
             work_txs,
             coord_rx,
             base: Arc::new(unit.arch.clone()),
+            base_stale: false,
             unit,
             window: slaves * 2,
             folded: Delta::new(),
@@ -546,6 +550,9 @@ impl<'a> Coordinator<'a> {
     /// Turns the master's pending spawn into a task and queues it for the
     /// next worker, round-robin, with the current committed view.
     fn dispatch(&mut self) {
+        if self.base_stale {
+            self.rebase();
+        }
         let (task, _) = self.unit.spawn(self.next_worker);
         self.in_flight.push_back(task.id.0);
         let mut view = self.unit.arena.take();
@@ -610,13 +617,14 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Runs one recovery segment from architected state, with the window
-    /// empty, and rebases the snapshot at its end. The unit then restarts
-    /// the master, or keeps it offline while throttled, and starvation
-    /// runs the next segment.
+    /// empty, and marks the snapshot stale: the next dispatch rebases it,
+    /// so segments that dispatch nothing (no slave, or a throttled master)
+    /// build none. The unit then restarts the master, or keeps it offline
+    /// while throttled, and starvation runs the next segment.
     fn recover(&mut self) -> Result<(), ThreadedError> {
         let (executed, halted) = self.unit.recover(self.original, &self.rules, |_| {})?;
         self.halted = halted;
-        self.rebase();
+        self.base_stale = true;
         self.unit.recovered(executed, halted)?;
         Ok(())
     }
@@ -628,6 +636,7 @@ impl<'a> Coordinator<'a> {
         self.folded.clear();
         self.pending_deltas = 0;
         self.pending_cells = 0;
+        self.base_stale = false;
         self.unit.stats.snapshots_materialized += 1;
     }
 }

@@ -190,7 +190,7 @@ fn check_liveins_uncovered(
         for r in orig_live.live_in(b).iter() {
             // Covered if any distilled definition of r reaches the
             // boundary's distilled address.
-            if dist_reach.before(db).is_some_and(|f| f.has_instr_def(r)) {
+            if dist_reach.has_instr_def_before(db, r) {
                 continue;
             }
             // Uncovered only if the original program *does* define r on a

@@ -4,7 +4,9 @@
 #
 # Lists the calls each copy of `Engine<C,O>::pass` makes in the benchmark
 # binary, with nm and objdump, and fails if
-#   * the binary has no `Engine<C,O>::pass` symbol, or
+#   * the binary has no `Engine<C,O>::pass` symbol (then it lists the
+#     calls of `Engine<C,O>::run_returning_cost`, which `pass` was inlined
+#     into, and names the forbidden ones among them), or
 #   * a `pass` calls one of the per-instruction functions out of line:
 #     `CommitUnit::step_master`, `private_instr_cost`, `boundary_at_dist`
 #     or `StepInfo::record_writes`.
@@ -23,26 +25,44 @@ cd "$(dirname "$0")/.."
 bin=${1:-benchmark/target/release/mssp-benchmark}
 forbidden='CommitUnit.*::step_master|private_instr_cost|boundary_at_dist|record_writes'
 
-# One "address size" line per copy of `pass`, one copy per engine type.
-syms=$(nm -C -S --defined-only "$bin" | grep 'Engine<C,O>::pass' | cut -d' ' -f1,2 || true)
-if [ -z "$syms" ]; then
+# One "address size" line per copy of the function named by $1.
+symbols() {
+    nm -C -S --defined-only "$bin" | grep -F "Engine<C,O>::$1" | cut -d' ' -f1,2 || true
+}
+
+# The direct calls the function at address $1, of size $2, makes, with
+# their counts. Indirect calls through the GOT go to libc.
+calls_of() {
+    objdump -d --no-show-raw-insn -C --start-address="0x$1" \
+        --stop-address="$(printf 0x%x $((16#$1 + 16#$2)))" "$bin" |
+        grep -o 'call  *[0-9a-f]* <.*>' | sed 's/^call  *[0-9a-f]* //' |
+        sort | uniq -c || true
+}
+
+# Lists the calls of each copy of `Engine<C,O>::$1` and names the
+# forbidden ones; returns 1 if any copy makes one.
+check() {
+    local status=0 addr size calls bad
+    while read -r addr size; do
+        calls=$(calls_of "$addr" "$size")
+        echo "Engine<C,O>::$1 at 0x$addr (0x$size bytes) calls:"
+        echo "$calls"
+        if bad=$(grep -v 'closure' <<<"$calls" | grep -E "$forbidden"); then
+            echo "hot_path_calls: $1 at 0x$addr makes a per-instruction call out of line:" >&2
+            echo "$bad" >&2
+            status=1
+        fi
+    done <<<"$(symbols "$1")"
+    return $status
+}
+
+if [ -z "$(symbols pass)" ]; then
     echo "hot_path_calls: no Engine<C,O>::pass symbol in $bin" >&2
+    # The compiler inlined `pass` into its caller: name what that makes
+    # out of line instead.
+    if [ -n "$(symbols run_returning_cost)" ]; then
+        check run_returning_cost || true
+    fi
     exit 1
 fi
-
-status=0
-while read -r addr size; do
-    # Direct calls only: an indirect call through the GOT goes to libc.
-    calls=$(objdump -d --no-show-raw-insn -C --start-address="0x$addr" \
-        --stop-address="$(printf 0x%x $((16#$addr + 16#$size)))" "$bin" |
-        grep -o 'call  *[0-9a-f]* <.*>' | sed 's/^call  *[0-9a-f]* //' |
-        sort | uniq -c || true)
-    echo "Engine<C,O>::pass at 0x$addr (0x$size bytes) calls:"
-    echo "$calls"
-    if bad=$(grep -v 'closure' <<<"$calls" | grep -E "$forbidden"); then
-        echo "hot_path_calls: pass at 0x$addr makes a per-instruction call out of line:" >&2
-        echo "$bad" >&2
-        status=1
-    fi
-done <<<"$syms"
-exit $status
+check pass
