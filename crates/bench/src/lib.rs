@@ -17,13 +17,12 @@ use std::str::FromStr;
 
 use mssp_analysis::Profile;
 use mssp_core::{
-    AdaptiveConfig, AdaptiveController, AdaptiveReport, Engine, EngineStats, Event, MsspRun,
-    SquashReason,
+    slice_feedback, AdaptiveConfig, AdaptiveController, AdaptiveReport, Engine, EngineStats, Event,
+    MsspRun,
 };
 use mssp_distill::{distill, DistillConfig, DistillStats, Distilled};
 use mssp_isa::Program;
 use mssp_lint::validated_recompiler;
-use mssp_machine::Cell;
 use mssp_stats::json::Json::{Array, Int, Num, Object, Str};
 use mssp_timing::{
     run_baseline, run_mssp, run_mssp_with_setup, speedup, BaselineRun, CmpCost, TimingConfig,
@@ -251,9 +250,8 @@ const FEEDBACK_SQUASHES: usize = 512;
 /// The feedback-free measurement run: `program` with `distilled` as its
 /// master, under the timing model. Its first 512 squash events are
 /// threaded back into `profile` as slice feedback — the distiller's input
-/// for the spawn-guard pass.
-/// Live-in mismatch register cells become hard live-ins; wrong-path
-/// events record the architected PC the master failed to predict.
+/// for the spawn-guard pass — by the rule the adaptive controller feeds
+/// its live profile with, [`slice_feedback`].
 ///
 /// # Panics
 ///
@@ -270,19 +268,8 @@ pub fn slice_feedback_run(
             return;
         };
         squashes += 1;
-        if squashes > FEEDBACK_SQUASHES {
-            return;
-        }
-        match s.reason {
-            SquashReason::LiveInMismatch => {
-                for &(cell, _, _) in &s.cells {
-                    if let Cell::Reg(r) = cell {
-                        profile.mark_hard_live_in(r);
-                    }
-                }
-            }
-            SquashReason::WrongPath => profile.mark_wrong_path(s.arch_pc),
-            SquashReason::Overrun | SquashReason::Fault => {}
+        if squashes <= FEEDBACK_SQUASHES {
+            slice_feedback(profile, s.reason, s.arch_pc, || s.cells.iter().copied());
         }
     };
     Engine::observed(
@@ -476,8 +463,7 @@ pub fn collect_adaptive_records() -> Vec<AdaptiveRecord> {
                 w.name
             );
 
-            let controller =
-                AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
+            let controller = AdaptiveController::new(AdaptiveConfig::default(), &profile);
             let recompiler = Box::new(validated_recompiler(&reference, &distilled));
             let adaptive = run_mssp_with_setup(&reference, &distilled, &tcfg, move |e| {
                 e.enable_adaptive(controller, recompiler);
@@ -540,8 +526,7 @@ pub fn collect_stationary_records() -> Vec<StationaryRecord> {
             let scale = w.default_scale;
             let program = w.program(scale);
             let (distilled, profile) = prepare(&program, &DistillConfig::default());
-            let controller =
-                AdaptiveController::new(AdaptiveConfig::default(), &distilled, &profile);
+            let controller = AdaptiveController::new(AdaptiveConfig::default(), &profile);
             let recompiler = Box::new(validated_recompiler(&program, &distilled));
             let run = run_mssp_with_setup(&program, &distilled, &tcfg, move |e| {
                 e.enable_adaptive(controller, recompiler);

@@ -22,12 +22,12 @@
 //! outstanding request by running the [`Recompiler`] inline, then report
 //! the install back. Both executors recompile at the requesting boundary,
 //! so they install the same swaps at the same commit points. Candidate
-//! programs must keep the pinned boundary set and crossing grouping — the
-//! controller rejects anything else — so a swap changes only the master's
-//! fast path, never the slave protocol. The recompiler itself is injected
-//! by callers (typically `mssp-lint`'s `validated_recompiler`, keeping
-//! every candidate behind the full lint gate) so this crate stays
-//! independent of the linter.
+//! programs must keep the offline distillation's task segmentation — the
+//! commit unit, which owns that distillation, rejects anything else — so
+//! a swap changes only the master's fast path, never the slave protocol.
+//! The recompiler itself is injected by callers (typically `mssp-lint`'s
+//! `validated_recompiler`, keeping every candidate behind the full lint
+//! gate) so this crate stays independent of the linter.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -43,7 +43,7 @@ use crate::protocol::{EngineStats, SquashReason};
 /// produce a fresh distilled program (or a rendered error — lint
 /// rejections land here). Callers wire this to `mssp-lint`'s
 /// `validated_recompiler`, which captures the original program and the
-/// pinned boundary set; the engine never learns about the linter.
+/// pinned segmentation; the engine never learns about the linter.
 pub type Recompiler = Box<dyn FnMut(&Profile) -> Result<Distilled, String> + Send>;
 
 /// Tasks (committed + squashed) and recovery segments per evaluation
@@ -63,6 +63,31 @@ const MAX_COLD_FRACTION: f64 = 0.25;
 /// Apply one [`Profile::decay`] round to the live profile every this many
 /// windows.
 const DECAY_EVERY_WINDOWS: u64 = 4;
+
+/// The slice-feedback rule: what one squash tells `profile`, the input
+/// of the distiller's spawn-guard pass. A live-in squash marks the
+/// registers among its mismatching live-ins, which `cells` yields (asked
+/// for no other squash), as hard live-ins: memory live-in footprints
+/// depend on executor timing, register live-ins do not. A wrong-path
+/// squash marks `arch_pc`, where execution really went. An overrun or a
+/// fault says nothing.
+pub fn slice_feedback<I: IntoIterator<Item = (Cell, u64, u64)>>(
+    profile: &mut Profile,
+    reason: SquashReason,
+    arch_pc: u64,
+    cells: impl FnOnce() -> I,
+) {
+    match reason {
+        SquashReason::LiveInMismatch => {
+            for (cell, _, _) in cells() {
+                let Cell::Reg(reg) = cell else { continue };
+                profile.mark_hard_live_in(reg);
+            }
+        }
+        SquashReason::WrongPath => profile.mark_wrong_path(arch_pc),
+        SquashReason::Overrun | SquashReason::Fault => {}
+    }
+}
 
 /// What triggers a recompile. The default leaves it to the divergence
 /// detector.
@@ -126,9 +151,6 @@ pub struct AdaptiveController {
     /// distillation's notion of "hot". Verified instructions outside
     /// this set are the cold-code divergence signal.
     hot_pcs: BTreeSet<u64>,
-    /// Pinned task segmentation every candidate must preserve.
-    boundaries: BTreeSet<u64>,
-    crossings_per_task: u64,
 
     /// A recompile is requested; it runs at the next swap-safe point.
     pending: bool,
@@ -157,24 +179,16 @@ impl std::fmt::Debug for AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// Builds a controller for a run starting from `distilled` (whose
-    /// boundary set and crossing grouping become the pinned segmentation)
-    /// trained on `training_profile` (whose executed-PC set defines
-    /// "hot", and which seeds the live profile as decaying prior
-    /// knowledge).
+    /// Builds a controller for a run trained on `training_profile` (whose
+    /// executed-PC set defines "hot", and which seeds the live profile as
+    /// decaying prior knowledge).
     #[must_use]
-    pub fn new(
-        mut config: AdaptiveConfig,
-        distilled: &Distilled,
-        training_profile: &Profile,
-    ) -> AdaptiveController {
+    pub fn new(mut config: AdaptiveConfig, training_profile: &Profile) -> AdaptiveController {
         config.force_swap_at.sort_unstable();
         AdaptiveController {
             config,
             live: training_profile.clone(),
             hot_pcs: training_profile.iter_exec().map(|(pc, _)| pc).collect(),
-            boundaries: distilled.boundaries().clone(),
-            crossings_per_task: distilled.crossings_per_task().max(1),
             pending: false,
             committed_tasks: 0,
             next_forced: 0,
@@ -226,11 +240,7 @@ impl AdaptiveController {
     }
 
     /// Records the squash of a task that read `live_ins`, against `arch`:
-    /// window counters plus slice feedback into the live profile
-    /// (`mark_wrong_path` for failed assertions, `mark_hard_live_in` for
-    /// the registers among the live-ins of a live-in mismatch; memory
-    /// live-in footprints depend on executor timing, register live-ins do
-    /// not).
+    /// window counters plus [`slice_feedback`] into the live profile.
     pub(crate) fn observe_squash(
         &mut self,
         reason: SquashReason,
@@ -238,49 +248,37 @@ impl AdaptiveController {
         arch: &MachineState,
     ) {
         self.window_squashes += 1;
-        if reason == SquashReason::WrongPath {
-            self.window_wrong_path += 1;
-            self.live.mark_wrong_path(arch.pc());
-        } else if reason == SquashReason::LiveInMismatch {
-            for (cell, _, _) in live_ins.mismatches_against(arch) {
-                let Cell::Reg(reg) = cell else { continue };
-                self.live.mark_hard_live_in(reg);
-            }
-        }
+        self.window_wrong_path += u64::from(reason == SquashReason::WrongPath);
+        let cells = || live_ins.mismatches_against(arch);
+        slice_feedback(&mut self.live, reason, arch.pc(), cells);
         self.bump_window();
     }
 
     /// Services the outstanding recompile request, if any, at a swap-safe
     /// point (a task boundary): runs `recompiler` on the live profile and
-    /// returns a candidate that keeps the pinned segmentation, for the
-    /// commit unit to install at this same boundary and report with
-    /// [`AdaptiveController::note_swap_installed`]. A failed recompile or
-    /// a rejected candidate is counted; the request is spent either way,
-    /// so a later divergent window can retry.
+    /// returns its candidate, for the commit unit to check against the
+    /// pinned segmentation, install at this same boundary and report with
+    /// [`AdaptiveController::note_swap_installed`] (or
+    /// [`AdaptiveController::reject_candidate`]). A failed recompile is
+    /// counted; the request is spent either way, so a later divergent
+    /// window can retry.
     pub(crate) fn recompile(&mut self, recompiler: &mut Recompiler) -> Option<SwapCandidate> {
         if !std::mem::take(&mut self.pending) {
             return None;
         }
         let started = Instant::now();
-        match recompiler(&self.live) {
-            Ok(d) if self.keeps_segmentation(&d) => {
-                return Some(SwapCandidate {
-                    program: Arc::new(d),
-                    latency_micros: started.elapsed().as_micros() as u64,
-                });
-            }
-            Ok(_) => self.report.candidates_rejected += 1,
-            Err(_) => self.report.recompile_failures += 1,
-        }
-        None
+        let candidate = recompiler(&self.live).map(|d| SwapCandidate {
+            program: Arc::new(d),
+            latency_micros: started.elapsed().as_micros() as u64,
+        });
+        self.report.recompile_failures += u64::from(candidate.is_err());
+        candidate.ok()
     }
 
-    /// Whether `candidate` preserves the pinned task segmentation. A
-    /// candidate that fails is dropped (and counted) — installing it
-    /// would change the slave protocol mid-run.
-    fn keeps_segmentation(&self, candidate: &Distilled) -> bool {
-        *candidate.boundaries() == self.boundaries
-            && candidate.crossings_per_task().max(1) == self.crossings_per_task
+    /// Counts a candidate the commit unit dropped for changing the pinned
+    /// task segmentation.
+    pub(crate) fn reject_candidate(&mut self) {
+        self.report.candidates_rejected += 1;
     }
 
     /// Reports a hot-swap install, freezing `stats` into the report so
@@ -370,7 +368,7 @@ mod tests {
             BTreeSet::from([boundary]),
             BTreeMap::from([(p.entry(), p.entry()), (boundary, boundary)]),
         );
-        let ctl = AdaptiveController::new(config, &d, &prof);
+        let ctl = AdaptiveController::new(config, &prof);
         let rec: Recompiler = Box::new(move |_| Ok(d.clone()));
         (ctl, rec)
     }
@@ -536,20 +534,5 @@ mod tests {
         }
         assert!(!serve(&mut ctl, &mut rec));
         assert_eq!(ctl.report.windows, 0);
-    }
-
-    #[test]
-    fn candidate_validation_pins_segmentation() {
-        let config = AdaptiveConfig {
-            force_swap_at: vec![1],
-        };
-        let (mut ctl, _) = controller(config);
-        quiet_commits(&mut ctl, 1);
-        let p = assemble("main: halt").unwrap();
-        let wrong = Distilled::from_parts(p, BTreeSet::from([0xdead]), BTreeMap::new());
-        let mut moved: Recompiler = Box::new(move |_| Ok(wrong.clone()));
-        assert!(!serve(&mut ctl, &mut moved));
-        assert_eq!(ctl.report.candidates_rejected, 1);
-        assert!(ctl.report.swaps.is_empty());
     }
 }

@@ -109,7 +109,7 @@ use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::protocol::{
     verify_and_commit, AfterRecovery, CommitUnit, EngineStats, SquashReason, VerifyOutcome,
 };
-use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskStatus};
+use crate::task::{Task, TaskEnd, TaskStatus};
 use crate::{CoreRole, CostModel};
 
 /// Engine configuration. Every field acts under both executors.
@@ -250,9 +250,6 @@ const NEVER: u64 = u64::MAX;
 /// ```
 #[derive(Debug)]
 pub struct Engine<'a, C, O = ()> {
-    original: &'a Program,
-    boundaries: BoundarySet,
-    crossings_per_task: u64,
     cost: C,
 
     now: u64,
@@ -425,9 +422,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
         observer: O,
     ) -> Engine<'a, C, O> {
         let mut engine = Engine {
-            original,
-            boundaries: BoundarySet::new(distilled.boundaries().clone()),
-            crossings_per_task: distilled.crossings_per_task().max(1),
             cost,
             now: 0,
             arch_halted: false,
@@ -647,11 +641,6 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             "recovery runs alone"
         );
         self.recovery_wake = NEVER;
-        let rules = SegmentRules {
-            boundaries: &self.boundaries,
-            crossings_per_task: self.crossings_per_task,
-            max_instrs: self.unit.config.max_task_instrs,
-        };
         let (cost, now) = (&mut self.cost, &mut self.now);
         let (mut busy, mut last) = (0, 0);
         let price = |info: &StepInfo| {
@@ -659,7 +648,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             last = cost.instr_cost(CoreRole::Recovery(0), info).max(1);
             busy += last;
         };
-        let (executed, halted) = self.unit.recover(self.original, &rules, price)?;
+        let (executed, halted) = self.unit.recover(price)?;
         self.unit.stats.recovery_busy_cycles += busy;
         let event = Event::Recovery {
             end_pc: self.unit.arch.pc(),
@@ -781,12 +770,12 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
                     .as_mut()
                     // why: a slave holds an instruction only for a running task.
                     .expect("a held instruction has a task");
-                let rules = SegmentRules {
-                    boundaries: &self.boundaries,
-                    crossings_per_task: self.crossings_per_task,
-                    max_instrs: self.unit.config.max_task_instrs,
-                };
-                match rules.retire(&info, &mut task.pc, &mut task.executed, &mut task.crossings) {
+                match self.unit.rules.retire(
+                    &info,
+                    &mut task.pc,
+                    &mut task.executed,
+                    &mut task.crossings,
+                ) {
                     None => self.slave_wake[s] = now + cost,
                     Some(end) => self.finish_task(s, end, now + cost),
                 }
@@ -806,11 +795,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
     fn act_slave(&mut self, s: usize, horizon: u64) {
         // why: `burst_slaves` visits only the window's slaves, which hold tasks.
         let task = self.slaves[s].as_mut().expect("a due slave holds a task");
-        let rules = SegmentRules {
-            boundaries: &self.boundaries,
-            crossings_per_task: self.crossings_per_task,
-            max_instrs: self.unit.config.max_task_instrs,
-        };
+        let (original, rules) = (self.unit.original, self.unit.rules);
         let mut pc = task.pc;
         // When the next instruction issues.
         let mut at = self.now;
@@ -820,7 +805,7 @@ impl<'a, C: CostModel, O: Observer> Engine<'a, C, O> {
             task.storage_and_counters(&self.unit.arch, None, word_granular);
         let before = *executed;
         let finished = loop {
-            let info = match step(&mut storage, self.original, pc) {
+            let info = match step(&mut storage, original, pc) {
                 // A fault on a speculative path is a task outcome, not an
                 // engine error.
                 Err(_) => break Some((TaskEnd::Fault, at + 1)),

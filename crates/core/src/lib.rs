@@ -56,13 +56,14 @@ mod sync;
 mod task;
 mod threaded;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveReport, Recompiler, SwapMarker};
+pub use adaptive::{
+    slice_feedback, AdaptiveConfig, AdaptiveController, AdaptiveReport, Recompiler, SwapMarker,
+};
 pub use cost::{CoreRole, CostModel, UnitCost};
 pub use engine::{Engine, EngineConfig, EngineError, Event, MsspRun, Observer, SquashSample};
 pub use master::{Master, MasterStall};
+pub use mssp_distill::BoundarySet;
 pub use protocol::{verify_and_commit, EngineStats, SquashReason, VerifyOutcome};
 pub use refinement::{check_refinement, RefinementError};
-pub use task::{
-    BoundarySet, RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId, TaskStatus, TaskStorage,
-};
+pub use task::{RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId, TaskStatus, TaskStorage};
 pub use threaded::{run_threaded, run_threaded_adaptive, ThreadedError, ThreadedRun};

@@ -66,8 +66,6 @@ pub struct Master {
     /// guard may probe (the restart snapshot is architecturally true, so
     /// no divergence can predate it).
     crossings_since_restart: u64,
-    /// Crossings that make one task (from the distiller).
-    crossings_per_task: u64,
     /// Pending spawn: original-space start PC for the next task.
     pending_spawn: Option<u64>,
     /// Spawns suppressed by a spawn-guard slice since the last
@@ -102,7 +100,6 @@ impl Master {
             status,
             crossings: 0,
             crossings_since_restart: 0,
-            crossings_per_task: distilled.crossings_per_task(),
             pending_spawn: if spawn_first && status == MasterStall::Active {
                 Some(orig_pc)
             } else {
@@ -212,7 +209,7 @@ impl Master {
         if let Some(orig_pc) = distilled.boundary_at_dist(next) {
             self.crossings += 1;
             self.crossings_since_restart += 1;
-            if self.crossings >= self.crossings_per_task {
+            if self.crossings >= distilled.crossings_per_task() {
                 self.crossings = 0;
                 if self.spawn_allowed(distilled, orig_pc) {
                     self.pending_spawn = Some(orig_pc);

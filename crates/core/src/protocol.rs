@@ -12,6 +12,9 @@
 //!
 //! [`verify_and_commit`] is the single verdict oracle: both drivers call
 //! it on the oldest finished task, and nothing else decides a commit.
+//! The unit also owns where tasks end: it builds the run's `SegmentRules`
+//! once from the offline distillation, and checks every hot-swap
+//! candidate against that segmentation.
 //! `CommitUnit::recover` is the single recovery loop: both drivers run a
 //! segment through it, straight on architected state — a segment runs
 //! alone, so its writes need no atomic commit — and the engine prices
@@ -261,6 +264,11 @@ pub(crate) struct CommitUnit<'a> {
     /// Live-in and write buffers of decided tasks, cleared, for the
     /// tasks to come.
     pub arena: DeltaArena,
+    /// The original program: what tasks and recovery segments run.
+    pub original: &'a Program,
+    /// Where tasks and recovery segments end: the offline distillation's
+    /// segmentation, which every hot-swap keeps, under the task cap.
+    pub rules: SegmentRules<'a>,
     master: Master,
     /// The offline distilled program, and the latest hot-swap if any.
     offline: &'a Distilled,
@@ -281,17 +289,24 @@ pub(crate) struct CommitUnit<'a> {
 }
 
 impl<'a> CommitUnit<'a> {
-    /// A unit booted at `original`'s entry, with a master on `distilled`
-    /// seeded from the boot state.
-    pub(crate) fn new(original: &Program, distilled: &'a Distilled, config: EngineConfig) -> Self {
+    /// A unit booted at `original`'s entry, with a master on `offline`
+    /// seeded from the boot state, and the run's segment rules built from
+    /// `offline`'s segmentation.
+    pub(crate) fn new(original: &'a Program, offline: &'a Distilled, config: EngineConfig) -> Self {
         let arch = MachineState::boot(original);
         CommitUnit {
             stats: EngineStats::default(),
             config,
-            master: Master::restart_at(distilled, arch.pc(), true, arch.clone()),
+            master: Master::restart_at(offline, arch.pc(), true, arch.clone()),
             arch,
             arena: DeltaArena::new(),
-            offline: distilled,
+            original,
+            rules: SegmentRules {
+                boundaries: offline.segmentation().boundaries(),
+                crossings_per_task: offline.crossings_per_task(),
+                max_instrs: config.max_task_instrs,
+            },
+            offline,
             swapped: None,
             since_spawn: 0,
             last_spawned: None,
@@ -438,9 +453,9 @@ impl<'a> CommitUnit<'a> {
     }
 
     /// Runs one non-speculative recovery segment: the original program
-    /// from the architected PC to the next task end under `rules` —
-    /// `halt`, the crossing that reaches the quota, or the instructions
-    /// left of the budget, whatever `rules.max_instrs` says — executed
+    /// from the architected PC to the next task end under the run's
+    /// rules — `halt`, the crossing that reaches the quota, or the
+    /// instructions left of the budget, in place of the task cap — executed
     /// straight on architected state, whose PC it leaves at the segment
     /// end. Forward progress however wrong the master is. A segment runs
     /// alone (the window is empty and the master offline), so no reader
@@ -457,17 +472,14 @@ impl<'a> CommitUnit<'a> {
     /// and its PC.
     pub(crate) fn recover(
         &mut self,
-        program: &Program,
-        rules: &SegmentRules<'_>,
         mut on_step: impl FnMut(&StepInfo),
     ) -> Result<(u64, bool), EngineError> {
-        let rules = SegmentRules {
-            max_instrs: self.config.max_instrs - self.stats.committed_instructions,
-            ..*rules
-        };
+        let mut rules = self.rules;
+        rules.max_instrs = self.config.max_instrs - self.stats.committed_instructions;
         let (mut pc, mut executed, mut crossings) = (self.arch.pc(), 0, 0);
         let end = loop {
-            let info = step(&mut self.arch, program, pc).map_err(EngineError::RecoveryFault)?;
+            let info =
+                step(&mut self.arch, self.original, pc).map_err(EngineError::RecoveryFault)?;
             if let Some(ad) = &mut self.adaptive {
                 ad.ctl.observe_recovery_step(&info);
             }
@@ -548,6 +560,11 @@ impl<'a> CommitUnit<'a> {
         let Some(candidate) = ctl.recompile(recompiler) else {
             return false;
         };
+        // Another segmentation would change where slaves end tasks mid-run.
+        if candidate.program.segmentation() != self.offline.segmentation() {
+            ctl.reject_candidate();
+            return false;
+        }
         self.swapped = Some(Arc::clone(&candidate.program));
         // First, so the swap marker's counters include the old master's vetoes.
         self.restart_master();
@@ -585,8 +602,8 @@ impl<'a> CommitUnit<'a> {
 mod tests {
     use super::*;
     use crate::adaptive::{AdaptiveConfig, WINDOW_TASKS};
-    use crate::task::BoundarySet;
     use mssp_analysis::Profile;
+    use mssp_distill::BoundarySet;
     use mssp_isa::asm::assemble;
     use mssp_isa::Reg;
     use mssp_machine::Cell;
@@ -823,15 +840,9 @@ mod tests {
             ..EngineConfig::default()
         };
         let (p, d) = identity(LOOP, &["loop"]);
-        let boundaries = BoundarySet::new(d.boundaries().clone());
-        let rules = SegmentRules {
-            boundaries: &boundaries,
-            crossings_per_task: 1,
-            max_instrs: 100,
-        };
         let mut unit = CommitUnit::new(&p, &d, config);
         let segment = |unit: &mut CommitUnit<'_>| {
-            let (executed, halted) = unit.recover(&p, &rules, |_| {}).unwrap();
+            let (executed, halted) = unit.recover(|_| {}).unwrap();
             unit.recovered(executed, halted).unwrap()
         };
         // Booted with its first spawn pending, as a master with no slave
@@ -866,7 +877,7 @@ mod tests {
             force_swap_at: vec![1],
         };
         let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
-        let controller = AdaptiveController::new(swap_after_one, &d, &profile);
+        let controller = AdaptiveController::new(swap_after_one, &profile);
         unit.enable_adaptive(controller, recompiler);
         unit.commit(&task(p.entry(), 2, &[], &[])).unwrap();
         unit.squash(SquashReason::WrongPath, &task(0, 1, &[], &[]), (1, 1));
@@ -910,17 +921,12 @@ mod tests {
     #[test]
     fn recovery_ends_at_the_nth_crossing_with_the_pc_there() {
         let (p, d) = identity(LOOP, &["loop"]);
+        let d = d.with_crossings_per_task(2);
         let loop_pc = p.symbol("loop").unwrap();
-        let boundaries = BoundarySet::new(BTreeSet::from([loop_pc]));
-        let rules = SegmentRules {
-            boundaries: &boundaries,
-            crossings_per_task: 2,
-            max_instrs: 100,
-        };
         let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
         let mut steps = 0;
         let (executed, halted) = unit
-            .recover(&p, &rules, |info| {
+            .recover(|info| {
                 steps += 1;
                 assert!(!info.halted);
             })
@@ -935,11 +941,12 @@ mod tests {
         );
 
         // The rest of the program fits one long segment and halts.
-        let far = SegmentRules {
-            crossings_per_task: 100,
-            ..rules
+        let far = d.clone().with_crossings_per_task(100);
+        let mut unit = CommitUnit {
+            arch: unit.arch,
+            ..CommitUnit::new(&p, &far, EngineConfig::default())
         };
-        let (executed, halted) = unit.recover(&p, &far, |_| {}).unwrap();
+        let (executed, halted) = unit.recover(|_| {}).unwrap();
         assert!(halted);
         assert_eq!((executed, unit.arch.reg(Reg::S1)), (6, 3));
         let halt_pc = loop_pc + 3 * mssp_isa::INSTR_BYTES;
@@ -952,18 +959,13 @@ mod tests {
     #[test]
     fn recovery_segment_stops_at_the_budget_and_reports_genuine_faults() {
         let (p, d) = identity(LOOP, &[]);
-        let boundaries = BoundarySet::default();
-        let rules = SegmentRules {
-            boundaries: &boundaries,
-            crossings_per_task: 1,
-            max_instrs: 1,
-        };
         let config = EngineConfig {
+            max_task_instrs: 1,
             max_instrs: 5,
             ..EngineConfig::default()
         };
         let mut unit = CommitUnit::new(&p, &d, config);
-        let (executed, halted) = unit.recover(&p, &rules, |_| {}).unwrap();
+        let (executed, halted) = unit.recover(|_| {}).unwrap();
         assert_eq!(
             (executed, halted),
             (5, false),
@@ -979,11 +981,11 @@ mod tests {
         // Committed instructions count against it.
         let mut unit = CommitUnit::new(&p, &d, config);
         unit.commit(&task(0, 3, &[], &[])).unwrap();
-        let (executed, _) = unit.recover(&p, &rules, |_| {}).unwrap();
+        let (executed, _) = unit.recover(|_| {}).unwrap();
         assert_eq!(executed, 2);
 
         unit.arch.set_pc(0xdead_0000);
-        let fault = unit.recover(&p, &rules, |_| {});
+        let fault = unit.recover(|_| {});
         assert!(matches!(fault, Err(EngineError::RecoveryFault(_))));
         assert_eq!(
             unit.arch.pc(),
@@ -1004,7 +1006,7 @@ mod tests {
         let mut answers = vec![Ok(pinned.clone()), Ok(moved), Err("lint".to_string())];
         let recompiler: Recompiler = Box::new(move |_| answers.pop().unwrap());
         let mut unit = CommitUnit::new(&p, &pinned, EngineConfig::default());
-        let controller = AdaptiveController::new(AdaptiveConfig::default(), &pinned, &profile);
+        let controller = AdaptiveController::new(AdaptiveConfig::default(), &profile);
         unit.enable_adaptive(controller, recompiler);
 
         let doomed = task(boundary, 1, &[], &[]);
@@ -1032,6 +1034,38 @@ mod tests {
         assert_eq!(report.candidates_rejected, 1);
         assert_eq!(report.swaps.len(), 1);
         assert_eq!(report.swaps[0].stats, stats, "marker froze the counters");
+    }
+
+    /// A candidate must keep the offline segmentation: one that moves the
+    /// boundary set, or keeps it and regroups its crossings, is dropped
+    /// and counted, and nothing installs.
+    #[test]
+    fn candidate_validation_pins_segmentation() {
+        let (p, d) = identity(LOOP, &["loop"]);
+        let profile = Profile::collect(&p, Profile::UNBOUNDED).unwrap();
+        let halt = assemble("main: halt").unwrap();
+        let moved = Distilled::from_parts(halt, BTreeSet::from([0xdead]), BTreeMap::new());
+        let regrouped = d.clone().with_crossings_per_task(2);
+        assert_eq!(regrouped.boundaries(), d.boundaries());
+        for wrong in [moved, regrouped] {
+            let recompiler: Recompiler = Box::new(move |_| Ok(wrong.clone()));
+            let force = AdaptiveConfig {
+                force_swap_at: vec![1],
+            };
+            let mut unit = CommitUnit::new(&p, &d, EngineConfig::default());
+            unit.enable_adaptive(AdaptiveController::new(force, &profile), recompiler);
+            unit.commit(&task(p.entry(), 2, &[], &[])).unwrap();
+            assert!(
+                !unit.swap(|| (1, 1)),
+                "a candidate with another segmentation"
+            );
+            assert!(unit.swapped.is_none());
+            let (_, stats, report) = unit.finish();
+            let report = report.expect("an adaptive run");
+            assert_eq!(report.candidates_rejected, 1);
+            assert!(report.swaps.is_empty());
+            assert_eq!((stats.swaps_installed, stats.swap_abandoned_tasks), (0, 0));
+        }
     }
 
     /// A master that cannot step is left as it was, whatever its run-ahead

@@ -12,7 +12,9 @@
 //! epoch bumps; an adaptive run recompiles on it too, at the requesting
 //! task boundary, as `Engine` does. It decides *when*; what each event
 //! means, for the counters and for the master, is written once, in the
-//! core.
+//! core. Where tasks end is the core's too: workers run each task under
+//! the commit unit's segment rules, built once from the offline
+//! distillation, and the coordinator hands them over as they are.
 //! DESIGN.md §6a-§6c carry the full arguments for what is summarized here.
 //!
 //! # Contention-free hot path
@@ -58,7 +60,7 @@ use mssp_machine::{Delta, DeltaArena, MachineState};
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::protocol::{verify_and_commit, CommitUnit, EngineStats, SquashReason, VerifyOutcome};
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
-use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd};
+use crate::task::{SegmentRules, Task, TaskEnd};
 use crate::{EngineConfig, EngineError};
 
 /// Commits folded into the committed view after which the coordinator
@@ -271,19 +273,13 @@ fn run_threaded_inner(
     adaptive: Option<(AdaptiveController, Recompiler)>,
 ) -> Result<ThreadedRun, ThreadedError> {
     let start_time = std::time::Instant::now();
-    let boundaries = BoundarySet::new(distilled.boundaries().clone());
-    // Task and recovery segments end alike; recovery is capped by the budget.
-    let rules = SegmentRules {
-        boundaries: &boundaries,
-        crossings_per_task: distilled.crossings_per_task().max(1),
-        max_instrs: config.max_task_instrs,
-    };
     let current_epoch = AtomicU64::new(0);
     let mut unit = CommitUnit::new(original, distilled, config);
     if let Some((ctl, rec)) = adaptive {
         unit.enable_adaptive(ctl, rec);
     }
-    let (coordinator, work_rxs, coord_tx) = Coordinator::new(original, rules, &current_epoch, unit);
+    let rules = unit.rules;
+    let (coordinator, work_rxs, coord_tx) = Coordinator::new(&current_epoch, unit);
 
     std::thread::scope(|scope| -> Result<ThreadedRun, ThreadedError> {
         let mut threads = Vec::with_capacity(config.num_slaves);
@@ -377,9 +373,6 @@ fn worker_loop(
 /// core: steps the core's master, dispatches its spawns to workers, and
 /// presents their results to [`verify_and_commit`] in spawn order.
 struct Coordinator<'a> {
-    original: &'a Program,
-    /// Segment rules; a recovery segment's cap is the budget left.
-    rules: SegmentRules<'a>,
     current_epoch: &'a AtomicU64,
     work_txs: Vec<SpscSender<WorkItem>>,
     coord_rx: MpscReceiver<CoordMsg>,
@@ -417,8 +410,6 @@ impl<'a> Coordinator<'a> {
     /// worker ends of its rings: one task receiver per slave, and the
     /// result sender they share.
     fn new(
-        original: &'a Program,
-        rules: SegmentRules<'a>,
         current_epoch: &'a AtomicU64,
         mut unit: CommitUnit<'a>,
     ) -> (Self, Vec<SpscReceiver<WorkItem>>, MpscSender<CoordMsg>) {
@@ -430,8 +421,6 @@ impl<'a> Coordinator<'a> {
             (0..slaves).map(|_| ring::spsc(WORK_RING_CAP)).unzip();
         unit.stats.snapshots_materialized += 1;
         let coordinator = Coordinator {
-            original,
-            rules,
             current_epoch,
             outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
             work_txs,
@@ -622,7 +611,7 @@ impl<'a> Coordinator<'a> {
     /// build none. The unit then restarts the master, or keeps it offline
     /// while throttled, and starvation runs the next segment.
     fn recover(&mut self) -> Result<(), ThreadedError> {
-        let (executed, halted) = self.unit.recover(self.original, &self.rules, |_| {})?;
+        let (executed, halted) = self.unit.recover(|_| {})?;
         self.halted = halted;
         self.base_stale = true;
         self.unit.recovered(executed, halted)?;
@@ -776,10 +765,9 @@ mod tests {
     fn test_recompiler(p: &Program, d: &Distilled) -> Recompiler {
         let program = p.clone();
         let dcfg = DistillConfig::default();
-        let boundaries = d.boundaries().clone();
-        let crossings = d.crossings_per_task().max(1);
+        let pin = d.segmentation().clone();
         Box::new(move |profile| {
-            redistill(&program, profile, &dcfg, &boundaries, crossings).map_err(|e| e.to_string())
+            redistill(&program, profile, &dcfg, &pin).map_err(|e| e.to_string())
         })
     }
 
@@ -787,7 +775,7 @@ mod tests {
     fn adaptive_stationary_run_recompiles_nothing() {
         let (p, d) = fixture();
         let profile = Profile::collect(&p, u64::MAX).unwrap();
-        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &profile);
         // A recompiler that must never run: stationary behaviour matching
         // the training profile gives the controller no reason to act.
         let rec: Recompiler = Box::new(|_| Err("recompiled a stationary run".into()));
@@ -807,7 +795,7 @@ mod tests {
         let config = AdaptiveConfig {
             force_swap_at: vec![5, 10],
         };
-        let ctl = AdaptiveController::new(config, &d, &profile);
+        let ctl = AdaptiveController::new(config, &profile);
         let rec = test_recompiler(&p, &d);
         let run = run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec).unwrap();
         let mut seq = SeqMachine::boot(&p);
@@ -837,13 +825,13 @@ mod tests {
 
     /// A controller that asks for a recompile after five commits, and a
     /// recompiler that panics when asked.
-    fn exploding_recompiler(p: &Program, d: &Distilled) -> (AdaptiveController, Recompiler) {
+    fn exploding_recompiler(p: &Program) -> (AdaptiveController, Recompiler) {
         let profile = Profile::collect(p, u64::MAX).unwrap();
         let config = AdaptiveConfig {
             force_swap_at: vec![5],
         };
         let rec: Recompiler = Box::new(|_| panic!("recompiler exploded"));
-        (AdaptiveController::new(config, d, &profile), rec)
+        (AdaptiveController::new(config, &profile), rec)
     }
 
     /// A panic on the calling thread is the caller's own panic, raised
@@ -852,7 +840,7 @@ mod tests {
     #[test]
     fn recompiler_panic_propagates_to_the_caller() {
         let (p, d) = fixture();
-        let (ctl, rec) = exploding_recompiler(&p, &d);
+        let (ctl, rec) = exploding_recompiler(&p);
         let cfg = EngineConfig {
             num_slaves: 2,
             ..EngineConfig::default()

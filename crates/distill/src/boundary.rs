@@ -1,4 +1,4 @@
-//! Task-boundary selection.
+//! Task boundaries: where tasks end.
 //!
 //! MSSP splits the dynamic instruction stream into tasks at a static set of
 //! program counters. Good boundaries recur at roughly the target task-size
@@ -7,11 +7,17 @@
 //! sites). Selection is profile-guided — a candidate's expected task size
 //! is the training run's instruction count divided by how often the
 //! candidate was crossed.
+//!
+//! The boundary set, and how many crossings of it make one task, are the
+//! one piece of a distillation the slaves, the verify unit and recovery
+//! depend on. [`Segmentation`] is that piece, built once per
+//! distillation: the engine's drivers only read it, and a hot-swapped
+//! master must keep it unchanged.
 
 use std::collections::BTreeSet;
 
 use mssp_analysis::{natural_loops, Cfg, Dominators, Profile};
-use mssp_isa::Program;
+use mssp_isa::{Program, INSTR_BYTES};
 
 /// Selects task-boundary PCs (original-program block starts).
 ///
@@ -89,6 +95,105 @@ pub(crate) fn select_boundaries(
         chosen.insert(candidates[0].pc);
     }
     chosen
+}
+
+/// Where tasks end: the task-boundary set, and how many boundary
+/// crossings make one task (at least 1, whatever the constructor is
+/// given).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Segmentation {
+    pub(crate) boundaries: BoundarySet,
+    pub(crate) crossings_per_task: u64,
+}
+
+impl Segmentation {
+    pub(crate) fn new(boundaries: BoundarySet, crossings_per_task: u64) -> Segmentation {
+        Segmentation {
+            boundaries,
+            crossings_per_task: crossings_per_task.max(1),
+        }
+    }
+
+    /// The task-boundary PCs, in original program space.
+    #[must_use]
+    pub fn boundaries(&self) -> &BoundarySet {
+        &self.boundaries
+    }
+}
+
+/// Most instruction slots a [`BoundarySet`] bitmap may span (128 KiB of
+/// bitmap, 4 MiB of program text).
+const MAX_BITMAP_SLOTS: u64 = 1 << 20;
+
+/// A static set of task-boundary PCs with the end-of-task test.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BoundarySet {
+    pub(crate) pcs: BTreeSet<u64>,
+    /// The membership test every executed instruction pays, as one bit
+    /// per instruction slot from the lowest boundary to the highest.
+    /// `None` when the set is not instruction-aligned or spans more than
+    /// [`MAX_BITMAP_SLOTS`] — a boundary set is caller-supplied data —
+    /// and membership falls back to `pcs`.
+    bitmap: Option<SlotBitmap>,
+}
+
+/// Bit `i` of `words` set: `base + i * INSTR_BYTES` is in the set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotBitmap {
+    base: u64,
+    words: Vec<u64>,
+}
+
+impl SlotBitmap {
+    fn new(pcs: &BTreeSet<u64>) -> Option<SlotBitmap> {
+        let (&base, &last) = (pcs.first()?, pcs.last()?);
+        let slots = (last - base) / INSTR_BYTES + 1;
+        if slots > MAX_BITMAP_SLOTS
+            || pcs
+                .iter()
+                .any(|pc| !(pc - base).is_multiple_of(INSTR_BYTES))
+        {
+            return None;
+        }
+        let mut words = vec![0u64; slots.div_ceil(64) as usize];
+        for pc in pcs {
+            let slot = (pc - base) / INSTR_BYTES;
+            words[(slot / 64) as usize] |= 1 << (slot % 64);
+        }
+        Some(SlotBitmap { base, words })
+    }
+
+    #[inline]
+    fn contains(&self, pc: u64) -> bool {
+        // A PC below `base` wraps to an offset past the last slot.
+        let offset = pc.wrapping_sub(self.base);
+        let slot = offset / INSTR_BYTES;
+        offset.is_multiple_of(INSTR_BYTES)
+            && self
+                .words
+                .get((slot / 64) as usize)
+                .is_some_and(|word| word & (1 << (slot % 64)) != 0)
+    }
+}
+
+impl BoundarySet {
+    /// Creates a boundary set from original-program PCs.
+    #[must_use]
+    pub fn new(pcs: BTreeSet<u64>) -> BoundarySet {
+        let bitmap = SlotBitmap::new(&pcs);
+        BoundarySet { pcs, bitmap }
+    }
+
+    /// Whether `pc` is a task boundary. Inlined across crates: a slave
+    /// asks it once per instruction it executes.
+    #[must_use]
+    #[inline]
+    pub fn contains(&self, pc: u64) -> bool {
+        match &self.bitmap {
+            Some(bitmap) => bitmap.contains(pc),
+            None => self.pcs.contains(&pc),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,5 +300,68 @@ mod tests {
         let b1 = select_boundaries(&p, &cfg, &dom, &prof, 2);
         let b2 = select_boundaries(&p, &cfg, &dom, &prof, 2);
         assert_eq!(b1, b2);
+    }
+
+    #[test]
+    fn boundary_set_membership() {
+        let b = BoundarySet::new(BTreeSet::from([0x100, 0x200]));
+        assert!(b.contains(0x100));
+        assert!(!b.contains(0x104));
+        assert_eq!(b.pcs.len(), 2);
+    }
+
+    /// Every PC a test probes a boundary set with: its members, their
+    /// neighbours (misaligned ones included) and the ends of the range.
+    fn probes(pcs: &BTreeSet<u64>) -> Vec<u64> {
+        let mut probes = vec![0, 1, 4, u64::MAX - 4, u64::MAX - 3, u64::MAX];
+        for &pc in pcs {
+            for d in [1, 2, 3, 4, 64 * 4, 1 << 40] {
+                probes.extend([pc, pc.wrapping_sub(d), pc.wrapping_add(d)]);
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn boundary_set_answers_like_the_set_it_was_built_from() {
+        let sets = [
+            BTreeSet::new(),
+            BTreeSet::from([0x1_0000]),
+            BTreeSet::from([0x1_0000, 0x1_0004, 0x1_00fc, 0x1_0100, 0x1_0104, 0x1_2000]),
+            // Misaligned against each other: no slot numbering fits.
+            BTreeSet::from([0x1_0000, 0x1_0006]),
+            BTreeSet::from([3, 7, 11]),
+        ];
+        for pcs in sets {
+            let b = BoundarySet::new(pcs.clone());
+            for pc in probes(&pcs) {
+                assert_eq!(b.contains(pc), pcs.contains(&pc), "{pc:#x} in {pcs:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_boundary_span_does_not_size_the_bitmap() {
+        // `Distilled::from_parts` takes any set; one spanning the whole
+        // address space must cost a set lookup, not an allocation.
+        let hostile = [
+            BTreeSet::from([0, u64::MAX]),
+            BTreeSet::from([0, u64::MAX - 3]),
+            BTreeSet::from([0x1_0000, 0x1_0000 + MAX_BITMAP_SLOTS * INSTR_BYTES]),
+        ];
+        for pcs in hostile {
+            let b = BoundarySet::new(pcs.clone());
+            assert_eq!(b.bitmap, None, "{pcs:x?}");
+            for pc in probes(&pcs) {
+                assert_eq!(b.contains(pc), pcs.contains(&pc), "{pc:#x} in {pcs:x?}");
+            }
+        }
+        // The widest span that still gets one.
+        let widest = BTreeSet::from([0x1_0000, 0x1_0000 + (MAX_BITMAP_SLOTS - 1) * INSTR_BYTES]);
+        let b = BoundarySet::new(widest.clone());
+        assert_eq!(b.bitmap.as_ref().map(|m| m.words.len()), Some(1 << 14));
+        for pc in probes(&widest) {
+            assert_eq!(b.contains(pc), widest.contains(&pc), "{pc:#x}");
+        }
     }
 }

@@ -43,7 +43,7 @@ use std::fmt;
 use mssp_analysis::{Cfg, ConstProp, Dominators, Liveness, Profile, Terminator};
 use mssp_isa::{asm::li_sequence, Instr, Program, Reg, INSTR_BYTES};
 
-use crate::boundary::select_boundaries;
+use crate::boundary::{select_boundaries, BoundarySet, Segmentation};
 use crate::ir::{layout, DBlock, Exit};
 use crate::passes::{run_pipeline, PassDelta, PipelineOutcome};
 use crate::slice::{compute_slices, Slice};
@@ -126,13 +126,12 @@ pub struct DistillStats {
 #[derive(Debug, Clone)]
 pub struct Distilled {
     program: Program,
-    boundaries: BTreeSet<u64>,
+    segmentation: Segmentation,
     orig_to_dist: BTreeMap<u64, u64>,
     boundary_dist: BTreeMap<u64, u64>,
     /// `boundary_dist` over the distilled text, one entry per instruction:
     /// what the master asks after every instruction it executes.
     boundary_table: Vec<Option<u64>>,
-    crossings_per_task: u64,
     stats: DistillStats,
     pass_trace: Vec<PassDelta>,
     slices: BTreeMap<u64, Vec<Slice>>,
@@ -180,10 +179,9 @@ impl Distilled {
         Distilled {
             boundary_table: boundary_table(&program, &boundary_dist),
             program,
-            boundaries,
+            segmentation: Segmentation::new(BoundarySet::new(boundaries), 1),
             orig_to_dist,
             boundary_dist,
-            crossings_per_task: 1,
             stats,
             pass_trace: Vec::new(),
             slices: BTreeMap::new(),
@@ -194,7 +192,8 @@ impl Distilled {
     /// (see [`Distilled::crossings_per_task`]).
     #[must_use]
     pub fn with_crossings_per_task(mut self, n: u64) -> Distilled {
-        self.crossings_per_task = n.max(1);
+        let boundaries = std::mem::take(&mut self.segmentation.boundaries);
+        self.segmentation = Segmentation::new(boundaries, n);
         self
     }
 
@@ -230,10 +229,19 @@ impl Distilled {
     /// consecutive crossings into one task restores the target task size.
     /// The master and the slaves count crossings identically along the
     /// same path, so the grouping never causes disagreement beyond what a
-    /// wrong prediction would cause anyway.
+    /// wrong prediction would cause anyway. Never 0.
     #[must_use]
+    #[inline]
     pub fn crossings_per_task(&self) -> u64 {
-        self.crossings_per_task
+        self.segmentation.crossings_per_task
+    }
+
+    /// The task segmentation: the boundary set and the crossing grouping,
+    /// which slaves, the verify unit and recovery end tasks by, and a
+    /// hot-swapped master must keep.
+    #[must_use]
+    pub fn segmentation(&self) -> &Segmentation {
+        &self.segmentation
     }
 
     /// The distilled binary (placed at `DIST_TEXT_BASE`).
@@ -247,7 +255,7 @@ impl Distilled {
     /// agreement against them.
     #[must_use]
     pub fn boundaries(&self) -> &BTreeSet<u64> {
-        &self.boundaries
+        &self.segmentation.boundaries.pcs
     }
 
     /// Translates an original block-start address to its distilled
@@ -326,9 +334,9 @@ pub fn distill(
     distill_pinned(program, profile, config, None)
 }
 
-/// Re-distills `program` against a fresher `profile` while *pinning* the
-/// task-boundary set and crossings-per-task grouping of an earlier
-/// distillation.
+/// Re-distills `program` against a fresher `profile` while *pinning*
+/// `segmentation`, the task-boundary set and crossings-per-task grouping
+/// of an earlier distillation.
 ///
 /// This is the online adaptive loop's re-entry point. Boundaries define
 /// the task segmentation that the engine's slaves, verify unit and
@@ -340,8 +348,8 @@ pub fn distill(
 /// every boundary keeps a distilled-PC mapping even if the new profile
 /// calls it cold.
 ///
-/// `boundaries` must be block starts of `program` (true of any boundary
-/// set produced by [`distill`] on the same program).
+/// The pinned boundaries must be block starts of `program` (true of any
+/// boundary set produced by [`distill`] on the same program).
 ///
 /// # Errors
 ///
@@ -350,22 +358,16 @@ pub fn redistill(
     program: &Program,
     profile: &Profile,
     config: &DistillConfig,
-    boundaries: &BTreeSet<u64>,
-    crossings_per_task: u64,
+    segmentation: &Segmentation,
 ) -> Result<Distilled, DistillError> {
-    distill_pinned(
-        program,
-        profile,
-        config,
-        Some((boundaries, crossings_per_task)),
-    )
+    distill_pinned(program, profile, config, Some(segmentation))
 }
 
 fn distill_pinned(
     program: &Program,
     profile: &Profile,
     config: &DistillConfig,
-    pin: Option<(&BTreeSet<u64>, u64)>,
+    pin: Option<&Segmentation>,
 ) -> Result<Distilled, DistillError> {
     let cfg = Cfg::build(program);
     let dom = Dominators::compute(&cfg);
@@ -430,12 +432,12 @@ fn distill_pinned(
     // Pinned boundaries (re-distillation) must keep their distilled-PC
     // mapping even when the fresher profile no longer reaches them, so
     // their blocks join the retention roots.
-    if let Some((fixed, _)) = pin {
+    if let Some(pin) = pin {
         stack.extend(
             cfg.blocks()
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| fixed.contains(&b.start))
+                .filter(|(_, b)| pin.boundaries.contains(b.start))
                 .map(|(bid, _)| bid),
         );
     }
@@ -450,7 +452,7 @@ fn distill_pinned(
     // --- Pass 3: boundaries (restricted to retained blocks), or the
     // pinned set verbatim when re-distilling. ---
     let boundaries: BTreeSet<u64> = match pin {
-        Some((fixed, _)) => fixed.clone(),
+        Some(pin) => pin.boundaries.pcs.clone(),
         None => {
             let retained_starts: BTreeSet<u64> = cfg
                 .blocks()
@@ -599,16 +601,17 @@ fn distill_pinned(
 
     // --- Pass 7: spawn guards (squash-feedback-gated). ---
     let crossings_per_task = match pin {
-        Some((_, n)) => n.max(1),
+        Some(pin) => pin.crossings_per_task,
         None => crossings_per_task_of(profile, &boundaries, config),
     };
+    let segmentation = Segmentation::new(BoundarySet::new(boundaries), crossings_per_task);
     let slices = compute_slices(
         program,
         &cfg,
         profile,
         &asserts,
-        &boundaries,
-        crossings_per_task,
+        &segmentation.boundaries.pcs,
+        segmentation.crossings_per_task,
     );
 
     let counters = pipeline.counters;
@@ -631,10 +634,9 @@ fn distill_pinned(
     Ok(Distilled {
         boundary_table: boundary_table(&distilled_program, &boundary_dist),
         program: distilled_program,
-        boundaries,
+        segmentation,
         orig_to_dist,
         boundary_dist,
-        crossings_per_task,
         stats,
         pass_trace: pipeline.trace,
         slices,
@@ -648,12 +650,10 @@ fn crossings_per_task_of(
     config: &DistillConfig,
 ) -> u64 {
     let total_crossings: u64 = boundaries.iter().map(|&b| profile.exec_count(b)).sum();
-    if total_crossings == 0 {
-        1
-    } else {
-        let gap = profile.dynamic_instructions() as f64 / total_crossings as f64;
-        ((config.target_task_size as f64 / gap).round() as u64).clamp(1, 4096)
-    }
+    // No crossing makes the gap infinite (or NaN) and the grouping 0:
+    // `Segmentation::new` lifts that, as every grouping, to at least 1.
+    let gap = profile.dynamic_instructions() as f64 / total_crossings as f64;
+    ((config.target_task_size as f64 / gap).round() as u64).min(4096)
 }
 
 fn block_start_of(cfg: &Cfg, pc: u64) -> u64 {
@@ -882,14 +882,7 @@ mod tests {
         // the boundary set and crossing grouping must survive verbatim,
         // and every pinned boundary must stay mapped.
         let short = Profile::collect(&p, 40).unwrap();
-        let second = redistill(
-            &p,
-            &short,
-            &cfg,
-            first.boundaries(),
-            first.crossings_per_task(),
-        )
-        .unwrap();
+        let second = redistill(&p, &short, &cfg, first.segmentation()).unwrap();
         assert_eq!(second.boundaries(), first.boundaries());
         assert_eq!(second.crossings_per_task(), first.crossings_per_task());
         for &b in second.boundaries() {
@@ -906,20 +899,45 @@ mod tests {
         let prof = Profile::collect(&p, u64::MAX).unwrap();
         let cfg = DistillConfig::at_level(DistillLevel::Aggressive);
         let first = distill(&p, &prof, &cfg).unwrap();
-        let second = redistill(
-            &p,
-            &Profile::empty(),
-            &cfg,
-            first.boundaries(),
-            first.crossings_per_task(),
-        )
-        .unwrap();
+        let second = redistill(&p, &Profile::empty(), &cfg, first.segmentation()).unwrap();
         assert_eq!(second.boundaries(), first.boundaries());
         for &b in second.boundaries() {
             assert!(second.to_dist(b).is_some());
         }
         // An empty profile asserts nothing, so the image is conservative.
         assert_eq!(second.stats().asserted_branches, 0);
+    }
+
+    /// Every way of making a `Distilled` groups at least one crossing
+    /// into a task, so nothing that reads the segmentation clamps it.
+    #[test]
+    fn every_constructor_groups_at_least_one_crossing() {
+        let cfg = DistillConfig::default();
+        let halt = assemble("main: halt").unwrap();
+        let halt_profile = Profile::collect(&halt, u64::MAX).unwrap();
+        let p = assemble(LOOPY).unwrap();
+        // No training run: the grouping reaches no boundary crossing.
+        let unprofiled = distill(&p, &Profile::empty(), &cfg).unwrap();
+        assert_eq!(unprofiled.crossings_per_task(), 1);
+        // A pin built around the constructor, grouping nothing.
+        let zero = Segmentation {
+            boundaries: unprofiled.segmentation().boundaries.clone(),
+            crossings_per_task: 0,
+        };
+        let bare = || Distilled::from_parts(halt.clone(), BTreeSet::new(), BTreeMap::new());
+        let made = [
+            distill(&halt, &halt_profile, &cfg).unwrap(),
+            unprofiled.clone(),
+            bare(),
+            bare().with_crossings_per_task(0),
+            redistill(&p, &Profile::empty(), &cfg, unprofiled.segmentation()).unwrap(),
+            redistill(&p, &Profile::empty(), &cfg, &zero).unwrap(),
+        ];
+        for (i, d) in made.iter().enumerate() {
+            assert!(d.crossings_per_task() >= 1, "constructor {i}");
+            assert_eq!(&d.segmentation().boundaries().pcs, d.boundaries());
+        }
+        assert_eq!(made[5].segmentation().boundaries(), &zero.boundaries);
     }
 
     #[test]

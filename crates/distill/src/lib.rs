@@ -45,6 +45,7 @@ mod ir;
 mod passes;
 mod slice;
 
+pub use boundary::{BoundarySet, Segmentation};
 pub use config::{DistillConfig, DistillLevel, PassConfig};
 pub use distill::{distill, redistill, DistillError, DistillStats, Distilled};
 pub use passes::PassDelta;

@@ -91,7 +91,7 @@ pub fn distill_validated(
 /// Builds the online adaptive loop's recompiler for a run of `program`
 /// that starts from `distilled`: each call re-distills `program` from the
 /// live profile it is given, with the default configuration and
-/// `distilled`'s boundary set and crossing grouping pinned, behind the
+/// `distilled`'s segmentation pinned, behind the
 /// same soundness gate as [`distill_validated`].
 ///
 /// Every candidate distilled program must clear the full lint battery
@@ -104,18 +104,11 @@ pub fn validated_recompiler(
     distilled: &Distilled,
 ) -> impl FnMut(&Profile) -> Result<Distilled, String> + Send + 'static {
     let program = program.clone();
-    let boundaries = distilled.boundaries().clone();
-    let crossings = distilled.crossings_per_task().max(1);
+    let pin = distilled.segmentation().clone();
     move |profile| {
-        redistill(
-            &program,
-            profile,
-            &DistillConfig::default(),
-            &boundaries,
-            crossings,
-        )
-        .and_then(|d| gate(&program, d, profile, &LintConfig::default()))
-        .map_err(|e| e.to_string())
+        redistill(&program, profile, &DistillConfig::default(), &pin)
+            .and_then(|d| gate(&program, d, profile, &LintConfig::default()))
+            .map_err(|e| e.to_string())
     }
 }
 

@@ -194,7 +194,7 @@ fn cmd_run(target: &str, scale: Option<u64>, stats: bool, adaptive: bool) -> Res
             // Arm the online controller: divergence from the training
             // profile triggers a lint-gated re-distillation and an epoch
             // hot-swap at the next task boundary.
-            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &prof);
+            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &prof);
             let rec = Box::new(validated_recompiler(&p, &d));
             run_threaded_adaptive(&p, &d, EngineConfig::default(), ctl, rec)
                 .map_err(|e| e.to_string())?

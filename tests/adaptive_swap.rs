@@ -43,11 +43,8 @@ fn deterministic_recompiler(p: &Program, d: &Distilled, training: &Profile) -> R
     let program = p.clone();
     let profile = training.clone();
     let dcfg = DistillConfig::default();
-    let boundaries = d.boundaries().clone();
-    let crossings = d.crossings_per_task().max(1);
-    Box::new(move |_live| {
-        redistill(&program, &profile, &dcfg, &boundaries, crossings).map_err(|e| e.to_string())
-    })
+    let pin = d.segmentation().clone();
+    Box::new(move |_live| redistill(&program, &profile, &dcfg, &pin).map_err(|e| e.to_string()))
 }
 
 /// What both executors must agree on: the commit, squash, recovery and
@@ -92,7 +89,7 @@ fn forced_swaps_agree_across_executors() {
     seq.run(u64::MAX).unwrap();
 
     let discrete = {
-        let ctl = AdaptiveController::new(forced_config(), &d, &training);
+        let ctl = AdaptiveController::new(forced_config(), &training);
         let rec = deterministic_recompiler(&p, &d, &training);
         let mut e = Engine::new(&p, &d, EngineConfig::default(), UnitCost);
         e.enable_adaptive(ctl, rec);
@@ -103,7 +100,7 @@ fn forced_swaps_agree_across_executors() {
     let dreport = discrete.adaptive.as_ref().unwrap();
 
     for workers in [1usize, 2, 4, 8] {
-        let ctl = AdaptiveController::new(forced_config(), &d, &training);
+        let ctl = AdaptiveController::new(forced_config(), &training);
         let rec = deterministic_recompiler(&p, &d, &training);
         let cfg = EngineConfig {
             num_slaves: workers,
@@ -169,7 +166,7 @@ fn mid_storm_swap_preserves_state() {
         seq.run(u64::MAX).unwrap();
 
         let discrete = {
-            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &profile);
             let rec = deterministic_recompiler(&reference, &d, &profile);
             let mut e = Engine::new(&reference, &d, EngineConfig::default(), UnitCost);
             e.enable_adaptive(ctl, rec);
@@ -185,7 +182,7 @@ fn mid_storm_swap_preserves_state() {
         let expected = schedule(&discrete.stats, discrete.adaptive.as_ref().unwrap());
 
         for workers in [1usize, 2, 4, 8] {
-            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+            let ctl = AdaptiveController::new(AdaptiveConfig::default(), &profile);
             let rec = deterministic_recompiler(&reference, &d, &profile);
             let cfg = EngineConfig {
                 num_slaves: workers,

@@ -338,16 +338,15 @@ fn cmp_cost_bursts_like_the_per_instant_schedule() {
 fn recompiler(f: &Fixture) -> Recompiler {
     let program = f.program.clone();
     let profile = f.training.clone();
-    let boundaries = f.distilled.boundaries().clone();
-    let crossings = f.distilled.crossings_per_task().max(1);
+    let pin = f.distilled.segmentation().clone();
     Box::new(move |_live| {
         let config = DistillConfig::default();
-        redistill(&program, &profile, &config, &boundaries, crossings).map_err(|e| e.to_string())
+        redistill(&program, &profile, &config, &pin).map_err(|e| e.to_string())
     })
 }
 
 fn adaptive_run<C: CostModel>(f: &Fixture, cost: C) -> Observed<C> {
-    let controller = AdaptiveController::new(AdaptiveConfig::default(), &f.distilled, &f.training);
+    let controller = AdaptiveController::new(AdaptiveConfig::default(), &f.training);
     let (outcome, events) = observe_with(f, EngineConfig::default(), cost, Some(controller));
     let (run, cost) = outcome.unwrap();
     Observed { run, events, cost }

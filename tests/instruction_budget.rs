@@ -114,7 +114,7 @@ fn a_program_that_never_halts_spends_its_budget_under_every_executor() {
         });
     }
     timed("run_threaded_adaptive", &|| {
-        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &d, &profile);
+        let ctl = AdaptiveController::new(AdaptiveConfig::default(), &profile);
         let rec = Box::new(validated_recompiler(&p, &d));
         threaded_cut(run_threaded_adaptive(&p, &d, config(2), ctl, rec).unwrap_err())
     });

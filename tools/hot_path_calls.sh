@@ -3,17 +3,22 @@
 # engine's bursts make no out-of-line call per simulated instruction.
 #
 # Lists the calls each copy of `Engine<C,O>::pass` makes in the benchmark
-# binary, with nm and objdump, and fails if
+# binary, with nm, objdump and readelf: direct calls, and calls through
+# the GOT, which is how a function another crate compiled out of line is
+# called. It fails if
 #   * the binary has no `Engine<C,O>::pass` symbol (then it lists the
 #     calls of `Engine<C,O>::run_returning_cost`, which `pass` was inlined
 #     into, and names the forbidden ones among them), or
 #   * a `pass` calls one of the per-instruction functions out of line:
-#     `CommitUnit::step_master`, `private_instr_cost`, `boundary_at_dist`
-#     or `StepInfo::record_writes`.
+#     `CommitUnit::step_master`, `private_instr_cost`, `boundary_at_dist`,
+#     `StepInfo::record_writes`, `SegmentRules::retire` or
+#     `BoundarySet::contains` (which `mssp-distill` defines, so only its
+#     `#[inline]` keeps it in the slave burst).
 # Anything else may stay a call: per-task-event functions, the L2 path
 # (`CmpCost::instr_cost`), `CommitUnit::recover` (once per recovery
-# segment), `Storage::{load_bytes, store_bytes}` and the store closure of
-# `record_writes`.
+# segment), `Storage::{load_bytes, store_bytes}`, a slave's masked word
+# path (`TaskStorage::{load_word_masked, store_word_masked,
+# read_cell_masked}`), panics and the store closure of `record_writes`.
 #
 # Usage (from anywhere in the repository, after building the benchmark,
 # e.g. with `bash benchmark/run.sh --smoke`):
@@ -24,19 +29,40 @@ cd "$(dirname "$0")/.."
 
 bin=${1:-benchmark/target/release/mssp-benchmark}
 forbidden='CommitUnit.*::step_master|private_instr_cost|boundary_at_dist|record_writes'
+forbidden+='|SegmentRules.*::retire|BoundarySet::contains'
 
 # One "address size" line per copy of the function named by $1.
 symbols() {
     nm -C -S --defined-only "$bin" | grep -F "Engine<C,O>::$1" | cut -d' ' -f1,2 || true
 }
 
-# The direct calls the function at address $1, of size $2, makes, with
-# their counts. Indirect calls through the GOT go to libc.
+# One "slot <name>" line per GOT slot that holds the address of a
+# function of the binary: a function another crate compiled out of line
+# (not generic, not `#[inline]`) is called through its slot, not directly.
+# Slots of libc functions hold no such address and are left out.
+got_names() {
+    awk '
+        FNR == NR { addr = $1; sub(/^0+/, "", addr); $1 = $2 = ""; sub(/^ +/, "")
+                    name[addr] = "<" $0 ">"; next }
+        $3 == "R_X86_64_RELATIVE" { slot = $1; addr = $4
+                                    sub(/^0+/, "", slot); sub(/^0+/, "", addr)
+                                    if (addr in name) print slot, name[addr] }
+    ' <(nm -C --defined-only "$bin") <(readelf -rW "$bin")
+}
+got=$(got_names)
+
+# The calls the function at address $1, of size $2, makes, direct or
+# through the GOT, with their counts.
 calls_of() {
     objdump -d --no-show-raw-insn -C --start-address="0x$1" \
         --stop-address="$(printf 0x%x $((16#$1 + 16#$2)))" "$bin" |
-        grep -o 'call  *[0-9a-f]* <.*>' | sed 's/^call  *[0-9a-f]* //' |
-        sort | uniq -c || true
+        awk '
+            FNR == NR { slot = $1; $1 = ""; sub(/^ /, ""); via[slot] = $0; next }
+            /call +[0-9a-f]+ </ { sub(/.*call +[0-9a-f]+ /, ""); print; next }
+            /call +\*0x[0-9a-f]+\(%rip\)/ { split($0, at, "# "); split(at[2], gs, " ")
+                                             if (gs[1] in via) print via[gs[1]] }
+        ' <(printf '%s\n' "$got") - |
+        sort | uniq -c
 }
 
 # Lists the calls of each copy of `Engine<C,O>::$1` and names the
